@@ -23,10 +23,10 @@ TRUE_SD = np.sqrt(12.0 / 392.0)
 
 def make_model() -> SimulableModel:
     return SimulableModel(
-        sample_prior=lambda rng: rng.uniform(1),
+        sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=lambda th, rng: (rng.uniform(5) < th[0]).astype(float),
         summary=lambda y: np.array([float(np.sum(y))]),
-        log_prior=lambda th: 0.0 if 0.0 <= th[0] <= 1.0 else -np.inf,
+        log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0), 0.0, -np.inf),
     )
 
 

@@ -5,8 +5,8 @@ Every algorithm compares summary statistics under a distance; raw-data
 distances are not supported.  The sequential sampler perturbs resampled
 particles with a Gaussian kernel whose covariance is an inflated weighted
 empirical covariance, and corrects with importance weights
-prior / (mixture of kernels), computed in chunks to keep the O(N^2)
-denominator affordable.  `regression_adjust` removes the remaining
+prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
+blocks of particles.  `regression_adjust` removes the remaining
 tolerance-induced spread from a population by the local-linear regression
 of Beaumont, Zhang & Balding (2002), using the accepted summaries.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DegenerateWeightsError,
@@ -27,10 +26,10 @@ from .core import (
 )
 from .mcmc import Chain
 from .model import SimulableModel
-from .montecarlo import GaussianProposal, WeightedSample, ess
+from .montecarlo import GaussianProposal, WeightedSample, ess, kernel_mixture_logpdf
 from .probit import (
     ProbitModel,
-    gprior_logpdf,
+    gprior_logpdf_many,
     probit_abc_summary,
     probit_mle,
     probit_simulate,
@@ -54,7 +53,6 @@ _MIN_ACCEPT_PROB = 1e-6
 # acceptance rate below which a quantile-mode generation is abandoned and
 # the schedule ends: a budget of n_particles / _ACCEPT_FLOOR proposals
 _ACCEPT_FLOOR = 0.01
-_CHUNK = 256
 
 
 def euclidean_distance(a, b) -> float:
@@ -130,7 +128,7 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
         thetas, sums, dists = [], [], []
         for i in range(n_pilot):
             r = rng.child(i)
-            theta = np.atleast_1d(np.asarray(model.sample_prior(r), dtype=float))
+            theta = np.asarray(model.sample_prior(1, r), dtype=float)[0]
             s, d = _simulate_summary(model, theta, eta_obs, config, r.child(1))
             thetas.append(theta)
             sums.append(s)
@@ -147,7 +145,7 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
         n_prop = 0
         while len(particles) < config.n_output:
             r = rng.child(n_prop)
-            theta = np.atleast_1d(np.asarray(model.sample_prior(r), dtype=float))
+            theta = np.asarray(model.sample_prior(1, r), dtype=float)[0]
             s, d = _simulate_summary(model, theta, eta_obs, config, r.child(1))
             n_prop += 1
             if d <= eps:
@@ -186,7 +184,7 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
                       AbcConfig(n_output=1, tolerance=config.tolerance,
                                 distance=config.distance), rng.child(0))
     theta = init.particles[0]
-    lp = float(model.log_prior(theta))
+    lp = float(model.log_prior(theta[None, :])[0])
     states = np.empty((n_iter, theta.shape[0]))
     log_priors = np.empty(n_iter)
     accept = 0
@@ -194,7 +192,7 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
     for t in range(n_iter):
         r = walk.child(t)
         prop = np.atleast_1d(np.asarray(proposal.draw(theta, r.child(0)), float))
-        lp_prop = float(model.log_prior(prop))
+        lp_prop = float(model.log_prior(prop[None, :])[0])
         log_ratio = (lp_prop - lp
                      + float(proposal.log_density(theta, prop))
                      - float(proposal.log_density(prop, theta)))
@@ -212,20 +210,6 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
                  n_proposals=n_iter,
                  proposal_meta={"family": "abc-mcmc",
                                 "tolerance": config.tolerance})
-
-
-def _kernel_log_denominator(new_particles: np.ndarray, old: AbcPopulation,
-                            kernel: GaussianProposal) -> np.ndarray:
-    """log sum_j wbar_j K(theta_i | theta_j), chunked over i."""
-    log_wbar = old.log_weights - log_sum_exp(old.log_weights)
-    out = np.empty(new_particles.shape[0])
-    for lo in range(0, new_particles.shape[0], _CHUNK):
-        chunk = new_particles[lo:lo + _CHUNK]
-        diffs = chunk[:, None, :] - old.particles[None, :, :]
-        lk = kernel.logpdf_many(diffs.reshape(-1, chunk.shape[1]))
-        lk = lk.reshape(chunk.shape[0], len(old))
-        out[lo:lo + _CHUNK] = logsumexp(lk + log_wbar[None, :], axis=1)
-    return out
 
 
 def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
@@ -284,9 +268,9 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
         while accepted < n_particles and n_prop < budget:
             r = gen_rng.child(n_prop)
             j = np.searchsorted(cum, r.uniform(), side="right")
-            prop = prev.particles[j] + kernel.draw(r)
+            prop = prev.particles[j] + kernel.draw_many(1, r)[0]
             n_prop += 1
-            if float(model.log_prior(prop)) == -np.inf:
+            if model.log_prior(prop[None, :])[0] == -np.inf:
                 continue
             s, d = _simulate_summary(model, prop, eta_obs, config, r)
             if d <= eps:
@@ -300,8 +284,9 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
                     f"{_MIN_ACCEPT_PROB} after {n_prop} proposals")
         if accepted < n_particles:
             break
-        log_prior = np.array([float(model.log_prior(x)) for x in particles])
-        log_weights = log_prior - _kernel_log_denominator(particles, prev, kernel)
+        log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
+        log_weights = (np.asarray(model.log_prior(particles), dtype=float)
+                       - kernel_mixture_logpdf(particles, prev.particles, log_wbar, kernel))
         pop = AbcPopulation(particles=particles, log_weights=log_weights,
                             epsilon=eps, t=t, distances=distances,
                             n_proposals=n_prop, summaries=summaries)
@@ -345,10 +330,10 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
     whitener = probit_summary_whitener(model, beta_hat)
 
     sim = SimulableModel(
-        sample_prior=lambda r: sample_gprior(model, 1, r)[0],
+        sample_prior=lambda n, r: sample_gprior(model, n, r),
         simulate=lambda beta, r: probit_simulate(model, beta, r),
         summary=lambda y: probit_abc_summary(model, y, whitener),
-        log_prior=lambda beta: gprior_logpdf(model, beta),
+        log_prior=lambda betas: gprior_logpdf_many(model, betas),
     )
     pops = abc_pmc(sim, model.response, config, config.n_output, n_generations, rng)
     return regression_adjust(pops[-1], sim.summary(model.response))

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,10 +43,10 @@ from .montecarlo import GaussianProposal, ess
 from .pmc import default_kernel_bank, pmc_run
 from .probit import (
     ProbitModel,
-    gprior_logpdf,
     probit_bayes_model,
     probit_latent_completion,
     probit_loglik,
+    probit_loglik_many,
     probit_mle,
 )
 
@@ -129,7 +130,8 @@ def _chain_result(chain, names, config):
                  for i, n in enumerate(names)}
     estimates.update({f"sd_{n}": float(states[:, i].std(ddof=1))
                       for i, n in enumerate(names)})
-    diag = chain_diagnostics(chain) if len(chain) >= 100 else {}
+    # the diagnostics describe the same burned-in, thinned states
+    diag = chain_diagnostics(replace(chain, states=states)) if len(states) >= 100 else {}
     diagnostics = {"acceptance_rate": chain.acceptance_rate}
     if diag:
         diagnostics["iact"] = diag["iact"]
@@ -233,7 +235,7 @@ def _run_evidence(config, rng):
                     lambda b, m=m: log_posterior(m, b), chain.states, phi))
             else:
                 parts.append(newton_raftery_hm(
-                    lambda b, mp=mp: probit_loglik(mp, b), chain.states))
+                    lambda b, mp=mp: probit_loglik_many(mp, b), chain.states))
         log_b10 = parts[0].log_value - parts[1].log_value
         se = float(np.hypot(parts[0].std_error, parts[1].std_error))
     elif method == "chib":
@@ -339,9 +341,10 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(limit, n_tasks))
 
 
-def replicate(experiment: str, config: dict):
+def replicate(experiment: str, config: dict, first=None):
     """Run R replicates on streams 0..R-1; failures are recorded per
-    replicate and do not stop the rest."""
+    replicate and do not stop the rest.  `first`, the estimates of a run
+    already made on stream 0, becomes replicate 0 instead of a rerun."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
@@ -354,8 +357,11 @@ def replicate(experiment: str, config: dict):
             return {"replicate": r, "status": "error",
                     "error": f"{type(exc).__name__}: {exc}"}
 
-    with ThreadPoolExecutor(max_workers=_worker_count(n_rep)) as pool:
-        rows = list(pool.map(one, range(n_rep)))
+    streams = range(0 if first is None else 1, n_rep)
+    with ThreadPoolExecutor(max_workers=_worker_count(len(streams))) as pool:
+        rows = list(pool.map(one, streams))
+    if first is not None:
+        rows.insert(0, {"replicate": 0, "status": "ok", "estimates": first})
     return rows
 
 
@@ -455,7 +461,7 @@ def main(argv=None) -> int:
             "diagnostics": diagnostics,
         }
         if config["replicates"] > 1:
-            rows = replicate(args.experiment, config)
+            rows = replicate(args.experiment, config, first=estimates)
             summary["replicates"] = _replicate_stats(rows)
             _write_replicates_csv(os.path.join(args.out, "replicates.csv"),
                                   rows)

@@ -20,12 +20,14 @@ __all__ = [
     "normal_logcdf",
     "sample_truncated_normal",
     "truncated_normal_vector",
-    "sample_mvn",
     "sample_categorical",
     "log_sum_exp",
+    "map_rows",
 ]
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+# rows per block when a batched density is evaluated in blocks (map_rows)
+CHUNK_ROWS = 256
 
 
 class DegenerateWeightsError(ValueError):
@@ -140,17 +142,29 @@ def normal_logcdf(x):
     return special.log_ndtr(x)
 
 
-def log_sum_exp(v) -> float:
-    """log(sum(exp(v))) with max subtraction; -inf on all-(-inf) input."""
+def log_sum_exp(v, axis=None):
+    """log(sum(exp(v))) with max subtraction; -inf where every term is -inf.
+
+    Reduces over all of `v` to a float, or along `axis` to an array.
+    """
     v = np.asarray(v, dtype=float)
-    if v.size == 0:
+    if axis is None and v.size == 0:
         return -np.inf
-    m = np.max(v)
-    if m == -np.inf:
-        return -np.inf
-    if not np.isfinite(m):
-        return m
-    return float(m + np.log(np.sum(np.exp(v - m))))
+    m = np.max(v, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(np.sum(np.exp(v - shift), axis=axis, keepdims=True))
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
+
+
+def map_rows(fn, rows: np.ndarray) -> np.ndarray:
+    """fn over consecutive blocks of at most CHUNK_ROWS rows, the per-row
+    results concatenated.  Batched densities whose temporaries grow with
+    rows x data size evaluate through this, so their memory stays bounded."""
+    if len(rows) <= CHUNK_ROWS:
+        return fn(rows)
+    return np.concatenate([fn(rows[lo:lo + CHUNK_ROWS])
+                           for lo in range(0, len(rows), CHUNK_ROWS)])
 
 
 def _truncated_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -217,12 +231,6 @@ def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rng: RngStream
     sign = np.where(positive, 1.0, -1.0)
     # sign * draw is a standard normal shifted by sign*mu, truncated above -sign*mu
     return sign * (sign * mu + _truncated_std_lower(-sign * mu, rng))
-
-
-def sample_mvn(params: MvnParams, rng: RngStream) -> np.ndarray:
-    """One draw from the validated multivariate normal."""
-    z = rng.standard_normal(params.dimension)
-    return params.mean + params.scale @ z
 
 
 def sample_mvn_many(params: MvnParams, n: int, rng: RngStream) -> np.ndarray:

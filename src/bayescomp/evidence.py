@@ -14,12 +14,13 @@ compared on equal footing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
-from .core import MvnParams, RngStream, log_sum_exp, sample_mvn
+from .core import RngStream, log_sum_exp
 from .model import BayesModel, log_posterior
 from .montecarlo import GaussianProposal
 
@@ -72,7 +73,9 @@ class EvidenceEstimate:
 class PhiSpec:
     """Instrumental density for the harmonic-mean estimator: a Gaussian
     matched to the posterior sample, truncated to its own mass-`coverage`
-    ellipsoid so the truncation constant is known in closed form."""
+    ellipsoid so the truncation constant is known in closed form.  The
+    ellipsoid is the Gaussian's highest-density region, the points whose
+    density is at least that at squared Mahalanobis radius chi2_p(coverage)."""
 
     center: np.ndarray
     scatter: np.ndarray
@@ -81,8 +84,13 @@ class PhiSpec:
     def __post_init__(self):
         if not 0.0 < self.coverage <= 1.0:
             raise ValueError("coverage must lie in (0, 1]")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "scatter", np.asarray(self.scatter, dtype=float))
+        gauss = GaussianProposal.from_moments(center, self.scatter)
+        object.__setattr__(self, "_gauss", gauss)
+        object.__setattr__(self, "_log_floor", gauss.logpdf_many(center)[0]
+                           - 0.5 * stats.chi2.ppf(self.coverage, center.shape[0]))
 
     @classmethod
     def from_sample(cls, sample, coverage: float = 0.25) -> "PhiSpec":
@@ -94,16 +102,9 @@ class PhiSpec:
 
     def log_density_many(self, thetas: np.ndarray) -> np.ndarray:
         """Log of the truncated Gaussian; -inf outside the ellipsoid."""
-        gauss = GaussianProposal(MvnParams(self.center, self.scatter))
-        thetas = np.atleast_2d(thetas)
-        resid = thetas - self.center
-        u = np.linalg.solve(self.scatter, resid.T)
-        mahal = np.sum(resid.T * u, axis=0)
-        radius2 = stats.chi2.ppf(self.coverage, self.center.shape[0])
-        inside = mahal <= radius2
-        out = np.full(thetas.shape[0], -np.inf)
-        out[inside] = gauss.logpdf_many(thetas[inside]) - np.log(self.coverage)
-        return out
+        log_gauss = self._gauss.logpdf_many(thetas)
+        return np.where(log_gauss >= self._log_floor,
+                        log_gauss - np.log(self.coverage), -np.inf)
 
 
 def _log_mean_exp(v: np.ndarray) -> float:
@@ -119,21 +120,22 @@ def _batch_log_means(v: np.ndarray, n_batches: int = _N_BATCHES) -> np.ndarray:
 
 
 def _batch_se(v: np.ndarray) -> float:
-    """Standard error of log-mean-exp(v) by batch means; 0 when a single
-    term makes batching meaningless (callers flag that case)."""
+    """Standard error of log-mean-exp(v) by batch means and the delta method:
+    sd(r_b) / (sqrt(b) mean(r_b)) over the linear-scale batch means r_b, so a
+    batch with no mass counts as a zero mean instead of voiding the error.
+    0 when a single term makes batching meaningless (callers flag that case)."""
     batches = _batch_log_means(v)
-    if len(batches) < 2 or not np.all(np.isfinite(batches)):
+    if len(batches) < 2 or not np.isfinite(np.max(batches)):
         return 0.0
-    return float(np.std(batches, ddof=1) / np.sqrt(len(batches)))
+    r = np.exp(batches - np.max(batches))
+    return float(np.std(r, ddof=1) / (np.sqrt(len(r)) * np.mean(r)))
 
 
 def _prior_loglik_draws(model: BayesModel, n: int, rng: RngStream,
                         label: str) -> np.ndarray:
     if model.sample_prior is None:
         raise ValueError(f"{label} has no prior sampler")
-    ll = np.array([float(model.log_likelihood(
-        np.atleast_1d(np.asarray(model.sample_prior(rng), dtype=float))))
-        for _ in range(n)])
+    ll = np.asarray(model.log_likelihood(model.sample_prior(n, rng)), dtype=float)
     if not np.any(ll > -np.inf):
         raise ValueError(f"all likelihood values are zero under the {label} prior")
     return ll
@@ -154,33 +156,18 @@ def bf_prior_mc(model0: BayesModel, model1: BayesModel, n0: int, n1: int,
 
 
 def prior_proposal(model: BayesModel):
-    """The prior as an importance proposal (logpdf/draw pair), under which
-    bf_importance reduces exactly to bf_prior_mc on the same stream."""
-
-    class _PriorProposal:
-        def logpdf(self, theta):
-            return float(model.log_prior(np.asarray(theta, dtype=float)))
-
-        def draw(self, rng):
-            return np.atleast_1d(np.asarray(model.sample_prior(rng), dtype=float))
-
-    return _PriorProposal()
+    """The prior as an importance proposal (logpdf_many/draw_many pair),
+    under which bf_importance reduces exactly to bf_prior_mc on the same
+    stream."""
+    return SimpleNamespace(logpdf_many=model.log_prior, draw_many=model.sample_prior)
 
 
 def _is_log_terms(model: BayesModel, proposal, n: int, rng: RngStream,
                   label: str) -> np.ndarray:
     """Per-draw log integrands likelihood + prior - proposal of the
     normalised-proposal importance estimate of the evidence."""
-    if hasattr(proposal, "draw_many"):
-        pts = np.atleast_2d(proposal.draw_many(n, rng))
-    else:
-        pts = np.atleast_2d([np.atleast_1d(proposal.draw(rng)) for _ in range(n)])
-    if hasattr(proposal, "logpdf_many"):
-        lq = np.asarray(proposal.logpdf_many(pts), dtype=float)
-    else:
-        lq = np.asarray([proposal.logpdf(x) for x in pts], dtype=float)
-    lt = np.asarray([log_posterior(model, x) for x in pts])
-    terms = lt - lq
+    pts = np.atleast_2d(proposal.draw_many(n, rng))
+    terms = log_posterior(model, pts) - np.asarray(proposal.logpdf_many(pts), dtype=float)
     if not np.any(terms > -np.inf):
         raise ValueError(f"all importance terms are zero for {label}")
     return terms
@@ -204,19 +191,17 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
                     method: str = "bridge") -> EvidenceEstimate:
     """Bayes factor B01 by the iterated quasi-optimal bridge.
 
-    Both unnormalised log-posteriors must live on the same space; the two
-    samples come from the respective posteriors.  The fixed point in the
-    ratio r = B01 is iterated in log domain from r = 1 until the change in
-    log r drops below `tol`.
+    Both unnormalised log-posteriors must live on the same space and map
+    (N, p) points to (N,) values; the two samples come from the respective
+    posteriors.  The fixed point in the ratio r = B01 is iterated in log
+    domain from r = 1 until the change in log r drops below `tol`.
     """
     sample0 = np.atleast_2d(np.asarray(sample0, dtype=float))
     sample1 = np.atleast_2d(np.asarray(sample1, dtype=float))
     n0, n1 = sample0.shape[0], sample1.shape[0]
     # log l = logpost0 - logpost1 at each point of each sample
-    log_l1 = np.array([float(logpost0_unnorm(x)) - float(logpost1_unnorm(x))
-                       for x in sample1])
-    log_l0 = np.array([float(logpost0_unnorm(x)) - float(logpost1_unnorm(x))
-                       for x in sample0])
+    log_l1 = np.asarray(logpost0_unnorm(sample1)) - np.asarray(logpost1_unnorm(sample1))
+    log_l0 = np.asarray(logpost0_unnorm(sample0)) - np.asarray(logpost1_unnorm(sample0))
     if not np.any(np.isfinite(log_l1)) or not np.any(np.isfinite(log_l0)):
         raise BridgeError("no overlap: density ratio degenerate on the samples")
     log_s1 = np.log(n1 / (n0 + n1))
@@ -248,7 +233,8 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
 class LinearGaussianOmega:
     """Normalised pseudo-posterior for the extra parameter of the bigger
     model: psi | theta ~ N(intercept + coef theta, cov).  The usual fit is
-    a least-squares regression on a pilot sample of the bigger model."""
+    a least-squares regression on a pilot sample of the bigger model.
+    `logpdf` and `draw` take one theta per row."""
 
     intercept: np.ndarray  # (q,)
     coef: np.ndarray  # (q, p)
@@ -262,6 +248,9 @@ class LinearGaussianOmega:
                            np.atleast_2d(np.asarray(self.coef, dtype=float)))
         object.__setattr__(self, "cov",
                            np.atleast_2d(np.asarray(self.cov, dtype=float)))
+        # psi - mean(theta) has this one distribution whatever theta is
+        object.__setattr__(self, "_noise", GaussianProposal.from_moments(
+            np.zeros(self.cov.shape[0]), self.cov))
 
     @classmethod
     def fit(cls, thetas, psis) -> "LinearGaussianOmega":
@@ -276,15 +265,17 @@ class LinearGaussianOmega:
         cov = resid.T @ resid / dof
         return cls(intercept=coefs[0], coef=coefs[1:].T, cov=cov)
 
-    def _mean(self, theta):
-        return self.intercept + self.coef @ np.atleast_1d(theta)
+    def _means(self, thetas):
+        return self.intercept + np.atleast_2d(thetas) @ self.coef.T
 
-    def logpdf(self, psi, theta) -> float:
-        prop = GaussianProposal(MvnParams(self._mean(theta), self.cov))
-        return prop.logpdf(np.atleast_1d(psi))
+    def logpdf(self, psis, thetas) -> np.ndarray:
+        """(N,) log-densities of psis[i] given thetas[i]."""
+        return self._noise.logpdf_many(np.atleast_2d(psis) - self._means(thetas))
 
-    def draw(self, theta, rng: RngStream) -> np.ndarray:
-        return sample_mvn(MvnParams(self._mean(theta), self.cov), rng)
+    def draw(self, thetas, rng: RngStream) -> np.ndarray:
+        """One psi per row of thetas, as an (N, q) array."""
+        means = self._means(thetas)
+        return means + self._noise.draw_many(means.shape[0], rng)
 
 
 def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
@@ -294,9 +285,10 @@ def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
 
     model0 must be the psi = psi0 slice of model1.  The theta-sample of
     model0 is completed with psi drawn from the normalised pseudo-posterior
-    `omega`, after which the plain bridge runs on the matched-dimension
-    pair.  The estimate does not depend on the choice of omega, only its
-    variance does.
+    `omega` (batched `draw(thetas, rng)` and `logpdf(psis, thetas)`), after
+    which the plain bridge runs on the matched-dimension pair.  The
+    estimate does not depend on the choice of omega, only its variance
+    does.
     """
     if not getattr(omega, "normalized", False):
         raise ValueError("omega must declare itself normalised")
@@ -306,27 +298,22 @@ def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
     d0 = model0.dimension
     if model1.dimension != d0 + psi0.shape[0]:
         raise ValueError("psi0 length must bridge the model dimensions")
-    theta_probe = sample0[0]
-    slice_gap = abs(float(model0.log_likelihood(theta_probe))
-                    - float(model1.log_likelihood(np.concatenate([theta_probe, psi0]))))
+    theta_probe = sample0[:1]
+    slice_gap = abs(float(model0.log_likelihood(theta_probe)[0])
+                    - float(model1.log_likelihood(
+                        np.column_stack([theta_probe, psi0[None, :]]))[0]))
     if not slice_gap < 1e-8:
         raise ValueError("model0 is not the psi = psi0 slice of model1")
-    psis = np.atleast_2d([np.atleast_1d(omega.draw(th, rng.child(i)))
-                          for i, th in enumerate(sample0)])
-    augmented0 = np.column_stack([sample0, psis])
+    augmented0 = np.column_stack([sample0, omega.draw(sample0, rng)])
 
     def logpost0_aug(v):
-        theta, psi = v[:d0], v[d0:]
-        lp = log_posterior(model0, theta)
-        if lp == -np.inf:
-            return -np.inf
-        return lp + float(omega.logpdf(psi, theta))
+        theta, psi = v[:, :d0], v[:, d0:]
+        return log_posterior(model0, theta) + omega.logpdf(psi, theta)
 
-    est = bridge_sampling(logpost0_aug,
-                          lambda v: log_posterior(model1, v),
-                          augmented0, sample1, tol=tol, max_iter=max_iter,
-                          method="bridge-embedded")
-    return est
+    return bridge_sampling(logpost0_aug,
+                           lambda v: log_posterior(model1, v),
+                           augmented0, sample1, tol=tol, max_iter=max_iter,
+                           method="bridge-embedded")
 
 
 def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
@@ -343,7 +330,7 @@ def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
         raise RuntimeError(
             f"only {n_inside} sample points fall in the phi ellipsoid; "
             "estimate would be unstable (raise coverage)")
-    log_target = np.array([float(logprior_plus_loglik(x)) for x in sample])
+    log_target = np.asarray(logprior_plus_loglik(sample), dtype=float)
     terms = log_phi - log_target
     return EvidenceEstimate(log_value=-_log_mean_exp(terms),
                             std_error=_batch_se(terms),
@@ -359,7 +346,7 @@ def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
     sample = np.atleast_2d(np.asarray(posterior_sample, dtype=float))
     if sample.shape[0] == 0:
         raise ValueError("posterior sample is empty")
-    terms = -np.array([float(loglik(x)) for x in sample])
+    terms = -np.asarray(loglik(sample), dtype=float)
     return EvidenceEstimate(log_value=-_log_mean_exp(terms),
                             std_error=_batch_se(terms),
                             method="harmonic-nr", n_draws=sample.shape[0],
@@ -378,13 +365,12 @@ def chib_marginal(model: BayesModel, completion, gibbs_latents,
             raise ValueError("either theta_star or param_draws is required")
         theta_star = np.mean(np.atleast_2d(np.asarray(param_draws, float)), axis=0)
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    ords = np.array([float(completion.log_full_conditional_param(theta_star, z))
-                     for z in gibbs_latents])
+    ords = np.asarray(completion.log_full_conditional_param(
+        theta_star, np.asarray(gibbs_latents, dtype=float)), dtype=float)
     if not np.any(ords > -np.inf):
         raise RuntimeError(
             "full conditional underflows at theta*; pick a higher-density point")
     log_ord = _log_mean_exp(ords)
-    log_m = (float(model.log_likelihood(theta_star))
-             + float(model.log_prior(theta_star)) - log_ord)
+    log_m = float(log_posterior(model, theta_star[None, :])[0]) - log_ord
     return EvidenceEstimate(log_value=log_m, std_error=_batch_se(ords),
                             method="chib", n_draws=len(ords))

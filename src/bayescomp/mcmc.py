@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import MvnParams, RngStream
 from .model import BayesModel, log_posterior
-from .probit import ProbitModel, probit_latent_completion, probit_mle
+from .probit import ProbitModel, probit_bayes_model, probit_latent_completion, probit_mle
 
 __all__ = [
     "Chain",
@@ -70,11 +70,12 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
     """Generic Metropolis-Hastings.
 
     `proposal` provides draw(theta, rng) and log_density(to, frm); the
+    target is evaluated at each candidate as a one-row batch, the
     acceptance ratio is computed entirely in log domain, and a rejection
     repeats the exact previous state.
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
-    lp = log_posterior(target, theta)
+    lp = float(log_posterior(target, theta[None, :])[0])
     if lp == -np.inf:
         raise ValueError("theta0 outside the target support")
     states = np.empty((n_iter, theta.shape[0]))
@@ -84,7 +85,7 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
         cand = np.atleast_1d(np.asarray(proposal.draw(theta, rng), dtype=float))
         if np.any(np.isnan(cand)):
             raise FloatingPointError("proposal returned NaN")
-        lp_cand = log_posterior(target, cand)
+        lp_cand = float(log_posterior(target, cand[None, :])[0])
         delta = lp_cand - lp
         if lp_cand > -np.inf:
             delta += proposal.log_density(theta, cand) - proposal.log_density(cand, theta)
@@ -143,20 +144,17 @@ def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
     `keep_latents`, else None; the latents feed the posterior-ordinate
     evidence estimator.
     """
-    from .probit import gprior_logpdf, probit_loglik
-
     completion = probit_latent_completion(model)
     beta, _ = probit_mle(model)
     states = np.empty((n_iter, model.dimension))
-    log_posts = np.empty(n_iter)
     latents = np.empty((n_iter, model.n_obs)) if keep_latents else None
     for t in range(n_iter):
         z = completion.sample_latents(beta, rng)
         beta = completion.sample_params(z, rng)
         states[t] = beta
-        log_posts[t] = probit_loglik(model, beta) + gprior_logpdf(model, beta)
         if keep_latents:
             latents[t] = z
+    log_posts = log_posterior(probit_bayes_model(model), states)
     chain = Chain(states, log_posts, 0, 0, {"family": "gibbs-data-augmentation"})
     return chain, latents
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, log_sum_exp
+from .core import RngStream, map_rows
 from .model import BayesModel
 
 __all__ = ["MixtureTarget", "mixture_logpost", "simulate_mixture_data", "mixture_bayes_model"]
@@ -45,15 +45,25 @@ def _norm_logpdf(x, mean, var):
     return -0.5 * (_LOG2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
-def mixture_logpost(target: MixtureTarget, mu) -> float:
-    """Unnormalised log-posterior of the pair of component means."""
-    mu1, mu2 = float(mu[0]), float(mu[1])
+def _log_prior(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
+    return np.sum(_norm_logpdf(mus, 0.0, target.prior_var), axis=1)
+
+
+def _log_likelihood(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
     y = target.data
-    a = np.log(target.weight) + _norm_logpdf(y, mu1, target.sigma2)
-    b = np.log1p(-target.weight) + _norm_logpdf(y, mu2, target.sigma2)
-    loglik = float(np.sum(np.logaddexp(a, b)))
-    logprior = _norm_logpdf(mu1, 0.0, target.prior_var) + _norm_logpdf(mu2, 0.0, target.prior_var)
-    return loglik + float(logprior)
+
+    def block(m):
+        a = np.log(target.weight) + _norm_logpdf(y, m[:, :1], target.sigma2)
+        b = np.log1p(-target.weight) + _norm_logpdf(y, m[:, 1:], target.sigma2)
+        return np.sum(np.logaddexp(a, b), axis=1)
+
+    return map_rows(block, mus)
+
+
+def mixture_logpost(target: MixtureTarget, mus) -> np.ndarray:
+    """Unnormalised log-posterior of each row (mu1, mu2) of `mus`."""
+    mus = np.asarray(mus, dtype=float)
+    return _log_likelihood(target, mus) + _log_prior(target, mus)
 
 
 def simulate_mixture_data(mu1: float, mu2: float, weight: float, sigma2: float,
@@ -65,14 +75,9 @@ def simulate_mixture_data(mu1: float, mu2: float, weight: float, sigma2: float,
 
 
 def mixture_bayes_model(target: MixtureTarget) -> BayesModel:
-    def log_prior(mu):
-        return float(_norm_logpdf(mu[0], 0.0, target.prior_var)
-                     + _norm_logpdf(mu[1], 0.0, target.prior_var))
-
-    def log_likelihood(mu):
-        return mixture_logpost(target, mu) - log_prior(mu)
-
-    def sample_prior(rng):
-        return np.sqrt(target.prior_var) * rng.standard_normal(2)
-
-    return BayesModel(2, log_prior, log_likelihood, sample_prior)
+    return BayesModel(
+        dimension=2,
+        log_prior=lambda mus: _log_prior(target, mus),
+        log_likelihood=lambda mus: _log_likelihood(target, mus),
+        sample_prior=lambda n, rng: np.sqrt(target.prior_var) * rng.standard_normal((n, 2)),
+    )

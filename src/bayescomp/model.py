@@ -4,6 +4,14 @@ A sampler only ever sees a log-prior, a log-likelihood and a dimension;
 latent-variable and simulation-based algorithms get their own small
 contracts.  Densities are handled in log domain end to end and every
 out-of-support evaluation maps to -inf, never to an exception or NaN.
+
+Densities are batched, and that is their only signature: a density maps an
+(N, p) array of points, one per row, to the (N,) array of its log values,
+and a prior sampler maps (n, rng) to an (n, p) array of draws.  Sequential
+samplers evaluate a single point as a one-row batch.  Densities whose
+temporaries grow with the data size evaluate their rows in blocks
+(:func:`bayescomp.core.map_rows`), so a call over many points stays small in
+memory.
 """
 
 from __future__ import annotations
@@ -17,20 +25,23 @@ from .core import RngStream
 
 __all__ = ["BayesModel", "LatentCompletion", "SimulableModel", "log_posterior"]
 
+LogDensity = Callable[[np.ndarray], np.ndarray]  # (N, p) -> (N,)
+PriorSampler = Callable[[int, RngStream], np.ndarray]  # (n, rng) -> (n, p)
+
 
 @dataclass(frozen=True)
 class BayesModel:
     """Unnormalised posterior target: log-prior + log-likelihood + dimension.
 
-    Data is captured at construction so samplers see a closed unary target.
+    Data is captured at construction so samplers see a closed target.
     `sample_prior` is optional; estimators that need prior draws (prior Monte
     Carlo Bayes factors, ABC) require it.
     """
 
     dimension: int
-    log_prior: Callable[[np.ndarray], float]
-    log_likelihood: Callable[[np.ndarray], float]
-    sample_prior: Optional[Callable[[RngStream], np.ndarray]] = None
+    log_prior: LogDensity
+    log_likelihood: LogDensity
+    sample_prior: Optional[PriorSampler] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -41,40 +52,56 @@ class BayesModel:
 class LatentCompletion:
     """Two-block data augmentation of a model.
 
-    `log_full_conditional_param` must be the *normalised* log-density of the
-    parameter given the latents (constant included): marginal-likelihood
-    estimation via the posterior-ordinate identity depends on it.
+    `sample_latents(theta, rng)` and `sample_params(latents, rng)` make one
+    Gibbs sweep.  `log_full_conditional_param(theta, latents)` takes an
+    (N, ...) array of latent draws and returns the (N,) *normalised*
+    log-densities of the parameter theta given each of them (constant
+    included): marginal-likelihood estimation via the posterior-ordinate
+    identity depends on it.
     """
 
     sample_latents: Callable[[np.ndarray, RngStream], np.ndarray]
     sample_params: Callable[[np.ndarray, RngStream], np.ndarray]
-    log_full_conditional_param: Callable[[np.ndarray, np.ndarray], float]
+    log_full_conditional_param: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class SimulableModel:
     """Model usable without likelihood evaluations: prior draws, forward
     simulation and a summary statistic.  `log_prior` backs the weight and
-    acceptance-ratio computations of the likelihood-free samplers."""
+    acceptance-ratio computations of the likelihood-free samplers.
+    `simulate(theta, rng)` and `summary(data)` act on one parameter and one
+    data set; the prior follows the batched contract."""
 
-    sample_prior: Callable[[RngStream], np.ndarray]
+    sample_prior: PriorSampler
     simulate: Callable[[np.ndarray, RngStream], np.ndarray]
     summary: Callable[[np.ndarray], np.ndarray]
-    log_prior: Optional[Callable[[np.ndarray], float]] = None
+    log_prior: Optional[LogDensity] = None
 
 
-def log_posterior(model: BayesModel, theta) -> float:
-    """log prior + log likelihood; -inf propagates without evaluating the
-    likelihood outside the prior support."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dimension,):
+def log_posterior(model: BayesModel, thetas) -> np.ndarray:
+    """log prior + log likelihood of each row of the (N, p) array `thetas`;
+    -inf propagates without evaluating the likelihood outside the prior
+    support."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.dimension:
         raise ValueError(
-            f"theta has shape {theta.shape}, model dimension is {model.dimension}"
+            f"thetas has shape {thetas.shape}, expected (N, {model.dimension})"
         )
-    lp = float(model.log_prior(theta))
-    if lp == -np.inf:
-        return -np.inf
-    ll = float(model.log_likelihood(theta))
-    if np.isnan(lp) or np.isnan(ll):
+    out = np.array(_per_row(model.log_prior(thetas), thetas.shape[0]))
+    inside = out > -np.inf
+    if inside.all():
+        out += _per_row(model.log_likelihood(thetas), thetas.shape[0])
+    elif inside.any():
+        out[inside] += _per_row(model.log_likelihood(thetas[inside]), int(inside.sum()))
+    if np.isnan(out).any():
         raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
-    return lp + ll
+    return out
+
+
+def _per_row(values, n: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"density returned shape {values.shape} for {n} points; "
+                         "densities map (N, p) to (N,)")
+    return values

@@ -16,8 +16,8 @@ from .core import (
     MvnParams,
     RngStream,
     log_sum_exp,
+    map_rows,
     sample_categorical_many,
-    sample_mvn,
     sample_mvn_many,
 )
 
@@ -25,6 +25,7 @@ __all__ = [
     "WeightedSample",
     "EstimateReport",
     "GaussianProposal",
+    "kernel_mixture_logpdf",
     "mc_estimate",
     "importance_sample",
     "snis_estimate",
@@ -74,8 +75,8 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class GaussianProposal:
-    """Normalised multivariate normal proposal usable wherever the samplers
-    expect a (logpdf, draw) pair."""
+    """Normalised multivariate normal proposal: the (logpdf_many, draw_many)
+    pair that importance sampling, PMC and the evidence routes expect."""
 
     params: MvnParams
     _logdet: float = field(init=False, repr=False, compare=False)
@@ -90,20 +91,31 @@ class GaussianProposal:
     def from_moments(cls, mean, cov, scale: float = 1.0) -> "GaussianProposal":
         return cls(MvnParams(np.asarray(mean, float), scale * np.asarray(cov, float)))
 
-    def logpdf(self, theta) -> float:
-        return float(self.logpdf_many(np.atleast_2d(np.asarray(theta, float)))[0])
-
     def logpdf_many(self, thetas: np.ndarray) -> np.ndarray:
         resid = np.atleast_2d(thetas) - self.params.mean
         u = np.linalg.solve(self.params.scale, resid.T)
         p = self.params.dimension
         return -0.5 * (p * _LOG2PI + self._logdet + np.sum(u * u, axis=0))
 
-    def draw(self, rng: RngStream) -> np.ndarray:
-        return sample_mvn(self.params, rng)
-
     def draw_many(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_mvn_many(self.params, n, rng)
+
+
+def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
+                          log_weights: np.ndarray,
+                          kernel: GaussianProposal) -> np.ndarray:
+    """log sum_j exp(log_weights[j]) K(points_i - centers_j) for each point,
+    K the density of the zero-mean `kernel`.  Evaluated over blocks of
+    points, so the (block x centres) kernel table stays bounded."""
+    centers = np.atleast_2d(centers)
+    p = centers.shape[1]
+
+    def block(chunk):
+        diffs = (chunk[:, None, :] - centers[None, :, :]).reshape(-1, p)
+        lk = kernel.logpdf_many(diffs).reshape(chunk.shape[0], centers.shape[0])
+        return log_sum_exp(lk + log_weights[None, :], axis=1)
+
+    return map_rows(block, np.atleast_2d(points))
 
 
 def mc_estimate(h, draws) -> EstimateReport:
@@ -120,27 +132,15 @@ def mc_estimate(h, draws) -> EstimateReport:
 
 
 def importance_sample(target_logpdf, proposal_logpdf, proposal_draw, n_draws: int,
-                      rng: RngStream, vectorized: bool = False) -> WeightedSample:
+                      rng: RngStream) -> WeightedSample:
     """Draw from the proposal and attach log-weights target - proposal.
 
-    The target may be unnormalised.  With `vectorized=True` the callables
-    must accept/produce (N, p) arrays: target_logpdf(points) -> (N,) and
-    proposal_draw(n, rng) -> (N, p); proposal_logpdf likewise.
+    The target may be unnormalised.  Densities map (N, p) points to (N,)
+    log values, and proposal_draw(n, rng) returns (n, p) draws.
     """
-    if vectorized:
-        pts = np.atleast_2d(proposal_draw(n_draws, rng))
-        lq = np.asarray(proposal_logpdf(pts), dtype=float)
-        lt = np.asarray(target_logpdf(pts), dtype=float)
-    else:
-        pts, lq, lt = [], [], []
-        for _ in range(n_draws):
-            theta = np.atleast_1d(np.asarray(proposal_draw(rng), dtype=float))
-            pts.append(theta)
-            lq.append(float(proposal_logpdf(theta)))
-            lt.append(float(target_logpdf(theta)))
-        pts = np.asarray(pts)
-        lq = np.asarray(lq)
-        lt = np.asarray(lt)
+    pts = np.atleast_2d(proposal_draw(n_draws, rng))
+    lq = np.asarray(proposal_logpdf(pts), dtype=float)
+    lt = np.asarray(target_logpdf(pts), dtype=float)
     if np.any(lq == -np.inf):
         raise RuntimeError("proposal density is zero at one of its own draws")
     return WeightedSample(points=pts, log_weights=lt - lq)

@@ -25,7 +25,7 @@ from .core import (
     sample_categorical_many,
 )
 from .model import BayesModel, log_posterior
-from .montecarlo import GaussianProposal, WeightedSample, sir_resample
+from .montecarlo import GaussianProposal, WeightedSample, kernel_mixture_logpdf, sir_resample
 
 __all__ = [
     "Population",
@@ -141,17 +141,13 @@ def _kernel_proposals(bank: KernelBank) -> list:
 def _mixture_logpdf(points: np.ndarray, centers: np.ndarray,
                     kernels: list, bank: KernelBank) -> np.ndarray:
     """Rao-Blackwellised proposal density: uniform mixture over all the
-    resampled centres crossed with the kernel bank.  O(N^2 K)."""
-    n = points.shape[0]
+    resampled centres crossed with the kernel bank.  O(N^2 K) arithmetic,
+    in blocks of points."""
     m = centers.shape[0]
-    parts = np.empty((bank.n_kernels, n, m))
-    for j, kern in enumerate(kernels):
-        for c in range(m):
-            shifted = points - centers[c]
-            parts[j, :, c] = kern.logpdf_many(shifted)
-    lw = bank.mixture_log_weights[:, None, None] - np.log(m)
-    stacked = (parts + lw).transpose(1, 0, 2).reshape(n, -1)
-    return np.array([log_sum_exp(row) for row in stacked])
+    uniform = np.full(m, -np.log(m))
+    parts = np.stack([kernel_mixture_logpdf(points, centers, uniform, kern)
+                      for kern in kernels])  # (K, N)
+    return log_sum_exp(parts + bank.mixture_log_weights[:, None], axis=0)
 
 
 def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
@@ -159,7 +155,7 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
             density_form: str = "conditional") -> list:
     """Iterated importance sampling toward `target`.
 
-    Iteration 0 draws from `q0` (a logpdf/draw pair); every later
+    Iteration 0 draws from `q0` (a logpdf_many/draw_many pair); every later
     iteration moves each resampled point with a kernel drawn from the
     bank and reweights by target over proposal.  Multinomial resampling
     closes each iteration, and the bank adapts between iterations.
@@ -173,19 +169,9 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
     if density_form not in ("conditional", "mixture"):
         raise ValueError("density_form must be 'conditional' or 'mixture'")
 
-    logpost = lambda th: log_posterior(target, th)
-
-    if hasattr(q0, "draw_many"):
-        points = np.atleast_2d(q0.draw_many(n_particles, rng.child(0)))
-    else:
-        r0 = rng.child(0)
-        points = np.atleast_2d([np.atleast_1d(q0.draw(r0))
-                                for _ in range(n_particles)])
-    if hasattr(q0, "logpdf_many"):
-        lq = np.asarray(q0.logpdf_many(points), dtype=float)
-    else:
-        lq = np.asarray([q0.logpdf(x) for x in points], dtype=float)
-    lt = np.asarray([logpost(x) for x in points])
+    points = np.atleast_2d(q0.draw_many(n_particles, rng.child(0)))
+    lq = np.asarray(q0.logpdf_many(points), dtype=float)
+    lt = log_posterior(target, points)
     populations = []
     for t in range(n_iterations):
         try:
@@ -231,5 +217,5 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
                     lq[mask] = kern.logpdf_many(points[mask] - centers[mask])
         else:
             lq = _mixture_logpdf(points, centers, kernels, bank)
-        lt = np.asarray([logpost(x) for x in points])
+        lt = log_posterior(target, points)
     return populations

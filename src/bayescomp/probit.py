@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, sample_mvn, truncated_normal_vector
+from .core import MvnParams, RngStream, map_rows, truncated_normal_vector
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "NonConvergenceError",
     "probit_loglik",
     "probit_loglik_many",
-    "gprior_logpdf",
     "gprior_logpdf_many",
     "probit_mle",
     "sample_gprior",
@@ -89,35 +88,33 @@ class ProbitModel:
         return self.prior_scale * np.linalg.inv(self.xtx)
 
 
-def probit_loglik(model: ProbitModel, beta) -> float:
-    """Bernoulli log-likelihood with success probability Phi(x'beta).
+def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
+    """Bernoulli log-likelihood with success probability Phi(x'beta), one
+    value per row of the (m, p) array `betas`.
 
     Accumulated through the log-CDF so that deep-tail observations do not
-    underflow.
+    underflow: observation i contributes log Phi(s_i x_i'beta), s_i = 2 y_i - 1.
+    Rows are evaluated in blocks (`map_rows`) so the (rows x n) temporaries
+    stay bounded.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (model.dimension,):
-        raise ValueError(f"beta has length {beta.shape}, expected {model.dimension}")
-    eta = model.design @ beta
-    y = model.response
-    return float(np.sum(y * special.log_ndtr(eta) + (1.0 - y) * special.log_ndtr(-eta)))
+    betas = np.asarray(betas, dtype=float)
+    if betas.ndim != 2 or betas.shape[1] != model.dimension:
+        raise ValueError(f"betas has shape {betas.shape}, expected (m, {model.dimension})")
+    signs = 2.0 * model.response - 1.0
+
+    def block(b):
+        return np.sum(special.log_ndtr(signs * (b @ model.design.T)), axis=1)
+
+    return map_rows(block, betas)
 
 
-def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
-    """Log-likelihood for each row of `betas` (vectorised bulk path)."""
-    eta = model.design @ np.asarray(betas, dtype=float).T  # (n, m)
-    y = model.response[:, None]
-    return np.sum(y * special.log_ndtr(eta) + (1.0 - y) * special.log_ndtr(-eta), axis=0)
-
-
-def gprior_logpdf(model: ProbitModel, beta) -> float:
-    """Exact N(0, g (X'X)^{-1}) log-density at beta."""
-    beta = np.asarray(beta, dtype=float)
-    quad = np.sum((model._prior_chol.T @ beta) ** 2) / model.prior_scale
-    return float(-0.5 * (model.dimension * _LOG2PI + model._prior_logdet + quad))
+def probit_loglik(model: ProbitModel, beta) -> float:
+    """Log-likelihood at a single coefficient vector (one-row batch)."""
+    return float(probit_loglik_many(model, np.asarray(beta, dtype=float)[None, :])[0])
 
 
 def gprior_logpdf_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
+    """Exact N(0, g (X'X)^{-1}) log-density at each row of `betas`."""
     z = np.asarray(betas, dtype=float) @ model._prior_chol  # (m, p)
     quad = np.sum(z * z, axis=1) / model.prior_scale
     return -0.5 * (model.dimension * _LOG2PI + model._prior_logdet + quad)
@@ -189,7 +186,9 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i; the
     parameter conditional given z is the exact multivariate normal
     N(s (X'X)^{-1} X'z, s (X'X)^{-1}) with s = g / (g + 1), whose normalised
-    log-density is exposed for posterior-ordinate evidence estimation.
+    log-density (one value per row of a latent array) is exposed for
+    posterior-ordinate evidence estimation.  Its covariance is fixed, so it
+    is factored once; only the mean moves with z.
     """
     X = model.design
     g = model.prior_scale
@@ -206,12 +205,12 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
 
     def sample_params(z, rng):
         mean = proj @ np.asarray(z, float)
-        return sample_mvn(MvnParams(mean, cond_cov), rng)
+        return mean + cond.scale @ rng.standard_normal(model.dimension)
 
-    def log_full_conditional_param(beta, z):
-        resid = np.asarray(beta, float) - proj @ np.asarray(z, float)
-        u = np.linalg.solve(cond.scale, resid)
-        return float(-0.5 * (model.dimension * _LOG2PI + cond_logdet + u @ u))
+    def log_full_conditional_param(beta, zs):
+        resid = np.asarray(beta, float) - np.asarray(zs, float) @ proj.T  # (m, p)
+        u = np.linalg.solve(cond.scale, resid.T)
+        return -0.5 * (model.dimension * _LOG2PI + cond_logdet + np.sum(u * u, axis=0))
 
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
 
@@ -249,14 +248,9 @@ def probit_abc_summary(model: ProbitModel, y, whitener: np.ndarray) -> np.ndarra
 
 def probit_bayes_model(model: ProbitModel) -> BayesModel:
     """Close the probit posterior over its data as a sampler-facing target."""
-    params = MvnParams(np.zeros(model.dimension), model.prior_covariance())
-
-    def sample_prior(rng):
-        return sample_mvn(params, rng)
-
     return BayesModel(
         dimension=model.dimension,
-        log_prior=lambda b: gprior_logpdf(model, b),
-        log_likelihood=lambda b: probit_loglik(model, b),
-        sample_prior=sample_prior,
+        log_prior=lambda b: gprior_logpdf_many(model, b),
+        log_likelihood=lambda b: probit_loglik_many(model, b),
+        sample_prior=lambda n, rng: sample_gprior(model, n, rng),
     )

@@ -36,10 +36,11 @@ def bernoulli_model() -> SimulableModel:
         return (rng.uniform(N_TRIALS) < theta[0]).astype(float)
 
     return SimulableModel(
-        sample_prior=lambda rng: rng.uniform(1),
+        sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=simulate,
         summary=lambda y: np.array([float(np.sum(y))]),
-        log_prior=lambda th: 0.0 if 0.0 <= th[0] <= 1.0 else -np.inf,
+        log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
+                                      0.0, -np.inf),
     )
 
 
@@ -115,10 +116,10 @@ class TestReject:
         # budget so the guard fires in test time
         monkeypatch.setattr("bayescomp.abc._MAX_PROPOSALS", 5000)
         model = SimulableModel(
-            sample_prior=lambda rng: rng.uniform(1),
+            sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: np.zeros(1),
             summary=lambda y: np.atleast_1d(y),
-            log_prior=lambda th: 0.0,
+            log_prior=lambda th: np.zeros(len(th)),
         )
         config = AbcConfig(n_output=10, tolerance=0.5)
         with pytest.raises(RuntimeError, match="acceptance probability"):
@@ -188,10 +189,11 @@ class TestPmc:
         # cannot fill within its proposal budget; the run must then return
         # the finished generations, while the quantile is still decreasing
         model = SimulableModel(
-            sample_prior=lambda rng: rng.uniform(1),
+            sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: rng.standard_normal(1),
             summary=lambda y: np.atleast_1d(y),
-            log_prior=lambda th: 0.0 if 0.0 <= th[0] <= 1.0 else -np.inf,
+            log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
+                                          0.0, -np.inf),
         )
         n = 100
         pops = abc_pmc(model, np.zeros(1), AbcConfig(n_output=n, quantile=0.5),
@@ -205,10 +207,11 @@ class TestPmc:
         # deliberately mismatched prior: sampling uniform but weighting by a
         # violently tilted density concentrates all weight on one particle
         model = SimulableModel(
-            sample_prior=lambda rng: rng.uniform(1),
+            sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: np.zeros(1),
             summary=lambda y: np.atleast_1d(y),
-            log_prior=lambda th: 300.0 * th[0] if 0.0 <= th[0] <= 1.0 else -np.inf,
+            log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
+                                          300.0 * th[:, 0], -np.inf),
         )
         config = AbcConfig(n_output=100, tolerance=10.0)
         with pytest.raises(DegenerateWeightsError, match="generation"):

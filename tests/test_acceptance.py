@@ -254,15 +254,15 @@ class TestChibIdentity:
         post_var = tau2 / (tau2 + 1.0)
         model = BayesModel(
             dimension=1,
-            log_prior=lambda th: float(stats.norm.logpdf(th[0], 0.0,
-                                                         np.sqrt(tau2))),
-            log_likelihood=lambda th: float(stats.norm.logpdf(y, th[0], 1.0)),
+            log_prior=lambda th: stats.norm.logpdf(th[:, 0], 0.0,
+                                                   np.sqrt(tau2)),
+            log_likelihood=lambda th: stats.norm.logpdf(y, th[:, 0], 1.0),
         )
         completion = LatentCompletion(
             sample_latents=lambda th, rng: np.zeros(1),
             sample_params=lambda z, rng: np.array([post_mean]),
-            log_full_conditional_param=lambda th, z: float(
-                stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var))),
+            log_full_conditional_param=lambda th, z: np.full(
+                len(z), stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var))),
         )
         truth = float(stats.norm.logpdf(y, 0.0, np.sqrt(tau2 + 1.0)))
         for theta_star in (-1.5, -0.2, 0.1, 0.8, 2.0):
@@ -300,10 +300,10 @@ class TestEvidenceOracle:
         log_norm = -0.5 * np.log(2 * np.pi * tau2)
         return BayesModel(
             dimension=1,
-            log_prior=lambda th: float(log_norm - 0.5 * th[0] ** 2 / tau2),
-            log_likelihood=lambda th, y=TestEvidenceOracle.Y: float(
-                -0.5 * np.log(2 * np.pi) - 0.5 * (y - th[0]) ** 2),
-            sample_prior=lambda rng: np.sqrt(tau2) * rng.standard_normal(1),
+            log_prior=lambda th: log_norm - 0.5 * th[:, 0] ** 2 / tau2,
+            log_likelihood=lambda th, y=TestEvidenceOracle.Y: (
+                -0.5 * np.log(2 * np.pi) - 0.5 * (y - th[:, 0]) ** 2),
+            sample_prior=lambda n, rng: np.sqrt(tau2) * rng.standard_normal((n, 1)),
         )
 
     @classmethod
@@ -379,10 +379,11 @@ def _bernoulli_model():
         return (rng.uniform(5) < theta[0]).astype(float)
 
     return SimulableModel(
-        sample_prior=lambda rng: rng.uniform(1),
+        sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=simulate,
         summary=lambda data: np.array([float(np.sum(data))]),
-        log_prior=lambda th: 0.0 if 0.0 <= th[0] <= 1.0 else -np.inf,
+        log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
+                                      0.0, -np.inf),
     )
 
 

@@ -7,9 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bayescomp import cli
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
+from bayescomp.mcmc import Chain, chain_diagnostics
 
 
 def run_cli(tmp_path, experiment, config=None, extra=None, subdir="out"):
@@ -118,6 +121,38 @@ class TestOutputs:
         assert lines[0].startswith("replicate,status,")
         means = {line.split(",")[2] for line in lines[1:]}
         assert len(means) == 3
+
+    def test_replicates_reuse_the_main_run(self, tmp_path, monkeypatch):
+        streams = []
+
+        def counting(experiment, config, stream_id=0):
+            streams.append(stream_id)
+            return run_experiment(experiment, config, stream_id)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        code, out = run_cli(tmp_path, "gibbs",
+                            {"iterations": 200, "replicates": 3})
+        assert code == 0
+        assert sorted(streams) == [0, 1, 2]
+        summary = json.loads((out / "summary.json").read_text())
+        row0 = (out / "replicates.csv").read_text().splitlines()[1].split(",")
+        header = (out / "replicates.csv").read_text().splitlines()[0].split(",")
+        assert float(row0[header.index("mean_glu")]) == \
+            summary["estimates"]["mean_glu"]
+        # without a main run to reuse, replicate runs every stream itself
+        rows = cli.replicate("gibbs", resolve_config(
+            "gibbs", {"iterations": 200, "replicates": 3}))
+        assert [r["replicate"] for r in rows] == [0, 1, 2]
+        assert rows[0]["estimates"] == summary["estimates"]
+
+    def test_chain_diagnostics_describe_the_kept_states(self):
+        config = resolve_config("gibbs", {"iterations": 1000, "burn_in": 200,
+                                          "thin": 3})
+        _, _, diagnostics, (_, states) = run_experiment("gibbs", config)
+        assert len(states) == len(range(200, 1000, 3))
+        expected = chain_diagnostics(Chain(states, np.zeros(len(states)), 0, 0))
+        assert np.array_equal(diagnostics["iact"], expected["iact"])
+        assert np.array_equal(diagnostics["chain_ess"], expected["chain_ess"])
 
     def test_cli_flags_override_config(self, tmp_path):
         code, out = run_cli(tmp_path, "gibbs", {"iterations": 200, "seed": 1},

@@ -106,6 +106,16 @@ class TestLogSumExp:
         v = np.array([1000.0, 1000.0])
         assert log_sum_exp(v) == pytest.approx(1000.0 + np.log(2.0))
 
+    def test_axis_matches_each_row(self):
+        v = RngStream(12, 0).standard_normal((6, 5)) * 300.0
+        v[2] = -np.inf
+        v[4, 1:] = -np.inf
+        rows = log_sum_exp(v, axis=1)
+        assert rows.shape == (6,)
+        assert rows[2] == -np.inf
+        assert np.array_equal(rows, [log_sum_exp(r) for r in v])
+        assert np.array_equal(log_sum_exp(v.T, axis=0), rows)
+
 
 class TestTruncatedNormal:
     @pytest.mark.parametrize("mu", [0.0, 2.0, -8.0])

@@ -35,9 +35,9 @@ def conjugate(tau2):
     """Model, posterior proposal, and exact log evidence for prior N(0, tau2)."""
     model = BayesModel(
         dimension=1,
-        log_prior=lambda th: float(stats.norm.logpdf(th[0], 0.0, np.sqrt(tau2))),
-        log_likelihood=lambda th: float(stats.norm.logpdf(Y_OBS, th[0], 1.0)),
-        sample_prior=lambda rng: np.sqrt(tau2) * rng.standard_normal(1),
+        log_prior=lambda th: stats.norm.logpdf(th[:, 0], 0.0, np.sqrt(tau2)),
+        log_likelihood=lambda th: stats.norm.logpdf(Y_OBS, th[:, 0], 1.0),
+        sample_prior=lambda n, rng: np.sqrt(tau2) * rng.standard_normal((n, 1)),
     )
     post_mean = tau2 * Y_OBS / (tau2 + 1.0)
     post_var = tau2 / (tau2 + 1.0)
@@ -67,8 +67,8 @@ class TestPriorMc:
         assert est.unreliable
 
     def test_no_prior_sampler_rejected(self):
-        bare = BayesModel(dimension=1, log_prior=lambda th: 0.0,
-                          log_likelihood=lambda th: 0.0)
+        bare = BayesModel(dimension=1, log_prior=lambda th: np.zeros(len(th)),
+                          log_likelihood=lambda th: np.zeros(len(th)))
         m1, _, _ = conjugate(1.0)
         with pytest.raises(ValueError, match="prior sampler"):
             bf_prior_mc(bare, m1, 10, 10, RngStream(seed=0, stream_id=0))
@@ -147,8 +147,8 @@ class TestBridge:
         assert fwd.log_value == pytest.approx(-rev.log_value, abs=1e-7)
 
     def test_disjoint_supports_raise(self):
-        lp_neg = lambda th: 0.0 if th[0] < 0 else -np.inf
-        lp_pos = lambda th: 0.0 if th[0] > 0 else -np.inf
+        lp_neg = lambda th: np.where(th[:, 0] < 0, 0.0, -np.inf)
+        lp_pos = lambda th: np.where(th[:, 0] > 0, 0.0, -np.inf)
         s_neg = -np.abs(np.random.default_rng(0).normal(size=(50, 1))) - 0.1
         s_pos = -s_neg
         with pytest.raises(BridgeError, match="overlap"):
@@ -170,9 +170,9 @@ class TestBridgeEmbedded:
         m0, post0, _ = conjugate(1.0)
         m1 = BayesModel(
             dimension=2,
-            log_prior=lambda th: float(m0.log_prior(th[:1])
-                                       + stats.norm.logpdf(th[1])),
-            log_likelihood=lambda th: float(m0.log_likelihood(th[:1])),
+            log_prior=lambda th: (m0.log_prior(th[:, :1])
+                                  + stats.norm.logpdf(th[:, 1])),
+            log_likelihood=lambda th: m0.log_likelihood(th[:, :1]),
         )
         rng = RngStream(seed=33, stream_id=0)
         s0 = post0.draw_many(3000, rng.child(0))
@@ -199,6 +199,17 @@ class TestBridgeEmbedded:
                 for om in (fitted, manual)]
         gap = abs(ests[0].log_value - ests[1].log_value)
         assert gap < 3 * np.hypot(ests[0].std_error, ests[1].std_error) + 0.05
+
+    def test_omega_density_per_row(self):
+        omega = LinearGaussianOmega(intercept=[0.2], coef=[[0.5, -1.0]],
+                                    cov=[[0.3]])
+        rng = RngStream(seed=45, stream_id=0)
+        thetas = rng.standard_normal((7, 2))
+        psis = omega.draw(thetas, rng)
+        assert psis.shape == (7, 1)
+        means = 0.2 + thetas @ np.array([0.5, -1.0])
+        direct = stats.norm.logpdf(psis[:, 0], means, np.sqrt(0.3))
+        assert np.allclose(omega.logpdf(psis, thetas), direct, rtol=1e-12, atol=0)
 
     def test_unnormalised_omega_rejected(self):
         m0, m1, s0, s1 = self._nested()
@@ -261,6 +272,30 @@ class TestHarmonicGd:
         with pytest.raises(RuntimeError, match="ellipsoid"):
             harmonic_mean_gd(lambda th: log_posterior(model, th), sample, phi)
 
+    def test_batch_without_mass_keeps_a_positive_error(self):
+        # ordered farthest-first, the first batch of 1000 draws lies wholly
+        # outside the coverage-0.25 ellipsoid, so its terms are all -inf; the
+        # standard error must still come from the batches that hold mass
+        model, post, _ = conjugate(2.0)
+        sample = post.draw_many(1000, RngStream(seed=55, stream_id=0))
+        phi = PhiSpec.from_sample(sample, coverage=0.25)
+        sample = sample[np.argsort(-np.abs(sample[:, 0] - phi.center[0]))]
+        assert np.all(phi.log_density_many(sample[:20]) == -np.inf)
+        est = harmonic_mean_gd(lambda th: log_posterior(model, th), sample, phi)
+        assert est.std_error > 0.0
+
+    def test_standard_error_tracks_replicate_spread(self):
+        model, post, _ = conjugate(2.0)
+        values, errors = [], []
+        for rep in range(40):
+            sample = post.draw_many(1000, RngStream(seed=300 + rep, stream_id=0))
+            phi = PhiSpec.from_sample(sample, coverage=0.25)
+            est = harmonic_mean_gd(lambda th: log_posterior(model, th), sample, phi)
+            values.append(est.log_value)
+            errors.append(est.std_error)
+        assert min(errors) > 0.0
+        assert 0.5 < np.median(errors) / np.std(values, ddof=1) < 2.0
+
     def test_phi_density_normalised(self):
         phi = PhiSpec(center=np.array([0.3]), scatter=np.array([[2.0]]),
                       coverage=0.25)
@@ -281,13 +316,13 @@ class TestHarmonicGd:
 class TestNewtonRaftery:
     def test_constant_likelihood_exact(self):
         sample = np.random.default_rng(3).normal(size=(200, 1))
-        est = newton_raftery_hm(lambda th: -4.0, sample)
+        est = newton_raftery_hm(lambda th: np.full(len(th), -4.0), sample)
         assert est.log_value == pytest.approx(-4.0, abs=1e-12)
         assert est.method == "harmonic-nr" and est.unreliable
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            newton_raftery_hm(lambda th: 0.0, np.empty((0, 1)))
+            newton_raftery_hm(lambda th: np.zeros(len(th)), np.empty((0, 1)))
 
     def test_much_noisier_than_stabilised_harmonic(self):
         # replicate spread of the plain harmonic mean dwarfs that of the
@@ -315,8 +350,8 @@ class TestChib:
         completion = LatentCompletion(
             sample_latents=lambda th, rng: np.zeros(1),
             sample_params=lambda z, rng: np.array([post_mean]),
-            log_full_conditional_param=lambda th, z: float(
-                stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var))),
+            log_full_conditional_param=lambda th, z: np.full(
+                len(z), stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var))),
         )
         return model, completion, post, log_m
 
@@ -346,7 +381,7 @@ class TestChib:
         completion = LatentCompletion(
             sample_latents=lambda th, rng: np.zeros(1),
             sample_params=lambda z, rng: np.zeros(1),
-            log_full_conditional_param=lambda th, z: -np.inf,
+            log_full_conditional_param=lambda th, z: np.full(len(z), -np.inf),
         )
         with pytest.raises(RuntimeError, match="theta"):
             chib_marginal(model, completion, [np.zeros(1)] * 3,

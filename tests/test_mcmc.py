@@ -26,7 +26,7 @@ def pima():
 
 
 def flat_model(dim=1):
-    return BayesModel(dim, lambda t: 0.0, lambda t: 0.0)
+    return BayesModel(dim, lambda t: np.zeros(len(t)), lambda t: np.zeros(len(t)))
 
 
 class FlipProposal:
@@ -47,21 +47,23 @@ class TestMhRun:
 
     def test_two_state_frequencies(self):
         probs = {0.0: 0.3, 1.0: 0.7}
-        target = BayesModel(1, lambda t: 0.0,
-                            lambda t: float(np.log(probs[float(t[0])])))
+        target = BayesModel(1, lambda t: np.zeros(len(t)),
+                            lambda t: np.log([probs[float(x)] for x in t[:, 0]]))
         chain = mh_run(target, FlipProposal(), np.zeros(1), 300_000,
                        RngStream(2, 0))
         freq1 = float(np.mean(chain.states[:, 0]))
         assert freq1 == pytest.approx(0.7, abs=0.01)
 
     def test_bad_start_rejected(self):
-        target = BayesModel(1, lambda t: -np.inf, lambda t: 0.0)
+        target = BayesModel(1, lambda t: np.full(len(t), -np.inf),
+                            lambda t: np.zeros(len(t)))
         with pytest.raises(ValueError):
             mh_run(target, FlipProposal(), np.zeros(1), 10, RngStream(3, 0))
 
     def test_rejection_repeats_state_bitwise(self):
         # a huge step on a tight target rejects almost always
-        target = BayesModel(1, lambda t: 0.0, lambda t: -5e4 * float(t @ t))
+        target = BayesModel(1, lambda t: np.zeros(len(t)),
+                            lambda t: -5e4 * np.sum(t * t, axis=1))
         chain = rw_mh_run(target, 100.0 * np.eye(1), np.zeros(1), 200,
                           RngStream(4, 0))
         repeats = chain.states[1:][np.diff(chain.states[:, 0]) == 0.0]
@@ -71,7 +73,8 @@ class TestMhRun:
             assert chain.states[t + 1].tobytes() == chain.states[t].tobytes()
 
     def test_zero_covariance_constant_chain(self):
-        target = BayesModel(1, lambda t: 0.0, lambda t: -0.5 * float(t @ t))
+        target = BayesModel(1, lambda t: np.zeros(len(t)),
+                            lambda t: -0.5 * np.sum(t * t, axis=1))
         chain = rw_mh_run(target, np.zeros((1, 1)), np.array([0.7]), 100,
                           RngStream(5, 0))
         assert chain.acceptance_rate == 1.0

@@ -25,16 +25,16 @@ def test_logpost_matches_direct(target):
     like = (target.weight * stats.norm.pdf(target.data, mu[0], 1.0)
             + (1 - target.weight) * stats.norm.pdf(target.data, mu[1], 1.0))
     prior = stats.norm.logpdf(mu, 0.0, np.sqrt(10.0)).sum()
-    assert mixture_logpost(target, mu) == pytest.approx(
+    assert mixture_logpost(target, mu[None, :])[0] == pytest.approx(
         float(np.sum(np.log(like)) + prior), rel=1e-10)
 
 
 def test_equal_weights_symmetric():
     data = simulate_mixture_data(0.0, 2.5, 0.5, 1.0, 200, RngStream(2, 0))
     t = MixtureTarget(data=data, weight=0.5, sigma2=1.0)
-    mu = np.array([-0.3, 1.7])
-    assert mixture_logpost(t, mu) == pytest.approx(
-        mixture_logpost(t, mu[::-1].copy()), rel=1e-12)
+    mu = np.array([[-0.3, 1.7]])
+    assert mixture_logpost(t, mu)[0] == pytest.approx(
+        mixture_logpost(t, mu[:, ::-1].copy())[0], rel=1e-12)
 
 
 def test_simulated_data_moments():
@@ -47,14 +47,14 @@ def test_simulated_data_moments():
 
 def test_bayes_model_wiring(target):
     model = mixture_bayes_model(target)
-    mu = np.array([0.0, 2.5])
-    assert log_posterior(model, mu) == pytest.approx(
-        mixture_logpost(target, mu), rel=1e-12)
-    draw = model.sample_prior(RngStream(4, 0))
+    mu = np.array([[0.0, 2.5]])
+    assert log_posterior(model, mu)[0] == pytest.approx(
+        mixture_logpost(target, mu)[0], rel=1e-12)
+    draw = model.sample_prior(1, RngStream(4, 0))[0]
     assert draw.shape == (2,)
 
 
 def test_major_mode_dominates(target):
     # the correctly-labelled mode must beat the label-swapped one
-    assert mixture_logpost(target, np.array([0.0, 2.5])) > \
-        mixture_logpost(target, np.array([2.5, 0.0]))
+    assert mixture_logpost(target, np.array([[0.0, 2.5]]))[0] > \
+        mixture_logpost(target, np.array([[2.5, 0.0]]))[0]

@@ -10,16 +10,16 @@ from bayescomp.model import BayesModel, SimulableModel, log_posterior
 def gaussian_model(dim=1):
     return BayesModel(
         dimension=dim,
-        log_prior=lambda t: -0.5 * float(t @ t),
-        log_likelihood=lambda t: -0.25 * float(t @ t),
-        sample_prior=lambda rng: rng.standard_normal(dim),
+        log_prior=lambda t: -0.5 * np.sum(t * t, axis=1),
+        log_likelihood=lambda t: -0.25 * np.sum(t * t, axis=1),
+        sample_prior=lambda n, rng: rng.standard_normal((n, dim)),
     )
 
 
 def test_log_posterior_sum():
     m = gaussian_model()
-    theta = np.array([2.0])
-    assert log_posterior(m, theta) == pytest.approx(-0.75 * 4.0)
+    theta = np.array([[2.0]])
+    assert log_posterior(m, theta)[0] == pytest.approx(-0.75 * 4.0)
 
 
 def test_prior_minus_inf_short_circuits():
@@ -27,37 +27,50 @@ def test_prior_minus_inf_short_circuits():
 
     def loglik(t):
         calls.append(t)
-        return 0.0
+        return np.zeros(len(t))
 
-    m = BayesModel(1, lambda t: -np.inf, loglik)
-    assert log_posterior(m, np.array([0.0])) == -np.inf
+    m = BayesModel(1, lambda t: np.full(len(t), -np.inf), loglik)
+    assert log_posterior(m, np.array([[0.0]]))[0] == -np.inf
     assert not calls  # likelihood never evaluated outside the support
 
 
 def test_nan_raises():
-    m = BayesModel(1, lambda t: 0.0, lambda t: np.nan)
+    m = BayesModel(1, lambda t: np.zeros(len(t)), lambda t: np.full(len(t), np.nan))
     with pytest.raises(FloatingPointError):
-        log_posterior(m, np.array([0.0]))
+        log_posterior(m, np.array([[0.0]]))
 
 
 def test_shape_mismatch():
     m = gaussian_model(dim=2)
     with pytest.raises(ValueError):
-        log_posterior(m, np.array([1.0]))
+        log_posterior(m, np.array([[1.0]]))
 
 
 def test_dimension_validated():
     with pytest.raises(ValueError):
-        BayesModel(0, lambda t: 0.0, lambda t: 0.0)
+        BayesModel(0, lambda t: np.zeros(len(t)), lambda t: np.zeros(len(t)))
 
 
 def test_simulable_model_runs():
     sim = SimulableModel(
-        sample_prior=lambda rng: np.array([rng.uniform()]),
+        sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=lambda th, rng: (rng.uniform(4) < th[0]).astype(float),
         summary=lambda z: np.array([z.sum()]),
     )
     rng = RngStream(1, 0)
-    theta = sim.sample_prior(rng)
+    theta = sim.sample_prior(1, rng)[0]
     z = sim.simulate(theta, rng)
     assert sim.summary(z).shape == (1,)
+
+
+def test_density_must_return_one_value_per_row():
+    m = BayesModel(1, lambda t: 0.0, lambda t: np.zeros(len(t)))
+    with pytest.raises(ValueError, match="densities map"):
+        log_posterior(m, np.zeros((3, 1)))
+
+
+def test_rows_evaluated_independently():
+    m = gaussian_model(dim=2)
+    thetas = RngStream(2, 0).standard_normal((5, 2))
+    batch = log_posterior(m, thetas)
+    assert np.array_equal(batch, [log_posterior(m, t[None, :])[0] for t in thetas])

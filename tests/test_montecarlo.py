@@ -12,6 +12,7 @@ from bayescomp.montecarlo import (
     WeightedSample,
     ess,
     importance_sample,
+    kernel_mixture_logpdf,
     mc_estimate,
     sir_resample,
     snis_estimate,
@@ -62,26 +63,24 @@ class TestImportanceSampling:
         target = GaussianProposal(MvnParams(np.array([1.0]), np.array([[1.0]])))
         proposal = GaussianProposal(MvnParams(np.zeros(1), np.array([[4.0]])))
         ws = importance_sample(target.logpdf_many, proposal.logpdf_many,
-                               proposal.draw_many, 20_000, RngStream(1, 0),
-                               vectorized=True)
+                               proposal.draw_many, 20_000, RngStream(1, 0))
         est = snis_estimate(lambda x: float(x[0]), ws)
         assert est.value == pytest.approx(1.0, abs=3 * est.std_error)
 
     def test_matched_proposal_unit_weights(self):
         target = GaussianProposal(MvnParams(np.zeros(2), np.eye(2)))
         ws = importance_sample(target.logpdf_many, target.logpdf_many,
-                               target.draw_many, 100, RngStream(2, 0),
-                               vectorized=True)
+                               target.draw_many, 100, RngStream(2, 0))
         assert np.allclose(ws.log_weights, 0.0, atol=1e-12)
         assert ess(ws) == pytest.approx(100.0)
 
     def test_zero_density_proposal_rejected(self):
-        def bad_logpdf(theta):
-            return -np.inf
+        def bad_logpdf(thetas):
+            return np.full(len(thetas), -np.inf)
 
         with pytest.raises(RuntimeError):
-            importance_sample(lambda t: 0.0, bad_logpdf,
-                              lambda rng: np.array([rng.uniform()]),
+            importance_sample(lambda t: np.zeros(len(t)), bad_logpdf,
+                              lambda n, rng: rng.uniform((n, 1)),
                               10, RngStream(3, 0))
 
     def test_mc_estimate_clt_error(self):
@@ -117,9 +116,23 @@ class TestGaussianProposal:
         pts = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]])
         assert np.allclose(prop.logpdf_many(pts), oracle(pts), rtol=1e-12)
 
+    def test_kernel_mixture_matches_direct_sum(self):
+        # more points than one evaluation block, against a per-point loop
+        rng = RngStream(7, 0)
+        points = rng.standard_normal((300, 2))
+        centers = rng.standard_normal((40, 2))
+        log_w = np.log(rng.uniform(40))
+        cov = np.array([[0.5, 0.1], [0.1, 0.3]])
+        kernel = GaussianProposal(MvnParams(np.zeros(2), cov))
+        oracle = stats.multivariate_normal(np.zeros(2), cov)
+        direct = [np.log(np.sum(np.exp(log_w) * oracle.pdf(x - centers)))
+                  for x in points]
+        assert np.allclose(kernel_mixture_logpdf(points, centers, log_w, kernel),
+                           direct, rtol=1e-12, atol=0)
+
     def test_from_moments_scale(self):
         base = GaussianProposal.from_moments(np.zeros(1), np.eye(1))
         wide = GaussianProposal.from_moments(np.zeros(1), np.eye(1), scale=4.0)
-        x = np.array([2.0])
+        x = np.array([[2.0]])
         # scale multiplies the covariance, so the wide density is flatter
-        assert wide.logpdf(x) > base.logpdf(x)
+        assert wide.logpdf_many(x)[0] > base.logpdf_many(x)[0]

@@ -12,6 +12,8 @@ from bayescomp.montecarlo import GaussianProposal, MvnParams, ess, snis_estimate
 from bayescomp.pmc import (
     KernelBank,
     Population,
+    _kernel_proposals,
+    _mixture_logpdf,
     default_kernel_bank,
     dkernel_update,
     pmc_run,
@@ -26,8 +28,8 @@ def _gauss_model(mean, cov):
     mvn = stats.multivariate_normal(mean=mean, cov=cov)
     return BayesModel(
         dimension=mean.shape[0],
-        log_prior=lambda th: 0.0,
-        log_likelihood=lambda th: float(mvn.logpdf(th)),
+        log_prior=lambda th: np.zeros(len(th)),
+        log_likelihood=lambda th: np.atleast_1d(mvn.logpdf(th)),
     )
 
 
@@ -76,8 +78,8 @@ class TestStructure:
         # prior support disjoint from proposal support: all weights -inf.
         target = BayesModel(
             dimension=1,
-            log_prior=lambda th: 0.0 if th[0] > 100.0 else -np.inf,
-            log_likelihood=lambda th: 0.0,
+            log_prior=lambda th: np.where(th[:, 0] > 100.0, 0.0, -np.inf),
+            log_likelihood=lambda th: np.zeros(len(th)),
         )
         q0 = _proposal([0.0], [[1.0]])
         with pytest.raises(DegenerateWeightsError, match="iteration 0"):
@@ -158,6 +160,23 @@ class TestDkernelUpdate:
         expected = w @ (x - mean) ** 2
         assert new.base_covariance[0, 0] == pytest.approx(expected)
 
+    def test_mixture_density_matches_direct_sum(self):
+        # the Rao-Blackwellised density, against a loop over every
+        # (kernel, centre) pair
+        rng = RngStream(31, 0)
+        points = rng.standard_normal((300, 2))
+        centers = rng.standard_normal((50, 2))
+        bank = KernelBank(scales=np.array([0.3, 1.0, 3.0]),
+                          mixture_log_weights=np.log([0.2, 0.5, 0.3]),
+                          base_covariance=np.array([[1.0, 0.2], [0.2, 0.5]]))
+        direct = np.zeros(len(points))
+        for s, lw in zip(bank.scales, bank.mixture_log_weights):
+            kern = stats.multivariate_normal(np.zeros(2), s * bank.base_covariance)
+            for c in centers:
+                direct += np.exp(lw) / len(centers) * kern.pdf(points - c)
+        got = _mixture_logpdf(points, centers, _kernel_proposals(bank), bank)
+        assert np.allclose(got, np.log(direct), rtol=1e-12, atol=0)
+
     def test_assignment_length_checked(self):
         bank = default_kernel_bank(np.eye(1))
         pop = self._pop([0.0, 1.0], np.zeros(2))
@@ -200,9 +219,10 @@ class TestEstimatorValidity:
         a = 3.0  # Gamma(3, 1): mean 3, visibly skewed
         target = BayesModel(
             dimension=1,
-            log_prior=lambda th: 0.0,
-            log_likelihood=lambda th: ((a - 1.0) * np.log(th[0]) - th[0]
-                                       if th[0] > 0 else -np.inf),
+            log_prior=lambda th: np.zeros(len(th)),
+            log_likelihood=lambda th: np.where(
+                th[:, 0] > 0,
+                (a - 1.0) * np.log(np.abs(th[:, 0])) - th[:, 0], -np.inf),
         )
         q0 = _proposal([3.0], [[9.0]])
         bank = default_kernel_bank(np.eye(1))

@@ -11,7 +11,7 @@ from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.probit import (
     NonConvergenceError,
     ProbitModel,
-    gprior_logpdf,
+    gprior_logpdf_many,
     probit_latent_completion,
     probit_loglik,
     probit_loglik_many,
@@ -47,6 +47,13 @@ class TestLoglik:
         singles = [probit_loglik(pima, b) for b in betas]
         assert np.allclose(many, singles, rtol=1e-12)
 
+    def test_blocks_match_single_rows(self, pima):
+        # more rows than one evaluation block
+        betas = RngStream(3, 0).standard_normal((600, 3)) * 0.05
+        singles = [probit_loglik(pima, b) for b in betas]
+        assert np.allclose(probit_loglik_many(pima, betas), singles,
+                           rtol=1e-12, atol=0)
+
     def test_extreme_beta_finite(self, pima):
         # log-cdf path keeps huge linear predictors finite
         assert np.isfinite(probit_loglik(pima, np.array([50.0, 50.0, 50.0])))
@@ -57,7 +64,7 @@ class TestGPrior:
         cov = pima.n_obs * np.linalg.inv(pima.design.T @ pima.design)
         oracle = stats.multivariate_normal(np.zeros(3), cov).logpdf
         for beta in (np.zeros(3), np.array([0.01, -0.02, 0.3])):
-            assert gprior_logpdf(pima, beta) == pytest.approx(
+            assert gprior_logpdf_many(pima, beta[None, :])[0] == pytest.approx(
                 float(oracle(beta)), rel=1e-10)
 
     def test_sample_moments(self, pima):
@@ -126,8 +133,18 @@ class TestLatentCompletion:
         cov = shrink * xtx_inv
         oracle = stats.multivariate_normal(mean, cov).logpdf
         for beta in (mean, mean + 0.001):
-            assert completion.log_full_conditional_param(beta, z) == \
+            assert completion.log_full_conditional_param(beta, z[None, :])[0] == \
                 pytest.approx(float(oracle(beta)), rel=1e-10)
+
+    def test_param_conditional_batched_over_latents(self, pima):
+        completion = probit_latent_completion(pima)
+        rng = RngStream(8, 0)
+        beta = np.array([0.01, -0.02, 0.3])
+        zs = np.array([completion.sample_latents(beta, rng) for _ in range(5)])
+        singles = [completion.log_full_conditional_param(beta, z[None, :])[0]
+                   for z in zs]
+        assert np.allclose(completion.log_full_conditional_param(beta, zs),
+                           singles, rtol=1e-12, atol=0)
 
     def test_conditional_draw_moments(self, pima):
         completion = probit_latent_completion(pima)
