@@ -341,10 +341,10 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(limit, n_tasks))
 
 
-def replicate(experiment: str, config: dict, first=None):
-    """Run R replicates on streams 0..R-1; failures are recorded per
-    replicate and do not stop the rest.  `first`, the estimates of a run
-    already made on stream 0, becomes replicate 0 instead of a rerun."""
+def replicate(experiment: str, config: dict):
+    """Run replicates 1..R-1 on their own streams (replicate 0 is the main
+    run on stream 0); failures are recorded per replicate and do not stop
+    the rest."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
@@ -357,12 +357,8 @@ def replicate(experiment: str, config: dict, first=None):
             return {"replicate": r, "status": "error",
                     "error": f"{type(exc).__name__}: {exc}"}
 
-    streams = range(0 if first is None else 1, n_rep)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(streams))) as pool:
-        rows = list(pool.map(one, streams))
-    if first is not None:
-        rows.insert(0, {"replicate": 0, "status": "ok", "estimates": first})
-    return rows
+    with ThreadPoolExecutor(max_workers=_worker_count(n_rep - 1)) as pool:
+        return list(pool.map(one, range(1, n_rep)))
 
 
 def _replicate_stats(rows):
@@ -461,7 +457,8 @@ def main(argv=None) -> int:
             "diagnostics": diagnostics,
         }
         if config["replicates"] > 1:
-            rows = replicate(args.experiment, config, first=estimates)
+            rows = [{"replicate": 0, "status": "ok", "estimates": estimates}]
+            rows += replicate(args.experiment, config)
             summary["replicates"] = _replicate_stats(rows)
             _write_replicates_csv(os.path.join(args.out, "replicates.csv"),
                                   rows)

@@ -13,7 +13,7 @@ compared on equal footing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
@@ -80,6 +80,8 @@ class PhiSpec:
     center: np.ndarray
     scatter: np.ndarray
     coverage: float = 0.25
+    _gauss: GaussianProposal = field(init=False, repr=False, compare=False)
+    _log_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.coverage <= 1.0:
@@ -240,6 +242,7 @@ class LinearGaussianOmega:
     coef: np.ndarray  # (q, p)
     cov: np.ndarray  # (q, q)
     normalized: bool = True
+    _noise: GaussianProposal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "intercept",

@@ -139,11 +139,6 @@ class TestOutputs:
         header = (out / "replicates.csv").read_text().splitlines()[0].split(",")
         assert float(row0[header.index("mean_glu")]) == \
             summary["estimates"]["mean_glu"]
-        # without a main run to reuse, replicate runs every stream itself
-        rows = cli.replicate("gibbs", resolve_config(
-            "gibbs", {"iterations": 200, "replicates": 3}))
-        assert [r["replicate"] for r in rows] == [0, 1, 2]
-        assert rows[0]["estimates"] == summary["estimates"]
 
     def test_chain_diagnostics_describe_the_kept_states(self):
         config = resolve_config("gibbs", {"iterations": 1000, "burn_in": 200,
