@@ -24,8 +24,8 @@ TRUE_SD = np.sqrt(12.0 / 392.0)
 def make_model() -> SimulableModel:
     return SimulableModel(
         sample_prior=lambda n, rng: rng.uniform((n, 1)),
-        simulate=lambda th, rng: (rng.uniform(5) < th[0]).astype(float),
-        summary=lambda y: np.array([float(np.sum(y))]),
+        simulate=lambda th, rng: (rng.uniform((len(th), 5)) < th[:, :1]).astype(float),
+        summary=lambda ys: np.sum(ys, axis=1, keepdims=True),
         log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0), 0.0, -np.inf),
     )
 

@@ -2,13 +2,16 @@
 ABC with quantile-driven tolerance schedules.
 
 Every algorithm compares summary statistics under a distance; raw-data
-distances are not supported.  The sequential sampler perturbs resampled
-particles with a Gaussian kernel whose covariance is an inflated weighted
-empirical covariance, and corrects with importance weights
-prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
-blocks of particles.  `regression_adjust` removes the remaining
-tolerance-induced spread from a population by the local-linear regression
-of Beaumont, Zhang & Balding (2002), using the accepted summaries.
+distances are not supported.  Rejection and sequential ABC draw, simulate,
+summarise and measure proposals in blocks of ``core.CHUNK_ROWS``, which
+fixes the stream layout: block b of a generation draws on the one stream
+``gen_rng.child(b)``, and hits are kept in proposal order.  The sequential
+sampler perturbs resampled particles with a Gaussian kernel whose
+covariance is an inflated weighted empirical covariance, and corrects
+with importance weights prior / (mixture of kernels), whose O(N^2)
+denominator is evaluated in blocks of particles.  `regression_adjust`
+removes the remaining tolerance-induced spread from a population by the
+local-linear regression of Beaumont, Zhang & Balding (2002).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    CHUNK_ROWS,
     DegenerateWeightsError,
     MvnParams,
     RngStream,
@@ -55,15 +59,17 @@ _MIN_ACCEPT_PROB = 1e-6
 _ACCEPT_FLOOR = 0.01
 
 
-def euclidean_distance(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+def euclidean_distance(summaries, eta_obs) -> np.ndarray:
+    """(B,) row norms of the (B, k) `summaries` minus the (k,) `eta_obs`."""
+    return np.linalg.norm(np.asarray(summaries, float) - np.asarray(eta_obs, float), axis=-1)
 
 
 @dataclass(frozen=True)
 class AbcConfig:
     """Tuning knobs shared by the ABC algorithms.  Exactly one of
     `tolerance` (a fixed epsilon) and `quantile` (a per-generation
-    acceptance fraction) must be given."""
+    acceptance fraction) must be given.  `distance` maps (B, k) summaries
+    and the observed (k,) one to (B,) distances."""
 
     n_output: int
     tolerance: Optional[float] = None
@@ -105,63 +111,69 @@ class AbcPopulation:
         return WeightedSample(points=self.particles, log_weights=self.log_weights)
 
 
-def _simulate_summary(model: SimulableModel, theta, eta_obs, config: AbcConfig,
-                      rng: RngStream):
-    """Summary of one forward simulation at theta, and its distance to the
-    observed summary."""
-    s = np.atleast_1d(np.asarray(model.summary(model.simulate(theta, rng)), dtype=float))
-    return s, config.distance(s, eta_obs)
+def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
+    return np.asarray(model.summary(np.asarray(y_obs)[None]), dtype=float)[0]
+
+
+def _accept_in_order(propose, model: SimulableModel, eta_obs, config: AbcConfig,
+                     eps: float, n: int, budget, rng: RngStream, what: str = ""):
+    """The first n of at most `budget` proposals within `eps`, in proposal
+    order: (particles, summaries, distances, proposals made).
+
+    Block b, cut to the budget, draws on ``rng.child(b)``: `propose(size, r)`
+    returns the proposals and the mask of those inside the prior's support,
+    then one batched simulate, summary and distance covers the rows inside.
+    """
+    parts = []
+    accepted = n_prop = 0
+    while accepted < n and n_prop < budget:
+        size = int(min(CHUNK_ROWS, budget - n_prop))
+        r = rng.child(len(parts))
+        thetas, inside = propose(size, r)
+        rows = np.flatnonzero(inside)
+        s = np.asarray(model.summary(model.simulate(thetas[rows], r)), dtype=float)
+        d = np.asarray(config.distance(s, eta_obs), dtype=float)
+        hit = np.flatnonzero(d <= eps)[:n - accepted]
+        parts.append((thetas[rows[hit]], s[hit], d[hit]))
+        accepted += len(hit)
+        n_prop += int(rows[hit[-1]]) + 1 if accepted == n else size
+        if n_prop >= _MAX_PROPOSALS and accepted < _MIN_ACCEPT_PROB * n_prop:
+            raise RuntimeError(
+                f"{what}acceptance probability below {_MIN_ACCEPT_PROB}: "
+                f"{accepted} accepted in {n_prop} proposals (rate "
+                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
+    particles, summaries, distances = (np.concatenate(a) for a in zip(*parts))
+    return particles, summaries, distances, n_prop
 
 
 def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
                rng: RngStream) -> AbcPopulation:
     """Likelihood-free rejection sampling from the prior.
 
-    With a fixed `tolerance`, proposals are drawn until `n_output` pass the
-    distance test.  With a `quantile`, a single batch of n_output/quantile
-    proposals is ranked and the best n_output kept, which realises the
-    tolerance as an empirical quantile of simulated distances.
+    With a fixed `tolerance`, the first `n_output` proposals to pass the
+    distance test are kept.  With a `quantile`, a single batch of
+    n_output/quantile proposals is ranked and the best n_output kept, which
+    realises the tolerance as an empirical quantile of simulated distances.
+    Block b of proposals is one batched prior draw on ``rng.child(b)``.
     """
-    eta_obs = np.asarray(model.summary(y_obs), dtype=float)
+    eta_obs = _observed_summary(model, y_obs)
+
+    def propose(size, r):
+        return np.asarray(model.sample_prior(size, r), dtype=float), np.ones(size, bool)
+
     if config.quantile is not None:
         n_pilot = int(np.ceil(config.n_output / config.quantile))
-        thetas, sums, dists = [], [], []
-        for i in range(n_pilot):
-            r = rng.child(i)
-            theta = np.asarray(model.sample_prior(1, r), dtype=float)[0]
-            s, d = _simulate_summary(model, theta, eta_obs, config, r.child(1))
-            thetas.append(theta)
-            sums.append(s)
-            dists.append(d)
-        order = np.argsort(dists, kind="stable")[:config.n_output]
-        particles = np.asarray(thetas)[order]
-        summaries = np.asarray(sums)[order]
-        distances = np.asarray(dists)[order]
+        particles, summaries, distances, n_prop = _accept_in_order(
+            propose, model, eta_obs, config, np.inf, n_pilot, n_pilot, rng)
+        order = np.argsort(distances, kind="stable")[:config.n_output]
+        particles, summaries, distances = particles[order], summaries[order], distances[order]
         eps = float(distances.max())
-        n_prop = n_pilot
     else:
         eps = float(config.tolerance)
-        particles, summaries, distances = [], [], []
-        n_prop = 0
-        while len(particles) < config.n_output:
-            r = rng.child(n_prop)
-            theta = np.asarray(model.sample_prior(1, r), dtype=float)[0]
-            s, d = _simulate_summary(model, theta, eta_obs, config, r.child(1))
-            n_prop += 1
-            if d <= eps:
-                particles.append(theta)
-                summaries.append(s)
-                distances.append(d)
-            if n_prop >= _MAX_PROPOSALS and \
-                    len(particles) < _MIN_ACCEPT_PROB * n_prop:
-                raise RuntimeError(
-                    f"acceptance probability below {_MIN_ACCEPT_PROB} after "
-                    f"{n_prop} proposals; tolerance {eps} is too small")
-        particles = np.asarray(particles)
-        summaries = np.asarray(summaries)
-        distances = np.asarray(distances)
+        particles, summaries, distances, n_prop = _accept_in_order(
+            propose, model, eta_obs, config, eps, config.n_output, np.inf, rng)
     return AbcPopulation(particles=particles,
-                         log_weights=np.zeros(config.n_output),
+                         log_weights=np.zeros(len(particles)),
                          epsilon=eps, t=0, distances=distances,
                          n_proposals=n_prop, summaries=summaries)
 
@@ -170,20 +182,18 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
              n_iter: int, rng: RngStream) -> Chain:
     """Likelihood-free MCMC at a fixed tolerance.
 
-    The chain starts from one rejection-sampler hit, then proposes in
-    parameter space, simulates a fresh summary, and accepts on the prior
-    plus proposal ratio gated by the distance indicator.  Rejection
-    repeats the previous state.
+    The chain starts from one rejection-sampler hit on ``rng.child(0)``,
+    then proposes in parameter space, simulates a fresh summary, and
+    accepts on the prior plus proposal ratio gated by the distance
+    indicator.  Rejection repeats the previous state.  Iteration t draws
+    its proposal, uniform and simulation in turn on ``rng.child(1).child(t)``.
     """
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
     if model.log_prior is None:
         raise ValueError("abc_mcmc needs the prior log-density")
-    eta_obs = np.asarray(model.summary(y_obs), dtype=float)
-    init = abc_reject(model, y_obs,
-                      AbcConfig(n_output=1, tolerance=config.tolerance,
-                                distance=config.distance), rng.child(0))
-    theta = init.particles[0]
+    eta_obs = _observed_summary(model, y_obs)
+    theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).particles[0]
     lp = float(model.log_prior(theta[None, :])[0])
     states = np.empty((n_iter, theta.shape[0]))
     log_priors = np.empty(n_iter)
@@ -191,16 +201,16 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
     walk = rng.child(1)
     for t in range(n_iter):
         r = walk.child(t)
-        prop = np.atleast_1d(np.asarray(proposal.draw(theta, r.child(0)), float))
+        prop = np.atleast_1d(np.asarray(proposal.draw(theta, r), float))
         lp_prop = float(model.log_prior(prop[None, :])[0])
         log_ratio = (lp_prop - lp
                      + float(proposal.log_density(theta, prop))
                      - float(proposal.log_density(prop, theta)))
-        u = 1.0 - r.child(1).uniform()
+        u = 1.0 - r.uniform()
         ok = lp_prop > -np.inf and np.log(u) <= log_ratio
         if ok:
-            _, d = _simulate_summary(model, prop, eta_obs, config, r.child(2))
-            ok = d <= config.tolerance
+            s = model.summary(model.simulate(prop[None, :], r))
+            ok = config.distance(s, eta_obs)[0] <= config.tolerance
         if ok:
             theta, lp = prop, lp_prop
             accept += 1
@@ -220,8 +230,10 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
     generation resamples by weight, perturbs with an inflated-covariance
     Gaussian kernel, accepts at the configured quantile of the previous
     generation's distances, and reweights by prior over kernel mixture.
-    Proposal n of generation t draws its ancestor, its kernel noise and its
-    simulation in turn from the one stream ``rng.child(t).child(n)``.
+    Block b of generation t draws on the one stream ``rng.child(t).child(b)``
+    its ``core.CHUNK_ROWS`` ancestor uniforms, one matrix of kernel noise and
+    the simulations of the proposals inside the prior's support; that fixed
+    block size keeps runs bit-reproducible for a fixed (seed, config).
     With a fixed `tolerance` instead of a quantile, the schedule is frozen
     (a degenerate mode useful for validation).  In quantile mode the
     schedule must strictly decrease, and each generation must accept its
@@ -235,15 +247,10 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
         raise ValueError("n_generations must be at least 2")
     if model.log_prior is None:
         raise ValueError("abc_pmc needs the prior log-density")
-    eta_obs = np.asarray(model.summary(y_obs), dtype=float)
-    gen0_config = AbcConfig(n_output=n_particles, tolerance=config.tolerance,
-                            quantile=config.quantile, distance=config.distance,
-                            kernel_scale_rule=config.kernel_scale_rule)
-    populations = [abc_reject(model, y_obs, gen0_config, rng.child(0))]
-    if config.quantile is not None:
-        budget = int(np.ceil(n_particles / _ACCEPT_FLOOR))
-    else:
-        budget = np.inf
+    eta_obs = _observed_summary(model, y_obs)
+    populations = [abc_reject(model, y_obs, replace(config, n_output=n_particles),
+                              rng.child(0))]
+    budget = np.inf if config.quantile is None else int(np.ceil(n_particles / _ACCEPT_FLOOR))
     for t in range(1, n_generations):
         prev = populations[-1]
         if config.quantile is not None:
@@ -253,36 +260,21 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
         else:
             eps = float(config.tolerance)
         w = prev.weighted_sample().normalized_weights()
-        mean = w @ prev.particles
-        resid = prev.particles - mean
+        resid = prev.particles - w @ prev.particles
         cov = config.kernel_scale_rule * (resid * w[:, None]).T @ resid
         kernel = GaussianProposal(MvnParams(np.zeros(cov.shape[0]), cov))
         cum = np.cumsum(w)
         cum[-1] = 1.0
-        gen_rng = rng.child(t)
-        particles = np.empty_like(prev.particles)
-        summaries = np.empty((n_particles, eta_obs.shape[0]))
-        distances = np.empty(n_particles)
-        n_prop = 0
-        accepted = 0
-        while accepted < n_particles and n_prop < budget:
-            r = gen_rng.child(n_prop)
-            j = np.searchsorted(cum, r.uniform(), side="right")
-            prop = prev.particles[j] + kernel.draw_many(1, r)[0]
-            n_prop += 1
-            if model.log_prior(prop[None, :])[0] == -np.inf:
-                continue
-            s, d = _simulate_summary(model, prop, eta_obs, config, r)
-            if d <= eps:
-                particles[accepted] = prop
-                summaries[accepted] = s
-                distances[accepted] = d
-                accepted += 1
-            if n_prop >= _MAX_PROPOSALS and accepted < _MIN_ACCEPT_PROB * n_prop:
-                raise RuntimeError(
-                    f"generation {t}: acceptance probability below "
-                    f"{_MIN_ACCEPT_PROB} after {n_prop} proposals")
-        if accepted < n_particles:
+
+        def propose(size, r):
+            ancestors = np.searchsorted(cum, r.uniform(size), side="right")
+            thetas = prev.particles[ancestors] + kernel.draw_many(size, r)
+            return thetas, np.asarray(model.log_prior(thetas)) > -np.inf
+
+        particles, summaries, distances, n_prop = _accept_in_order(
+            propose, model, eta_obs, config, eps, n_particles, budget,
+            rng.child(t), f"generation {t}: ")
+        if len(particles) < n_particles:
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)
@@ -331,9 +323,9 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
 
     sim = SimulableModel(
         sample_prior=lambda n, r: sample_gprior(model, n, r),
-        simulate=lambda beta, r: probit_simulate(model, beta, r),
-        summary=lambda y: probit_abc_summary(model, y, whitener),
+        simulate=lambda betas, r: probit_simulate(model, betas, r),
+        summary=lambda ys: probit_abc_summary(model, ys, whitener),
         log_prior=lambda betas: gprior_logpdf_many(model, betas),
     )
     pops = abc_pmc(sim, model.response, config, config.n_output, n_generations, rng)
-    return regression_adjust(pops[-1], sim.summary(model.response))
+    return regression_adjust(pops[-1], _observed_summary(sim, model.response))

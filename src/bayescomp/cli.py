@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -425,6 +426,8 @@ def _build_parser():
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--burn-in", type=int, dest="burn_in")
     parser.add_argument("--thin", type=int)
+    parser.add_argument("--debug", action="store_true",
+                        help="on error, also print the traceback to stderr")
     return parser
 
 
@@ -474,6 +477,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        if args.debug:
+            traceback.print_exc(file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,7 @@ from scipy import special
 __all__ = [
     "RngStream",
     "MvnParams",
+    "psd_factor",
     "DegenerateWeightsError",
     "normal_cdf",
     "normal_logcdf",
@@ -105,14 +106,14 @@ class MvnParams:
         scale_ref = np.max(np.abs(cov)) if cov.size else 0.0
         if scale_ref > 0 and np.max(np.abs(cov - cov.T)) > 1e-12 * scale_ref:
             raise ValueError("covariance is not symmetric to 1e-12 relative tolerance")
-        object.__setattr__(self, "scale", _psd_factor(cov))
+        object.__setattr__(self, "scale", psd_factor(cov))
 
     @property
     def dimension(self) -> int:
         return self.mean.shape[0]
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
+def psd_factor(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular-ish factor L with L @ L.T = cov, tolerating PSD rank
     deficiency (tolerance 1e-12 * max diagonal)."""
     try:

@@ -7,9 +7,11 @@ out-of-support evaluation maps to -inf, never to an exception or NaN.
 
 Densities are batched, and that is their only signature: a density maps an
 (N, p) array of points, one per row, to the (N,) array of its log values,
-and a prior sampler maps (n, rng) to an (n, p) array of draws.  Sequential
-samplers evaluate a single point as a one-row batch.  Densities whose
-temporaries grow with the data size evaluate their rows in blocks
+and a prior sampler maps (n, rng) to an (n, p) array of draws.  Simulation
+is batched too: (B, p) parameters simulate B data sets, which summarise to
+(B, k) and lie at (B,) ABC distances from the observed (k,) summary.
+Sequential samplers evaluate a single point as a one-row batch.  Densities
+whose temporaries grow with the data size evaluate their rows in blocks
 (:func:`bayescomp.core.map_rows`), so a call over many points stays small in
 memory.
 """
@@ -70,12 +72,12 @@ class SimulableModel:
     """Model usable without likelihood evaluations: prior draws, forward
     simulation and a summary statistic.  `log_prior` backs the weight and
     acceptance-ratio computations of the likelihood-free samplers.
-    `simulate(theta, rng)` and `summary(data)` act on one parameter and one
-    data set; the prior follows the batched contract."""
+    `simulate(thetas, rng)` maps (B, p) parameters to B data sets stacked
+    on axis 0, and `summary(data)` maps them to (B, k) summaries."""
 
     sample_prior: PriorSampler
-    simulate: Callable[[np.ndarray, RngStream], np.ndarray]
-    summary: Callable[[np.ndarray], np.ndarray]
+    simulate: Callable[[np.ndarray, RngStream], np.ndarray]  # (B, p) -> (B, ...)
+    summary: Callable[[np.ndarray], np.ndarray]  # (B, ...) -> (B, k)
     log_prior: Optional[LogDensity] = None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, map_rows, truncated_normal_vector
+from .core import MvnParams, RngStream, map_rows, psd_factor, truncated_normal_vector
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -52,6 +52,7 @@ class ProbitModel:
     xtx: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_logdet: float = field(init=False, repr=False, compare=False)
+    _prior_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.design, dtype=float))
@@ -75,6 +76,7 @@ class ProbitModel:
         logdet_xtx = 2.0 * np.sum(np.log(np.diag(chol)))
         p = X.shape[1]
         object.__setattr__(self, "_prior_logdet", p * np.log(self.prior_scale) - logdet_xtx)
+        object.__setattr__(self, "_prior_factor", psd_factor(self.prior_covariance()))
 
     @property
     def n_obs(self) -> int:
@@ -122,9 +124,7 @@ def gprior_logpdf_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
 
 def sample_gprior(model: ProbitModel, n: int, rng: RngStream) -> np.ndarray:
     """n draws from the g-prior, rows are coefficient vectors."""
-    params = MvnParams(np.zeros(model.dimension), model.prior_covariance())
-    z = rng.standard_normal((n, model.dimension))
-    return z @ params.scale.T
+    return rng.standard_normal((n, model.dimension)) @ model._prior_factor.T
 
 
 def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
@@ -215,11 +215,11 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
 
 
-def probit_simulate(model: ProbitModel, beta, rng: RngStream) -> np.ndarray:
-    """Pseudo-responses y*_i ~ Bernoulli(Phi(x_i'beta)), drawn through the
-    latent form y*_i = 1{x_i'beta + e_i > 0} with e_i ~ N(0, 1)."""
-    eta = model.design @ np.asarray(beta, dtype=float)
-    return (rng.standard_normal(model.n_obs) > -eta).astype(float)
+def probit_simulate(model: ProbitModel, betas, rng: RngStream) -> np.ndarray:
+    """Pseudo-responses y*_bi ~ Bernoulli(Phi(x_i'beta_b)), one row per row b
+    of `betas`, through the latent form y*_bi = 1{x_i'beta_b + e_bi > 0}."""
+    eta = np.asarray(betas, dtype=float) @ model.design.T
+    return (rng.standard_normal(eta.shape) > -eta).astype(float)
 
 
 def probit_summary_whitener(model: ProbitModel, beta) -> np.ndarray:
@@ -235,15 +235,15 @@ def probit_summary_whitener(model: ProbitModel, beta) -> np.ndarray:
     return np.linalg.solve(chol, np.eye(model.dimension))
 
 
-def probit_abc_summary(model: ProbitModel, y, whitener: np.ndarray) -> np.ndarray:
-    """Whitened score-type summary W X'y of a response vector.
+def probit_abc_summary(model: ProbitModel, ys, whitener: np.ndarray) -> np.ndarray:
+    """Whitened score-type summaries W X'y, one per row y of `ys`.
 
     X'y, the sufficient statistic of the logit model, keeps nearly all the
     information about beta under the probit link too, so ABC on it
-    approaches the posterior as the tolerance shrinks.  The observed and
-    the simulated responses pass through the same map.
+    approaches the posterior as the tolerance shrinks.  The observed
+    response goes through the same map as a one-row batch.
     """
-    return whitener @ (model.design.T @ np.asarray(y, dtype=float))
+    return (np.asarray(ys, dtype=float) @ model.design) @ whitener.T
 
 
 def probit_bayes_model(model: ProbitModel) -> BayesModel:

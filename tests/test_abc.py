@@ -5,6 +5,8 @@ posterior; because the success count is sufficient, zero-tolerance ABC is
 exact there and every algorithm can be checked against the same closed
 form (mean 4/7, variance 12/392)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,7 +21,7 @@ from bayescomp.abc import (
     euclidean_distance,
     probit_abc,
 )
-from bayescomp.core import DegenerateWeightsError, RngStream
+from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, RngStream
 from bayescomp.mcmc import RwProposal
 from bayescomp.model import SimulableModel
 from bayescomp.montecarlo import ess, snis_estimate
@@ -32,13 +34,13 @@ BETA_SD = np.sqrt(12.0 / 392.0)
 
 
 def bernoulli_model() -> SimulableModel:
-    def simulate(theta, rng):
-        return (rng.uniform(N_TRIALS) < theta[0]).astype(float)
+    def simulate(thetas, rng):
+        return (rng.uniform((len(thetas), N_TRIALS)) < thetas[:, :1]).astype(float)
 
     return SimulableModel(
         sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=simulate,
-        summary=lambda y: np.array([float(np.sum(y))]),
+        summary=lambda ys: np.sum(ys, axis=1, keepdims=True),
         log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                       0.0, -np.inf),
     )
@@ -117,8 +119,8 @@ class TestReject:
         monkeypatch.setattr("bayescomp.abc._MAX_PROPOSALS", 5000)
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
-            simulate=lambda th, rng: np.zeros(1),
-            summary=lambda y: np.atleast_1d(y),
+            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            summary=lambda ys: ys,
             log_prior=lambda th: np.zeros(len(th)),
         )
         config = AbcConfig(n_output=10, tolerance=0.5)
@@ -141,12 +143,15 @@ class TestMcmc:
 
     def test_rejection_repeats_previous_state(self):
         config = AbcConfig(n_output=1, tolerance=0.0)
+        rng = RngStream(seed=12, stream_id=0)
         chain = abc_mcmc(bernoulli_model(), Y_OBS, config,
-                         RwProposal(np.array([[1.0]])), n_iter=500,
-                         rng=RngStream(seed=12, stream_id=0))
-        repeats = np.sum(chain.states[1:, 0] == chain.states[:-1, 0])
-        assert repeats == 500 - 1 - chain.accept_count + \
-            (chain.states[0, 0] != chain.states[0, 0])
+                         RwProposal(np.array([[1.0]])), n_iter=500, rng=rng)
+        # every rejection, the first step's included, repeats the state
+        # before it; the chain starts from the rejection hit on rng.child(0)
+        start = abc_reject(bernoulli_model(), Y_OBS, config, rng.child(0)).particles
+        before = np.concatenate([start[:, 0], chain.states[:-1, 0]])
+        repeats = np.sum(chain.states[:, 0] == before)
+        assert repeats == 500 - chain.accept_count
 
     def test_requires_fixed_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -190,8 +195,8 @@ class TestPmc:
         # the finished generations, while the quantile is still decreasing
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
-            simulate=lambda th, rng: rng.standard_normal(1),
-            summary=lambda y: np.atleast_1d(y),
+            simulate=lambda th, rng: rng.standard_normal((len(th), 1)),
+            summary=lambda ys: ys,
             log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                           0.0, -np.inf),
         )
@@ -208,8 +213,8 @@ class TestPmc:
         # violently tilted density concentrates all weight on one particle
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
-            simulate=lambda th, rng: np.zeros(1),
-            summary=lambda y: np.atleast_1d(y),
+            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            summary=lambda ys: ys,
             log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                           300.0 * th[:, 0], -np.inf),
         )
@@ -226,6 +231,60 @@ class TestPmc:
         with pytest.raises(ValueError):
             abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=100,
                     n_generations=1, rng=RngStream(seed=0, stream_id=0))
+
+
+class TestBlocks:
+    """Proposals are drawn, simulated and measured in blocks of CHUNK_ROWS,
+    but accepted one at a time in proposal order."""
+
+    def test_distance_rows_match_single_rows(self):
+        rng = np.random.default_rng(0)
+        summaries = rng.normal(size=(300, 3))
+        eta = rng.normal(size=3)
+        batched = euclidean_distance(summaries, eta)
+        assert batched.shape == (300,)
+        single = [euclidean_distance(summaries[i:i + 1], eta)[0] for i in range(300)]
+        np.testing.assert_array_equal(batched, single)
+        assert batched[0] == np.linalg.norm(summaries[0] - eta)
+
+    def test_one_more_particle_extends_the_same_population(self):
+        # n_output m and m + 1 at one seed: the first m particles agree and
+        # the larger population needs more proposals, both fills mid-block
+        m = 100
+        config = AbcConfig(n_output=m, tolerance=0.0)
+        small = abc_reject(bernoulli_model(), Y_OBS, config,
+                           RngStream(seed=13, stream_id=0))
+        large = abc_reject(bernoulli_model(), Y_OBS, replace(config, n_output=m + 1),
+                           RngStream(seed=13, stream_id=0))
+        np.testing.assert_array_equal(large.particles[:m], small.particles)
+        np.testing.assert_array_equal(large.summaries[:m], small.summaries)
+        assert large.n_proposals > small.n_proposals
+        assert small.n_proposals % CHUNK_ROWS != 0
+        assert large.n_proposals // CHUNK_ROWS == small.n_proposals // CHUNK_ROWS
+
+    def test_proposals_are_counted_not_rounded_to_blocks(self):
+        # a prior supported everywhere and a tolerance every proposal meets:
+        # each generation needs exactly n_particles proposals, not a whole
+        # number of blocks
+        model = SimulableModel(
+            sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
+            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            summary=lambda ys: ys,
+            log_prior=lambda th: -0.5 * th[:, 0] ** 2,
+        )
+        config = AbcConfig(n_output=300, tolerance=1.0)
+        assert abc_reject(model, np.zeros(1), config,
+                          RngStream(seed=14, stream_id=0)).n_proposals == 300
+        pops = abc_pmc(model, np.zeros(1), config, n_particles=300,
+                       n_generations=3, rng=RngStream(seed=14, stream_id=0))
+        assert [p.n_proposals for p in pops] == [300, 300, 300]
+
+    def test_hopeless_tolerance_reports_its_rate(self, monkeypatch):
+        monkeypatch.setattr("bayescomp.abc._MAX_PROPOSALS", 1000)
+        config = AbcConfig(n_output=10, tolerance=0.0)
+        with pytest.raises(RuntimeError, match="0 accepted in 1024 proposals"):
+            abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), config,
+                       RngStream(seed=15, stream_id=0))
 
 
 class TestProbitAbc:
@@ -248,3 +307,7 @@ class TestProbitAbc:
         for d in range(2):
             rep = snis_estimate(lambda th, d=d: th[d], ws)
             assert abs(rep.value - beta_hat[d]) < 0.5
+        again = probit_abc(model, config, RngStream(seed=31, stream_id=0),
+                           n_generations=3)
+        np.testing.assert_array_equal(again.particles, pop.particles)
+        np.testing.assert_array_equal(again.log_weights, pop.log_weights)

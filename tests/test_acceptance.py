@@ -375,13 +375,13 @@ BETA_SD = np.sqrt(12.0 / 392.0)
 
 
 def _bernoulli_model():
-    def simulate(theta, rng):
-        return (rng.uniform(5) < theta[0]).astype(float)
+    def simulate(thetas, rng):
+        return (rng.uniform((len(thetas), 5)) < thetas[:, :1]).astype(float)
 
     return SimulableModel(
         sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=simulate,
-        summary=lambda data: np.array([float(np.sum(data))]),
+        summary=lambda data: np.sum(data, axis=1, keepdims=True),
         log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                       0.0, -np.inf),
     )

@@ -179,6 +179,17 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    def test_traceback_only_under_debug(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "mle", {"bogus": 1})
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        code, _ = run_cli(tmp_path, "mle", {"bogus": 1}, extra=["--debug"])
+        assert code == 1
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert json.loads(first)["error"] == "ConfigError"
+        assert rest[0] == "Traceback (most recent call last):"
+        assert rest[-1].startswith("bayescomp.cli.ConfigError:") and "bogus" in rest[-1]
+
     def test_single_replicate_cannot_use_replicate_runner(self):
         from bayescomp.cli import replicate
         with pytest.raises(ConfigError):

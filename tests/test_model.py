@@ -54,13 +54,13 @@ def test_dimension_validated():
 def test_simulable_model_runs():
     sim = SimulableModel(
         sample_prior=lambda n, rng: rng.uniform((n, 1)),
-        simulate=lambda th, rng: (rng.uniform(4) < th[0]).astype(float),
-        summary=lambda z: np.array([z.sum()]),
+        simulate=lambda th, rng: (rng.uniform((len(th), 4)) < th[:, :1]).astype(float),
+        summary=lambda z: z.sum(axis=1, keepdims=True),
     )
     rng = RngStream(1, 0)
-    theta = sim.sample_prior(1, rng)[0]
-    z = sim.simulate(theta, rng)
-    assert sim.summary(z).shape == (1,)
+    thetas = sim.sample_prior(1, rng)
+    z = sim.simulate(thetas, rng)
+    assert sim.summary(z).shape == (1, 1)
 
 
 def test_density_must_return_one_value_per_row():

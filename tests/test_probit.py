@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from bayescomp.core import RngStream
+from bayescomp.core import MvnParams, RngStream
 from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.probit import (
     NonConvergenceError,
@@ -14,8 +14,11 @@ from bayescomp.probit import (
     gprior_logpdf_many,
     probit_latent_completion,
     probit_loglik,
+    probit_abc_summary,
     probit_loglik_many,
     probit_mle,
+    probit_simulate,
+    probit_summary_whitener,
     sample_gprior,
 )
 
@@ -73,6 +76,14 @@ class TestGPrior:
         assert np.allclose(draws.mean(axis=0), 0.0,
                            atol=4 * np.sqrt(np.diag(cov) / 1e5))
         assert np.allclose(np.cov(draws, rowvar=False), cov, rtol=0.05)
+
+    def test_cached_factor_is_the_covariance_factor(self, pima):
+        # prior draws scale by the factor MvnParams gives the covariance
+        factor = MvnParams(np.zeros(3), pima.prior_covariance()).scale
+        np.testing.assert_array_equal(pima._prior_factor, factor)
+        z = RngStream(3, 0).standard_normal((5, 3))
+        np.testing.assert_array_equal(sample_gprior(pima, 5, RngStream(3, 0)),
+                                      z @ factor.T)
 
 
 class TestMle:
@@ -157,6 +168,32 @@ class TestLatentCompletion:
         mean = (n / (n + 1.0)) * xtx_inv @ pima.design.T @ z
         se = np.sqrt(np.diag((n / (n + 1.0)) * xtx_inv) / 20_000)
         assert np.allclose(draws.mean(axis=0), mean, atol=4 * se)
+
+
+class TestAbcSimulation:
+    def test_pseudo_data_one_row_per_coefficient_vector(self, pima):
+        betas = sample_gprior(pima, 300, RngStream(4, 0))
+        ys = probit_simulate(pima, betas, RngStream(5, 0))
+        assert ys.shape == (300, pima.n_obs)
+        assert set(np.unique(ys)) <= {0.0, 1.0}
+        # a coefficient vector far out on one side makes every response 1
+        big = probit_simulate(pima, np.array([[1e6, 0.0, 0.0]]), RngStream(6, 0))
+        assert np.all(big == 1.0)
+
+    def test_summary_rows_match_single_rows(self, pima):
+        whitener = probit_summary_whitener(pima, probit_mle(pima)[0])
+        ys = probit_simulate(pima, sample_gprior(pima, 300, RngStream(4, 0)),
+                             RngStream(5, 0))
+        batched = probit_abc_summary(pima, ys, whitener)
+        assert batched.shape == (300, 3)
+        single = np.vstack([probit_abc_summary(pima, ys[i:i + 1], whitener)
+                            for i in range(300)])
+        # equal up to the summation order of a (B, n) against a (1, n) product
+        np.testing.assert_allclose(batched, single, rtol=0,
+                                   atol=1e-12 * np.abs(batched).max())
+        np.testing.assert_allclose(
+            probit_abc_summary(pima, pima.response[None], whitener)[0],
+            whitener @ (pima.design.T @ pima.response), rtol=1e-12)
 
 
 class TestModelValidation:
