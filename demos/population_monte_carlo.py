@@ -38,8 +38,8 @@ def main():
           f"  kernel weights")
     for pop in pops:
         ws = pop.weighted_sample()
-        m1 = snis_estimate(lambda th: th[0], ws).value
-        m2 = snis_estimate(lambda th: th[1], ws).value
+        m1 = snis_estimate(lambda th: th[:, 0], ws).value
+        m2 = snis_estimate(lambda th: th[:, 1], ws).value
         if pop.kernel_indices is not None:
             bank = dkernel_update(bank, pop, pop.kernel_indices)
         weights = np.exp(bank.mixture_log_weights)

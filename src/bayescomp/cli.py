@@ -6,7 +6,8 @@ overrides.  Every run writes a schema-versioned ``summary.json`` plus a
 runs add a ``replicates.csv`` (one row per replicate, the raw material of
 the usual boxplot comparisons).  Outputs are deterministic functions of
 (config, seed) up to the recorded runtime; replicate r runs on the stream
-with id r, so replicates are reproducible in isolation.
+with id r, so replicates are reproducible in isolation.  Replicates run one
+after another on the calling thread; there is no thread setting.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -336,30 +336,22 @@ def run_experiment(experiment: str, config: dict, stream_id: int = 0):
     return _RUNNERS[experiment](config, rng)
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("BAYESCOMP_THREADS")
-    limit = int(cap) if cap else 4
-    return max(1, min(limit, n_tasks))
-
-
 def replicate(experiment: str, config: dict):
-    """Run replicates 1..R-1 on their own streams (replicate 0 is the main
-    run on stream 0); failures are recorded per replicate and do not stop
-    the rest."""
+    """Run replicates 1..R-1 in stream order on the calling thread
+    (replicate 0 is the main run on stream 0); failures are recorded per
+    replicate and do not stop the rest."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
-
-    def one(r):
+    rows = []
+    for r in range(1, n_rep):
         try:
-            est, se, diag, _ = run_experiment(experiment, config, stream_id=r)
-            return {"replicate": r, "status": "ok", "estimates": est}
+            est, _, _, _ = run_experiment(experiment, config, stream_id=r)
+            rows.append({"replicate": r, "status": "ok", "estimates": est})
         except Exception as exc:  # recorded per-row, run continues
-            return {"replicate": r, "status": "error",
-                    "error": f"{type(exc).__name__}: {exc}"}
-
-    with ThreadPoolExecutor(max_workers=_worker_count(n_rep - 1)) as pool:
-        return list(pool.map(one, range(1, n_rep)))
+            rows.append({"replicate": r, "status": "error",
+                         "error": f"{type(exc).__name__}: {exc}"})
+    return rows
 
 
 def _replicate_stats(rows):
@@ -378,15 +370,17 @@ def _replicate_stats(rows):
 
 
 def _jsonify(obj):
-    """Recursively coerce numpy scalars so json.dump accepts the summary."""
+    """Recursively coerce numpy scalars so json.dump accepts the summary,
+    writing every non-finite float (a Gibbs chain's NaN acceptance rate, an
+    infinite IACT) as null so the file stays strict JSON."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
@@ -470,7 +464,8 @@ def main(argv=None) -> int:
             _write_draws_csv(os.path.join(args.out, "draws.csv"), *draws)
         with open(os.path.join(args.out, "summary.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(_jsonify(summary), fh, indent=2, sort_keys=True)
+            json.dump(_jsonify(summary), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         print(f"{args.experiment}: wrote {os.path.join(args.out, 'summary.json')}")
         return 0

@@ -20,7 +20,6 @@ __all__ = [
     "RwProposal",
     "mh_run",
     "rw_mh_run",
-    "gibbs_run",
     "probit_gibbs_run",
     "mwg_probit_overparam_run",
     "chain_diagnostics",
@@ -105,33 +104,6 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     chain = mh_run(target, proposal, theta0, n_iter, rng)
     chain.proposal_meta["covariance"] = proposal.covariance
     return chain
-
-
-def gibbs_run(conditionals, theta0, n_iter: int, rng: RngStream,
-              log_post=None) -> Chain:
-    """Systematic-scan Gibbs sampler.
-
-    `conditionals` is an ordered list of (index_block, sampler) pairs where
-    sampler(state, rng) returns new values for that block; one sweep updates
-    every block in the listed order against the freshest state.  The blocks
-    must partition the coordinates.
-    """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
-    p = theta.shape[0]
-    seen = []
-    for block, _ in conditionals:
-        seen.extend(np.atleast_1d(block).tolist())
-    if sorted(seen) != list(range(p)):
-        raise ValueError(f"blocks {sorted(seen)} do not partition 0..{p - 1}")
-    states = np.empty((n_iter, p))
-    log_posts = np.full(n_iter, np.nan)
-    for t in range(n_iter):
-        for block, sampler in conditionals:
-            theta[np.atleast_1d(block)] = sampler(theta, rng)
-        states[t] = theta
-        if log_post is not None:
-            log_posts[t] = float(log_post(theta))
-    return Chain(states, log_posts, 0, 0, {"family": "gibbs"})
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,

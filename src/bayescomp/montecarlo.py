@@ -118,14 +118,23 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
     return map_rows(block, np.atleast_2d(points))
 
 
+def _h_values(h, points: np.ndarray) -> np.ndarray:
+    """h at (N, p) points, which must come back as (N,) values."""
+    values = np.asarray(h(points), dtype=float)
+    if values.shape != (points.shape[0],):
+        raise ValueError(f"h must map (N, p) points to (N,) values, got shape "
+                         f"{values.shape} for {points.shape[0]} points")
+    return values
+
+
 def mc_estimate(h, draws) -> EstimateReport:
     """Plain Monte Carlo average of h over (assumed posterior) draws, with
-    the CLT standard error sd/sqrt(N)."""
+    the CLT standard error sd/sqrt(N).  h maps (N, p) draws to (N,) values."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     n = draws.shape[0]
     if n == 0:
         raise ValueError("draws must be nonempty")
-    values = np.asarray([float(h(d)) for d in draws])
+    values = _h_values(h, draws)
     value = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return EstimateReport(value=value, std_error=se, ess=float(n), n_draws=n)
@@ -156,11 +165,12 @@ def ess(ws: WeightedSample) -> float:
 def snis_estimate(h, ws: WeightedSample) -> EstimateReport:
     """Self-normalised importance-sampling estimate of E[h] under the target.
 
-    The standard error is the delta-method weighted variance
-    sqrt(sum w_i^2 (h_i - est)^2); the sample's effective size is attached.
+    h maps the (N, p) points to (N,) values.  The standard error is the
+    delta-method weighted variance sqrt(sum w_i^2 (h_i - est)^2); the
+    sample's effective size is attached.
     """
     w = ws.normalized_weights()
-    values = np.asarray([float(h(x)) for x in ws.points])
+    values = _h_values(h, ws.points)
     value = float(np.sum(w * values))
     se = float(np.sqrt(np.sum(w * w * (values - value) ** 2)))
     sample_ess = float(1.0 / np.sum(w * w))

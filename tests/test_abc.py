@@ -169,7 +169,7 @@ class TestPmc:
         assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
         final = pops[-1]
         assert ess(final.weighted_sample()) >= 10
-        rep = snis_estimate(lambda th: th[0], final.weighted_sample())
+        rep = snis_estimate(lambda th: th[:, 0], final.weighted_sample())
         assert rep.value == pytest.approx(BETA_MEAN, abs=0.05)
 
     def test_fixed_tolerance_freezes_the_schedule(self):
@@ -305,7 +305,7 @@ class TestProbitAbc:
         assert np.all(np.isfinite(pop.log_weights))
         ws = pop.weighted_sample()
         for d in range(2):
-            rep = snis_estimate(lambda th, d=d: th[d], ws)
+            rep = snis_estimate(lambda th, d=d: th[:, d], ws)
             assert abs(rep.value - beta_hat[d]) < 0.5
         again = probit_abc(model, config, RngStream(seed=31, stream_id=0),
                            n_generations=3)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -140,6 +141,45 @@ class TestOutputs:
         assert float(row0[header.index("mean_glu")]) == \
             summary["estimates"]["mean_glu"]
 
+    def test_replicates_run_in_stream_order_on_the_calling_thread(
+            self, monkeypatch):
+        calls = []
+
+        def recording(experiment, config, stream_id=0):
+            calls.append((stream_id, threading.get_ident()))
+            return run_experiment(experiment, config, stream_id)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        config = resolve_config("gibbs", {"iterations": 100, "replicates": 4})
+        rows = cli.replicate("gibbs", config)
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        me = threading.get_ident()
+        assert calls == [(1, me), (2, me), (3, me)]
+
+    def test_replicate_rows_reproducible_in_isolation(self, tmp_path):
+        config = {"iterations": 150, "replicates": 3, "seed": 4}
+        code, out = run_cli(tmp_path, "gibbs", config)
+        assert code == 0
+        header, *lines = (out / "replicates.csv").read_text().splitlines()
+        header = header.split(",")
+        resolved = resolve_config("gibbs", config)
+        for r, line in enumerate(lines):
+            row = dict(zip(header, line.split(",")))
+            assert int(row["replicate"]) == r and row["status"] == "ok"
+            alone, _, _, _ = run_experiment("gibbs", resolved, stream_id=r)
+            assert {k: float(row[k]) for k in alone} == alone
+
+    def test_summary_is_strict_json(self, tmp_path):
+        code, out = run_cli(tmp_path, "gibbs", {"iterations": 200})
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["diagnostics"]["acceptance_rate"] is None
+
     def test_chain_diagnostics_describe_the_kept_states(self):
         config = resolve_config("gibbs", {"iterations": 1000, "burn_in": 200,
                                           "thin": 3})
@@ -198,7 +238,11 @@ class TestErrors:
 
 class TestEntrypoint:
     def test_console_script_runs(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bayescomp.cli", "mle",
              "--out", str(tmp_path / "o")],

@@ -10,7 +10,6 @@ from bayescomp.mcmc import (
     Chain,
     RwProposal,
     chain_diagnostics,
-    gibbs_run,
     mh_run,
     mwg_probit_overparam_run,
     probit_gibbs_run,
@@ -87,45 +86,6 @@ class TestMhRun:
         chain = rw_mh_run(probit_bayes_model(model2), cov, beta, 3000,
                           RngStream(6, 0))
         assert 0.35 < chain.acceptance_rate < 0.65
-
-
-class TestGibbsRun:
-    @staticmethod
-    def _bivariate_conditionals(rho):
-        def first(state, rng):
-            return np.array([rho * state[1]
-                             + np.sqrt(1 - rho**2) * rng.standard_normal()])
-
-        def second(state, rng):
-            return np.array([rho * state[0]
-                             + np.sqrt(1 - rho**2) * rng.standard_normal()])
-
-        return [((0,), first), ((1,), second)]
-
-    def test_bivariate_normal_moments(self):
-        rho = 0.5
-        chain = gibbs_run(self._bivariate_conditionals(rho),
-                          np.zeros(2), 100_000, RngStream(7, 0))
-        iact = 2.0  # conservative allowance for sweep correlation
-        se_mean = np.sqrt(iact / len(chain))
-        for i in range(2):
-            assert chain.states[:, i].mean() == pytest.approx(
-                0.0, abs=3 * se_mean)
-            assert chain.states[:, i].var() == pytest.approx(1.0, rel=0.05)
-        emp_rho = np.corrcoef(chain.states.T)[0, 1]
-        assert emp_rho == pytest.approx(rho, abs=0.02)
-
-    def test_independent_blocks_equal_direct_sampling(self):
-        conds = [((0,), lambda s, r: np.array([r.standard_normal()])),
-                 ((1,), lambda s, r: np.array([r.uniform()]))]
-        chain = gibbs_run(conds, np.zeros(2), 5000, RngStream(8, 0))
-        assert stats.kstest(chain.states[:, 0], "norm").pvalue > 1e-3
-        assert stats.kstest(chain.states[:, 1], "uniform").pvalue > 1e-3
-
-    def test_bad_partition_rejected(self):
-        conds = [((0,), lambda s, r: s[:1]), ((0,), lambda s, r: s[:1])]
-        with pytest.raises(ValueError):
-            gibbs_run(conds, np.zeros(2), 10, RngStream(9, 0))
 
 
 class TestProbitGibbs:

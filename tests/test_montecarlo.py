@@ -64,7 +64,7 @@ class TestImportanceSampling:
         proposal = GaussianProposal(MvnParams(np.zeros(1), np.array([[4.0]])))
         ws = importance_sample(target.logpdf_many, proposal.logpdf_many,
                                proposal.draw_many, 20_000, RngStream(1, 0))
-        est = snis_estimate(lambda x: float(x[0]), ws)
+        est = snis_estimate(lambda x: x[:, 0], ws)
         assert est.value == pytest.approx(1.0, abs=3 * est.std_error)
 
     def test_matched_proposal_unit_weights(self):
@@ -85,9 +85,18 @@ class TestImportanceSampling:
 
     def test_mc_estimate_clt_error(self):
         draws = RngStream(4, 0).standard_normal(10_000)[:, None]
-        est = mc_estimate(lambda x: float(x[0]), draws)
+        est = mc_estimate(lambda x: x[:, 0], draws)
         assert est.value == pytest.approx(0.0, abs=3 * est.std_error)
         assert est.std_error == pytest.approx(1.0 / 100.0, rel=0.1)
+
+    def test_h_must_return_one_value_per_point(self):
+        draws = np.zeros((5, 2))
+        ws = WeightedSample(points=draws, log_weights=np.zeros(5))
+        for bad in (lambda x: x, lambda x: x[0], lambda x: x[:, :1]):
+            with pytest.raises(ValueError, match="h must map"):
+                mc_estimate(bad, draws)
+            with pytest.raises(ValueError, match="h must map"):
+                snis_estimate(bad, ws)
 
 
 class TestSirResample:

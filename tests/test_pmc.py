@@ -196,7 +196,7 @@ class TestEstimatorValidity:
         for pop in pops:
             ws = pop.weighted_sample()
             for d, truth in enumerate((1.5, -0.5)):
-                rep = snis_estimate(lambda th, d=d: th[d], ws)
+                rep = snis_estimate(lambda th, d=d: th[:, d], ws)
                 assert abs(rep.value - truth) < 4.0 * max(rep.std_error, 1e-12), (
                     f"iteration {pop.iteration}, coordinate {d}")
 
@@ -208,7 +208,7 @@ class TestEstimatorValidity:
                        rng=RngStream(seed=13, stream_id=0),
                        density_form="mixture")
         ws = pops[-1].weighted_sample()
-        rep = snis_estimate(lambda th: th[0], ws)
+        rep = snis_estimate(lambda th: th[:, 0], ws)
         assert rep.value == pytest.approx(2.0, abs=0.15)
 
     def test_wrong_density_bookkeeping_is_detectably_biased(self):
@@ -233,7 +233,7 @@ class TestEstimatorValidity:
         def check(log_weights):
             ws = pop.weighted_sample().__class__(points=pop.particles,
                                                  log_weights=log_weights)
-            rep = snis_estimate(lambda th: th[0], ws)
+            rep = snis_estimate(lambda th: th[:, 0], ws)
             return abs(rep.value - a) / max(rep.std_error, 1e-12)
 
         assert check(pop.log_weights) < 4.0
