@@ -4,9 +4,11 @@ Three capture occasions; only the first-capture count n1 and the two
 recapture counts c2, c3 are observed, while the removal counts r1, r2 are
 latent.  The joint likelihood is a product of five binomial terms and the
 prior is the improper 1/N on the population size with uniform capture and
-emigration probabilities.  All conditionals are either Beta or sampled by
-exact enumeration over their finite supports, so the Gibbs sweep contains
-no Metropolis step.
+emigration probabilities.  Every full conditional is drawn exactly from a
+closed form, so the Gibbs sweep contains no Metropolis step: p and q are
+Beta, N - n1 is a negative binomial truncated at n_max, and (r1, r2) is a
+categorical over its finite support whose log-weights come from a count
+table built once per model.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
-from .core import RngStream, log_sum_exp, sample_categorical_many
+from .core import RngStream, sample_categorical_many
 
-__all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run"]
+__all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
+           "n_max_tail_mass"]
+
+_NB_TRIES = 64  # rejection cap for the N draw
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,8 @@ class CaptureModel:
     n_max: int = None  # defaults to 50 * n1
 
     def __post_init__(self):
+        if self.n1 < 1:
+            raise ValueError("n1 must be positive: the 1/N prior is improper at N = 0")
         if not (0 <= self.c2 <= self.n1):
             raise ValueError("need 0 <= c2 <= n1")
         if self.c3 < 0:
@@ -100,26 +107,62 @@ def capture_loglik(model: CaptureModel, N, p, q, r1, r2):
     return out if shape else float(out)
 
 
-def _removal_support(model: CaptureModel):
-    """All (r1, r2) pairs compatible with the observed counts."""
+def _removal_table(model: CaptureModel):
+    """The (r1, r2) pairs compatible with the observed counts, with the
+    state-free parts of their conditional log-weights.
+
+    Given (p, q), the log-weight of a pair is log_coef + counts @
+    (log1p(-p), log q, log1p(-q)) up to a constant: the binomial
+    coefficients of the four removal-dependent terms of
+    :func:`capture_loglik` and the failure and success counts they raise
+    those probabilities to.  The N term and the c2 + c3 captures at log p
+    are the same for every pair, so they are left out.
+    """
     n1, c2, c3 = model.n1, model.c2, model.c3
-    pairs = []
-    for r1 in range(0, n1 - c2 + 1):
-        for r2 in range(0, n1 - r1 - c3 + 1):
-            pairs.append((r1, r2))
-    return np.asarray(pairs, dtype=int)
+    pairs = np.asarray([(r1, r2) for r1 in range(n1 - c2 + 1)
+                        for r2 in range(n1 - r1 - c3 + 1)], dtype=int)
+    r1, r2 = pairs[:, 0], pairs[:, 1]
+    counts = np.column_stack([
+        (n1 - r1 - c2) + (n1 - r1 - r2 - c3),
+        r1 + r2,
+        (n1 - r1) + (n1 - r1 - r2),
+    ]).astype(float)
+    log_coef = (_log_binom_coeff(n1, r1) + _log_binom_coeff(n1 - r1, c2)
+                + _log_binom_coeff(n1 - r1, r2)
+                + _log_binom_coeff(n1 - r1 - r2, c3))
+    return pairs, counts, log_coef
+
+
+def n_max_tail_mass(model: CaptureModel, p):
+    """Mass of N | p beyond the truncation bound ``n_max``, in closed form.
+
+    Under the 1/N prior N - n1 given p is NegBin(n1, p), whose survival
+    function past k is the regularised incomplete beta I_{1-p}(k + 1, n1).
+    Vectorised over p.
+    """
+    p = np.asarray(p, dtype=float)
+    return betainc(model.n_max - model.n1 + 1, model.n1, 1.0 - p)
 
 
 def capture_gibbs_conditionals(model: CaptureModel):
     """The four full conditionals of the posterior under the 1/N prior.
 
     Returns a dict of samplers, each mapping (state, rng) -> block value
-    where state is the dict {"N", "p", "q", "r1", "r2"}.  p and q are Beta;
-    (r1, r2) and N are drawn by exact enumeration of their normalised
-    discrete conditionals.
+    where state is the dict {"N", "p", "q", "r1", "r2"}.  p and q are Beta.
+    (r1, r2) given (p, q) is drawn from its finite support, whose
+    log-weights are one product of a per-model count table with the three
+    log-probabilities.  N - n1 given p is NegBin(n1, p) truncated at
+    n_max - n1: drawn by rejection from ``negative_binomial`` when at least
+    half the untruncated mass is kept, and otherwise by the inverse CDF of
+    the truncated law.  Both routes are exact and bounded in time.  N warns
+    (RuntimeWarning) when more than 1e-6 of its untruncated mass lies
+    beyond n_max.
     """
     n1, c2, c3 = model.n1, model.c2, model.c3
-    pairs = _removal_support(model)
+    pairs, counts, log_coef = _removal_table(model)
+    k_max = model.n_max - n1
+    ks = np.arange(k_max + 1)
+    log_nb_coef = gammaln(ks + n1) - gammaln(ks + 1.0)
 
     def sample_p(state, rng):
         N, r1, r2 = state["N"], state["r1"], state["r2"]
@@ -134,29 +177,36 @@ def capture_gibbs_conditionals(model: CaptureModel):
         return float(rng.generator.beta(a, b))
 
     def sample_removals(state, rng):
-        logw = capture_loglik(
-            model, state["N"], state["p"], state["q"], pairs[:, 0], pairs[:, 1]
-        )
+        p, q = state["p"], state["q"]
+        with np.errstate(divide="ignore"):
+            logs = np.array([np.log1p(-p), np.log(q), np.log1p(-q)])
+        finite = np.isfinite(logs)
+        logw = log_coef + counts @ np.where(finite, logs, 0.0)
+        if not finite.all():
+            # 0 * log 0 = 0: only a pair that counts an impossible event is out
+            logw[(counts[:, ~finite] > 0).any(axis=1)] = -np.inf
         idx = sample_categorical_many(logw, 1, rng)[0]
         return int(pairs[idx, 0]), int(pairs[idx, 1])
 
     def sample_N(state, rng):
         p = state["p"]
-        Ns = np.arange(n1, model.n_max + 1)
-        logw = (
-            _log_binom_coeff(Ns, n1)
-            + (Ns - n1) * np.log1p(-p)
-            - np.log(Ns)
-        )
-        total = log_sum_exp(logw)
-        if logw[-1] - total > np.log(1e-6):
+        tail = float(n_max_tail_mass(model, p))
+        if tail > 1e-6:
             warnings.warn(
-                f"population-size conditional has mass > 1e-6 at the truncation "
-                f"bound n_max={model.n_max}; increase n_max",
+                f"population-size conditional has mass > 1e-6 beyond the "
+                f"truncation bound n_max={model.n_max}; increase n_max",
                 RuntimeWarning,
             )
-        idx = sample_categorical_many(logw, 1, rng)[0]
-        return int(Ns[idx])
+        if tail <= 0.5:
+            # each try is kept with probability >= 1/2; exhausting the cap
+            # (chance <= 2**-64) falls through to the inverse CDF below,
+            # which leaves the law of the draw unchanged
+            for _ in range(_NB_TRIES):
+                k = int(rng.generator.negative_binomial(n1, p))
+                if k <= k_max:
+                    return n1 + k
+        idx = sample_categorical_many(log_nb_coef + ks * np.log1p(-p), 1, rng)[0]
+        return n1 + int(idx)
 
     return {"p": sample_p, "q": sample_q, "removals": sample_removals, "N": sample_N}
 

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .abc import AbcConfig, probit_abc
-from .capture import CaptureModel, capture_gibbs_run
+from .capture import CaptureModel, capture_gibbs_run, n_max_tail_mass
 from .core import RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
@@ -295,7 +295,11 @@ def _run_capture(config, rng):
                  for i, n in enumerate(names)}
     estimates.update({f"sd_{n}": float(states[:, i].std(ddof=1))
                       for i, n in enumerate(names)})
-    return estimates, {}, {"n_max": model.n_max}, (names, states)
+    # the largest mass of N | p beyond n_max over the kept sweeps, so a
+    # truncation that matters shows in the summary and not only on stderr
+    tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
+    diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail}
+    return estimates, {}, diagnostics, (names, states)
 
 
 def _run_mixture_demo(config, rng):

@@ -246,13 +246,14 @@ def sample_categorical(log_weights, rng: RngStream) -> int:
 
 
 def sample_categorical_many(log_weights, n: int, rng: RngStream) -> np.ndarray:
-    """n independent categorical draws (normalisation done in log domain)."""
+    """n independent categorical draws by inverse CDF.
+
+    The weights are shifted by their maximum and exponentiated once; each
+    uniform is scaled to the unnormalised total instead of normalising.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    total = log_sum_exp(lw)
-    if total == -np.inf:
+    top = lw.max(initial=-np.inf)
+    if top == -np.inf:
         raise DegenerateWeightsError("all categorical weights are zero")
-    w = np.exp(lw - total)
-    cum = np.cumsum(w)
-    cum[-1] = 1.0
-    u = rng.uniform(n)
-    return np.searchsorted(cum, u, side="right")
+    cum = np.exp(lw - top).cumsum()
+    return cum.searchsorted(rng.uniform(n) * cum[-1], side="right")

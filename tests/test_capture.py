@@ -1,6 +1,9 @@
 """Capture-recapture model: likelihood support, full conditionals against
 enumeration, and the Gibbs sampler against a small brute-force oracle."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,8 +14,9 @@ from bayescomp.capture import (
     capture_gibbs_conditionals,
     capture_gibbs_run,
     capture_loglik,
+    n_max_tail_mass,
 )
-from bayescomp.core import RngStream
+from bayescomp.core import DegenerateWeightsError, RngStream
 from bayescomp.datasets import eurodip_1981
 
 from oracles import capture_posterior_oracle
@@ -46,6 +50,25 @@ class TestLoglik:
         # 0 log 0 convention must give probability one, not -inf
         m = CaptureModel(n1=2, c2=2, c3=2, n_max=10)
         assert capture_loglik(m, 2, 1.0, 0.0, 0, 0) == pytest.approx(0.0)
+
+    def test_needs_a_first_capture(self):
+        # under the 1/N prior the posterior is improper when n1 = 0
+        with pytest.raises(ValueError, match="n1"):
+            CaptureModel(n1=0, c2=0, c3=0)
+
+
+def _chisquare_pvalue(draws, support, probs):
+    """Chi-square p-value of draws against probabilities on `support`,
+    pooling the cells expected to hold fewer than 5 draws into one."""
+    observed = np.array([np.sum(draws == s) for s in support], dtype=float)
+    assert observed.sum() == len(draws)  # nothing drawn off the support
+    expected = probs * len(draws)
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    if exp[-1] == 0:
+        obs, exp = obs[:-1], exp[:-1]
+    return stats.chisquare(obs, exp).pvalue
 
 
 class TestConditionals:
@@ -82,6 +105,86 @@ class TestConditionals:
         mean = float(ns @ w)
         sd = float(np.sqrt(ns**2 @ w - mean**2))
         assert draws.mean() == pytest.approx(mean, abs=4 * sd / np.sqrt(len(draws)))
+
+    def test_sampler_keys(self, eurodip):
+        # bench/spans.py times each block by these keys
+        assert set(capture_gibbs_conditionals(eurodip)) == {
+            "p", "q", "removals", "N"}
+
+    @pytest.mark.parametrize("n_max,seed", [(79, 21), (66, 22)])
+    def test_truncated_n_matches_enumeration(self, n_max, seed):
+        # at p = 0.3 the untruncated NegBin keeps about 0.70 (n_max = 79,
+        # the rejection route) or 0.32 (n_max = 66, the inverse CDF) of
+        # its mass below n_max
+        m = CaptureModel(n1=22, c2=11, c3=6, n_max=n_max)
+        state = {"N": 44, "p": 0.3, "q": 0.5, "r1": 4, "r2": 3}
+        cond = capture_gibbs_conditionals(m)
+        rng = RngStream(seed, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            draws = np.array([cond["N"](state, rng) for _ in range(20_000)])
+        ns = np.arange(m.n1, m.n_max + 1)
+        logw = stats.binom.logpmf(m.n1, ns, state["p"]) - np.log(ns)
+        probs = np.exp(logw - logsumexp(logw))
+        assert _chisquare_pvalue(draws, ns, probs) > 1e-3
+
+    def test_removals_match_enumeration(self, eurodip):
+        m = eurodip
+        state = {"N": 44, "p": 0.5, "q": 0.3, "r1": 0, "r2": 0}
+        cond = capture_gibbs_conditionals(m)
+        rng = RngStream(23, 0)
+        draws = np.array([cond["removals"](state, rng) for _ in range(20_000)])
+        r1, r2 = np.meshgrid(np.arange(m.n1 + 1), np.arange(m.n1 + 1))
+        logw = capture_loglik(m, state["N"], state["p"], state["q"],
+                              r1.ravel(), r2.ravel())
+        keep = np.isfinite(logw)
+        codes = r1.ravel()[keep] * (m.n1 + 1) + r2.ravel()[keep]
+        probs = np.exp(logw[keep] - logsumexp(logw[keep]))
+        drawn = draws[:, 0] * (m.n1 + 1) + draws[:, 1]
+        assert _chisquare_pvalue(drawn, codes, probs) > 1e-3
+
+    def test_boundary_probabilities(self, eurodip):
+        m = eurodip
+        cond = capture_gibbs_conditionals(m)
+        rng = RngStream(24, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an invalid (NaN) op would raise
+            for _ in range(50):
+                # q = 0: nobody emigrates
+                assert cond["removals"](
+                    {"N": 44, "p": 0.5, "q": 0.0}, rng) == (0, 0)
+                # p = 1: every survivor is recaptured, so the removals
+                # are exactly what the recapture counts leave
+                assert cond["removals"](
+                    {"N": 44, "p": 1.0, "q": 0.3}, rng) == (
+                        m.n1 - m.c2, m.c2 - m.c3)
+                # p = 1: nobody escapes the first capture
+                assert cond["N"]({"p": 1.0}, rng) == m.n1
+            with pytest.raises(DegenerateWeightsError):
+                cond["removals"]({"N": 44, "p": 1.0, "q": 0.0}, rng)
+        small = CaptureModel(n1=2, c2=2, c3=2, n_max=10)
+        assert capture_gibbs_conditionals(small)["removals"](
+            {"N": 2, "p": 1.0, "q": 0.0}, rng) == (0, 0)
+
+    def test_hopeless_truncation_warns_and_stays_bounded(self):
+        # nearly all of N's mass lies beyond n_max = n1 + 2
+        m = CaptureModel(n1=22, c2=11, c3=6, n_max=24)
+        assert n_max_tail_mass(m, 1e-3) > 0.99
+        cond = capture_gibbs_conditionals(m)
+        rng = RngStream(25, 0)
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="n_max=24"):
+            draws = [cond["N"]({"p": 1e-3}, rng) for _ in range(200)]
+        assert time.perf_counter() - start < 2.0
+        assert all(m.n1 <= n <= m.n_max for n in draws)
+
+    def test_no_warning_at_defaults(self, eurodip):
+        cond = capture_gibbs_conditionals(eurodip)
+        rng = RngStream(26, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [cond["N"]({"p": 0.6}, rng) for _ in range(200)]
+        assert all(eurodip.n1 <= n <= eurodip.n_max for n in draws)
 
     def test_removals_in_support(self, eurodip):
         cond = capture_gibbs_conditionals(eurodip)

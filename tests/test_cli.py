@@ -99,6 +99,19 @@ class TestOutputs:
                             (out / "draws.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_capture_reports_tail_mass_deterministically(self, tmp_path):
+        outputs = []
+        for subdir in ("a", "b"):
+            code, out = run_cli(tmp_path, "capture",
+                                {"iterations": 300, "seed": 7}, subdir=subdir)
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert 0.0 <= summary["diagnostics"]["n_max_tail_mass"] <= 1.0
+            del summary["runtime_seconds"]
+            outputs.append((json.dumps(summary, sort_keys=True),
+                            (out / "draws.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_seed_changes_the_draws(self, tmp_path):
         blobs = []
         for seed, subdir in ((1, "s1"), (2, "s2")):

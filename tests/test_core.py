@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bayescomp.core import (
+    DegenerateWeightsError,
     MvnParams,
     RngStream,
     log_sum_exp,
@@ -162,3 +163,22 @@ class TestCategorical:
         logw = np.array([-np.inf, 0.0, -np.inf])
         idx = sample_categorical_many(logw, 100, RngStream(13, 0))
         assert np.all(idx == 1)
+
+    def test_matches_normalised_cumsum(self):
+        # the reference normalises through log_sum_exp; the sampler must
+        # pick the same index from the same uniforms
+        gen = np.random.default_rng(14)
+        for seed in range(10):
+            logw = gen.normal(scale=3.0, size=50)
+            logw[gen.random(50) < 0.3] = -np.inf
+            idx = sample_categorical_many(logw, 1000, RngStream(seed, 1))
+            w = np.exp(logw - log_sum_exp(logw))
+            cum = np.cumsum(w)
+            cum[-1] = 1.0
+            u = RngStream(seed, 1).uniform(1000)
+            assert np.array_equal(idx, np.searchsorted(cum, u, side="right"))
+
+    def test_all_zero_weights_raise(self):
+        for logw in (np.full(3, -np.inf), np.array([])):
+            with pytest.raises(DegenerateWeightsError):
+                sample_categorical_many(logw, 5, RngStream(15, 0))
