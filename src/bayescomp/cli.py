@@ -6,8 +6,11 @@ overrides.  Every run writes a schema-versioned ``summary.json`` plus a
 runs add a ``replicates.csv`` (one row per replicate, the raw material of
 the usual boxplot comparisons).  Outputs are deterministic functions of
 (config, seed) up to the recorded runtime; replicate r runs on the stream
-with id r, so replicates are reproducible in isolation.  Replicates run one
-after another on the calling thread; there is no thread setting.
+with id r, so replicates are reproducible in isolation.  Replicates run on
+the calling thread; there is no thread setting.  `gibbs` advances all R
+replicate chains in lockstep, one stream per chain, in a single run whose
+row 0 is the main run; every other experiment runs its replicates one after
+another.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ from .evidence import (
     harmonic_mean_gd,
     newton_raftery_hm,
 )
-from .mcmc import chain_diagnostics, probit_gibbs_run, rw_mh_run, mwg_probit_overparam_run
+from .mcmc import (
+    chain_diagnostics,
+    gibbs_chain,
+    mwg_probit_overparam_run,
+    probit_gibbs_lockstep,
+    probit_gibbs_run,
+    rw_mh_run,
+)
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
 from .model import log_posterior
 from .montecarlo import GaussianProposal, ess
@@ -109,6 +119,14 @@ def resolve_config(experiment: str, raw: dict) -> dict:
         raise ConfigError("replicates must be at least 1")
     if config["burn_in"] < 0 or config["thin"] < 1:
         raise ConfigError("burn_in must be >= 0 and thin >= 1")
+    if "iterations" in config:
+        kept = len(range(config["burn_in"], config["iterations"], config["thin"]))
+        if kept < 2:
+            # the reported SDs need at least two kept states
+            raise ConfigError(
+                f"burn_in {config['burn_in']}, thin {config['thin']} and "
+                f"iterations {config['iterations']} keep {kept} states; "
+                "at least 2 are needed")
     return config
 
 
@@ -125,12 +143,17 @@ def _postprocess(states: np.ndarray, config) -> np.ndarray:
     return states[config["burn_in"]::config["thin"]]
 
 
-def _chain_result(chain, names, config):
-    states = _postprocess(chain.states, config)
+def _chain_estimates(states, names):
     estimates = {f"mean_{n}": float(states[:, i].mean())
                  for i, n in enumerate(names)}
     estimates.update({f"sd_{n}": float(states[:, i].std(ddof=1))
                       for i, n in enumerate(names)})
+    return estimates
+
+
+def _chain_result(chain, names, config):
+    states = _postprocess(chain.states, config)
+    estimates = _chain_estimates(states, names)
     # the diagnostics describe the same burned-in, thinned states
     diag = chain_diagnostics(replace(chain, states=states)) if len(states) >= 100 else {}
     diagnostics = {"acceptance_rate": chain.acceptance_rate}
@@ -167,6 +190,19 @@ def _run_gibbs(config, rng):
     model = _pima_model(config, config["covariates"])
     chain, _ = probit_gibbs_run(model, config["iterations"], rng)
     return _chain_result(chain, config["covariates"], config)
+
+
+def _replicate_gibbs(config):
+    """All replicates as one lockstep run, chain r on the stream with id r.
+    Returns the main run's result (chain 0) and the estimates of the
+    other chains, which get no diagnostics and no log-posterior."""
+    model = _pima_model(config, config["covariates"])
+    rngs = [RngStream(config["seed"], r) for r in range(config["replicates"])]
+    states, _ = probit_gibbs_lockstep(model, config["iterations"], rngs)
+    names = config["covariates"]
+    result = _chain_result(gibbs_chain(model, states[0]), names, config)
+    return result, [_chain_estimates(_postprocess(s, config), names)
+                    for s in states[1:]]
 
 
 def _run_mwg(config, rng):
@@ -291,10 +327,7 @@ def _run_capture(config, rng):
     out = capture_gibbs_run(model, config["iterations"], rng)
     names = ["N", "p", "q", "r1", "r2"]
     states = _postprocess(np.column_stack([out[k] for k in names]), config)
-    estimates = {f"mean_{n}": float(states[:, i].mean())
-                 for i, n in enumerate(names)}
-    estimates.update({f"sd_{n}": float(states[:, i].std(ddof=1))
-                      for i, n in enumerate(names)})
+    estimates = _chain_estimates(states, names)
     # the largest mass of N | p beyond n_max over the kept sweeps, so a
     # truncation that matters shows in the summary and not only on stderr
     tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
@@ -343,7 +376,8 @@ def run_experiment(experiment: str, config: dict, stream_id: int = 0):
 def replicate(experiment: str, config: dict):
     """Run replicates 1..R-1 in stream order on the calling thread
     (replicate 0 is the main run on stream 0); failures are recorded per
-    replicate and do not stop the rest."""
+    replicate and do not stop the rest.  This is the path of experiments
+    without a lockstep runner."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
@@ -391,11 +425,12 @@ def _jsonify(obj):
 
 
 def _write_draws_csv(path, header, rows):
+    # dtype=float keeps integer columns written as floats ("3.0")
+    values = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in np.atleast_2d(rows):
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(v) for v in row] for row in values)
 
 
 def _write_replicates_csv(path, rows):
@@ -446,8 +481,15 @@ def main(argv=None) -> int:
 
         os.makedirs(args.out, exist_ok=True)
         start = time.monotonic()
-        estimates, std_errors, diagnostics, draws = run_experiment(
-            args.experiment, config, stream_id=0)
+        n_rep = config["replicates"]
+        if n_rep > 1 and args.experiment == "gibbs":
+            result, others = _replicate_gibbs(config)
+            rows = [{"replicate": r, "status": "ok", "estimates": est}
+                    for r, est in enumerate(others, start=1)]
+        else:
+            result = run_experiment(args.experiment, config, stream_id=0)
+            rows = replicate(args.experiment, config) if n_rep > 1 else []
+        estimates, std_errors, diagnostics, draws = result
         summary = {
             "schema_version": SCHEMA_VERSION,
             "experiment": args.experiment,
@@ -457,9 +499,9 @@ def main(argv=None) -> int:
             "standard_errors": std_errors,
             "diagnostics": diagnostics,
         }
-        if config["replicates"] > 1:
-            rows = [{"replicate": 0, "status": "ok", "estimates": estimates}]
-            rows += replicate(args.experiment, config)
+        if n_rep > 1:
+            rows.insert(0, {"replicate": 0, "status": "ok",
+                            "estimates": estimates})
             summary["replicates"] = _replicate_stats(rows)
             _write_replicates_csv(os.path.join(args.out, "replicates.csv"),
                                   rows)

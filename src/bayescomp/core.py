@@ -168,40 +168,53 @@ def map_rows(fn, rows: np.ndarray) -> np.ndarray:
                            for lo in range(0, len(rows), CHUNK_ROWS)])
 
 
-def _truncated_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Standard normal conditioned on being > a, elementwise.
-
-    Inverse CDF through the survival function for a <= 5; Robert's
-    exponential-proposal rejection beyond that (acceptance > 0.95, so the
+def _tail_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Standard normal conditioned on being > a, elementwise, for a > 5:
+    Robert's exponential-proposal rejection (acceptance > 0.95, so the
     retry loop terminates with overwhelming probability; a hard cap guards
-    the pathological case).
+    the pathological case)."""
+    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
+    x = np.empty_like(a)
+    todo = np.ones(a.shape, dtype=bool)
+    for _ in range(1000):
+        n = int(np.count_nonzero(todo))
+        if n == 0:
+            return x
+        e = rng.generator.standard_exponential(n)
+        cand = a[todo] + e / lam[todo]
+        accept = np.log(1.0 - rng.uniform(n)) <= -0.5 * (cand - lam[todo]) ** 2
+        idx = np.flatnonzero(todo)[accept]
+        x[idx] = cand[accept]
+        todo[idx] = False
+    raise RuntimeError("tail rejection failed to terminate")
+
+
+def _truncated_std_lower(a: np.ndarray, rngs) -> np.ndarray:
+    """Standard normal conditioned on being > a, elementwise, for an (R, n)
+    array of bounds, row r drawing from stream ``rngs[r]`` alone.
+
+    Inverse CDF through the survival function for a <= 5, with one uniform
+    per such entry; the rejection sampler of `_tail_std_lower` beyond that.
+    A row draws its uniforms first, then its tail entries, so every row
+    matches a one-row call on the same stream bit for bit.  The uniforms
+    come one stream at a time; the inverse CDF covers all R x n entries in
+    one call.
     """
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
     moderate = a <= 5.0
-    if np.any(moderate):
-        am = a[moderate]
-        u = 1.0 - rng.uniform(am.shape)  # in (0, 1]
-        out[moderate] = -special.ndtri(u * special.ndtr(-am))
-    tail = ~moderate
-    if np.any(tail):
-        at = a[tail]
-        lam = 0.5 * (at + np.sqrt(at * at + 4.0))
-        x = np.empty_like(at)
-        todo = np.ones(at.shape, dtype=bool)
-        for _ in range(1000):
-            n = int(np.count_nonzero(todo))
-            if n == 0:
-                break
-            e = rng.generator.standard_exponential(n)
-            cand = at[todo] + e / lam[todo]
-            accept = np.log(1.0 - rng.uniform(n)) <= -0.5 * (cand - lam[todo]) ** 2
-            idx = np.flatnonzero(todo)[accept]
-            x[idx] = cand[accept]
-            todo[idx] = False
+    u = np.empty_like(a)
+    tails = []
+    for r, rng in enumerate(rngs):
+        mod = moderate[r]
+        if mod.all():
+            rng.generator.random(out=u[r])
         else:
-            raise RuntimeError("tail rejection failed to terminate")
-        out[tail] = x
+            u[r] = 0.0  # placeholder for the tail entries, overwritten below
+            u[r, mod] = rng.uniform(np.count_nonzero(mod))
+            tails.append((r, _tail_std_lower(a[r, ~mod], rng)))
+    out = -special.ndtri((1.0 - u) * special.ndtr(-a))  # 1 - u in (0, 1]
+    for r, x in tails:
+        out[r, ~moderate[r]] = x
     return out
 
 
@@ -214,24 +227,28 @@ def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) 
         raise ValueError(f"sigma must be positive, got {sigma}")
     if side == "positive":
         a = -mu / sigma
-        return float(mu + sigma * _truncated_std_lower(np.asarray([a]), rng)[0])
+        return float(mu + sigma * _truncated_std_lower(np.asarray([[a]]), [rng])[0, 0])
     if side == "negative":
         a = mu / sigma
-        return float(mu - sigma * _truncated_std_lower(np.asarray([a]), rng)[0])
+        return float(mu - sigma * _truncated_std_lower(np.asarray([[a]]), [rng])[0, 0])
     raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
 
 
-def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Vector of unit-variance truncated normal draws, one per mean.
+def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.ndarray:
+    """Unit-variance truncated normal draws for an (R, n) array of means,
+    row r from stream ``rngs[r]``.
 
-    Entry i is N(mu_i, 1) conditioned positive where `positive[i]`, negative
-    otherwise.  This is the bulk path used by latent-variable Gibbs sweeps.
+    Entry (r, i) is N(mu_ri, 1) conditioned positive where `positive[i]`,
+    negative otherwise.  Row r equals a one-row call on stream ``rngs[r]``
+    bit for bit, and leaves that stream where the one-row call would.  This
+    is the bulk path of the latent-variable Gibbs sweeps, R chains at once.
     """
     mu = np.asarray(mu, dtype=float)
-    positive = np.asarray(positive, dtype=bool)
-    sign = np.where(positive, 1.0, -1.0)
+    if mu.ndim != 2 or mu.shape[0] != len(rngs):
+        raise ValueError(f"mu has shape {mu.shape}, expected ({len(rngs)}, n)")
+    sign = np.where(np.asarray(positive, dtype=bool), 1.0, -1.0)
     # sign * draw is a standard normal shifted by sign*mu, truncated above -sign*mu
-    return sign * (sign * mu + _truncated_std_lower(-sign * mu, rng))
+    return sign * (sign * mu + _truncated_std_lower(-sign * mu, rngs))
 
 
 def sample_mvn_many(params: MvnParams, n: int, rng: RngStream) -> np.ndarray:

@@ -3,6 +3,10 @@
 A uniform is consumed on every acceptance test, including certain-accept
 steps, so RNG stream positions stay aligned across proposal variants.  No
 burn-in is discarded here; trimming is a post-processing concern.
+
+The probit Gibbs sampler runs R chains in lockstep, one stream per chain,
+through the chain-batched latent completion; a single chain is the case
+R = 1, and each chain is bit-identical to a run of its own on its stream.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ __all__ = [
     "mh_run",
     "rw_mh_run",
     "probit_gibbs_run",
+    "probit_gibbs_lockstep",
+    "gibbs_chain",
     "mwg_probit_overparam_run",
     "chain_diagnostics",
 ]
@@ -106,29 +112,47 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     return chain
 
 
-def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
-                     keep_latents: bool = False):
-    """Data-augmentation Gibbs for the probit posterior, started at the MLE.
+def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
+                          keep_latents: bool = False):
+    """Data-augmentation Gibbs for the probit posterior: R = len(rngs)
+    chains in lockstep, each started at the MLE.
 
-    Each sweep draws the truncated-normal latents given beta, then beta from
-    its exact normal conditional given the latents.  Returns (chain, latents)
-    where latents is the (n_iter, n) array of auxiliary draws when
-    `keep_latents`, else None; the latents feed the posterior-ordinate
-    evidence estimator.
+    Each sweep draws the (R, n) truncated-normal latents given the (R, p)
+    coefficients, then the coefficients from their exact normal conditional
+    given the latents.  Chain r draws from ``rngs[r]`` alone and in the
+    order of a single chain, so it is bit-identical to a run of its own on
+    that stream.  Returns (states, latents): the (R, n_iter, p) states, and
+    the (R, n_iter, n) latents when `keep_latents`, else None; the latents
+    feed the posterior-ordinate evidence estimator.
     """
     completion = probit_latent_completion(model)
     beta, _ = probit_mle(model)
-    states = np.empty((n_iter, model.dimension))
-    latents = np.empty((n_iter, model.n_obs)) if keep_latents else None
+    betas = np.tile(beta, (len(rngs), 1))
+    states = np.empty((len(rngs), n_iter, model.dimension))
+    latents = np.empty((len(rngs), n_iter, model.n_obs)) if keep_latents else None
     for t in range(n_iter):
-        z = completion.sample_latents(beta, rng)
-        beta = completion.sample_params(z, rng)
-        states[t] = beta
+        z = completion.sample_latents(betas, rngs)
+        betas = completion.sample_params(z, rngs)
+        states[:, t] = betas
         if keep_latents:
-            latents[t] = z
+            latents[:, t] = z
+    return states, latents
+
+
+def gibbs_chain(model: ProbitModel, states: np.ndarray) -> Chain:
+    """The Chain of a probit Gibbs run's (n_iter, p) states, with the
+    log-posterior of each state; a Gibbs sweep has no accept step."""
     log_posts = log_posterior(probit_bayes_model(model), states)
-    chain = Chain(states, log_posts, 0, 0, {"family": "gibbs-data-augmentation"})
-    return chain, latents
+    return Chain(states, log_posts, 0, 0, {"family": "gibbs-data-augmentation"})
+
+
+def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
+                     keep_latents: bool = False):
+    """One chain of `probit_gibbs_lockstep` on stream `rng`.  Returns
+    (chain, latents) where latents is the (n_iter, n) array of auxiliary
+    draws when `keep_latents`, else None."""
+    states, latents = probit_gibbs_lockstep(model, n_iter, [rng], keep_latents)
+    return gibbs_chain(model, states[0]), None if latents is None else latents[0]
 
 
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,

@@ -10,7 +10,9 @@ Densities are batched, and that is their only signature: a density maps an
 and a prior sampler maps (n, rng) to an (n, p) array of draws.  Simulation
 is batched too: (B, p) parameters simulate B data sets, which summarise to
 (B, k) and lie at (B,) ABC distances from the observed (k,) summary.
-Sequential samplers evaluate a single point as a one-row batch.  Densities
+Sequential samplers evaluate a single point as a one-row batch.  Latent
+completions are batched over chains instead: a sweep maps the (R, p) states
+of R chains, each with its own stream, to their latents and back.  Densities
 whose temporaries grow with the data size evaluate their rows in blocks
 (:func:`bayescomp.core.map_rows`), so a call over many points stays small in
 memory.
@@ -19,7 +21,7 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,16 +56,19 @@ class BayesModel:
 class LatentCompletion:
     """Two-block data augmentation of a model.
 
-    `sample_latents(theta, rng)` and `sample_params(latents, rng)` make one
-    Gibbs sweep.  `log_full_conditional_param(theta, latents)` takes an
+    `sample_latents(thetas, rngs)` and `sample_params(latents, rngs)` make
+    one Gibbs sweep of R chains in lockstep: (R, p) parameters map to
+    (R, ...) latents and back, row r drawing from stream ``rngs[r]`` alone,
+    so that a chain does not depend on the others.
+    `log_full_conditional_param(theta, latents)` takes an
     (N, ...) array of latent draws and returns the (N,) *normalised*
     log-densities of the parameter theta given each of them (constant
     included): marginal-likelihood estimation via the posterior-ordinate
     identity depends on it.
     """
 
-    sample_latents: Callable[[np.ndarray, RngStream], np.ndarray]
-    sample_params: Callable[[np.ndarray, RngStream], np.ndarray]
+    sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]
+    sample_params: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]
     log_full_conditional_param: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 

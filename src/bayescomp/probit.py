@@ -180,6 +180,14 @@ def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
     raise NonConvergenceError(f"no convergence after {max_iter} Fisher scoring iterations")
 
 
+def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """matrix @ row for each row of the (R, k) array `rows`, as an (R, m)
+    array.  The stacked product keeps every row bit-identical to the
+    one-row ``matrix @ row``, whatever R; a plain ``rows @ matrix.T`` does
+    not."""
+    return (rows[:, None, :] @ matrix.T)[:, 0]
+
+
 def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     """Truncated-normal completion of the probit posterior.
 
@@ -189,6 +197,10 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     log-density (one value per row of a latent array) is exposed for
     posterior-ordinate evidence estimation.  Its covariance is fixed, so it
     is factored once; only the mean moves with z.
+
+    The samplers advance R chains at once: (R, p) coefficients give (R, n)
+    latents and back, row r drawing from stream ``rngs[r]`` alone, and
+    every row equals a one-chain call on its stream bit for bit.
     """
     X = model.design
     g = model.prior_scale
@@ -200,12 +212,15 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     cond_logdet = 2.0 * np.sum(np.log(np.diag(cond.scale)))
     positive = model.response == 1
 
-    def sample_latents(beta, rng):
-        return truncated_normal_vector(X @ np.asarray(beta, float), positive, rng)
+    def sample_latents(betas, rngs):
+        return truncated_normal_vector(_rowwise(np.asarray(betas, float), X),
+                                       positive, rngs)
 
-    def sample_params(z, rng):
-        mean = proj @ np.asarray(z, float)
-        return mean + cond.scale @ rng.standard_normal(model.dimension)
+    def sample_params(zs, rngs):
+        noise = np.empty((len(rngs), model.dimension))
+        for r, rng in enumerate(rngs):
+            rng.generator.standard_normal(out=noise[r])
+        return _rowwise(np.asarray(zs, float), proj) + _rowwise(noise, cond.scale)
 
     def log_full_conditional_param(beta, zs):
         resid = np.asarray(beta, float) - np.asarray(zs, float) @ proj.T  # (m, p)

@@ -539,8 +539,9 @@ class TestSamplerCorrectness:
     @pytest.mark.parametrize("mu", [-3.0, 0.0, 2.0, 6.0])
     def test_truncated_normal_ks(self, mu):
         n = 5000
-        draws = truncated_normal_vector(np.full(n, mu), np.ones(n, dtype=bool),
-                                        RngStream(int(10 * mu) + 100, 0))
+        draws = truncated_normal_vector(np.full((1, n), mu),
+                                        np.ones(n, dtype=bool),
+                                        [RngStream(int(10 * mu) + 100, 0)])[0]
         assert np.all(draws > 0)
         dist = stats.truncnorm(-mu, np.inf, loc=mu, scale=1.0)
         assert stats.kstest(draws, dist.cdf).pvalue > 1e-3

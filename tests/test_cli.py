@@ -13,7 +13,8 @@ import pytest
 
 from bayescomp import cli
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
-from bayescomp.mcmc import Chain, chain_diagnostics
+from bayescomp.core import RngStream
+from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_lockstep
 
 
 def run_cli(tmp_path, experiment, config=None, extra=None, subdir="out"):
@@ -58,6 +59,17 @@ class TestResolveConfig:
             resolve_config("gibbs", {"burn_in": -1})
         with pytest.raises(ConfigError):
             resolve_config("gibbs", {"thin": 0})
+        # the reported SDs need at least two kept states
+        for raw in ({"iterations": 100, "burn_in": 200},
+                    {"iterations": 100, "burn_in": 99},
+                    {"iterations": 0},
+                    {"iterations": 100, "thin": 100},
+                    {"iterations": 100, "burn_in": 50, "thin": 50}):
+            with pytest.raises(ConfigError, match="keep"):
+                resolve_config("capture", raw)
+        assert resolve_config("gibbs", {"iterations": 100, "burn_in": 50,
+                                        "thin": 49})["thin"] == 49
+        assert resolve_config("mle", {"burn_in": 200})["burn_in"] == 200
 
 
 class TestOutputs:
@@ -137,36 +149,62 @@ class TestOutputs:
         assert len(means) == 3
 
     def test_replicates_reuse_the_main_run(self, tmp_path, monkeypatch):
+        # gibbs: one lockstep run over streams 0..R-1, whose chain 0 is the
+        # main run; capture: the main run plus one run per other stream
         streams = []
+
+        def lockstep(model, n_iter, rngs, keep_latents=False):
+            streams.extend(rng.stream_id for rng in rngs)
+            return probit_gibbs_lockstep(model, n_iter, rngs, keep_latents)
 
         def counting(experiment, config, stream_id=0):
             streams.append(stream_id)
             return run_experiment(experiment, config, stream_id)
 
+        monkeypatch.setattr(cli, "probit_gibbs_lockstep", lockstep)
         monkeypatch.setattr(cli, "run_experiment", counting)
-        code, out = run_cli(tmp_path, "gibbs",
-                            {"iterations": 200, "replicates": 3})
-        assert code == 0
-        assert sorted(streams) == [0, 1, 2]
-        summary = json.loads((out / "summary.json").read_text())
-        row0 = (out / "replicates.csv").read_text().splitlines()[1].split(",")
-        header = (out / "replicates.csv").read_text().splitlines()[0].split(",")
-        assert float(row0[header.index("mean_glu")]) == \
-            summary["estimates"]["mean_glu"]
+        for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
+            streams.clear()
+            code, out = run_cli(tmp_path, experiment,
+                                {"iterations": 200, "replicates": 3},
+                                subdir=experiment)
+            assert code == 0
+            assert sorted(streams) == [0, 1, 2]
+            summary = json.loads((out / "summary.json").read_text())
+            row0 = (out / "replicates.csv").read_text().splitlines()[1].split(",")
+            header = (out / "replicates.csv").read_text().splitlines()[0].split(",")
+            assert float(row0[header.index(name)]) == summary["estimates"][name]
 
     def test_replicates_run_in_stream_order_on_the_calling_thread(
-            self, monkeypatch):
+            self, tmp_path, monkeypatch):
         calls = []
+
+        def lockstep(model, n_iter, rngs, keep_latents=False):
+            fresh = [RngStream(rng.seed, rng.stream_id).counter for rng in rngs]
+            result = probit_gibbs_lockstep(model, n_iter, rngs, keep_latents)
+            drawn = all(rng.counter != c for rng, c in zip(rngs, fresh))
+            calls.append(([rng.stream_id for rng in rngs],
+                          threading.get_ident(), drawn))
+            return result
+
+        monkeypatch.setattr(cli, "probit_gibbs_lockstep", lockstep)
+        code, _ = run_cli(tmp_path, "gibbs",
+                          {"iterations": 100, "replicates": 4})
+        assert code == 0
+        me = threading.get_ident()
+        # one call over every stream, each of them drawn from
+        assert calls == [([0, 1, 2, 3], me, True)]
+
+        calls.clear()
 
         def recording(experiment, config, stream_id=0):
             calls.append((stream_id, threading.get_ident()))
             return run_experiment(experiment, config, stream_id)
 
         monkeypatch.setattr(cli, "run_experiment", recording)
-        config = resolve_config("gibbs", {"iterations": 100, "replicates": 4})
-        rows = cli.replicate("gibbs", config)
+        config = resolve_config("capture", {"iterations": 100, "replicates": 4})
+        rows = cli.replicate("capture", config)
         assert [r["status"] for r in rows] == ["ok"] * 3
-        me = threading.get_ident()
         assert calls == [(1, me), (2, me), (3, me)]
 
     def test_replicate_rows_reproducible_in_isolation(self, tmp_path):
@@ -242,6 +280,16 @@ class TestErrors:
         assert json.loads(first)["error"] == "ConfigError"
         assert rest[0] == "Traceback (most recent call last):"
         assert rest[-1].startswith("bayescomp.cli.ConfigError:") and "bogus" in rest[-1]
+
+    def test_too_few_kept_states_fail_before_any_output(self, tmp_path,
+                                                        capsys):
+        code, out = run_cli(tmp_path, "capture", {"iterations": 100},
+                            extra=["--burn-in", "200"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "keep 0 states" in err["message"]
+        assert not (out / "summary.json").exists()
 
     def test_single_replicate_cannot_use_replicate_runner(self):
         from bayescomp.cli import replicate

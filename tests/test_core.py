@@ -143,9 +143,27 @@ class TestTruncatedNormal:
     def test_vector_signs(self):
         mu = np.linspace(-3, 3, 50)
         positive = np.arange(50) % 2 == 0
-        draws = truncated_normal_vector(mu, positive, RngStream(11, 0))
+        draws = truncated_normal_vector(mu[None, :], positive,
+                                        [RngStream(11, 0)])[0]
         assert np.all(draws[positive] > 0)
         assert np.all(draws[~positive] < 0)
+
+    def test_rows_match_one_row_calls(self):
+        # rows mix moderate bounds (a <= 5) with tail bounds (a > 5, the
+        # rejection path); row 1 has no tail entry and row 2 only tail ones
+        positive = np.array([True, False, True, False, True, True])
+        mu = np.array([[0.3, 1.2, -6.5, -2.0, -9.0, 1.0],
+                       [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0],
+                       [-5.5, 7.0, -12.0, 6.1, -5.01, -8.0]])
+        rngs = [RngStream(21, r) for r in range(3)]
+        draws = truncated_normal_vector(mu, positive, rngs)
+        sign = np.where(positive, 1.0, -1.0)
+        assert np.all(sign * draws > 0)
+        for r, rng in enumerate(rngs):
+            alone = RngStream(21, r)
+            row = truncated_normal_vector(mu[r:r + 1], positive, [alone])
+            assert draws[r].tobytes() == row[0].tobytes()
+            assert rng.counter == alone.counter
 
     def test_bad_side(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from bayescomp.mcmc import (
     chain_diagnostics,
     mh_run,
     mwg_probit_overparam_run,
+    probit_gibbs_lockstep,
     probit_gibbs_run,
     rw_mh_run,
 )
@@ -118,6 +119,40 @@ class TestProbitGibbs:
         post_mean = chain.states.mean(axis=0)
         post_sd = chain.states.std(axis=0)
         assert np.all(np.abs(post_mean - beta_true) < 3 * post_sd)
+
+
+def outlier_model():
+    """A strong slope and one response against it: its latent mean sits
+    more than five SDs on the wrong side in about half of the sweeps, so
+    the truncated normal takes its tail path there."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=300)
+    y = (rng.random(300) < stats.norm.cdf(3.0 * x)).astype(float)
+    design = np.column_stack([np.ones(301), np.append(x, 3.0)])
+    return ProbitModel(design=design, response=np.append(y, 0.0))
+
+
+class TestLockstepGibbs:
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    @pytest.mark.parametrize("which", ["pima", "outlier"])
+    def test_chains_match_standalone_runs(self, pima, which, n_chains):
+        model = pima if which == "pima" else outlier_model()
+        rngs = [RngStream(31, r) for r in range(n_chains)]
+        states, latents = probit_gibbs_lockstep(model, 200, rngs,
+                                                keep_latents=True)
+        assert states.shape == (n_chains, 200, model.dimension)
+        assert latents.shape == (n_chains, 200, model.n_obs)
+        for r in range(n_chains):
+            alone = RngStream(31, r)
+            chain, lat = probit_gibbs_run(model, 200, alone, keep_latents=True)
+            assert states[r].tobytes() == chain.states.tobytes()
+            assert latents[r].tobytes() == lat.tobytes()
+            assert rngs[r].counter == alone.counter
+        if which == "outlier":
+            start = np.broadcast_to(probit_mle(model)[0], (n_chains, 1, 2))
+            means = np.concatenate([start, states[:, :-1]], axis=1) @ model.design.T
+            bound = -(2.0 * model.response - 1.0) * means
+            assert np.any(bound > 5.0)
 
 
 class TestMwg:

@@ -128,15 +128,15 @@ class TestMle:
 class TestLatentCompletion:
     def test_latent_signs_match_response(self, pima):
         completion = probit_latent_completion(pima)
-        z = completion.sample_latents(np.array([0.01, -0.02, 0.3]),
-                                      RngStream(5, 0))
+        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]),
+                                      [RngStream(5, 0)])[0]
         pos = pima.response == 1.0
         assert np.all(z[pos] > 0) and np.all(z[~pos] < 0)
 
     def test_param_conditional_is_normalised_gaussian(self, pima):
         completion = probit_latent_completion(pima)
         rng = RngStream(6, 0)
-        z = completion.sample_latents(np.array([0.01, -0.02, 0.3]), rng)
+        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]), [rng])[0]
         n = pima.n_obs
         xtx_inv = np.linalg.inv(pima.design.T @ pima.design)
         shrink = n / (n + 1.0)
@@ -151,7 +151,8 @@ class TestLatentCompletion:
         completion = probit_latent_completion(pima)
         rng = RngStream(8, 0)
         beta = np.array([0.01, -0.02, 0.3])
-        zs = np.array([completion.sample_latents(beta, rng) for _ in range(5)])
+        zs = np.array([completion.sample_latents(beta[None, :], [rng])[0]
+                       for _ in range(5)])
         singles = [completion.log_full_conditional_param(beta, z[None, :])[0]
                    for z in zs]
         assert np.allclose(completion.log_full_conditional_param(beta, zs),
@@ -160,8 +161,8 @@ class TestLatentCompletion:
     def test_conditional_draw_moments(self, pima):
         completion = probit_latent_completion(pima)
         rng = RngStream(7, 0)
-        z = completion.sample_latents(np.array([0.01, -0.02, 0.3]), rng)
-        draws = np.array([completion.sample_params(z, rng)
+        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]), [rng])[0]
+        draws = np.array([completion.sample_params(z[None, :], [rng])[0]
                           for _ in range(20_000)])
         n = pima.n_obs
         xtx_inv = np.linalg.inv(pima.design.T @ pima.design)
