@@ -3,8 +3,9 @@
 A two-season removal study: 22 individuals captured in season one, 11 of
 the survivors recaptured in season two, 6 in season three.  Between the
 seasons, each bird independently leaves the study area.  The latent
-departures (r1, r2) and the population size N are sampled alongside the
-capture and departure probabilities by a four-block Gibbs sweep.
+departures (r1, r2), the capture probability p and the population size N
+are drawn as one block, with p and N integrated out of the departures,
+and the departure probability q as the other block of a Gibbs sweep.
 
 Run:  python3 demos/capture_recapture.py
 """

@@ -4,27 +4,35 @@ Three capture occasions; only the first-capture count n1 and the two
 recapture counts c2, c3 are observed, while the removal counts r1, r2 are
 latent.  The joint likelihood is a product of five binomial terms and the
 prior is the improper 1/N on the population size with uniform capture and
-emigration probabilities.  Every full conditional is drawn exactly from a
-closed form, so the Gibbs sweep contains no Metropolis step: p and q are
-Beta, N - n1 is a negative binomial truncated at n_max, and (r1, r2) is a
-categorical over its finite support whose log-weights come from a count
-table built once per model.
+emigration probabilities.
+
+The Gibbs sampler alternates two blocks, ((r1, r2, p, N), q).  Summing N
+against the 1/N prior and integrating p out leaves each removal pair the
+weight B(c2 + c3 + 1, A + 1) times its q terms, where A is the number of
+survivors missed at the recaptures; so (r1, r2) is drawn from its finite
+support given q alone, then p from its Beta and N - n1 from NegBin(n1, p),
+and the block is redrawn whole while N exceeds n_max.  q given (r1, r2) is
+Beta.  Every draw is exact, from a closed form or a table built once per
+model, and there is no Metropolis step.  The four full conditionals of the
+single-site sweep stay available as the tested reference.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincinv, betaln, gammaln
 
-from .core import RngStream, sample_categorical_many
+from .core import RngStream, log_sum_exp, sample_categorical_many
 
 __all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
            "n_max_tail_mass"]
 
-_NB_TRIES = 64  # rejection cap for the N draw
+_NB_TRIES = 64  # rejection cap for the N draw and the (r1, r2, p, N) block
+_TAIL_WARN = 1e-6  # mass of N | p beyond n_max that raises a warning
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,16 @@ def _removal_table(model: CaptureModel):
     return pairs, counts, log_coef
 
 
+def _pair_log_weights(log_base, counts, logs):
+    """log_base + counts @ logs with the 0 * log 0 = 0 convention: only a
+    pair that counts an impossible event gets weight zero."""
+    finite = np.isfinite(logs)
+    logw = log_base + counts @ np.where(finite, logs, 0.0)
+    if not finite.all():
+        logw[(counts[:, ~finite] > 0).any(axis=1)] = -np.inf
+    return logw
+
+
 def n_max_tail_mass(model: CaptureModel, p):
     """Mass of N | p beyond the truncation bound ``n_max``, in closed form.
 
@@ -180,23 +198,14 @@ def capture_gibbs_conditionals(model: CaptureModel):
         p, q = state["p"], state["q"]
         with np.errstate(divide="ignore"):
             logs = np.array([np.log1p(-p), np.log(q), np.log1p(-q)])
-        finite = np.isfinite(logs)
-        logw = log_coef + counts @ np.where(finite, logs, 0.0)
-        if not finite.all():
-            # 0 * log 0 = 0: only a pair that counts an impossible event is out
-            logw[(counts[:, ~finite] > 0).any(axis=1)] = -np.inf
-        idx = sample_categorical_many(logw, 1, rng)[0]
+        idx = sample_categorical_many(_pair_log_weights(log_coef, counts, logs), 1, rng)[0]
         return int(pairs[idx, 0]), int(pairs[idx, 1])
 
     def sample_N(state, rng):
         p = state["p"]
         tail = float(n_max_tail_mass(model, p))
-        if tail > 1e-6:
-            warnings.warn(
-                f"population-size conditional has mass > 1e-6 beyond the "
-                f"truncation bound n_max={model.n_max}; increase n_max",
-                RuntimeWarning,
-            )
+        if tail > _TAIL_WARN:
+            _warn_truncation(model)
         if tail <= 0.5:
             # each try is kept with probability >= 1/2; exhausting the cap
             # (chance <= 2**-64) falls through to the inverse CDF below,
@@ -211,22 +220,99 @@ def capture_gibbs_conditionals(model: CaptureModel):
     return {"p": sample_p, "q": sample_q, "removals": sample_removals, "N": sample_N}
 
 
+def _warn_truncation(model: CaptureModel):
+    warnings.warn(
+        f"population-size conditional has mass > 1e-6 beyond the "
+        f"truncation bound n_max={model.n_max}; increase n_max",
+        RuntimeWarning,
+    )
+
+
+def _removal_block(model: CaptureModel, sample_p):
+    """Sampler of the block (r1, r2, p, N) given q.
+
+    Summed over N >= n1 against the 1/N prior, the likelihood leaves a pair
+    p^(c2+c3) (1-p)^A, A the survivors missed at the two recaptures, so with
+    p integrated out its log-weight is log_coef + betaln(c2 + c3 + 1, A + 1)
+    plus its q terms.  Given the pair, p ~ Beta(c2 + c3 + 1, A + 1) and
+    N - n1 ~ NegBin(n1, p).  A proposal with N > n_max is refused and the
+    whole block redrawn, which is exact rejection against the untruncated
+    law.  After ``_NB_TRIES`` refusals the block is drawn from the truncated
+    law directly: the pair weighted by its kept beta-negative-binomial mass,
+    N - n1 by inverse CDF, then p from its full conditional ``sample_p``.
+
+    Returns draw(q, rng) -> (r1, r2, p, N, refused), refused counting the
+    proposals turned down because N > n_max.  Warns as ``sample_N`` does
+    when more than 1e-6 of N | p lies beyond n_max at the drawn p.
+    """
+    n1 = model.n1
+    k_max = model.n_max - n1
+    pairs, counts, log_coef = _removal_table(model)
+    a = model.c2 + model.c3 + 1
+    b = counts[:, 0] + 1.0  # p | pair ~ Beta(a, b)
+    log_base = log_coef + betaln(a, b)
+    q_counts = counts[:, 1:]
+    # the tail mass beyond n_max falls as p grows: it passes the warning
+    # level exactly where p crosses this threshold
+    p_warn = 1.0 - betaincinv(k_max + 1, n1, _TAIL_WARN)
+    truncated = {}  # tables of the exact route, built on its first use
+
+    def log_bnb_pmf(b_pair):
+        """log P(N - n1 = k | pair) for k = 0..k_max, p integrated out."""
+        return truncated["log_nb"] + betaln(n1 + a, b_pair + truncated["ks"]) - betaln(a, b_pair)
+
+    def draw_truncated(logw, rng):
+        if not truncated:
+            ks = np.arange(k_max + 1)
+            truncated.update(ks=ks, log_nb=gammaln(n1 + ks) - gammaln(ks + 1.0) - gammaln(n1))
+            levels, which = np.unique(b, return_inverse=True)
+            kept = np.array([log_sum_exp(log_bnb_pmf(v)) for v in levels])
+            truncated["log_kept"] = kept[which]
+        idx = sample_categorical_many(logw + truncated["log_kept"], 1, rng)[0]
+        k = int(sample_categorical_many(log_bnb_pmf(b[idx]), 1, rng)[0])
+        r1, r2 = pairs[idx]
+        return idx, sample_p({"N": n1 + k, "r1": r1, "r2": r2}, rng), k
+
+    def draw(q, rng):
+        logs = np.array([math.log(q) if q > 0.0 else -math.inf,
+                         math.log1p(-q) if q < 1.0 else -math.inf])
+        logw = _pair_log_weights(log_base, q_counts, logs)
+        gen = rng.generator
+        for refused in range(_NB_TRIES):
+            idx = sample_categorical_many(logw, 1, rng)[0]
+            p = gen.beta(a, b[idx])
+            k = gen.negative_binomial(n1, p)
+            if k <= k_max:
+                break
+        else:
+            refused = _NB_TRIES
+            idx, p, k = draw_truncated(logw, rng)
+        if p < p_warn:
+            _warn_truncation(model)
+        return int(pairs[idx, 0]), int(pairs[idx, 1]), float(p), n1 + int(k), refused
+
+    return draw
+
+
 def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream,
                       init=None) -> dict:
-    """Systematic-scan Gibbs over (p, q, (r1, r2), N).
+    """Two-block Gibbs over ((r1, r2, p, N), q).
 
-    Returns arrays of the retained states, one entry per sweep.
+    Each sweep draws (r1, r2) given q with p and N integrated out, then
+    (p, N) given (r1, r2) jointly and exactly (see `_removal_block`), then
+    q given (r1, r2).  Only q of `init` is read: the first block does not
+    depend on the rest.  Returns arrays of the states, one entry per sweep,
+    keyed N, p, q, r1, r2, plus ``refused``: the block proposals of each
+    sweep turned down because N exceeded n_max.
     """
     cond = capture_gibbs_conditionals(model)
-    state = dict(init) if init else {
-        "N": max(2 * model.n1, model.n1 + 1), "p": 0.5, "q": 0.5, "r1": 0, "r2": 0,
-    }
-    out = {k: np.empty(n_iter) for k in ("N", "p", "q", "r1", "r2")}
+    block = _removal_block(model, cond["p"])
+    state = {"q": init["q"] if init else 0.5}
+    out = {k: np.empty(n_iter) for k in ("N", "p", "q", "r1", "r2", "refused")}
     for t in range(n_iter):
-        state["p"] = cond["p"](state, rng)
+        state["r1"], state["r2"], state["p"], state["N"], refused = block(state["q"], rng)
         state["q"] = cond["q"](state, rng)
-        state["r1"], state["r2"] = cond["removals"](state, rng)
-        state["N"] = cond["N"](state, rng)
-        for k in out:
+        for k in ("N", "p", "q", "r1", "r2"):
             out[k][t] = state[k]
+        out["refused"][t] = refused
     return out

@@ -195,12 +195,12 @@ def _run_gibbs(config, rng):
 def _replicate_gibbs(config):
     """All replicates as one lockstep run, chain r on the stream with id r.
     Returns the main run's result (chain 0) and the estimates of the
-    other chains, which get no diagnostics and no log-posterior."""
+    other chains, which get no diagnostics."""
     model = _pima_model(config, config["covariates"])
     rngs = [RngStream(config["seed"], r) for r in range(config["replicates"])]
     states, _ = probit_gibbs_lockstep(model, config["iterations"], rngs)
     names = config["covariates"]
-    result = _chain_result(gibbs_chain(model, states[0]), names, config)
+    result = _chain_result(gibbs_chain(states[0]), names, config)
     return result, [_chain_estimates(_postprocess(s, config), names)
                     for s in states[1:]]
 
@@ -331,7 +331,10 @@ def _run_capture(config, rng):
     # the largest mass of N | p beyond n_max over the kept sweeps, so a
     # truncation that matters shows in the summary and not only on stderr
     tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
-    diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail}
+    # block proposals turned down for N > n_max in the same kept sweeps
+    refusals = int(_postprocess(out["refused"], config).sum())
+    diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail,
+                   "n_max_refusals": refusals}
     return estimates, {}, diagnostics, (names, states)
 
 

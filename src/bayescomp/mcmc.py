@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import MvnParams, RngStream
 from .model import BayesModel, log_posterior
-from .probit import ProbitModel, probit_bayes_model, probit_latent_completion, probit_mle
+from .probit import ProbitModel, probit_latent_completion, probit_mle
 
 __all__ = [
     "Chain",
@@ -34,10 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Chain:
-    """Ordered MCMC states with log-posterior values and acceptance counts."""
+    """Ordered MCMC states with acceptance counts and, for samplers with an
+    accept step, the log-posterior of each state (None otherwise)."""
 
     states: np.ndarray  # (n_iter, p)
-    log_posts: np.ndarray
+    log_posts: np.ndarray | None
     accept_count: int
     n_proposals: int
     proposal_meta: dict = field(default_factory=dict)
@@ -139,11 +140,10 @@ def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
     return states, latents
 
 
-def gibbs_chain(model: ProbitModel, states: np.ndarray) -> Chain:
-    """The Chain of a probit Gibbs run's (n_iter, p) states, with the
-    log-posterior of each state; a Gibbs sweep has no accept step."""
-    log_posts = log_posterior(probit_bayes_model(model), states)
-    return Chain(states, log_posts, 0, 0, {"family": "gibbs-data-augmentation"})
+def gibbs_chain(states: np.ndarray) -> Chain:
+    """The Chain of a probit Gibbs run's (n_iter, p) states.  A Gibbs sweep
+    has no accept step, so no log-posterior is evaluated."""
+    return Chain(states, None, 0, 0, {"family": "gibbs-data-augmentation"})
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
@@ -152,7 +152,7 @@ def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
     (chain, latents) where latents is the (n_iter, n) array of auxiliary
     draws when `keep_latents`, else None."""
     states, latents = probit_gibbs_lockstep(model, n_iter, [rng], keep_latents)
-    return gibbs_chain(model, states[0]), None if latents is None else latents[0]
+    return gibbs_chain(states[0]), None if latents is None else latents[0]
 
 
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,

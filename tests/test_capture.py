@@ -9,8 +9,12 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
+from scipy.special import betaln
+
 from bayescomp.capture import (
+    _NB_TRIES,
     CaptureModel,
+    _removal_block,
     capture_gibbs_conditionals,
     capture_gibbs_run,
     capture_loglik,
@@ -18,6 +22,7 @@ from bayescomp.capture import (
 )
 from bayescomp.core import DegenerateWeightsError, RngStream
 from bayescomp.datasets import eurodip_1981
+from bayescomp.mcmc import Chain, chain_diagnostics
 
 from oracles import capture_posterior_oracle
 
@@ -213,3 +218,98 @@ class TestGibbsRun:
         assert np.all((out["p"] > 0) & (out["p"] < 1))
         assert np.all(m.n1 - out["r1"] >= m.c2)
         assert np.all(m.n1 - out["r1"] - out["r2"] >= m.c3)
+
+
+def _block_log_weights(m, q=None):
+    """Exact posterior log-weights of every feasible (r1, r2, N), with p
+    integrated out, given q, or with q integrated out too when q is None.
+
+    The likelihood raises p to n1 + c2 + c3 and 1 - p to (N - n1) + A, A the
+    survivors missed at the recaptures, and q to r1 + r2 and 1 - q to
+    (n1 - r1) + (n1 - r1 - r2).  So it is evaluated at 1/2, those powers of
+    1/2 are taken off, and the integrals, beta functions, put on.
+    """
+    r1, r2, N = (g.ravel() for g in np.meshgrid(
+        np.arange(m.n1 + 1), np.arange(m.n1 + 1), np.arange(m.n1, m.n_max + 1),
+        indexing="ij"))
+    ll = capture_loglik(m, N, 0.5, 0.5 if q is None else q, r1, r2)
+    keep = np.isfinite(ll)
+    r1, r2, N, ll = r1[keep], r2[keep], N[keep], ll[keep] - np.log(N[keep])
+    x = m.n1 + m.c2 + m.c3
+    y = (N - m.n1) + (m.n1 - r1 - m.c2) + (m.n1 - r1 - r2 - m.c3)
+    ll += betaln(x + 1, y + 1) - (x + y) * np.log(0.5)
+    if q is None:
+        u, v = r1 + r2, (m.n1 - r1) + (m.n1 - r1 - r2)
+        ll += betaln(u + 1, v + 1) - (u + v) * np.log(0.5)
+    return r1, r2, N, ll
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("counts,q,seed", [
+        ((22, 11, 6, None), 0.35, 31),  # N > n_max is never proposed
+        ((8, 1, 0, 9), 0.4, 32),  # rejection and the exact route mixed
+        ((22, 0, 0, 24), 0.4, 33),  # rejection hopeless: the exact route
+    ])
+    def test_block_matches_enumeration(self, counts, q, seed):
+        m = CaptureModel(*counts)
+        block = _removal_block(m, capture_gibbs_conditionals(m)["p"])
+        rng = RngStream(seed, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            draws = np.array([block(q, rng) for _ in range(2000)])
+        r1, r2, N, logw = _block_log_weights(m, q)
+        size = m.n_max + 1
+
+        def code(a, b, n):
+            return (a * size + b) * size + n
+
+        probs = np.exp(logw - logsumexp(logw))
+        drawn = code(*(draws[:, i].astype(int) for i in (0, 1, 3)))
+        assert _chisquare_pvalue(drawn, code(r1, r2, N), probs) > 1e-3
+        # p given (r1, r2, N) is the Beta full conditional
+        a = m.n1 + m.c2 + m.c3 + 1
+        b = ((draws[:, 3] - m.n1) + (m.n1 - draws[:, 0] - m.c2)
+             + (m.n1 - draws[:, 0] - draws[:, 1] - m.c3) + 1)
+        assert stats.kstest(stats.beta.cdf(draws[:, 2], a, b),
+                            "uniform").pvalue > 1e-3
+
+    def test_mixing_floor_at_defaults(self, eurodip):
+        # the single-site scan reads a smallest ESS of 600-777 here
+        for seed in (1, 2, 3):
+            out = capture_gibbs_run(eurodip, 20_000, RngStream(seed, 0))
+            states = np.column_stack([out[k] for k in ("N", "p", "q", "r1", "r2")])
+            ess = chain_diagnostics(Chain(states, None, 0, 0))["chain_ess"]
+            assert np.min(ess) >= 1000, (seed, ess)
+
+    @pytest.mark.parametrize("n_max,seed", [(None, 34), (24, 35)])
+    def test_removal_marginal_matches_enumeration(self, n_max, seed):
+        m = CaptureModel(22, 11, 6, n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = capture_gibbs_run(m, 40_000, RngStream(seed, 0))
+        # every 20th sweep: far apart compared with the chain's IACT
+        drawn = (out["r1"][::20] * (m.n1 + 1) + out["r2"][::20]).astype(int)
+        r1, r2, _, logw = _block_log_weights(m)
+        codes = r1 * (m.n1 + 1) + r2
+        support, which = np.unique(codes, return_inverse=True)
+        w = np.zeros(len(support))
+        np.add.at(w, which, np.exp(logw - logw.max()))
+        assert _chisquare_pvalue(drawn, support, w / w.sum()) > 1e-3
+
+    def test_heavy_truncation_is_fast_and_exact(self):
+        m = CaptureModel(n1=22, c2=11, c3=6, n_max=24)
+        start = time.perf_counter()
+        with pytest.warns(RuntimeWarning, match="n_max=24"):
+            out = capture_gibbs_run(m, 2000, RngStream(36, 0))
+        assert time.perf_counter() - start < 2.0
+        assert np.all((out["N"] >= m.n1) & (out["N"] <= m.n_max))
+        assert np.any(out["refused"] == _NB_TRIES)  # the exact route ran
+        oracle = capture_posterior_oracle(22, 11, 6, 24, grid=400)
+        for key in ("N", "p", "q"):
+            assert np.mean(out[key][200:]) == pytest.approx(oracle[key], rel=0.05)
+
+    def test_no_refusals_at_defaults(self, eurodip):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = capture_gibbs_run(eurodip, 2000, RngStream(37, 0))
+        assert not out["refused"].any()

@@ -124,6 +124,20 @@ class TestOutputs:
                             (out / "draws.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_capture_records_n_max_refusals(self, tmp_path):
+        code, out = run_cli(tmp_path, "capture", {"seed": 7}, subdir="defaults")
+        assert code == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["n_max_refusals"] == 0
+        # at n_max = n1 + 2 most proposed populations are too large
+        with pytest.warns(RuntimeWarning, match="n_max=24"):
+            code, out = run_cli(tmp_path, "capture",
+                                {"seed": 7, "iterations": 300, "n_max": 24},
+                                subdir="tight")
+        assert code == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["n_max_refusals"] > 300
+
     def test_seed_changes_the_draws(self, tmp_path):
         blobs = []
         for seed, subdir in ((1, "s1"), (2, "s2")):
