@@ -1,23 +1,24 @@
 """Likelihood-free inference: rejection, MCMC and sequential (population)
 ABC with quantile-driven tolerance schedules.
 
-Every algorithm compares summary statistics under a distance; raw-data
-distances are not supported.  Rejection and sequential ABC draw, simulate,
-summarise and measure proposals in blocks of ``core.CHUNK_ROWS``, which
-fixes the stream layout: block b of a generation draws on the one stream
-``gen_rng.child(b)``, and hits are kept in proposal order.  The sequential
-sampler perturbs resampled particles with a Gaussian kernel whose
-covariance is an inflated weighted empirical covariance, and corrects
-with importance weights prior / (mixture of kernels), whose O(N^2)
-denominator is evaluated in blocks of particles.  `regression_adjust`
-removes the remaining tolerance-induced spread from a population by the
-local-linear regression of Beaumont, Zhang & Balding (2002).
+Every algorithm compares summary statistics under the euclidean distance;
+raw-data distances are not supported.  Rejection and sequential ABC draw,
+simulate, summarise and measure proposals in blocks of ``core.CHUNK_ROWS``,
+which fixes the stream layout: block b of a generation draws on the one
+stream ``gen_rng.child(b)``, and hits are kept in proposal order.  The
+sequential sampler perturbs resampled particles with a Gaussian kernel whose
+covariance is twice the weighted empirical covariance (Beaumont, Cornuet,
+Marin & Robert 2009), and corrects with importance weights
+prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
+blocks of particles.  `regression_adjust` removes the remaining
+tolerance-induced spread from a population by the local-linear regression
+of Beaumont, Zhang & Balding (2002).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,6 +58,9 @@ _MIN_ACCEPT_PROB = 1e-6
 # acceptance rate below which a quantile-mode generation is abandoned and
 # the schedule ends: a budget of n_particles / _ACCEPT_FLOOR proposals
 _ACCEPT_FLOOR = 0.01
+# the sequential sampler's kernel covariance is this multiple of the
+# previous generation's weighted empirical covariance
+_KERNEL_SCALE = 2.0
 
 
 def euclidean_distance(summaries, eta_obs) -> np.ndarray:
@@ -68,14 +72,12 @@ def euclidean_distance(summaries, eta_obs) -> np.ndarray:
 class AbcConfig:
     """Tuning knobs shared by the ABC algorithms.  Exactly one of
     `tolerance` (a fixed epsilon) and `quantile` (a per-generation
-    acceptance fraction) must be given.  `distance` maps (B, k) summaries
-    and the observed (k,) one to (B,) distances."""
+    acceptance fraction) must be given.  Summaries are compared by
+    `euclidean_distance`."""
 
     n_output: int
     tolerance: Optional[float] = None
     quantile: Optional[float] = None
-    distance: Callable = euclidean_distance
-    kernel_scale_rule: float = 2.0
 
     def __post_init__(self):
         if (self.tolerance is None) == (self.quantile is None):
@@ -86,8 +88,6 @@ class AbcConfig:
             raise ValueError("quantile must lie in (0, 1]")
         if self.n_output < 1:
             raise ValueError("n_output must be positive")
-        if self.kernel_scale_rule <= 0:
-            raise ValueError("kernel_scale_rule must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, config: AbcConfig,
         thetas, inside = propose(size, r)
         rows = np.flatnonzero(inside)
         s = np.asarray(model.summary(model.simulate(thetas[rows], r)), dtype=float)
-        d = np.asarray(config.distance(s, eta_obs), dtype=float)
+        d = euclidean_distance(s, eta_obs)
         hit = np.flatnonzero(d <= eps)[:n - accepted]
         parts.append((thetas[rows[hit]], s[hit], d[hit]))
         accepted += len(hit)
@@ -210,7 +210,7 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
         ok = lp_prop > -np.inf and np.log(u) <= log_ratio
         if ok:
             s = model.summary(model.simulate(prop[None, :], r))
-            ok = config.distance(s, eta_obs)[0] <= config.tolerance
+            ok = euclidean_distance(s, eta_obs)[0] <= config.tolerance
         if ok:
             theta, lp = prop, lp_prop
             accept += 1
@@ -261,7 +261,7 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
             eps = float(config.tolerance)
         w = prev.weighted_sample().normalized_weights()
         resid = prev.particles - w @ prev.particles
-        cov = config.kernel_scale_rule * (resid * w[:, None]).T @ resid
+        cov = _KERNEL_SCALE * (resid * w[:, None]).T @ resid
         kernel = GaussianProposal(MvnParams(np.zeros(cov.shape[0]), cov))
         cum = np.cumsum(w)
         cum[-1] = 1.0

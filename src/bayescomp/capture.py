@@ -294,20 +294,19 @@ def _removal_block(model: CaptureModel, sample_p):
     return draw
 
 
-def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream,
-                      init=None) -> dict:
+def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream) -> dict:
     """Two-block Gibbs over ((r1, r2, p, N), q).
 
     Each sweep draws (r1, r2) given q with p and N integrated out, then
     (p, N) given (r1, r2) jointly and exactly (see `_removal_block`), then
-    q given (r1, r2).  Only q of `init` is read: the first block does not
-    depend on the rest.  Returns arrays of the states, one entry per sweep,
+    q given (r1, r2).  q starts at 0.5; the first block reads nothing
+    else.  Returns arrays of the states, one entry per sweep,
     keyed N, p, q, r1, r2, plus ``refused``: the block proposals of each
     sweep turned down because N exceeded n_max.
     """
     cond = capture_gibbs_conditionals(model)
     block = _removal_block(model, cond["p"])
-    state = {"q": init["q"] if init else 0.5}
+    state = {"q": 0.5}
     out = {k: np.empty(n_iter) for k in ("N", "p", "q", "r1", "r2", "refused")}
     for t in range(n_iter):
         state["r1"], state["r2"], state["p"], state["N"], refused = block(state["q"], rng)

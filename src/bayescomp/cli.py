@@ -66,21 +66,10 @@ __all__ = ["main", "run_experiment", "replicate", "ConfigError"]
 SCHEMA_VERSION = 1
 _COVARIATE_INDEX = {"glu": 0, "bp": 1, "ped": 2}
 
-_COMMON_KEYS = {"seed", "data", "replicates", "burn_in", "thin"}
-_EXPERIMENT_KEYS = {
-    "mle": set(),
-    "mh": {"iterations", "scale_multiplier", "covariates"},
-    "gibbs": {"iterations", "covariates"},
-    "mwg": {"iterations", "covariate", "beta_step_var", "logsigma_step_var"},
-    "pmc": {"particles", "generations", "n_data", "weight", "mu1", "mu2",
-            "sigma2", "q0_scale", "density_form"},
-    "evidence": {"method", "n_draws", "coverage"},
-    "abc": {"particles", "generations", "quantile"},
-    "capture": {"n1", "c2", "c3", "n_max", "iterations"},
-    "mixture-demo": {"iterations", "tau", "n_data", "weight", "mu1", "mu2",
-                     "sigma2"},
-}
+_COMMON_DEFAULTS = {"seed": 0, "data": None, "replicates": 1, "burn_in": 0,
+                    "thin": 1}
 
+# per experiment, its own config keys and their defaults
 _DEFAULTS = {
     "mle": {},
     "mh": {"iterations": 10_000, "scale_multiplier": 1.0,
@@ -106,14 +95,12 @@ class ConfigError(ValueError):
 
 def resolve_config(experiment: str, raw: dict) -> dict:
     """Merge defaults with the user config, rejecting unknown keys."""
-    if experiment not in _EXPERIMENT_KEYS:
+    if experiment not in _DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[experiment]
-    unknown = sorted(set(raw) - allowed)
+    config = {**_COMMON_DEFAULTS, **_DEFAULTS[experiment]}
+    unknown = sorted(set(raw) - set(config))
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {unknown}")
-    config = {"seed": 0, "data": None, "replicates": 1, "burn_in": 0, "thin": 1}
-    config.update(_DEFAULTS[experiment])
     config.update(raw)
     if config["replicates"] < 1:
         raise ConfigError("replicates must be at least 1")
@@ -428,12 +415,13 @@ def _jsonify(obj):
 
 
 def _write_draws_csv(path, header, rows):
-    # dtype=float keeps integer columns written as floats ("3.0")
+    # dtype=float keeps integer columns written as floats ("3.0"); the csv
+    # module writes floats by repr, so they round-trip exactly
     values = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(v) for v in row] for row in values)
+        writer.writerows(values)
 
 
 def _write_replicates_csv(path, rows):
@@ -446,7 +434,7 @@ def _write_replicates_csv(path, rows):
             est = r.get("estimates", {})
             writer.writerow(
                 [r["replicate"], r["status"]]
-                + [repr(float(est[k])) if k in est else "" for k in keys]
+                + [float(est[k]) if k in est else "" for k in keys]
                 + [r.get("error", "")])
 
 
@@ -476,7 +464,7 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
-        for key in ("seed", "data", "replicates", "burn_in", "thin"):
+        for key in _COMMON_DEFAULTS:
             value = getattr(args, key)
             if value is not None:
                 raw[key] = value

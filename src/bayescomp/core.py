@@ -17,8 +17,6 @@ __all__ = [
     "MvnParams",
     "psd_factor",
     "DegenerateWeightsError",
-    "normal_cdf",
-    "normal_logcdf",
     "sample_truncated_normal",
     "truncated_normal_vector",
     "sample_categorical",
@@ -127,20 +125,6 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
             f"covariance is not PSD: min eigenvalue {np.min(eigval):.3e}"
         )
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-
-
-def normal_cdf(x):
-    """Standard normal CDF (erf-based, absolute error below 1e-12)."""
-    return special.ndtr(x)
-
-
-def normal_logcdf(x):
-    """log of the standard normal CDF; stays accurate deep in the left tail.
-
-    Products of hundreds of CDF terms (probit likelihoods) must accumulate in
-    log domain, so this is the path likelihood code should use.
-    """
-    return special.log_ndtr(x)
 
 
 def log_sum_exp(v, axis=None):

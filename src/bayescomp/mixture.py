@@ -78,6 +78,6 @@ def mixture_bayes_model(target: MixtureTarget) -> BayesModel:
     return BayesModel(
         dimension=2,
         log_prior=lambda mus: _log_prior(target, mus),
-        log_likelihood=lambda mus: mixture_logpost(target, mus) - _log_prior(target, mus),
+        log_likelihood=lambda mus: _log_likelihood(target, mus),
         sample_prior=lambda n, rng: np.sqrt(target.prior_var) * rng.standard_normal((n, 2)),
     )

@@ -19,6 +19,7 @@ from .model import BayesModel, LatentCompletion
 __all__ = [
     "ProbitModel",
     "NonConvergenceError",
+    "probit_loglik_rows",
     "probit_loglik",
     "probit_loglik_many",
     "gprior_logpdf_many",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 _LOG2PI = np.log(2.0 * np.pi)
+# Fisher scoring stops once the largest score entry is below
+# _MLE_TOL * (1 + |loglik|), and gives up after _MLE_MAX_ITER iterations
+_MLE_TOL = 1e-10
+_MLE_MAX_ITER = 50
 
 
 class NonConvergenceError(RuntimeError):
@@ -40,7 +45,7 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbitModel:
-    """Design matrix, binary response and the g-prior scale (g = n).
+    """Design matrix and binary response under the g-prior with g = n.
 
     The prior is beta ~ N(0, g * (X'X)^{-1}); with g = n its information is
     that of a single observation.  X'X must be invertible, checked here.
@@ -48,7 +53,6 @@ class ProbitModel:
 
     design: np.ndarray
     response: np.ndarray
-    prior_scale: float = None  # defaults to n
     xtx: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_logdet: float = field(init=False, repr=False, compare=False)
@@ -63,8 +67,6 @@ class ProbitModel:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("response entries must be 0 or 1")
         object.__setattr__(self, "response", y.astype(float))
-        if self.prior_scale is None:
-            object.__setattr__(self, "prior_scale", float(X.shape[0]))
         xtx = X.T @ X
         object.__setattr__(self, "xtx", xtx)
         try:
@@ -86,16 +88,30 @@ class ProbitModel:
     def dimension(self) -> int:
         return self.design.shape[1]
 
+    @property
+    def prior_scale(self) -> float:
+        """The g of the g-prior: the number of observations."""
+        return float(self.n_obs)
+
     def prior_covariance(self) -> np.ndarray:
         return self.prior_scale * np.linalg.inv(self.xtx)
 
 
+def probit_loglik_rows(design: np.ndarray, signs: np.ndarray,
+                       betas: np.ndarray) -> np.ndarray:
+    """sum_i log Phi(s_i x_i'beta) for each row beta of the (m, p) `betas`,
+    with x_i the rows of the (n, p) `design` and s_i = 2 y_i - 1 in `signs`.
+
+    This is the probit log-likelihood, accumulated through the log-CDF so
+    that deep-tail observations do not underflow.  It takes a bare design,
+    so a design whose X'X is singular is evaluated too.
+    """
+    return np.sum(special.log_ndtr(signs * (betas @ design.T)), axis=1)
+
+
 def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
     """Bernoulli log-likelihood with success probability Phi(x'beta), one
-    value per row of the (m, p) array `betas`.
-
-    Accumulated through the log-CDF so that deep-tail observations do not
-    underflow: observation i contributes log Phi(s_i x_i'beta), s_i = 2 y_i - 1.
+    value per row of the (m, p) array `betas`, by `probit_loglik_rows`.
     Rows are evaluated in blocks (`map_rows`) so the (rows x n) temporaries
     stay bounded.
     """
@@ -103,11 +119,7 @@ def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
     if betas.ndim != 2 or betas.shape[1] != model.dimension:
         raise ValueError(f"betas has shape {betas.shape}, expected (m, {model.dimension})")
     signs = 2.0 * model.response - 1.0
-
-    def block(b):
-        return np.sum(special.log_ndtr(signs * (b @ model.design.T)), axis=1)
-
-    return map_rows(block, betas)
+    return map_rows(lambda b: probit_loglik_rows(model.design, signs, b), betas)
 
 
 def probit_loglik(model: ProbitModel, beta) -> float:
@@ -127,7 +139,7 @@ def sample_gprior(model: ProbitModel, n: int, rng: RngStream) -> np.ndarray:
     return rng.standard_normal((n, model.dimension)) @ model._prior_factor.T
 
 
-def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
+def probit_mle(model: ProbitModel):
     """Maximum likelihood by Fisher scoring with step-halving.
 
     Returns (beta_hat, cov_hat) where cov_hat is the inverse Fisher
@@ -138,7 +150,7 @@ def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
     X, y = model.design, model.response
     beta = np.zeros(model.dimension)
     ll = probit_loglik(model, beta)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MLE_MAX_ITER + 1):
         eta = X @ beta
         phi = np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi)
         big = special.ndtr(eta)
@@ -149,7 +161,7 @@ def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
         # the gradient is a length-n sum, so its attainable accuracy scales
         # with the magnitude of the objective; an absolute test stalls at
         # the rounding noise floor on larger datasets
-        if np.max(np.abs(grad)) < tol * (1.0 + abs(ll)):
+        if np.max(np.abs(grad)) < _MLE_TOL * (1.0 + abs(ll)):
             if ll > -1e-8:
                 # a perfect fit is complete separation: the true supremum
                 # sits at infinity and the gradient only vanished by underflow
@@ -177,7 +189,7 @@ def probit_mle(model: ProbitModel, tol: float = 1e-10, max_iter: int = 50):
             raise NonConvergenceError(
                 f"coefficients diverging at iteration {iteration}: likely complete separation"
             )
-    raise NonConvergenceError(f"no convergence after {max_iter} Fisher scoring iterations")
+    raise NonConvergenceError(f"no convergence after {_MLE_MAX_ITER} Fisher scoring iterations")
 
 
 def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -62,8 +62,6 @@ class TestConfig:
             AbcConfig(n_output=10, quantile=1.5)
         with pytest.raises(ValueError):
             AbcConfig(n_output=0, tolerance=0.5)
-        with pytest.raises(ValueError):
-            AbcConfig(n_output=10, tolerance=0.5, kernel_scale_rule=0.0)
 
 
 class TestReject:

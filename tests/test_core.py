@@ -13,13 +13,12 @@ from bayescomp.core import (
     MvnParams,
     RngStream,
     log_sum_exp,
-    normal_cdf,
-    normal_logcdf,
     sample_categorical_many,
     sample_mvn_many,
     sample_truncated_normal,
     truncated_normal_vector,
 )
+from bayescomp.probit import ProbitModel, probit_loglik_many
 
 
 class TestRngStream:
@@ -76,15 +75,34 @@ class TestMvnParams:
 
 
 class TestNormalCdf:
+    """The normal log-CDF as the library evaluates it: the log-likelihood
+    of one observation with x = 1 is log Phi(beta) for y = 1 and
+    log Phi(-beta) for y = 0, so both responses give log Phi(x) at
+    beta = x and beta = -x."""
+
+    @staticmethod
+    def log_cdfs(xs):
+        one = np.ones((1, 1))
+        hit = ProbitModel(design=one, response=np.ones(1))
+        miss = ProbitModel(design=one, response=np.zeros(1))
+        xs = np.asarray(xs, dtype=float)[:, None]
+        return probit_loglik_many(hit, xs), probit_loglik_many(miss, -xs)
+
+    @staticmethod
+    def oracle(xs):
+        with mpmath.workdps(50):
+            return np.array([float(mpmath.log(mpmath.ncdf(mpmath.mpf(x))))
+                             for x in xs])
+
     def test_against_mpmath(self):
-        xs = np.array([-8.0, -3.0, -1.0, 0.0, 0.5, 2.0, 6.0])
-        oracle = [float(mpmath.ncdf(x)) for x in xs]
-        assert np.allclose(normal_cdf(xs), oracle, rtol=1e-13)
+        xs = np.linspace(-8.0, 6.0, 57)
+        for got in self.log_cdfs(xs):
+            np.testing.assert_allclose(got, self.oracle(xs), rtol=1e-12, atol=0)
 
     def test_logcdf_deep_tail(self):
-        x = -40.0
-        oracle = float(mpmath.log(mpmath.ncdf(mpmath.mpf(x))))
-        assert normal_logcdf(x) == pytest.approx(oracle, rel=1e-12)
+        xs = np.linspace(-40.0, -8.0, 65)
+        for got in self.log_cdfs(xs):
+            np.testing.assert_allclose(got, self.oracle(xs), rtol=1e-12, atol=0)
 
 
 class TestLogSumExp:

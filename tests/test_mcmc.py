@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bayescomp.core import RngStream
 from bayescomp.datasets import bundled_pima_path, load_pima
@@ -166,6 +166,28 @@ class TestMwg:
         se = np.sqrt(25.0 * 10 / len(beta))  # allow correlation inflation
         assert beta.mean() == pytest.approx(0.0, abs=3 * se)
         assert beta.var() == pytest.approx(25.0, rel=0.15)
+
+    @staticmethod
+    def closed_form_log_post(x, y, states):
+        """The mwg log-posterior written out: sum_i y_i log Phi(eta_i)
+        + (1 - y_i) log Phi(-eta_i) with eta = x beta / sigma, plus
+        log of sigma^{-4} exp(-1/sigma^2) exp(-beta^2/50)."""
+        out = []
+        for beta, sigma2 in states:
+            eta = x * beta / np.sqrt(sigma2)
+            ll = np.sum(y * special.log_ndtr(eta) + (1.0 - y) * special.log_ndtr(-eta))
+            out.append(ll - 2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0)
+        return np.array(out)
+
+    @pytest.mark.parametrize("data", ["simulated", "zero-covariate"])
+    def test_log_posts_match_closed_form(self, data):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=300) if data == "simulated" else np.zeros(300)
+        y = (rng.random(300) < stats.norm.cdf(0.7 * x)).astype(float)
+        chain = mwg_probit_overparam_run(x, y, 2000, RngStream(18, 0))
+        np.testing.assert_allclose(
+            chain.log_posts, self.closed_form_log_post(x, y, chain.states),
+            rtol=1e-12, atol=0)
 
     def test_block_rates_nondegenerate(self):
         rng = np.random.default_rng(2)

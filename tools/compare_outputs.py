@@ -1,0 +1,99 @@
+"""Compare the CLI outputs of two source trees of bayescomp.
+
+Runs every CLI experiment at its defaults, plus `gibbs` and `capture` with
+three replicates, once on each tree (each tree's own ``src`` on the path),
+and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
+byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  Prints
+one line per run and exits 1 if any output differs or any run fails.
+
+Run from anywhere, naming the two checkouts:
+
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR [--seed 7]
+        [--experiment mwg ...]
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
+               "capture", "mixture-demo")
+REPLICATED = ("gibbs", "capture")
+BYTE_FILES = ("draws.csv", "replicates.csv")
+
+
+def _runs(experiments):
+    """(label, experiment, extra CLI arguments) of every run to compare."""
+    runs = [(e, e, []) for e in experiments]
+    runs += [(f"{e} x3", e, ["--replicates", "3"])
+             for e in experiments if e in REPLICATED]
+    return runs
+
+
+def _run(tree, out, experiment, args, seed):
+    """Run one experiment on the source tree `tree`, writing into `out`;
+    returns the process's exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree).resolve() / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayescomp.cli", experiment, "--seed", str(seed),
+         "--out", str(out), *args],
+        env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr.strip()
+
+
+def _summary(path):
+    with open(path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    summary.pop("runtime_seconds", None)
+    return summary
+
+
+def _differences(a, b):
+    """Names of the output files that differ between directories a and b."""
+    diffs = []
+    for name in BYTE_FILES:
+        pa, pb = a / name, b / name
+        if pa.exists() != pb.exists():
+            diffs.append(f"{name} (written by one tree only)")
+        elif pa.exists() and pa.read_bytes() != pb.read_bytes():
+            diffs.append(name)
+    if _summary(a / "summary.json") != _summary(b / "summary.json"):
+        diffs.append("summary.json")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="source tree of the parent")
+    parser.add_argument("change", help="source tree of the change")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--experiment", action="append", choices=EXPERIMENTS,
+                        help="run only this experiment (repeatable)")
+    args = parser.parse_args(argv)
+
+    failed = False
+    with tempfile.TemporaryDirectory() as work:
+        for label, experiment, extra in _runs(args.experiment or EXPERIMENTS):
+            outs = []
+            for side, tree in (("parent", args.parent), ("change", args.change)):
+                out = pathlib.Path(work) / side / label.replace(" ", "_")
+                code, err = _run(tree, out, experiment, extra, args.seed)
+                if code != 0:
+                    print(f"{label}: {side} run failed: {err}")
+                    failed = True
+                    break
+                outs.append(out)
+            else:
+                diffs = _differences(*outs)
+                print(f"{label}: " + (f"DIFFERS in {', '.join(diffs)}"
+                                      if diffs else "identical"))
+                failed = failed or bool(diffs)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
