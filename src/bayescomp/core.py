@@ -15,7 +15,7 @@ from scipy import special
 __all__ = [
     "RngStream",
     "MvnParams",
-    "psd_factor",
+    "rowwise",
     "DegenerateWeightsError",
     "sample_truncated_normal",
     "truncated_normal_vector",
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_LOG2PI = np.log(2.0 * np.pi)
 # rows per block when a batched density is evaluated in blocks (map_rows)
 CHUNK_ROWS = 256
 
@@ -86,12 +87,17 @@ class MvnParams:
 
     Factorization happens at construction; a covariance that is not symmetric
     (to 1e-12 relative) or not PSD (eigenvalue below -1e-12 * max diagonal)
-    is rejected here, never at draw time.
+    is rejected here, never at draw time.  A positive-definite covariance
+    caches its Cholesky factor `scale`, that factor's inverse `whitener` and
+    `log_det` for the library's one Gaussian density, `logpdf_many`; a
+    singular one gets an eigendecomposition `scale` and no density.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     scale: np.ndarray = field(init=False, repr=False, compare=False)
+    whitener: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    log_det: float = field(default=-np.inf, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -104,27 +110,48 @@ class MvnParams:
         scale_ref = np.max(np.abs(cov)) if cov.size else 0.0
         if scale_ref > 0 and np.max(np.abs(cov - cov.T)) > 1e-12 * scale_ref:
             raise ValueError("covariance is not symmetric to 1e-12 relative tolerance")
-        object.__setattr__(self, "scale", psd_factor(cov))
+        try:
+            scale = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            eigval, eigvec = np.linalg.eigh(cov)
+            tol = 1e-12 * max(np.max(np.diag(cov)), 1.0)
+            if np.min(eigval) < -tol:
+                raise np.linalg.LinAlgError(
+                    f"covariance is not PSD: min eigenvalue {np.min(eigval):.3e}")
+            object.__setattr__(self, "scale", eigvec * np.sqrt(np.clip(eigval, 0.0, None)))
+            return
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "whitener", np.linalg.solve(scale, np.eye(p)))
+        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(scale)))))
 
     @property
     def dimension(self) -> int:
         return self.mean.shape[0]
 
+    def whiten(self, thetas) -> np.ndarray:
+        """whitener @ (theta - mean) for each row of the (N, p) `thetas`,
+        each row bit-identical to a one-row call (`rowwise`)."""
+        if self.whitener is None:
+            raise ValueError("covariance is singular: the normal has no density")
+        return rowwise(np.atleast_2d(thetas) - self.mean, self.whitener)
 
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular-ish factor L with L @ L.T = cov, tolerating PSD rank
-    deficiency (tolerance 1e-12 * max diagonal)."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    eigval, eigvec = np.linalg.eigh(cov)
-    tol = 1e-12 * max(np.max(np.diag(cov)), 1.0)
-    if np.min(eigval) < -tol:
-        raise np.linalg.LinAlgError(
-            f"covariance is not PSD: min eigenvalue {np.min(eigval):.3e}"
-        )
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    def logpdf_whitened(self, u: np.ndarray) -> np.ndarray:
+        """Log-density at the points whitened to the last axis of `u`."""
+        log_norm = -0.5 * (self.dimension * _LOG2PI + self.log_det)
+        return log_norm - 0.5 * (u * u).sum(axis=-1)
+
+    def logpdf_many(self, thetas) -> np.ndarray:
+        """Log-density at each row of the (N, p) `thetas`, as (N,) values;
+        every row is bit-identical to its one-row call whatever N is."""
+        return self.logpdf_whitened(self.whiten(thetas))
+
+
+def rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """matrix @ row for each row of the (R, k) array `rows`, as an (R, m)
+    array.  The stacked product keeps every row bit-identical to the
+    one-row ``matrix @ row``, whatever R; a plain ``rows @ matrix.T`` does
+    not."""
+    return (rows[:, None, :] @ matrix.T)[:, 0]
 
 
 def log_sum_exp(v, axis=None):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import RngStream, log_sum_exp
 from .model import BayesModel, log_posterior
@@ -92,7 +92,7 @@ class PhiSpec:
         gauss = GaussianProposal.from_moments(center, self.scatter)
         object.__setattr__(self, "_gauss", gauss)
         object.__setattr__(self, "_log_floor", gauss.logpdf_many(center)[0]
-                           - 0.5 * stats.chi2.ppf(self.coverage, center.shape[0]))
+                           - special.gammaincinv(center.shape[0] / 2, self.coverage))
 
     @classmethod
     def from_sample(cls, sample, coverage: float = 0.25) -> "PhiSpec":
@@ -282,8 +282,7 @@ class LinearGaussianOmega:
 
 
 def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
-                    omega, sample0, sample1, rng: RngStream,
-                    tol: float = 1e-8, max_iter: int = 100) -> EvidenceEstimate:
+                    omega, sample0, sample1, rng: RngStream) -> EvidenceEstimate:
     """Bridge sampling between models of unequal dimension.
 
     model0 must be the psi = psi0 slice of model1.  The theta-sample of
@@ -315,8 +314,7 @@ def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
 
     return bridge_sampling(logpost0_aug,
                            lambda v: log_posterior(model1, v),
-                           augmented0, sample1, tol=tol, max_iter=max_iter,
-                           method="bridge-embedded")
+                           augmented0, sample1, method="bridge-embedded")
 
 
 def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, map_rows
+from .core import _LOG2PI, RngStream, map_rows
 from .model import BayesModel
 
 __all__ = ["MixtureTarget", "mixture_logpost", "simulate_mixture_data", "mixture_bayes_model"]
-
-_LOG2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)

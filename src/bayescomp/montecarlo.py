@@ -7,7 +7,7 @@ currency here and in the population and likelihood-free samplers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "ess",
     "sir_resample",
 ]
-
-_LOG2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -79,23 +77,17 @@ class GaussianProposal:
     pair that importance sampling, PMC and the evidence routes expect."""
 
     params: MvnParams
-    _logdet: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.diag(self.params.scale)
-        if np.any(d <= 0):
+        if self.params.whitener is None:
             raise ValueError("proposal covariance must be positive definite")
-        object.__setattr__(self, "_logdet", 2.0 * float(np.sum(np.log(d))))
 
     @classmethod
     def from_moments(cls, mean, cov, scale: float = 1.0) -> "GaussianProposal":
         return cls(MvnParams(np.asarray(mean, float), scale * np.asarray(cov, float)))
 
     def logpdf_many(self, thetas: np.ndarray) -> np.ndarray:
-        resid = np.atleast_2d(thetas) - self.params.mean
-        u = np.linalg.solve(self.params.scale, resid.T)
-        p = self.params.dimension
-        return -0.5 * (p * _LOG2PI + self._logdet + np.sum(u * u, axis=0))
+        return self.params.logpdf_many(thetas)
 
     def draw_many(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_mvn_many(self.params, n, rng)
@@ -105,17 +97,16 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
                           log_weights: np.ndarray,
                           kernel: GaussianProposal) -> np.ndarray:
     """log sum_j exp(log_weights[j]) K(points_i - centers_j) for each point,
-    K the density of the zero-mean `kernel`.  Evaluated over blocks of
-    points, so the (block x centres) kernel table stays bounded."""
-    centers = np.atleast_2d(centers)
-    p = centers.shape[1]
+    K the density of `kernel`.  Points and centres (shifted by the kernel
+    mean) are whitened once, so a block of points needs only differences of
+    whitened rows; blocks keep the (block x centres) table bounded."""
+    whitened_centers = kernel.params.whiten(np.atleast_2d(centers) + kernel.params.mean)
 
     def block(chunk):
-        diffs = (chunk[:, None, :] - centers[None, :, :]).reshape(-1, p)
-        lk = kernel.logpdf_many(diffs).reshape(chunk.shape[0], centers.shape[0])
+        lk = kernel.params.logpdf_whitened(chunk[:, None, :] - whitened_centers[None, :, :])
         return log_sum_exp(lk + log_weights[None, :], axis=1)
 
-    return map_rows(block, np.atleast_2d(points))
+    return map_rows(block, kernel.params.whiten(points))
 
 
 def _h_values(h, points: np.ndarray) -> np.ndarray:

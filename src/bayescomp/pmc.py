@@ -197,7 +197,10 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
         if t == n_iterations - 1:
             break
 
-        kernels = _kernel_proposals(bank)
+        try:
+            kernels = _kernel_proposals(bank)
+        except ValueError as exc:
+            raise ValueError(f"kernel bank after iteration {t}: {exc}") from exc
         assignments = sample_categorical_many(bank.mixture_log_weights,
                                               n_particles, rng.child(3 * t + 2))
         centers = resampled

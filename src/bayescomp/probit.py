@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, map_rows, psd_factor, truncated_normal_vector
+from .core import MvnParams, RngStream, map_rows, rowwise, truncated_normal_vector
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "probit_bayes_model",
 ]
 
-_LOG2PI = np.log(2.0 * np.pi)
 # Fisher scoring stops once the largest score entry is below
 # _MLE_TOL * (1 + |loglik|), and gives up after _MLE_MAX_ITER iterations
 _MLE_TOL = 1e-10
@@ -54,9 +53,7 @@ class ProbitModel:
     design: np.ndarray
     response: np.ndarray
     xtx: np.ndarray = field(init=False, repr=False, compare=False)
-    _prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
-    _prior_logdet: float = field(init=False, repr=False, compare=False)
-    _prior_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    prior: MvnParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.design, dtype=float))
@@ -70,15 +67,11 @@ class ProbitModel:
         xtx = X.T @ X
         object.__setattr__(self, "xtx", xtx)
         try:
-            chol = np.linalg.cholesky(xtx)
+            np.linalg.cholesky(xtx)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("X'X is singular; g-prior undefined")
-        object.__setattr__(self, "_prior_chol", chol)
-        # log|g (X'X)^{-1}| = p log g - log|X'X|
-        logdet_xtx = 2.0 * np.sum(np.log(np.diag(chol)))
-        p = X.shape[1]
-        object.__setattr__(self, "_prior_logdet", p * np.log(self.prior_scale) - logdet_xtx)
-        object.__setattr__(self, "_prior_factor", psd_factor(self.prior_covariance()))
+        object.__setattr__(self, "prior", MvnParams(np.zeros(X.shape[1]),
+                                                    self.prior_covariance()))
 
     @property
     def n_obs(self) -> int:
@@ -129,14 +122,12 @@ def probit_loglik(model: ProbitModel, beta) -> float:
 
 def gprior_logpdf_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
     """Exact N(0, g (X'X)^{-1}) log-density at each row of `betas`."""
-    z = np.asarray(betas, dtype=float) @ model._prior_chol  # (m, p)
-    quad = np.sum(z * z, axis=1) / model.prior_scale
-    return -0.5 * (model.dimension * _LOG2PI + model._prior_logdet + quad)
+    return model.prior.logpdf_many(betas)
 
 
 def sample_gprior(model: ProbitModel, n: int, rng: RngStream) -> np.ndarray:
     """n draws from the g-prior, rows are coefficient vectors."""
-    return rng.standard_normal((n, model.dimension)) @ model._prior_factor.T
+    return rng.standard_normal((n, model.dimension)) @ model.prior.scale.T
 
 
 def probit_mle(model: ProbitModel):
@@ -192,14 +183,6 @@ def probit_mle(model: ProbitModel):
     raise NonConvergenceError(f"no convergence after {_MLE_MAX_ITER} Fisher scoring iterations")
 
 
-def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """matrix @ row for each row of the (R, k) array `rows`, as an (R, m)
-    array.  The stacked product keeps every row bit-identical to the
-    one-row ``matrix @ row``, whatever R; a plain ``rows @ matrix.T`` does
-    not."""
-    return (rows[:, None, :] @ matrix.T)[:, 0]
-
-
 def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     """Truncated-normal completion of the probit posterior.
 
@@ -218,26 +201,22 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     g = model.prior_scale
     shrink = g / (g + 1.0)
     xtx_inv = np.linalg.inv(model.xtx)
-    cond_cov = shrink * xtx_inv
     proj = shrink * (xtx_inv @ X.T)  # mean map z -> beta
-    cond = MvnParams(np.zeros(model.dimension), cond_cov)
-    cond_logdet = 2.0 * np.sum(np.log(np.diag(cond.scale)))
+    cond = MvnParams(np.zeros(model.dimension), shrink * xtx_inv)
     positive = model.response == 1
 
     def sample_latents(betas, rngs):
-        return truncated_normal_vector(_rowwise(np.asarray(betas, float), X),
+        return truncated_normal_vector(rowwise(np.asarray(betas, float), X),
                                        positive, rngs)
 
     def sample_params(zs, rngs):
         noise = np.empty((len(rngs), model.dimension))
         for r, rng in enumerate(rngs):
             rng.generator.standard_normal(out=noise[r])
-        return _rowwise(np.asarray(zs, float), proj) + _rowwise(noise, cond.scale)
+        return rowwise(np.asarray(zs, float), proj) + rowwise(noise, cond.scale)
 
     def log_full_conditional_param(beta, zs):
-        resid = np.asarray(beta, float) - np.asarray(zs, float) @ proj.T  # (m, p)
-        u = np.linalg.solve(cond.scale, resid.T)
-        return -0.5 * (model.dimension * _LOG2PI + cond_logdet + np.sum(u * u, axis=0))
+        return cond.logpdf_many(np.asarray(beta, float) - np.asarray(zs, float) @ proj.T)
 
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
 
@@ -258,8 +237,10 @@ def probit_summary_whitener(model: ProbitModel, beta) -> np.ndarray:
     """
     prob = special.ndtr(model.design @ np.asarray(beta, dtype=float))
     v = model.design.T @ ((prob * (1.0 - prob))[:, None] * model.design)
-    chol = np.linalg.cholesky(v)
-    return np.linalg.solve(chol, np.eye(model.dimension))
+    whitener = MvnParams(np.zeros(model.dimension), v).whitener
+    if whitener is None:
+        raise np.linalg.LinAlgError("summary covariance is singular at beta")
+    return whitener
 
 
 def probit_abc_summary(model: ProbitModel, ys, whitener: np.ndarray) -> np.ndarray:

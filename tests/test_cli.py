@@ -325,6 +325,18 @@ class TestEntrypoint:
         assert proc.returncode == 0
         assert (tmp_path / "o" / "summary.json").exists()
 
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of start-up; the library
+        # needs only scipy.special
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import bayescomp.cli; "
+             "print('scipy.stats' in sys.modules)", src],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestRunners:
     """Smoke-level checks that every experiment produces the documented

@@ -124,6 +124,26 @@ class TestGaussianProposal:
         oracle = stats.multivariate_normal(mean, cov).logpdf
         pts = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]])
         assert np.allclose(prop.logpdf_many(pts), oracle(pts), rtol=1e-12)
+        assert np.allclose(MvnParams(mean, cov).logpdf_many(pts), oracle(pts),
+                           rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 20, 300])
+    def test_rows_match_one_row_calls(self, n):
+        params = MvnParams(np.array([1.0, -2.0, 0.5]),
+                           np.array([[2.0, 0.3, 0.1], [0.3, 0.5, 0.05],
+                                     [0.1, 0.05, 1.0]]))
+        pts = RngStream(8, 0).standard_normal((n, 3))
+        singles = [params.logpdf_many(pts[i:i + 1])[0] for i in range(n)]
+        np.testing.assert_array_equal(params.logpdf_many(pts), singles)
+
+    def test_singular_covariance_has_no_density(self):
+        # rank 2, but with a positive diagonal in its eigendecomposition factor
+        cov = np.array([[2.0, -1.0, -2.0], [-1.0, 5.0, 4.0], [-2.0, 4.0, 4.0]])
+        params = MvnParams(np.zeros(3), cov)
+        with pytest.raises(ValueError, match="singular"):
+            params.logpdf_many(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianProposal(params)
 
     def test_kernel_mixture_matches_direct_sum(self):
         # more points than one evaluation block, against a per-point loop

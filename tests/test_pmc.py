@@ -86,6 +86,18 @@ class TestStructure:
             pmc_run(target, q0, default_kernel_bank(np.eye(1)), n_particles=50,
                     n_iterations=2, rng=RngStream(seed=1, stream_id=0))
 
+    def test_singular_kernel_names_iteration(self):
+        # two surviving particles give a rank-1 kernel covariance in 2-D
+        def two_survivors(th):
+            return np.where(th[:, 0] >= np.sort(th[:, 0])[-2], 0.0, -np.inf)
+
+        target = BayesModel(dimension=2, log_prior=two_survivors,
+                            log_likelihood=lambda th: np.zeros(len(th)))
+        q0 = _proposal([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="iteration 0"):
+            pmc_run(target, q0, default_kernel_bank(np.eye(2)), n_particles=50,
+                    n_iterations=2, rng=RngStream(seed=1, stream_id=0))
+
     def test_bad_density_form_rejected(self):
         target = _gauss_model([0.0], [[1.0]])
         q0 = _proposal([0.0], [[1.0]])

@@ -80,7 +80,7 @@ class TestGPrior:
     def test_cached_factor_is_the_covariance_factor(self, pima):
         # prior draws scale by the factor MvnParams gives the covariance
         factor = MvnParams(np.zeros(3), pima.prior_covariance()).scale
-        np.testing.assert_array_equal(pima._prior_factor, factor)
+        np.testing.assert_array_equal(pima.prior.scale, factor)
         z = RngStream(3, 0).standard_normal((5, 3))
         np.testing.assert_array_equal(sample_gprior(pima, 5, RngStream(3, 0)),
                                       z @ factor.T)

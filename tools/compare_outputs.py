@@ -4,7 +4,9 @@ Runs every CLI experiment at its defaults, plus `gibbs` and `capture` with
 three replicates, once on each tree (each tree's own ``src`` on the path),
 and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
 byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  Prints
-one line per run and exits 1 if any output differs or any run fails.
+one line per run, and for each differing file the largest absolute and
+relative difference over its numeric fields; exits 1 if any output
+differs or any run fails.
 
 Run from anywhere, naming the two checkouts:
 
@@ -13,7 +15,9 @@ Run from anywhere, naming the two checkouts:
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -52,17 +56,60 @@ def _summary(path):
     return summary
 
 
+def _numbers(value):
+    """The numeric leaves of parsed JSON, in document order."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [float(value)]
+    return []
+
+
+def _csv_numbers(path):
+    """The cells of a CSV file that parse as numbers, in file order."""
+    out = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.reader(fh):
+            for cell in row:
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    pass
+    return out
+
+
+def _largest_difference(xs, ys):
+    """'max abs A, max rel R' over paired numbers; equal non-finite values
+    count as no difference, any other non-finite one as an infinite one."""
+    if len(xs) != len(ys):
+        return f"{len(xs)} vs {len(ys)} numeric fields"
+    abs_d = rel_d = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y)
+        if not math.isfinite(d):
+            return "max abs inf, max rel inf"
+        abs_d = max(abs_d, d)
+        rel_d = max(rel_d, d / max(abs(x), abs(y)))
+    return f"max abs {abs_d:.3g}, max rel {rel_d:.3g}"
+
+
 def _differences(a, b):
-    """Names of the output files that differ between directories a and b."""
+    """A description of each output file that differs between directories
+    a and b: its name and the largest numeric difference."""
     diffs = []
     for name in BYTE_FILES:
         pa, pb = a / name, b / name
         if pa.exists() != pb.exists():
             diffs.append(f"{name} (written by one tree only)")
         elif pa.exists() and pa.read_bytes() != pb.read_bytes():
-            diffs.append(name)
-    if _summary(a / "summary.json") != _summary(b / "summary.json"):
-        diffs.append("summary.json")
+            diffs.append(f"{name} ({_largest_difference(_csv_numbers(pa), _csv_numbers(pb))})")
+    sa, sb = _summary(a / "summary.json"), _summary(b / "summary.json")
+    if sa != sb:
+        diffs.append(f"summary.json ({_largest_difference(_numbers(sa), _numbers(sb))})")
     return diffs
 
 
