@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln
 
-from .core import RngStream, log_sum_exp, sample_categorical_many
+from .core import RngStream, categorical_cdf, log_sum_exp, sample_categorical_many
 
 __all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
            "n_max_tail_mass"]
@@ -277,9 +277,10 @@ def _removal_block(model: CaptureModel, sample_p):
         logs = np.array([math.log(q) if q > 0.0 else -math.inf,
                          math.log1p(-q) if q < 1.0 else -math.inf])
         logw = _pair_log_weights(log_base, q_counts, logs)
+        cum = categorical_cdf(logw)  # one CDF for every try of this draw
         gen = rng.generator
         for refused in range(_NB_TRIES):
-            idx = sample_categorical_many(logw, 1, rng)[0]
+            idx = cum.searchsorted(rng.uniform(1) * cum[-1], side="right")[0]
             p = gen.beta(a, b[idx])
             k = gen.negative_binomial(n1, p)
             if k <= k_max:

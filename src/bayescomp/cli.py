@@ -265,11 +265,10 @@ def _run_evidence(config, rng):
     elif method == "chib":
         parts = []
         for i, mp in enumerate([model1p, model0p]):
-            chain, latents = probit_gibbs_run(mp, n, rng.child(i),
-                                              keep_latents=True)
+            chain, xtz = probit_gibbs_run(mp, n, rng.child(i), keep_xtz=True)
             parts.append(chib_marginal(probit_bayes_model(mp),
                                        probit_latent_completion(mp),
-                                       latents, param_draws=chain.states))
+                                       xtz, param_draws=chain.states))
         log_b10 = parts[0].log_value - parts[1].log_value
         se = float(np.hypot(parts[0].std_error, parts[1].std_error))
     elif method == "bridge-embedded":

@@ -20,6 +20,7 @@ __all__ = [
     "sample_truncated_normal",
     "truncated_normal_vector",
     "sample_categorical",
+    "categorical_cdf",
     "log_sum_exp",
     "map_rows",
 ]
@@ -273,15 +274,20 @@ def sample_categorical(log_weights, rng: RngStream) -> int:
     return int(sample_categorical_many(log_weights, 1, rng)[0])
 
 
-def sample_categorical_many(log_weights, n: int, rng: RngStream) -> np.ndarray:
-    """n independent categorical draws by inverse CDF.
-
-    The weights are shifted by their maximum and exponentiated once; each
-    uniform is scaled to the unnormalised total instead of normalising.
-    """
+def categorical_cdf(log_weights) -> np.ndarray:
+    """Unnormalised cumulative weights of a categorical law: the weights
+    shifted by their maximum, exponentiated and summed.  A uniform u draws
+    ``cum.searchsorted(u * cum[-1], side="right")``."""
     lw = np.asarray(log_weights, dtype=float)
     top = lw.max(initial=-np.inf)
     if top == -np.inf:
         raise DegenerateWeightsError("all categorical weights are zero")
-    cum = np.exp(lw - top).cumsum()
+    return np.exp(lw - top).cumsum()
+
+
+def sample_categorical_many(log_weights, n: int, rng: RngStream) -> np.ndarray:
+    """n independent categorical draws by inverse CDF (`categorical_cdf`);
+    each uniform is scaled to the unnormalised total instead of
+    normalising."""
+    cum = categorical_cdf(log_weights)
     return cum.searchsorted(rng.uniform(n) * cum[-1], side="right")

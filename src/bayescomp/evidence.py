@@ -354,20 +354,23 @@ def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
                             unreliable=True)
 
 
-def chib_marginal(model: BayesModel, completion, gibbs_latents,
+def chib_marginal(model: BayesModel, completion, latent_stats,
                   theta_star=None, param_draws=None) -> EvidenceEstimate:
     """Evidence from the posterior-ordinate identity at a single point:
     log m(y) = log f(y|theta*) + log pi(theta*) - log pihat(theta*|y), the
     ordinate estimated by averaging the normalised full conditional of the
-    parameter over retained latent draws.  theta* defaults to the mean of
-    `param_draws` (the Gibbs parameter chain)."""
+    parameter over the retained Gibbs sweeps.  `latent_stats` holds one
+    row per sweep of the statistic of the latents that the completion's
+    `log_full_conditional_param` takes (X'z for the probit, as kept by
+    `probit_gibbs_run(..., keep_xtz=True)`).  theta* defaults to the mean
+    of `param_draws` (the Gibbs parameter chain)."""
     if theta_star is None:
         if param_draws is None:
             raise ValueError("either theta_star or param_draws is required")
         theta_star = np.mean(np.atleast_2d(np.asarray(param_draws, float)), axis=0)
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     ords = np.asarray(completion.log_full_conditional_param(
-        theta_star, np.asarray(gibbs_latents, dtype=float)), dtype=float)
+        theta_star, np.asarray(latent_stats, dtype=float)), dtype=float)
     if not np.any(ords > -np.inf):
         raise RuntimeError(
             "full conditional underflows at theta*; pick a higher-density point")

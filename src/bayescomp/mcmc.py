@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import MvnParams, RngStream
 from .model import BayesModel, log_posterior
-from .probit import ProbitModel, probit_latent_completion, probit_loglik_rows, probit_mle
+from .probit import (ProbitModel, probit_latent_completion, probit_loglik_rows, probit_mle,
+                     probit_xtz)
 
 __all__ = [
     "Chain",
@@ -114,7 +115,7 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
 
 
 def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
-                          keep_latents: bool = False):
+                          keep_xtz: bool = False):
     """Data-augmentation Gibbs for the probit posterior: R = len(rngs)
     chains in lockstep, each started at the MLE.
 
@@ -122,22 +123,24 @@ def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
     coefficients, then the coefficients from their exact normal conditional
     given the latents.  Chain r draws from ``rngs[r]`` alone and in the
     order of a single chain, so it is bit-identical to a run of its own on
-    that stream.  Returns (states, latents): the (R, n_iter, p) states, and
-    the (R, n_iter, n) latents when `keep_latents`, else None; the latents
-    feed the posterior-ordinate evidence estimator.
+    that stream.  Returns (states, xtz): the (R, n_iter, p) states, and
+    when `keep_xtz` the (R, n_iter, p) statistics X'z of each sweep's
+    latents (`probit_xtz`), else None.  The statistics are all the
+    posterior-ordinate evidence estimator needs of the latents, which are
+    never stored.
     """
     completion = probit_latent_completion(model)
     beta, _ = probit_mle(model)
     betas = np.tile(beta, (len(rngs), 1))
     states = np.empty((len(rngs), n_iter, model.dimension))
-    latents = np.empty((len(rngs), n_iter, model.n_obs)) if keep_latents else None
+    xtz = np.empty((len(rngs), n_iter, model.dimension)) if keep_xtz else None
     for t in range(n_iter):
         z = completion.sample_latents(betas, rngs)
         betas = completion.sample_params(z, rngs)
         states[:, t] = betas
-        if keep_latents:
-            latents[:, t] = z
-    return states, latents
+        if keep_xtz:
+            xtz[:, t] = probit_xtz(model, z)
+    return states, xtz
 
 
 def gibbs_chain(states: np.ndarray) -> Chain:
@@ -147,12 +150,12 @@ def gibbs_chain(states: np.ndarray) -> Chain:
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
-                     keep_latents: bool = False):
+                     keep_xtz: bool = False):
     """One chain of `probit_gibbs_lockstep` on stream `rng`.  Returns
-    (chain, latents) where latents is the (n_iter, n) array of auxiliary
-    draws when `keep_latents`, else None."""
-    states, latents = probit_gibbs_lockstep(model, n_iter, [rng], keep_latents)
-    return gibbs_chain(states[0]), None if latents is None else latents[0]
+    (chain, xtz) where xtz is the (n_iter, p) array of the latents'
+    statistics X'z, one row per sweep, when `keep_xtz`, else None."""
+    states, xtz = probit_gibbs_lockstep(model, n_iter, [rng], keep_xtz)
+    return gibbs_chain(states[0]), None if xtz is None else xtz[0]
 
 
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,

@@ -60,11 +60,14 @@ class LatentCompletion:
     one Gibbs sweep of R chains in lockstep: (R, p) parameters map to
     (R, ...) latents and back, row r drawing from stream ``rngs[r]`` alone,
     so that a chain does not depend on the others.
-    `log_full_conditional_param(theta, latents)` takes an
-    (N, ...) array of latent draws and returns the (N,) *normalised*
-    log-densities of the parameter theta given each of them (constant
-    included): marginal-likelihood estimation via the posterior-ordinate
-    identity depends on it.
+    `log_full_conditional_param(theta, stats)` takes an (N, k) array of
+    statistics of N latent draws, each a statistic through which the
+    parameter's full conditional depends on the latents (X'z for the
+    probit), and returns the (N,) *normalised* log-densities of the
+    parameter theta given each of them (constant included):
+    marginal-likelihood estimation via the posterior-ordinate identity
+    depends on it, and a sampler keeps the statistic of each sweep instead
+    of its latents.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]

@@ -26,6 +26,7 @@ __all__ = [
     "probit_mle",
     "sample_gprior",
     "probit_latent_completion",
+    "probit_xtz",
     "probit_simulate",
     "probit_summary_whitener",
     "probit_abc_summary",
@@ -188,10 +189,11 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
 
     Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i; the
     parameter conditional given z is the exact multivariate normal
-    N(s (X'X)^{-1} X'z, s (X'X)^{-1}) with s = g / (g + 1), whose normalised
-    log-density (one value per row of a latent array) is exposed for
-    posterior-ordinate evidence estimation.  Its covariance is fixed, so it
-    is factored once; only the mean moves with z.
+    N(s (X'X)^{-1} X'z, s (X'X)^{-1}) with s = g / (g + 1).  It depends on z
+    only through the p-vector X'z (`probit_xtz`), so its normalised
+    log-density, exposed for posterior-ordinate evidence estimation, takes
+    one X'z per row.  Its covariance is fixed, so it is factored once; only
+    the mean moves with z.
 
     The samplers advance R chains at once: (R, p) coefficients give (R, n)
     latents and back, row r drawing from stream ``rngs[r]`` alone, and
@@ -215,10 +217,19 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
             rng.generator.standard_normal(out=noise[r])
         return rowwise(np.asarray(zs, float), proj) + rowwise(noise, cond.scale)
 
-    def log_full_conditional_param(beta, zs):
-        return cond.logpdf_many(np.asarray(beta, float) - np.asarray(zs, float) @ proj.T)
+    def log_full_conditional_param(beta, xtzs):
+        # the conditional mean s (X'X)^{-1} X'z is the covariance times X'z
+        means = rowwise(np.asarray(xtzs, float), cond.covariance)
+        return cond.logpdf_many(np.asarray(beta, float) - means)
 
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
+
+
+def probit_xtz(model: ProbitModel, zs) -> np.ndarray:
+    """X'z for each row z of the (R, n) latents, as an (R, p) array: the
+    statistic through which the coefficients' full conditional depends on
+    the latents.  Each row is bit-identical to its one-row call."""
+    return rowwise(np.asarray(zs, float), model.design.T)
 
 
 def probit_simulate(model: ProbitModel, betas, rng: RngStream) -> np.ndarray:

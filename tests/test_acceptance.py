@@ -31,7 +31,7 @@ from bayescomp.evidence import (
     chib_marginal,
     harmonic_mean_gd,
 )
-from bayescomp.mcmc import RwProposal, probit_gibbs_run, rw_mh_run
+from bayescomp.mcmc import RwProposal, probit_gibbs_lockstep, probit_gibbs_run, rw_mh_run
 from bayescomp.model import BayesModel, LatentCompletion, SimulableModel, log_posterior
 from bayescomp.montecarlo import (
     GaussianProposal,
@@ -191,38 +191,39 @@ class TestEvidenceCrossConsistency:
         g0 = GaussianProposal.from_moments(*probit_mle(pima2), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(pima3), scale=2.0)
 
+        # replicate r's chains run on RngStream(2026, r).child(1) and
+        # .child(2); one lockstep call per model advances all of them
+        rngs = [RngStream(2026, r) for r in range(self.N_REP)]
+        states1, xtz1 = probit_gibbs_lockstep(
+            pima3, self.N, [rng.child(1) for rng in rngs], keep_xtz=True)
+        states0, xtz0 = probit_gibbs_lockstep(
+            pima2, self.N, [rng.child(2) for rng in rngs], keep_xtz=True)
+
         vals = {"importance": [], "harmonic-gd": [], "chib": [],
                 "bridge-embedded": []}
-        for r in range(self.N_REP):
-            rng = RngStream(2026, r)
+        for r, rng in enumerate(rngs):
             vals["importance"].append(
                 bf_importance(m1, m0, g1, g0, self.N, self.N,
                               rng.child(0)).log_value)
 
-            chain1, lat1 = probit_gibbs_run(pima3, self.N, rng.child(1),
-                                            keep_latents=True)
-            chain0, lat0 = probit_gibbs_run(pima2, self.N, rng.child(2),
-                                            keep_latents=True)
-
             parts = []
-            for m, chain in ((m1, chain1), (m0, chain0)):
-                phi = PhiSpec.from_sample(chain.states, self.COVERAGE)
+            for m, states in ((m1, states1[r]), (m0, states0[r])):
+                phi = PhiSpec.from_sample(states, self.COVERAGE)
                 parts.append(harmonic_mean_gd(
-                    lambda b, m=m: log_posterior(m, b), chain.states, phi))
+                    lambda b, m=m: log_posterior(m, b), states, phi))
             vals["harmonic-gd"].append(parts[0].log_value - parts[1].log_value)
 
             parts = []
-            for mp, chain, lat in ((pima3, chain1, lat1),
-                                   (pima2, chain0, lat0)):
+            for mp, states, xtz in ((pima3, states1[r], xtz1[r]),
+                                    (pima2, states0[r], xtz0[r])):
                 parts.append(chib_marginal(probit_bayes_model(mp),
                                            probit_latent_completion(mp),
-                                           lat, param_draws=chain.states))
+                                           xtz, param_draws=states))
             vals["chib"].append(parts[0].log_value - parts[1].log_value)
 
-            omega = LinearGaussianOmega.fit(chain1.states[:, :2],
-                                            chain1.states[:, 2])
+            omega = LinearGaussianOmega.fit(states1[r][:, :2], states1[r][:, 2])
             est = bridge_embedded(m0, m1, np.zeros(1), omega,
-                                  chain0.states, chain1.states, rng.child(3))
+                                  states0[r], states1[r], rng.child(3))
             vals["bridge-embedded"].append(-est.log_value)
 
         means = {k: np.mean(v) for k, v in vals.items()}
@@ -273,14 +274,14 @@ class TestChibIdentity:
     def test_probit_ordinate_insensitive_to_evaluation_point(self, pima2):
         """With Rao-Blackwellised conditionals the estimate cannot depend
         on where the ordinate is evaluated, beyond Monte Carlo error."""
-        chain, latents = probit_gibbs_run(pima2, 4000, RngStream(77, 0),
-                                          keep_latents=True)
+        chain, xtz = probit_gibbs_run(pima2, 4000, RngStream(77, 0),
+                                      keep_xtz=True)
         model = probit_bayes_model(pima2)
         completion = probit_latent_completion(pima2)
         mean = chain.states.mean(axis=0)
         sd = chain.states.std(axis=0, ddof=1)
-        a = chib_marginal(model, completion, latents, theta_star=mean)
-        b = chib_marginal(model, completion, latents,
+        a = chib_marginal(model, completion, xtz, theta_star=mean)
+        b = chib_marginal(model, completion, xtz,
                           theta_star=mean + 0.25 * sd)
         assert abs(a.log_value - b.log_value) < \
             3.0 * np.hypot(a.std_error, b.std_error) + 1e-3

@@ -167,9 +167,9 @@ class TestOutputs:
         # main run; capture: the main run plus one run per other stream
         streams = []
 
-        def lockstep(model, n_iter, rngs, keep_latents=False):
+        def lockstep(model, n_iter, rngs, keep_xtz=False):
             streams.extend(rng.stream_id for rng in rngs)
-            return probit_gibbs_lockstep(model, n_iter, rngs, keep_latents)
+            return probit_gibbs_lockstep(model, n_iter, rngs, keep_xtz)
 
         def counting(experiment, config, stream_id=0):
             streams.append(stream_id)
@@ -193,9 +193,9 @@ class TestOutputs:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def lockstep(model, n_iter, rngs, keep_latents=False):
+        def lockstep(model, n_iter, rngs, keep_xtz=False):
             fresh = [RngStream(rng.seed, rng.stream_id).counter for rng in rngs]
-            result = probit_gibbs_lockstep(model, n_iter, rngs, keep_latents)
+            result = probit_gibbs_lockstep(model, n_iter, rngs, keep_xtz)
             drawn = all(rng.counter != c for rng, c in zip(rngs, fresh))
             calls.append(([rng.stream_id for rng in rngs],
                           threading.get_ident(), drawn))

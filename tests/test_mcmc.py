@@ -17,7 +17,12 @@ from bayescomp.mcmc import (
     rw_mh_run,
 )
 from bayescomp.model import BayesModel
-from bayescomp.probit import ProbitModel, probit_bayes_model, probit_mle
+from bayescomp.probit import (
+    ProbitModel,
+    probit_bayes_model,
+    probit_latent_completion,
+    probit_mle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +96,16 @@ class TestMhRun:
 
 class TestProbitGibbs:
     def test_latent_signs(self, pima):
-        _, latents = probit_gibbs_run(pima, 50, RngStream(10, 0),
-                                      keep_latents=True)
-        signs = np.sign(latents)
+        # the sweeps of probit_gibbs_run, by hand, so every sweep's latents
+        # can be read
+        completion = probit_latent_completion(pima)
+        rngs = [RngStream(10, 0)]
+        betas = probit_mle(pima)[0][None, :]
         expected = np.where(pima.response == 1.0, 1.0, -1.0)
-        assert np.all(signs == expected)
+        for _ in range(50):
+            z = completion.sample_latents(betas, rngs)
+            assert np.all(np.sign(z[0]) == expected)
+            betas = completion.sample_params(z, rngs)
 
     def test_cross_sampler_agreement(self, pima):
         gibbs, _ = probit_gibbs_run(pima, 8000, RngStream(11, 0))
@@ -138,21 +148,39 @@ class TestLockstepGibbs:
     def test_chains_match_standalone_runs(self, pima, which, n_chains):
         model = pima if which == "pima" else outlier_model()
         rngs = [RngStream(31, r) for r in range(n_chains)]
-        states, latents = probit_gibbs_lockstep(model, 200, rngs,
-                                                keep_latents=True)
+        states, xtz = probit_gibbs_lockstep(model, 200, rngs, keep_xtz=True)
         assert states.shape == (n_chains, 200, model.dimension)
-        assert latents.shape == (n_chains, 200, model.n_obs)
+        assert xtz.shape == (n_chains, 200, model.dimension)
         for r in range(n_chains):
             alone = RngStream(31, r)
-            chain, lat = probit_gibbs_run(model, 200, alone, keep_latents=True)
+            chain, xtz_alone = probit_gibbs_run(model, 200, alone, keep_xtz=True)
             assert states[r].tobytes() == chain.states.tobytes()
-            assert latents[r].tobytes() == lat.tobytes()
+            assert xtz[r].tobytes() == xtz_alone.tobytes()
             assert rngs[r].counter == alone.counter
         if which == "outlier":
             start = np.broadcast_to(probit_mle(model)[0], (n_chains, 1, 2))
             means = np.concatenate([start, states[:, :-1]], axis=1) @ model.design.T
             bound = -(2.0 * model.response - 1.0) * means
             assert np.any(bound > 5.0)
+
+    def test_ordinate_from_lockstep_xtz(self, pima):
+        """The full conditional of beta given each sweep's X'z, over three
+        lockstep chains, is N(s (X'X)^{-1} X'z, s (X'X)^{-1}); every row is
+        bit-identical to its one-row call."""
+        states, xtz = probit_gibbs_lockstep(
+            pima, 20, [RngStream(41, r) for r in range(3)], keep_xtz=True)
+        xtz = xtz.reshape(-1, pima.dimension)
+        beta = states.reshape(-1, pima.dimension).mean(axis=0)
+        n = pima.n_obs
+        cov = (n / (n + 1.0)) * np.linalg.inv(pima.design.T @ pima.design)
+        completion = probit_latent_completion(pima)
+        ords = completion.log_full_conditional_param(beta, xtz)
+        oracle = [stats.multivariate_normal(cov @ row, cov).logpdf(beta)
+                  for row in xtz]
+        np.testing.assert_allclose(ords, oracle, rtol=1e-12, atol=0)
+        for i, row in enumerate(xtz):
+            one = completion.log_full_conditional_param(beta, row[None, :])
+            assert one.tobytes() == ords[i:i + 1].tobytes()
 
 
 class TestMwg:

@@ -19,6 +19,7 @@ from bayescomp.probit import (
     probit_mle,
     probit_simulate,
     probit_summary_whitener,
+    probit_xtz,
     sample_gprior,
 )
 
@@ -143,8 +144,9 @@ class TestLatentCompletion:
         mean = shrink * xtx_inv @ pima.design.T @ z
         cov = shrink * xtx_inv
         oracle = stats.multivariate_normal(mean, cov).logpdf
+        xtz = probit_xtz(pima, z[None, :])
         for beta in (mean, mean + 0.001):
-            assert completion.log_full_conditional_param(beta, z[None, :])[0] == \
+            assert completion.log_full_conditional_param(beta, xtz)[0] == \
                 pytest.approx(float(oracle(beta)), rel=1e-10)
 
     def test_param_conditional_batched_over_latents(self, pima):
@@ -153,9 +155,9 @@ class TestLatentCompletion:
         beta = np.array([0.01, -0.02, 0.3])
         zs = np.array([completion.sample_latents(beta[None, :], [rng])[0]
                        for _ in range(5)])
-        singles = [completion.log_full_conditional_param(beta, z[None, :])[0]
-                   for z in zs]
-        assert np.allclose(completion.log_full_conditional_param(beta, zs),
+        ordinate = completion.log_full_conditional_param
+        singles = [ordinate(beta, probit_xtz(pima, z[None, :]))[0] for z in zs]
+        assert np.allclose(ordinate(beta, probit_xtz(pima, zs)),
                            singles, rtol=1e-12, atol=0)
 
     def test_conditional_draw_moments(self, pima):

@@ -1,7 +1,8 @@
 """Compare the CLI outputs of two source trees of bayescomp.
 
-Runs every CLI experiment at its defaults, plus `gibbs` and `capture` with
-three replicates, once on each tree (each tree's own ``src`` on the path),
+Runs every CLI experiment at its defaults, `evidence` once per method
+(each through a ``--config`` file naming it), plus `gibbs` and `capture`
+with three replicates, once on each tree (each tree's own ``src`` on the path),
 and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
 byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  Prints
 one line per run, and for each differing file the largest absolute and
@@ -27,13 +28,21 @@ import tempfile
 EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
                "capture", "mixture-demo")
 REPLICATED = ("gibbs", "capture")
+EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
+                    "chib", "bridge-embedded")
 BYTE_FILES = ("draws.csv", "replicates.csv")
 
 
 def _runs(experiments):
-    """(label, experiment, extra CLI arguments) of every run to compare."""
-    runs = [(e, e, []) for e in experiments]
-    runs += [(f"{e} x3", e, ["--replicates", "3"])
+    """(label, experiment, extra CLI arguments, config) of every run to
+    compare; config is the JSON object of its ``--config`` file, or None."""
+    runs = []
+    for e in experiments:
+        if e == "evidence":
+            runs += [(f"{e} {m}", e, [], {"method": m}) for m in EVIDENCE_METHODS]
+        else:
+            runs.append((e, e, [], None))
+    runs += [(f"{e} x3", e, ["--replicates", "3"], None)
              for e in experiments if e in REPLICATED]
     return runs
 
@@ -124,7 +133,11 @@ def main(argv=None) -> int:
 
     failed = False
     with tempfile.TemporaryDirectory() as work:
-        for label, experiment, extra in _runs(args.experiment or EXPERIMENTS):
+        for label, experiment, extra, config in _runs(args.experiment or EXPERIMENTS):
+            if config is not None:
+                path = pathlib.Path(work) / (label.replace(" ", "_") + ".json")
+                path.write_text(json.dumps(config), encoding="utf-8")
+                extra = [*extra, "--config", str(path)]
             outs = []
             for side, tree in (("parent", args.parent), ("change", args.change)):
                 out = pathlib.Path(work) / side / label.replace(" ", "_")
