@@ -19,6 +19,7 @@ __all__ = [
     "DegenerateWeightsError",
     "sample_truncated_normal",
     "truncated_normal_vector",
+    "truncated_std_normal",
     "sample_categorical",
     "categorical_cdf",
     "log_sum_exp",
@@ -89,9 +90,10 @@ class MvnParams:
     Factorization happens at construction; a covariance that is not symmetric
     (to 1e-12 relative) or not PSD (eigenvalue below -1e-12 * max diagonal)
     is rejected here, never at draw time.  A positive-definite covariance
-    caches its Cholesky factor `scale`, that factor's inverse `whitener` and
-    `log_det` for the library's one Gaussian density, `logpdf_many`; a
-    singular one gets an eigendecomposition `scale` and no density.
+    caches its Cholesky factor `scale`, that factor's inverse `whitener`,
+    `log_det` and the log normalising constant `log_norm` for the library's
+    one Gaussian density, `logpdf_many`; a singular one gets an
+    eigendecomposition `scale` and no density.
     """
 
     mean: np.ndarray
@@ -99,6 +101,7 @@ class MvnParams:
     scale: np.ndarray = field(init=False, repr=False, compare=False)
     whitener: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     log_det: float = field(default=-np.inf, init=False, repr=False, compare=False)
+    log_norm: float = field(default=np.inf, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -123,7 +126,9 @@ class MvnParams:
             return
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "whitener", np.linalg.solve(scale, np.eye(p)))
-        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(scale)))))
+        log_det = 2.0 * float(np.sum(np.log(np.diag(scale))))
+        object.__setattr__(self, "log_det", log_det)
+        object.__setattr__(self, "log_norm", -0.5 * (p * _LOG2PI + log_det))
 
     @property
     def dimension(self) -> int:
@@ -138,8 +143,7 @@ class MvnParams:
 
     def logpdf_whitened(self, u: np.ndarray) -> np.ndarray:
         """Log-density at the points whitened to the last axis of `u`."""
-        log_norm = -0.5 * (self.dimension * _LOG2PI + self.log_det)
-        return log_norm - 0.5 * (u * u).sum(axis=-1)
+        return self.log_norm - 0.5 * (u * u).sum(axis=-1)
 
     def logpdf_many(self, thetas) -> np.ndarray:
         """Log-density at each row of the (N, p) `thetas`, as (N,) values;
@@ -201,33 +205,38 @@ def _tail_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
     raise RuntimeError("tail rejection failed to terminate")
 
 
-def _truncated_std_lower(a: np.ndarray, rngs) -> np.ndarray:
-    """Standard normal conditioned on being > a, elementwise, for an (R, n)
-    array of bounds, row r drawing from stream ``rngs[r]`` alone.
+def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
+    """Standard normal draws t_ri conditioned on t_ri > -eta_ri, for an
+    (R, n) array `eta`, row r drawing from stream ``rngs[r]`` alone: eta + t
+    is then N(eta, 1) conditioned positive.
 
-    Inverse CDF through the survival function for a <= 5, with one uniform
-    per such entry; the rejection sampler of `_tail_std_lower` beyond that.
-    A row draws its uniforms first, then its tail entries, so every row
-    matches a one-row call on the same stream bit for bit.  The uniforms
-    come one stream at a time; the inverse CDF covers all R x n entries in
-    one call.
+    Inverse CDF for eta >= -5, with one uniform per such entry; the
+    rejection sampler of `_tail_std_lower` beyond that.  A row draws its
+    uniforms first, then its tail entries, so every row matches a one-row
+    call on the same stream bit for bit.  The uniforms come one stream at a
+    time; the inverse CDF covers all R x n entries in one call, in place.
     """
-    a = np.asarray(a, dtype=float)
-    moderate = a <= 5.0
-    u = np.empty_like(a)
+    eta = np.asarray(eta, dtype=float)
+    moderate = eta >= -5.0
+    no_tail = moderate.all()  # the usual block: no row needs its own check
+    t = np.empty_like(eta)
     tails = []
     for r, rng in enumerate(rngs):
-        mod = moderate[r]
-        if mod.all():
-            rng.generator.random(out=u[r])
+        if no_tail or moderate[r].all():
+            rng.generator.random(out=t[r])
         else:
-            u[r] = 0.0  # placeholder for the tail entries, overwritten below
-            u[r, mod] = rng.uniform(np.count_nonzero(mod))
-            tails.append((r, _tail_std_lower(a[r, ~mod], rng)))
-    out = -special.ndtri((1.0 - u) * special.ndtr(-a))  # 1 - u in (0, 1]
+            mod = moderate[r]
+            t[r] = 0.0  # placeholder for the tail entries, overwritten below
+            t[r, mod] = rng.uniform(np.count_nonzero(mod))
+            tails.append((r, _tail_std_lower(-eta[r, ~mod], rng)))
+    # t = -ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
+    np.subtract(1.0, t, out=t)
+    t *= special.ndtr(eta)
+    special.ndtri(t, out=t)
+    np.negative(t, out=t)
     for r, x in tails:
-        out[r, ~moderate[r]] = x
-    return out
+        t[r, ~moderate[r]] = x
+    return t
 
 
 def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) -> float:
@@ -238,11 +247,9 @@ def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) 
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if side == "positive":
-        a = -mu / sigma
-        return float(mu + sigma * _truncated_std_lower(np.asarray([[a]]), [rng])[0, 0])
+        return float(mu + sigma * truncated_std_normal(np.asarray([[mu / sigma]]), [rng])[0, 0])
     if side == "negative":
-        a = mu / sigma
-        return float(mu - sigma * _truncated_std_lower(np.asarray([[a]]), [rng])[0, 0])
+        return float(mu - sigma * truncated_std_normal(np.asarray([[-mu / sigma]]), [rng])[0, 0])
     raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
 
 
@@ -252,15 +259,20 @@ def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.nd
 
     Entry (r, i) is N(mu_ri, 1) conditioned positive where `positive[i]`,
     negative otherwise.  Row r equals a one-row call on stream ``rngs[r]``
-    bit for bit, and leaves that stream where the one-row call would.  This
-    is the bulk path of the latent-variable Gibbs sweeps, R chains at once.
+    bit for bit, and leaves that stream where the one-row call would.  The
+    probit Gibbs sweep draws the same values from `truncated_std_normal`
+    directly, on its signed design.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != len(rngs):
         raise ValueError(f"mu has shape {mu.shape}, expected ({len(rngs)}, n)")
     sign = np.where(np.asarray(positive, dtype=bool), 1.0, -1.0)
-    # sign * draw is a standard normal shifted by sign*mu, truncated above -sign*mu
-    return sign * (sign * mu + _truncated_std_lower(-sign * mu, rngs))
+    # sign * draw is N(sign * mu, 1) conditioned positive
+    eta = sign * mu
+    z = truncated_std_normal(eta, rngs)
+    z += eta
+    z *= sign
+    return z
 
 
 def sample_mvn_many(params: MvnParams, n: int, rng: RngStream) -> np.ndarray:

@@ -323,16 +323,20 @@ def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
     posterior average of phi / (prior x likelihood) equals 1/m(y) for any
     normalised phi inside the posterior support.  phi is the truncated
     moment-matched Gaussian of `phi`, whose light tails keep the variance
-    finite."""
+    finite.  A draw outside the ellipsoid adds a -inf term whatever its
+    target value, so the target is evaluated only at the draws inside; it
+    must map each row to a value that does not depend on the other rows."""
     sample = np.atleast_2d(np.asarray(posterior_sample, dtype=float))
     log_phi = phi.log_density_many(sample)
-    n_inside = int(np.sum(log_phi > -np.inf))
+    inside = log_phi > -np.inf
+    n_inside = int(np.count_nonzero(inside))
     if n_inside < 10:
         raise RuntimeError(
             f"only {n_inside} sample points fall in the phi ellipsoid; "
             "estimate would be unstable (raise coverage)")
-    log_target = np.asarray(logprior_plus_loglik(sample), dtype=float)
-    terms = log_phi - log_target
+    terms = np.full(sample.shape[0], -np.inf)
+    terms[inside] = log_phi[inside] - np.asarray(logprior_plus_loglik(sample[inside]),
+                                                 dtype=float)
     return EvidenceEstimate(log_value=-_log_mean_exp(terms),
                             std_error=_batch_se(terms),
                             method="harmonic-gd", n_draws=sample.shape[0])

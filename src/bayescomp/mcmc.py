@@ -90,7 +90,7 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
     accept = 0
     for t in range(n_iter):
         cand = np.atleast_1d(np.asarray(proposal.draw(theta, rng), dtype=float))
-        if np.any(np.isnan(cand)):
+        if np.isnan(cand).any():
             raise FloatingPointError("proposal returned NaN")
         lp_cand = float(log_posterior(target, cand[None, :])[0])
         delta = lp_cand - lp
@@ -170,13 +170,13 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     `logsigma_step_var` is the variance of the log-sigma increment.  The
     likelihood is the one-covariate probit log-likelihood at beta / sigma.
     """
-    design = np.asarray(x, dtype=float)[:, None]
     signs = 2.0 * np.asarray(y, dtype=float) - 1.0
+    signed_design = (signs * np.asarray(x, dtype=float))[:, None]
 
     def logpost(beta, sigma2):
         if sigma2 <= 0:
             return -np.inf
-        ll = probit_loglik_rows(design, signs, np.array([[beta / np.sqrt(sigma2)]]))[0]
+        ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
         lp = -2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0
         return float(ll + lp)
 

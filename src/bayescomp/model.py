@@ -98,12 +98,15 @@ def log_posterior(model: BayesModel, thetas) -> np.ndarray:
         raise ValueError(
             f"thetas has shape {thetas.shape}, expected (N, {model.dimension})"
         )
-    out = np.array(_per_row(model.log_prior(thetas), thetas.shape[0]))
-    inside = out > -np.inf
+    n = thetas.shape[0]
+    prior = _per_row(model.log_prior(thetas), n)
+    inside = prior > -np.inf
     if inside.all():
-        out += _per_row(model.log_likelihood(thetas), thetas.shape[0])
-    elif inside.any():
-        out[inside] += _per_row(model.log_likelihood(thetas[inside]), int(inside.sum()))
+        out = prior + _per_row(model.log_likelihood(thetas), n)
+    else:
+        out = prior.copy()  # the prior's own array stays as it was returned
+        if inside.any():
+            out[inside] += _per_row(model.log_likelihood(thetas[inside]), int(inside.sum()))
     if np.isnan(out).any():
         raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
     return out

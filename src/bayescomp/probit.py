@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, map_rows, rowwise, truncated_normal_vector
+from .core import MvnParams, RngStream, map_rows, rowwise, truncated_std_normal
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -49,11 +49,16 @@ class ProbitModel:
 
     The prior is beta ~ N(0, g * (X'X)^{-1}); with g = n its information is
     that of a single observation.  X'X must be invertible, checked here.
+    The signs s_i = 2 y_i - 1 and the signed design S X (rows s_i x_i) are
+    built once: every probit kernel works on eta = S X beta, whose entry i
+    is s_i x_i'beta exactly, since negation is exact in floating point.
     """
 
     design: np.ndarray
     response: np.ndarray
     xtx: np.ndarray = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
+    signed_design: np.ndarray = field(init=False, repr=False, compare=False)
     prior: MvnParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,6 +70,9 @@ class ProbitModel:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("response entries must be 0 or 1")
         object.__setattr__(self, "response", y.astype(float))
+        signs = 2.0 * self.response - 1.0
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signed_design", signs[:, None] * X)
         xtx = X.T @ X
         object.__setattr__(self, "xtx", xtx)
         try:
@@ -91,16 +99,16 @@ class ProbitModel:
         return self.prior_scale * np.linalg.inv(self.xtx)
 
 
-def probit_loglik_rows(design: np.ndarray, signs: np.ndarray,
-                       betas: np.ndarray) -> np.ndarray:
+def probit_loglik_rows(signed_design: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """sum_i log Phi(s_i x_i'beta) for each row beta of the (m, p) `betas`,
-    with x_i the rows of the (n, p) `design` and s_i = 2 y_i - 1 in `signs`.
+    with s_i x_i the rows of the (n, p) `signed_design` and s_i = 2 y_i - 1.
 
     This is the probit log-likelihood, accumulated through the log-CDF so
-    that deep-tail observations do not underflow.  It takes a bare design,
-    so a design whose X'X is singular is evaluated too.
+    that deep-tail observations do not underflow.  Every row is
+    bit-identical to its one-row call whatever m is (`rowwise`).  It takes
+    a bare signed design, so a design whose X'X is singular is evaluated too.
     """
-    return np.sum(special.log_ndtr(signs * (betas @ design.T)), axis=1)
+    return special.log_ndtr(rowwise(betas, signed_design)).sum(axis=1)
 
 
 def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
@@ -112,8 +120,7 @@ def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2 or betas.shape[1] != model.dimension:
         raise ValueError(f"betas has shape {betas.shape}, expected (m, {model.dimension})")
-    signs = 2.0 * model.response - 1.0
-    return map_rows(lambda b: probit_loglik_rows(model.design, signs, b), betas)
+    return map_rows(lambda b: probit_loglik_rows(model.signed_design, b), betas)
 
 
 def probit_loglik(model: ProbitModel, beta) -> float:
@@ -187,38 +194,43 @@ def probit_mle(model: ProbitModel):
 def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     """Truncated-normal completion of the probit posterior.
 
-    Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i; the
-    parameter conditional given z is the exact multivariate normal
-    N(s (X'X)^{-1} X'z, s (X'X)^{-1}) with s = g / (g + 1).  It depends on z
-    only through the p-vector X'z (`probit_xtz`), so its normalised
-    log-density, exposed for posterior-ordinate evidence estimation, takes
-    one X'z per row.  Its covariance is fixed, so it is factored once; only
-    the mean moves with z.
+    Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i, drawn
+    as z_i = s_i (eta_i + t_i) with eta = S X beta and t_i a standard normal
+    above -eta_i (`truncated_std_normal`).  The parameter conditional given
+    z is the exact multivariate normal N(c (X'X)^{-1} X'z, c (X'X)^{-1})
+    with c = g / (g + 1).  It depends on z only through the p-vector X'z
+    (`probit_xtz`), so its normalised log-density, exposed for
+    posterior-ordinate evidence estimation, takes one X'z per row.  Its
+    covariance is fixed, so it is factored once; only the mean moves with z.
 
     The samplers advance R chains at once: (R, p) coefficients give (R, n)
     latents and back, row r drawing from stream ``rngs[r]`` alone, and
     every row equals a one-chain call on its stream bit for bit.
     """
-    X = model.design
     g = model.prior_scale
     shrink = g / (g + 1.0)
     xtx_inv = np.linalg.inv(model.xtx)
-    proj = shrink * (xtx_inv @ X.T)  # mean map z -> beta
+    proj = shrink * (xtx_inv @ model.design.T)  # mean map z -> beta
     cond = MvnParams(np.zeros(model.dimension), shrink * xtx_inv)
-    positive = model.response == 1
+    signs, signed_design = model.signs, model.signed_design
 
     def sample_latents(betas, rngs):
-        return truncated_normal_vector(rowwise(np.asarray(betas, float), X),
-                                       positive, rngs)
+        eta = rowwise(np.asarray(betas, float), signed_design)
+        z = truncated_std_normal(eta, rngs)
+        z += eta
+        z *= signs
+        return z
 
     def sample_params(zs, rngs):
         noise = np.empty((len(rngs), model.dimension))
         for r, rng in enumerate(rngs):
             rng.generator.standard_normal(out=noise[r])
-        return rowwise(np.asarray(zs, float), proj) + rowwise(noise, cond.scale)
+        betas = rowwise(np.asarray(zs, float), proj)
+        betas += rowwise(noise, cond.scale)
+        return betas
 
     def log_full_conditional_param(beta, xtzs):
-        # the conditional mean s (X'X)^{-1} X'z is the covariance times X'z
+        # the conditional mean c (X'X)^{-1} X'z is the covariance times X'z
         means = rowwise(np.asarray(xtzs, float), cond.covariance)
         return cond.logpdf_many(np.asarray(beta, float) - means)
 

@@ -66,6 +66,15 @@ class TestMvnParams:
         assert np.allclose(draws.mean(axis=0), [1.0, -1.0], atol=0.02)
         assert np.allclose(np.cov(draws, rowvar=False), cov, atol=0.03)
 
+    def test_cached_log_norm_gives_the_formula_bits(self):
+        cov = np.array([[2.0, 0.6, 0.1], [0.6, 1.0, -0.2], [0.1, -0.2, 0.5]])
+        params = MvnParams(np.array([1.0, -1.0, 0.5]), cov)
+        thetas = RngStream(5, 0).standard_normal((7, 3))
+        u = params.whiten(thetas)
+        formula = (-0.5 * (3 * np.log(2.0 * np.pi) + params.log_det)
+                   - 0.5 * (u * u).sum(axis=-1))
+        assert params.logpdf_many(thetas).tobytes() == formula.tobytes()
+
     def test_singular_covariance_factors(self):
         # rank-1 covariance goes through the eigendecomposition fallback
         cov = np.outer([1.0, 2.0], [1.0, 2.0])

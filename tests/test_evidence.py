@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bayescomp.core import MvnParams, RngStream
+from bayescomp.core import MvnParams, RngStream, log_sum_exp
+from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.evidence import (
     BridgeError,
     EvidenceEstimate,
@@ -25,8 +26,10 @@ from bayescomp.evidence import (
     newton_raftery_hm,
     prior_proposal,
 )
+from bayescomp.mcmc import probit_gibbs_run
 from bayescomp.model import BayesModel, LatentCompletion, log_posterior
 from bayescomp.montecarlo import GaussianProposal
+from bayescomp.probit import probit_bayes_model
 
 Y_OBS = 0.5
 
@@ -264,6 +267,30 @@ class TestHarmonicGd:
                                    sample, phi)
         assert shifted.log_value - base.log_value == pytest.approx(7.5, abs=1e-10)
         assert shifted.std_error == pytest.approx(base.std_error, abs=1e-10)
+
+    def test_target_evaluated_only_inside_the_ellipsoid(self):
+        # a draw outside adds a -inf term whatever its target value; with a
+        # row-stable target, skipping those rows leaves every bit in place
+        pima = load_pima(bundled_pima_path())
+        target = probit_bayes_model(pima)
+        chain, _ = probit_gibbs_run(pima, 800, RngStream(seed=57, stream_id=0))
+        sample = chain.states
+        phi = PhiSpec.from_sample(sample, coverage=0.25)
+        seen = []
+
+        def recording(th):
+            seen.append(th.copy())
+            return log_posterior(target, th)
+
+        est = harmonic_mean_gd(recording, sample, phi)
+        log_phi = phi.log_density_many(sample)
+        inside = log_phi > -np.inf
+        assert 0 < inside.sum() < len(sample)
+        assert len(seen) == 1 and seen[0].tobytes() == sample[inside].tobytes()
+        every_row = log_phi - log_posterior(target, sample)
+        expected = -(log_sum_exp(every_row) - np.log(len(sample)))
+        assert np.float64(est.log_value).tobytes() == np.float64(expected).tobytes()
+        assert est.n_draws == len(sample)
 
     def test_too_few_points_in_ellipsoid(self):
         model, post, _ = conjugate(2.0)

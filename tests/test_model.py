@@ -74,3 +74,36 @@ def test_rows_evaluated_independently():
     thetas = RngStream(2, 0).standard_normal((5, 2))
     batch = log_posterior(m, thetas)
     assert np.array_equal(batch, [log_posterior(m, t[None, :])[0] for t in thetas])
+
+
+def test_prior_minus_inf_rows_never_reach_the_likelihood():
+    seen = []
+
+    def loglik(t):
+        seen.append(t.copy())
+        return np.zeros(len(t))
+
+    m = BayesModel(1, lambda t: np.where(t[:, 0] > 0, 0.0, -np.inf), loglik)
+    thetas = np.array([[1.0], [-1.0], [2.0], [-3.0]])
+    out = log_posterior(m, thetas)
+    assert np.array_equal(out, [0.0, -np.inf, 0.0, -np.inf])
+    assert len(seen) == 1 and np.array_equal(seen[0], [[1.0], [2.0]])
+
+
+def test_nan_prior_raises_beside_minus_inf_rows():
+    m = BayesModel(1, lambda t: np.array([np.nan, -np.inf]), lambda t: np.zeros(len(t)))
+    with pytest.raises(FloatingPointError):
+        log_posterior(m, np.zeros((2, 1)))
+
+
+def test_likelihood_of_the_wrong_shape_raises():
+    m = BayesModel(1, lambda t: np.zeros(len(t)), lambda t: np.zeros((len(t), 1)))
+    with pytest.raises(ValueError, match="densities map"):
+        log_posterior(m, np.zeros((3, 1)))
+
+
+def test_prior_values_are_not_written_to():
+    prior = np.array([0.5, -np.inf])
+    m = BayesModel(1, lambda t: prior, lambda t: np.ones(len(t)))
+    assert np.array_equal(log_posterior(m, np.zeros((2, 1))), [1.5, -np.inf])
+    assert np.array_equal(prior, [0.5, -np.inf])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from bayescomp.core import MvnParams, RngStream
+from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
+from bayescomp.model import log_posterior
 from bayescomp.probit import (
     NonConvergenceError,
     ProbitModel,
@@ -16,6 +17,7 @@ from bayescomp.probit import (
     probit_loglik,
     probit_abc_summary,
     probit_loglik_many,
+    probit_bayes_model,
     probit_mle,
     probit_simulate,
     probit_summary_whitener,
@@ -27,6 +29,15 @@ from bayescomp.probit import (
 @pytest.fixture(scope="module")
 def pima():
     return load_pima(bundled_pima_path())
+
+
+@pytest.fixture(scope="module", params=[3, 2], ids=["pima3", "pima2"])
+def pima_models(request, pima):
+    """Both pima models; the 2-covariate design is the non-contiguous view
+    of the first two columns, as the evidence comparison builds it."""
+    if request.param == 3:
+        return pima
+    return ProbitModel(design=pima.design[:, :2], response=pima.response)
 
 
 def synthetic_model(seed=0, n=200, p=2):
@@ -57,6 +68,17 @@ class TestLoglik:
         singles = [probit_loglik(pima, b) for b in betas]
         assert np.allclose(probit_loglik_many(pima, betas), singles,
                            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("R", [1, 20, 64])
+    def test_log_posterior_rows_match_one_row_calls(self, pima_models, R):
+        # row-stable: a row's value does not depend on the batch around it
+        target = probit_bayes_model(pima_models)
+        beta, cov = probit_mle(pima_models)
+        betas = beta + RngStream(12, R).standard_normal((R, beta.shape[0])) \
+            @ np.linalg.cholesky(4.0 * cov).T
+        batch = log_posterior(target, betas)
+        singles = np.array([log_posterior(target, b[None, :])[0] for b in betas])
+        assert batch.tobytes() == singles.tobytes()
 
     def test_extreme_beta_finite(self, pima):
         # log-cdf path keeps huge linear predictors finite
@@ -133,6 +155,22 @@ class TestLatentCompletion:
                                       [RngStream(5, 0)])[0]
         pos = pima.response == 1.0
         assert np.all(z[pos] > 0) and np.all(z[~pos] < 0)
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_latents_equal_truncated_normal_vector(self, pima_models, R):
+        # at six times the MLE some s_i x_i'beta fall below -5, so the tail
+        # rejection runs as well as the inverse CDF
+        beta, _ = probit_mle(pima_models)
+        betas = np.outer([6.0, 1.0, 3.0][:R], beta)
+        eta = pima_models.signs * rowwise(betas, pima_models.design)
+        assert np.any(eta < -5.0)
+        fused = [RngStream(31, r) for r in range(R)]
+        direct = [RngStream(31, r) for r in range(R)]
+        z = probit_latent_completion(pima_models).sample_latents(betas, fused)
+        ref = truncated_normal_vector(rowwise(betas, pima_models.design),
+                                      pima_models.response == 1, direct)
+        assert z.tobytes() == ref.tobytes()
+        assert [r.counter for r in fused] == [r.counter for r in direct]
 
     def test_param_conditional_is_normalised_gaussian(self, pima):
         completion = probit_latent_completion(pima)
