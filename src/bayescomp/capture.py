@@ -15,6 +15,11 @@ and the block is redrawn whole while N exceeds n_max.  q given (r1, r2) is
 Beta.  Every draw is exact, from a closed form or a table built once per
 model, and there is no Metropolis step.  The four full conditionals of the
 single-site sweep stay available as the tested reference.
+
+The sampler runs R chains in lockstep, one stream per chain: the pair
+weights of every chain come from one product and one CDF, and each chain
+then draws on its own stream in the order of a single chain, so it is
+bit-identical to a run of its own.  A single chain is the case R = 1.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln
 
-from .core import RngStream, categorical_cdf, log_sum_exp, sample_categorical_many
+from .core import RngStream, categorical_cdf, log_sum_exp, rowwise, sample_categorical_many
 
 __all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
-           "n_max_tail_mass"]
+           "capture_gibbs_lockstep", "n_max_tail_mass"]
 
 _NB_TRIES = 64  # rejection cap for the N draw and the (r1, r2, p, N) block
 _TAIL_WARN = 1e-6  # mass of N | p beyond n_max that raises a warning
@@ -142,12 +147,17 @@ def _removal_table(model: CaptureModel):
 
 
 def _pair_log_weights(log_base, counts, logs):
-    """log_base + counts @ logs with the 0 * log 0 = 0 convention: only a
-    pair that counts an impossible event gets weight zero."""
+    """log_base + counts @ row for each row of the (R, k) `logs`, as an
+    (R, pairs) array whose rows are bit-identical to one-row calls
+    (`rowwise`), with the 0 * log 0 = 0 convention: only a pair that counts
+    an impossible event gets weight zero."""
+    # -inf is the only non-finite log-probability; a list scan finds it
+    # faster than a numpy reduction over these few entries
+    if -np.inf not in logs.ravel().tolist():
+        return log_base + rowwise(logs, counts)
     finite = np.isfinite(logs)
-    logw = log_base + counts @ np.where(finite, logs, 0.0)
-    if not finite.all():
-        logw[(counts[:, ~finite] > 0).any(axis=1)] = -np.inf
+    logw = log_base + rowwise(np.where(finite, logs, 0.0), counts)
+    logw[~finite @ (counts > 0).T] = -np.inf
     return logw
 
 
@@ -197,8 +207,8 @@ def capture_gibbs_conditionals(model: CaptureModel):
     def sample_removals(state, rng):
         p, q = state["p"], state["q"]
         with np.errstate(divide="ignore"):
-            logs = np.array([np.log1p(-p), np.log(q), np.log1p(-q)])
-        idx = sample_categorical_many(_pair_log_weights(log_coef, counts, logs), 1, rng)[0]
+            logs = np.array([[np.log1p(-p), np.log(q), np.log1p(-q)]])
+        idx = sample_categorical_many(_pair_log_weights(log_coef, counts, logs)[0], 1, rng)[0]
         return int(pairs[idx, 0]), int(pairs[idx, 1])
 
     def sample_N(state, rng):
@@ -229,7 +239,7 @@ def _warn_truncation(model: CaptureModel):
 
 
 def _removal_block(model: CaptureModel, sample_p):
-    """Sampler of the block (r1, r2, p, N) given q.
+    """Sampler of the block (r1, r2, p, N) given q, for R chains at once.
 
     Summed over N >= n1 against the 1/N prior, the likelihood leaves a pair
     p^(c2+c3) (1-p)^A, A the survivors missed at the two recaptures, so with
@@ -241,9 +251,14 @@ def _removal_block(model: CaptureModel, sample_p):
     law directly: the pair weighted by its kept beta-negative-binomial mass,
     N - n1 by inverse CDF, then p from its full conditional ``sample_p``.
 
-    Returns draw(q, rng) -> (r1, r2, p, N, refused), refused counting the
-    proposals turned down because N > n_max.  Warns as ``sample_N`` does
-    when more than 1e-6 of N | p lies beyond n_max at the drawn p.
+    Returns draw(qs, rngs) -> a list of R = len(rngs) tuples (r1, r2, p, N,
+    refused), one per chain, refused counting the proposals turned down
+    because N > n_max.  The pair weights of all chains come from one
+    product and one CDF; chain r then draws given qs[r] from ``rngs[r]``
+    alone, as a one-chain call would.  Warns as ``sample_N`` does when more
+    than 1e-6 of N | p lies beyond n_max at a drawn p.  If some chain's q
+    leaves no pair possible, the call raises `DegenerateWeightsError` for
+    all of them.
     """
     n1 = model.n1
     k_max = model.n_max - n1
@@ -255,6 +270,7 @@ def _removal_block(model: CaptureModel, sample_p):
     # the tail mass beyond n_max falls as p grows: it passes the warning
     # level exactly where p crosses this threshold
     p_warn = 1.0 - betaincinv(k_max + 1, n1, _TAIL_WARN)
+    pair_list = [(int(r1), int(r2)) for r1, r2 in pairs]
     truncated = {}  # tables of the exact route, built on its first use
 
     def log_bnb_pmf(b_pair):
@@ -273,46 +289,62 @@ def _removal_block(model: CaptureModel, sample_p):
         r1, r2 = pairs[idx]
         return idx, sample_p({"N": n1 + k, "r1": r1, "r2": r2}, rng), k
 
-    def draw(q, rng):
-        logs = np.array([math.log(q) if q > 0.0 else -math.inf,
-                         math.log1p(-q) if q < 1.0 else -math.inf])
+    def draw(qs, rngs):
+        logs = np.array([[math.log(q) if q > 0.0 else -math.inf,
+                          math.log1p(-q) if q < 1.0 else -math.inf] for q in qs])
         logw = _pair_log_weights(log_base, q_counts, logs)
-        cum = categorical_cdf(logw)  # one CDF for every try of this draw
-        gen = rng.generator
-        for refused in range(_NB_TRIES):
-            idx = cum.searchsorted(rng.uniform(1) * cum[-1], side="right")[0]
-            p = gen.beta(a, b[idx])
-            k = gen.negative_binomial(n1, p)
-            if k <= k_max:
-                break
-        else:
-            refused = _NB_TRIES
-            idx, p, k = draw_truncated(logw, rng)
-        if p < p_warn:
-            _warn_truncation(model)
-        return int(pairs[idx, 0]), int(pairs[idx, 1]), float(p), n1 + int(k), refused
+        cum = categorical_cdf(logw)  # one CDF row per chain, for every try of its draw
+        drawn = []
+        for r, rng in enumerate(rngs):
+            row, gen = cum[r], rng.generator
+            for refused in range(_NB_TRIES):
+                idx = row.searchsorted(gen.random() * row[-1], side="right")
+                p = gen.beta(a, b[idx])
+                k = gen.negative_binomial(n1, p)
+                if k <= k_max:
+                    break
+            else:
+                refused = _NB_TRIES
+                idx, p, k = draw_truncated(logw[r], rng)
+            if p < p_warn:
+                _warn_truncation(model)
+            drawn.append((*pair_list[idx], float(p), n1 + int(k), refused))
+        return drawn
 
     return draw
 
 
-def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream) -> dict:
-    """Two-block Gibbs over ((r1, r2, p, N), q).
+_KEYS = ("N", "p", "q", "r1", "r2", "refused")
+
+
+def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> dict:
+    """Two-block Gibbs over ((r1, r2, p, N), q): R = len(rngs) chains in
+    lockstep, chain r drawing from ``rngs[r]`` alone.
 
     Each sweep draws (r1, r2) given q with p and N integrated out, then
     (p, N) given (r1, r2) jointly and exactly (see `_removal_block`), then
-    q given (r1, r2).  q starts at 0.5; the first block reads nothing
-    else.  Returns arrays of the states, one entry per sweep,
-    keyed N, p, q, r1, r2, plus ``refused``: the block proposals of each
-    sweep turned down because N exceeded n_max.
+    q given (r1, r2) from its Beta full conditional.  q starts at 0.5; the
+    first block reads nothing else.  Chain r draws in the order of a single
+    chain, so it is bit-identical to `capture_gibbs_run` on its stream.
+    Returns (R, n_iter) arrays of the states, one column per sweep, keyed
+    N, p, q, r1, r2, plus ``refused``: the block proposals of each sweep
+    turned down because N exceeded n_max.
     """
-    cond = capture_gibbs_conditionals(model)
-    block = _removal_block(model, cond["p"])
-    state = {"q": 0.5}
-    out = {k: np.empty(n_iter) for k in ("N", "p", "q", "r1", "r2", "refused")}
+    n1 = model.n1
+    block = _removal_block(model, capture_gibbs_conditionals(model)["p"])
+    gens = [rng.generator for rng in rngs]
+    q = [0.5] * len(rngs)
+    out = np.empty((len(_KEYS), len(rngs), n_iter))
     for t in range(n_iter):
-        state["r1"], state["r2"], state["p"], state["N"], refused = block(state["q"], rng)
-        state["q"] = cond["q"](state, rng)
-        for k in ("N", "p", "q", "r1", "r2"):
-            out[k][t] = state[k]
-        out["refused"][t] = refused
-    return out
+        for r, (r1, r2, p, N, refused) in enumerate(block(q, rngs)):
+            # q | (r1, r2) ~ Beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
+            q[r] = gens[r].beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
+            out[:, r, t] = N, p, q[r], r1, r2, refused
+    return dict(zip(_KEYS, out))
+
+
+def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream) -> dict:
+    """One chain of `capture_gibbs_lockstep` on stream `rng`: 1-D arrays of
+    the states, one entry per sweep, keyed N, p, q, r1, r2 and
+    ``refused``."""
+    return {k: v[0] for k, v in capture_gibbs_lockstep(model, n_iter, [rng]).items()}

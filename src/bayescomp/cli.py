@@ -7,10 +7,11 @@ runs add a ``replicates.csv`` (one row per replicate, the raw material of
 the usual boxplot comparisons).  Outputs are deterministic functions of
 (config, seed) up to the recorded runtime; replicate r runs on the stream
 with id r, so replicates are reproducible in isolation.  Replicates run on
-the calling thread; there is no thread setting.  `gibbs` advances all R
-replicate chains in lockstep, one stream per chain, in a single run whose
-row 0 is the main run; every other experiment runs its replicates one after
-another.
+the calling thread; there is no thread setting.  `gibbs` and `capture`
+advance all R replicate chains in lockstep, one stream per chain, in a
+single run whose row 0 is the main run, and such a run fails as a whole;
+every other experiment runs its replicates one after another, recording a
+failed replicate and going on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .abc import AbcConfig, probit_abc
-from .capture import CaptureModel, capture_gibbs_run, n_max_tail_mass
+from .capture import CaptureModel, capture_gibbs_lockstep, capture_gibbs_run, n_max_tail_mass
 from .core import RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
@@ -179,12 +180,11 @@ def _run_gibbs(config, rng):
     return _chain_result(chain, config["covariates"], config)
 
 
-def _replicate_gibbs(config):
-    """All replicates as one lockstep run, chain r on the stream with id r.
+def _replicate_gibbs(config, rngs):
+    """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
     Returns the main run's result (chain 0) and the estimates of the
     other chains, which get no diagnostics."""
     model = _pima_model(config, config["covariates"])
-    rngs = [RngStream(config["seed"], r) for r in range(config["replicates"])]
     states, _ = probit_gibbs_lockstep(model, config["iterations"], rngs)
     names = config["covariates"]
     result = _chain_result(gibbs_chain(states[0]), names, config)
@@ -305,15 +305,24 @@ def _run_abc(config, rng):
     return estimates, {}, diagnostics, draws
 
 
-def _run_capture(config, rng):
+def _capture_model(config) -> CaptureModel:
     kwargs = {"n1": config["n1"], "c2": config["c2"], "c3": config["c3"]}
     if config["n_max"] is not None:
         kwargs["n_max"] = config["n_max"]
-    model = CaptureModel(**kwargs)
-    out = capture_gibbs_run(model, config["iterations"], rng)
-    names = ["N", "p", "q", "r1", "r2"]
-    states = _postprocess(np.column_stack([out[k] for k in names]), config)
-    estimates = _chain_estimates(states, names)
+    return CaptureModel(**kwargs)
+
+
+_CAPTURE_NAMES = ("N", "p", "q", "r1", "r2")
+
+
+def _capture_states(out, config):
+    """The kept states of one capture chain, `out` its dict of 1-D arrays."""
+    return _postprocess(np.column_stack([out[k] for k in _CAPTURE_NAMES]), config)
+
+
+def _capture_result(model, out, config):
+    states = _capture_states(out, config)
+    estimates = _chain_estimates(states, _CAPTURE_NAMES)
     # the largest mass of N | p beyond n_max over the kept sweeps, so a
     # truncation that matters shows in the summary and not only on stderr
     tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
@@ -321,7 +330,23 @@ def _run_capture(config, rng):
     refusals = int(_postprocess(out["refused"], config).sum())
     diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail,
                    "n_max_refusals": refusals}
-    return estimates, {}, diagnostics, (names, states)
+    return estimates, {}, diagnostics, (list(_CAPTURE_NAMES), states)
+
+
+def _run_capture(config, rng):
+    model = _capture_model(config)
+    return _capture_result(model, capture_gibbs_run(model, config["iterations"], rng), config)
+
+
+def _replicate_capture(config, rngs):
+    """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
+    Returns the main run's result (chain 0) and the estimates of the
+    other chains, which get no diagnostics."""
+    model = _capture_model(config)
+    out = capture_gibbs_lockstep(model, config["iterations"], rngs)
+    first, *others = ({k: v[r] for k, v in out.items()} for r in range(len(rngs)))
+    return _capture_result(model, first, config), [
+        _chain_estimates(_capture_states(chain, config), _CAPTURE_NAMES) for chain in others]
 
 
 def _run_mixture_demo(config, rng):
@@ -354,6 +379,12 @@ _RUNNERS = {
     "mixture-demo": _run_mixture_demo,
 }
 
+# experiments whose replicates run as one lockstep call over all R streams
+_LOCKSTEP_REPLICATES = {
+    "gibbs": _replicate_gibbs,
+    "capture": _replicate_capture,
+}
+
 
 def run_experiment(experiment: str, config: dict, stream_id: int = 0):
     """One resolved-config run on the given stream.  Returns
@@ -366,7 +397,7 @@ def replicate(experiment: str, config: dict):
     """Run replicates 1..R-1 in stream order on the calling thread
     (replicate 0 is the main run on stream 0); failures are recorded per
     replicate and do not stop the rest.  This is the path of experiments
-    without a lockstep runner."""
+    without a lockstep runner (`_LOCKSTEP_REPLICATES`)."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
@@ -472,8 +503,9 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         start = time.monotonic()
         n_rep = config["replicates"]
-        if n_rep > 1 and args.experiment == "gibbs":
-            result, others = _replicate_gibbs(config)
+        if n_rep > 1 and args.experiment in _LOCKSTEP_REPLICATES:
+            rngs = [RngStream(config["seed"], r) for r in range(n_rep)]
+            result, others = _LOCKSTEP_REPLICATES[args.experiment](config, rngs)
             rows = [{"replicate": r, "status": "ok", "estimates": est}
                     for r, est in enumerate(others, start=1)]
         else:

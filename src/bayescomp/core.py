@@ -287,14 +287,17 @@ def sample_categorical(log_weights, rng: RngStream) -> int:
 
 
 def categorical_cdf(log_weights) -> np.ndarray:
-    """Unnormalised cumulative weights of a categorical law: the weights
-    shifted by their maximum, exponentiated and summed.  A uniform u draws
-    ``cum.searchsorted(u * cum[-1], side="right")``."""
+    """Unnormalised cumulative weights of a categorical law, or of one law
+    per row of a 2-D array: the weights shifted by their maximum,
+    exponentiated and summed along the last axis, each row bit-identical to
+    a one-law call.  A uniform u draws ``cum.searchsorted(u * cum[-1],
+    side="right")``."""
     lw = np.asarray(log_weights, dtype=float)
-    top = lw.max(initial=-np.inf)
-    if top == -np.inf:
+    top = lw.max(axis=-1, keepdims=True, initial=-np.inf)
+    # a list scan: cheaper than a numpy reduction over a few rows
+    if -np.inf in top.ravel().tolist():
         raise DegenerateWeightsError("all categorical weights are zero")
-    return np.exp(lw - top).cumsum()
+    return np.exp(lw - top).cumsum(axis=-1)
 
 
 def sample_categorical_many(log_weights, n: int, rng: RngStream) -> np.ndarray:

@@ -99,12 +99,25 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
     """log sum_j exp(log_weights[j]) K(points_i - centers_j) for each point,
     K the density of `kernel`.  Points and centres (shifted by the kernel
     mean) are whitened once, so a block of points needs only differences of
-    whitened rows; blocks keep the (block x centres) table bounded."""
+    whitened rows; blocks keep the (block x centres) table bounded.
+
+    The squared distances build up one coordinate at a time in a (block x
+    centres) table, a left fold that gives the bits of summing the (block
+    x centres x p) squares over their last axis, without that table."""
     whitened_centers = kernel.params.whiten(np.atleast_2d(centers) + kernel.params.mean)
 
     def block(chunk):
-        lk = kernel.params.logpdf_whitened(chunk[:, None, :] - whitened_centers[None, :, :])
-        return log_sum_exp(lk + log_weights[None, :], axis=1)
+        lk = np.subtract.outer(chunk[:, 0], whitened_centers[:, 0])
+        lk *= lk
+        for j in range(1, chunk.shape[1]):
+            d = np.subtract.outer(chunk[:, j], whitened_centers[:, j])
+            d *= d
+            lk += d
+        # in place, the bits of log_norm - 0.5 * lk + log_weights
+        lk *= -0.5
+        lk += kernel.params.log_norm
+        lk += log_weights
+        return log_sum_exp(lk, axis=1)
 
     return map_rows(block, kernel.params.whiten(points))
 

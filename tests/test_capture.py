@@ -16,6 +16,7 @@ from bayescomp.capture import (
     CaptureModel,
     _removal_block,
     capture_gibbs_conditionals,
+    capture_gibbs_lockstep,
     capture_gibbs_run,
     capture_loglik,
     n_max_tail_mass,
@@ -256,7 +257,7 @@ class TestBlockedScan:
         rng = RngStream(seed, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            draws = np.array([block(q, rng) for _ in range(2000)])
+            draws = np.array([block([q], [rng])[0] for _ in range(2000)])
         r1, r2, N, logw = _block_log_weights(m, q)
         size = m.n_max + 1
 
@@ -275,9 +276,10 @@ class TestBlockedScan:
 
     def test_mixing_floor_at_defaults(self, eurodip):
         # the single-site scan reads a smallest ESS of 600-777 here
-        for seed in (1, 2, 3):
-            out = capture_gibbs_run(eurodip, 20_000, RngStream(seed, 0))
-            states = np.column_stack([out[k] for k in ("N", "p", "q", "r1", "r2")])
+        seeds = (1, 2, 3)
+        out = capture_gibbs_lockstep(eurodip, 20_000, [RngStream(seed, 0) for seed in seeds])
+        for r, seed in enumerate(seeds):
+            states = np.column_stack([out[k][r] for k in ("N", "p", "q", "r1", "r2")])
             ess = chain_diagnostics(Chain(states, None, 0, 0))["chain_ess"]
             assert np.min(ess) >= 1000, (seed, ess)
 
@@ -313,3 +315,55 @@ class TestBlockedScan:
             warnings.simplefilter("error")
             out = capture_gibbs_run(eurodip, 2000, RngStream(37, 0))
         assert not out["refused"].any()
+
+
+class TestLockstep:
+    """R chains in lockstep are R standalone chains, bit for bit."""
+
+    @pytest.mark.parametrize("counts", [
+        (22, 11, 6, None),  # the defaults: no proposal refused
+        (8, 1, 0, 9),  # most sweeps refuse some proposals
+        (22, 0, 0, 24),  # refusals nearly every sweep, the exact route often
+    ])
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_rows_equal_standalone_runs(self, counts, n_chains):
+        m = CaptureModel(*counts)
+        rngs = [RngStream(40 + r, r) for r in range(n_chains)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = capture_gibbs_lockstep(m, 300, rngs)
+            for r in range(n_chains):
+                alone = RngStream(40 + r, r)
+                one = capture_gibbs_run(m, 300, alone)
+                for k, v in one.items():
+                    assert v.shape == (300,)
+                    assert np.array_equal(out[k][r], v), (k, r)
+                assert rngs[r].counter == alone.counter
+        if counts[3] == 24:
+            assert (out["refused"] == _NB_TRIES).any(axis=1).all()
+
+    def test_block_rows_at_boundary_q_equal_one_chain_calls(self):
+        # q = 0 and q = 1 zero every pair that counts an impossible event
+        # (the 0 log 0 rule); with c2 = c3 = 0 each leaves one pair
+        m = CaptureModel(8, 0, 0)
+        block = _removal_block(m, capture_gibbs_conditionals(m)["p"])
+        qs = [0.0, 0.4, 1.0]
+        rngs = [RngStream(50, r) for r in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # small p at q = 1
+            rows = block(qs, rngs)
+            for r, q in enumerate(qs):
+                alone = RngStream(50, r)
+                assert rows[r] == block([q], [alone])[0]
+                assert rngs[r].counter == alone.counter
+        assert rows[0][:2] == (0, 0) and rows[2][:2] == (m.n1, 0)
+
+    def test_one_impossible_chain_fails_the_call(self, eurodip):
+        # with c2 > 0, q = 1 leaves no pair: the whole call raises, before
+        # any chain draws
+        block = _removal_block(eurodip, capture_gibbs_conditionals(eurodip)["p"])
+        rngs = [RngStream(51, r) for r in range(2)]
+        fresh = [rng.counter for rng in rngs]
+        with pytest.raises(DegenerateWeightsError):
+            block([0.4, 1.0], rngs)
+        assert [rng.counter for rng in rngs] == fresh

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bayescomp import cli
+from bayescomp.capture import capture_gibbs_lockstep
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
 from bayescomp.core import RngStream
 from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_lockstep
@@ -163,19 +164,24 @@ class TestOutputs:
         assert len(means) == 3
 
     def test_replicates_reuse_the_main_run(self, tmp_path, monkeypatch):
-        # gibbs: one lockstep run over streams 0..R-1, whose chain 0 is the
-        # main run; capture: the main run plus one run per other stream
+        # gibbs and capture: one lockstep run over streams 0..R-1, whose
+        # chain 0 is the main run
         streams = []
 
         def lockstep(model, n_iter, rngs, keep_xtz=False):
             streams.extend(rng.stream_id for rng in rngs)
             return probit_gibbs_lockstep(model, n_iter, rngs, keep_xtz)
 
+        def capture_lockstep(model, n_iter, rngs):
+            streams.extend(rng.stream_id for rng in rngs)
+            return capture_gibbs_lockstep(model, n_iter, rngs)
+
         def counting(experiment, config, stream_id=0):
             streams.append(stream_id)
             return run_experiment(experiment, config, stream_id)
 
         monkeypatch.setattr(cli, "probit_gibbs_lockstep", lockstep)
+        monkeypatch.setattr(cli, "capture_gibbs_lockstep", capture_lockstep)
         monkeypatch.setattr(cli, "run_experiment", counting)
         for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
             streams.clear()
@@ -220,6 +226,25 @@ class TestOutputs:
         rows = cli.replicate("capture", config)
         assert [r["status"] for r in rows] == ["ok"] * 3
         assert calls == [(1, me), (2, me), (3, me)]
+
+    @pytest.mark.parametrize("extra", [[], ["--burn-in", "100", "--thin", "2"]])
+    def test_capture_lockstep_writes_the_per_replicate_outputs(
+            self, tmp_path, monkeypatch, extra):
+        # the lockstep replicate run against the main run plus one run per
+        # other stream, the path of experiments without a lockstep runner
+        config = {"iterations": 300, "replicates": 3, "seed": 11}
+        code, lockstep = run_cli(tmp_path, "capture", config, extra, "lockstep")
+        monkeypatch.delitem(cli._LOCKSTEP_REPLICATES, "capture")
+        code_alone, alone = run_cli(tmp_path, "capture", config, extra, "alone")
+        assert code == code_alone == 0
+        for name in ("replicates.csv", "draws.csv"):
+            assert (lockstep / name).read_bytes() == (alone / name).read_bytes()
+        summaries = [json.loads((out / "summary.json").read_text())
+                     for out in (lockstep, alone)]
+        for summary in summaries:
+            del summary["runtime_seconds"]
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["replicates"]["count"] == 3
 
     def test_replicate_rows_reproducible_in_isolation(self, tmp_path):
         config = {"iterations": 150, "replicates": 3, "seed": 4}

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bayescomp.core import DegenerateWeightsError, MvnParams, RngStream
+from bayescomp.core import (CHUNK_ROWS, DegenerateWeightsError, MvnParams, RngStream,
+                            log_sum_exp)
 from bayescomp.montecarlo import (
     GaussianProposal,
     WeightedSample,
@@ -158,6 +159,22 @@ class TestGaussianProposal:
                   for x in points]
         assert np.allclose(kernel_mixture_logpdf(points, centers, log_w, kernel),
                            direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_mixture_bits_equal_the_broadcast_form(self, dim):
+        # the per-coordinate fold against the (points x centres x dim)
+        # table summed over its last axis, on more points than one block
+        rng = RngStream(8, dim)
+        n = 2 * CHUNK_ROWS + 37
+        points = rng.standard_normal((n, dim))
+        centers = rng.standard_normal((50, dim))
+        log_w = rng.standard_normal(50)
+        a = rng.standard_normal((dim, dim))
+        kernel = GaussianProposal(MvnParams(rng.standard_normal(dim), a @ a.T + np.eye(dim)))
+        u = kernel.params.whiten(points)[:, None, :] - kernel.params.whiten(
+            centers + kernel.params.mean)[None, :, :]
+        broadcast = log_sum_exp(kernel.params.logpdf_whitened(u) + log_w[None, :], axis=1)
+        assert np.array_equal(kernel_mixture_logpdf(points, centers, log_w, kernel), broadcast)
 
     def test_from_moments_scale(self):
         base = GaussianProposal.from_moments(np.zeros(1), np.eye(1))
