@@ -37,7 +37,7 @@ from .probit import (
     gprior_logpdf_many,
     probit_abc_summary,
     probit_mle,
-    probit_simulate,
+    probit_simulator,
     probit_summary_whitener,
     sample_gprior,
 )
@@ -312,7 +312,8 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
                n_generations: int = 10) -> AbcPopulation:
     """Sequential ABC for the probit posterior.
 
-    Each proposal simulates pseudo-responses y* ~ Bernoulli(Phi(X beta))
+    Each proposal simulates pseudo-responses y* ~ Bernoulli(Phi(X beta)),
+    through one `probit_simulator` whose scratch the run's blocks share,
     and is summarised by X'y*, whitened once per run by
     X' diag(Phi(1 - Phi)) X at the maximum likelihood estimate; the
     observed response goes through the same map.  The final generation is
@@ -323,7 +324,7 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
 
     sim = SimulableModel(
         sample_prior=lambda n, r: sample_gprior(model, n, r),
-        simulate=lambda betas, r: probit_simulate(model, betas, r),
+        simulate=probit_simulator(model),
         summary=lambda ys: probit_abc_summary(model, ys, whitener),
         log_prior=lambda betas: gprior_logpdf_many(model, betas),
     )

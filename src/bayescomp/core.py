@@ -169,8 +169,11 @@ def log_sum_exp(v, axis=None):
         return -np.inf
     m = np.max(v, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
+    # one temporary, exponentiated in place; `v` itself is left untouched
+    d = np.subtract(v, shift, out=np.empty_like(v))
+    np.exp(d, out=d)
     with np.errstate(divide="ignore"):
-        out = shift + np.log(np.sum(np.exp(v - shift), axis=axis, keepdims=True))
+        out = shift + np.log(np.sum(d, axis=axis, keepdims=True))
     return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 

@@ -81,7 +81,9 @@ class SimulableModel:
     simulation and a summary statistic.  `log_prior` backs the weight and
     acceptance-ratio computations of the likelihood-free samplers.
     `simulate(thetas, rng)` maps (B, p) parameters to B data sets stacked
-    on axis 0, and `summary(data)` maps them to (B, k) summaries."""
+    on axis 0, and `summary(data)` maps them to (B, k) summaries.  The
+    array `simulate` returns may be the simulator's own scratch, valid
+    until its next call, so a caller summarises it at once."""
 
     sample_prior: PriorSampler
     simulate: Callable[[np.ndarray, RngStream], np.ndarray]  # (B, p) -> (B, ...)

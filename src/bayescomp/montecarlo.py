@@ -109,8 +109,9 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
     def block(chunk):
         lk = np.subtract.outer(chunk[:, 0], whitened_centers[:, 0])
         lk *= lk
+        d = np.empty_like(lk)
         for j in range(1, chunk.shape[1]):
-            d = np.subtract.outer(chunk[:, j], whitened_centers[:, j])
+            np.subtract.outer(chunk[:, j], whitened_centers[:, j], out=d)
             d *= d
             lk += d
         # in place, the bits of log_norm - 0.5 * lk + log_weights

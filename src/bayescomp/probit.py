@@ -27,6 +27,7 @@ __all__ = [
     "sample_gprior",
     "probit_latent_completion",
     "probit_xtz",
+    "probit_simulator",
     "probit_simulate",
     "probit_summary_whitener",
     "probit_abc_summary",
@@ -244,11 +245,40 @@ def probit_xtz(model: ProbitModel, zs) -> np.ndarray:
     return rowwise(np.asarray(zs, float), model.design.T)
 
 
+def probit_simulator(model: ProbitModel):
+    """The `simulate(betas, rng)` of one likelihood-free run: pseudo-responses
+    y*_bi ~ Bernoulli(Phi(x_i'beta_b)), one row per row b of the (B, p)
+    `betas`, through the latent form y*_bi = 1{e_bi > -x_i'beta_b} with
+    e_bi standard normal.
+
+    A call draws its B x n normals from `rng` into a scratch array it owns,
+    writes -X beta into a second one and compares them in place, so a run
+    of equal blocks allocates no (B x n) array after its first.  The scratch
+    grows only when a call has more rows than any before it.  The returned
+    array is that scratch: it is valid until the next call.
+    """
+    neg_design_t = np.negative(model.design).T  # the layout of design.T
+    e = neg_eta = np.empty((0, model.n_obs))
+
+    def simulate(betas, rng: RngStream) -> np.ndarray:
+        nonlocal e, neg_eta
+        betas = np.asarray(betas, dtype=float)
+        rows = betas.shape[0]
+        if rows > len(e):
+            e, neg_eta = np.empty((rows, model.n_obs)), np.empty((rows, model.n_obs))
+        ys = e[:rows]
+        rng.generator.standard_normal(out=ys)
+        # -(X beta) bit for bit: negation is exact and rounding symmetric
+        np.matmul(betas, neg_design_t, out=neg_eta[:rows])
+        return np.greater(ys, neg_eta[:rows], out=ys)
+
+    return simulate
+
+
 def probit_simulate(model: ProbitModel, betas, rng: RngStream) -> np.ndarray:
-    """Pseudo-responses y*_bi ~ Bernoulli(Phi(x_i'beta_b)), one row per row b
-    of `betas`, through the latent form y*_bi = 1{x_i'beta_b + e_bi > 0}."""
-    eta = np.asarray(betas, dtype=float) @ model.design.T
-    return (rng.standard_normal(eta.shape) > -eta).astype(float)
+    """One-shot `probit_simulator` call: its scratch is fresh, so the
+    (B, n) pseudo-responses belong to the caller."""
+    return probit_simulator(model)(betas, rng)
 
 
 def probit_summary_whitener(model: ProbitModel, beta) -> np.ndarray:

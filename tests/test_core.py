@@ -144,6 +144,18 @@ class TestLogSumExp:
         assert np.array_equal(rows, [log_sum_exp(r) for r in v])
         assert np.array_equal(log_sum_exp(v.T, axis=0), rows)
 
+    def test_argument_is_left_untouched(self):
+        v = RngStream(13, 0).standard_normal((5, 7)) * 50.0
+        v[1] = -np.inf
+        v[3, ::2] = -np.inf
+        before = v.copy()
+        assert np.isfinite(log_sum_exp(v))
+        assert np.array_equal(v, before)
+        rows = log_sum_exp(v, axis=1)
+        assert np.array_equal(v, before)
+        assert rows[1] == -np.inf
+        assert np.isfinite(np.delete(rows, 1)).all()
+
 
 class TestTruncatedNormal:
     @pytest.mark.parametrize("mu", [0.0, 2.0, -8.0])

@@ -2,6 +2,8 @@
 completion.  The MLE oracle is an independent generic optimiser run on
 the same log-likelihood."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -20,6 +22,7 @@ from bayescomp.probit import (
     probit_bayes_model,
     probit_mle,
     probit_simulate,
+    probit_simulator,
     probit_summary_whitener,
     probit_xtz,
     sample_gprior,
@@ -211,7 +214,51 @@ class TestLatentCompletion:
         assert np.allclose(draws.mean(axis=0), mean, atol=4 * se)
 
 
+def _latent_form(model, betas, rng):
+    """The pseudo-responses written out in the latent form, allocating."""
+    return (rng.standard_normal((len(betas), model.n_obs))
+            > -(betas @ model.design.T)).astype(float)
+
+
+def _peak_bytes(call):
+    """Peak bytes traced by tracemalloc while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAbcSimulation:
+    @pytest.mark.parametrize("rows", [1, 100, 256, 300])
+    def test_simulate_equals_the_latent_form(self, pima, rows):
+        betas = 2.0 * sample_gprior(pima, rows, RngStream(4, rows))
+        ref_rng, rng = RngStream(5, rows), RngStream(5, rows)
+        ys = probit_simulate(pima, betas, rng)
+        assert np.array_equal(ys, _latent_form(pima, betas, ref_rng))
+        assert ys.dtype == float
+        assert rng.counter == ref_rng.counter
+
+    def test_reused_simulator_equals_one_shot_calls(self, pima):
+        # a shorter block after a longer one must carry none of its rows
+        simulate = probit_simulator(pima)
+        for b, rows in enumerate([256, 100, 0, 300]):
+            betas = 2.0 * sample_gprior(pima, rows, RngStream(6, b))
+            one_rng, rng = RngStream(7, b), RngStream(7, b)
+            ys = simulate(betas, rng)
+            assert ys.shape == (rows, pima.n_obs)
+            assert np.array_equal(ys, probit_simulate(pima, betas, one_rng))
+            assert rng.counter == one_rng.counter
+
+    def test_reused_simulator_allocates_no_block(self, pima):
+        # counts bytes, not seconds: a (256 x n) float block is 680 KB
+        betas = sample_gprior(pima, 256, RngStream(8, 0))
+        simulate = probit_simulator(pima)
+        simulate(betas, RngStream(9, 0))
+        assert _peak_bytes(lambda: simulate(betas, RngStream(9, 1))) < 100_000
+        assert _peak_bytes(lambda: probit_simulate(pima, betas, RngStream(9, 2))) >= 1_300_000
+
     def test_pseudo_data_one_row_per_coefficient_vector(self, pima):
         betas = sample_gprior(pima, 300, RngStream(4, 0))
         ys = probit_simulate(pima, betas, RngStream(5, 0))
