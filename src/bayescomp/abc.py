@@ -5,7 +5,11 @@ Every algorithm compares summary statistics under the euclidean distance;
 raw-data distances are not supported.  Rejection and sequential ABC draw,
 simulate, summarise and measure proposals in blocks of ``core.CHUNK_ROWS``,
 which fixes the stream layout: block b of a generation draws on the one
-stream ``gen_rng.child(b)``, and hits are kept in proposal order.  The
+stream ``gen_rng.child(b)``, and hits are kept in proposal order.  One rule
+bounds them: a generation that wants n hits makes at most ceil(n / 0.01)
+proposals, its last block cut to that budget.  Short of its hits, a
+fixed-tolerance generation raises a `RuntimeError` giving hits, proposals,
+rate, tolerance and generation; a quantile-mode one ends the schedule.  The
 sequential sampler perturbs resampled particles with a Gaussian kernel whose
 covariance is twice the weighted empirical covariance (Beaumont, Cornuet,
 Marin & Robert 2009), and corrects with importance weights
@@ -25,8 +29,8 @@ import numpy as np
 from .core import (
     CHUNK_ROWS,
     DegenerateWeightsError,
-    MvnParams,
     RngStream,
+    categorical_cdf,
     log_sum_exp,
 )
 from .mcmc import Chain
@@ -53,10 +57,8 @@ __all__ = [
     "probit_abc",
 ]
 
-_MAX_PROPOSALS = 10 ** 7
-_MIN_ACCEPT_PROB = 1e-6
-# acceptance rate below which a quantile-mode generation is abandoned and
-# the schedule ends: a budget of n_particles / _ACCEPT_FLOOR proposals
+# acceptance rate below which a generation fails: one that wants n hits
+# makes at most ceil(n / _ACCEPT_FLOOR) proposals
 _ACCEPT_FLOOR = 0.01
 # the sequential sampler's kernel covariance is this multiple of the
 # previous generation's weighted empirical covariance
@@ -115,19 +117,31 @@ def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
     return np.asarray(model.summary(np.asarray(y_obs)[None]), dtype=float)[0]
 
 
-def _accept_in_order(propose, model: SimulableModel, eta_obs, config: AbcConfig,
-                     eps: float, n: int, budget, rng: RngStream, what: str = ""):
-    """The first n of at most `budget` proposals within `eps`, in proposal
-    order: (particles, summaries, distances, proposals made).
+class _TooFewHits(RuntimeError):
+    """A generation fell short of its hits within its proposal budget."""
+
+
+def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
+                     n: int, rng: RngStream, t: int = 0, budget=None):
+    """The first n proposals within `eps`, in proposal order: (particles,
+    summaries, distances, proposals made), or `_TooFewHits` if `budget`
+    proposals, by default ceil(n / _ACCEPT_FLOOR), fall short.
 
     Block b, cut to the budget, draws on ``rng.child(b)``: `propose(size, r)`
     returns the proposals and the mask of those inside the prior's support,
     then one batched simulate, summary and distance covers the rows inside.
     """
+    if budget is None:
+        budget = int(np.ceil(n / _ACCEPT_FLOOR))
     parts = []
     accepted = n_prop = 0
-    while accepted < n and n_prop < budget:
-        size = int(min(CHUNK_ROWS, budget - n_prop))
+    while accepted < n:
+        if n_prop == budget:
+            raise _TooFewHits(
+                f"generation {t}: acceptance probability below {_ACCEPT_FLOOR}: "
+                f"{accepted} accepted in {n_prop} proposals (rate "
+                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
+        size = min(CHUNK_ROWS, budget - n_prop)
         r = rng.child(len(parts))
         thetas, inside = propose(size, r)
         rows = np.flatnonzero(inside)
@@ -137,11 +151,6 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, config: AbcConfig,
         parts.append((thetas[rows[hit]], s[hit], d[hit]))
         accepted += len(hit)
         n_prop += int(rows[hit[-1]]) + 1 if accepted == n else size
-        if n_prop >= _MAX_PROPOSALS and accepted < _MIN_ACCEPT_PROB * n_prop:
-            raise RuntimeError(
-                f"{what}acceptance probability below {_MIN_ACCEPT_PROB}: "
-                f"{accepted} accepted in {n_prop} proposals (rate "
-                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
     particles, summaries, distances = (np.concatenate(a) for a in zip(*parts))
     return particles, summaries, distances, n_prop
 
@@ -151,10 +160,12 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
     """Likelihood-free rejection sampling from the prior.
 
     With a fixed `tolerance`, the first `n_output` proposals to pass the
-    distance test are kept.  With a `quantile`, a single batch of
-    n_output/quantile proposals is ranked and the best n_output kept, which
-    realises the tolerance as an empirical quantile of simulated distances.
-    Block b of proposals is one batched prior draw on ``rng.child(b)``.
+    distance test are kept, or a `RuntimeError` gives the acceptance rate if
+    ceil(n_output / 0.01) proposals fall short.  With a `quantile`, a single
+    batch of n_output/quantile proposals is ranked and the best n_output
+    kept, which realises the tolerance as an empirical quantile of simulated
+    distances.  Block b of proposals is one batched prior draw on
+    ``rng.child(b)``.
     """
     eta_obs = _observed_summary(model, y_obs)
 
@@ -164,14 +175,14 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
     if config.quantile is not None:
         n_pilot = int(np.ceil(config.n_output / config.quantile))
         particles, summaries, distances, n_prop = _accept_in_order(
-            propose, model, eta_obs, config, np.inf, n_pilot, n_pilot, rng)
+            propose, model, eta_obs, np.inf, n_pilot, rng, budget=n_pilot)
         order = np.argsort(distances, kind="stable")[:config.n_output]
         particles, summaries, distances = particles[order], summaries[order], distances[order]
         eps = float(distances.max())
     else:
         eps = float(config.tolerance)
         particles, summaries, distances, n_prop = _accept_in_order(
-            propose, model, eta_obs, config, eps, config.n_output, np.inf, rng)
+            propose, model, eta_obs, eps, config.n_output, rng)
     return AbcPopulation(particles=particles,
                          log_weights=np.zeros(len(particles)),
                          epsilon=eps, t=0, distances=distances,
@@ -182,7 +193,8 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
              n_iter: int, rng: RngStream) -> Chain:
     """Likelihood-free MCMC at a fixed tolerance.
 
-    The chain starts from one rejection-sampler hit on ``rng.child(0)``,
+    The chain starts from one rejection-sampler hit on ``rng.child(0)``
+    (within ceil(1 / 0.01) = 100 prior proposals, or a `RuntimeError`),
     then proposes in parameter space, simulates a fresh summary, and
     accepts on the prior plus proposal ratio gated by the distance
     indicator.  Rejection repeats the previous state.  Iteration t draws
@@ -235,11 +247,11 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
     the simulations of the proposals inside the prior's support; that fixed
     block size keeps runs bit-reproducible for a fixed (seed, config).
     With a fixed `tolerance` instead of a quantile, the schedule is frozen
-    (a degenerate mode useful for validation).  In quantile mode the
-    schedule must strictly decrease, and each generation must accept its
-    n_particles within n_particles / _ACCEPT_FLOOR proposals (an acceptance
-    rate of 1%); the run stops early, returning the finished generations, the
-    moment either fails.
+    (a degenerate mode useful for validation).  Each generation must accept
+    its n_particles within ceil(n_particles / 0.01) proposals, or a fixed-
+    tolerance run raises a `RuntimeError` naming it.  A quantile-mode run
+    also needs a strictly decreasing schedule, and stops early, returning
+    the finished generations, the moment either fails.
     """
     if n_particles < 100:
         raise ValueError("n_particles must be at least 100")
@@ -250,7 +262,6 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
     eta_obs = _observed_summary(model, y_obs)
     populations = [abc_reject(model, y_obs, replace(config, n_output=n_particles),
                               rng.child(0))]
-    budget = np.inf if config.quantile is None else int(np.ceil(n_particles / _ACCEPT_FLOOR))
     for t in range(1, n_generations):
         prev = populations[-1]
         if config.quantile is not None:
@@ -259,22 +270,21 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
                 break
         else:
             eps = float(config.tolerance)
-        w = prev.weighted_sample().normalized_weights()
-        resid = prev.particles - w @ prev.particles
-        cov = _KERNEL_SCALE * (resid * w[:, None]).T @ resid
-        kernel = GaussianProposal(MvnParams(np.zeros(cov.shape[0]), cov))
-        cum = np.cumsum(w)
-        cum[-1] = 1.0
+        _, cov = prev.weighted_sample().moments()
+        kernel = GaussianProposal.from_moments(np.zeros(len(cov)), cov, _KERNEL_SCALE)
+        cum = categorical_cdf(prev.log_weights)
 
         def propose(size, r):
-            ancestors = np.searchsorted(cum, r.uniform(size), side="right")
+            ancestors = cum.searchsorted(r.uniform(size) * cum[-1], side="right")
             thetas = prev.particles[ancestors] + kernel.draw_many(size, r)
             return thetas, np.asarray(model.log_prior(thetas)) > -np.inf
 
-        particles, summaries, distances, n_prop = _accept_in_order(
-            propose, model, eta_obs, config, eps, n_particles, budget,
-            rng.child(t), f"generation {t}: ")
-        if len(particles) < n_particles:
+        try:
+            particles, summaries, distances, n_prop = _accept_in_order(
+                propose, model, eta_obs, eps, n_particles, rng.child(t), t)
+        except _TooFewHits:
+            if config.quantile is None:
+                raise
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)

@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import RngStream, log_sum_exp
+from .core import DegenerateWeightsError, RngStream, log_sum_exp
 from .model import BayesModel, log_posterior
-from .montecarlo import GaussianProposal
+from .montecarlo import GaussianProposal, importance_sample
 
 __all__ = [
     "EvidenceEstimate",
@@ -164,23 +164,20 @@ def prior_proposal(model: BayesModel):
     return SimpleNamespace(logpdf_many=model.log_prior, draw_many=model.sample_prior)
 
 
-def _is_log_terms(model: BayesModel, proposal, n: int, rng: RngStream,
-                  label: str) -> np.ndarray:
-    """Per-draw log integrands likelihood + prior - proposal of the
-    normalised-proposal importance estimate of the evidence."""
-    pts = np.atleast_2d(proposal.draw_many(n, rng))
-    terms = log_posterior(model, pts) - np.asarray(proposal.logpdf_many(pts), dtype=float)
-    if not np.any(terms > -np.inf):
-        raise ValueError(f"all importance terms are zero for {label}")
-    return terms
-
-
 def bf_importance(model0: BayesModel, model1: BayesModel, g0, g1,
                   n0: int, n1: int, rng: RngStream) -> EvidenceEstimate:
     """Bayes factor B01 from two normalised-proposal importance estimates
-    of the evidences."""
-    t0 = _is_log_terms(model0, g0, n0, rng.child(0), "model0")
-    t1 = _is_log_terms(model1, g1, n1, rng.child(1), "model1")
+    of the evidences: the log-weights likelihood + prior - proposal of
+    `importance_sample` are the per-draw log integrands."""
+    terms = []
+    for i, (model, g, n) in enumerate([(model0, g0, n0), (model1, g1, n1)]):
+        try:
+            ws = importance_sample(lambda pts, m=model: log_posterior(m, pts),
+                                   g.logpdf_many, g.draw_many, n, rng.child(i))
+        except DegenerateWeightsError as exc:
+            raise ValueError(f"all importance terms are zero for model{i}") from exc
+        terms.append(ws.log_weights)
+    t0, t1 = terms
     log_b = _log_mean_exp(t0) - _log_mean_exp(t1)
     se = float(np.sqrt(_batch_se(t0) ** 2 + _batch_se(t1) ** 2))
     return EvidenceEstimate(log_value=log_b, std_error=se, method="importance",

@@ -59,6 +59,14 @@ class WeightedSample:
     def normalized_weights(self) -> np.ndarray:
         return np.exp(self.log_weights - log_sum_exp(self.log_weights))
 
+    def moments(self):
+        """(mean, covariance) of the points under the normalised weights,
+        the covariance without a small-sample correction."""
+        w = self.normalized_weights()
+        mean = w @ self.points
+        resid = self.points - mean
+        return mean, (resid * w[:, None]).T @ resid
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -178,9 +186,8 @@ def snis_estimate(h, ws: WeightedSample) -> EstimateReport:
     values = _h_values(h, ws.points)
     value = float(np.sum(w * values))
     se = float(np.sqrt(np.sum(w * w * (values - value) ** 2)))
-    sample_ess = float(1.0 / np.sum(w * w))
     degenerate = int(np.sum(ws.log_weights > -np.inf)) == 1
-    return EstimateReport(value=value, std_error=se, ess=sample_ess,
+    return EstimateReport(value=value, std_error=se, ess=ess(ws),
                           n_draws=len(ws), degenerate=degenerate)
 
 

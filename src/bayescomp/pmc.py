@@ -12,14 +12,13 @@ cost via ``density_form="mixture"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     DegenerateWeightsError,
-    MvnParams,
     RngStream,
     log_sum_exp,
     sample_categorical_many,
@@ -102,13 +101,6 @@ def default_kernel_bank(base_covariance) -> KernelBank:
     )
 
 
-def _weighted_moments(points: np.ndarray, norm_weights: np.ndarray):
-    mean = norm_weights @ points
-    resid = points - mean
-    cov = (resid * norm_weights[:, None]).T @ resid
-    return mean, cov
-
-
 def dkernel_update(bank: KernelBank, pop: Population,
                    kernel_assignments: np.ndarray) -> KernelBank:
     """Survival update of the mixture weights: each kernel collects the
@@ -122,7 +114,7 @@ def dkernel_update(bank: KernelBank, pop: Population,
     survival = np.bincount(assignments, weights=w, minlength=bank.n_kernels)
     k = bank.n_kernels
     mixed = _WEIGHT_FLOOR + (1.0 - k * _WEIGHT_FLOOR) * survival / survival.sum()
-    _, cov = _weighted_moments(pop.particles, w)
+    _, cov = pop.weighted_sample().moments()
     return KernelBank(
         scales=bank.scales,
         mixture_log_weights=np.log(mixed),
@@ -131,11 +123,9 @@ def dkernel_update(bank: KernelBank, pop: Population,
 
 
 def _kernel_proposals(bank: KernelBank) -> list:
-    return [
-        GaussianProposal(MvnParams(np.zeros(bank.base_covariance.shape[0]),
-                                   s * bank.base_covariance))
-        for s in bank.scales
-    ]
+    zero = np.zeros(bank.base_covariance.shape[0])
+    return [GaussianProposal.from_moments(zero, bank.base_covariance, s)
+            for s in bank.scales]
 
 
 def _mixture_logpdf(points: np.ndarray, centers: np.ndarray,
@@ -158,7 +148,9 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
     Iteration 0 draws from `q0` (a logpdf_many/draw_many pair); every later
     iteration moves each resampled point with a kernel drawn from the
     bank and reweights by target over proposal.  Multinomial resampling
-    closes each iteration, and the bank adapts between iterations.
+    closes each iteration.  The bank adapts between iterations: iteration
+    0 sets its base covariance, each later one runs `dkernel_update`, and
+    the last one leaves it as it is.
     Returns every `Population` so intermediate behaviour stays
     inspectable.
     """
@@ -172,6 +164,7 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
     points = np.atleast_2d(q0.draw_many(n_particles, rng.child(0)))
     lq = np.asarray(q0.logpdf_many(points), dtype=float)
     lt = log_posterior(target, points)
+    centers = assignments = None
     populations = []
     for t in range(n_iterations):
         try:
@@ -180,22 +173,16 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
             raise DegenerateWeightsError(
                 f"all weights degenerate at iteration {t}") from exc
         resampled = sir_resample(ws, n_particles, rng.child(3 * t + 1))
-        if t == 0:
-            pop = Population(particles=points, log_weights=ws.log_weights,
-                             resampled=resampled, iteration=t)
-            w = ws.normalized_weights()
-            _, cov = _weighted_moments(points, w)
-            bank = KernelBank(scales=bank.scales,
-                              mixture_log_weights=bank.mixture_log_weights,
-                              base_covariance=cov)
-        else:
-            pop = Population(particles=points, log_weights=ws.log_weights,
-                             resampled=resampled, iteration=t,
-                             centers=centers, kernel_indices=assignments)
-            bank = dkernel_update(bank, pop, assignments)
+        pop = Population(particles=points, log_weights=ws.log_weights,
+                         resampled=resampled, iteration=t,
+                         centers=centers, kernel_indices=assignments)
         populations.append(pop)
         if t == n_iterations - 1:
             break
+        if assignments is None:
+            bank = replace(bank, base_covariance=ws.moments()[1])
+        else:
+            bank = dkernel_update(bank, pop, assignments)
 
         try:
             kernels = _kernel_proposals(bank)
@@ -205,20 +192,18 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
                                               n_particles, rng.child(3 * t + 2))
         centers = resampled
         move_rng = rng.child(3 * t + 3)
-        steps = np.empty_like(points)
+        points = np.empty_like(centers)
+        lq = np.empty(n_particles)
         for j, kern in enumerate(kernels):
             mask = assignments == j
             m = int(mask.sum())
             if m:
-                steps[mask] = kern.draw_many(m, move_rng.child(j))
-        points = centers + steps
-        if density_form == "conditional":
-            lq = np.empty(n_particles)
-            for j, kern in enumerate(kernels):
-                mask = assignments == j
-                if mask.any():
+                points[mask] = centers[mask] + kern.draw_many(m, move_rng.child(j))
+                if density_form == "conditional":
+                    # at the stored point's step, point - centre, whose
+                    # rounding can differ from the drawn one's
                     lq[mask] = kern.logpdf_many(points[mask] - centers[mask])
-        else:
+        if density_form == "mixture":
             lq = _mixture_logpdf(points, centers, kernels, bank)
         lt = log_posterior(target, points)
     return populations

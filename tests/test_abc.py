@@ -111,10 +111,9 @@ class TestReject:
             counts.append(pop.n_proposals)
         assert counts[0] >= counts[1] >= counts[2]
 
-    def test_hopeless_tolerance_aborts(self, monkeypatch):
-        # the distance can never reach the tolerance; shrink the proposal
-        # budget so the guard fires in test time
-        monkeypatch.setattr("bayescomp.abc._MAX_PROPOSALS", 5000)
+    def test_hopeless_tolerance_aborts(self):
+        # the distance can never reach the tolerance: the run stops at its
+        # budget of n_output / 1% proposals
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: np.zeros((len(th), 1)),
@@ -125,6 +124,22 @@ class TestReject:
         with pytest.raises(RuntimeError, match="acceptance probability"):
             abc_reject(model, np.array([10.0]), config,
                        RngStream(seed=8, stream_id=0))
+
+    def test_rare_hits_stop_at_the_acceptance_floor(self):
+        # theta itself is the summary, so a tolerance of 0.005 accepts 0.5%
+        # of prior draws: 10 hits would take about 2000 proposals, beyond
+        # the budget of 10 / 1% = 1000
+        model = SimulableModel(
+            sample_prior=lambda n, rng: rng.uniform((n, 1)),
+            simulate=lambda th, rng: th.copy(),
+            summary=lambda ys: ys,
+            log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
+                                          0.0, -np.inf),
+        )
+        config = AbcConfig(n_output=10, tolerance=0.005)
+        with pytest.raises(RuntimeError,
+                           match=r"5 accepted in 1000 proposals \(rate 0\.005\)"):
+            abc_reject(model, np.zeros(1), config, RngStream(seed=17, stream_id=0))
 
 
 class TestMcmc:
@@ -206,6 +221,31 @@ class TestPmc:
         assert np.quantile(pops[-1].distances, 0.5) < pops[-1].epsilon
         assert all(p.n_proposals <= n / _ACCEPT_FLOOR for p in pops)
 
+    def test_generation_below_the_floor_raises(self):
+        # the prior's mass sits on two unit intervals 1000 apart, so the
+        # kernel fitted to generation 0 spans the gap and lands back on
+        # the support about 0.1% of the time; every landing is a hit
+        def sample_prior(n, rng):
+            u = rng.uniform((n, 1))
+            return u + 1000.0 * (u < 0.5)
+
+        def log_prior(th):
+            x = th[:, 0]
+            inside = ((x >= 0.0) & (x <= 1.0)) | ((x >= 1000.0) & (x <= 1001.0))
+            return np.where(inside, 0.0, -np.inf)
+
+        model = SimulableModel(
+            sample_prior=sample_prior,
+            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            summary=lambda ys: ys,
+            log_prior=log_prior,
+        )
+        config = AbcConfig(n_output=100, tolerance=1.0)
+        with pytest.raises(RuntimeError,
+                           match=r"generation 1: acceptance probability .* in 10000 proposals"):
+            abc_pmc(model, np.zeros(1), config, n_particles=100,
+                    n_generations=3, rng=RngStream(seed=26, stream_id=0))
+
     def test_weight_degeneracy_raises(self):
         # deliberately mismatched prior: sampling uniform but weighting by a
         # violently tilted density concentrates all weight on one particle
@@ -277,10 +317,11 @@ class TestBlocks:
                        n_generations=3, rng=RngStream(seed=14, stream_id=0))
         assert [p.n_proposals for p in pops] == [300, 300, 300]
 
-    def test_hopeless_tolerance_reports_its_rate(self, monkeypatch):
-        monkeypatch.setattr("bayescomp.abc._MAX_PROPOSALS", 1000)
+    def test_hopeless_tolerance_reports_its_rate(self):
+        # 10 hits wanted: the budget is 10 / 1% = 1000 proposals, the last
+        # block cut to it
         config = AbcConfig(n_output=10, tolerance=0.0)
-        with pytest.raises(RuntimeError, match="0 accepted in 1024 proposals"):
+        with pytest.raises(RuntimeError, match="0 accepted in 1000 proposals"):
             abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), config,
                        RngStream(seed=15, stream_id=0))
 

@@ -4,15 +4,18 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), plus `gibbs` and `capture`
 with three replicates, once on each tree (each tree's own ``src`` on the path),
 and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
-byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  Prints
-one line per run, and for each differing file the largest absolute and
-relative difference over its numeric fields; exits 1 if any output
-differs or any run fails.
+byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  It also
+runs every ``demos/*.py`` of this checkout from each tree's own ``demos``
+directory and compares their standard output line by line (the demos fix
+their own seeds, so ``--seed`` does not reach them).  Prints one line per
+run, and for each differing file the largest absolute and relative
+difference over its numeric fields, or each differing demo line; exits 1
+if any output differs or any run fails.
 
 Run from anywhere, naming the two checkouts:
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR [--seed 7]
-        [--experiment mwg ...]
+        [--experiment mwg --experiment abc_bernoulli ...]
 """
 
 import argparse
@@ -31,10 +34,12 @@ REPLICATED = ("gibbs", "capture")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
 BYTE_FILES = ("draws.csv", "replicates.csv")
+DEMOS = tuple(sorted(p.stem for p in
+                     (pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py")))
 
 
 def _runs(experiments):
-    """(label, experiment, extra CLI arguments, config) of every run to
+    """(label, experiment, extra CLI arguments, config) of every CLI run to
     compare; config is the JSON object of its ``--config`` file, or None."""
     runs = []
     for e in experiments:
@@ -47,15 +52,47 @@ def _runs(experiments):
     return runs
 
 
+def _python(tree, args):
+    """Run python with `args` on the source tree `tree`; returns the
+    finished process, its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree).resolve() / "src"))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def _run(tree, out, experiment, args, seed):
     """Run one experiment on the source tree `tree`, writing into `out`;
     returns the process's exit code and stderr."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree).resolve() / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bayescomp.cli", experiment, "--seed", str(seed),
-         "--out", str(out), *args],
-        env=env, capture_output=True, text=True)
+    proc = _python(tree, ["-m", "bayescomp.cli", experiment, "--seed", str(seed),
+                          "--out", str(out), *args])
     return proc.returncode, proc.stderr.strip()
+
+
+def _demo_differences(a, b):
+    """'line k: parent | change' for each line of stdout `a` that differs
+    from the same line of `b`."""
+    la, lb = a.splitlines(), b.splitlines()
+    if len(la) != len(lb):
+        return [f"{len(la)} vs {len(lb)} lines"]
+    return [f"line {k}: {x.strip()} | {y.strip()}"
+            for k, (x, y) in enumerate(zip(la, lb), 1) if x != y]
+
+
+def _compare_demo(name, parent, change) -> bool:
+    """Run demo `name` on both trees and print how its stdout compares;
+    True if the two differ or either run fails."""
+    outs = []
+    for side, tree in (("parent", parent), ("change", change)):
+        proc = _python(tree, [str(pathlib.Path(tree).resolve() / "demos" / f"{name}.py")])
+        if proc.returncode != 0:
+            print(f"demo {name}: {side} run failed: {proc.stderr.strip()}")
+            return True
+        outs.append(proc.stdout)
+    diffs = _demo_differences(*outs)
+    print(f"demo {name}: " + ("DIFFERS" if diffs else "identical"))
+    for d in diffs:
+        print(f"  {d}")
+    return bool(diffs)
 
 
 def _summary(path):
@@ -127,13 +164,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="source tree of the parent")
     parser.add_argument("change", help="source tree of the change")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--experiment", action="append", choices=EXPERIMENTS,
-                        help="run only this experiment (repeatable)")
+    parser.add_argument("--experiment", action="append", choices=EXPERIMENTS + DEMOS,
+                        help="run only this experiment or demo (repeatable)")
     args = parser.parse_args(argv)
+    selected = args.experiment or EXPERIMENTS + DEMOS
 
     failed = False
     with tempfile.TemporaryDirectory() as work:
-        for label, experiment, extra, config in _runs(args.experiment or EXPERIMENTS):
+        for label, experiment, extra, config in _runs(
+                [e for e in selected if e in EXPERIMENTS]):
             if config is not None:
                 path = pathlib.Path(work) / (label.replace(" ", "_") + ".json")
                 path.write_text(json.dumps(config), encoding="utf-8")
@@ -152,6 +191,9 @@ def main(argv=None) -> int:
                 print(f"{label}: " + (f"DIFFERS in {', '.join(diffs)}"
                                       if diffs else "identical"))
                 failed = failed or bool(diffs)
+    for name in DEMOS:
+        if name in selected:
+            failed = _compare_demo(name, args.parent, args.change) or failed
     return 1 if failed else 0
 
 
