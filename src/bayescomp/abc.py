@@ -96,7 +96,9 @@ class AbcConfig:
 class AbcPopulation:
     """Accepted particles of one ABC generation, with the summaries and
     distances they achieved and the tolerance in force when they were
-    accepted."""
+    accepted.  `abandoned_proposals` counts the proposals of a later
+    generation that fell short of its hits and was dropped, so that the
+    last population of a run that ended that way accounts for them."""
 
     particles: np.ndarray  # (N, p)
     log_weights: np.ndarray  # (N,)
@@ -105,6 +107,7 @@ class AbcPopulation:
     distances: np.ndarray = field(default=None)
     n_proposals: int = 0
     summaries: np.ndarray = field(default=None)
+    abandoned_proposals: int = 0
 
     def __len__(self):
         return self.particles.shape[0]
@@ -118,7 +121,12 @@ def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
 
 
 class _TooFewHits(RuntimeError):
-    """A generation fell short of its hits within its proposal budget."""
+    """A generation fell short of its hits within its proposal budget;
+    `proposals` is the number of proposals it made."""
+
+    def __init__(self, message: str, proposals: int):
+        super().__init__(message)
+        self.proposals = proposals
 
 
 def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
@@ -140,7 +148,7 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
             raise _TooFewHits(
                 f"generation {t}: acceptance probability below {_ACCEPT_FLOOR}: "
                 f"{accepted} accepted in {n_prop} proposals (rate "
-                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
+                f"{accepted / n_prop:.3g}); tolerance {eps} is too small", n_prop)
         size = min(CHUNK_ROWS, budget - n_prop)
         r = rng.child(len(parts))
         thetas, inside = propose(size, r)
@@ -251,7 +259,9 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
     its n_particles within ceil(n_particles / 0.01) proposals, or a fixed-
     tolerance run raises a `RuntimeError` naming it.  A quantile-mode run
     also needs a strictly decreasing schedule, and stops early, returning
-    the finished generations, the moment either fails.
+    the finished generations, the moment either fails; a generation dropped
+    short of its hits leaves its whole budget in the last one's
+    `abandoned_proposals`.
     """
     if n_particles < 100:
         raise ValueError("n_particles must be at least 100")
@@ -282,9 +292,10 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
         try:
             particles, summaries, distances, n_prop = _accept_in_order(
                 propose, model, eta_obs, eps, n_particles, rng.child(t), t)
-        except _TooFewHits:
+        except _TooFewHits as short:
             if config.quantile is None:
                 raise
+            populations[-1] = replace(prev, abandoned_proposals=short.proposals)
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)

@@ -299,6 +299,7 @@ def _run_abc(config, rng):
     estimates.update({f"sd_{n}": float(s) for n, s in zip(names, sds)})
     diagnostics = {"epsilon": pop.epsilon, "generation": pop.t,
                    "acceptance_rate": len(pop) / pop.n_proposals,
+                   "abandoned_proposals": pop.abandoned_proposals,
                    "ess": ess(pop.weighted_sample())}
     draws = (names + ["log_weight"],
              np.column_stack([pop.particles, pop.log_weights]))

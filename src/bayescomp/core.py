@@ -208,10 +208,11 @@ def _tail_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
     raise RuntimeError("tail rejection failed to terminate")
 
 
-def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
+def truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
     """Standard normal draws t_ri conditioned on t_ri > -eta_ri, for an
     (R, n) array `eta`, row r drawing from stream ``rngs[r]`` alone: eta + t
-    is then N(eta, 1) conditioned positive.
+    is then N(eta, 1) conditioned positive.  The draws are written to `out`,
+    an (R, n) float array, when it is given, else to a new array.
 
     Inverse CDF for eta >= -5, with one uniform per such entry; the
     rejection sampler of `_tail_std_lower` beyond that.  A row draws its
@@ -220,25 +221,28 @@ def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
     time; the inverse CDF covers all R x n entries in one call, in place.
     """
     eta = np.asarray(eta, dtype=float)
-    moderate = eta >= -5.0
-    no_tail = moderate.all()  # the usual block: no row needs its own check
-    t = np.empty_like(eta)
+    t = np.empty_like(eta) if out is None else out
     tails = []
-    for r, rng in enumerate(rngs):
-        if no_tail or moderate[r].all():
-            rng.generator.random(out=t[r])
-        else:
-            mod = moderate[r]
-            t[r] = 0.0  # placeholder for the tail entries, overwritten below
-            t[r, mod] = rng.uniform(np.count_nonzero(mod))
-            tails.append((r, _tail_std_lower(-eta[r, ~mod], rng)))
+    if eta.min(initial=np.inf) >= -5.0:  # the usual block: no tail entry, no mask
+        for rng, row in zip(rngs, t):
+            rng.generator.random(out=row)
+    else:
+        moderate = eta >= -5.0
+        for r, rng in enumerate(rngs):
+            if moderate[r].all():
+                rng.generator.random(out=t[r])
+            else:
+                mod = moderate[r]
+                t[r] = 0.0  # placeholder for the tail entries, overwritten below
+                t[r, mod] = rng.uniform(np.count_nonzero(mod))
+                tails.append((r, ~mod, _tail_std_lower(-eta[r, ~mod], rng)))
     # t = -ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
     np.subtract(1.0, t, out=t)
     t *= special.ndtr(eta)
     special.ndtri(t, out=t)
     np.negative(t, out=t)
-    for r, x in tails:
-        t[r, ~moderate[r]] = x
+    for r, tail, x in tails:
+        t[r, tail] = x
     return t
 
 

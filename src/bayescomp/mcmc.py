@@ -11,14 +11,15 @@ R = 1, and each chain is bit-identical to a run of its own on its stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .core import MvnParams, RngStream
 from .model import BayesModel, log_posterior
-from .probit import (ProbitModel, probit_latent_completion, probit_loglik_rows, probit_mle,
-                     probit_xtz)
+from .probit import ProbitModel, probit_latent_completion, probit_mle, probit_xtz
 
 __all__ = [
     "Chain",
@@ -67,7 +68,7 @@ class RwProposal:
         object.__setattr__(self, "scale", MvnParams(np.zeros(cov.shape[0]), cov).scale)
 
     def draw(self, theta, rng: RngStream):
-        return theta + self.scale @ rng.standard_normal(len(theta))
+        return theta + self.scale @ rng.generator.standard_normal(len(theta))
 
     def log_density(self, to, frm):  # symmetric: contributes nothing to the ratio
         return 0.0
@@ -90,7 +91,7 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
     accept = 0
     for t in range(n_iter):
         cand = np.atleast_1d(np.asarray(proposal.draw(theta, rng), dtype=float))
-        if np.isnan(cand).any():
+        if any(map(math.isnan, cand.tolist())):  # a list scan beats np.isnan here
             raise FloatingPointError("proposal returned NaN")
         lp_cand = float(log_posterior(target, cand[None, :])[0])
         delta = lp_cand - lp
@@ -168,18 +169,22 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     normal random walk and sigma^2 through a log-normal proposal on sigma
     (one inner step per block, which suffices for stationarity).
     `logsigma_step_var` is the variance of the log-sigma increment.  The
-    likelihood is the one-covariate probit log-likelihood at beta / sigma.
+    likelihood is the one-covariate probit log-likelihood at beta / sigma,
+    sum_i log Phi(s_i x_i beta / sigma), evaluated in an (n,) array the run
+    owns: the bits of a one-row `probit_loglik_rows` call.
     """
-    signs = 2.0 * np.asarray(y, dtype=float) - 1.0
-    signed_design = (signs * np.asarray(x, dtype=float))[:, None]
+    signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
+    terms = np.empty_like(signed_x)
 
     def logpost(beta, sigma2):
         if sigma2 <= 0:
             return -np.inf
-        ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
+        np.multiply(signed_x, beta / math.sqrt(sigma2), out=terms)
+        special.log_ndtr(terms, out=terms)
         lp = -2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0
-        return float(ll + lp)
+        return float(terms.sum() + lp)
 
+    gen = rng.generator
     beta, sigma2 = 0.0, 1.0
     lp = logpost(beta, sigma2)
     states = np.empty((n_iter, 2))
@@ -188,17 +193,17 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     sd_beta = np.sqrt(beta_step_var)
     sd_logsigma = np.sqrt(logsigma_step_var)
     for t in range(n_iter):
-        cand = beta + sd_beta * rng.standard_normal()
+        cand = beta + sd_beta * gen.standard_normal()
         lp_cand = logpost(cand, sigma2)
-        if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+        if np.log(1.0 - gen.random()) <= lp_cand - lp:
             beta, lp = cand, lp_cand
             acc_beta += 1
         # log-normal proposal on sigma; in sigma^2 coordinates the proposal
         # ratio contributes log(sigma2_cand / sigma2)
-        sigma2_cand = sigma2 * np.exp(2.0 * sd_logsigma * rng.standard_normal())
+        sigma2_cand = sigma2 * np.exp(2.0 * sd_logsigma * gen.standard_normal())
         lp_cand = logpost(beta, sigma2_cand)
         delta = lp_cand - lp + np.log(sigma2_cand / sigma2)
-        if np.log(1.0 - rng.uniform()) <= delta:
+        if np.log(1.0 - gen.random()) <= delta:
             sigma2, lp = sigma2_cand, lp_cand
             acc_sigma += 1
         states[t] = (beta, sigma2)

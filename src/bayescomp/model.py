@@ -20,6 +20,7 @@ memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,7 +68,9 @@ class LatentCompletion:
     parameter theta given each of them (constant included):
     marginal-likelihood estimation via the posterior-ordinate identity
     depends on it, and a sampler keeps the statistic of each sweep instead
-    of its latents.
+    of its latents.  The arrays the two samplers return may be the
+    completion's own scratch, valid until the same sampler's next call, so
+    a caller that keeps several of them copies each.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]
@@ -102,14 +105,16 @@ def log_posterior(model: BayesModel, thetas) -> np.ndarray:
         )
     n = thetas.shape[0]
     prior = _per_row(model.log_prior(thetas), n)
-    inside = prior > -np.inf
-    if inside.all():
+    # list scans: a one-row call, as the Metropolis samplers make, costs
+    # less than a numpy reduction this way
+    if -np.inf not in prior.tolist():
         out = prior + _per_row(model.log_likelihood(thetas), n)
     else:
+        inside = prior > -np.inf
         out = prior.copy()  # the prior's own array stays as it was returned
         if inside.any():
             out[inside] += _per_row(model.log_likelihood(thetas[inside]), int(inside.sum()))
-    if np.isnan(out).any():
+    if any(map(math.isnan, out.tolist())):
         raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
     return out
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CHUNK_ROWS,
     DegenerateWeightsError,
     MvnParams,
     RngStream,
@@ -111,13 +112,18 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
 
     The squared distances build up one coordinate at a time in a (block x
     centres) table, a left fold that gives the bits of summing the (block
-    x centres x p) squares over their last axis, without that table."""
+    x centres x p) squares over their last axis, without that table.  That
+    table and the one of differences belong to the call, and every block
+    reuses them."""
     whitened_centers = kernel.params.whiten(np.atleast_2d(centers) + kernel.params.mean)
+    whitened_points = kernel.params.whiten(points)
+    shape = (min(CHUNK_ROWS, len(whitened_points)), len(whitened_centers))
+    lk_table, d_table = np.empty(shape), np.empty(shape)
 
     def block(chunk):
-        lk = np.subtract.outer(chunk[:, 0], whitened_centers[:, 0])
+        lk, d = lk_table[:len(chunk)], d_table[:len(chunk)]
+        np.subtract.outer(chunk[:, 0], whitened_centers[:, 0], out=lk)
         lk *= lk
-        d = np.empty_like(lk)
         for j in range(1, chunk.shape[1]):
             np.subtract.outer(chunk[:, j], whitened_centers[:, j], out=d)
             d *= d
@@ -128,7 +134,7 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
         lk += log_weights
         return log_sum_exp(lk, axis=1)
 
-    return map_rows(block, kernel.params.whiten(points))
+    return map_rows(block, whitened_points)
 
 
 def _h_values(h, points: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ by the likelihood-free run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -206,29 +207,51 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
 
     The samplers advance R chains at once: (R, p) coefficients give (R, n)
     latents and back, row r drawing from stream ``rngs[r]`` alone, and
-    every row equals a one-chain call on its stream bit for bit.
+    every row equals a one-chain call on its stream bit for bit.  Each
+    sampler writes into scratch arrays of the completion's own, which grow
+    only when a call has more chains than any before it, and returns a view
+    of them: valid until that sampler's next call.
     """
     g = model.prior_scale
     shrink = g / (g + 1.0)
     xtx_inv = np.linalg.inv(model.xtx)
-    proj = shrink * (xtx_inv @ model.design.T)  # mean map z -> beta
+    proj_t = (shrink * (xtx_inv @ model.design.T)).T  # mean map z -> beta
     cond = MvnParams(np.zeros(model.dimension), shrink * xtx_inv)
-    signs, signed_design = model.signs, model.signed_design
+    signs, signed_design_t, scale_t = model.signs, model.signed_design.T, cond.scale.T
+    n, p = model.n_obs, model.dimension
+    # the matmuls write (R, 1, k) stacks, the layout `rowwise` gives them,
+    # so every row keeps its one-row bits
+    eta = np.empty((0, 1, n))
+    z = np.empty((0, n))
+    noise = np.empty((0, p))
+    betas = shift = np.empty((0, 1, p))
 
-    def sample_latents(betas, rngs):
-        eta = rowwise(np.asarray(betas, float), signed_design)
-        z = truncated_std_normal(eta, rngs)
-        z += eta
-        z *= signs
-        return z
+    def sample_latents(thetas, rngs):
+        nonlocal eta, z
+        rows = len(rngs)
+        if rows > len(z):
+            eta, z = np.empty((rows, 1, n)), np.empty((rows, n))
+        eta_r, z_r = eta[:rows], z[:rows]
+        np.matmul(np.asarray(thetas, float)[:, None, :], signed_design_t, out=eta_r)
+        eta_r = eta_r[:, 0]
+        truncated_std_normal(eta_r, rngs, out=z_r)
+        z_r += eta_r
+        z_r *= signs
+        return z_r
 
     def sample_params(zs, rngs):
-        noise = np.empty((len(rngs), model.dimension))
-        for r, rng in enumerate(rngs):
-            rng.generator.standard_normal(out=noise[r])
-        betas = rowwise(np.asarray(zs, float), proj)
-        betas += rowwise(noise, cond.scale)
-        return betas
+        nonlocal noise, betas, shift
+        rows = len(rngs)
+        if rows > len(noise):
+            noise = np.empty((rows, p))
+            betas, shift = np.empty((rows, 1, p)), np.empty((rows, 1, p))
+        noise_r, betas_r, shift_r = noise[:rows], betas[:rows], shift[:rows]
+        for rng, row in zip(rngs, noise_r):
+            rng.generator.standard_normal(out=row)
+        np.matmul(np.asarray(zs, float)[:, None, :], proj_t, out=betas_r)
+        np.matmul(noise_r[:, None, :], scale_t, out=shift_r)
+        betas_r += shift_r
+        return betas_r[:, 0]
 
     def log_full_conditional_param(beta, xtzs):
         # the conditional mean c (X'X)^{-1} X'z is the covariance times X'z
@@ -308,10 +331,15 @@ def probit_abc_summary(model: ProbitModel, ys, whitener: np.ndarray) -> np.ndarr
 
 
 def probit_bayes_model(model: ProbitModel) -> BayesModel:
-    """Close the probit posterior over its data as a sampler-facing target."""
+    """Close the probit posterior over its data as a sampler-facing target.
+
+    `log_posterior` has checked the shape of the rows by the time either
+    density sees them, so they close over the kernels themselves, not over
+    the checking `gprior_logpdf_many` and `probit_loglik_many`."""
+    loglik_rows = partial(probit_loglik_rows, model.signed_design)
     return BayesModel(
         dimension=model.dimension,
-        log_prior=lambda b: gprior_logpdf_many(model, b),
-        log_likelihood=lambda b: probit_loglik_many(model, b),
+        log_prior=model.prior.logpdf_many,
+        log_likelihood=lambda b: map_rows(loglik_rows, b),
         sample_prior=lambda n, rng: sample_gprior(model, n, rng),
     )

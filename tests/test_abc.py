@@ -220,6 +220,10 @@ class TestPmc:
         assert len(pops) < 30
         assert np.quantile(pops[-1].distances, 0.5) < pops[-1].epsilon
         assert all(p.n_proposals <= n / _ACCEPT_FLOOR for p in pops)
+        # the dropped generation spent its whole budget, and the last
+        # finished population counts it
+        assert pops[-1].abandoned_proposals == int(np.ceil(n / _ACCEPT_FLOOR))
+        assert all(p.abandoned_proposals == 0 for p in pops[:-1])
 
     def test_generation_below_the_floor_raises(self):
         # the prior's mass sits on two unit intervals 1000 apart, so the

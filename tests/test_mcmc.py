@@ -21,6 +21,7 @@ from bayescomp.probit import (
     ProbitModel,
     probit_bayes_model,
     probit_latent_completion,
+    probit_loglik_rows,
     probit_mle,
 )
 
@@ -225,6 +226,49 @@ class TestMwg:
         meta = chain.proposal_meta
         assert 0.0 < meta["accept_rate_beta"] < 1.0
         assert 0.0 < meta["accept_rate_sigma2"] < 1.0
+
+    @staticmethod
+    def reference_run(x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
+        """The mwg loop with each log-posterior through the one-row
+        `probit_loglik_rows` call, as (states, log_posts)."""
+        signed_design = ((2.0 * y - 1.0) * x)[:, None]
+
+        def logpost(beta, sigma2):
+            if sigma2 <= 0:
+                return -np.inf
+            ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
+            return float(ll + (-2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0))
+
+        beta, sigma2 = 0.0, 1.0
+        lp = logpost(beta, sigma2)
+        states, log_posts = np.empty((n_iter, 2)), np.empty(n_iter)
+        for t in range(n_iter):
+            cand = beta + np.sqrt(beta_step_var) * rng.standard_normal()
+            lp_cand = logpost(cand, sigma2)
+            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+                beta, lp = cand, lp_cand
+            sigma2_cand = sigma2 * np.exp(2.0 * np.sqrt(logsigma_step_var) * rng.standard_normal())
+            lp_cand = logpost(beta, sigma2_cand)
+            if np.log(1.0 - rng.uniform()) <= lp_cand - lp + np.log(sigma2_cand / sigma2):
+                sigma2, lp = sigma2_cand, lp_cand
+            states[t] = (beta, sigma2)
+            log_posts[t] = lp
+        return states, log_posts
+
+    @pytest.mark.parametrize("beta_step_var", [1.0, 1e-3])
+    def test_bits_equal_the_one_row_reference(self, beta_step_var):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=300)
+        y = (rng.random(300) < stats.norm.cdf(0.7 * x)).astype(float)
+        for seed in (21, 22, 23):
+            chain = mwg_probit_overparam_run(x, y, 2000, RngStream(seed, 0),
+                                             beta_step_var=beta_step_var)
+            assert 0.0 < chain.proposal_meta["accept_rate_beta"] < 1.0
+            assert 0.0 < chain.proposal_meta["accept_rate_sigma2"] < 1.0
+            states, log_posts = self.reference_run(x, y, 2000, RngStream(seed, 0),
+                                                   beta_step_var=beta_step_var)
+            assert chain.states.tobytes() == states.tobytes()
+            assert chain.log_posts.tobytes() == log_posts.tobytes()
 
     def test_identified_ratio_seed_stable(self):
         rng = np.random.default_rng(3)

@@ -39,6 +39,16 @@ def test_nan_raises():
     with pytest.raises(FloatingPointError):
         log_posterior(m, np.array([[0.0]]))
 
+    def nan_last(t):
+        out = np.zeros(len(t))
+        out[-1] = np.nan
+        return out
+
+    # a batch whose one NaN sits in its last row
+    m = BayesModel(1, lambda t: np.zeros(len(t)), nan_last)
+    with pytest.raises(FloatingPointError):
+        log_posterior(m, np.zeros((2000, 1)))
+
 
 def test_shape_mismatch():
     m = gaussian_model(dim=2)
@@ -89,11 +99,24 @@ def test_prior_minus_inf_rows_never_reach_the_likelihood():
     assert np.array_equal(out, [0.0, -np.inf, 0.0, -np.inf])
     assert len(seen) == 1 and np.array_equal(seen[0], [[1.0], [2.0]])
 
+    # a batch whose one -inf row is its last
+    seen.clear()
+    thetas = np.append(np.arange(1.0, 2000.0), -1.0)[:, None]
+    out = log_posterior(m, thetas)
+    assert np.array_equal(out, np.append(np.zeros(1999), -np.inf))
+    assert len(seen) == 1 and np.array_equal(seen[0], thetas[:-1])
+
 
 def test_nan_prior_raises_beside_minus_inf_rows():
     m = BayesModel(1, lambda t: np.array([np.nan, -np.inf]), lambda t: np.zeros(len(t)))
     with pytest.raises(FloatingPointError):
         log_posterior(m, np.zeros((2, 1)))
+
+    # a batch whose NaN row is its last, beside a -inf row
+    prior = np.append(np.zeros(1998), [-np.inf, np.nan])
+    m = BayesModel(1, lambda t: prior, lambda t: np.zeros(len(t)))
+    with pytest.raises(FloatingPointError):
+        log_posterior(m, np.zeros((2000, 1)))
 
 
 def test_likelihood_of_the_wrong_shape_raises():
