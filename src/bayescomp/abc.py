@@ -121,12 +121,7 @@ def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
 
 
 class _TooFewHits(RuntimeError):
-    """A generation fell short of its hits within its proposal budget;
-    `proposals` is the number of proposals it made."""
-
-    def __init__(self, message: str, proposals: int):
-        super().__init__(message)
-        self.proposals = proposals
+    """A generation fell short of its hits within its proposal budget."""
 
 
 def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
@@ -148,7 +143,7 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
             raise _TooFewHits(
                 f"generation {t}: acceptance probability below {_ACCEPT_FLOOR}: "
                 f"{accepted} accepted in {n_prop} proposals (rate "
-                f"{accepted / n_prop:.3g}); tolerance {eps} is too small", n_prop)
+                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
         size = min(CHUNK_ROWS, budget - n_prop)
         r = rng.child(len(parts))
         thetas, inside = propose(size, r)
@@ -292,10 +287,11 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
         try:
             particles, summaries, distances, n_prop = _accept_in_order(
                 propose, model, eta_obs, eps, n_particles, rng.child(t), t)
-        except _TooFewHits as short:
+        except _TooFewHits:
             if config.quantile is None:
                 raise
-            populations[-1] = replace(prev, abandoned_proposals=short.proposals)
+            budget = int(np.ceil(n_particles / _ACCEPT_FLOOR))  # all of it spent
+            populations[-1] = replace(prev, abandoned_proposals=budget)
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)

@@ -208,11 +208,10 @@ def _tail_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
     raise RuntimeError("tail rejection failed to terminate")
 
 
-def truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
+def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
     """Standard normal draws t_ri conditioned on t_ri > -eta_ri, for an
     (R, n) array `eta`, row r drawing from stream ``rngs[r]`` alone: eta + t
-    is then N(eta, 1) conditioned positive.  The draws are written to `out`,
-    an (R, n) float array, when it is given, else to a new array.
+    is then N(eta, 1) conditioned positive.
 
     Inverse CDF for eta >= -5, with one uniform per such entry; the
     rejection sampler of `_tail_std_lower` beyond that.  A row draws its
@@ -221,7 +220,7 @@ def truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
     time; the inverse CDF covers all R x n entries in one call, in place.
     """
     eta = np.asarray(eta, dtype=float)
-    t = np.empty_like(eta) if out is None else out
+    t = np.empty_like(eta)
     tails = []
     if eta.min(initial=np.inf) >= -5.0:  # the usual block: no tail entry, no mask
         for rng, row in zip(rngs, t):

@@ -8,7 +8,7 @@ proposal scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,11 @@ __all__ = ["MixtureTarget", "mixture_logpost", "simulate_mixture_data", "mixture
 @dataclass(frozen=True)
 class MixtureTarget:
     """Data and fixed mixture weight/variance; prior on each mean is
-    N(0, 10 * sigma2).  The logs of the weights and the variances are taken
-    once, here."""
+    N(0, 10 * sigma2)."""
 
     data: np.ndarray
     weight: float
     sigma2: float
-    log_weights: tuple = field(init=False, repr=False, compare=False)
-    log_sigma2: float = field(init=False, repr=False, compare=False)
-    log_prior_var: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
@@ -37,31 +33,26 @@ class MixtureTarget:
             raise ValueError("weight must lie in (0, 1)")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
-        object.__setattr__(self, "log_weights",
-                           (np.log(self.weight), np.log1p(-self.weight)))
-        object.__setattr__(self, "log_sigma2", np.log(self.sigma2))
-        object.__setattr__(self, "log_prior_var", np.log(self.prior_var))
 
     @property
     def prior_var(self) -> float:
         return 10.0 * self.sigma2
 
 
-def _norm_logpdf(x, mean, var, log_var):
-    return -0.5 * (_LOG2PI + log_var + (x - mean) ** 2 / var)
+def _norm_logpdf(x, mean, var):
+    return -0.5 * (_LOG2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
 def _log_prior(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
-    return np.sum(_norm_logpdf(mus, 0.0, target.prior_var, target.log_prior_var), axis=1)
+    return np.sum(_norm_logpdf(mus, 0.0, target.prior_var), axis=1)
 
 
 def _log_likelihood(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
-    y, var, log_var = target.data, target.sigma2, target.log_sigma2
-    log_w, log_1mw = target.log_weights
+    y = target.data
 
     def block(m):
-        a = log_w + _norm_logpdf(y, m[:, :1], var, log_var)
-        b = log_1mw + _norm_logpdf(y, m[:, 1:], var, log_var)
+        a = np.log(target.weight) + _norm_logpdf(y, m[:, :1], target.sigma2)
+        b = np.log1p(-target.weight) + _norm_logpdf(y, m[:, 1:], target.sigma2)
         return np.sum(np.logaddexp(a, b), axis=1)
 
     return map_rows(block, mus)

@@ -68,9 +68,7 @@ class LatentCompletion:
     parameter theta given each of them (constant included):
     marginal-likelihood estimation via the posterior-ordinate identity
     depends on it, and a sampler keeps the statistic of each sweep instead
-    of its latents.  The arrays the two samplers return may be the
-    completion's own scratch, valid until the same sampler's next call, so
-    a caller that keeps several of them copies each.
+    of its latents.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]
@@ -106,8 +104,9 @@ def log_posterior(model: BayesModel, thetas) -> np.ndarray:
     n = thetas.shape[0]
     prior = _per_row(model.log_prior(thetas), n)
     # list scans: a one-row call, as the Metropolis samplers make, costs
-    # less than a numpy reduction this way
-    if -np.inf not in prior.tolist():
+    # less than a numpy reduction this way.  A NaN prior row fails the test,
+    # as -inf does, so only rows strictly above -inf reach the likelihood.
+    if all(x > -math.inf for x in prior.tolist()):
         out = prior + _per_row(model.log_likelihood(thetas), n)
     else:
         inside = prior > -np.inf

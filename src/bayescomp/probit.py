@@ -207,51 +207,29 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
 
     The samplers advance R chains at once: (R, p) coefficients give (R, n)
     latents and back, row r drawing from stream ``rngs[r]`` alone, and
-    every row equals a one-chain call on its stream bit for bit.  Each
-    sampler writes into scratch arrays of the completion's own, which grow
-    only when a call has more chains than any before it, and returns a view
-    of them: valid until that sampler's next call.
+    every row equals a one-chain call on its stream bit for bit.
     """
     g = model.prior_scale
     shrink = g / (g + 1.0)
     xtx_inv = np.linalg.inv(model.xtx)
-    proj_t = (shrink * (xtx_inv @ model.design.T)).T  # mean map z -> beta
+    proj = shrink * (xtx_inv @ model.design.T)  # mean map z -> beta
     cond = MvnParams(np.zeros(model.dimension), shrink * xtx_inv)
-    signs, signed_design_t, scale_t = model.signs, model.signed_design.T, cond.scale.T
-    n, p = model.n_obs, model.dimension
-    # the matmuls write (R, 1, k) stacks, the layout `rowwise` gives them,
-    # so every row keeps its one-row bits
-    eta = np.empty((0, 1, n))
-    z = np.empty((0, n))
-    noise = np.empty((0, p))
-    betas = shift = np.empty((0, 1, p))
+    signs, signed_design = model.signs, model.signed_design
 
-    def sample_latents(thetas, rngs):
-        nonlocal eta, z
-        rows = len(rngs)
-        if rows > len(z):
-            eta, z = np.empty((rows, 1, n)), np.empty((rows, n))
-        eta_r, z_r = eta[:rows], z[:rows]
-        np.matmul(np.asarray(thetas, float)[:, None, :], signed_design_t, out=eta_r)
-        eta_r = eta_r[:, 0]
-        truncated_std_normal(eta_r, rngs, out=z_r)
-        z_r += eta_r
-        z_r *= signs
-        return z_r
+    def sample_latents(betas, rngs):
+        eta = rowwise(np.asarray(betas, float), signed_design)
+        z = truncated_std_normal(eta, rngs)
+        z += eta
+        z *= signs
+        return z
 
     def sample_params(zs, rngs):
-        nonlocal noise, betas, shift
-        rows = len(rngs)
-        if rows > len(noise):
-            noise = np.empty((rows, p))
-            betas, shift = np.empty((rows, 1, p)), np.empty((rows, 1, p))
-        noise_r, betas_r, shift_r = noise[:rows], betas[:rows], shift[:rows]
-        for rng, row in zip(rngs, noise_r):
-            rng.generator.standard_normal(out=row)
-        np.matmul(np.asarray(zs, float)[:, None, :], proj_t, out=betas_r)
-        np.matmul(noise_r[:, None, :], scale_t, out=shift_r)
-        betas_r += shift_r
-        return betas_r[:, 0]
+        noise = np.empty((len(rngs), model.dimension))
+        for r, rng in enumerate(rngs):
+            rng.generator.standard_normal(out=noise[r])
+        betas = rowwise(np.asarray(zs, float), proj)
+        betas += rowwise(noise, cond.scale)
+        return betas
 
     def log_full_conditional_param(beta, xtzs):
         # the conditional mean c (X'X)^{-1} X'z is the covariance times X'z
@@ -334,8 +312,9 @@ def probit_bayes_model(model: ProbitModel) -> BayesModel:
     """Close the probit posterior over its data as a sampler-facing target.
 
     `log_posterior` has checked the shape of the rows by the time either
-    density sees them, so they close over the kernels themselves, not over
-    the checking `gprior_logpdf_many` and `probit_loglik_many`."""
+    density sees them, so the likelihood closes over the row kernel itself,
+    not over `probit_loglik_many`, which checks the shape for direct
+    callers; the prior is the g-prior's own `logpdf_many`."""
     loglik_rows = partial(probit_loglik_rows, model.signed_design)
     return BayesModel(
         dimension=model.dimension,

@@ -119,6 +119,20 @@ def test_nan_prior_raises_beside_minus_inf_rows():
         log_posterior(m, np.zeros((2000, 1)))
 
 
+def test_nan_prior_rows_never_reach_the_likelihood():
+    # no -inf row: the NaN row alone must keep its row from the likelihood,
+    # which here fails on it with an error of its own
+    def loglik(t):
+        if (t[:, 0] < 0).any():
+            raise ZeroDivisionError("likelihood saw the NaN prior's row")
+        return np.zeros(len(t))
+
+    m = BayesModel(1, lambda t: np.where(t[:, 0] < 0, np.nan, 0.0), loglik)
+    for thetas in (np.array([[-1.0]]), np.append(np.ones(1999), -1.0)[:, None]):
+        with pytest.raises(FloatingPointError):
+            log_posterior(m, thetas)
+
+
 def test_likelihood_of_the_wrong_shape_raises():
     m = BayesModel(1, lambda t: np.zeros(len(t)), lambda t: np.zeros((len(t), 1)))
     with pytest.raises(ValueError, match="densities map"):

@@ -194,8 +194,7 @@ class TestLatentCompletion:
         completion = probit_latent_completion(pima)
         rng = RngStream(8, 0)
         beta = np.array([0.01, -0.02, 0.3])
-        # each call returns the completion's scratch, so each is copied
-        zs = np.array([completion.sample_latents(beta[None, :], [rng])[0].copy()
+        zs = np.array([completion.sample_latents(beta[None, :], [rng])[0]
                        for _ in range(5)])
         ordinate = completion.log_full_conditional_param
         singles = [ordinate(beta, probit_xtz(pima, z[None, :]))[0] for z in zs]
@@ -206,8 +205,7 @@ class TestLatentCompletion:
         completion = probit_latent_completion(pima)
         rng = RngStream(7, 0)
         z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]), [rng])[0]
-        # each call returns the completion's scratch, so each is copied
-        draws = np.array([completion.sample_params(z[None, :], [rng])[0].copy()
+        draws = np.array([completion.sample_params(z[None, :], [rng])[0]
                           for _ in range(20_000)])
         n = pima.n_obs
         xtx_inv = np.linalg.inv(pima.design.T @ pima.design)
