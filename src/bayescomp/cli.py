@@ -8,10 +8,11 @@ the usual boxplot comparisons).  Outputs are deterministic functions of
 (config, seed) up to the recorded runtime; replicate r runs on the stream
 with id r, so replicates are reproducible in isolation.  Replicates run on
 the calling thread; there is no thread setting.  `gibbs` and `capture`
-advance all R replicate chains in lockstep, one stream per chain, in a
-single run whose row 0 is the main run, and such a run fails as a whole;
-every other experiment runs its replicates one after another, recording a
-failed replicate and going on.
+have one runner each, which takes the streams of all R replicates and
+advances their chains in lockstep, one stream per chain, in a single run
+whose row 0 is the main run (a run without replicates passes one stream);
+such a run fails as a whole.  Every other experiment runs its replicates
+one after another, recording a failed replicate and going on.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .abc import AbcConfig, probit_abc
-from .capture import CaptureModel, capture_gibbs_lockstep, capture_gibbs_run, n_max_tail_mass
+from .capture import CaptureModel, capture_gibbs_lockstep, n_max_tail_mass
 from .core import RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
@@ -174,13 +175,7 @@ def _run_mh(config, rng):
     return _chain_result(chain, config["covariates"], config)
 
 
-def _run_gibbs(config, rng):
-    model = _pima_model(config, config["covariates"])
-    chain, _ = probit_gibbs_run(model, config["iterations"], rng)
-    return _chain_result(chain, config["covariates"], config)
-
-
-def _replicate_gibbs(config, rngs):
+def _run_gibbs(config, rngs):
     """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
     Returns the main run's result (chain 0) and the estimates of the
     other chains, which get no diagnostics."""
@@ -249,26 +244,21 @@ def _run_evidence(config, rng):
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
         est = bf_importance(model1, model0, g1, g0, n, n, rng)
         log_b10, se = est.log_value, est.std_error
-    elif method in ("harmonic-gd", "harmonic-nr"):
+    elif method in ("harmonic-gd", "harmonic-nr", "chib"):
         parts = []
         for i, (mp, m) in enumerate([(model1p, model1), (model0p, model0)]):
-            chain, _ = probit_gibbs_run(mp, n, rng.child(i))
+            chain, xtz = probit_gibbs_run(mp, n, rng.child(i),
+                                          keep_xtz=method == "chib")
             if method == "harmonic-gd":
                 phi = PhiSpec.from_sample(chain.states, config["coverage"])
                 parts.append(harmonic_mean_gd(
-                    lambda b, m=m: log_posterior(m, b), chain.states, phi))
-            else:
+                    lambda b: log_posterior(m, b), chain.states, phi))
+            elif method == "harmonic-nr":
                 parts.append(newton_raftery_hm(
-                    lambda b, mp=mp: probit_loglik_many(mp, b), chain.states))
-        log_b10 = parts[0].log_value - parts[1].log_value
-        se = float(np.hypot(parts[0].std_error, parts[1].std_error))
-    elif method == "chib":
-        parts = []
-        for i, mp in enumerate([model1p, model0p]):
-            chain, xtz = probit_gibbs_run(mp, n, rng.child(i), keep_xtz=True)
-            parts.append(chib_marginal(probit_bayes_model(mp),
-                                       probit_latent_completion(mp),
-                                       xtz, param_draws=chain.states))
+                    lambda b: probit_loglik_many(mp, b), chain.states))
+            else:
+                parts.append(chib_marginal(m, probit_latent_completion(mp),
+                                           xtz, param_draws=chain.states))
         log_b10 = parts[0].log_value - parts[1].log_value
         se = float(np.hypot(parts[0].std_error, parts[1].std_error))
     elif method == "bridge-embedded":
@@ -307,10 +297,8 @@ def _run_abc(config, rng):
 
 
 def _capture_model(config) -> CaptureModel:
-    kwargs = {"n1": config["n1"], "c2": config["c2"], "c3": config["c3"]}
-    if config["n_max"] is not None:
-        kwargs["n_max"] = config["n_max"]
-    return CaptureModel(**kwargs)
+    return CaptureModel(n1=config["n1"], c2=config["c2"], c3=config["c3"],
+                        n_max=config["n_max"])
 
 
 _CAPTURE_NAMES = ("N", "p", "q", "r1", "r2")
@@ -334,12 +322,7 @@ def _capture_result(model, out, config):
     return estimates, {}, diagnostics, (list(_CAPTURE_NAMES), states)
 
 
-def _run_capture(config, rng):
-    model = _capture_model(config)
-    return _capture_result(model, capture_gibbs_run(model, config["iterations"], rng), config)
-
-
-def _replicate_capture(config, rngs):
+def _run_capture(config, rngs):
     """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
     Returns the main run's result (chain 0) and the estimates of the
     other chains, which get no diagnostics."""
@@ -371,19 +354,19 @@ def _run_mixture_demo(config, rng):
 _RUNNERS = {
     "mle": _run_mle,
     "mh": _run_mh,
-    "gibbs": _run_gibbs,
+    "gibbs": lambda config, rng: _run_gibbs(config, [rng])[0],
     "mwg": _run_mwg,
     "pmc": _run_pmc,
     "evidence": _run_evidence,
     "abc": _run_abc,
-    "capture": _run_capture,
+    "capture": lambda config, rng: _run_capture(config, [rng])[0],
     "mixture-demo": _run_mixture_demo,
 }
 
 # experiments whose replicates run as one lockstep call over all R streams
 _LOCKSTEP_REPLICATES = {
-    "gibbs": _replicate_gibbs,
-    "capture": _replicate_capture,
+    "gibbs": _run_gibbs,
+    "capture": _run_capture,
 }
 
 

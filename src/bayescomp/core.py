@@ -227,14 +227,10 @@ def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
             rng.generator.random(out=row)
     else:
         moderate = eta >= -5.0
-        for r, rng in enumerate(rngs):
-            if moderate[r].all():
-                rng.generator.random(out=t[r])
-            else:
-                mod = moderate[r]
-                t[r] = 0.0  # placeholder for the tail entries, overwritten below
-                t[r, mod] = rng.uniform(np.count_nonzero(mod))
-                tails.append((r, ~mod, _tail_std_lower(-eta[r, ~mod], rng)))
+        for r, (rng, mod) in enumerate(zip(rngs, moderate)):
+            t[r] = 0.0  # placeholder for the tail entries, overwritten below
+            t[r, mod] = rng.uniform(np.count_nonzero(mod))
+            tails.append((r, ~mod, _tail_std_lower(-eta[r, ~mod], rng)))
     # t = -ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
     np.subtract(1.0, t, out=t)
     t *= special.ndtr(eta)

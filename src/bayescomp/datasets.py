@@ -76,8 +76,6 @@ def bundled_pima_path():
     return resources.files("bayescomp").joinpath("data/pima_synthetic.csv")
 
 
-def eurodip_1981(n_max: int | None = None) -> CaptureModel:
+def eurodip_1981() -> CaptureModel:
     """Capture-recapture model for the 1981 dipper numbers (22, 11, 6)."""
-    n1, c2, c3 = EURODIP_1981
-    kwargs = {} if n_max is None else {"n_max": n_max}
-    return CaptureModel(n1=n1, c2=c2, c3=c3, **kwargs)
+    return CaptureModel(*EURODIP_1981)

@@ -113,10 +113,10 @@ def _log_mean_exp(v: np.ndarray) -> float:
     return log_sum_exp(v) - np.log(len(v))
 
 
-def _batch_log_means(v: np.ndarray, n_batches: int = _N_BATCHES) -> np.ndarray:
+def _batch_log_means(v: np.ndarray) -> np.ndarray:
     """Log of batch means of exp(v), for batch-means errors on the log scale."""
     n = len(v)
-    b = min(n_batches, n)
+    b = min(_N_BATCHES, n)
     edges = np.linspace(0, n, b + 1).astype(int)
     return np.array([_log_mean_exp(v[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
 

@@ -108,11 +108,10 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
-    """Random-walk Metropolis with Gaussian increments (simplified ratio)."""
-    proposal = cov if isinstance(cov, RwProposal) else RwProposal(cov)
-    chain = mh_run(target, proposal, theta0, n_iter, rng)
-    chain.proposal_meta["covariance"] = proposal.covariance
-    return chain
+    """Random-walk Metropolis: `mh_run` with Gaussian increments of
+    covariance `cov` (an `RwProposal`), which is symmetric, so the
+    acceptance ratio is the posterior ratio alone."""
+    return mh_run(target, RwProposal(cov), theta0, n_iter, rng)
 
 
 def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,

@@ -29,7 +29,6 @@ __all__ = [
     "probit_latent_completion",
     "probit_xtz",
     "probit_simulator",
-    "probit_simulate",
     "probit_summary_whitener",
     "probit_abc_summary",
     "probit_bayes_model",
@@ -159,6 +158,8 @@ def probit_mle(model: ProbitModel):
         denom = np.clip(big * small, 1e-300, None)
         score_terms = phi * (y - big) / denom
         grad = X.T @ score_terms
+        w = phi * phi / denom
+        info = X.T @ (w[:, None] * X)
         # the gradient is a length-n sum, so its attainable accuracy scales
         # with the magnitude of the objective; an absolute test stalls at
         # the rounding noise floor on larger datasets
@@ -168,11 +169,7 @@ def probit_mle(model: ProbitModel):
                 # sits at infinity and the gradient only vanished by underflow
                 raise NonConvergenceError(
                     "perfect fit reached: data are completely separated")
-            w = phi * phi / denom
-            info = X.T @ (w[:, None] * X)
             return beta, np.linalg.inv(info)
-        w = phi * phi / denom
-        info = X.T @ (w[:, None] * X)
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
@@ -274,12 +271,6 @@ def probit_simulator(model: ProbitModel):
         return np.greater(ys, neg_eta[:rows], out=ys)
 
     return simulate
-
-
-def probit_simulate(model: ProbitModel, betas, rng: RngStream) -> np.ndarray:
-    """One-shot `probit_simulator` call: its scratch is fresh, so the
-    (B, n) pseudo-responses belong to the caller."""
-    return probit_simulator(model)(betas, rng)
 
 
 def probit_summary_whitener(model: ProbitModel, beta) -> np.ndarray:

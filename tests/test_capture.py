@@ -205,7 +205,8 @@ class TestConditionals:
 class TestGibbsRun:
     def test_small_model_matches_oracle(self):
         model = CaptureModel(n1=8, c2=3, c3=2, n_max=300)
-        out = capture_gibbs_run(model, 30_000, RngStream(5, 0))
+        with pytest.warns(RuntimeWarning, match="n_max=300"):
+            out = capture_gibbs_run(model, 30_000, RngStream(5, 0))
         oracle = capture_posterior_oracle(8, 3, 2, 300, grid=300)
         burn = 1000
         assert np.mean(out["N"][burn:]) == pytest.approx(oracle["N"], rel=0.05)

@@ -21,7 +21,6 @@ from bayescomp.probit import (
     probit_loglik_many,
     probit_bayes_model,
     probit_mle,
-    probit_simulate,
     probit_simulator,
     probit_summary_whitener,
     probit_xtz,
@@ -235,7 +234,7 @@ class TestAbcSimulation:
     def test_simulate_equals_the_latent_form(self, pima, rows):
         betas = 2.0 * sample_gprior(pima, rows, RngStream(4, rows))
         ref_rng, rng = RngStream(5, rows), RngStream(5, rows)
-        ys = probit_simulate(pima, betas, rng)
+        ys = probit_simulator(pima)(betas, rng)
         assert np.array_equal(ys, _latent_form(pima, betas, ref_rng))
         assert ys.dtype == float
         assert rng.counter == ref_rng.counter
@@ -248,7 +247,7 @@ class TestAbcSimulation:
             one_rng, rng = RngStream(7, b), RngStream(7, b)
             ys = simulate(betas, rng)
             assert ys.shape == (rows, pima.n_obs)
-            assert np.array_equal(ys, probit_simulate(pima, betas, one_rng))
+            assert np.array_equal(ys, probit_simulator(pima)(betas, one_rng))
             assert rng.counter == one_rng.counter
 
     def test_reused_simulator_allocates_no_block(self, pima):
@@ -257,21 +256,21 @@ class TestAbcSimulation:
         simulate = probit_simulator(pima)
         simulate(betas, RngStream(9, 0))
         assert _peak_bytes(lambda: simulate(betas, RngStream(9, 1))) < 100_000
-        assert _peak_bytes(lambda: probit_simulate(pima, betas, RngStream(9, 2))) >= 1_300_000
+        assert _peak_bytes(lambda: probit_simulator(pima)(betas, RngStream(9, 2))) >= 1_300_000
 
     def test_pseudo_data_one_row_per_coefficient_vector(self, pima):
         betas = sample_gprior(pima, 300, RngStream(4, 0))
-        ys = probit_simulate(pima, betas, RngStream(5, 0))
+        ys = probit_simulator(pima)(betas, RngStream(5, 0))
         assert ys.shape == (300, pima.n_obs)
         assert set(np.unique(ys)) <= {0.0, 1.0}
         # a coefficient vector far out on one side makes every response 1
-        big = probit_simulate(pima, np.array([[1e6, 0.0, 0.0]]), RngStream(6, 0))
+        big = probit_simulator(pima)(np.array([[1e6, 0.0, 0.0]]), RngStream(6, 0))
         assert np.all(big == 1.0)
 
     def test_summary_rows_match_single_rows(self, pima):
         whitener = probit_summary_whitener(pima, probit_mle(pima)[0])
-        ys = probit_simulate(pima, sample_gprior(pima, 300, RngStream(4, 0)),
-                             RngStream(5, 0))
+        ys = probit_simulator(pima)(sample_gprior(pima, 300, RngStream(4, 0)),
+                                    RngStream(5, 0))
         batched = probit_abc_summary(pima, ys, whitener)
         assert batched.shape == (300, 3)
         single = np.vstack([probit_abc_summary(pima, ys[i:i + 1], whitener)

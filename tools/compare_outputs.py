@@ -1,8 +1,9 @@
 """Compare the CLI outputs of two source trees of bayescomp.
 
 Runs every CLI experiment at its defaults, `evidence` once per method
-(each through a ``--config`` file naming it), plus `gibbs` and `capture`
-with three replicates, once on each tree (each tree's own ``src`` on the path),
+(each through a ``--config`` file naming it), plus `mh`, `gibbs` and
+`capture` with three replicates (the one-stream-per-run path and the
+lockstep path), once on each tree (each tree's own ``src`` on the path),
 and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
 byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  It also
 runs every ``demos/*.py`` of this checkout from each tree's own ``demos``
@@ -30,7 +31,7 @@ import tempfile
 
 EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
                "capture", "mixture-demo")
-REPLICATED = ("gibbs", "capture")
+REPLICATED = ("mh", "gibbs", "capture")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
 BYTE_FILES = ("draws.csv", "replicates.csv")
