@@ -52,7 +52,7 @@ def main():
            f"(acceptance {chain.acceptance_rate:.2f})")
 
     pops = abc_pmc(model, Y_OBS, AbcConfig(n_output=4000, quantile=0.25),
-                   n_particles=4000, n_generations=4,
+                   n_generations=4,
                    rng=RngStream(seed=3, stream_id=0))
     final = pops[-1]
     w = final.weighted_sample().normalized_weights()

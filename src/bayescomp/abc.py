@@ -21,7 +21,7 @@ of Beaumont, Zhang & Balding (2002).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -104,9 +104,9 @@ class AbcPopulation:
     log_weights: np.ndarray  # (N,)
     epsilon: float
     t: int
-    distances: np.ndarray = field(default=None)
-    n_proposals: int = 0
-    summaries: np.ndarray = field(default=None)
+    distances: np.ndarray  # (N,)
+    n_proposals: int
+    summaries: np.ndarray  # (N, k)
     abandoned_proposals: int = 0
 
     def __len__(self):
@@ -205,8 +205,6 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
     """
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
-    if model.log_prior is None:
-        raise ValueError("abc_mcmc needs the prior log-density")
     eta_obs = _observed_summary(model, y_obs)
     theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).particles[0]
     lp = float(model.log_prior(theta[None, :])[0])
@@ -237,10 +235,11 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
                                 "tolerance": config.tolerance})
 
 
-def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
+def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
             n_generations: int, rng: RngStream) -> list:
     """Sequential ABC through a decreasing tolerance schedule.
 
+    Every generation holds ``config.n_output`` particles, at least 100.
     Generation 0 is quantile-based rejection from the prior; each later
     generation resamples by weight, perturbs with an inflated-covariance
     Gaussian kernel, accepts at the configured quantile of the previous
@@ -251,22 +250,20 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
     block size keeps runs bit-reproducible for a fixed (seed, config).
     With a fixed `tolerance` instead of a quantile, the schedule is frozen
     (a degenerate mode useful for validation).  Each generation must accept
-    its n_particles within ceil(n_particles / 0.01) proposals, or a fixed-
-    tolerance run raises a `RuntimeError` naming it.  A quantile-mode run
-    also needs a strictly decreasing schedule, and stops early, returning
-    the finished generations, the moment either fails; a generation dropped
-    short of its hits leaves its whole budget in the last one's
-    `abandoned_proposals`.
+    its n_output particles within ceil(n_output / 0.01) proposals, or a
+    fixed-tolerance run raises a `RuntimeError` naming it.  A quantile-mode
+    run also needs a strictly decreasing schedule, and stops early,
+    returning the finished generations, the moment either fails; a
+    generation dropped short of its hits leaves its whole budget in the
+    last one's `abandoned_proposals`.
     """
-    if n_particles < 100:
-        raise ValueError("n_particles must be at least 100")
+    n = config.n_output
+    if n < 100:
+        raise ValueError("n_output must be at least 100")
     if n_generations < 2:
         raise ValueError("n_generations must be at least 2")
-    if model.log_prior is None:
-        raise ValueError("abc_pmc needs the prior log-density")
     eta_obs = _observed_summary(model, y_obs)
-    populations = [abc_reject(model, y_obs, replace(config, n_output=n_particles),
-                              rng.child(0))]
+    populations = [abc_reject(model, y_obs, config, rng.child(0))]
     for t in range(1, n_generations):
         prev = populations[-1]
         if config.quantile is not None:
@@ -286,11 +283,11 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig, n_particles: int,
 
         try:
             particles, summaries, distances, n_prop = _accept_in_order(
-                propose, model, eta_obs, eps, n_particles, rng.child(t), t)
+                propose, model, eta_obs, eps, n, rng.child(t), t)
         except _TooFewHits:
             if config.quantile is None:
                 raise
-            budget = int(np.ceil(n_particles / _ACCEPT_FLOOR))  # all of it spent
+            budget = int(np.ceil(n / _ACCEPT_FLOOR))  # all of it spent
             populations[-1] = replace(prev, abandoned_proposals=budget)
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
@@ -315,8 +312,6 @@ def regression_adjust(pop: AbcPopulation, eta_obs) -> AbcPopulation:
     spread that a nonzero tolerance adds to the population.  Weights,
     summaries and distances are kept as they are.
     """
-    if pop.summaries is None:
-        raise ValueError("regression adjustment needs the accepted summaries")
     w = pop.weighted_sample().normalized_weights()
     offsets = pop.summaries - np.asarray(eta_obs, dtype=float)
     design = np.column_stack([np.ones(len(pop)), offsets])
@@ -345,5 +340,5 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
         summary=lambda ys: probit_abc_summary(model, ys, whitener),
         log_prior=lambda betas: gprior_logpdf_many(model, betas),
     )
-    pops = abc_pmc(sim, model.response, config, config.n_output, n_generations, rng)
+    pops = abc_pmc(sim, model.response, config, n_generations, rng)
     return regression_adjust(pops[-1], _observed_summary(sim, model.response))

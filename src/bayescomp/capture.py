@@ -238,7 +238,7 @@ def _warn_truncation(model: CaptureModel):
     )
 
 
-def _removal_block(model: CaptureModel, sample_p):
+def _removal_block(model: CaptureModel):
     """Sampler of the block (r1, r2, p, N) given q, for R chains at once.
 
     Summed over N >= n1 against the 1/N prior, the likelihood leaves a pair
@@ -249,7 +249,9 @@ def _removal_block(model: CaptureModel, sample_p):
     whole block redrawn, which is exact rejection against the untruncated
     law.  After ``_NB_TRIES`` refusals the block is drawn from the truncated
     law directly: the pair weighted by its kept beta-negative-binomial mass,
-    N - n1 by inverse CDF, then p from its full conditional ``sample_p``.
+    N - n1 by inverse CDF, then p given both from
+    Beta(n1 + c2 + c3 + 1, A + N - n1 + 1), the Beta that the
+    beta-negative-binomial mass integrates.
 
     Returns draw(qs, rngs) -> a list of R = len(rngs) tuples (r1, r2, p, N,
     refused), one per chain, refused counting the proposals turned down
@@ -286,8 +288,7 @@ def _removal_block(model: CaptureModel, sample_p):
             truncated["log_kept"] = kept[which]
         idx = sample_categorical_many(logw + truncated["log_kept"], 1, rng)[0]
         k = int(sample_categorical_many(log_bnb_pmf(b[idx]), 1, rng)[0])
-        r1, r2 = pairs[idx]
-        return idx, sample_p({"N": n1 + k, "r1": r1, "r2": r2}, rng), k
+        return idx, rng.generator.beta(n1 + a, b[idx] + k), k
 
     def draw(qs, rngs):
         logs = np.array([[math.log(q) if q > 0.0 else -math.inf,
@@ -331,7 +332,7 @@ def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> dict:
     turned down because N exceeded n_max.
     """
     n1 = model.n1
-    block = _removal_block(model, capture_gibbs_conditionals(model)["p"])
+    block = _removal_block(model)
     gens = [rng.generator for rng in rngs]
     q = [0.5] * len(rngs)
     out = np.empty((len(_KEYS), len(rngs), n_iter))

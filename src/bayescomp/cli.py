@@ -149,8 +149,7 @@ def _chain_result(chain, names, config):
     if diag:
         diagnostics["iact"] = diag["iact"]
         diagnostics["chain_ess"] = diag["chain_ess"]
-    diagnostics.update({k: v for k, v in chain.proposal_meta.items()
-                        if isinstance(v, (int, float, str))})
+    diagnostics.update(chain.proposal_meta)
     return estimates, {}, diagnostics, (list(names), states)
 
 

@@ -187,57 +187,37 @@ def map_rows(fn, rows: np.ndarray) -> np.ndarray:
                            for lo in range(0, len(rows), CHUNK_ROWS)])
 
 
-def _tail_std_lower(a: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Standard normal conditioned on being > a, elementwise, for a > 5:
-    Robert's exponential-proposal rejection (acceptance > 0.95, so the
-    retry loop terminates with overwhelming probability; a hard cap guards
-    the pathological case)."""
-    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    x = np.empty_like(a)
-    todo = np.ones(a.shape, dtype=bool)
-    for _ in range(1000):
-        n = int(np.count_nonzero(todo))
-        if n == 0:
-            return x
-        e = rng.generator.standard_exponential(n)
-        cand = a[todo] + e / lam[todo]
-        accept = np.log(1.0 - rng.uniform(n)) <= -0.5 * (cand - lam[todo]) ** 2
-        idx = np.flatnonzero(todo)[accept]
-        x[idx] = cand[accept]
-        todo[idx] = False
-    raise RuntimeError("tail rejection failed to terminate")
-
-
 def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
     """Standard normal draws t_ri conditioned on t_ri > -eta_ri, for an
     (R, n) array `eta`, row r drawing from stream ``rngs[r]`` alone: eta + t
     is then N(eta, 1) conditioned positive.
 
-    Inverse CDF for eta >= -5, with one uniform per such entry; the
-    rejection sampler of `_tail_std_lower` beyond that.  A row draws its
-    uniforms first, then its tail entries, so every row matches a one-row
-    call on the same stream bit for bit.  The uniforms come one stream at a
-    time; the inverse CDF covers all R x n entries in one call, in place.
+    Inverse CDF with one uniform per entry, so a call leaves each stream n
+    uniforms on whatever eta is.  Below eta = -5, where ndtr(eta) loses its
+    relative precision, the same inverse runs in log space
+    (`special.ndtri_exp` of ``log1p(-u) + log_ndtr(eta)``).  Every row
+    matches a one-row call on the same stream bit for bit.  The uniforms
+    come one stream at a time; the inverse CDF covers all R x n entries in
+    one call, in place.  A NaN or -inf entry of eta raises
+    `FloatingPointError`.
     """
     eta = np.asarray(eta, dtype=float)
+    low = eta.min(initial=np.inf)
+    if not low > -np.inf:
+        raise FloatingPointError("eta has a NaN or -inf entry: no normal lies above -eta")
     t = np.empty_like(eta)
-    tails = []
-    if eta.min(initial=np.inf) >= -5.0:  # the usual block: no tail entry, no mask
-        for rng, row in zip(rngs, t):
-            rng.generator.random(out=row)
-    else:
-        moderate = eta >= -5.0
-        for r, (rng, mod) in enumerate(zip(rngs, moderate)):
-            t[r] = 0.0  # placeholder for the tail entries, overwritten below
-            t[r, mod] = rng.uniform(np.count_nonzero(mod))
-            tails.append((r, ~mod, _tail_std_lower(-eta[r, ~mod], rng)))
+    for rng, row in zip(rngs, t):
+        rng.generator.random(out=row)
+    if low < -5.0:
+        tail = eta < -5.0
+        x = -special.ndtri_exp(np.log1p(-t[tail]) + special.log_ndtr(eta[tail]))
     # t = -ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
     np.subtract(1.0, t, out=t)
     t *= special.ndtr(eta)
     special.ndtri(t, out=t)
     np.negative(t, out=t)
-    for r, tail, x in tails:
-        t[r, tail] = x
+    if low < -5.0:
+        t[tail] = x
     return t
 
 

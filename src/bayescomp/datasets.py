@@ -9,6 +9,7 @@ distributions; see its header comment and the README for provenance.
 from __future__ import annotations
 
 import csv
+import math
 from importlib import resources
 
 import numpy as np
@@ -53,11 +54,14 @@ def load_pima(path) -> ProbitModel:
             for col in ("glu", "bp", "ped"):
                 cell = row[idx[col]].strip()
                 try:
-                    rec.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise IngestionError(
-                        f"{path}: non-numeric value {cell!r} at row {lineno}, column {col}"
-                    )
+                    value = math.nan
+                # float() also parses nan and inf, which no covariate can hold
+                if not math.isfinite(value):
+                    raise IngestionError(f"{path}: non-numeric or non-finite value "
+                                         f"{cell!r} at row {lineno}, column {col}")
+                rec.append(value)
             label = row[idx["type"]].strip()
             if label not in ("Yes", "No"):
                 raise IngestionError(

@@ -42,6 +42,7 @@ __all__ = [
 _METHODS = ("prior-mc", "importance", "bridge", "bridge-embedded",
             "harmonic-gd", "harmonic-nr", "chib")
 _N_BATCHES = 50
+_BRIDGE_TOL = 1e-8
 
 
 class BridgeError(RuntimeError):
@@ -185,15 +186,16 @@ def bf_importance(model0: BayesModel, model1: BayesModel, g0, g1,
 
 
 def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
-                    sample0, sample1, tol: float = 1e-8,
-                    max_iter: int = 100, log_r0: float = 0.0,
+                    sample0, sample1, max_iter: int = 100, log_r0: float = 0.0,
                     method: str = "bridge") -> EvidenceEstimate:
     """Bayes factor B01 by the iterated quasi-optimal bridge.
 
     Both unnormalised log-posteriors must live on the same space and map
     (N, p) points to (N,) values; the two samples come from the respective
     posteriors.  The fixed point in the ratio r = B01 is iterated in log
-    domain from r = 1 until the change in log r drops below `tol`.
+    domain from r = exp(`log_r0`), 1 by default, until the change in log r
+    drops below ``_BRIDGE_TOL`` = 1e-8; `BridgeError` if that takes more
+    than `max_iter` steps.
     """
     sample0 = np.atleast_2d(np.asarray(sample0, dtype=float))
     sample1 = np.atleast_2d(np.asarray(sample1, dtype=float))
@@ -214,7 +216,7 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
             -np.logaddexp(log_s1 + log_l0, log_s0 + log_r))
         new = num - den
         trace.append(new)
-        if abs(new - log_r) < tol:
+        if abs(new - log_r) < _BRIDGE_TOL:
             log_r = new
             break
         log_r = new

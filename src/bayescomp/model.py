@@ -89,7 +89,7 @@ class SimulableModel:
     sample_prior: PriorSampler
     simulate: Callable[[np.ndarray, RngStream], np.ndarray]  # (B, p) -> (B, ...)
     summary: Callable[[np.ndarray], np.ndarray]  # (B, ...) -> (B, k)
-    log_prior: Optional[LogDensity] = None
+    log_prior: LogDensity
 
 
 def log_posterior(model: BayesModel, thetas) -> np.ndarray:

@@ -20,6 +20,7 @@ from bayescomp.abc import (
     abc_reject,
     euclidean_distance,
     probit_abc,
+    regression_adjust,
 )
 from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, RngStream
 from bayescomp.mcmc import RwProposal
@@ -176,7 +177,7 @@ class TestMcmc:
 class TestPmc:
     def test_schedule_strictly_decreases_and_posterior_is_reached(self):
         config = AbcConfig(n_output=600, quantile=0.5)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=600,
+        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
                        n_generations=4, rng=RngStream(seed=21, stream_id=0))
         epsilons = [p.epsilon for p in pops]
         assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
@@ -187,7 +188,7 @@ class TestPmc:
 
     def test_fixed_tolerance_freezes_the_schedule(self):
         config = AbcConfig(n_output=300, tolerance=1.0)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=300,
+        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
                        n_generations=3, rng=RngStream(seed=22, stream_id=0))
         assert [p.epsilon for p in pops] == [1.0, 1.0, 1.0]
         assert len(pops) == 3
@@ -196,7 +197,7 @@ class TestPmc:
         # distances are integers here; once every particle sits at distance
         # zero the quantile cannot decrease further and the run must stop
         config = AbcConfig(n_output=200, quantile=0.9)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=200,
+        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
                        n_generations=30, rng=RngStream(seed=23, stream_id=0))
         assert len(pops) < 30
         assert np.quantile(pops[-1].distances, 0.9) >= pops[-1].epsilon
@@ -215,7 +216,7 @@ class TestPmc:
         )
         n = 100
         pops = abc_pmc(model, np.zeros(1), AbcConfig(n_output=n, quantile=0.5),
-                       n_particles=n, n_generations=30,
+                       n_generations=30,
                        rng=RngStream(seed=25, stream_id=0))
         assert len(pops) < 30
         assert np.quantile(pops[-1].distances, 0.5) < pops[-1].epsilon
@@ -247,7 +248,7 @@ class TestPmc:
         config = AbcConfig(n_output=100, tolerance=1.0)
         with pytest.raises(RuntimeError,
                            match=r"generation 1: acceptance probability .* in 10000 proposals"):
-            abc_pmc(model, np.zeros(1), config, n_particles=100,
+            abc_pmc(model, np.zeros(1), config,
                     n_generations=3, rng=RngStream(seed=26, stream_id=0))
 
     def test_weight_degeneracy_raises(self):
@@ -262,16 +263,16 @@ class TestPmc:
         )
         config = AbcConfig(n_output=100, tolerance=10.0)
         with pytest.raises(DegenerateWeightsError, match="generation"):
-            abc_pmc(model, np.zeros(1), config, n_particles=100,
+            abc_pmc(model, np.zeros(1), config,
                     n_generations=3, rng=RngStream(seed=24, stream_id=0))
 
     def test_input_validation(self):
         config = AbcConfig(n_output=100, tolerance=1.0)
         with pytest.raises(ValueError):
-            abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=50,
+            abc_pmc(bernoulli_model(), Y_OBS, AbcConfig(n_output=50, tolerance=1.0),
                     n_generations=3, rng=RngStream(seed=0, stream_id=0))
         with pytest.raises(ValueError):
-            abc_pmc(bernoulli_model(), Y_OBS, config, n_particles=100,
+            abc_pmc(bernoulli_model(), Y_OBS, config,
                     n_generations=1, rng=RngStream(seed=0, stream_id=0))
 
 
@@ -306,7 +307,7 @@ class TestBlocks:
 
     def test_proposals_are_counted_not_rounded_to_blocks(self):
         # a prior supported everywhere and a tolerance every proposal meets:
-        # each generation needs exactly n_particles proposals, not a whole
+        # each generation needs exactly n_output proposals, not a whole
         # number of blocks
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
@@ -317,7 +318,7 @@ class TestBlocks:
         config = AbcConfig(n_output=300, tolerance=1.0)
         assert abc_reject(model, np.zeros(1), config,
                           RngStream(seed=14, stream_id=0)).n_proposals == 300
-        pops = abc_pmc(model, np.zeros(1), config, n_particles=300,
+        pops = abc_pmc(model, np.zeros(1), config,
                        n_generations=3, rng=RngStream(seed=14, stream_id=0))
         assert [p.n_proposals for p in pops] == [300, 300, 300]
 
@@ -328,6 +329,30 @@ class TestBlocks:
         with pytest.raises(RuntimeError, match="0 accepted in 1000 proposals"):
             abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), config,
                        RngStream(seed=15, stream_id=0))
+
+
+class TestRegressionAdjust:
+    def test_removes_a_planted_linear_effect(self):
+        # each particle is a constant plus a linear effect of its summary
+        # offset, which the weighted regression fits exactly whatever the
+        # weights, so the adjustment leaves the constant alone
+        rng = np.random.default_rng(3)
+        eta_obs = np.array([0.5, -1.0, 2.0])
+        summaries = eta_obs + rng.normal(size=(200, 3))
+        effect = np.array([[1.5, -0.3], [0.0, 2.0], [-0.7, 0.4]])
+        constant = np.array([0.2, -3.0])
+        pop = AbcPopulation(
+            particles=constant + (summaries - eta_obs) @ effect,
+            log_weights=rng.normal(size=200), epsilon=1.0, t=2,
+            distances=euclidean_distance(summaries, eta_obs),
+            n_proposals=500, summaries=summaries)
+        kept = [a.copy() for a in (pop.log_weights, pop.summaries, pop.distances)]
+        adjusted = regression_adjust(pop, eta_obs)
+        np.testing.assert_allclose(adjusted.particles,
+                                   np.broadcast_to(constant, (200, 2)), rtol=0, atol=1e-10)
+        for before, after in zip(kept, (adjusted.log_weights, adjusted.summaries,
+                                        adjusted.distances)):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestProbitAbc:

@@ -417,7 +417,7 @@ class TestAbcExactness:
         # by the second generation
         pops = abc_pmc(_bernoulli_model(), BERN_OBS,
                        AbcConfig(n_output=4000, quantile=0.25),
-                       n_particles=4000, n_generations=4,
+                       n_generations=4,
                        rng=RngStream(103, 0))
         final = pops[-1]
         assert final.epsilon == 0.0

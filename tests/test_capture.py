@@ -254,7 +254,7 @@ class TestBlockedScan:
     ])
     def test_block_matches_enumeration(self, counts, q, seed):
         m = CaptureModel(*counts)
-        block = _removal_block(m, capture_gibbs_conditionals(m)["p"])
+        block = _removal_block(m)
         rng = RngStream(seed, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -347,7 +347,7 @@ class TestLockstep:
         # q = 0 and q = 1 zero every pair that counts an impossible event
         # (the 0 log 0 rule); with c2 = c3 = 0 each leaves one pair
         m = CaptureModel(8, 0, 0)
-        block = _removal_block(m, capture_gibbs_conditionals(m)["p"])
+        block = _removal_block(m)
         qs = [0.0, 0.4, 1.0]
         rngs = [RngStream(50, r) for r in range(3)]
         with warnings.catch_warnings():
@@ -362,7 +362,7 @@ class TestLockstep:
     def test_one_impossible_chain_fails_the_call(self, eurodip):
         # with c2 > 0, q = 1 leaves no pair: the whole call raises, before
         # any chain draws
-        block = _removal_block(eurodip, capture_gibbs_conditionals(eurodip)["p"])
+        block = _removal_block(eurodip)
         rngs = [RngStream(51, r) for r in range(2)]
         fresh = [rng.counter for rng in rngs]
         with pytest.raises(DegenerateWeightsError):

@@ -17,6 +17,7 @@ from bayescomp.core import (
     sample_mvn_many,
     sample_truncated_normal,
     truncated_normal_vector,
+    truncated_std_normal,
 )
 from bayescomp.probit import ProbitModel, probit_loglik_many
 
@@ -189,7 +190,7 @@ class TestTruncatedNormal:
 
     def test_rows_match_one_row_calls(self):
         # rows mix moderate bounds (a <= 5) with tail bounds (a > 5, the
-        # rejection path); row 1 has no tail entry and row 2 only tail ones
+        # log-space path); row 1 has no tail entry and row 2 only tail ones
         positive = np.array([True, False, True, False, True, True])
         mu = np.array([[0.3, 1.2, -6.5, -2.0, -9.0, 1.0],
                        [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0],
@@ -203,6 +204,39 @@ class TestTruncatedNormal:
             row = truncated_normal_vector(mu[r:r + 1], positive, [alone])
             assert draws[r].tobytes() == row[0].tobytes()
             assert rng.counter == alone.counter
+
+    def test_one_uniform_per_entry(self):
+        # whatever the bounds, a row leaves its stream where n uniforms would
+        eta = np.array([[0.3, -6.5, -2.0, -9.0, 1.0, -40.0],
+                        [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0],
+                        [-5.5, -7.0, -12.0, -6.1, -5.01, -8.0]])
+        rngs = [RngStream(22, r) for r in range(3)]
+        t = truncated_std_normal(eta, rngs)
+        assert np.all(t > -eta)
+        for r, rng in enumerate(rngs):
+            fresh = RngStream(22, r)
+            fresh.generator.random(eta.shape[1])
+            assert rng.counter == fresh.counter
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nan_or_minus_inf_bound_raises(self, bad):
+        with pytest.raises(FloatingPointError):
+            truncated_std_normal(np.array([[0.0, -7.0, bad]]), [RngStream(23, 0)])
+
+    @pytest.mark.parametrize("a", [5.01, 8.0, 20.0])
+    def test_tail_ks(self, a):
+        draws = truncated_std_normal(np.full((1, 200_000), -a), [RngStream(24, 0)])[0]
+        assert np.all(draws > a)
+        assert stats.kstest(draws, stats.truncnorm(a, np.inf).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("a", [40.0, 200.0])
+    def test_far_tail_mean(self, a):
+        # the mean of N(0, 1) above a is the inverse Mills ratio
+        draws = truncated_std_normal(np.full((1, 200_000), -a), [RngStream(25, 0)])[0]
+        mills = np.exp(stats.norm.logpdf(a) - stats.norm.logsf(a))
+        se = draws.std() / np.sqrt(draws.size)
+        assert np.all(draws > a)
+        assert abs(draws.mean() - mills) < 4.0 * se
 
     def test_bad_side(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,7 @@ def test_simulable_model_runs():
         sample_prior=lambda n, rng: rng.uniform((n, 1)),
         simulate=lambda th, rng: (rng.uniform((len(th), 4)) < th[:, :1]).astype(float),
         summary=lambda z: z.sum(axis=1, keepdims=True),
+        log_prior=lambda th: np.zeros(len(th)),
     )
     rng = RngStream(1, 0)
     thetas = sim.sample_prior(1, rng)

@@ -160,8 +160,8 @@ class TestLatentCompletion:
 
     @pytest.mark.parametrize("R", [1, 3])
     def test_latents_equal_truncated_normal_vector(self, pima_models, R):
-        # at six times the MLE some s_i x_i'beta fall below -5, so the tail
-        # rejection runs as well as the inverse CDF
+        # at six times the MLE some s_i x_i'beta fall below -5, so the
+        # log-space tail runs as well as the in-place inverse CDF
         beta, _ = probit_mle(pima_models)
         betas = np.outer([6.0, 1.0, 3.0][:R], beta)
         eta = pima_models.signs * rowwise(betas, pima_models.design)

@@ -1,8 +1,9 @@
 """Compare the CLI outputs of two source trees of bayescomp.
 
 Runs every CLI experiment at its defaults, `evidence` once per method
-(each through a ``--config`` file naming it), plus `mh`, `gibbs` and
-`capture` with three replicates (the one-stream-per-run path and the
+(each through a ``--config`` file naming it), `capture` once more on
+counts whose blocks often reach its exact truncated route, plus `mh`,
+`gibbs` and `capture` with three replicates (the one-stream-per-run path and the
 lockstep path), once on each tree (each tree's own ``src`` on the path),
 and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
 byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  It also
@@ -34,6 +35,9 @@ EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
 REPLICATED = ("mh", "gibbs", "capture")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
+# no recapture and n_max = n1 + 2: most block proposals have N > n_max, and
+# the sweeps that run out of tries take the exact route (about 1 in 30)
+EXACT_CAPTURE = {"n1": 22, "c2": 0, "c3": 0, "n_max": 24, "iterations": 2000}
 BYTE_FILES = ("draws.csv", "replicates.csv")
 DEMOS = tuple(sorted(p.stem for p in
                      (pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py")))
@@ -46,6 +50,8 @@ def _runs(experiments):
     for e in experiments:
         if e == "evidence":
             runs += [(f"{e} {m}", e, [], {"method": m}) for m in EVIDENCE_METHODS]
+        elif e == "capture":
+            runs += [(e, e, [], None), (f"{e} exact", e, [], EXACT_CAPTURE)]
         else:
             runs.append((e, e, [], None))
     runs += [(f"{e} x3", e, ["--replicates", "3"], None)
