@@ -12,7 +12,9 @@ have one runner each, which takes the streams of all R replicates and
 advances their chains in lockstep, one stream per chain, in a single run
 whose row 0 is the main run (a run without replicates passes one stream);
 such a run fails as a whole.  Every other experiment runs its replicates
-one after another, recording a failed replicate and going on.
+one after another, recording a failed replicate and going on.  The four
+chain-based `evidence` routes read one Gibbs chain pair: the 3-covariate
+model on ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.
 """
 
 from __future__ import annotations
@@ -243,31 +245,32 @@ def _run_evidence(config, rng):
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
         est = bf_importance(model1, model0, g1, g0, n, n, rng)
         log_b10, se = est.log_value, est.std_error
-    elif method in ("harmonic-gd", "harmonic-nr", "chib"):
-        parts = []
-        for i, (mp, m) in enumerate([(model1p, model1), (model0p, model0)]):
-            chain, xtz = probit_gibbs_run(mp, n, rng.child(i),
-                                          keep_xtz=method == "chib")
-            if method == "harmonic-gd":
-                phi = PhiSpec.from_sample(chain.states, config["coverage"])
-                parts.append(harmonic_mean_gd(
-                    lambda b: log_posterior(m, b), chain.states, phi))
-            elif method == "harmonic-nr":
-                parts.append(newton_raftery_hm(
-                    lambda b: probit_loglik_many(mp, b), chain.states))
-            else:
-                parts.append(chib_marginal(m, probit_latent_completion(mp),
-                                           xtz, param_draws=chain.states))
-        log_b10 = parts[0].log_value - parts[1].log_value
-        se = float(np.hypot(parts[0].std_error, parts[1].std_error))
-    elif method == "bridge-embedded":
-        chain0, _ = probit_gibbs_run(model0p, n, rng.child(0))
-        chain1, _ = probit_gibbs_run(model1p, n, rng.child(1))
-        omega = LinearGaussianOmega.fit(chain1.states[:, :2],
-                                        chain1.states[:, 2])
-        est = bridge_embedded(model0, model1, np.zeros(1), omega,
-                              chain0.states, chain1.states, rng.child(2))
-        log_b10, se = -est.log_value, est.std_error
+    elif method in ("harmonic-gd", "harmonic-nr", "chib", "bridge-embedded"):
+        models = [(model1p, model1), (model0p, model0)]
+        runs = [probit_gibbs_run(mp, n, rng.child(i))
+                for i, (mp, _) in enumerate(models)]
+        if method == "bridge-embedded":
+            (chain1, _), (chain0, _) = runs
+            omega = LinearGaussianOmega.fit(chain1.states[:, :2],
+                                            chain1.states[:, 2])
+            est = bridge_embedded(model0, model1, np.zeros(1), omega,
+                                  chain0.states, chain1.states, rng.child(2))
+            log_b10, se = -est.log_value, est.std_error
+        else:
+            parts = []
+            for (mp, m), (chain, means) in zip(models, runs):
+                if method == "harmonic-gd":
+                    phi = PhiSpec.from_sample(chain.states, config["coverage"])
+                    parts.append(harmonic_mean_gd(
+                        lambda b: log_posterior(m, b), chain.states, phi))
+                elif method == "harmonic-nr":
+                    parts.append(newton_raftery_hm(
+                        lambda b: probit_loglik_many(mp, b), chain.states))
+                else:
+                    parts.append(chib_marginal(m, probit_latent_completion(mp),
+                                               means, param_draws=chain.states))
+            log_b10 = parts[0].log_value - parts[1].log_value
+            se = float(np.hypot(parts[0].std_error, parts[1].std_error))
     else:
         raise ConfigError(f"unknown evidence method {method!r}")
     return ({"log_b10": float(log_b10)}, {"log_b10": float(se)},

@@ -50,6 +50,10 @@ def load_pima(path) -> ProbitModel:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            short = [c for c in required if idx[c] >= len(row)]
+            if short:
+                raise IngestionError(f"{path}: missing cell at row {lineno}, "
+                                     f"column {short[0]}")
             rec = []
             for col in ("glu", "bp", "ped"):
                 cell = row[idx[col]].strip()

@@ -207,24 +207,23 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
         raise BridgeError("no overlap: density ratio degenerate on the samples")
     log_s1 = np.log(n1 / (n0 + n1))
     log_s0 = np.log(n0 / (n0 + n1))
+
+    def terms(log_r):  # the fixed point's numerator and denominator terms
+        return (log_l1 - np.logaddexp(log_s1 + log_l1, log_s0 + log_r),
+                -np.logaddexp(log_s1 + log_l0, log_s0 + log_r))
+
     log_r = float(log_r0)
     trace = [log_r]
     for _ in range(max_iter):
-        num = _log_mean_exp(
-            log_l1 - np.logaddexp(log_s1 + log_l1, log_s0 + log_r))
-        den = _log_mean_exp(
-            -np.logaddexp(log_s1 + log_l0, log_s0 + log_r))
-        new = num - den
-        trace.append(new)
-        if abs(new - log_r) < _BRIDGE_TOL:
-            log_r = new
+        num_terms, den_terms = terms(log_r)
+        prev, log_r = log_r, _log_mean_exp(num_terms) - _log_mean_exp(den_terms)
+        trace.append(log_r)
+        if abs(log_r - prev) < _BRIDGE_TOL:
             break
-        log_r = new
     else:
         raise BridgeError(f"bridge iteration did not converge in {max_iter} steps",
                           trace=trace)
-    num_terms = log_l1 - np.logaddexp(log_s1 + log_l1, log_s0 + log_r)
-    den_terms = -np.logaddexp(log_s1 + log_l0, log_s0 + log_r)
+    num_terms, den_terms = terms(log_r)
     se = float(np.sqrt(_batch_se(num_terms) ** 2 + _batch_se(den_terms) ** 2))
     return EvidenceEstimate(log_value=float(log_r), std_error=se,
                             method=method, n_draws=n0 + n1)
@@ -364,9 +363,9 @@ def chib_marginal(model: BayesModel, completion, latent_stats,
     ordinate estimated by averaging the normalised full conditional of the
     parameter over the retained Gibbs sweeps.  `latent_stats` holds one
     row per sweep of the statistic of the latents that the completion's
-    `log_full_conditional_param` takes (X'z for the probit, as kept by
-    `probit_gibbs_run(..., keep_xtz=True)`).  theta* defaults to the mean
-    of `param_draws` (the Gibbs parameter chain)."""
+    `log_full_conditional_param` takes (for the probit the conditional mean
+    E[beta | z], the second value `probit_gibbs_run` returns).  theta*
+    defaults to the mean of `param_draws` (the Gibbs parameter chain)."""
     if theta_star is None:
         if param_draws is None:
             raise ValueError("either theta_star or param_draws is required")

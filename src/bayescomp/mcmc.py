@@ -19,7 +19,7 @@ from scipy import special
 
 from .core import MvnParams, RngStream
 from .model import BayesModel, log_posterior
-from .probit import ProbitModel, probit_latent_completion, probit_mle, probit_xtz
+from .probit import ProbitModel, probit_latent_completion, probit_mle
 
 __all__ = [
     "Chain",
@@ -114,8 +114,7 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     return mh_run(target, RwProposal(cov), theta0, n_iter, rng)
 
 
-def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
-                          keep_xtz: bool = False):
+def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs):
     """Data-augmentation Gibbs for the probit posterior: R = len(rngs)
     chains in lockstep, each started at the MLE.
 
@@ -123,24 +122,22 @@ def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs,
     coefficients, then the coefficients from their exact normal conditional
     given the latents.  Chain r draws from ``rngs[r]`` alone and in the
     order of a single chain, so it is bit-identical to a run of its own on
-    that stream.  Returns (states, xtz): the (R, n_iter, p) states, and
-    when `keep_xtz` the (R, n_iter, p) statistics X'z of each sweep's
-    latents (`probit_xtz`), else None.  The statistics are all the
-    posterior-ordinate evidence estimator needs of the latents, which are
-    never stored.
+    that stream.  Returns (states, means): the (R, n_iter, p) states and
+    the (R, n_iter, p) conditional means E[beta | z] = c (X'X)^{-1} X'z,
+    row t the mean that sweep t drew its state around.  The means are all
+    that Chib's ordinate and the Rao-Blackwellised averages need of the
+    latents, which are never stored.
     """
     completion = probit_latent_completion(model)
     beta, _ = probit_mle(model)
     betas = np.tile(beta, (len(rngs), 1))
     states = np.empty((len(rngs), n_iter, model.dimension))
-    xtz = np.empty((len(rngs), n_iter, model.dimension)) if keep_xtz else None
+    means = np.empty((len(rngs), n_iter, model.dimension))
     for t in range(n_iter):
-        z = completion.sample_latents(betas, rngs)
-        betas = completion.sample_params(z, rngs)
-        states[:, t] = betas
-        if keep_xtz:
-            xtz[:, t] = probit_xtz(model, z)
-    return states, xtz
+        m = completion.sample_latents(betas, rngs)
+        betas = completion.sample_params(m, rngs)
+        means[:, t], states[:, t] = m, betas
+    return states, means
 
 
 def gibbs_chain(states: np.ndarray) -> Chain:
@@ -149,13 +146,12 @@ def gibbs_chain(states: np.ndarray) -> Chain:
     return Chain(states, None, 0, 0, {"family": "gibbs-data-augmentation"})
 
 
-def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream,
-                     keep_xtz: bool = False):
+def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):
     """One chain of `probit_gibbs_lockstep` on stream `rng`.  Returns
-    (chain, xtz) where xtz is the (n_iter, p) array of the latents'
-    statistics X'z, one row per sweep, when `keep_xtz`, else None."""
-    states, xtz = probit_gibbs_lockstep(model, n_iter, [rng], keep_xtz)
-    return gibbs_chain(states[0]), None if xtz is None else xtz[0]
+    (chain, means), means the (n_iter, p) conditional means E[beta | z],
+    one row per sweep."""
+    states, means = probit_gibbs_lockstep(model, n_iter, [rng])
+    return gibbs_chain(states[0]), means[0]
 
 
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,

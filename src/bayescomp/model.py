@@ -57,18 +57,19 @@ class BayesModel:
 class LatentCompletion:
     """Two-block data augmentation of a model.
 
-    `sample_latents(thetas, rngs)` and `sample_params(latents, rngs)` make
-    one Gibbs sweep of R chains in lockstep: (R, p) parameters map to
-    (R, ...) latents and back, row r drawing from stream ``rngs[r]`` alone,
-    so that a chain does not depend on the others.
-    `log_full_conditional_param(theta, stats)` takes an (N, k) array of
-    statistics of N latent draws, each a statistic through which the
-    parameter's full conditional depends on the latents (X'z for the
-    probit), and returns the (N,) *normalised* log-densities of the
-    parameter theta given each of them (constant included):
-    marginal-likelihood estimation via the posterior-ordinate identity
-    depends on it, and a sampler keeps the statistic of each sweep instead
-    of its latents.
+    `sample_latents(thetas, rngs)` and `sample_params(stats, rngs)` make
+    one Gibbs sweep of R chains in lockstep, row r drawing from stream
+    ``rngs[r]`` alone, so that a chain does not depend on the others.
+    `sample_latents` draws the latents given the (R, p) parameters and
+    returns the (R, k) statistic through which the parameter's full
+    conditional depends on them (for the probit, its mean E[beta | z]);
+    `sample_params` draws the parameters from the conditional that the
+    statistic fixes.  `log_full_conditional_param(theta, stats)` takes an
+    (N, k) array of such statistics and returns the (N,) *normalised*
+    log-densities of the parameter theta given each of them (constant
+    included): marginal-likelihood estimation via the posterior-ordinate
+    identity depends on it, and a sampler keeps the statistic of each
+    sweep instead of its latents.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]

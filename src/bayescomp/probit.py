@@ -27,7 +27,6 @@ __all__ = [
     "probit_mle",
     "sample_gprior",
     "probit_latent_completion",
-    "probit_xtz",
     "probit_simulator",
     "probit_summary_whitener",
     "probit_abc_summary",
@@ -196,14 +195,14 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i, drawn
     as z_i = s_i (eta_i + t_i) with eta = S X beta and t_i a standard normal
     above -eta_i (`truncated_std_normal`).  The parameter conditional given
-    z is the exact multivariate normal N(c (X'X)^{-1} X'z, c (X'X)^{-1})
-    with c = g / (g + 1).  It depends on z only through the p-vector X'z
-    (`probit_xtz`), so its normalised log-density, exposed for
-    posterior-ordinate evidence estimation, takes one X'z per row.  Its
-    covariance is fixed, so it is factored once; only the mean moves with z.
+    z is the exact normal N(m, c (X'X)^{-1}), m = c (X'X)^{-1} X'z and
+    c = g / (g + 1), so `sample_latents` returns m, not z, and
+    `sample_params` and the normalised log-density exposed for
+    posterior-ordinate evidence estimation take one m per row.  The
+    covariance is fixed, so it is factored once.
 
-    The samplers advance R chains at once: (R, p) coefficients give (R, n)
-    latents and back, row r drawing from stream ``rngs[r]`` alone, and
+    The samplers advance R chains at once, (R, p) coefficients to (R, p)
+    means and back, row r drawing from stream ``rngs[r]`` alone, and
     every row equals a one-chain call on its stream bit for bit.
     """
     g = model.prior_scale
@@ -218,29 +217,18 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
         z = truncated_std_normal(eta, rngs)
         z += eta
         z *= signs
-        return z
+        return rowwise(z, proj)
 
-    def sample_params(zs, rngs):
+    def sample_params(means, rngs):
         noise = np.empty((len(rngs), model.dimension))
         for r, rng in enumerate(rngs):
             rng.generator.standard_normal(out=noise[r])
-        betas = rowwise(np.asarray(zs, float), proj)
-        betas += rowwise(noise, cond.scale)
-        return betas
+        return means + rowwise(noise, cond.scale)
 
-    def log_full_conditional_param(beta, xtzs):
-        # the conditional mean c (X'X)^{-1} X'z is the covariance times X'z
-        means = rowwise(np.asarray(xtzs, float), cond.covariance)
+    def log_full_conditional_param(beta, means):
         return cond.logpdf_many(np.asarray(beta, float) - means)
 
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
-
-
-def probit_xtz(model: ProbitModel, zs) -> np.ndarray:
-    """X'z for each row z of the (R, n) latents, as an (R, p) array: the
-    statistic through which the coefficients' full conditional depends on
-    the latents.  Each row is bit-identical to its one-row call."""
-    return rowwise(np.asarray(zs, float), model.design.T)
 
 
 def probit_simulator(model: ProbitModel):

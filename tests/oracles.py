@@ -59,3 +59,12 @@ def capture_posterior_oracle(n1, c2, c3, n_max, grid=400):
         "p": float(np.sum(w * mids[:, None])),
         "q": float(np.sum(w * mids[None, :])),
     }
+
+
+def probit_mean_map(model):
+    """The (p, n) map z -> E[beta | z] = c (X'X)^{-1} X'z, c = g / (g + 1),
+    of a probit model under its g-prior, in the floating-point steps of the
+    latent completion, so a statistic it returns can be compared byte for
+    byte."""
+    g = model.prior_scale
+    return g / (g + 1.0) * (np.linalg.inv(model.xtx) @ model.design.T)

@@ -194,10 +194,10 @@ class TestEvidenceCrossConsistency:
         # replicate r's chains run on RngStream(2026, r).child(1) and
         # .child(2); one lockstep call per model advances all of them
         rngs = [RngStream(2026, r) for r in range(self.N_REP)]
-        states1, xtz1 = probit_gibbs_lockstep(
-            pima3, self.N, [rng.child(1) for rng in rngs], keep_xtz=True)
-        states0, xtz0 = probit_gibbs_lockstep(
-            pima2, self.N, [rng.child(2) for rng in rngs], keep_xtz=True)
+        states1, means1 = probit_gibbs_lockstep(
+            pima3, self.N, [rng.child(1) for rng in rngs])
+        states0, means0 = probit_gibbs_lockstep(
+            pima2, self.N, [rng.child(2) for rng in rngs])
 
         vals = {"importance": [], "harmonic-gd": [], "chib": [],
                 "bridge-embedded": []}
@@ -214,11 +214,11 @@ class TestEvidenceCrossConsistency:
             vals["harmonic-gd"].append(parts[0].log_value - parts[1].log_value)
 
             parts = []
-            for mp, states, xtz in ((pima3, states1[r], xtz1[r]),
-                                    (pima2, states0[r], xtz0[r])):
+            for mp, states, means in ((pima3, states1[r], means1[r]),
+                                      (pima2, states0[r], means0[r])):
                 parts.append(chib_marginal(probit_bayes_model(mp),
                                            probit_latent_completion(mp),
-                                           xtz, param_draws=states))
+                                           means, param_draws=states))
             vals["chib"].append(parts[0].log_value - parts[1].log_value)
 
             omega = LinearGaussianOmega.fit(states1[r][:, :2], states1[r][:, 2])
@@ -274,14 +274,13 @@ class TestChibIdentity:
     def test_probit_ordinate_insensitive_to_evaluation_point(self, pima2):
         """With Rao-Blackwellised conditionals the estimate cannot depend
         on where the ordinate is evaluated, beyond Monte Carlo error."""
-        chain, xtz = probit_gibbs_run(pima2, 4000, RngStream(77, 0),
-                                      keep_xtz=True)
+        chain, means = probit_gibbs_run(pima2, 4000, RngStream(77, 0))
         model = probit_bayes_model(pima2)
         completion = probit_latent_completion(pima2)
         mean = chain.states.mean(axis=0)
         sd = chain.states.std(axis=0, ddof=1)
-        a = chib_marginal(model, completion, xtz, theta_star=mean)
-        b = chib_marginal(model, completion, xtz,
+        a = chib_marginal(model, completion, means, theta_star=mean)
+        b = chib_marginal(model, completion, means,
                           theta_star=mean + 0.25 * sd)
         assert abs(a.log_value - b.log_value) < \
             3.0 * np.hypot(a.std_error, b.std_error) + 1e-3

@@ -168,9 +168,9 @@ class TestOutputs:
         # chain 0 is the main run
         streams = []
 
-        def lockstep(model, n_iter, rngs, keep_xtz=False):
+        def lockstep(model, n_iter, rngs):
             streams.extend(rng.stream_id for rng in rngs)
-            return probit_gibbs_lockstep(model, n_iter, rngs, keep_xtz)
+            return probit_gibbs_lockstep(model, n_iter, rngs)
 
         def capture_lockstep(model, n_iter, rngs):
             streams.extend(rng.stream_id for rng in rngs)
@@ -199,9 +199,9 @@ class TestOutputs:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def lockstep(model, n_iter, rngs, keep_xtz=False):
+        def lockstep(model, n_iter, rngs):
             fresh = [RngStream(rng.seed, rng.stream_id).counter for rng in rngs]
-            result = probit_gibbs_lockstep(model, n_iter, rngs, keep_xtz)
+            result = probit_gibbs_lockstep(model, n_iter, rngs)
             drawn = all(rng.counter != c for rng, c in zip(rngs, fresh))
             calls.append(([rng.stream_id for rng in rngs],
                           threading.get_ident(), drawn))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bayescomp.core import RngStream
+from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.mcmc import (
     Chain,
@@ -24,6 +24,8 @@ from bayescomp.probit import (
     probit_loglik_rows,
     probit_mle,
 )
+
+from oracles import probit_mean_map
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +99,21 @@ class TestMhRun:
 
 class TestProbitGibbs:
     def test_latent_signs(self, pima):
-        # the sweeps of probit_gibbs_run, by hand, so every sweep's latents
-        # can be read
+        # the sweeps of probit_gibbs_run, by hand, each sweep's statistic
+        # against the mean map of latents drawn on a twin stream
         completion = probit_latent_completion(pima)
-        rngs = [RngStream(10, 0)]
+        rngs, twins = [RngStream(10, 0)], [RngStream(10, 0)]
         betas = probit_mle(pima)[0][None, :]
         expected = np.where(pima.response == 1.0, 1.0, -1.0)
+        proj = probit_mean_map(pima)
         for _ in range(50):
-            z = completion.sample_latents(betas, rngs)
+            m = completion.sample_latents(betas, rngs)
+            z = truncated_normal_vector(rowwise(betas, pima.design),
+                                        pima.response == 1, twins)
             assert np.all(np.sign(z[0]) == expected)
-            betas = completion.sample_params(z, rngs)
+            assert m.tobytes() == rowwise(z, proj).tobytes()
+            betas = completion.sample_params(m, rngs)
+            completion.sample_params(m, twins)
 
     def test_cross_sampler_agreement(self, pima):
         gibbs, _ = probit_gibbs_run(pima, 8000, RngStream(11, 0))
@@ -149,14 +156,14 @@ class TestLockstepGibbs:
     def test_chains_match_standalone_runs(self, pima, which, n_chains):
         model = pima if which == "pima" else outlier_model()
         rngs = [RngStream(31, r) for r in range(n_chains)]
-        states, xtz = probit_gibbs_lockstep(model, 200, rngs, keep_xtz=True)
+        states, means = probit_gibbs_lockstep(model, 200, rngs)
         assert states.shape == (n_chains, 200, model.dimension)
-        assert xtz.shape == (n_chains, 200, model.dimension)
+        assert means.shape == (n_chains, 200, model.dimension)
         for r in range(n_chains):
             alone = RngStream(31, r)
-            chain, xtz_alone = probit_gibbs_run(model, 200, alone, keep_xtz=True)
+            chain, means_alone = probit_gibbs_run(model, 200, alone)
             assert states[r].tobytes() == chain.states.tobytes()
-            assert xtz[r].tobytes() == xtz_alone.tobytes()
+            assert means[r].tobytes() == means_alone.tobytes()
             assert rngs[r].counter == alone.counter
         if which == "outlier":
             start = np.broadcast_to(probit_mle(model)[0], (n_chains, 1, 2))
@@ -164,24 +171,58 @@ class TestLockstepGibbs:
             bound = -(2.0 * model.response - 1.0) * means
             assert np.any(bound > 5.0)
 
-    def test_ordinate_from_lockstep_xtz(self, pima):
-        """The full conditional of beta given each sweep's X'z, over three
-        lockstep chains, is N(s (X'X)^{-1} X'z, s (X'X)^{-1}); every row is
+    def test_ordinate_from_lockstep_means(self, pima):
+        """The full conditional of beta given each sweep's kept mean m, over
+        three lockstep chains, is N(m, s (X'X)^{-1}); every row is
         bit-identical to its one-row call."""
-        states, xtz = probit_gibbs_lockstep(
-            pima, 20, [RngStream(41, r) for r in range(3)], keep_xtz=True)
-        xtz = xtz.reshape(-1, pima.dimension)
+        states, means = probit_gibbs_lockstep(
+            pima, 20, [RngStream(41, r) for r in range(3)])
+        means = means.reshape(-1, pima.dimension)
         beta = states.reshape(-1, pima.dimension).mean(axis=0)
         n = pima.n_obs
         cov = (n / (n + 1.0)) * np.linalg.inv(pima.design.T @ pima.design)
         completion = probit_latent_completion(pima)
-        ords = completion.log_full_conditional_param(beta, xtz)
-        oracle = [stats.multivariate_normal(cov @ row, cov).logpdf(beta)
-                  for row in xtz]
+        ords = completion.log_full_conditional_param(beta, means)
+        oracle = [stats.multivariate_normal(row, cov).logpdf(beta)
+                  for row in means]
         np.testing.assert_allclose(ords, oracle, rtol=1e-12, atol=0)
-        for i, row in enumerate(xtz):
+        for i, row in enumerate(means):
             one = completion.log_full_conditional_param(beta, row[None, :])
             assert one.tobytes() == ords[i:i + 1].tobytes()
+
+    def test_kept_mean_centres_the_draw(self, pima):
+        """One sweep of three chains: each state is its kept mean plus the
+        conditional's scale times normals drawn on a twin stream, bit for
+        bit (the float difference beta - m need not round back to them)."""
+        completion = probit_latent_completion(pima)
+        rngs = [RngStream(43, r) for r in range(3)]
+        twins = [RngStream(43, r) for r in range(3)]
+        betas = np.outer([1.0, 0.5, 2.0], probit_mle(pima)[0])
+        m = completion.sample_latents(betas, rngs)
+        beta = completion.sample_params(m, rngs)
+        truncated_normal_vector(rowwise(betas, pima.design), pima.response == 1, twins)
+        noise = np.array([twin.generator.standard_normal(pima.dimension) for twin in twins])
+        g = pima.prior_scale
+        cond = MvnParams(np.zeros(pima.dimension), g / (g + 1.0) * np.linalg.inv(pima.xtx))
+        assert beta.tobytes() == (m + rowwise(noise, cond.scale)).tobytes()
+        assert [r.counter for r in rngs] == [t.counter for t in twins]
+
+    def test_residuals_have_conditional_law(self, pima):
+        """Over 3 x 4000 lockstep sweeps the residuals beta_t - m_t are
+        draws of N(0, c (X'X)^{-1}): their mean lies within 4 SE of 0 and
+        their second moments within 4 SE of c (X'X)^{-1}, with
+        Var(e_j e_k) = S_jj S_kk + S_jk^2 for a centred Gaussian."""
+        states, means = probit_gibbs_lockstep(
+            pima, 4000, [RngStream(47, r) for r in range(3)])
+        resid = (states - means).reshape(-1, pima.dimension)
+        n = len(resid)
+        g = pima.prior_scale
+        cov = g / (g + 1.0) * np.linalg.inv(pima.xtx)
+        mean_se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(resid.mean(axis=0)) < 4 * mean_se)
+        second = resid.T @ resid / n
+        second_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+        assert np.all(np.abs(second - cov) < 4 * second_se)
 
 
 class TestMwg:

@@ -23,9 +23,10 @@ from bayescomp.probit import (
     probit_mle,
     probit_simulator,
     probit_summary_whitener,
-    probit_xtz,
     sample_gprior,
 )
+
+from oracles import probit_mean_map
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +151,23 @@ class TestMle:
                            atol=4 * np.sqrt(np.diag(cov)))
 
 
+def _twin_latents(model, betas, rngs):
+    """The latents that `sample_latents(betas, ...)` draws, drawn by
+    `truncated_normal_vector` on twin streams `rngs`."""
+    return truncated_normal_vector(rowwise(betas, model.design),
+                                   model.response == 1, rngs)
+
+
 class TestLatentCompletion:
     def test_latent_signs_match_response(self, pima):
+        # the statistic is the mean map of latents with the response's signs
         completion = probit_latent_completion(pima)
-        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]),
-                                      [RngStream(5, 0)])[0]
+        betas = np.array([[0.01, -0.02, 0.3]])
+        m = completion.sample_latents(betas, [RngStream(5, 0)])
+        z = _twin_latents(pima, betas, [RngStream(5, 0)])
         pos = pima.response == 1.0
-        assert np.all(z[pos] > 0) and np.all(z[~pos] < 0)
+        assert np.all(z[0, pos] > 0) and np.all(z[0, ~pos] < 0)
+        assert m.tobytes() == rowwise(z, probit_mean_map(pima)).tobytes()
 
     @pytest.mark.parametrize("R", [1, 3])
     def test_latents_equal_truncated_normal_vector(self, pima_models, R):
@@ -168,43 +179,43 @@ class TestLatentCompletion:
         assert np.any(eta < -5.0)
         fused = [RngStream(31, r) for r in range(R)]
         direct = [RngStream(31, r) for r in range(R)]
-        z = probit_latent_completion(pima_models).sample_latents(betas, fused)
-        ref = truncated_normal_vector(rowwise(betas, pima_models.design),
-                                      pima_models.response == 1, direct)
-        assert z.tobytes() == ref.tobytes()
+        m = probit_latent_completion(pima_models).sample_latents(betas, fused)
+        ref = rowwise(_twin_latents(pima_models, betas, direct), probit_mean_map(pima_models))
+        assert m.tobytes() == ref.tobytes()
         assert [r.counter for r in fused] == [r.counter for r in direct]
 
     def test_param_conditional_is_normalised_gaussian(self, pima):
         completion = probit_latent_completion(pima)
-        rng = RngStream(6, 0)
-        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]), [rng])[0]
+        betas = np.array([[0.01, -0.02, 0.3]])
+        m = completion.sample_latents(betas, [RngStream(6, 0)])
+        z = _twin_latents(pima, betas, [RngStream(6, 0)])[0]
         n = pima.n_obs
         xtx_inv = np.linalg.inv(pima.design.T @ pima.design)
         shrink = n / (n + 1.0)
         mean = shrink * xtx_inv @ pima.design.T @ z
         cov = shrink * xtx_inv
         oracle = stats.multivariate_normal(mean, cov).logpdf
-        xtz = probit_xtz(pima, z[None, :])
         for beta in (mean, mean + 0.001):
-            assert completion.log_full_conditional_param(beta, xtz)[0] == \
+            assert completion.log_full_conditional_param(beta, m)[0] == \
                 pytest.approx(float(oracle(beta)), rel=1e-10)
 
     def test_param_conditional_batched_over_latents(self, pima):
         completion = probit_latent_completion(pima)
         rng = RngStream(8, 0)
         beta = np.array([0.01, -0.02, 0.3])
-        zs = np.array([completion.sample_latents(beta[None, :], [rng])[0]
+        ms = np.array([completion.sample_latents(beta[None, :], [rng])[0]
                        for _ in range(5)])
         ordinate = completion.log_full_conditional_param
-        singles = [ordinate(beta, probit_xtz(pima, z[None, :]))[0] for z in zs]
-        assert np.allclose(ordinate(beta, probit_xtz(pima, zs)),
-                           singles, rtol=1e-12, atol=0)
+        singles = [ordinate(beta, m[None, :])[0] for m in ms]
+        assert np.allclose(ordinate(beta, ms), singles, rtol=1e-12, atol=0)
 
     def test_conditional_draw_moments(self, pima):
         completion = probit_latent_completion(pima)
         rng = RngStream(7, 0)
-        z = completion.sample_latents(np.array([[0.01, -0.02, 0.3]]), [rng])[0]
-        draws = np.array([completion.sample_params(z[None, :], [rng])[0]
+        betas = np.array([[0.01, -0.02, 0.3]])
+        m = completion.sample_latents(betas, [rng])
+        z = _twin_latents(pima, betas, [RngStream(7, 0)])[0]
+        draws = np.array([completion.sample_params(m, [rng])[0]
                           for _ in range(20_000)])
         n = pima.n_obs
         xtx_inv = np.linalg.inv(pima.design.T @ pima.design)
