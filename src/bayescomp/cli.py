@@ -13,8 +13,11 @@ advances their chains in lockstep, one stream per chain, in a single run
 whose row 0 is the main run (a run without replicates passes one stream);
 such a run fails as a whole.  Every other experiment runs its replicates
 one after another, recording a failed replicate and going on.  The four
-chain-based `evidence` routes read one Gibbs chain pair: the 3-covariate
-model on ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.
+chain-based `evidence` routes read one Gibbs chain pair, run as one
+two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
+``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  An `evidence`
+summary's ``unreliable`` diagnostic is true when the estimator flags
+either of its parts.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .mcmc import (
     chain_diagnostics,
     gibbs_chain,
     mwg_probit_overparam_run,
+    probit_gibbs_groups,
     probit_gibbs_lockstep,
-    probit_gibbs_run,
     rw_mh_run,
 )
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
@@ -239,42 +242,44 @@ def _run_evidence(config, rng):
     n = config["n_draws"]
     if method == "prior-mc":
         est = bf_prior_mc(model1, model0, n, n, rng)
-        log_b10, se = est.log_value, est.std_error
+        log_b10, se, unreliable = est.log_value, est.std_error, est.unreliable
     elif method == "importance":
         g0 = GaussianProposal.from_moments(*probit_mle(model0p), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
         est = bf_importance(model1, model0, g1, g0, n, n, rng)
-        log_b10, se = est.log_value, est.std_error
+        log_b10, se, unreliable = est.log_value, est.std_error, est.unreliable
     elif method in ("harmonic-gd", "harmonic-nr", "chib", "bridge-embedded"):
         models = [(model1p, model1), (model0p, model0)]
-        runs = [probit_gibbs_run(mp, n, rng.child(i))
-                for i, (mp, _) in enumerate(models)]
+        runs = probit_gibbs_groups(
+            [(mp, [rng.child(i)]) for i, (mp, _) in enumerate(models)], n)
         if method == "bridge-embedded":
-            (chain1, _), (chain0, _) = runs
-            omega = LinearGaussianOmega.fit(chain1.states[:, :2],
-                                            chain1.states[:, 2])
+            (states1, _), (states0, _) = runs
+            omega = LinearGaussianOmega.fit(states1[0, :, :2], states1[0, :, 2])
             est = bridge_embedded(model0, model1, np.zeros(1), omega,
-                                  chain0.states, chain1.states, rng.child(2))
-            log_b10, se = -est.log_value, est.std_error
+                                  states0[0], states1[0], rng.child(2))
+            log_b10, se, unreliable = -est.log_value, est.std_error, est.unreliable
         else:
             parts = []
-            for (mp, m), (chain, means) in zip(models, runs):
+            for (mp, m), (states, means) in zip(models, runs):
+                states, means = states[0], means[0]
                 if method == "harmonic-gd":
-                    phi = PhiSpec.from_sample(chain.states, config["coverage"])
+                    phi = PhiSpec.from_sample(states, config["coverage"])
                     parts.append(harmonic_mean_gd(
-                        lambda b: log_posterior(m, b), chain.states, phi))
+                        lambda b: log_posterior(m, b), states, phi))
                 elif method == "harmonic-nr":
                     parts.append(newton_raftery_hm(
-                        lambda b: probit_loglik_many(mp, b), chain.states))
+                        lambda b: probit_loglik_many(mp, b), states))
                 else:
                     parts.append(chib_marginal(m, probit_latent_completion(mp),
-                                               means, param_draws=chain.states))
+                                               means, param_draws=states))
             log_b10 = parts[0].log_value - parts[1].log_value
             se = float(np.hypot(parts[0].std_error, parts[1].std_error))
+            unreliable = parts[0].unreliable or parts[1].unreliable
     else:
         raise ConfigError(f"unknown evidence method {method!r}")
     return ({"log_b10": float(log_b10)}, {"log_b10": float(se)},
-            {"method": method, "n_draws": n}, None)
+            {"method": method, "n_draws": n, "unreliable": bool(unreliable)},
+            None)
 
 
 def _run_abc(config, rng):

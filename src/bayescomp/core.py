@@ -20,6 +20,7 @@ __all__ = [
     "sample_truncated_normal",
     "truncated_normal_vector",
     "truncated_std_normal",
+    "truncated_normal_positive",
     "sample_categorical",
     "categorical_cdf",
     "log_sum_exp",
@@ -151,12 +152,22 @@ class MvnParams:
         return self.logpdf_whitened(self.whiten(thetas))
 
 
-def rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def rowwise(rows: np.ndarray, matrix: np.ndarray, out=None) -> np.ndarray:
     """matrix @ row for each row of the (R, k) array `rows`, as an (R, m)
-    array.  The stacked product keeps every row bit-identical to the
-    one-row ``matrix @ row``, whatever R; a plain ``rows @ matrix.T`` does
-    not."""
-    return (rows[:, None, :] @ matrix.T)[:, 0]
+    array, written into `out` when given; a 1-D `rows` is a single row and
+    gives the 1-D ``matrix @ rows``.  One row is computed as that
+    matrix-vector product, more rows as the stacked product, which keeps
+    every row bit-identical to it whatever R; a plain ``rows @ matrix.T``
+    does not."""
+    if rows.ndim == 1:
+        return np.matmul(matrix, rows, out=out)
+    if out is None:
+        out = np.empty((len(rows), matrix.shape[0]))
+    if len(rows) == 1:
+        np.matmul(matrix, rows[0], out=out[0])
+    else:
+        np.matmul(rows[:, None, :], matrix.T, out=out[:, None, :])
+    return out
 
 
 def log_sum_exp(v, axis=None):
@@ -199,26 +210,44 @@ def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
     matches a one-row call on the same stream bit for bit.  The uniforms
     come one stream at a time; the inverse CDF covers all R x n entries in
     one call, in place.  A NaN or -inf entry of eta raises
-    `FloatingPointError`.
+    `FloatingPointError`, and a stream count other than R `ValueError`.
     """
+    t = _neg_truncated_std_normal(np.asarray(eta, dtype=float), rngs)
+    return np.negative(t, out=t)
+
+
+def truncated_normal_positive(eta: np.ndarray, rngs, out=None) -> np.ndarray:
+    """N(eta_ri, 1) draws conditioned positive, for an (R, n) array `eta`:
+    ``eta + truncated_std_normal(eta, rngs)`` bit for bit, on the same
+    uniforms, formed in place as eta - ndtri(...) (subtracting is adding
+    the negation exactly), in `out` when given (an array other than eta).
+    The probit Gibbs sweep draws its latents so, on its signed design."""
     eta = np.asarray(eta, dtype=float)
+    z = _neg_truncated_std_normal(eta, rngs, out)
+    return np.subtract(eta, z, out=z)
+
+
+def _neg_truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
+    """-t for the draws t of `truncated_std_normal` at the float array
+    `eta`, in `out` or a new array."""
+    if len(rngs) != len(eta):
+        raise ValueError(f"{len(rngs)} streams for {len(eta)} rows of eta")
     low = eta.min(initial=np.inf)
     if not low > -np.inf:
         raise FloatingPointError("eta has a NaN or -inf entry: no normal lies above -eta")
-    t = np.empty_like(eta)
-    for rng, row in zip(rngs, t):
+    q = np.empty_like(eta) if out is None else out
+    for rng, row in zip(rngs, q):
         rng.generator.random(out=row)
     if low < -5.0:
         tail = eta < -5.0
-        x = -special.ndtri_exp(np.log1p(-t[tail]) + special.log_ndtr(eta[tail]))
-    # t = -ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
-    np.subtract(1.0, t, out=t)
-    t *= special.ndtr(eta)
-    special.ndtri(t, out=t)
-    np.negative(t, out=t)
+        x = special.ndtri_exp(np.log1p(-q[tail]) + special.log_ndtr(eta[tail]))
+    # q = ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
+    np.subtract(1.0, q, out=q)
+    q *= special.ndtr(eta)
+    special.ndtri(q, out=q)
     if low < -5.0:
-        t[tail] = x
-    return t
+        q[tail] = x
+    return q
 
 
 def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) -> float:
@@ -242,17 +271,15 @@ def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.nd
     Entry (r, i) is N(mu_ri, 1) conditioned positive where `positive[i]`,
     negative otherwise.  Row r equals a one-row call on stream ``rngs[r]``
     bit for bit, and leaves that stream where the one-row call would.  The
-    probit Gibbs sweep draws the same values from `truncated_std_normal`
-    directly, on its signed design.
+    probit Gibbs sweep draws the same values, unsigned, from
+    `truncated_normal_positive` on its signed design.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2 or mu.shape[0] != len(rngs):
         raise ValueError(f"mu has shape {mu.shape}, expected ({len(rngs)}, n)")
     sign = np.where(np.asarray(positive, dtype=bool), 1.0, -1.0)
     # sign * draw is N(sign * mu, 1) conditioned positive
-    eta = sign * mu
-    z = truncated_std_normal(eta, rngs)
-    z += eta
+    z = truncated_normal_positive(sign * mu, rngs)
     z *= sign
     return z
 

@@ -4,9 +4,12 @@ A uniform is consumed on every acceptance test, including certain-accept
 steps, so RNG stream positions stay aligned across proposal variants.  No
 burn-in is discarded here; trimming is a post-processing concern.
 
-The probit Gibbs sampler runs R chains in lockstep, one stream per chain,
-through the chain-batched latent completion; a single chain is the case
-R = 1, and each chain is bit-identical to a run of its own on its stream.
+The probit Gibbs sampler runs all its chains in one fused lockstep loop,
+one stream per chain, over groups of chains: each group is one probit
+model, all groups share one response, and a sweep draws the latents of
+every chain in one truncated-normal call.  One model's replicates are the
+one-group case and a single chain the group of one; each chain is
+bit-identical to a run of its own on its stream.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream
+from .core import MvnParams, RngStream, truncated_normal_positive
 from .model import BayesModel, log_posterior
-from .probit import ProbitModel, probit_latent_completion, probit_mle
+from .probit import ProbitModel, ProbitSweep, probit_mle
 
 __all__ = [
     "Chain",
@@ -27,6 +30,7 @@ __all__ = [
     "mh_run",
     "rw_mh_run",
     "probit_gibbs_run",
+    "probit_gibbs_groups",
     "probit_gibbs_lockstep",
     "gibbs_chain",
     "mwg_probit_overparam_run",
@@ -114,30 +118,58 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     return mh_run(target, RwProposal(cov), theta0, n_iter, rng)
 
 
-def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs):
-    """Data-augmentation Gibbs for the probit posterior: R = len(rngs)
-    chains in lockstep, each started at the MLE.
+def probit_gibbs_groups(groups, n_iter: int):
+    """Data-augmentation Gibbs for probit posteriors: every chain of every
+    group in one lockstep, each chain started at its model's MLE.
 
-    Each sweep draws the (R, n) truncated-normal latents given the (R, p)
-    coefficients, then the coefficients from their exact normal conditional
-    given the latents.  Chain r draws from ``rngs[r]`` alone and in the
-    order of a single chain, so it is bit-identical to a run of its own on
-    that stream.  Returns (states, means): the (R, n_iter, p) states and
-    the (R, n_iter, p) conditional means E[beta | z] = c (X'X)^{-1} X'z,
-    row t the mean that sweep t drew its state around.  The means are all
-    that Chib's ordinate and the Rao-Blackwellised averages need of the
-    latents, which are never stored.
+    `groups` is a sequence of (model, rngs) pairs, one `ProbitModel` and
+    the streams of its chains each; all models share one response.  A
+    sweep writes eta = S X beta of every chain into one (R, n) buffer,
+    draws all R rows of latents in one `truncated_normal_positive` call,
+    then each group's conditional means and coefficients (`ProbitSweep`)
+    straight into its output rows.  Chain r draws from its own stream alone
+    and in the order of a single chain, so it is bit-identical to a run of
+    its own on that stream.  A NaN or -inf eta in any chain raises
+    `FloatingPointError` for the whole call.
+
+    Returns one (states, means) pair per group: the (R_g, n_iter, p)
+    states and the (R_g, n_iter, p) conditional means
+    E[beta | z] = c (X'X)^{-1} X'z, row t the mean that sweep t drew its
+    state around.  The means are all that Chib's ordinate and the
+    Rao-Blackwellised averages need of the latents, which are never stored.
     """
-    completion = probit_latent_completion(model)
-    beta, _ = probit_mle(model)
-    betas = np.tile(beta, (len(rngs), 1))
-    states = np.empty((len(rngs), n_iter, model.dimension))
-    means = np.empty((len(rngs), n_iter, model.dimension))
+    response = groups[0][0].response
+    if not all(np.array_equal(model.response, response) for model, _ in groups):
+        raise ValueError("the models of a lockstep run must share one response")
+    streams = [rng for _, rngs in groups for rng in rngs]
+    eta = np.empty((len(streams), len(response)))
+    w = np.empty_like(eta)
+    blocks, betas, lo = [], [], 0
+    for model, rngs in groups:
+        k = len(rngs)
+        # a group of one chain runs on 1-D rows (matrix-vector products),
+        # a larger one on (k, .) blocks (stacked products)
+        one, rows = (0, lo) if k == 1 else (slice(None), slice(lo, lo + k))
+        states, means = np.empty((2, k, n_iter, model.dimension))
+        blocks.append((ProbitSweep(model), rngs, one, eta[rows], w[rows],
+                       states, means, np.empty((k, model.dimension))))
+        betas.append(np.tile(probit_mle(model)[0], (k, 1))[one])
+        lo += k
     for t in range(n_iter):
-        m = completion.sample_latents(betas, rngs)
-        betas = completion.sample_params(m, rngs)
-        means[:, t], states[:, t] = m, betas
-    return states, means
+        for (sweep, _, _, eta_g, _, _, _, _), beta in zip(blocks, betas):
+            sweep.eta(beta, eta_g)
+        truncated_normal_positive(eta, streams, w)
+        for g, (sweep, rngs, one, _, w_g, states, means, noise) in enumerate(blocks):
+            m = sweep.mean(w_g, means[one, t])
+            betas[g] = sweep.draw(m, sweep.noise(rngs, noise)[one], states[one, t])
+    return [(states, means) for *_, states, means, _ in blocks]
+
+
+def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs):
+    """R = len(rngs) chains of one probit posterior in lockstep: the
+    one-group `probit_gibbs_groups`.  Returns its (states, means), both
+    (R, n_iter, p)."""
+    return probit_gibbs_groups([(model, rngs)], n_iter)[0]
 
 
 def gibbs_chain(states: np.ndarray) -> Chain:

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, map_rows, rowwise, truncated_std_normal
+from .core import MvnParams, RngStream, map_rows, rowwise, truncated_normal_positive
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "gprior_logpdf_many",
     "probit_mle",
     "sample_gprior",
+    "ProbitSweep",
     "probit_latent_completion",
     "probit_simulator",
     "probit_summary_whitener",
@@ -108,7 +109,8 @@ def probit_loglik_rows(signed_design: np.ndarray, betas: np.ndarray) -> np.ndarr
     bit-identical to its one-row call whatever m is (`rowwise`).  It takes
     a bare signed design, so a design whose X'X is singular is evaluated too.
     """
-    return special.log_ndtr(rowwise(betas, signed_design)).sum(axis=1)
+    eta = rowwise(betas, signed_design)
+    return special.log_ndtr(eta, out=eta).sum(axis=1)
 
 
 def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
@@ -189,44 +191,83 @@ def probit_mle(model: ProbitModel):
     raise NonConvergenceError(f"no convergence after {_MLE_MAX_ITER} Fisher scoring iterations")
 
 
-def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
-    """Truncated-normal completion of the probit posterior.
+@dataclass(frozen=True)
+class ProbitSweep:
+    """The blocks of one data-augmentation Gibbs sweep of a probit model,
+    for R chains at once, row r of every array one chain (a 1-D array is
+    the one row of a single chain).
 
-    Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i, drawn
-    as z_i = s_i (eta_i + t_i) with eta = S X beta and t_i a standard normal
-    above -eta_i (`truncated_std_normal`).  The parameter conditional given
-    z is the exact normal N(m, c (X'X)^{-1}), m = c (X'X)^{-1} X'z and
-    c = g / (g + 1), so `sample_latents` returns m, not z, and
-    `sample_params` and the normalised log-density exposed for
-    posterior-ordinate evidence estimation take one m per row.  The
-    covariance is fixed, so it is factored once.
-
-    The samplers advance R chains at once, (R, p) coefficients to (R, p)
-    means and back, row r drawing from stream ``rngs[r]`` alone, and
-    every row equals a one-chain call on its stream bit for bit.
+    Latents z_i ~ N(x_i'beta, 1) constrained to the side given by y_i are
+    z = s (eta + t), with eta = S X beta (`eta`) and t a standard normal
+    above -eta (`core.truncated_normal_positive` draws w = eta + t).  The
+    coefficients' conditional given z is the exact normal N(m, c (X'X)^{-1}),
+    m = c (X'X)^{-1} X'z and c = g / (g + 1), which `mean` computes from w
+    through the pre-signed map ``mean_map`` = (c (X'X)^{-1} X') diag(s):
+    multiplying by s_i = +-1 is exact, so each product keeps its bits.
+    `draw` returns m plus the conditional's factor times normals that
+    `noise` draws one stream at a time.  Each writes into `out` when given;
+    the products are `core.rowwise`, so every row is bit-identical to a
+    one-row call.
     """
-    g = model.prior_scale
-    shrink = g / (g + 1.0)
-    xtx_inv = np.linalg.inv(model.xtx)
-    proj = shrink * (xtx_inv @ model.design.T)  # mean map z -> beta
-    cond = MvnParams(np.zeros(model.dimension), shrink * xtx_inv)
-    signs, signed_design = model.signs, model.signed_design
+
+    model: ProbitModel
+    mean_map: np.ndarray = field(init=False, repr=False, compare=False)
+    cond: MvnParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = self.model.prior_scale
+        shrink = g / (g + 1.0)
+        xtx_inv = np.linalg.inv(self.model.xtx)
+        proj = shrink * (xtx_inv @ self.model.design.T)  # mean map z -> beta
+        object.__setattr__(self, "mean_map", proj * self.model.signs)
+        object.__setattr__(self, "cond", MvnParams(np.zeros(self.model.dimension),
+                                                   shrink * xtx_inv))
+
+    def eta(self, betas, out=None) -> np.ndarray:
+        """S X beta for each row of the (R, p) `betas`, as (R, n)."""
+        return rowwise(betas, self.model.signed_design, out)
+
+    def mean(self, w, out=None) -> np.ndarray:
+        """E[beta | z] for each row w = s z of the (R, n) `w`, as (R, p)."""
+        return rowwise(w, self.mean_map, out)
+
+    def noise(self, rngs, out=None) -> np.ndarray:
+        """(R, p) standard normals, row r drawn from stream ``rngs[r]``."""
+        if out is None:
+            out = np.empty((len(rngs), self.model.dimension))
+        for rng, row in zip(rngs, out):
+            rng.generator.standard_normal(out=row)
+        return out
+
+    def draw(self, means, noise, out=None) -> np.ndarray:
+        """A draw of N(m, c (X'X)^{-1}) for each row m of `means`: m plus
+        the conditional's factor times the row of `noise`."""
+        out = rowwise(noise, self.cond.scale, out)
+        out += means
+        return out
+
+
+def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
+    """Truncated-normal completion of the probit posterior, one sweep of
+    `ProbitSweep` split into its two blocks.
+
+    `sample_latents` draws the latents given the (R, p) coefficients and
+    returns their statistic m = E[beta | z], not z; `sample_params` draws
+    the coefficients given m, and the normalised log-density exposed for
+    posterior-ordinate evidence estimation takes one m per row.  Row r
+    draws from stream ``rngs[r]`` alone and equals a one-chain call on its
+    stream bit for bit.
+    """
+    sweep = ProbitSweep(model)
 
     def sample_latents(betas, rngs):
-        eta = rowwise(np.asarray(betas, float), signed_design)
-        z = truncated_std_normal(eta, rngs)
-        z += eta
-        z *= signs
-        return rowwise(z, proj)
+        return sweep.mean(truncated_normal_positive(sweep.eta(np.asarray(betas, float)), rngs))
 
     def sample_params(means, rngs):
-        noise = np.empty((len(rngs), model.dimension))
-        for r, rng in enumerate(rngs):
-            rng.generator.standard_normal(out=noise[r])
-        return means + rowwise(noise, cond.scale)
+        return sweep.draw(means, sweep.noise(rngs))
 
     def log_full_conditional_param(beta, means):
-        return cond.logpdf_many(np.asarray(beta, float) - means)
+        return sweep.cond.logpdf_many(np.asarray(beta, float) - means)
 
     return LatentCompletion(sample_latents, sample_params, log_full_conditional_param)
 

@@ -391,3 +391,12 @@ class TestRunners:
             estimates, se, diagnostics, _ = run_experiment("evidence", resolved)
             assert "log_b10" in estimates, (method, sorted(estimates))
             assert diagnostics["method"] == method
+
+    @pytest.mark.parametrize("method,flag", [("harmonic-nr", True), ("chib", False)])
+    def test_evidence_summary_writes_the_unreliable_flag(self, tmp_path, method, flag):
+        # harmonic-nr flags both of its parts unreliable, chib neither
+        code, out = run_cli(tmp_path, "evidence", {"method": method, "n_draws": 400})
+        assert code == 0
+        text = (out / "summary.json").read_text()
+        assert f'"unreliable": {json.dumps(flag)}' in text
+        assert json.loads(text)["diagnostics"]["unreliable"] is flag

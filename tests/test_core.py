@@ -13,9 +13,11 @@ from bayescomp.core import (
     MvnParams,
     RngStream,
     log_sum_exp,
+    rowwise,
     sample_categorical_many,
     sample_mvn_many,
     sample_truncated_normal,
+    truncated_normal_positive,
     truncated_normal_vector,
     truncated_std_normal,
 )
@@ -82,6 +84,23 @@ class TestMvnParams:
         draws = sample_mvn_many(MvnParams(np.zeros(2), cov), 1000,
                                 RngStream(4, 0))
         assert np.allclose(draws[:, 1], 2.0 * draws[:, 0], atol=1e-10)
+
+
+class TestRowwise:
+    @pytest.mark.parametrize("R", [1, 3, 300])
+    def test_rows_equal_matrix_vector_products(self, R):
+        # every row, stacked or alone, into a buffer or not, is the bits
+        # of the one-row matrix @ row
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(332, 3))
+        rows = rng.normal(size=(R, 3))
+        out = np.empty((R, 332))
+        assert rowwise(rows, matrix, out) is out
+        for r, row in enumerate(rows):
+            alone = matrix @ row
+            assert out[r].tobytes() == alone.tobytes()
+            assert rowwise(rows, matrix)[r].tobytes() == alone.tobytes()
+            assert rowwise(row, matrix).tobytes() == alone.tobytes()
 
 
 class TestNormalCdf:
@@ -217,6 +236,22 @@ class TestTruncatedNormal:
             fresh = RngStream(22, r)
             fresh.generator.random(eta.shape[1])
             assert rng.counter == fresh.counter
+
+    def test_positive_form_is_eta_plus_the_draw(self):
+        # central and tail entries alike, on the same uniforms
+        eta = np.array([[0.3, -6.5, -2.0, -9.0, 1.0, -40.0],
+                        [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0]])
+        w = truncated_normal_positive(eta, [RngStream(26, r) for r in range(2)])
+        t = truncated_std_normal(eta, [RngStream(26, r) for r in range(2)])
+        assert w.tobytes() == (eta + t).tobytes()
+        assert np.all(w > 0)
+        with pytest.raises(FloatingPointError):
+            truncated_normal_positive(np.array([[0.0, np.nan]]), [RngStream(26, 0)])
+
+    def test_one_stream_per_row(self):
+        # a row without its stream would be drawn from uninitialised memory
+        with pytest.raises(ValueError, match="streams"):
+            truncated_std_normal(np.zeros((2, 4)), [RngStream(27, 0)])
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nan_or_minus_inf_bound_raises(self, bad):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from bayescomp import mcmc
 from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.mcmc import (
@@ -12,6 +13,7 @@ from bayescomp.mcmc import (
     chain_diagnostics,
     mh_run,
     mwg_probit_overparam_run,
+    probit_gibbs_groups,
     probit_gibbs_lockstep,
     probit_gibbs_run,
     rw_mh_run,
@@ -170,6 +172,51 @@ class TestLockstepGibbs:
             means = np.concatenate([start, states[:, :-1]], axis=1) @ model.design.T
             bound = -(2.0 * model.response - 1.0) * means
             assert np.any(bound > 5.0)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("which", ["pima", "outlier"])
+    def test_groups_match_standalone_runs(self, pima, which, sizes):
+        """Two models on one response in one lockstep: pima with 3 and 2
+        covariates, or the outlier model with its intercept-only sub-model,
+        whose block mixes tail and central latents.  Every chain equals its
+        own `probit_gibbs_run`, stream counter included."""
+        full = pima if which == "pima" else outlier_model()
+        sub = ProbitModel(design=full.design[:, :full.dimension - 1],
+                          response=full.response)
+        groups = [(model, [RngStream(37, 10 * g + r) for r in range(k)])
+                  for g, (model, k) in enumerate(zip((full, sub), sizes))]
+        runs = probit_gibbs_groups(groups, 200)
+        for (model, rngs), (states, means) in zip(groups, runs):
+            assert states.shape == means.shape == (len(rngs), 200, model.dimension)
+            for r, rng in enumerate(rngs):
+                alone = RngStream(rng.seed, rng.stream_id)
+                chain, means_alone = probit_gibbs_run(model, 200, alone)
+                assert states[r].tobytes() == chain.states.tobytes()
+                assert means[r].tobytes() == means_alone.tobytes()
+                assert rng.counter == alone.counter
+        if which == "outlier":
+            states = runs[0][0]
+            start = np.broadcast_to(probit_mle(full)[0], (sizes[0], 1, 2))
+            eta = np.concatenate([start, states[:, :-1]], axis=1) @ full.signed_design.T
+            assert np.any(eta < -5.0)
+
+    def test_nan_eta_in_one_group_fails_the_call(self, pima, monkeypatch):
+        sub = ProbitModel(design=pima.design[:, :2], response=pima.response)
+
+        def mle(model):
+            beta, cov = probit_mle(model)
+            return (np.full_like(beta, np.nan) if model is sub else beta), cov
+
+        monkeypatch.setattr(mcmc, "probit_mle", mle)
+        with pytest.raises(FloatingPointError):
+            probit_gibbs_groups([(pima, [RngStream(39, 0)]),
+                                 (sub, [RngStream(39, 1)])], 10)
+
+    def test_groups_must_share_the_response(self, pima):
+        flipped = ProbitModel(design=pima.design, response=1.0 - pima.response)
+        with pytest.raises(ValueError, match="one response"):
+            probit_gibbs_groups([(pima, [RngStream(40, 0)]),
+                                 (flipped, [RngStream(40, 1)])], 10)
 
     def test_ordinate_from_lockstep_means(self, pima):
         """The full conditional of beta given each sweep's kept mean m, over
