@@ -15,9 +15,9 @@ such a run fails as a whole.  Every other experiment runs its replicates
 one after another, recording a failed replicate and going on.  The four
 chain-based `evidence` routes read one Gibbs chain pair, run as one
 two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
-``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  An `evidence`
-summary's ``unreliable`` diagnostic is true when the estimator flags
-either of its parts.
+``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every
+`evidence` method ends in one estimate of log B10, which the summary
+writes, ``unreliable`` included.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .datasets import bundled_pima_path, load_pima
 from .evidence import (
     LinearGaussianOmega,
     PhiSpec,
+    bayes_factor,
     bf_importance,
     bf_prior_mc,
     bridge_embedded,
@@ -64,7 +65,6 @@ from .probit import (
     probit_bayes_model,
     probit_latent_completion,
     probit_loglik,
-    probit_loglik_many,
     probit_mle,
 )
 
@@ -121,6 +121,8 @@ def resolve_config(experiment: str, raw: dict) -> dict:
                 f"burn_in {config['burn_in']}, thin {config['thin']} and "
                 f"iterations {config['iterations']} keep {kept} states; "
                 "at least 2 are needed")
+    if config.get("n_draws", 2) < 2:  # a standard error needs two draws
+        raise ConfigError(f"n_draws {config['n_draws']} is below 2")
     return config
 
 
@@ -227,27 +229,19 @@ def _run_pmc(config, rng):
     return estimates, {}, diagnostics, draws
 
 
-def _evidence_models(config):
-    model1p = _pima_model(config, ["glu", "bp", "ped"])
-    model0p = ProbitModel(design=model1p.design[:, :2],
-                          response=model1p.response)
-    return model0p, model1p
-
-
 def _run_evidence(config, rng):
     """Log Bayes factor of the 3-covariate against the 2-covariate probit."""
-    model0p, model1p = _evidence_models(config)
+    model1p = _pima_model(config, ["glu", "bp", "ped"])
+    model0p = ProbitModel(design=model1p.design[:, :2], response=model1p.response)
     model0, model1 = probit_bayes_model(model0p), probit_bayes_model(model1p)
     method = config["method"]
     n = config["n_draws"]
     if method == "prior-mc":
         est = bf_prior_mc(model1, model0, n, n, rng)
-        log_b10, se, unreliable = est.log_value, est.std_error, est.unreliable
     elif method == "importance":
         g0 = GaussianProposal.from_moments(*probit_mle(model0p), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
         est = bf_importance(model1, model0, g1, g0, n, n, rng)
-        log_b10, se, unreliable = est.log_value, est.std_error, est.unreliable
     elif method in ("harmonic-gd", "harmonic-nr", "chib", "bridge-embedded"):
         models = [(model1p, model1), (model0p, model0)]
         runs = probit_gibbs_groups(
@@ -255,9 +249,9 @@ def _run_evidence(config, rng):
         if method == "bridge-embedded":
             (states1, _), (states0, _) = runs
             omega = LinearGaussianOmega.fit(states1[0, :, :2], states1[0, :, 2])
-            est = bridge_embedded(model0, model1, np.zeros(1), omega,
+            b01 = bridge_embedded(model0, model1, np.zeros(1), omega,
                                   states0[0], states1[0], rng.child(2))
-            log_b10, se, unreliable = -est.log_value, est.std_error, est.unreliable
+            est = replace(b01, log_value=-b01.log_value)
         else:
             parts = []
             for (mp, m), (states, means) in zip(models, runs):
@@ -267,18 +261,16 @@ def _run_evidence(config, rng):
                     parts.append(harmonic_mean_gd(
                         lambda b: log_posterior(m, b), states, phi))
                 elif method == "harmonic-nr":
-                    parts.append(newton_raftery_hm(
-                        lambda b: probit_loglik_many(mp, b), states))
+                    parts.append(newton_raftery_hm(m.log_likelihood, states))
                 else:
-                    parts.append(chib_marginal(m, probit_latent_completion(mp),
-                                               means, param_draws=states))
-            log_b10 = parts[0].log_value - parts[1].log_value
-            se = float(np.hypot(parts[0].std_error, parts[1].std_error))
-            unreliable = parts[0].unreliable or parts[1].unreliable
+                    parts.append(chib_marginal(
+                        m, probit_latent_completion(mp).log_full_conditional_param,
+                        means, states.mean(axis=0)))
+            est = bayes_factor(*parts)
     else:
         raise ConfigError(f"unknown evidence method {method!r}")
-    return ({"log_b10": float(log_b10)}, {"log_b10": float(se)},
-            {"method": method, "n_draws": n, "unreliable": bool(unreliable)},
+    return ({"log_b10": float(est.log_value)}, {"log_b10": est.std_error},
+            {"method": method, "n_draws": n, "unreliable": est.unreliable},
             None)
 
 

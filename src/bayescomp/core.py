@@ -7,6 +7,7 @@ determinism and numerical-stability guarantees live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ CHUNK_ROWS = 256
 
 
 class DegenerateWeightsError(ValueError):
-    """All weights are zero (log-weights all -inf)."""
+    """All weights are zero (log-weights all -inf), or one is NaN or infinite."""
 
 
 @dataclass
@@ -88,13 +89,14 @@ class RngStream:
 class MvnParams:
     """Mean and PSD covariance of a multivariate normal, validated upfront.
 
-    Factorization happens at construction; a covariance that is not symmetric
-    (to 1e-12 relative) or not PSD (eigenvalue below -1e-12 * max diagonal)
-    is rejected here, never at draw time.  A positive-definite covariance
-    caches its Cholesky factor `scale`, that factor's inverse `whitener`,
-    `log_det` and the log normalising constant `log_norm` for the library's
-    one Gaussian density, `logpdf_many`; a singular one gets an
-    eigendecomposition `scale` and no density.
+    Factorization happens at construction; a non-finite entry, or a
+    covariance that is not symmetric (to 1e-12 relative) or not PSD
+    (eigenvalue below -1e-12 * max diagonal), is rejected here, never at
+    draw time.  A positive-definite covariance caches its Cholesky factor
+    `scale`, that factor's inverse `whitener`, `log_det` and the log
+    normalising constant `log_norm` for the library's one Gaussian
+    density, `logpdf_many`; a singular one gets an eigendecomposition
+    `scale` and no density.
     """
 
     mean: np.ndarray
@@ -112,6 +114,8 @@ class MvnParams:
         p = mean.shape[0]
         if cov.shape != (p, p):
             raise ValueError(f"covariance shape {cov.shape} does not match mean length {p}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance entries must be finite")
         scale_ref = np.max(np.abs(cov)) if cov.size else 0.0
         if scale_ref > 0 and np.max(np.abs(cov - cov.T)) > 1e-12 * scale_ref:
             raise ValueError("covariance is not symmetric to 1e-12 relative tolerance")
@@ -300,12 +304,13 @@ def categorical_cdf(log_weights) -> np.ndarray:
     per row of a 2-D array: the weights shifted by their maximum,
     exponentiated and summed along the last axis, each row bit-identical to
     a one-law call.  A uniform u draws ``cum.searchsorted(u * cum[-1],
-    side="right")``."""
+    side="right")``.  A row whose maximum is -inf, NaN or +inf raises."""
     lw = np.asarray(log_weights, dtype=float)
     top = lw.max(axis=-1, keepdims=True, initial=-np.inf)
     # a list scan: cheaper than a numpy reduction over a few rows
-    if -np.inf in top.ravel().tolist():
-        raise DegenerateWeightsError("all categorical weights are zero")
+    if not all(map(math.isfinite, top.ravel().tolist())):
+        raise DegenerateWeightsError(
+            "categorical weights are all zero or include a NaN or an infinite weight")
     return np.exp(lw - top).cumsum(axis=-1)
 
 

@@ -9,11 +9,16 @@ posterior-ordinate identity evaluated with Rao-Blackwellised full
 conditionals.  Everything runs in log domain and every estimate carries
 a batch-means standard error on the log scale so the methods can be
 compared on equal footing.
+
+Two rules build every estimate: one evidence is the log-mean-exp of its
+per-draw log terms (or a log numerator minus it) with that mean's
+batch-means error, unreliable under two terms; `bayes_factor` subtracts
+two of one method, adds their errors in quadrature and ORs their flags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -29,6 +34,7 @@ __all__ = [
     "PhiSpec",
     "LinearGaussianOmega",
     "BridgeError",
+    "bayes_factor",
     "prior_proposal",
     "bf_prior_mc",
     "bf_importance",
@@ -80,7 +86,7 @@ class PhiSpec:
 
     center: np.ndarray
     scatter: np.ndarray
-    coverage: float = 0.25
+    coverage: float
     _gauss: GaussianProposal = field(init=False, repr=False, compare=False)
     _log_floor: float = field(init=False, repr=False, compare=False)
 
@@ -96,7 +102,7 @@ class PhiSpec:
                            - special.gammaincinv(center.shape[0] / 2, self.coverage))
 
     @classmethod
-    def from_sample(cls, sample, coverage: float = 0.25) -> "PhiSpec":
+    def from_sample(cls, sample, coverage: float) -> "PhiSpec":
         sample = np.atleast_2d(np.asarray(sample, dtype=float))
         return cls(center=sample.mean(axis=0),
                    scatter=np.cov(sample, rowvar=False).reshape(
@@ -126,12 +132,35 @@ def _batch_se(v: np.ndarray) -> float:
     """Standard error of log-mean-exp(v) by batch means and the delta method:
     sd(r_b) / (sqrt(b) mean(r_b)) over the linear-scale batch means r_b, so a
     batch with no mass counts as a zero mean instead of voiding the error.
-    0 when a single term makes batching meaningless (callers flag that case)."""
+    0 when a single term makes batching meaningless (`_estimate` flags it)."""
     batches = _batch_log_means(v)
     if len(batches) < 2 or not np.isfinite(np.max(batches)):
         return 0.0
     r = np.exp(batches - np.max(batches))
     return float(np.std(r, ddof=1) / (np.sqrt(len(r)) * np.mean(r)))
+
+
+def _estimate(log_terms, method: str, log_numerator: float | None = None,
+              unreliable: bool = False) -> EvidenceEstimate:
+    """One evidence from its per-draw log terms: their log-mean-exp, or
+    `log_numerator` minus it where the terms average the evidence's
+    reciprocal, with the `_batch_se` error of that mean."""
+    log_mean = _log_mean_exp(log_terms)
+    return EvidenceEstimate(
+        log_value=log_mean if log_numerator is None else log_numerator - log_mean,
+        std_error=_batch_se(log_terms), method=method, n_draws=len(log_terms),
+        unreliable=unreliable or len(log_terms) < 2)
+
+
+def bayes_factor(num: EvidenceEstimate, den: EvidenceEstimate) -> EvidenceEstimate:
+    """num / den for two estimates of one method: the log values subtract,
+    the errors add in quadrature, the draws sum and either flag flags it."""
+    if num.method != den.method:
+        raise ValueError(f"cannot divide a {num.method} estimate by a {den.method} one")
+    return EvidenceEstimate(log_value=num.log_value - den.log_value,
+                            std_error=float(np.hypot(num.std_error, den.std_error)),
+                            method=num.method, n_draws=num.n_draws + den.n_draws,
+                            unreliable=num.unreliable or den.unreliable)
 
 
 def _prior_loglik_draws(model: BayesModel, n: int, rng: RngStream,
@@ -152,10 +181,7 @@ def bf_prior_mc(model0: BayesModel, model1: BayesModel, n0: int, n1: int,
         ll1 = ll0  # shared draws: the ratio is exactly 1
     else:
         ll1 = _prior_loglik_draws(model1, n1, rng.child(1), "model1")
-    log_b = _log_mean_exp(ll0) - _log_mean_exp(ll1)
-    se = float(np.sqrt(_batch_se(ll0) ** 2 + _batch_se(ll1) ** 2))
-    return EvidenceEstimate(log_value=log_b, std_error=se, method="prior-mc",
-                            n_draws=n0 + n1, unreliable=min(n0, n1) < 2)
+    return bayes_factor(_estimate(ll0, "prior-mc"), _estimate(ll1, "prior-mc"))
 
 
 def prior_proposal(model: BayesModel):
@@ -170,19 +196,15 @@ def bf_importance(model0: BayesModel, model1: BayesModel, g0, g1,
     """Bayes factor B01 from two normalised-proposal importance estimates
     of the evidences: the log-weights likelihood + prior - proposal of
     `importance_sample` are the per-draw log integrands."""
-    terms = []
+    parts = []
     for i, (model, g, n) in enumerate([(model0, g0, n0), (model1, g1, n1)]):
         try:
             ws = importance_sample(lambda pts, m=model: log_posterior(m, pts),
                                    g.logpdf_many, g.draw_many, n, rng.child(i))
         except DegenerateWeightsError as exc:
             raise ValueError(f"all importance terms are zero for model{i}") from exc
-        terms.append(ws.log_weights)
-    t0, t1 = terms
-    log_b = _log_mean_exp(t0) - _log_mean_exp(t1)
-    se = float(np.sqrt(_batch_se(t0) ** 2 + _batch_se(t1) ** 2))
-    return EvidenceEstimate(log_value=log_b, std_error=se, method="importance",
-                            n_draws=n0 + n1, unreliable=min(n0, n1) < 2)
+        parts.append(_estimate(ws.log_weights, "importance"))
+    return bayes_factor(*parts)
 
 
 def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
@@ -195,7 +217,7 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
     posteriors.  The fixed point in the ratio r = B01 is iterated in log
     domain from r = exp(`log_r0`), 1 by default, until the change in log r
     drops below ``_BRIDGE_TOL`` = 1e-8; `BridgeError` if that takes more
-    than `max_iter` steps.
+    than `max_iter` steps.  The error is that of its two averages' ratio.
     """
     sample0 = np.atleast_2d(np.asarray(sample0, dtype=float))
     sample1 = np.atleast_2d(np.asarray(sample1, dtype=float))
@@ -223,10 +245,8 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
     else:
         raise BridgeError(f"bridge iteration did not converge in {max_iter} steps",
                           trace=trace)
-    num_terms, den_terms = terms(log_r)
-    se = float(np.sqrt(_batch_se(num_terms) ** 2 + _batch_se(den_terms) ** 2))
-    return EvidenceEstimate(log_value=float(log_r), std_error=se,
-                            method=method, n_draws=n0 + n1)
+    ratio = bayes_factor(*(_estimate(t, method) for t in terms(log_r)))
+    return replace(ratio, log_value=float(log_r))
 
 
 @dataclass(frozen=True)
@@ -239,7 +259,6 @@ class LinearGaussianOmega:
     intercept: np.ndarray  # (q,)
     coef: np.ndarray  # (q, p)
     cov: np.ndarray  # (q, q)
-    normalized: bool = True
     _noise: GaussianProposal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -290,8 +309,6 @@ def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
     estimate does not depend on the choice of omega, only its variance
     does.
     """
-    if not getattr(omega, "normalized", False):
-        raise ValueError("omega must declare itself normalised")
     psi0 = np.atleast_1d(np.asarray(psi0, dtype=float))
     sample0 = np.atleast_2d(np.asarray(sample0, dtype=float))
     sample1 = np.atleast_2d(np.asarray(sample1, dtype=float))
@@ -335,9 +352,7 @@ def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
     terms = np.full(sample.shape[0], -np.inf)
     terms[inside] = log_phi[inside] - np.asarray(logprior_plus_loglik(sample[inside]),
                                                  dtype=float)
-    return EvidenceEstimate(log_value=-_log_mean_exp(terms),
-                            std_error=_batch_se(terms),
-                            method="harmonic-gd", n_draws=sample.shape[0])
+    return _estimate(terms, "harmonic-gd", log_numerator=0.0)
 
 
 def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
@@ -350,33 +365,22 @@ def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
     if sample.shape[0] == 0:
         raise ValueError("posterior sample is empty")
     terms = -np.asarray(loglik(sample), dtype=float)
-    return EvidenceEstimate(log_value=-_log_mean_exp(terms),
-                            std_error=_batch_se(terms),
-                            method="harmonic-nr", n_draws=sample.shape[0],
-                            unreliable=True)
+    return _estimate(terms, "harmonic-nr", log_numerator=0.0, unreliable=True)
 
 
-def chib_marginal(model: BayesModel, completion, latent_stats,
-                  theta_star=None, param_draws=None) -> EvidenceEstimate:
+def chib_marginal(model: BayesModel, log_ordinate: Callable, latent_stats,
+                  theta_star) -> EvidenceEstimate:
     """Evidence from the posterior-ordinate identity at a single point:
     log m(y) = log f(y|theta*) + log pi(theta*) - log pihat(theta*|y), the
     ordinate estimated by averaging the normalised full conditional of the
-    parameter over the retained Gibbs sweeps.  `latent_stats` holds one
-    row per sweep of the statistic of the latents that the completion's
-    `log_full_conditional_param` takes (for the probit the conditional mean
-    E[beta | z], the second value `probit_gibbs_run` returns).  theta*
-    defaults to the mean of `param_draws` (the Gibbs parameter chain)."""
-    if theta_star is None:
-        if param_draws is None:
-            raise ValueError("either theta_star or param_draws is required")
-        theta_star = np.mean(np.atleast_2d(np.asarray(param_draws, float)), axis=0)
+    parameter over the retained Gibbs sweeps.  `log_ordinate(theta, stats)`
+    is that conditional (a completion's `log_full_conditional_param`), and
+    `latent_stats` holds one row per sweep of the statistic it takes (for
+    the probit E[beta | z], the second value `probit_gibbs_run` returns)."""
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    ords = np.asarray(completion.log_full_conditional_param(
-        theta_star, np.asarray(latent_stats, dtype=float)), dtype=float)
+    ords = np.asarray(log_ordinate(theta_star, np.asarray(latent_stats, float)), float)
     if not np.any(ords > -np.inf):
         raise RuntimeError(
             "full conditional underflows at theta*; pick a higher-density point")
-    log_ord = _log_mean_exp(ords)
-    log_m = float(log_posterior(model, theta_star[None, :])[0]) - log_ord
-    return EvidenceEstimate(log_value=log_m, std_error=_batch_se(ords),
-                            method="chib", n_draws=len(ords))
+    return _estimate(ords, "chib",
+                     log_numerator=float(log_posterior(model, theta_star[None, :])[0]))

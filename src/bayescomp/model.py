@@ -57,19 +57,17 @@ class BayesModel:
 class LatentCompletion:
     """Two-block data augmentation of a model.
 
-    `sample_latents(thetas, rngs)` and `sample_params(stats, rngs)` make
-    one Gibbs sweep of R chains in lockstep, row r drawing from stream
-    ``rngs[r]`` alone, so that a chain does not depend on the others.
-    `sample_latents` draws the latents given the (R, p) parameters and
+    `sample_latents(thetas, rngs)` draws the latents of R chains given
+    their (R, p) parameters, row r from stream ``rngs[r]`` alone, and
     returns the (R, k) statistic through which the parameter's full
-    conditional depends on them (for the probit, its mean E[beta | z]);
-    `sample_params` draws the parameters from the conditional that the
-    statistic fixes.  `log_full_conditional_param(theta, stats)` takes an
-    (N, k) array of such statistics and returns the (N,) *normalised*
-    log-densities of the parameter theta given each of them (constant
-    included): marginal-likelihood estimation via the posterior-ordinate
-    identity depends on it, and a sampler keeps the statistic of each
-    sweep instead of its latents.
+    conditional depends on them (for the probit, E[beta | z]);
+    `sample_params(stats, rngs)` draws the parameters back from it.  The
+    probit Gibbs sampler runs these blocks through `probit.ProbitSweep`
+    itself, so the two samplers are the reference its draws are tested
+    against.  `log_full_conditional_param(theta, stats)` maps an (N, k)
+    array of statistics to the (N,) *normalised* log-densities of theta
+    given each (constant included): the ordinate `evidence.chib_marginal`
+    averages.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]

@@ -75,11 +75,11 @@ class KernelBank:
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float)
         lw = np.asarray(self.mixture_log_weights, dtype=float)
-        if np.any(scales <= 0):
+        if not np.all(scales > 0):
             raise ValueError("kernel scales must be positive")
         if scales.shape != lw.shape:
             raise ValueError("scales and mixture weights lengths differ")
-        if abs(log_sum_exp(lw)) > 1e-8:
+        if not abs(log_sum_exp(lw)) <= 1e-8:  # a NaN weight fails too
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "mixture_log_weights", lw)

@@ -216,9 +216,10 @@ class TestEvidenceCrossConsistency:
             parts = []
             for mp, states, means in ((pima3, states1[r], means1[r]),
                                       (pima2, states0[r], means0[r])):
-                parts.append(chib_marginal(probit_bayes_model(mp),
-                                           probit_latent_completion(mp),
-                                           means, param_draws=states))
+                parts.append(chib_marginal(
+                    probit_bayes_model(mp),
+                    probit_latent_completion(mp).log_full_conditional_param,
+                    means, states.mean(axis=0)))
             vals["chib"].append(parts[0].log_value - parts[1].log_value)
 
             omega = LinearGaussianOmega.fit(states1[r][:, :2], states1[r][:, 2])
@@ -267,8 +268,8 @@ class TestChibIdentity:
         )
         truth = float(stats.norm.logpdf(y, 0.0, np.sqrt(tau2 + 1.0)))
         for theta_star in (-1.5, -0.2, 0.1, 0.8, 2.0):
-            est = chib_marginal(model, completion, [np.zeros(1)] * 5,
-                                theta_star=np.array([theta_star]))
+            est = chib_marginal(model, completion.log_full_conditional_param,
+                                [np.zeros(1)] * 5, np.array([theta_star]))
             assert abs(est.log_value - truth) < 1e-12
 
     def test_probit_ordinate_insensitive_to_evaluation_point(self, pima2):
@@ -276,12 +277,11 @@ class TestChibIdentity:
         on where the ordinate is evaluated, beyond Monte Carlo error."""
         chain, means = probit_gibbs_run(pima2, 4000, RngStream(77, 0))
         model = probit_bayes_model(pima2)
-        completion = probit_latent_completion(pima2)
+        log_ordinate = probit_latent_completion(pima2).log_full_conditional_param
         mean = chain.states.mean(axis=0)
         sd = chain.states.std(axis=0, ddof=1)
-        a = chib_marginal(model, completion, means, theta_star=mean)
-        b = chib_marginal(model, completion, means,
-                          theta_star=mean + 0.25 * sd)
+        a = chib_marginal(model, log_ordinate, means, mean)
+        b = chib_marginal(model, log_ordinate, means, mean + 0.25 * sd)
         assert abs(a.log_value - b.log_value) < \
             3.0 * np.hypot(a.std_error, b.std_error) + 1e-3
 
@@ -358,7 +358,7 @@ class TestEvidenceOracle:
 
         def run(rng):
             sample = post.draw_many(self.N, rng)
-            phi = PhiSpec.from_sample(sample)
+            phi = PhiSpec.from_sample(sample, coverage=0.25)
             return harmonic_mean_gd(lambda th: log_posterior(model, th),
                                     sample, phi)
 

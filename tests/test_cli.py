@@ -15,7 +15,24 @@ from bayescomp import cli
 from bayescomp.capture import capture_gibbs_lockstep
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
 from bayescomp.core import RngStream
-from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_lockstep
+from bayescomp.datasets import bundled_pima_path, load_pima
+from bayescomp.evidence import (
+    LinearGaussianOmega,
+    PhiSpec,
+    bayes_factor,
+    bridge_embedded,
+    chib_marginal,
+    harmonic_mean_gd,
+    newton_raftery_hm,
+)
+from bayescomp.mcmc import (
+    Chain,
+    chain_diagnostics,
+    probit_gibbs_groups,
+    probit_gibbs_lockstep,
+)
+from bayescomp.model import log_posterior
+from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
 
 
 def run_cli(tmp_path, experiment, config=None, extra=None, subdir="out"):
@@ -71,6 +88,12 @@ class TestResolveConfig:
         assert resolve_config("gibbs", {"iterations": 100, "burn_in": 50,
                                         "thin": 49})["thin"] == 49
         assert resolve_config("mle", {"burn_in": 200})["burn_in"] == 200
+
+    def test_evidence_needs_two_draws(self):
+        for n in (1, 0, -5):
+            with pytest.raises(ConfigError, match="n_draws"):
+                resolve_config("evidence", {"n_draws": n})
+        assert resolve_config("evidence", {"n_draws": 2})["n_draws"] == 2
 
 
 class TestOutputs:
@@ -400,3 +423,45 @@ class TestRunners:
         text = (out / "summary.json").read_text()
         assert f'"unreliable": {json.dumps(flag)}' in text
         assert json.loads(text)["diagnostics"]["unreliable"] is flag
+
+    def test_evidence_is_log_b10_of_the_bigger_model(self):
+        # log_b10 puts the 3-covariate model (chain on rng.child(0)) over the
+        # 2-covariate one (rng.child(1)); the embedded bridge estimates B01
+        # on rng.child(2), so the CLI negates it
+        n, seed = 300, 4
+        pima1 = load_pima(bundled_pima_path())
+        pima0 = ProbitModel(design=pima1.design[:, :2], response=pima1.response)
+        rng = RngStream(seed, 0)
+        (states1, means1), (states0, means0) = probit_gibbs_groups(
+            [(pima1, [rng.child(0)]), (pima0, [rng.child(1)])], n)
+        chains = {1: (pima1, states1[0], means1[0]), 0: (pima0, states0[0], means0[0])}
+
+        def route(method, k):
+            mp, states, means = chains[k]
+            m = probit_bayes_model(mp)
+            if method == "harmonic-gd":
+                return harmonic_mean_gd(lambda b: log_posterior(m, b), states,
+                                        PhiSpec.from_sample(states, 0.25))
+            if method == "harmonic-nr":
+                return newton_raftery_hm(m.log_likelihood, states)
+            return chib_marginal(
+                m, probit_latent_completion(mp).log_full_conditional_param,
+                means, states.mean(axis=0))
+
+        for method in ("harmonic-gd", "harmonic-nr", "chib"):
+            config = resolve_config("evidence", {"method": method, "n_draws": n,
+                                                 "seed": seed})
+            est, se, diag, _ = run_experiment("evidence", config)
+            expected = bayes_factor(route(method, 1), route(method, 0))
+            assert est["log_b10"] == expected.log_value, method
+            assert se["log_b10"] == expected.std_error, method
+            assert diag["unreliable"] is expected.unreliable, method
+
+        config = resolve_config("evidence", {"method": "bridge-embedded",
+                                             "n_draws": n, "seed": seed})
+        est, se, diag, _ = run_experiment("evidence", config)
+        omega = LinearGaussianOmega.fit(states1[0, :, :2], states1[0, :, 2])
+        b01 = bridge_embedded(probit_bayes_model(pima0), probit_bayes_model(pima1),
+                              np.zeros(1), omega, states0[0], states1[0], rng.child(2))
+        assert est["log_b10"] == -b01.log_value
+        assert se["log_b10"] == b01.std_error and diag["unreliable"] is b01.unreliable

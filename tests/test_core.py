@@ -12,6 +12,7 @@ from bayescomp.core import (
     DegenerateWeightsError,
     MvnParams,
     RngStream,
+    categorical_cdf,
     log_sum_exp,
     rowwise,
     sample_categorical_many,
@@ -77,6 +78,16 @@ class TestMvnParams:
         formula = (-0.5 * (3 * np.log(2.0 * np.pi) + params.log_det)
                    - 0.5 * (u * u).sum(axis=-1))
         assert params.logpdf_many(thetas).tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("mean,cov", [
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, -np.inf], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_rejects_non_finite_entries(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            MvnParams(np.array(mean), np.array(cov))
 
     def test_singular_covariance_factors(self):
         # rank-1 covariance goes through the eigendecomposition fallback
@@ -308,3 +319,13 @@ class TestCategorical:
         for logw in (np.full(3, -np.inf), np.array([])):
             with pytest.raises(DegenerateWeightsError):
                 sample_categorical_many(logw, 5, RngStream(15, 0))
+
+    def test_nan_or_infinite_weight_raises(self):
+        # either would make the cumulative sum NaN and every draw land past
+        # the last category
+        with pytest.raises(DegenerateWeightsError, match="NaN"):
+            sample_categorical_many([0.0, np.nan, 0.0], 6, RngStream(2))
+        with pytest.raises(DegenerateWeightsError, match="NaN"):
+            categorical_cdf([[0.0, 1.0], [np.nan, -np.inf]])
+        with pytest.raises(DegenerateWeightsError, match="infinite"):
+            categorical_cdf([0.0, np.inf])

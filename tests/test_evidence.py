@@ -17,6 +17,7 @@ from bayescomp.evidence import (
     EvidenceEstimate,
     LinearGaussianOmega,
     PhiSpec,
+    bayes_factor,
     bf_importance,
     bf_prior_mc,
     bridge_embedded,
@@ -27,7 +28,7 @@ from bayescomp.evidence import (
     prior_proposal,
 )
 from bayescomp.mcmc import probit_gibbs_run
-from bayescomp.model import BayesModel, LatentCompletion, log_posterior
+from bayescomp.model import BayesModel, log_posterior
 from bayescomp.montecarlo import GaussianProposal
 from bayescomp.probit import probit_bayes_model
 
@@ -214,14 +215,6 @@ class TestBridgeEmbedded:
         direct = stats.norm.logpdf(psis[:, 0], means, np.sqrt(0.3))
         assert np.allclose(omega.logpdf(psis, thetas), direct, rtol=1e-12, atol=0)
 
-    def test_unnormalised_omega_rejected(self):
-        m0, m1, s0, s1 = self._nested()
-        omega = LinearGaussianOmega(intercept=[0.0], coef=[[0.0]],
-                                    cov=[[1.0]], normalized=False)
-        with pytest.raises(ValueError, match="normalised"):
-            bridge_embedded(m0, m1, [0.0], omega, s0, s1,
-                            RngStream(seed=42, stream_id=0))
-
     def test_non_slice_model_rejected(self):
         m0, m1, s0, s1 = self._nested()
         other = BayesModel(dimension=1,
@@ -261,7 +254,7 @@ class TestHarmonicGd:
         # exactly that constant
         model, post, _ = conjugate(2.0)
         sample = post.draw_many(2000, RngStream(seed=53, stream_id=0))
-        phi = PhiSpec.from_sample(sample)
+        phi = PhiSpec.from_sample(sample, coverage=0.25)
         base = harmonic_mean_gd(lambda th: log_posterior(model, th), sample, phi)
         shifted = harmonic_mean_gd(lambda th: log_posterior(model, th) + 7.5,
                                    sample, phi)
@@ -295,7 +288,8 @@ class TestHarmonicGd:
     def test_too_few_points_in_ellipsoid(self):
         model, post, _ = conjugate(2.0)
         sample = post.draw_many(100, RngStream(seed=54, stream_id=0))
-        phi = PhiSpec(center=np.array([50.0]), scatter=np.array([[0.01]]))
+        phi = PhiSpec(center=np.array([50.0]), scatter=np.array([[0.01]]),
+                      coverage=0.25)
         with pytest.raises(RuntimeError, match="ellipsoid"):
             harmonic_mean_gd(lambda th: log_posterior(model, th), sample, phi)
 
@@ -359,7 +353,7 @@ class TestNewtonRaftery:
         for rep in range(50):
             sample = post.draw_many(2000, RngStream(seed=100 + rep, stream_id=0))
             nr_vals.append(newton_raftery_hm(model.log_likelihood, sample).log_value)
-            phi = PhiSpec.from_sample(sample)
+            phi = PhiSpec.from_sample(sample, coverage=0.25)
             gd_vals.append(harmonic_mean_gd(
                 lambda th: log_posterior(model, th), sample, phi).log_value)
         assert np.std(nr_vals) > 2.0 * np.std(gd_vals)
@@ -371,48 +365,59 @@ class TestChib:
         model, post, log_m = conjugate(tau2)
         post_mean = tau2 * Y_OBS / (tau2 + 1.0)
         post_var = tau2 / (tau2 + 1.0)
-        # latent-free completion: the full conditional of theta given the
+        # latent-free ordinate: the full conditional of theta given the
         # (irrelevant) latents is the normalised posterior itself, so the
         # ordinate identity is exact at any theta*
-        completion = LatentCompletion(
-            sample_latents=lambda th, rng: np.zeros(1),
-            sample_params=lambda z, rng: np.array([post_mean]),
-            log_full_conditional_param=lambda th, z: np.full(
-                len(z), stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var))),
-        )
-        return model, completion, post, log_m
+        def log_ordinate(th, z):
+            return np.full(len(z), stats.norm.logpdf(th[0], post_mean, np.sqrt(post_var)))
+        return model, log_ordinate, post, log_m
 
     def test_latent_free_identity_is_exact(self):
-        model, completion, _, log_m = self._setup()
+        model, log_ordinate, _, log_m = self._setup()
         latents = [np.zeros(1)] * 5
         for theta_star in (-1.0, 0.0, 0.33, 1.0, 2.5):
-            est = chib_marginal(model, completion, latents,
-                                theta_star=np.array([theta_star]))
+            est = chib_marginal(model, log_ordinate, latents, np.array([theta_star]))
             assert est.log_value == pytest.approx(log_m, abs=1e-12)
-            assert est.method == "chib"
+            assert est.method == "chib" and not est.unreliable
 
-    def test_theta_star_defaults_to_draw_mean(self):
-        model, completion, post, log_m = self._setup()
-        draws = post.draw_many(200, RngStream(seed=61, stream_id=0))
-        est = chib_marginal(model, completion, [np.zeros(1)] * 5,
-                            param_draws=draws)
+    def test_one_sweep_flagged_unreliable(self):
+        # one ordinate term leaves the batch-means error undefined
+        model, log_ordinate, _, log_m = self._setup()
+        est = chib_marginal(model, log_ordinate, [np.zeros(1)], np.zeros(1))
         assert est.log_value == pytest.approx(log_m, abs=1e-12)
-
-    def test_requires_theta_star_or_draws(self):
-        model, completion, _, _ = self._setup()
-        with pytest.raises(ValueError):
-            chib_marginal(model, completion, [np.zeros(1)])
+        assert est.n_draws == 1 and est.std_error == 0.0 and est.unreliable
 
     def test_underflow_at_theta_star(self):
         model, _, _, _ = self._setup()
-        completion = LatentCompletion(
-            sample_latents=lambda th, rng: np.zeros(1),
-            sample_params=lambda z, rng: np.zeros(1),
-            log_full_conditional_param=lambda th, z: np.full(len(z), -np.inf),
-        )
         with pytest.raises(RuntimeError, match="theta"):
-            chib_marginal(model, completion, [np.zeros(1)] * 3,
-                          theta_star=np.zeros(1))
+            chib_marginal(model, lambda th, z: np.full(len(z), -np.inf),
+                          [np.zeros(1)] * 3, np.zeros(1))
+
+
+class TestBayesFactor:
+    def test_ratio_of_two_estimates(self):
+        num = EvidenceEstimate(log_value=-3.5, std_error=0.3, method="chib",
+                               n_draws=40)
+        den = EvidenceEstimate(log_value=-4.25, std_error=0.4, method="chib",
+                               n_draws=60, unreliable=True)
+        est = bayes_factor(num, den)
+        assert est.log_value == 0.75 and est.method == "chib"
+        assert est.std_error == np.hypot(0.3, 0.4)
+        assert est.n_draws == 100 and est.unreliable
+        assert not bayes_factor(num, num).unreliable
+
+    def test_method_mismatch_rejected(self):
+        a = EvidenceEstimate(log_value=0.0, std_error=0.1, method="chib", n_draws=10)
+        b = EvidenceEstimate(log_value=0.0, std_error=0.1, method="harmonic-gd",
+                             n_draws=10)
+        with pytest.raises(ValueError, match="harmonic-gd"):
+            bayes_factor(a, b)
+
+    def test_one_draw_per_side_bridge_flagged_unreliable(self):
+        lp0, lp1, s0, s1, _ = TestBridge._pair()
+        est = bridge_sampling(lp0, lp1, s0[:1], s1[:1])
+        assert est.n_draws == 2 and est.std_error == 0.0 and est.unreliable
+        assert not bridge_sampling(lp0, lp1, s0[:2], s1[:2]).unreliable
 
 
 class TestEstimateContainer:

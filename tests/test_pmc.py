@@ -113,6 +113,16 @@ class TestKernelBank:
                        mixture_log_weights=np.log([0.5, 0.4]),
                        base_covariance=np.eye(1))
 
+    def test_nan_weight_or_scale_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            KernelBank(scales=np.array([1.0, 2.0]),
+                       mixture_log_weights=np.array([np.log(0.5), np.nan]),
+                       base_covariance=np.eye(1))
+        with pytest.raises(ValueError, match="positive"):
+            KernelBank(scales=np.array([1.0, np.nan]),
+                       mixture_log_weights=np.log([0.5, 0.5]),
+                       base_covariance=np.eye(1))
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             KernelBank(scales=np.array([1.0, 0.0]),
