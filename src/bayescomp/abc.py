@@ -9,14 +9,16 @@ stream ``gen_rng.child(b)``, and hits are kept in proposal order.  One rule
 bounds them: a generation that wants n hits makes at most ceil(n / 0.01)
 proposals, its last block cut to that budget.  Short of its hits, a
 fixed-tolerance generation raises a `RuntimeError` giving hits, proposals,
-rate, tolerance and generation; a quantile-mode one ends the schedule.  The
-sequential sampler perturbs resampled particles with a Gaussian kernel whose
-covariance is twice the weighted empirical covariance (Beaumont, Cornuet,
-Marin & Robert 2009), and corrects with importance weights
-prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
-blocks of particles.  `regression_adjust` removes the remaining
-tolerance-induced spread from a population by the local-linear regression
-of Beaumont, Zhang & Balding (2002).
+rate, tolerance and generation; a quantile-mode one ends the schedule, and
+is stopped early, after any block, once a one-sided Clopper-Pearson upper
+bound on its hit rate falls below 0.01.  The sequential sampler perturbs
+resampled particles with a Gaussian kernel whose covariance is twice the
+weighted empirical covariance (Beaumont, Cornuet, Marin & Robert 2009),
+and corrects with importance weights prior / (mixture of kernels), whose
+O(N^2) denominator is evaluated in blocks of particles.
+`regression_adjust` removes the remaining tolerance-induced spread from a
+population by the local-linear regression of Beaumont, Zhang & Balding
+(2002).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .core import (
     CHUNK_ROWS,
@@ -60,6 +63,12 @@ __all__ = [
 # acceptance rate below which a generation fails: one that wants n hits
 # makes at most ceil(n / _ACCEPT_FLOOR) proposals
 _ACCEPT_FLOOR = 0.01
+# a quantile-mode generation stops early once a one-sided Clopper-Pearson
+# upper bound on its hit rate falls below _ACCEPT_FLOOR; each of its at most
+# ceil(budget / CHUNK_ROWS) block checks takes level _STOP_LEVEL / that
+# count, so one whose rate is at or above the floor is stopped with
+# probability at most _STOP_LEVEL (Bonferroni)
+_STOP_LEVEL = 0.05
 # the sequential sampler's kernel covariance is this multiple of the
 # previous generation's weighted empirical covariance
 _KERNEL_SCALE = 2.0
@@ -121,14 +130,31 @@ def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
 
 
 class _TooFewHits(RuntimeError):
-    """A generation fell short of its hits within its proposal budget."""
+    """A generation fell short of its hits: its budget ran out, or its hit
+    rate is shown to lie below the floor.  `proposals` counts what it made."""
+
+    def __init__(self, message: str, proposals: int):
+        super().__init__(message)
+        self.proposals = proposals
+
+
+def _rate_below_floor(hits: int, proposals: int, checks: int) -> bool:
+    """Whether the one-sided Clopper-Pearson upper bound on a hit rate, at
+    level _STOP_LEVEL / checks after `hits` in `proposals`, lies below
+    _ACCEPT_FLOOR."""
+    return hits < proposals and special.betaincinv(
+        hits + 1, proposals - hits, 1.0 - _STOP_LEVEL / checks) < _ACCEPT_FLOOR
 
 
 def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
-                     n: int, rng: RngStream, t: int = 0, budget=None):
+                     n: int, rng: RngStream, t: int = 0, budget=None,
+                     stop_early: bool = False):
     """The first n proposals within `eps`, in proposal order: (particles,
     summaries, distances, proposals made), or `_TooFewHits` if `budget`
-    proposals, by default ceil(n / _ACCEPT_FLOOR), fall short.
+    proposals, by default ceil(n / _ACCEPT_FLOOR), fall short.  With
+    `stop_early`, `_TooFewHits` comes as soon as the Clopper-Pearson upper
+    bound on the hit rate, at level _STOP_LEVEL split over the blocks of
+    the budget, falls below _ACCEPT_FLOOR after a block.
 
     Block b, cut to the budget, draws on ``rng.child(b)``: `propose(size, r)`
     returns the proposals and the mask of those inside the prior's support,
@@ -136,14 +162,15 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
     """
     if budget is None:
         budget = int(np.ceil(n / _ACCEPT_FLOOR))
+    checks = -(-budget // CHUNK_ROWS)
     parts = []
     accepted = n_prop = 0
     while accepted < n:
-        if n_prop == budget:
+        if n_prop == budget or (stop_early and _rate_below_floor(accepted, n_prop, checks)):
             raise _TooFewHits(
                 f"generation {t}: acceptance probability below {_ACCEPT_FLOOR}: "
                 f"{accepted} accepted in {n_prop} proposals (rate "
-                f"{accepted / n_prop:.3g}); tolerance {eps} is too small")
+                f"{accepted / n_prop:.3g}); tolerance {eps} is too small", n_prop)
         size = min(CHUNK_ROWS, budget - n_prop)
         r = rng.child(len(parts))
         thetas, inside = propose(size, r)
@@ -253,9 +280,10 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
     its n_output particles within ceil(n_output / 0.01) proposals, or a
     fixed-tolerance run raises a `RuntimeError` naming it.  A quantile-mode
     run also needs a strictly decreasing schedule, and stops early,
-    returning the finished generations, the moment either fails; a
-    generation dropped short of its hits leaves its whole budget in the
-    last one's `abandoned_proposals`.
+    returning the finished generations, the moment either fails.  A
+    quantile-mode generation is dropped as soon as the Clopper-Pearson
+    bound of `_accept_in_order` shows its hit rate below the floor, and the
+    proposals it made land in the last finished one's `abandoned_proposals`.
     """
     n = config.n_output
     if n < 100:
@@ -283,12 +311,12 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
 
         try:
             particles, summaries, distances, n_prop = _accept_in_order(
-                propose, model, eta_obs, eps, n, rng.child(t), t)
-        except _TooFewHits:
+                propose, model, eta_obs, eps, n, rng.child(t), t,
+                stop_early=config.quantile is not None)
+        except _TooFewHits as short:
             if config.quantile is None:
                 raise
-            budget = int(np.ceil(n / _ACCEPT_FLOOR))  # all of it spent
-            populations[-1] = replace(prev, abandoned_proposals=budget)
+            populations[-1] = replace(prev, abandoned_proposals=short.proposals)
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)
@@ -324,12 +352,14 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
                n_generations: int = 10) -> AbcPopulation:
     """Sequential ABC for the probit posterior.
 
-    Each proposal simulates pseudo-responses y* ~ Bernoulli(Phi(X beta)),
-    through one `probit_simulator` whose scratch the run's blocks share,
-    and is summarised by X'y*, whitened once per run by
-    X' diag(Phi(1 - Phi)) X at the maximum likelihood estimate; the
-    observed response goes through the same map.  The final generation is
-    regression-adjusted on its summaries and returned.
+    Each proposal simulates pseudo-responses y* ~ Bernoulli(Phi(X beta))
+    through one `probit_simulator`, whose scratch the run's blocks share:
+    one random byte per response, plus a double for the one response in
+    about 256 that its byte leaves open.  It is summarised by X'y*,
+    whitened once per run by X' diag(Phi(1 - Phi)) X at the maximum
+    likelihood estimate; the observed response goes through the same map.
+    The final generation is regression-adjusted on its summaries and
+    returned.
     """
     beta_hat, _ = probit_mle(model)
     whitener = probit_summary_whitener(model, beta_hat)

@@ -3,7 +3,10 @@
 Covers the likelihood, the prior, maximum likelihood by Fisher scoring, the
 truncated-normal latent-variable completion driving the data-augmentation
 Gibbs sampler, and the pseudo-data simulator and whitened X'y summary used
-by the likelihood-free run.
+by the likelihood-free run.  The simulator spends one random byte per
+pseudo-response: the byte settles the response unless the threshold
+-x'beta falls in the normal bin it opens, about once in 256, and only then
+is the rest of the uniform drawn, so its law is exactly Bernoulli(Phi(x'beta)).
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ __all__ = [
 # _MLE_TOL * (1 + |loglik|), and gives up after _MLE_MAX_ITER iterations
 _MLE_TOL = 1e-10
 _MLE_MAX_ITER = 50
+# z_k = Phi^{-1}(k / 256) for k = 0, ..., 256 (z_0 = -inf, z_256 = inf): the
+# top byte k of a uniform U places Phi^{-1}(U) in [z_k, z_{k+1})
+_BYTE_EDGES = special.ndtri(np.arange(257) / 256.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -275,29 +281,64 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
 def probit_simulator(model: ProbitModel):
     """The `simulate(betas, rng)` of one likelihood-free run: pseudo-responses
     y*_bi ~ Bernoulli(Phi(x_i'beta_b)), one row per row b of the (B, p)
-    `betas`, through the latent form y*_bi = 1{e_bi > -x_i'beta_b} with
-    e_bi standard normal.
+    `betas`, through the latent form y*_bi = 1{e_bi > t_bi}, t_bi =
+    -x_i'beta_b, with e_bi = Phi^{-1}(U_bi) for a uniform U_bi, drawn one
+    random byte per response.
 
-    A call draws its B x n normals from `rng` into a scratch array it owns,
-    writes -X beta into a second one and compares them in place, so a run
+    The byte k is the top byte of U = (k + V) / 256, so it places e in
+    [z_k, z_{k+1}), z_k = Phi^{-1}(k / 256) (`_BYTE_EDGES`): y* is 1 when
+    t < z_k and 0 when t >= z_{k+1}.  Otherwise, about once in 256
+    responses, t lies in e's bin, and only then is the rest of U drawn as
+    one double V and y* = 1{Phi^{-1}((k + V) / 256) > t}.  Since U is
+    uniform, that is the law of the latent form with e standard normal,
+    exactly up to the double precision of U.  A call draws ceil(B n / 8)
+    raw 64-bit words from `rng`, read as bytes, then the doubles V of the
+    responses it refines in row-major order, so a run is bit-reproducible.
+
+    A coefficient row with a NaN or infinite entry raises
+    `FloatingPointError`.  A call works in scratch arrays it owns (the
+    bytes, -X beta, one gathered edge per response and two masks), so a run
     of equal blocks allocates no (B x n) array after its first.  The scratch
     grows only when a call has more rows than any before it.  The returned
-    array is that scratch: it is valid until the next call.
+    float 0/1 array is scratch too: it is valid until the next call.
     """
+    n = model.n_obs
     neg_design_t = np.negative(model.design).T  # the layout of design.T
-    e = neg_eta = np.empty((0, model.n_obs))
+    lower, upper = _BYTE_EDGES[:-1], _BYTE_EDGES[1:]
+
+    def scratch_for(rows):
+        # y*, -X beta, a gathered edge, the bytes, and the masks t < edge
+        return (np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n)),
+                np.empty((rows, n), dtype=np.intp),
+                np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool))
+
+    scratch = scratch_for(0)
 
     def simulate(betas, rng: RngStream) -> np.ndarray:
-        nonlocal e, neg_eta
+        nonlocal scratch
         betas = np.asarray(betas, dtype=float)
+        if not np.isfinite(betas).all():
+            raise FloatingPointError("coefficient rows must be finite")
         rows = betas.shape[0]
-        if rows > len(e):
-            e, neg_eta = np.empty((rows, model.n_obs)), np.empty((rows, model.n_obs))
-        ys = e[:rows]
-        rng.generator.standard_normal(out=ys)
+        if rows > len(scratch[0]):
+            scratch = scratch_for(rows)
+        ys, t, edge, k, above_lower, above_upper = (a[:rows] for a in scratch)
         # -(X beta) bit for bit: negation is exact and rounding symmetric
-        np.matmul(betas, neg_design_t, out=neg_eta[:rows])
-        return np.greater(ys, neg_eta[:rows], out=ys)
+        np.matmul(betas, neg_design_t, out=t)
+        words = rng.generator.bit_generator.random_raw(-(-rows * n // 8))
+        np.copyto(k, words.view(np.uint8)[:rows * n].reshape(rows, n))
+        del words  # freed before the refinement's small arrays
+        # mode="clip" gathers straight into `edge`; "raise" would buffer it
+        np.greater(np.take(lower, k, out=edge, mode="clip"), t, out=above_lower)
+        np.greater(np.take(upper, k, out=edge, mode="clip"), t, out=above_upper)
+        np.copyto(ys, above_lower)
+        # z_k <= t < z_{k+1}: t is inside e's bin, so refine e
+        inside = np.flatnonzero(np.not_equal(above_lower, above_upper, out=above_upper))
+        u = rng.generator.random(inside.size)
+        u += k.reshape(-1)[inside]
+        u /= 256.0
+        ys.reshape(-1)[inside] = special.ndtri(u) > t.reshape(-1)[inside]
+        return ys
 
     return simulate
 

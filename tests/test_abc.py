@@ -13,6 +13,8 @@ from scipy import stats
 
 from bayescomp.abc import (
     _ACCEPT_FLOOR,
+    _TooFewHits,
+    _accept_in_order,
     AbcConfig,
     AbcPopulation,
     abc_mcmc,
@@ -174,6 +176,22 @@ class TestMcmc:
                      RwProposal(np.eye(1)), 10, RngStream(seed=0, stream_id=0))
 
 
+def _uniform_rate_generation(rate, rng):
+    """One quantile-mode generation wanting 100 hits, whose proposals each
+    hit with probability `rate`: the distance is a uniform on [0, 1)."""
+    model = SimulableModel(
+        sample_prior=lambda n, r: r.uniform((n, 1)),
+        simulate=lambda th, r: r.uniform((len(th), 1)),
+        summary=lambda ys: ys,
+        log_prior=lambda th: np.zeros(len(th)),
+    )
+
+    def propose(size, r):
+        return model.sample_prior(size, r), np.ones(size, bool)
+
+    return _accept_in_order(propose, model, np.zeros(1), rate, 100, rng, stop_early=True)
+
+
 class TestPmc:
     def test_schedule_strictly_decreases_and_posterior_is_reached(self):
         config = AbcConfig(n_output=600, quantile=0.5)
@@ -221,10 +239,22 @@ class TestPmc:
         assert len(pops) < 30
         assert np.quantile(pops[-1].distances, 0.5) < pops[-1].epsilon
         assert all(p.n_proposals <= n / _ACCEPT_FLOOR for p in pops)
-        # the dropped generation spent its whole budget, and the last
-        # finished population counts it
-        assert pops[-1].abandoned_proposals == int(np.ceil(n / _ACCEPT_FLOOR))
+        # the last finished population counts the proposals that the dropped
+        # generation made, which its early stop may leave short of the budget
+        assert 0 < pops[-1].abandoned_proposals <= int(np.ceil(n / _ACCEPT_FLOOR))
         assert all(p.abandoned_proposals == 0 for p in pops[:-1])
+
+    def test_hopeless_generation_stops_within_sixteen_blocks(self):
+        # a 0.3% hit rate against the 1% floor; its budget is 40 blocks
+        with pytest.raises(_TooFewHits) as short:
+            _uniform_rate_generation(0.003, RngStream(seed=31, stream_id=0))
+        assert 0 < short.value.proposals <= 16 * CHUNK_ROWS
+
+    def test_generation_above_the_floor_is_never_stopped(self):
+        # a 2% hit rate fills its 100 hits in about 5000 of 10000 proposals
+        for seed in range(50):
+            particles, *_ = _uniform_rate_generation(0.02, RngStream(seed=seed, stream_id=32))
+            assert len(particles) == 100, seed
 
     def test_generation_below_the_floor_raises(self):
         # the prior's mass sits on two unit intervals 1000 apart, so the

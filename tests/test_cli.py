@@ -406,6 +406,13 @@ class TestRunners:
         for key in keys:
             assert key in estimates, (experiment, key, sorted(estimates))
 
+    def test_abc_drops_its_hopeless_generation_early(self):
+        # at its defaults and seed 7 generation 4 hits below the 1% floor;
+        # its early stop comes long before its 200,000-proposal budget
+        _, _, diagnostics, _ = run_experiment("abc", resolve_config("abc", {"seed": 7}))
+        assert diagnostics["generation"] == 3
+        assert 0 < diagnostics["abandoned_proposals"] < 20_000
+
     def test_evidence_methods_all_run(self):
         for method in ("prior-mc", "importance", "harmonic-gd",
                        "harmonic-nr", "chib", "bridge-embedded"):

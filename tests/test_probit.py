@@ -241,14 +241,57 @@ def _peak_bytes(call):
 
 
 class TestAbcSimulation:
-    @pytest.mark.parametrize("rows", [1, 100, 256, 300])
-    def test_simulate_equals_the_latent_form(self, pima, rows):
-        betas = 2.0 * sample_gprior(pima, rows, RngStream(4, rows))
-        ref_rng, rng = RngStream(5, rows), RngStream(5, rows)
-        ys = probit_simulator(pima)(betas, rng)
-        assert np.array_equal(ys, _latent_form(pima, betas, ref_rng))
-        assert ys.dtype == float
-        assert rng.counter == ref_rng.counter
+    def test_response_frequencies_match_phi(self):
+        # x_i'beta = Phi^{-1}(q_i) at beta = (1, 0); the extremes sit in the
+        # outermost byte bins, so every 1 of the first response and every 0
+        # of the last comes from a refined draw
+        q = np.array([1e-4, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-3, 1 - 1e-4])
+        model = ProbitModel(design=np.column_stack([stats.norm.ppf(q), np.ones(len(q))]),
+                            response=np.zeros(len(q)))
+        simulate, rng = probit_simulator(model), RngStream(10, 0)
+        betas = np.tile([1.0, 0.0], (1000, 1))
+        blocks = 1000
+        counts = sum(simulate(betas, rng).sum(axis=0) for _ in range(blocks))
+        for count, prob in zip(counts, q):
+            assert stats.binomtest(int(count), 1000 * blocks, prob).pvalue > 1e-3, prob
+
+    def test_responses_inside_their_byte_bin_are_refined(self):
+        # with X = I, -X beta is any (B, 2) array: put entry (b, i) at the
+        # fraction w of the byte bin its byte k will open, so that every
+        # entry draws its double V and is 1 exactly when V > w
+        model = ProbitModel(design=np.eye(2), response=np.array([0.0, 1.0]))
+        rows = 6000
+        twin = RngStream(11, 0)
+        k = (twin.generator.bit_generator.random_raw(rows * 2 // 8)
+             .view(np.uint8).reshape(rows, 2))
+        w = np.resize([0.1, 0.5, 0.9], (rows, 2))
+        rng = RngStream(11, 0)
+        ys = probit_simulator(model)(-stats.norm.ppf((k + w) / 256), rng)
+        twin.generator.random(rows * 2)
+        assert rng.counter == twin.counter
+        for frac in (0.1, 0.5, 0.9):
+            picked = ys[w == frac]
+            assert stats.binomtest(int(picked.sum()), picked.size, 1 - frac).pvalue > 1e-3
+
+    def test_summaries_match_the_latent_form(self, pima):
+        # X'y* at the MLE, 20,000 draws from the simulator against 20,000
+        # from the latent form with normal e: two-sample KS per coordinate
+        betas = np.tile(probit_mle(pima)[0], (500, 1))
+        simulate, rng, ref_rng = probit_simulator(pima), RngStream(12, 0), RngStream(12, 1)
+        ours = np.vstack([simulate(betas, rng) @ pima.design for _ in range(40)])
+        ref = np.vstack([_latent_form(pima, betas, ref_rng) @ pima.design for _ in range(40)])
+        for j in range(pima.dimension):
+            assert stats.ks_2samp(ours[:, j], ref[:, j]).pvalue > 1e-3, j
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_raise(self, pima, bad):
+        simulate = probit_simulator(pima)
+        with pytest.raises(FloatingPointError):
+            simulate(np.array([[bad, 0.0, 0.0]]), RngStream(13, 0))
+        betas = np.zeros((4, 3))
+        betas[2, 1] = bad
+        with pytest.raises(FloatingPointError):
+            simulate(betas, RngStream(13, 1))
 
     def test_reused_simulator_equals_one_shot_calls(self, pima):
         # a shorter block after a longer one must carry none of its rows

@@ -12,12 +12,16 @@ directory and compares their standard output line by line (the demos fix
 their own seeds, so ``--seed`` does not reach them).  Prints one line per
 run, and for each differing file the largest absolute and relative
 difference over its numeric fields, or each differing demo line; exits 1
-if any output differs or any run fails.
+if any output differs or any run fails.  A run label or demo name given
+to ``--expect-differ`` still prints its differences, but they do not set
+the exit code, so a change meant to move one output can show that every
+other output is identical.
 
 Run from anywhere, naming the two checkouts:
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR [--seed 7]
         [--experiment mwg --experiment abc_bernoulli ...]
+        [--expect-differ abc --expect-differ "mh x3" ...]
 """
 
 import argparse
@@ -85,18 +89,18 @@ def _demo_differences(a, b):
             for k, (x, y) in enumerate(zip(la, lb), 1) if x != y]
 
 
-def _compare_demo(name, parent, change) -> bool:
+def _compare_demo(name, parent, change, expected):
     """Run demo `name` on both trees and print how its stdout compares;
-    True if the two differ or either run fails."""
+    returns whether the two differ, or None if either run fails."""
     outs = []
     for side, tree in (("parent", parent), ("change", change)):
         proc = _python(tree, [str(pathlib.Path(tree).resolve() / "demos" / f"{name}.py")])
         if proc.returncode != 0:
             print(f"demo {name}: {side} run failed: {proc.stderr.strip()}")
-            return True
+            return None
         outs.append(proc.stdout)
     diffs = _demo_differences(*outs)
-    print(f"demo {name}: " + ("DIFFERS" if diffs else "identical"))
+    print(f"demo {name}: " + ("DIFFERS" + expected if diffs else "identical"))
     for d in diffs:
         print(f"  {d}")
     return bool(diffs)
@@ -173,13 +177,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--experiment", action="append", choices=EXPERIMENTS + DEMOS,
                         help="run only this experiment or demo (repeatable)")
+    parser.add_argument("--expect-differ", action="append", default=[], metavar="LABEL",
+                        help="a run label (as printed) or demo name whose differences "
+                             "do not set the exit code (repeatable)")
     args = parser.parse_args(argv)
     selected = args.experiment or EXPERIMENTS + DEMOS
+    runs = _runs([e for e in selected if e in EXPERIMENTS])
+    expected = set(args.expect_differ)
+    unknown = expected - {r[0] for r in runs} - {d for d in DEMOS if d in selected}
+    if unknown:
+        parser.error(f"--expect-differ names no selected run or demo: {sorted(unknown)}")
+
+    def note(label):
+        return " (expected)" if label in expected else ""
 
     failed = False
     with tempfile.TemporaryDirectory() as work:
-        for label, experiment, extra, config in _runs(
-                [e for e in selected if e in EXPERIMENTS]):
+        for label, experiment, extra, config in runs:
             if config is not None:
                 path = pathlib.Path(work) / (label.replace(" ", "_") + ".json")
                 path.write_text(json.dumps(config), encoding="utf-8")
@@ -195,12 +209,13 @@ def main(argv=None) -> int:
                 outs.append(out)
             else:
                 diffs = _differences(*outs)
-                print(f"{label}: " + (f"DIFFERS in {', '.join(diffs)}"
+                print(f"{label}: " + (f"DIFFERS in {', '.join(diffs)}{note(label)}"
                                       if diffs else "identical"))
-                failed = failed or bool(diffs)
+                failed = failed or (bool(diffs) and label not in expected)
     for name in DEMOS:
         if name in selected:
-            failed = _compare_demo(name, args.parent, args.change) or failed
+            differs = _compare_demo(name, args.parent, args.change, note(name))
+            failed = failed or differs is None or (differs and name not in expected)
     return 1 if failed else 0
 
 
