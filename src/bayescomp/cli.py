@@ -17,7 +17,8 @@ chain-based `evidence` routes read one Gibbs chain pair, run as one
 two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
 ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every
 `evidence` method ends in one estimate of log B10, which the summary
-writes, ``unreliable`` included.
+writes with its ``unreliable`` flag and ``weight_ess``, the smaller of
+its two evidences' weight ESS.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ def _run_evidence(config, rng):
     else:
         raise ConfigError(f"unknown evidence method {method!r}")
     return ({"log_b10": float(est.log_value)}, {"log_b10": est.std_error},
-            {"method": method, "n_draws": n, "unreliable": est.unreliable},
+            {"method": method, "n_draws": n, "unreliable": est.unreliable,
+             "weight_ess": est.weight_ess},
             None)
 
 

@@ -1,8 +1,9 @@
 """Seedable random streams and shared numerical primitives.
 
 Everything downstream (samplers, estimators, ABC) draws randomness through
-:class:`RngStream` and normalises weights through :func:`log_sum_exp`, so the
-determinism and numerical-stability guarantees live here.
+:class:`RngStream`, normalises weights through :func:`log_sum_exp` and sums
+probit log-likelihoods through :func:`log_ndtr`, so the determinism and
+numerical-stability guarantees live here.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "sample_categorical",
     "categorical_cdf",
     "log_sum_exp",
+    "log_ndtr",
     "map_rows",
 ]
 
@@ -32,6 +34,8 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _LOG2PI = np.log(2.0 * np.pi)
 # rows per block when a batched density is evaluated in blocks (map_rows)
 CHUNK_ROWS = 256
+# log_ndtr computes log(ndtr(x)) on this range and scipy's log_ndtr outside it
+_LOG_NDTR_LOW, _LOG_NDTR_HIGH = -20.0, 3.0
 
 
 class DegenerateWeightsError(ValueError):
@@ -200,6 +204,35 @@ def map_rows(fn, rows: np.ndarray) -> np.ndarray:
         return fn(rows)
     return np.concatenate([fn(rows[lo:lo + CHUNK_ROWS])
                            for lo in range(0, len(rows), CHUNK_ROWS)])
+
+
+def log_ndtr(x: np.ndarray) -> np.ndarray:
+    """log Phi(x) for every entry of the float array `x`, in place; returns x.
+
+    An entry in [-20, 3] gets ``log(ndtr(x))``, which on a block of rows
+    costs under half of `special.log_ndtr`.  Any other entry (below -20,
+    above 3, infinite or NaN) gets `special.log_ndtr`: below -20 ndtr nears
+    its underflow at -37.5, and above 3 the rounding of ndtr(x) to 1 would
+    cost log Phi(x) more than 1e-13 of its relative precision.  The path
+    of an entry depends on its own value alone, so it does not depend on
+    the rest of the array.  Against exact values the error is below 1e-15
+    relative for x < 0 and 1e-15 absolute for x >= 0, and below 1e-13
+    relative on [0, 3].  On one row of a few hundred entries the call
+    overhead dominates: a row inside the range costs about one
+    `special.log_ndtr` call, and a row with entries outside it about
+    2.7 times as much.
+    """
+    if x.min(initial=np.inf) >= _LOG_NDTR_LOW and x.max(initial=-np.inf) <= _LOG_NDTR_HIGH:
+        special.ndtr(x, out=x)
+        return np.log(x, out=x)
+    # NaN fails both comparisons, so it is outside too
+    outside = ~((x >= _LOG_NDTR_LOW) & (x <= _LOG_NDTR_HIGH))
+    tails = special.log_ndtr(x[outside])
+    x[outside] = 0.0  # so no ndtr underflows to a log(0) warning
+    special.ndtr(x, out=x)
+    np.log(x, out=x)
+    x[outside] = tails
+    return x
 
 
 def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:

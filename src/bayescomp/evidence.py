@@ -12,12 +12,15 @@ compared on equal footing.
 
 Two rules build every estimate: one evidence is the log-mean-exp of its
 per-draw log terms (or a log numerator minus it) with that mean's
-batch-means error, unreliable under two terms; `bayes_factor` subtracts
-two of one method, adds their errors in quadrature and ORs their flags.
+batch-means error and the Kong effective sample size of the terms as
+weights, unreliable under two terms or when that ESS is under 5% of them;
+`bayes_factor` subtracts two of one method, adds their errors in
+quadrature, keeps the smaller ESS and ORs their flags.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
@@ -49,6 +52,8 @@ _METHODS = ("prior-mc", "importance", "bridge", "bridge-embedded",
             "harmonic-gd", "harmonic-nr", "chib")
 _N_BATCHES = 50
 _BRIDGE_TOL = 1e-8
+# an estimate whose terms' weight ESS is under this share of them is unreliable
+_MIN_ESS_SHARE = 0.05
 
 
 class BridgeError(RuntimeError):
@@ -61,13 +66,18 @@ class BridgeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvidenceEstimate:
-    """Log evidence or log Bayes factor with its log-scale standard error."""
+    """Log evidence or log Bayes factor with its log-scale standard error.
+
+    `weight_ess` is the Kong effective sample size (sum w)^2 / sum w^2 of
+    the per-draw terms w = exp(term - max term) that the estimate
+    averages; a Bayes factor carries the smaller of its two."""
 
     log_value: float
     std_error: float
     method: str
     n_draws: int
     unreliable: bool = False
+    weight_ess: float = math.nan
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -140,27 +150,42 @@ def _batch_se(v: np.ndarray) -> float:
     return float(np.std(r, ddof=1) / (np.sqrt(len(r)) * np.mean(r)))
 
 
+def _weight_ess(v: np.ndarray) -> float:
+    """Kong ESS (sum w)^2 / sum w^2 of the weights w = exp(v - max v); 0
+    when no term is finite."""
+    top = np.max(v, initial=-np.inf)
+    if not np.isfinite(top):
+        return 0.0
+    w = np.exp(v - top)
+    return float(w.sum() ** 2 / (w * w).sum())
+
+
 def _estimate(log_terms, method: str, log_numerator: float | None = None,
               unreliable: bool = False) -> EvidenceEstimate:
     """One evidence from its per-draw log terms: their log-mean-exp, or
     `log_numerator` minus it where the terms average the evidence's
-    reciprocal, with the `_batch_se` error of that mean."""
+    reciprocal, with the `_batch_se` error of that mean and the terms'
+    `_weight_ess`, flagged when it is under `_MIN_ESS_SHARE` of them."""
     log_mean = _log_mean_exp(log_terms)
+    n = len(log_terms)
+    ess = _weight_ess(log_terms)
     return EvidenceEstimate(
         log_value=log_mean if log_numerator is None else log_numerator - log_mean,
-        std_error=_batch_se(log_terms), method=method, n_draws=len(log_terms),
-        unreliable=unreliable or len(log_terms) < 2)
+        std_error=_batch_se(log_terms), method=method, n_draws=n,
+        unreliable=unreliable or n < 2 or ess < _MIN_ESS_SHARE * n, weight_ess=ess)
 
 
 def bayes_factor(num: EvidenceEstimate, den: EvidenceEstimate) -> EvidenceEstimate:
     """num / den for two estimates of one method: the log values subtract,
-    the errors add in quadrature, the draws sum and either flag flags it."""
+    the errors add in quadrature, the draws sum, the smaller weight ESS
+    stays and either flag flags it."""
     if num.method != den.method:
         raise ValueError(f"cannot divide a {num.method} estimate by a {den.method} one")
     return EvidenceEstimate(log_value=num.log_value - den.log_value,
                             std_error=float(np.hypot(num.std_error, den.std_error)),
                             method=num.method, n_draws=num.n_draws + den.n_draws,
-                            unreliable=num.unreliable or den.unreliable)
+                            unreliable=num.unreliable or den.unreliable,
+                            weight_ess=float(np.fmin(num.weight_ess, den.weight_ess)))
 
 
 def _prior_loglik_draws(model: BayesModel, n: int, rng: RngStream,

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .core import MvnParams, RngStream, truncated_normal_positive
+from .core import MvnParams, RngStream, log_ndtr, truncated_normal_positive
 from .model import BayesModel, log_posterior
 from .probit import ProbitModel, ProbitSweep, probit_mle
 
@@ -197,8 +196,9 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     (one inner step per block, which suffices for stationarity).
     `logsigma_step_var` is the variance of the log-sigma increment.  The
     likelihood is the one-covariate probit log-likelihood at beta / sigma,
-    sum_i log Phi(s_i x_i beta / sigma), evaluated in an (n,) array the run
-    owns: the bits of a one-row `probit_loglik_rows` call.
+    sum_i log Phi(s_i x_i beta / sigma), evaluated by `core.log_ndtr` in an
+    (n,) array the run owns: the bits of a one-row `probit_loglik_rows`
+    call.
     """
     signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
     terms = np.empty_like(signed_x)
@@ -207,7 +207,7 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
         if sigma2 <= 0:
             return -np.inf
         np.multiply(signed_x, beta / math.sqrt(sigma2), out=terms)
-        special.log_ndtr(terms, out=terms)
+        log_ndtr(terms)
         lp = -2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0
         return float(terms.sum() + lp)
 

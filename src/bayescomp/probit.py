@@ -3,10 +3,13 @@
 Covers the likelihood, the prior, maximum likelihood by Fisher scoring, the
 truncated-normal latent-variable completion driving the data-augmentation
 Gibbs sampler, and the pseudo-data simulator and whitened X'y summary used
-by the likelihood-free run.  The simulator spends one random byte per
-pseudo-response: the byte settles the response unless the threshold
--x'beta falls in the normal bin it opens, about once in 256, and only then
-is the rest of the uniform drawn, so its law is exactly Bernoulli(Phi(x'beta)).
+by the likelihood-free run.  Every likelihood here, and so every density
+the samplers and evidence routes evaluate on it, sums one log Phi kernel,
+`core.log_ndtr`, over the signed linear predictors.  The simulator spends
+one random byte per pseudo-response: the byte settles the response unless
+the threshold -x'beta falls in the normal bin it opens, about once in 256,
+and only then is the rest of the uniform drawn, so its law is exactly
+Bernoulli(Phi(x'beta)).
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, map_rows, rowwise, truncated_normal_positive
+from .core import (MvnParams, RngStream, log_ndtr, map_rows, rowwise,
+                   truncated_normal_positive)
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -110,13 +114,14 @@ def probit_loglik_rows(signed_design: np.ndarray, betas: np.ndarray) -> np.ndarr
     """sum_i log Phi(s_i x_i'beta) for each row beta of the (m, p) `betas`,
     with s_i x_i the rows of the (n, p) `signed_design` and s_i = 2 y_i - 1.
 
-    This is the probit log-likelihood, accumulated through the log-CDF so
-    that deep-tail observations do not underflow.  Every row is
-    bit-identical to its one-row call whatever m is (`rowwise`).  It takes
-    a bare signed design, so a design whose X'X is singular is evaluated too.
+    This is the probit log-likelihood, accumulated through the log-CDF
+    `core.log_ndtr` in place on the (m, n) predictors, so that deep-tail
+    observations do not underflow.  That kernel picks its path per entry,
+    so every row is bit-identical to its one-row call whatever m is
+    (`rowwise`).  It takes a bare signed design, so a design whose X'X is
+    singular is evaluated too.
     """
-    eta = rowwise(betas, signed_design)
-    return special.log_ndtr(eta, out=eta).sum(axis=1)
+    return log_ndtr(rowwise(betas, signed_design)).sum(axis=1)
 
 
 def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:

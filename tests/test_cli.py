@@ -431,6 +431,16 @@ class TestRunners:
         assert f'"unreliable": {json.dumps(flag)}' in text
         assert json.loads(text)["diagnostics"]["unreliable"] is flag
 
+    @pytest.mark.parametrize("method,flag", [("prior-mc", True), ("importance", False)])
+    def test_evidence_summary_writes_the_weight_ess(self, tmp_path, method, flag):
+        # prior draws weight the pima likelihood too unevenly: their weight
+        # ESS is under 5% of the 2000 draws, so prior-mc is flagged
+        code, out = run_cli(tmp_path, "evidence", {"method": method, "n_draws": 2000})
+        assert code == 0
+        diag = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diag["unreliable"] is flag
+        assert (diag["weight_ess"] < 0.05 * 2000) is flag
+
     def test_evidence_is_log_b10_of_the_bigger_model(self):
         # log_b10 puts the 3-covariate model (chain on rng.child(0)) over the
         # 2-covariate one (rng.child(1)); the embedded bridge estimates B01
@@ -463,6 +473,7 @@ class TestRunners:
             assert est["log_b10"] == expected.log_value, method
             assert se["log_b10"] == expected.std_error, method
             assert diag["unreliable"] is expected.unreliable, method
+            assert diag["weight_ess"] == expected.weight_ess, method
 
         config = resolve_config("evidence", {"method": "bridge-embedded",
                                              "n_draws": n, "seed": seed})
@@ -472,3 +483,4 @@ class TestRunners:
                               np.zeros(1), omega, states0[0], states1[0], rng.child(2))
         assert est["log_b10"] == -b01.log_value
         assert se["log_b10"] == b01.std_error and diag["unreliable"] is b01.unreliable
+        assert diag["weight_ess"] == b01.weight_ess

@@ -1,18 +1,21 @@
-"""Primitive layer: streams, Gaussian kernels, log-sum-exp, truncated
-normals, categorical draws."""
+"""Primitive layer: streams, Gaussian kernels, log-sum-exp, log Phi,
+truncated normals, categorical draws."""
+
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from bayescomp.core import (
     DegenerateWeightsError,
     MvnParams,
     RngStream,
     categorical_cdf,
+    log_ndtr,
     log_sum_exp,
     rowwise,
     sample_categorical_many,
@@ -143,6 +146,62 @@ class TestNormalCdf:
         xs = np.linspace(-40.0, -8.0, 65)
         for got in self.log_cdfs(xs):
             np.testing.assert_allclose(got, self.oracle(xs), rtol=1e-12, atol=0)
+
+
+class TestLogNdtr:
+    """The in-place log Phi kernel every probit likelihood sums."""
+
+    # a grid over [-45, 45] with the ends of the log(ndtr) range, -20 and
+    # 3, and their neighbouring doubles
+    EDGES = [np.nextafter(e, d) for e in (-20.0, 3.0) for d in (-np.inf, np.inf)]
+    GRID = np.unique(np.concatenate([np.linspace(-45.0, 45.0, 9001), [-20.0, 3.0, 20.0],
+                                     EDGES, [np.nextafter(20.0, -np.inf),
+                                             np.nextafter(20.0, np.inf)]]))
+
+    @staticmethod
+    def exact(xs):
+        # log1p(-Phi(-x)) above 0, where Phi(x) rounds to 1 at any fixed precision
+        def one(x):
+            x = mpmath.mpf(float(x))
+            return mpmath.log(mpmath.ncdf(x)) if x <= 0 else mpmath.log1p(-mpmath.ncdf(-x))
+
+        with mpmath.workdps(40):
+            return np.array([float(one(x)) for x in xs])
+
+    def test_against_mpmath(self):
+        xs = self.GRID
+        got, exact = log_ndtr(xs.copy()), self.exact(xs)
+        neg = xs < 0
+        assert np.max(np.abs(got[neg] - exact[neg]) / np.abs(exact[neg])) <= 1e-15
+        assert np.max(np.abs(got[~neg] - exact[~neg])) <= 1e-15
+        # and relative on the log(ndtr) side, up to 3
+        pos = ~neg & (xs <= 3.0)
+        assert np.max(np.abs(got[pos] - exact[pos]) / np.abs(exact[pos])) <= 1e-13
+
+    def test_entries_outside_the_range_are_scipys(self):
+        xs = np.array([-20.5, -38.0, -45.0, -1e3, -np.inf, 3.5, 8.0, 40.0, 1e3])
+        assert log_ndtr(xs.copy()).tobytes() == special.log_ndtr(xs).tobytes()
+
+    def test_nan_stays_nan_and_inf_gives_zero(self):
+        got = log_ndtr(np.array([np.nan, np.inf, 0.0]))
+        assert np.isnan(got[0]) and got[1] == 0.0 and got[2] == np.log(0.5)
+
+    def test_in_place_and_warning_free(self):
+        x = np.array([[-np.inf, -1e3, -40.0, -20.0, 0.0],
+                      [1.0, 2.5, 3.0, np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_ndtr(x) is x
+        assert np.isneginf(x[0, 0]) and np.isfinite(x[0, 1:]).all()
+
+    def test_rows_match_one_row_calls(self):
+        # the path of an entry is its own: a row gives the same bits alone
+        # as in a block whose other rows leave the log(ndtr) range
+        rows = RngStream(4, 0).standard_normal((64, 50))
+        rows[::5] *= 40.0
+        block = log_ndtr(rows.copy())
+        for r, row in enumerate(rows):
+            assert log_ndtr(row.copy()).tobytes() == block[r].tobytes()
 
 
 class TestLogSumExp:

@@ -420,6 +420,41 @@ class TestBayesFactor:
         assert not bridge_sampling(lp0, lp1, s0[:2], s1[:2]).unreliable
 
 
+class TestWeightEss:
+    """Every estimate carries the Kong ESS (sum w)^2 / sum w^2 of its
+    terms as weights, and is unreliable when that is under 5% of them."""
+
+    def test_equal_terms_count_every_draw(self):
+        model, log_ordinate, _, _ = TestChib._setup()
+        est = chib_marginal(model, log_ordinate, [np.zeros(1)] * 5, np.zeros(1))
+        assert est.weight_ess == 5.0 and not est.unreliable
+
+    def test_kong_formula(self):
+        # terms -loglik = log(1, 2, 3, 4): (10 / 4)^2 / (30 / 16) = 10 / 3
+        loglik = -np.log([1.0, 2.0, 3.0, 4.0])
+        est = newton_raftery_hm(lambda th: loglik, np.zeros((4, 1)))
+        assert est.weight_ess == pytest.approx(10.0 / 3.0, rel=1e-14)
+
+    def test_heavy_tailed_prior_mc_flagged(self):
+        # N(0, 100^2) prior draws weighted by the unit likelihood have a
+        # weight ESS of about 1.4% of the draws; N(0, 1) ones about 83%
+        m0, _, _ = conjugate(1.0)
+        m1, _, _ = conjugate(1e4)
+        n = 20000
+        est = bf_prior_mc(m0, m1, n, n, RngStream(seed=5, stream_id=0))
+        assert est.unreliable and est.weight_ess < 0.05 * n
+        alone = bf_prior_mc(m0, m0, n, n, RngStream(seed=5, stream_id=0))
+        assert not alone.unreliable and alone.weight_ess > 0.5 * n
+
+    def test_bayes_factor_keeps_the_smaller(self):
+        num = EvidenceEstimate(log_value=0.0, std_error=0.1, method="chib",
+                               n_draws=100, weight_ess=30.0)
+        den = EvidenceEstimate(log_value=0.0, std_error=0.1, method="chib",
+                               n_draws=100, weight_ess=50.0)
+        assert bayes_factor(num, den).weight_ess == 30.0
+        assert bayes_factor(den, num).weight_ess == 30.0
+
+
 class TestEstimateContainer:
     def test_method_tag_validated(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,18 @@ class TestLoglik:
         singles = np.array([log_posterior(target, b[None, :])[0] for b in betas])
         assert batch.tobytes() == singles.tobytes()
 
+    def test_deep_tail_rows_match_one_row_calls(self, pima):
+        # a 600-row batch (three evaluation blocks) in which every third row
+        # puts entries far outside log_ndtr's log(ndtr) range, so each
+        # block mixes both paths; every row keeps its one-row bits
+        betas = RngStream(13, 0).standard_normal((600, 3)) * 0.05
+        betas[::3] = 50.0 * np.array([1.0, 1.0, 1.0])
+        betas[1::6] *= -40.0
+        batch = probit_loglik_many(pima, betas)
+        singles = np.array([probit_loglik(pima, b) for b in betas])
+        assert batch.tobytes() == singles.tobytes()
+        assert np.isfinite(batch).all()
+
     def test_extreme_beta_finite(self, pima):
         # log-cdf path keeps huge linear predictors finite
         assert np.isfinite(probit_loglik(pima, np.array([50.0, 50.0, 50.0])))

@@ -3,19 +3,21 @@
 Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
 counts whose blocks often reach its exact truncated route, plus `mh`,
-`gibbs` and `capture` with three replicates (the one-stream-per-run path and the
-lockstep path), once on each tree (each tree's own ``src`` on the path),
-and compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
-byte, ``summary.json`` as parsed JSON without ``runtime_seconds``.  It also
-runs every ``demos/*.py`` of this checkout from each tree's own ``demos``
-directory and compares their standard output line by line (the demos fix
-their own seeds, so ``--seed`` does not reach them).  Prints one line per
-run, and for each differing file the largest absolute and relative
-difference over its numeric fields, or each differing demo line; exits 1
-if any output differs or any run fails.  A run label or demo name given
-to ``--expect-differ`` still prints its differences, but they do not set
-the exit code, so a change meant to move one output can show that every
-other output is identical.
+`gibbs` and `capture` with three replicates (the one-stream-per-run path
+and the lockstep path), once on each tree (each tree's own ``src`` on the
+path), and compares what they wrote: ``draws.csv`` and ``replicates.csv``
+byte for byte, ``summary.json`` as parsed JSON without
+``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
+this checkout from each tree's own ``demos`` directory and compares their
+standard output line by line (the demos fix their own seeds, so
+``--seed`` does not reach them).  Prints one line per run, and for each
+differing file the largest absolute and relative difference over its
+numeric fields (for ``summary.json``, also each key that only one tree
+wrote and each other value that changed), or each differing demo line;
+exits 1 if any output differs or any run fails.  A run label or demo name
+given to ``--expect-differ`` still prints its differences, but they do
+not set the exit code, so a change meant to move one output can show that
+every other output is identical.
 
 Run from anywhere, naming the two checkouts:
 
@@ -113,15 +115,36 @@ def _summary(path):
     return summary
 
 
-def _numbers(value):
-    """The numeric leaves of parsed JSON, in document order."""
-    if isinstance(value, dict):
-        return [x for v in value.values() for x in _numbers(v)]
-    if isinstance(value, list):
-        return [x for v in value for x in _numbers(v)]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    return []
+def _leaves(value, path=""):
+    """{path: leaf} of parsed JSON, a path joining keys and list indices
+    with dots, in document order."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        out = {}
+        for k, v in items:
+            out.update(_leaves(v, f"{path}.{k}" if path else str(k)))
+        return out
+    return {path: value}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _summary_difference(sa, sb):
+    """How two parsed summaries differ: the largest difference over the
+    numbers at paths both have, then each path only one has and each other
+    leaf that changed, as 'path: parent -> change'."""
+    la, lb = _leaves(sa), _leaves(sb)
+    shared = [k for k in la if k in lb]
+    numeric = [k for k in shared if _is_number(la[k]) and _is_number(lb[k])]
+    parts = [_largest_difference([float(la[k]) for k in numeric],
+                                 [float(lb[k]) for k in numeric])]
+    parts += [f"only in parent: {k}" for k in la if k not in lb]
+    parts += [f"only in change: {k}" for k in lb if k not in la]
+    parts += [f"{k}: {json.dumps(la[k])} -> {json.dumps(lb[k])}"
+              for k in shared if k not in numeric and la[k] != lb[k]]
+    return "; ".join(parts)
 
 
 def _csv_numbers(path):
@@ -166,7 +189,7 @@ def _differences(a, b):
             diffs.append(f"{name} ({_largest_difference(_csv_numbers(pa), _csv_numbers(pb))})")
     sa, sb = _summary(a / "summary.json"), _summary(b / "summary.json")
     if sa != sb:
-        diffs.append(f"summary.json ({_largest_difference(_numbers(sa), _numbers(sb))})")
+        diffs.append(f"summary.json ({_summary_difference(sa, sb)})")
     return diffs
 
 
