@@ -19,7 +19,10 @@ single-site sweep stay available as the tested reference.
 The sampler runs R chains in lockstep, one stream per chain: the pair
 weights of every chain come from one product and one CDF, and each chain
 then draws on its own stream in the order of a single chain, so it is
-bit-identical to a run of its own.  A single chain is the case R = 1.
+bit-identical to a run of its own.  The run returns one (R, n_iter, 6)
+array, the shape of the probit Gibbs runs with the columns N, p, q, r1, r2
+and the sweep's refused proposals.  A single chain is the case R = 1, which
+`capture_gibbs_run` hands out as a dict of its columns.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _removal_block(model: CaptureModel):
 _KEYS = ("N", "p", "q", "r1", "r2", "refused")
 
 
-def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> dict:
+def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> np.ndarray:
     """Two-block Gibbs over ((r1, r2, p, N), q): R = len(rngs) chains in
     lockstep, chain r drawing from ``rngs[r]`` alone.
 
@@ -327,25 +330,25 @@ def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> dict:
     q given (r1, r2) from its Beta full conditional.  q starts at 0.5; the
     first block reads nothing else.  Chain r draws in the order of a single
     chain, so it is bit-identical to `capture_gibbs_run` on its stream.
-    Returns (R, n_iter) arrays of the states, one column per sweep, keyed
-    N, p, q, r1, r2, plus ``refused``: the block proposals of each sweep
-    turned down because N exceeded n_max.
+    Returns one (R, n_iter, 6) array, row t of chain r its state after
+    sweep t in the columns N, p, q, r1, r2, refused; ``refused`` counts
+    the block proposals of the sweep turned down because N exceeded n_max.
     """
     n1 = model.n1
     block = _removal_block(model)
     gens = [rng.generator for rng in rngs]
     q = [0.5] * len(rngs)
-    out = np.empty((len(_KEYS), len(rngs), n_iter))
+    out = np.empty((len(rngs), n_iter, len(_KEYS)))
     for t in range(n_iter):
         for r, (r1, r2, p, N, refused) in enumerate(block(q, rngs)):
             # q | (r1, r2) ~ Beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
             q[r] = gens[r].beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
-            out[:, r, t] = N, p, q[r], r1, r2, refused
-    return dict(zip(_KEYS, out))
+            out[r, t] = N, p, q[r], r1, r2, refused
+    return out
 
 
 def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream) -> dict:
     """One chain of `capture_gibbs_lockstep` on stream `rng`: 1-D arrays of
     the states, one entry per sweep, keyed N, p, q, r1, r2 and
-    ``refused``."""
-    return {k: v[0] for k, v in capture_gibbs_lockstep(model, n_iter, [rng]).items()}
+    ``refused``, its six columns."""
+    return dict(zip(_KEYS, capture_gibbs_lockstep(model, n_iter, [rng])[0].T))

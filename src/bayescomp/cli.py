@@ -10,15 +10,20 @@ with id r, so replicates are reproducible in isolation.  Replicates run on
 the calling thread; there is no thread setting.  `gibbs` and `capture`
 have one runner each, which takes the streams of all R replicates and
 advances their chains in lockstep, one stream per chain, in a single run
-whose row 0 is the main run (a run without replicates passes one stream);
-such a run fails as a whole.  Every other experiment runs its replicates
-one after another, recording a failed replicate and going on.  The four
+that returns one (R, n_iter, k) array whose row 0 is the main run (a run
+without replicates passes one stream); such a run fails as a whole.  Every
+other experiment runs its replicates one after another, recording a failed
+replicate and going on.  The four
 chain-based `evidence` routes read one Gibbs chain pair, run as one
 two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
 ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every
 `evidence` method ends in one estimate of log B10, which the summary
 writes with its ``unreliable`` flag and ``weight_ess``, the smaller of
 its two evidences' weight ESS.
+
+A config is resolved in full before any output is written: an unknown
+key, a covariate name other than glu, bp and ped, or too few kept states
+is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .mcmc import (
     gibbs_chain,
     mwg_probit_overparam_run,
     probit_gibbs_groups,
-    probit_gibbs_lockstep,
     rw_mh_run,
 )
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
@@ -102,7 +106,8 @@ class ConfigError(ValueError):
 
 
 def resolve_config(experiment: str, raw: dict) -> dict:
-    """Merge defaults with the user config, rejecting unknown keys."""
+    """Merge defaults with the user config, rejecting unknown keys and
+    out-of-range values, covariate names included."""
     if experiment not in _DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     config = {**_COMMON_DEFAULTS, **_DEFAULTS[experiment]}
@@ -124,7 +129,20 @@ def resolve_config(experiment: str, raw: dict) -> dict:
                 "at least 2 are needed")
     if config.get("n_draws", 2) < 2:  # a standard error needs two draws
         raise ConfigError(f"n_draws {config['n_draws']} is below 2")
+    names = list(_COVARIATE_INDEX)
+    covariates = config.get("covariates", names)
+    if (not isinstance(covariates, list) or not covariates
+            or not all(_is_covariate(c) for c in covariates)
+            or len(set(covariates)) < len(covariates)):
+        raise ConfigError(f"covariates must be a non-empty list of distinct names "
+                          f"from {names}, got {covariates!r}")
+    if not _is_covariate(config.get("covariate", "glu")):
+        raise ConfigError(f"covariate must be one of {names}, got {config['covariate']!r}")
     return config
+
+
+def _is_covariate(name) -> bool:
+    return isinstance(name, str) and name in _COVARIATE_INDEX
 
 
 def _pima_model(config, covariates) -> ProbitModel:
@@ -187,7 +205,7 @@ def _run_gibbs(config, rngs):
     Returns the main run's result (chain 0) and the estimates of the
     other chains, which get no diagnostics."""
     model = _pima_model(config, config["covariates"])
-    states, _ = probit_gibbs_lockstep(model, config["iterations"], rngs)
+    (states, _), = probit_gibbs_groups([(model, rngs)], config["iterations"])
     names = config["covariates"]
     result = _chain_result(gibbs_chain(states[0]), names, config)
     return result, [_chain_estimates(_postprocess(s, config), names)
@@ -305,19 +323,17 @@ def _capture_model(config) -> CaptureModel:
 _CAPTURE_NAMES = ("N", "p", "q", "r1", "r2")
 
 
-def _capture_states(out, config):
-    """The kept states of one capture chain, `out` its dict of 1-D arrays."""
-    return _postprocess(np.column_stack([out[k] for k in _CAPTURE_NAMES]), config)
-
-
-def _capture_result(model, out, config):
-    states = _capture_states(out, config)
+def _capture_result(model, chain, config):
+    """The main run's result from its (n_iter, 6) lockstep row: the state
+    columns, then the refused proposals."""
+    kept = _postprocess(chain, config)
+    states = kept[:, :5]
     estimates = _chain_estimates(states, _CAPTURE_NAMES)
     # the largest mass of N | p beyond n_max over the kept sweeps, so a
     # truncation that matters shows in the summary and not only on stderr
     tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
     # block proposals turned down for N > n_max in the same kept sweeps
-    refusals = int(_postprocess(out["refused"], config).sum())
+    refusals = int(kept[:, 5].sum())
     diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail,
                    "n_max_refusals": refusals}
     return estimates, {}, diagnostics, (list(_CAPTURE_NAMES), states)
@@ -328,10 +344,9 @@ def _run_capture(config, rngs):
     Returns the main run's result (chain 0) and the estimates of the
     other chains, which get no diagnostics."""
     model = _capture_model(config)
-    out = capture_gibbs_lockstep(model, config["iterations"], rngs)
-    first, *others = ({k: v[r] for k, v in out.items()} for r in range(len(rngs)))
-    return _capture_result(model, first, config), [
-        _chain_estimates(_capture_states(chain, config), _CAPTURE_NAMES) for chain in others]
+    chains = capture_gibbs_lockstep(model, config["iterations"], rngs)
+    return _capture_result(model, chains[0], config), [
+        _chain_estimates(_postprocess(s, config), _CAPTURE_NAMES) for s in chains[1:, :, :5]]
 
 
 def _run_mixture_demo(config, rng):

@@ -1,9 +1,10 @@
 """Seedable random streams and shared numerical primitives.
 
 Everything downstream (samplers, estimators, ABC) draws randomness through
-:class:`RngStream`, normalises weights through :func:`log_sum_exp` and sums
-probit log-likelihoods through :func:`log_ndtr`, so the determinism and
-numerical-stability guarantees live here.
+:class:`RngStream`, normalises weights through :func:`log_sum_exp`, sums
+probit log-likelihoods through :func:`log_ndtr` and draws probit latents
+through :func:`truncated_normal_positive`, the one truncated-normal
+primitive, so the determinism and numerical-stability guarantees live here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "DegenerateWeightsError",
     "sample_truncated_normal",
     "truncated_normal_vector",
-    "truncated_std_normal",
     "truncated_normal_positive",
     "sample_categorical",
     "categorical_cdf",
@@ -235,38 +235,22 @@ def log_ndtr(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def truncated_std_normal(eta: np.ndarray, rngs) -> np.ndarray:
-    """Standard normal draws t_ri conditioned on t_ri > -eta_ri, for an
-    (R, n) array `eta`, row r drawing from stream ``rngs[r]`` alone: eta + t
-    is then N(eta, 1) conditioned positive.
+def truncated_normal_positive(eta: np.ndarray, rngs, out=None) -> np.ndarray:
+    """N(eta_ri, 1) draws conditioned positive, for an (R, n) array `eta`,
+    row r drawing from stream ``rngs[r]`` alone, in `out` when given (an
+    array other than eta).  The probit Gibbs sweep draws its latents so.
 
     Inverse CDF with one uniform per entry, so a call leaves each stream n
-    uniforms on whatever eta is.  Below eta = -5, where ndtr(eta) loses its
-    relative precision, the same inverse runs in log space
-    (`special.ndtri_exp` of ``log1p(-u) + log_ndtr(eta)``).  Every row
-    matches a one-row call on the same stream bit for bit.  The uniforms
-    come one stream at a time; the inverse CDF covers all R x n entries in
-    one call, in place.  A NaN or -inf entry of eta raises
-    `FloatingPointError`, and a stream count other than R `ValueError`.
+    uniforms on whatever eta is: eta - ndtri((1 - u) ndtr(eta)).  Below
+    eta = -5, where ndtr(eta) loses its relative precision, the same
+    inverse runs in log space (`special.ndtri_exp` of ``log1p(-u) +
+    log_ndtr(eta)``).  Every row matches a one-row call on the same stream
+    bit for bit.  The uniforms come one stream at a time; the inverse CDF
+    covers all R x n entries in one call, in place.  A NaN or -inf entry of
+    eta raises `FloatingPointError`, and a stream count other than R
+    `ValueError`.
     """
-    t = _neg_truncated_std_normal(np.asarray(eta, dtype=float), rngs)
-    return np.negative(t, out=t)
-
-
-def truncated_normal_positive(eta: np.ndarray, rngs, out=None) -> np.ndarray:
-    """N(eta_ri, 1) draws conditioned positive, for an (R, n) array `eta`:
-    ``eta + truncated_std_normal(eta, rngs)`` bit for bit, on the same
-    uniforms, formed in place as eta - ndtri(...) (subtracting is adding
-    the negation exactly), in `out` when given (an array other than eta).
-    The probit Gibbs sweep draws its latents so, on its signed design."""
     eta = np.asarray(eta, dtype=float)
-    z = _neg_truncated_std_normal(eta, rngs, out)
-    return np.subtract(eta, z, out=z)
-
-
-def _neg_truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
-    """-t for the draws t of `truncated_std_normal` at the float array
-    `eta`, in `out` or a new array."""
     if len(rngs) != len(eta):
         raise ValueError(f"{len(rngs)} streams for {len(eta)} rows of eta")
     low = eta.min(initial=np.inf)
@@ -284,20 +268,22 @@ def _neg_truncated_std_normal(eta: np.ndarray, rngs, out=None) -> np.ndarray:
     special.ndtri(q, out=q)
     if low < -5.0:
         q[tail] = x
-    return q
+    return np.subtract(eta, q, out=q)
 
 
 def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) -> float:
     """Exact draw from N(mu, sigma^2) restricted to one side of zero.
 
-    side "positive" constrains the draw to (0, inf), "negative" to (-inf, 0).
+    side "positive" constrains the draw to (0, inf), "negative" to (-inf, 0):
+    sigma times a `truncated_normal_positive` draw at mu / sigma, or minus
+    sigma times one at -mu / sigma.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if side == "positive":
-        return float(mu + sigma * truncated_std_normal(np.asarray([[mu / sigma]]), [rng])[0, 0])
+        return float(sigma * truncated_normal_positive(np.asarray([[mu / sigma]]), [rng])[0, 0])
     if side == "negative":
-        return float(mu - sigma * truncated_std_normal(np.asarray([[-mu / sigma]]), [rng])[0, 0])
+        return float(-sigma * truncated_normal_positive(np.asarray([[-mu / sigma]]), [rng])[0, 0])
     raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
 
 

@@ -5,11 +5,12 @@ steps, so RNG stream positions stay aligned across proposal variants.  No
 burn-in is discarded here; trimming is a post-processing concern.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
-one stream per chain, over groups of chains: each group is one probit
-model, all groups share one response, and a sweep draws the latents of
-every chain in one truncated-normal call.  One model's replicates are the
-one-group case and a single chain the group of one; each chain is
-bit-identical to a run of its own on its stream.
+`probit_gibbs_groups`, one stream per chain, over groups of chains: each
+group is one probit model, all groups share one response, and a sweep
+draws the latents of every chain in one `truncated_normal_positive` call.
+One model's replicates are the one-group case and a single chain
+(`probit_gibbs_run`) the group of one; a group's R chains come back as
+(R, n_iter, p) arrays, each bit-identical to a run of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "rw_mh_run",
     "probit_gibbs_run",
     "probit_gibbs_groups",
-    "probit_gibbs_lockstep",
     "gibbs_chain",
     "mwg_probit_overparam_run",
     "chain_diagnostics",
@@ -164,13 +164,6 @@ def probit_gibbs_groups(groups, n_iter: int):
     return [(states, means) for *_, states, means, _ in blocks]
 
 
-def probit_gibbs_lockstep(model: ProbitModel, n_iter: int, rngs):
-    """R = len(rngs) chains of one probit posterior in lockstep: the
-    one-group `probit_gibbs_groups`.  Returns its (states, means), both
-    (R, n_iter, p)."""
-    return probit_gibbs_groups([(model, rngs)], n_iter)[0]
-
-
 def gibbs_chain(states: np.ndarray) -> Chain:
     """The Chain of a probit Gibbs run's (n_iter, p) states.  A Gibbs sweep
     has no accept step, so no log-posterior is evaluated."""
@@ -178,10 +171,10 @@ def gibbs_chain(states: np.ndarray) -> Chain:
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):
-    """One chain of `probit_gibbs_lockstep` on stream `rng`.  Returns
-    (chain, means), means the (n_iter, p) conditional means E[beta | z],
-    one row per sweep."""
-    states, means = probit_gibbs_lockstep(model, n_iter, [rng])
+    """One chain of `probit_gibbs_groups` on stream `rng`: the group of one
+    chain.  Returns (chain, means), means the (n_iter, p) conditional means
+    E[beta | z], one row per sweep."""
+    (states, means), = probit_gibbs_groups([(model, [rng])], n_iter)
     return gibbs_chain(states[0]), means[0]
 
 

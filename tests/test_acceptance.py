@@ -31,7 +31,7 @@ from bayescomp.evidence import (
     chib_marginal,
     harmonic_mean_gd,
 )
-from bayescomp.mcmc import RwProposal, probit_gibbs_lockstep, probit_gibbs_run, rw_mh_run
+from bayescomp.mcmc import RwProposal, probit_gibbs_groups, probit_gibbs_run, rw_mh_run
 from bayescomp.model import BayesModel, LatentCompletion, SimulableModel, log_posterior
 from bayescomp.montecarlo import (
     GaussianProposal,
@@ -194,10 +194,10 @@ class TestEvidenceCrossConsistency:
         # replicate r's chains run on RngStream(2026, r).child(1) and
         # .child(2); one lockstep call per model advances all of them
         rngs = [RngStream(2026, r) for r in range(self.N_REP)]
-        states1, means1 = probit_gibbs_lockstep(
-            pima3, self.N, [rng.child(1) for rng in rngs])
-        states0, means0 = probit_gibbs_lockstep(
-            pima2, self.N, [rng.child(2) for rng in rngs])
+        (states1, means1), = probit_gibbs_groups(
+            [(pima3, [rng.child(1) for rng in rngs])], self.N)
+        (states0, means0), = probit_gibbs_groups(
+            [(pima2, [rng.child(2) for rng in rngs])], self.N)
 
         vals = {"importance": [], "harmonic-gd": [], "chib": [],
                 "bridge-embedded": []}

@@ -280,8 +280,8 @@ class TestBlockedScan:
         seeds = (1, 2, 3)
         out = capture_gibbs_lockstep(eurodip, 20_000, [RngStream(seed, 0) for seed in seeds])
         for r, seed in enumerate(seeds):
-            states = np.column_stack([out[k][r] for k in ("N", "p", "q", "r1", "r2")])
-            ess = chain_diagnostics(Chain(states, None, 0, 0))["chain_ess"]
+            # the columns N, p, q, r1, r2
+            ess = chain_diagnostics(Chain(out[r, :, :5], None, 0, 0))["chain_ess"]
             assert np.min(ess) >= 1000, (seed, ess)
 
     @pytest.mark.parametrize("n_max,seed", [(None, 34), (24, 35)])
@@ -333,15 +333,17 @@ class TestLockstep:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             out = capture_gibbs_lockstep(m, 300, rngs)
+            assert out.shape == (n_chains, 300, 6)
             for r in range(n_chains):
                 alone = RngStream(40 + r, r)
                 one = capture_gibbs_run(m, 300, alone)
-                for k, v in one.items():
+                assert list(one) == ["N", "p", "q", "r1", "r2", "refused"]
+                for j, (k, v) in enumerate(one.items()):
                     assert v.shape == (300,)
-                    assert np.array_equal(out[k][r], v), (k, r)
+                    assert out[r, :, j].tobytes() == v.tobytes(), (k, r)
                 assert rngs[r].counter == alone.counter
-        if counts[3] == 24:
-            assert (out["refused"] == _NB_TRIES).any(axis=1).all()
+        if counts[3] == 24:  # the refused column
+            assert (out[:, :, 5] == _NB_TRIES).any(axis=1).all()
 
     def test_block_rows_at_boundary_q_equal_one_chain_calls(self):
         # q = 0 and q = 1 zero every pair that counts an impossible event

@@ -25,12 +25,7 @@ from bayescomp.evidence import (
     harmonic_mean_gd,
     newton_raftery_hm,
 )
-from bayescomp.mcmc import (
-    Chain,
-    chain_diagnostics,
-    probit_gibbs_groups,
-    probit_gibbs_lockstep,
-)
+from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_groups
 from bayescomp.model import log_posterior
 from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
 
@@ -191,9 +186,9 @@ class TestOutputs:
         # chain 0 is the main run
         streams = []
 
-        def lockstep(model, n_iter, rngs):
-            streams.extend(rng.stream_id for rng in rngs)
-            return probit_gibbs_lockstep(model, n_iter, rngs)
+        def lockstep(groups, n_iter):
+            streams.extend(rng.stream_id for _, rngs in groups for rng in rngs)
+            return probit_gibbs_groups(groups, n_iter)
 
         def capture_lockstep(model, n_iter, rngs):
             streams.extend(rng.stream_id for rng in rngs)
@@ -203,7 +198,7 @@ class TestOutputs:
             streams.append(stream_id)
             return run_experiment(experiment, config, stream_id)
 
-        monkeypatch.setattr(cli, "probit_gibbs_lockstep", lockstep)
+        monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
         monkeypatch.setattr(cli, "capture_gibbs_lockstep", capture_lockstep)
         monkeypatch.setattr(cli, "run_experiment", counting)
         for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
@@ -222,15 +217,16 @@ class TestOutputs:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def lockstep(model, n_iter, rngs):
+        def lockstep(groups, n_iter):
+            (_, rngs), = groups
             fresh = [RngStream(rng.seed, rng.stream_id).counter for rng in rngs]
-            result = probit_gibbs_lockstep(model, n_iter, rngs)
+            result = probit_gibbs_groups(groups, n_iter)
             drawn = all(rng.counter != c for rng, c in zip(rngs, fresh))
             calls.append(([rng.stream_id for rng in rngs],
                           threading.get_ident(), drawn))
             return result
 
-        monkeypatch.setattr(cli, "probit_gibbs_lockstep", lockstep)
+        monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
         code, _ = run_cli(tmp_path, "gibbs",
                           {"iterations": 100, "replicates": 4})
         assert code == 0
@@ -352,6 +348,25 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert "keep 0 states" in err["message"]
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("experiment,config", [
+        ("mh", {"covariates": ["glu", "age"]}),
+        ("mh", {"covariates": "glu"}),
+        ("mh", {"covariates": []}),
+        ("mh", {"covariates": ["glu", "glu"]}),
+        ("gibbs", {"covariates": ["ped", 1]}),
+        ("mwg", {"covariate": "age"}),
+    ])
+    def test_bad_covariates_fail_before_any_output(self, tmp_path, capsys,
+                                                   experiment, config):
+        code, out = run_cli(tmp_path, experiment, {"iterations": 200, **config})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        key, = config
+        assert err["message"].startswith(key)
+        assert "['glu', 'bp', 'ped']" in err["message"]
+        assert not out.exists()  # so no summary.json either
 
     def test_single_replicate_cannot_use_replicate_runner(self):
         from bayescomp.cli import replicate

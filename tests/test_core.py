@@ -23,7 +23,6 @@ from bayescomp.core import (
     sample_truncated_normal,
     truncated_normal_positive,
     truncated_normal_vector,
-    truncated_std_normal,
 )
 from bayescomp.probit import ProbitModel, probit_loglik_many
 
@@ -300,44 +299,39 @@ class TestTruncatedNormal:
                         [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0],
                         [-5.5, -7.0, -12.0, -6.1, -5.01, -8.0]])
         rngs = [RngStream(22, r) for r in range(3)]
-        t = truncated_std_normal(eta, rngs)
-        assert np.all(t > -eta)
+        w = truncated_normal_positive(eta, rngs)
+        assert np.all(w > 0)
         for r, rng in enumerate(rngs):
             fresh = RngStream(22, r)
             fresh.generator.random(eta.shape[1])
             assert rng.counter == fresh.counter
 
-    def test_positive_form_is_eta_plus_the_draw(self):
-        # central and tail entries alike, on the same uniforms
-        eta = np.array([[0.3, -6.5, -2.0, -9.0, 1.0, -40.0],
-                        [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0]])
-        w = truncated_normal_positive(eta, [RngStream(26, r) for r in range(2)])
-        t = truncated_std_normal(eta, [RngStream(26, r) for r in range(2)])
-        assert w.tobytes() == (eta + t).tobytes()
-        assert np.all(w > 0)
-        with pytest.raises(FloatingPointError):
-            truncated_normal_positive(np.array([[0.0, np.nan]]), [RngStream(26, 0)])
-
     def test_one_stream_per_row(self):
         # a row without its stream would be drawn from uninitialised memory
         with pytest.raises(ValueError, match="streams"):
-            truncated_std_normal(np.zeros((2, 4)), [RngStream(27, 0)])
+            truncated_normal_positive(np.zeros((2, 4)), [RngStream(27, 0)])
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nan_or_minus_inf_bound_raises(self, bad):
         with pytest.raises(FloatingPointError):
-            truncated_std_normal(np.array([[0.0, -7.0, bad]]), [RngStream(23, 0)])
+            truncated_normal_positive(np.array([[0.0, -7.0, bad]]), [RngStream(23, 0)])
 
     @pytest.mark.parametrize("a", [5.01, 8.0, 20.0])
     def test_tail_ks(self, a):
-        draws = truncated_std_normal(np.full((1, 200_000), -a), [RngStream(24, 0)])[0]
+        # w - eta is the standard normal conditioned above a = -eta
+        w = truncated_normal_positive(np.full((1, 200_000), -a), [RngStream(24, 0)])[0]
+        assert np.all(w > 0)
+        draws = w + a
         assert np.all(draws > a)
         assert stats.kstest(draws, stats.truncnorm(a, np.inf).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("a", [40.0, 200.0])
     def test_far_tail_mean(self, a):
-        # the mean of N(0, 1) above a is the inverse Mills ratio
-        draws = truncated_std_normal(np.full((1, 200_000), -a), [RngStream(25, 0)])[0]
+        # the mean of N(0, 1) above a = -eta, the law of w - eta, is the
+        # inverse Mills ratio
+        w = truncated_normal_positive(np.full((1, 200_000), -a), [RngStream(25, 0)])[0]
+        assert np.all(w > 0)
+        draws = w + a
         mills = np.exp(stats.norm.logpdf(a) - stats.norm.logsf(a))
         se = draws.std() / np.sqrt(draws.size)
         assert np.all(draws > a)

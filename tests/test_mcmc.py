@@ -14,7 +14,6 @@ from bayescomp.mcmc import (
     mh_run,
     mwg_probit_overparam_run,
     probit_gibbs_groups,
-    probit_gibbs_lockstep,
     probit_gibbs_run,
     rw_mh_run,
 )
@@ -158,7 +157,7 @@ class TestLockstepGibbs:
     def test_chains_match_standalone_runs(self, pima, which, n_chains):
         model = pima if which == "pima" else outlier_model()
         rngs = [RngStream(31, r) for r in range(n_chains)]
-        states, means = probit_gibbs_lockstep(model, 200, rngs)
+        (states, means), = probit_gibbs_groups([(model, rngs)], 200)
         assert states.shape == (n_chains, 200, model.dimension)
         assert means.shape == (n_chains, 200, model.dimension)
         for r in range(n_chains):
@@ -222,8 +221,8 @@ class TestLockstepGibbs:
         """The full conditional of beta given each sweep's kept mean m, over
         three lockstep chains, is N(m, s (X'X)^{-1}); every row is
         bit-identical to its one-row call."""
-        states, means = probit_gibbs_lockstep(
-            pima, 20, [RngStream(41, r) for r in range(3)])
+        (states, means), = probit_gibbs_groups(
+            [(pima, [RngStream(41, r) for r in range(3)])], 20)
         means = means.reshape(-1, pima.dimension)
         beta = states.reshape(-1, pima.dimension).mean(axis=0)
         n = pima.n_obs
@@ -259,8 +258,8 @@ class TestLockstepGibbs:
         draws of N(0, c (X'X)^{-1}): their mean lies within 4 SE of 0 and
         their second moments within 4 SE of c (X'X)^{-1}, with
         Var(e_j e_k) = S_jj S_kk + S_jk^2 for a centred Gaussian."""
-        states, means = probit_gibbs_lockstep(
-            pima, 4000, [RngStream(47, r) for r in range(3)])
+        (states, means), = probit_gibbs_groups(
+            [(pima, [RngStream(47, r) for r in range(3)])], 4000)
         resid = (states - means).reshape(-1, pima.dimension)
         n = len(resid)
         g = pima.prior_scale
