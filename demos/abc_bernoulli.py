@@ -40,7 +40,7 @@ def main():
 
     pop = abc_reject(model, Y_OBS, AbcConfig(n_output=4000, tolerance=0.0),
                      RngStream(seed=1, stream_id=0))
-    draws = pop.particles[:, 0]
+    draws = pop.points[:, 0]
     report("rejection, eps = 0", draws.mean(), draws.std(ddof=1),
            f"({pop.n_proposals} proposals for {len(pop)} hits)")
 
@@ -55,9 +55,9 @@ def main():
                    n_generations=4,
                    rng=RngStream(seed=3, stream_id=0))
     final = pops[-1]
-    w = final.weighted_sample().normalized_weights()
-    mean = float(w @ final.particles[:, 0])
-    sd = float(np.sqrt(w @ (final.particles[:, 0] - mean) ** 2))
+    w = final.normalized_weights()
+    mean = float(w @ final.points[:, 0])
+    sd = float(np.sqrt(w @ (final.points[:, 0] - mean) ** 2))
     schedule = " -> ".join(f"{p.epsilon:g}" for p in pops)
     report("sequential, quantile", mean, sd, f"(eps {schedule})")
 

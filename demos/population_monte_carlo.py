@@ -37,14 +37,13 @@ def main():
     print(f"{'iter':>4}  {'ESS':>7}  {'mean mu1':>8}  {'mean mu2':>8}"
           f"  kernel weights")
     for pop in pops:
-        ws = pop.weighted_sample()
-        m1 = snis_estimate(lambda th: th[:, 0], ws).value
-        m2 = snis_estimate(lambda th: th[:, 1], ws).value
+        m1 = snis_estimate(lambda th: th[:, 0], pop).value
+        m2 = snis_estimate(lambda th: th[:, 1], pop).value
         if pop.kernel_indices is not None:
-            bank = dkernel_update(bank, pop, pop.kernel_indices)
+            bank = dkernel_update(bank, pop)
         weights = np.exp(bank.mixture_log_weights)
         wtxt = "  ".join(f"{w:.3f}" for w in weights)
-        print(f"{pop.iteration:>4}  {ess(ws):7.1f}  {m1:8.4f}  {m2:8.4f}"
+        print(f"{pop.iteration:>4}  {ess(pop):7.1f}  {m1:8.4f}  {m2:8.4f}"
               f"  [{wtxt}]")
 
     print("\nevery line above is a valid importance sample on its own;")

@@ -15,7 +15,9 @@ bound on its hit rate falls below 0.01.  The sequential sampler perturbs
 resampled particles with a Gaussian kernel whose covariance is twice the
 weighted empirical covariance (Beaumont, Cornuet, Marin & Robert 2009),
 and corrects with importance weights prior / (mixture of kernels), whose
-O(N^2) denominator is evaluated in blocks of particles.
+O(N^2) denominator is evaluated in blocks of particles.  A generation is an
+`AbcPopulation`, a `montecarlo.WeightedSample` (uniform weights after
+rejection) with its tolerance, summaries and distances.
 `regression_adjust` removes the remaining tolerance-induced spread from a
 population by the local-linear regression of Beaumont, Zhang & Balding
 (2002).
@@ -102,27 +104,19 @@ class AbcConfig:
 
 
 @dataclass(frozen=True)
-class AbcPopulation:
-    """Accepted particles of one ABC generation, with the summaries and
-    distances they achieved and the tolerance in force when they were
-    accepted.  `abandoned_proposals` counts the proposals of a later
-    generation that fell short of its hits and was dropped, so that the
-    last population of a run that ended that way accounts for them."""
+class AbcPopulation(WeightedSample):
+    """The weighted accepted particles of one ABC generation, with the
+    summaries and distances they achieved and the tolerance in force when
+    they were accepted.  `abandoned_proposals` counts the proposals of a
+    later generation that fell short of its hits and was dropped, so that
+    the last population of a run that ended that way accounts for them."""
 
-    particles: np.ndarray  # (N, p)
-    log_weights: np.ndarray  # (N,)
     epsilon: float
     t: int
     distances: np.ndarray  # (N,)
     n_proposals: int
     summaries: np.ndarray  # (N, k)
     abandoned_proposals: int = 0
-
-    def __len__(self):
-        return self.particles.shape[0]
-
-    def weighted_sample(self) -> WeightedSample:
-        return WeightedSample(points=self.particles, log_weights=self.log_weights)
 
 
 def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
@@ -213,7 +207,7 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
         eps = float(config.tolerance)
         particles, summaries, distances, n_prop = _accept_in_order(
             propose, model, eta_obs, eps, config.n_output, rng)
-    return AbcPopulation(particles=particles,
+    return AbcPopulation(points=particles,
                          log_weights=np.zeros(len(particles)),
                          epsilon=eps, t=0, distances=distances,
                          n_proposals=n_prop, summaries=summaries)
@@ -233,7 +227,7 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
     eta_obs = _observed_summary(model, y_obs)
-    theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).particles[0]
+    theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).points[0]
     lp = float(model.log_prior(theta[None, :])[0])
     states = np.empty((n_iter, theta.shape[0]))
     log_priors = np.empty(n_iter)
@@ -300,13 +294,13 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
                 break
         else:
             eps = float(config.tolerance)
-        _, cov = prev.weighted_sample().moments()
+        _, cov = prev.moments()
         kernel = GaussianProposal.from_moments(np.zeros(len(cov)), cov, _KERNEL_SCALE)
         cum = categorical_cdf(prev.log_weights)
 
         def propose(size, r):
             ancestors = cum.searchsorted(r.uniform(size) * cum[-1], side="right")
-            thetas = prev.particles[ancestors] + kernel.draw_many(size, r)
+            thetas = prev.points[ancestors] + kernel.draw_many(size, r)
             return thetas, np.asarray(model.log_prior(thetas)) > -np.inf
 
         try:
@@ -320,11 +314,11 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
             break
         log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)
-                       - kernel_mixture_logpdf(particles, prev.particles, log_wbar, kernel))
-        pop = AbcPopulation(particles=particles, log_weights=log_weights,
+                       - kernel_mixture_logpdf(particles, prev.points, log_wbar, kernel))
+        pop = AbcPopulation(points=particles, log_weights=log_weights,
                             epsilon=eps, t=t, distances=distances,
                             n_proposals=n_prop, summaries=summaries)
-        if ess(pop.weighted_sample()) < 10:
+        if ess(pop) < 10:
             raise DegenerateWeightsError(
                 f"particle degeneracy at generation {t}: ESS below 10")
         populations.append(pop)
@@ -340,12 +334,12 @@ def regression_adjust(pop: AbcPopulation, eta_obs) -> AbcPopulation:
     spread that a nonzero tolerance adds to the population.  Weights,
     summaries and distances are kept as they are.
     """
-    w = pop.weighted_sample().normalized_weights()
+    w = pop.normalized_weights()
     offsets = pop.summaries - np.asarray(eta_obs, dtype=float)
     design = np.column_stack([np.ones(len(pop)), offsets])
     root_w = np.sqrt(w)[:, None]
-    coef, *_ = np.linalg.lstsq(root_w * design, root_w * pop.particles, rcond=None)
-    return replace(pop, particles=pop.particles - offsets @ coef[1:])
+    coef, *_ = np.linalg.lstsq(root_w * design, root_w * pop.points, rcond=None)
+    return replace(pop, points=pop.points - offsets @ coef[1:])
 
 
 def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,

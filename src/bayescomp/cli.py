@@ -22,8 +22,8 @@ writes with its ``unreliable`` flag and ``weight_ess``, the smaller of
 its two evidences' weight ESS.
 
 A config is resolved in full before any output is written: an unknown
-key, a covariate name other than glu, bp and ped, or too few kept states
-is a `ConfigError`.
+key, a covariate name other than glu, bp and ped, an unknown `evidence`
+method or `pmc` density form, or too few kept states is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .mcmc import (
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
 from .model import log_posterior
 from .montecarlo import GaussianProposal, ess
-from .pmc import default_kernel_bank, pmc_run
+from .pmc import DENSITY_FORMS, default_kernel_bank, pmc_run
 from .probit import (
     ProbitModel,
     probit_bayes_model,
@@ -77,6 +77,10 @@ __all__ = ["main", "run_experiment", "replicate", "ConfigError"]
 
 SCHEMA_VERSION = 1
 _COVARIATE_INDEX = {"glu": 0, "bp": 1, "ped": 2}
+# config keys that name one of a fixed set of choices
+_CHOICES = {"method": ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
+                       "chib", "bridge-embedded"),
+            "density_form": DENSITY_FORMS}
 
 _COMMON_DEFAULTS = {"seed": 0, "data": None, "replicates": 1, "burn_in": 0,
                     "thin": 1}
@@ -138,6 +142,9 @@ def resolve_config(experiment: str, raw: dict) -> dict:
                           f"from {names}, got {covariates!r}")
     if not _is_covariate(config.get("covariate", "glu")):
         raise ConfigError(f"covariate must be one of {names}, got {config['covariate']!r}")
+    for key, choices in _CHOICES.items():
+        if key in config and config[key] not in choices:
+            raise ConfigError(f"{key} must be one of {list(choices)}, got {config[key]!r}")
     return config
 
 
@@ -237,12 +244,11 @@ def _run_pmc(config, rng):
     pops = pmc_run(target, q0, bank, config["particles"],
                    config["generations"], rng,
                    density_form=config["density_form"])
-    final = pops[-1].weighted_sample()
+    final = pops[-1]
     w = final.normalized_weights()
     estimates = {"mean_mu1": float(w @ final.points[:, 0]),
                  "mean_mu2": float(w @ final.points[:, 1])}
-    diagnostics = {f"ess_iteration_{p.iteration}": ess(p.weighted_sample())
-                   for p in pops}
+    diagnostics = {f"ess_iteration_{p.iteration}": ess(p) for p in pops}
     draws = (["mu1", "mu2", "log_weight"],
              np.column_stack([final.points, final.log_weights]))
     return estimates, {}, diagnostics, draws
@@ -261,7 +267,7 @@ def _run_evidence(config, rng):
         g0 = GaussianProposal.from_moments(*probit_mle(model0p), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
         est = bf_importance(model1, model0, g1, g0, n, n, rng)
-    elif method in ("harmonic-gd", "harmonic-nr", "chib", "bridge-embedded"):
+    else:
         models = [(model1p, model1), (model0p, model0)]
         runs = probit_gibbs_groups(
             [(mp, [rng.child(i)]) for i, (mp, _) in enumerate(models)], n)
@@ -286,8 +292,6 @@ def _run_evidence(config, rng):
                         m, probit_latent_completion(mp).log_full_conditional_param,
                         means, states.mean(axis=0)))
             est = bayes_factor(*parts)
-    else:
-        raise ConfigError(f"unknown evidence method {method!r}")
     return ({"log_b10": float(est.log_value)}, {"log_b10": est.std_error},
             {"method": method, "n_draws": n, "unreliable": est.unreliable,
              "weight_ess": est.weight_ess},
@@ -300,18 +304,18 @@ def _run_abc(config, rng):
                            quantile=config["quantile"])
     pop = probit_abc(model, abc_config, rng,
                      n_generations=config["generations"])
-    w = pop.weighted_sample().normalized_weights()
+    w = pop.normalized_weights()
     names = ["glu", "bp", "ped"]
-    means = w @ pop.particles
-    sds = np.sqrt(w @ (pop.particles - means) ** 2)
+    means = w @ pop.points
+    sds = np.sqrt(w @ (pop.points - means) ** 2)
     estimates = {f"mean_{n}": float(m) for n, m in zip(names, means)}
     estimates.update({f"sd_{n}": float(s) for n, s in zip(names, sds)})
     diagnostics = {"epsilon": pop.epsilon, "generation": pop.t,
                    "acceptance_rate": len(pop) / pop.n_proposals,
                    "abandoned_proposals": pop.abandoned_proposals,
-                   "ess": ess(pop.weighted_sample())}
+                   "ess": ess(pop)}
     draws = (names + ["log_weight"],
-             np.column_stack([pop.particles, pop.log_weights]))
+             np.column_stack([pop.points, pop.log_weights]))
     return estimates, {}, diagnostics, draws
 
 

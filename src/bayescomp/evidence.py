@@ -30,7 +30,7 @@ from scipy import special
 
 from .core import DegenerateWeightsError, RngStream, log_sum_exp
 from .model import BayesModel, log_posterior
-from .montecarlo import GaussianProposal, importance_sample
+from .montecarlo import GaussianProposal, importance_sample, kong_ess
 
 __all__ = [
     "EvidenceEstimate",
@@ -68,9 +68,9 @@ class BridgeError(RuntimeError):
 class EvidenceEstimate:
     """Log evidence or log Bayes factor with its log-scale standard error.
 
-    `weight_ess` is the Kong effective sample size (sum w)^2 / sum w^2 of
-    the per-draw terms w = exp(term - max term) that the estimate
-    averages; a Bayes factor carries the smaller of its two."""
+    `weight_ess` is the `montecarlo.kong_ess` of the per-draw log terms
+    that the estimate averages; a Bayes factor carries the smaller of its
+    two."""
 
     log_value: float
     std_error: float
@@ -150,25 +150,15 @@ def _batch_se(v: np.ndarray) -> float:
     return float(np.std(r, ddof=1) / (np.sqrt(len(r)) * np.mean(r)))
 
 
-def _weight_ess(v: np.ndarray) -> float:
-    """Kong ESS (sum w)^2 / sum w^2 of the weights w = exp(v - max v); 0
-    when no term is finite."""
-    top = np.max(v, initial=-np.inf)
-    if not np.isfinite(top):
-        return 0.0
-    w = np.exp(v - top)
-    return float(w.sum() ** 2 / (w * w).sum())
-
-
 def _estimate(log_terms, method: str, log_numerator: float | None = None,
               unreliable: bool = False) -> EvidenceEstimate:
     """One evidence from its per-draw log terms: their log-mean-exp, or
     `log_numerator` minus it where the terms average the evidence's
     reciprocal, with the `_batch_se` error of that mean and the terms'
-    `_weight_ess`, flagged when it is under `_MIN_ESS_SHARE` of them."""
+    `kong_ess`, flagged when it is under `_MIN_ESS_SHARE` of them."""
     log_mean = _log_mean_exp(log_terms)
     n = len(log_terms)
-    ess = _weight_ess(log_terms)
+    ess = kong_ess(log_terms)
     return EvidenceEstimate(
         log_value=log_mean if log_numerator is None else log_numerator - log_mean,
         std_error=_batch_se(log_terms), method=method, n_draws=n,

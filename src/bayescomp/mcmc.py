@@ -16,7 +16,7 @@ One model's replicates are the one-group case and a single chain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,15 +106,15 @@ def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) ->
             accept += 1
         states[t] = theta
         log_posts[t] = lp
-    return Chain(states, log_posts, accept, n_iter,
-                 {"family": type(proposal).__name__})
+    return Chain(states, log_posts, accept, n_iter, {"family": "metropolis-hastings"})
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
     """Random-walk Metropolis: `mh_run` with Gaussian increments of
     covariance `cov` (an `RwProposal`), which is symmetric, so the
     acceptance ratio is the posterior ratio alone."""
-    return mh_run(target, RwProposal(cov), theta0, n_iter, rng)
+    chain = mh_run(target, RwProposal(cov), theta0, n_iter, rng)
+    return replace(chain, proposal_meta={"family": "random-walk-metropolis"})
 
 
 def probit_gibbs_groups(groups, n_iter: int):
@@ -146,21 +146,18 @@ def probit_gibbs_groups(groups, n_iter: int):
     blocks, betas, lo = [], [], 0
     for model, rngs in groups:
         k = len(rngs)
-        # a group of one chain runs on 1-D rows (matrix-vector products),
-        # a larger one on (k, .) blocks (stacked products)
-        one, rows = (0, lo) if k == 1 else (slice(None), slice(lo, lo + k))
         states, means = np.empty((2, k, n_iter, model.dimension))
-        blocks.append((ProbitSweep(model), rngs, one, eta[rows], w[rows],
+        blocks.append((ProbitSweep(model), rngs, eta[lo:lo + k], w[lo:lo + k],
                        states, means, np.empty((k, model.dimension))))
-        betas.append(np.tile(probit_mle(model)[0], (k, 1))[one])
+        betas.append(np.tile(probit_mle(model)[0], (k, 1)))
         lo += k
     for t in range(n_iter):
-        for (sweep, _, _, eta_g, _, _, _, _), beta in zip(blocks, betas):
+        for (sweep, _, eta_g, _, _, _, _), beta in zip(blocks, betas):
             sweep.eta(beta, eta_g)
         truncated_normal_positive(eta, streams, w)
-        for g, (sweep, rngs, one, _, w_g, states, means, noise) in enumerate(blocks):
-            m = sweep.mean(w_g, means[one, t])
-            betas[g] = sweep.draw(m, sweep.noise(rngs, noise)[one], states[one, t])
+        for g, (sweep, rngs, _, w_g, states, means, noise) in enumerate(blocks):
+            m = sweep.mean(w_g, means[:, t])
+            betas[g] = sweep.draw(m, sweep.noise(rngs, noise), states[:, t])
     return [(states, means) for *_, states, means, _ in blocks]
 
 

@@ -1,7 +1,11 @@
 """Crude Monte Carlo, importance sampling and resampling.
 
 The weighted sample (points plus unnormalised log-weights) is the common
-currency here and in the population and likelihood-free samplers.
+currency of every importance sampler: a PMC `pmc.Population` and an ABC
+`abc.AbcPopulation` are weighted samples that add their sampler's fields.
+The Kong effective sample size (sum w)^2 / sum w^2 of a set of
+log-weights, `kong_ess`, is the one ESS of weighted samples and of the
+evidence estimates' terms.
 """
 
 from __future__ import annotations
@@ -31,13 +35,15 @@ __all__ = [
     "importance_sample",
     "snis_estimate",
     "ess",
+    "kong_ess",
     "sir_resample",
 ]
 
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Particles with unnormalised log-weights."""
+    """Points with unnormalised log-weights, checked at construction: one
+    log-weight per point, none NaN and at least one above -inf."""
 
     points: np.ndarray  # (N, p)
     log_weights: np.ndarray  # (N,)
@@ -174,11 +180,20 @@ def importance_sample(target_logpdf, proposal_logpdf, proposal_draw, n_draws: in
     return WeightedSample(points=pts, log_weights=lt - lq)
 
 
+def kong_ess(log_weights: np.ndarray) -> float:
+    """Kong effective sample size (sum w)^2 / sum w^2 of the weights
+    w = exp(v - max v) of the log-weights v: N for equal weights, 1 when
+    one weight holds all the mass, 0 when no log-weight is finite."""
+    top = np.max(log_weights, initial=-np.inf)
+    if not np.isfinite(top):
+        return 0.0
+    w = np.exp(log_weights - top)
+    return float(w.sum() ** 2 / (w * w).sum())
+
+
 def ess(ws: WeightedSample) -> float:
-    """Effective sample size 1 / sum of squared normalised weights: N for
-    uniform weights, 1 for a completely degenerate sample."""
-    w = ws.normalized_weights()
-    return float(1.0 / np.sum(w * w))
+    """The `kong_ess` of a weighted sample's log-weights."""
+    return kong_ess(ws.log_weights)
 
 
 def snis_estimate(h, ws: WeightedSample) -> EstimateReport:

@@ -2,12 +2,13 @@
 and a small bank of Gaussian kernels whose mixture weights adapt by
 survival of the fittest.
 
-Each iteration is a valid importance sample on its own; adaptation only
-changes the variance of later iterations, never the validity of earlier
-ones.  The per-particle proposal density is, by default, the kernel
-density at the particle's own resampled centre (the conditional form);
-the Rao-Blackwellised mixture over all centres is available at O(N^2)
-cost via ``density_form="mixture"``.
+Each iteration is a valid importance sample on its own, a `Population`,
+which is a `montecarlo.WeightedSample`; adaptation only changes the
+variance of later iterations, never the validity of earlier ones.  The
+per-particle proposal density is, by default, the kernel density at the
+particle's own resampled centre (the conditional form); the
+Rao-Blackwellised mixture over all centres is available at O(N^2) cost
+via ``density_form="mixture"``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import BayesModel, log_posterior
 from .montecarlo import GaussianProposal, WeightedSample, kernel_mixture_logpdf, sir_resample
 
 __all__ = [
+    "DENSITY_FORMS",
     "Population",
     "KernelBank",
     "default_kernel_bank",
@@ -35,32 +37,25 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-3
+# the proposal densities `pmc_run` can weight by
+DENSITY_FORMS = ("conditional", "mixture")
 
 
 @dataclass(frozen=True)
-class Population:
-    """One PMC iteration: weighted particles plus the resampled set that
-    seeds the next iteration.  `centers` and `kernel_indices` record which
-    resampled point and which bank kernel produced each particle (absent
-    for iteration 0, which draws from the initial proposal)."""
+class Population(WeightedSample):
+    """One PMC iteration's weighted sample.  `centers` and `kernel_indices`
+    record which resampled point and which bank kernel produced each point
+    (absent for iteration 0, which draws from the initial proposal)."""
 
-    particles: np.ndarray  # (N, p)
-    log_weights: np.ndarray  # (N,)
-    resampled: np.ndarray  # (N, p)
     iteration: int
     centers: Optional[np.ndarray] = None
     kernel_indices: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n = self.particles.shape[0]
-        if self.log_weights.shape[0] != n or self.resampled.shape[0] != n:
-            raise ValueError("particles, log_weights and resampled lengths differ")
-
-    def __len__(self):
-        return self.particles.shape[0]
-
-    def weighted_sample(self) -> WeightedSample:
-        return WeightedSample(points=self.particles, log_weights=self.log_weights)
+        super().__post_init__()
+        for record in (self.centers, self.kernel_indices):
+            if record is not None and len(record) != len(self):
+                raise ValueError("centers or kernel_indices length differs from points")
 
 
 @dataclass(frozen=True)
@@ -101,20 +96,19 @@ def default_kernel_bank(base_covariance) -> KernelBank:
     )
 
 
-def dkernel_update(bank: KernelBank, pop: Population,
-                   kernel_assignments: np.ndarray) -> KernelBank:
+def dkernel_update(bank: KernelBank, pop: Population) -> KernelBank:
     """Survival update of the mixture weights: each kernel collects the
-    normalised weight of the particles it produced, floored so every
-    kernel keeps a small probability.  The base covariance becomes the
-    weighted empirical covariance of the population."""
-    assignments = np.asarray(kernel_assignments)
-    if assignments.shape[0] != len(pop):
-        raise ValueError("one kernel assignment per particle required")
-    w = pop.weighted_sample().normalized_weights()
-    survival = np.bincount(assignments, weights=w, minlength=bank.n_kernels)
+    normalised weight of the points it produced (`pop.kernel_indices`),
+    floored so every kernel keeps a small probability.  The base
+    covariance becomes the weighted empirical covariance of the population."""
+    if pop.kernel_indices is None:
+        raise ValueError(f"population of iteration {pop.iteration} has no kernel "
+                         "indices: it was not drawn from the kernel bank")
+    survival = np.bincount(pop.kernel_indices, weights=pop.normalized_weights(),
+                           minlength=bank.n_kernels)
     k = bank.n_kernels
     mixed = _WEIGHT_FLOOR + (1.0 - k * _WEIGHT_FLOOR) * survival / survival.sum()
-    _, cov = pop.weighted_sample().moments()
+    _, cov = pop.moments()
     return KernelBank(
         scales=bank.scales,
         mixture_log_weights=np.log(mixed),
@@ -146,20 +140,20 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
     """Iterated importance sampling toward `target`.
 
     Iteration 0 draws from `q0` (a logpdf_many/draw_many pair); every later
-    iteration moves each resampled point with a kernel drawn from the
-    bank and reweights by target over proposal.  Multinomial resampling
-    closes each iteration.  The bank adapts between iterations: iteration
-    0 sets its base covariance, each later one runs `dkernel_update`, and
-    the last one leaves it as it is.
-    Returns every `Population` so intermediate behaviour stays
-    inspectable.
+    iteration moves each point of a multinomial resample of the previous
+    population (on ``rng.child(3t + 1)`` after iteration t) with a kernel
+    drawn from the bank and reweights by target over proposal.  The bank
+    adapts between iterations: iteration 0 sets its base covariance and
+    each later one runs `dkernel_update`; the last iteration is neither
+    resampled nor adapted to.  Returns every `Population` so intermediate
+    behaviour stays inspectable.
     """
     if n_particles < 2:
         raise DegenerateWeightsError("need at least 2 particles to resample")
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
-    if density_form not in ("conditional", "mixture"):
-        raise ValueError("density_form must be 'conditional' or 'mixture'")
+    if density_form not in DENSITY_FORMS:
+        raise ValueError(f"density_form must be one of {DENSITY_FORMS}")
 
     points = np.atleast_2d(q0.draw_many(n_particles, rng.child(0)))
     lq = np.asarray(q0.logpdf_many(points), dtype=float)
@@ -168,21 +162,18 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
     populations = []
     for t in range(n_iterations):
         try:
-            ws = WeightedSample(points=points, log_weights=lt - lq)
+            pop = Population(points=points, log_weights=lt - lq, iteration=t,
+                             centers=centers, kernel_indices=assignments)
         except DegenerateWeightsError as exc:
             raise DegenerateWeightsError(
                 f"all weights degenerate at iteration {t}") from exc
-        resampled = sir_resample(ws, n_particles, rng.child(3 * t + 1))
-        pop = Population(particles=points, log_weights=ws.log_weights,
-                         resampled=resampled, iteration=t,
-                         centers=centers, kernel_indices=assignments)
         populations.append(pop)
         if t == n_iterations - 1:
             break
-        if assignments is None:
-            bank = replace(bank, base_covariance=ws.moments()[1])
+        if t == 0:
+            bank = replace(bank, base_covariance=pop.moments()[1])
         else:
-            bank = dkernel_update(bank, pop, assignments)
+            bank = dkernel_update(bank, pop)
 
         try:
             kernels = _kernel_proposals(bank)
@@ -190,7 +181,7 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
             raise ValueError(f"kernel bank after iteration {t}: {exc}") from exc
         assignments = sample_categorical_many(bank.mixture_log_weights,
                                               n_particles, rng.child(3 * t + 2))
-        centers = resampled
+        centers = sir_resample(pop, n_particles, rng.child(3 * t + 1))
         move_rng = rng.child(3 * t + 3)
         points = np.empty_like(centers)
         lq = np.empty(n_particles)

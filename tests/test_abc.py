@@ -72,7 +72,7 @@ class TestReject:
         config = AbcConfig(n_output=2000, tolerance=0.0)
         pop = abc_reject(bernoulli_model(), Y_OBS, config,
                          RngStream(seed=3, stream_id=0))
-        draws = pop.particles[:, 0]
+        draws = pop.points[:, 0]
         assert abs(np.mean(draws) - BETA_MEAN) < 0.02 * BETA_MEAN
         assert np.std(draws) == pytest.approx(BETA_SD, rel=0.1)
         assert stats.kstest(draws, stats.beta(4, 3).cdf).pvalue > 1e-3
@@ -85,7 +85,7 @@ class TestReject:
         pop = abc_reject(bernoulli_model(), Y_OBS, config,
                          RngStream(seed=4, stream_id=0))
         assert pop.n_proposals == 2000  # everything accepted
-        assert stats.kstest(pop.particles[:, 0], stats.uniform.cdf).pvalue > 1e-3
+        assert stats.kstest(pop.points[:, 0], stats.uniform.cdf).pvalue > 1e-3
 
     def test_quantile_mode_ranks_a_single_batch(self):
         config = AbcConfig(n_output=500, quantile=0.25)
@@ -101,7 +101,7 @@ class TestReject:
         pop = abc_reject(bernoulli_model(), Y_OBS, config,
                          RngStream(seed=6, stream_id=0))
         assert pop.n_proposals == 1000
-        assert stats.kstest(pop.particles[:, 0], stats.uniform.cdf).pvalue > 1e-3
+        assert stats.kstest(pop.points[:, 0], stats.uniform.cdf).pvalue > 1e-3
 
     def test_proposals_needed_decrease_with_tolerance(self):
         # same seed, nested acceptance regions: a looser tolerance can only
@@ -164,7 +164,7 @@ class TestMcmc:
                          RwProposal(np.array([[1.0]])), n_iter=500, rng=rng)
         # every rejection, the first step's included, repeats the state
         # before it; the chain starts from the rejection hit on rng.child(0)
-        start = abc_reject(bernoulli_model(), Y_OBS, config, rng.child(0)).particles
+        start = abc_reject(bernoulli_model(), Y_OBS, config, rng.child(0)).points
         before = np.concatenate([start[:, 0], chain.states[:-1, 0]])
         repeats = np.sum(chain.states[:, 0] == before)
         assert repeats == 500 - chain.accept_count
@@ -200,8 +200,8 @@ class TestPmc:
         epsilons = [p.epsilon for p in pops]
         assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
         final = pops[-1]
-        assert ess(final.weighted_sample()) >= 10
-        rep = snis_estimate(lambda th: th[:, 0], final.weighted_sample())
+        assert ess(final) >= 10
+        rep = snis_estimate(lambda th: th[:, 0], final)
         assert rep.value == pytest.approx(BETA_MEAN, abs=0.05)
 
     def test_fixed_tolerance_freezes_the_schedule(self):
@@ -329,7 +329,7 @@ class TestBlocks:
                            RngStream(seed=13, stream_id=0))
         large = abc_reject(bernoulli_model(), Y_OBS, replace(config, n_output=m + 1),
                            RngStream(seed=13, stream_id=0))
-        np.testing.assert_array_equal(large.particles[:m], small.particles)
+        np.testing.assert_array_equal(large.points[:m], small.points)
         np.testing.assert_array_equal(large.summaries[:m], small.summaries)
         assert large.n_proposals > small.n_proposals
         assert small.n_proposals % CHUNK_ROWS != 0
@@ -361,6 +361,14 @@ class TestBlocks:
                        RngStream(seed=15, stream_id=0))
 
 
+class TestAbcPopulation:
+    def test_nan_log_weight_is_refused(self):
+        with pytest.raises(ValueError, match="NaN log-weight"):
+            AbcPopulation(points=np.zeros((3, 1)), log_weights=np.array([0.0, np.nan, 0.0]),
+                          epsilon=1.0, t=1, distances=np.zeros(3), n_proposals=3,
+                          summaries=np.zeros((3, 1)))
+
+
 class TestRegressionAdjust:
     def test_removes_a_planted_linear_effect(self):
         # each particle is a constant plus a linear effect of its summary
@@ -372,13 +380,13 @@ class TestRegressionAdjust:
         effect = np.array([[1.5, -0.3], [0.0, 2.0], [-0.7, 0.4]])
         constant = np.array([0.2, -3.0])
         pop = AbcPopulation(
-            particles=constant + (summaries - eta_obs) @ effect,
+            points=constant + (summaries - eta_obs) @ effect,
             log_weights=rng.normal(size=200), epsilon=1.0, t=2,
             distances=euclidean_distance(summaries, eta_obs),
             n_proposals=500, summaries=summaries)
         kept = [a.copy() for a in (pop.log_weights, pop.summaries, pop.distances)]
         adjusted = regression_adjust(pop, eta_obs)
-        np.testing.assert_allclose(adjusted.particles,
+        np.testing.assert_allclose(adjusted.points,
                                    np.broadcast_to(constant, (200, 2)), rtol=0, atol=1e-10)
         for before, after in zip(kept, (adjusted.log_weights, adjusted.summaries,
                                         adjusted.distances)):
@@ -399,13 +407,12 @@ class TestProbitAbc:
         pop = probit_abc(model, config, RngStream(seed=31, stream_id=0),
                          n_generations=3)
         assert isinstance(pop, AbcPopulation)
-        assert pop.particles.shape == (150, 2)
+        assert pop.points.shape == (150, 2)
         assert np.all(np.isfinite(pop.log_weights))
-        ws = pop.weighted_sample()
         for d in range(2):
-            rep = snis_estimate(lambda th, d=d: th[:, d], ws)
+            rep = snis_estimate(lambda th, d=d: th[:, d], pop)
             assert abs(rep.value - beta_hat[d]) < 0.5
         again = probit_abc(model, config, RngStream(seed=31, stream_id=0),
                            n_generations=3)
-        np.testing.assert_array_equal(again.particles, pop.particles)
+        np.testing.assert_array_equal(again.points, pop.points)
         np.testing.assert_array_equal(again.log_weights, pop.log_weights)

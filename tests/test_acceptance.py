@@ -399,7 +399,7 @@ class TestAbcExactness:
         pop = abc_reject(_bernoulli_model(), BERN_OBS,
                          AbcConfig(n_output=6000, tolerance=0.0),
                          RngStream(101, 0))
-        draws = pop.particles[:, 0]
+        draws = pop.points[:, 0]
         self._check(np.mean(draws), np.std(draws, ddof=1))
 
     def test_mcmc(self):
@@ -420,9 +420,9 @@ class TestAbcExactness:
                        rng=RngStream(103, 0))
         final = pops[-1]
         assert final.epsilon == 0.0
-        w = final.weighted_sample().normalized_weights()
-        mean = float(w @ final.particles[:, 0])
-        sd = float(np.sqrt(w @ (final.particles[:, 0] - mean) ** 2))
+        w = final.normalized_weights()
+        mean = float(w @ final.points[:, 0])
+        sd = float(np.sqrt(w @ (final.points[:, 0] - mean) ** 2))
         self._check(mean, sd)
 
 
@@ -433,9 +433,9 @@ def abc_probit_runs(pima3):
     gibbs_sd = chain.states.std(axis=0, ddof=1)
     pop = probit_abc(pima3, AbcConfig(n_output=2000, quantile=0.1),
                      RngStream(1, 0), n_generations=10)
-    w = pop.weighted_sample().normalized_weights()
-    abc_mean = w @ pop.particles
-    abc_sd = np.sqrt(w @ (pop.particles - abc_mean) ** 2)
+    w = pop.normalized_weights()
+    abc_mean = w @ pop.points
+    abc_sd = np.sqrt(w @ (pop.points - abc_mean) ** 2)
     return gibbs_mean, gibbs_sd, abc_mean, abc_sd
 
 

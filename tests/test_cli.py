@@ -368,6 +368,21 @@ class TestErrors:
         assert "['glu', 'bp', 'ped']" in err["message"]
         assert not out.exists()  # so no summary.json either
 
+    @pytest.mark.parametrize("experiment,config", [
+        ("evidence", {"method": "bogus"}),
+        ("evidence", {"method": "bridge"}),
+        ("pmc", {"density_form": "bogus"}),
+    ])
+    def test_bad_choices_fail_before_any_output(self, tmp_path, capsys,
+                                                experiment, config):
+        code, out = run_cli(tmp_path, experiment, config)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        key, = config
+        assert err["message"].startswith(key) and repr(config[key]) in err["message"]
+        assert not out.exists()
+
     def test_single_replicate_cannot_use_replicate_runner(self):
         from bayescomp.cli import replicate
         with pytest.raises(ConfigError):
@@ -420,6 +435,16 @@ class TestRunners:
         estimates, _, diagnostics, _ = run_experiment(experiment, resolved)
         for key in keys:
             assert key in estimates, (experiment, key, sorted(estimates))
+
+    @pytest.mark.parametrize("experiment,family", [
+        ("mh", "random-walk-metropolis"),
+        ("gibbs", "gibbs-data-augmentation"),
+        ("mwg", "metropolis-within-gibbs"),
+    ])
+    def test_chains_report_their_sampler_family(self, experiment, family):
+        resolved = resolve_config(experiment, {"iterations": 200})
+        _, _, diagnostics, _ = run_experiment(experiment, resolved)
+        assert diagnostics["family"] == family
 
     def test_abc_drops_its_hopeless_generation_early(self):
         # at its defaults and seed 7 generation 4 hits below the 1% floor;

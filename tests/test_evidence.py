@@ -29,7 +29,7 @@ from bayescomp.evidence import (
 )
 from bayescomp.mcmc import probit_gibbs_run
 from bayescomp.model import BayesModel, log_posterior
-from bayescomp.montecarlo import GaussianProposal
+from bayescomp.montecarlo import GaussianProposal, WeightedSample, ess
 from bayescomp.probit import probit_bayes_model
 
 Y_OBS = 0.5
@@ -428,6 +428,13 @@ class TestWeightEss:
         model, log_ordinate, _, _ = TestChib._setup()
         est = chib_marginal(model, log_ordinate, [np.zeros(1)] * 5, np.zeros(1))
         assert est.weight_ess == 5.0 and not est.unreliable
+
+    def test_equals_the_weighted_sample_ess(self):
+        # one Kong ESS: an estimate's and a weighted sample's agree bit for bit
+        terms = 3.0 * RngStream(41, 0).standard_normal(500)
+        est = newton_raftery_hm(lambda th: -terms, np.zeros((500, 1)))
+        ws = WeightedSample(points=np.zeros((500, 1)), log_weights=terms)
+        assert est.weight_ess == ess(ws)
 
     def test_kong_formula(self):
         # terms -loglik = log(1, 2, 3, 4): (10 / 4)^2 / (30 / 16) = 10 / 3

@@ -8,7 +8,13 @@ from scipy import stats
 
 from bayescomp.core import DegenerateWeightsError, RngStream
 from bayescomp.model import BayesModel
-from bayescomp.montecarlo import GaussianProposal, MvnParams, ess, snis_estimate
+from bayescomp.montecarlo import (
+    GaussianProposal,
+    MvnParams,
+    WeightedSample,
+    ess,
+    snis_estimate,
+)
 from bayescomp.pmc import (
     KernelBank,
     Population,
@@ -49,7 +55,7 @@ class TestStructure:
         assert len(pops) == 1
         lw = pops[0].log_weights
         assert np.allclose(lw, lw[0])
-        assert ess(pops[0].weighted_sample()) == pytest.approx(500.0)
+        assert ess(pops[0]) == pytest.approx(500.0)
 
     def test_population_bookkeeping(self):
         target = _gauss_model([0.0], [[1.0]])
@@ -60,12 +66,12 @@ class TestStructure:
         assert [p.iteration for p in pops] == [0, 1, 2]
         assert pops[0].centers is None and pops[0].kernel_indices is None
         for pop in pops[1:]:
-            assert pop.centers.shape == pop.particles.shape
+            assert pop.centers.shape == pop.points.shape
             assert pop.kernel_indices.shape == (64,)
             assert set(np.unique(pop.kernel_indices)) <= {0, 1, 2}
             # each particle is its centre plus a kernel step, so it cannot
             # coincide with the centre except with probability zero
-            assert not np.any(np.all(pop.particles == pop.centers, axis=1))
+            assert not np.any(np.all(pop.points == pop.centers, axis=1))
 
     def test_single_particle_rejected(self):
         target = _gauss_model([0.0], [[1.0]])
@@ -137,17 +143,17 @@ class TestKernelBank:
 
 
 class TestDkernelUpdate:
-    def _pop(self, particles, log_weights):
+    def _pop(self, particles, log_weights, kernel_indices):
         particles = np.atleast_2d(np.asarray(particles, float)).T
-        return Population(particles=particles,
+        return Population(points=particles,
                           log_weights=np.asarray(log_weights, float),
-                          resampled=particles, iteration=1)
+                          iteration=1, kernel_indices=np.asarray(kernel_indices))
 
     def test_winner_takes_survival_losers_keep_floor(self):
         # all normalised weight lands on kernel 0
         bank = default_kernel_bank(np.eye(1))
-        pop = self._pop([0.0, 1.0, 2.0, 3.0], np.zeros(4))
-        new = dkernel_update(bank, pop, np.zeros(4, dtype=int))
+        pop = self._pop([0.0, 1.0, 2.0, 3.0], np.zeros(4), np.zeros(4, dtype=int))
+        new = dkernel_update(bank, pop)
         w = np.exp(new.mixture_log_weights)
         expected = np.array([_WEIGHT_FLOOR + (1 - 3 * _WEIGHT_FLOOR),
                              _WEIGHT_FLOOR, _WEIGHT_FLOOR])
@@ -159,8 +165,8 @@ class TestDkernelUpdate:
                           mixture_log_weights=np.log([0.5, 0.5]),
                           base_covariance=np.eye(1))
         pop = self._pop([0.0, 1.0, 2.0, 3.0, 4.0],
-                        np.log([0.4, 0.4, 0.1, 0.05, 0.05]))
-        new = dkernel_update(bank, pop, np.array([0, 0, 1, 1, 1]))
+                        np.log([0.4, 0.4, 0.1, 0.05, 0.05]), [0, 0, 1, 1, 1])
+        new = dkernel_update(bank, pop)
         w = np.exp(new.mixture_log_weights)
         keep = 1.0 - 2 * _WEIGHT_FLOOR
         assert np.allclose(w, [_WEIGHT_FLOOR + keep * 0.8,
@@ -168,16 +174,16 @@ class TestDkernelUpdate:
 
     def test_uniform_survival_is_fixed_point(self):
         bank = default_kernel_bank(np.eye(1))
-        pop = self._pop([0.0, 1.0, 2.0], np.zeros(3))
-        new = dkernel_update(bank, pop, np.array([0, 1, 2]))
+        pop = self._pop([0.0, 1.0, 2.0], np.zeros(3), [0, 1, 2])
+        new = dkernel_update(bank, pop)
         assert np.allclose(np.exp(new.mixture_log_weights), 1.0 / 3.0)
 
     def test_base_covariance_is_weighted_empirical(self):
         bank = default_kernel_bank(np.eye(1))
         x = np.array([0.0, 2.0, 4.0])
         w = np.array([0.5, 0.25, 0.25])
-        pop = self._pop(x, np.log(w))
-        new = dkernel_update(bank, pop, np.array([0, 1, 2]))
+        pop = self._pop(x, np.log(w), [0, 1, 2])
+        new = dkernel_update(bank, pop)
         mean = w @ x
         expected = w @ (x - mean) ** 2
         assert new.base_covariance[0, 0] == pytest.approx(expected)
@@ -200,10 +206,20 @@ class TestDkernelUpdate:
         assert np.allclose(got, np.log(direct), rtol=1e-12, atol=0)
 
     def test_assignment_length_checked(self):
-        bank = default_kernel_bank(np.eye(1))
-        pop = self._pop([0.0, 1.0], np.zeros(2))
+        # one kernel index per point, checked when the population is built
         with pytest.raises(ValueError):
-            dkernel_update(bank, pop, np.array([0]))
+            self._pop([0.0, 1.0], np.zeros(2), [0])
+
+    def test_iteration_zero_population_is_refused(self):
+        # iteration 0 draws from the initial proposal, not from a kernel
+        pop = Population(points=np.zeros((3, 1)), log_weights=np.zeros(3), iteration=0)
+        with pytest.raises(ValueError, match="iteration 0 has no kernel indices"):
+            dkernel_update(default_kernel_bank(np.eye(1)), pop)
+
+    def test_nan_log_weight_is_refused(self):
+        with pytest.raises(ValueError, match="NaN log-weight"):
+            Population(points=np.zeros((3, 1)), log_weights=np.array([0.0, np.nan, 0.0]),
+                       iteration=0)
 
 
 class TestEstimatorValidity:
@@ -216,9 +232,8 @@ class TestEstimatorValidity:
         pops = pmc_run(target, q0, bank, n_particles=4000, n_iterations=4,
                        rng=RngStream(seed=11, stream_id=0))
         for pop in pops:
-            ws = pop.weighted_sample()
             for d, truth in enumerate((1.5, -0.5)):
-                rep = snis_estimate(lambda th, d=d: th[:, d], ws)
+                rep = snis_estimate(lambda th, d=d: th[:, d], pop)
                 assert abs(rep.value - truth) < 4.0 * max(rep.std_error, 1e-12), (
                     f"iteration {pop.iteration}, coordinate {d}")
 
@@ -229,8 +244,7 @@ class TestEstimatorValidity:
         pops = pmc_run(target, q0, bank, n_particles=800, n_iterations=3,
                        rng=RngStream(seed=13, stream_id=0),
                        density_form="mixture")
-        ws = pops[-1].weighted_sample()
-        rep = snis_estimate(lambda th: th[:, 0], ws)
+        rep = snis_estimate(lambda th: th[:, 0], pops[-1])
         assert rep.value == pytest.approx(2.0, abs=0.15)
 
     def test_wrong_density_bookkeeping_is_detectably_biased(self):
@@ -253,8 +267,7 @@ class TestEstimatorValidity:
         pop = pops[-1]
 
         def check(log_weights):
-            ws = pop.weighted_sample().__class__(points=pop.particles,
-                                                 log_weights=log_weights)
+            ws = WeightedSample(points=pop.points, log_weights=log_weights)
             rep = snis_estimate(lambda th: th[:, 0], ws)
             return abs(rep.value - a) / max(rep.std_error, 1e-12)
 
@@ -262,14 +275,14 @@ class TestEstimatorValidity:
 
         # recompute the conditional proposal density with rolled centres
         lt = np.array([(a - 1.0) * np.log(x) - x if x > 0 else -np.inf
-                       for x in pop.particles[:, 0]])
+                       for x in pop.points[:, 0]])
         wrong_centers = np.roll(pop.centers, len(pop) // 2, axis=0)
         scales = bank.scales[pop.kernel_indices]
         # bank adapted over the run; reconstruct the per-particle variance
         # from the *final* population spread instead of tracking it, which
         # is exactly the kind of shortcut the bookkeeping exists to prevent
-        diff = pop.particles[:, 0] - wrong_centers[:, 0]
-        var = scales * np.var(pop.particles[:, 0])
+        diff = pop.points[:, 0] - wrong_centers[:, 0]
+        var = scales * np.var(pop.points[:, 0])
         wrong_lq = -0.5 * (np.log(2 * np.pi * var) + diff ** 2 / var)
         assert check(lt - wrong_lq) > 4.0
 
@@ -283,7 +296,7 @@ class TestAdaptation:
                        rng=RngStream(seed=29, stream_id=0))
         # rebuild the bank sequence exactly as the run does
         for pop in pops[1:]:
-            bank = dkernel_update(bank, pop, pop.kernel_indices)
+            bank = dkernel_update(bank, pop)
             w = np.exp(bank.mixture_log_weights)
             assert np.all(w >= _WEIGHT_FLOOR - 1e-12)
             assert np.sum(w) == pytest.approx(1.0)
@@ -298,6 +311,6 @@ class TestAdaptation:
             bank = default_kernel_bank(np.eye(1))
             pops = pmc_run(target, q0, bank, n_particles=400, n_iterations=4,
                            rng=RngStream(seed=seed, stream_id=0))
-            if ess(pops[-1].weighted_sample()) > ess(pops[0].weighted_sample()):
+            if ess(pops[-1]) > ess(pops[0]):
                 wins += 1
         assert wins >= 16

@@ -2,12 +2,13 @@
 
 Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
-counts whose blocks often reach its exact truncated route, plus `mh`,
-`gibbs` and `capture` with three replicates (the one-stream-per-run path
-and the lockstep path), once on each tree (each tree's own ``src`` on the
-path), and compares what they wrote: ``draws.csv`` and ``replicates.csv``
-byte for byte, ``summary.json`` as parsed JSON without
-``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
+counts whose blocks often reach its exact truncated route, `pmc` once
+more with the Rao-Blackwellised mixture density (the form the benchmark
+runs), plus `mh`, `gibbs` and `capture` with three replicates (the
+one-stream-per-run path and the lockstep path), once on each tree (each
+tree's own ``src`` on the path), and compares what they wrote:
+``draws.csv`` and ``replicates.csv`` byte for byte, ``summary.json`` as
+parsed JSON without ``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
 this checkout from each tree's own ``demos`` directory and compares their
 standard output line by line (the demos fix their own seeds, so
 ``--seed`` does not reach them).  Prints one line per run, and for each
@@ -58,6 +59,8 @@ def _runs(experiments):
             runs += [(f"{e} {m}", e, [], {"method": m}) for m in EVIDENCE_METHODS]
         elif e == "capture":
             runs += [(e, e, [], None), (f"{e} exact", e, [], EXACT_CAPTURE)]
+        elif e == "pmc":
+            runs += [(e, e, [], None), (f"{e} mixture", e, [], {"density_form": "mixture"})]
         else:
             runs.append((e, e, [], None))
     runs += [(f"{e} x3", e, ["--replicates", "3"], None)
