@@ -13,7 +13,6 @@ import numpy as np
 
 from bayescomp.abc import AbcConfig, abc_mcmc, abc_pmc, abc_reject
 from bayescomp.core import RngStream
-from bayescomp.mcmc import RwProposal
 from bayescomp.model import SimulableModel
 
 Y_OBS = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
@@ -45,7 +44,7 @@ def main():
            f"({pop.n_proposals} proposals for {len(pop)} hits)")
 
     chain = abc_mcmc(model, Y_OBS, AbcConfig(n_output=1, tolerance=0.0),
-                     RwProposal(np.array([[0.09]])), n_iter=40_000,
+                     np.array([[0.09]]), n_iter=40_000,
                      rng=RngStream(seed=2, stream_id=0))
     draws = chain.states[4000:, 0]
     report("MCMC, eps = 0", draws.mean(), draws.std(ddof=1),

@@ -11,13 +11,14 @@ proposals, its last block cut to that budget.  Short of its hits, a
 fixed-tolerance generation raises a `RuntimeError` giving hits, proposals,
 rate, tolerance and generation; a quantile-mode one ends the schedule, and
 is stopped early, after any block, once a one-sided Clopper-Pearson upper
-bound on its hit rate falls below 0.01.  The sequential sampler perturbs
-resampled particles with a Gaussian kernel whose covariance is twice the
-weighted empirical covariance (Beaumont, Cornuet, Marin & Robert 2009),
-and corrects with importance weights prior / (mixture of kernels), whose
-O(N^2) denominator is evaluated in blocks of particles.  A generation is an
-`AbcPopulation`, a `montecarlo.WeightedSample` (uniform weights after
-rejection) with its tolerance, summaries and distances.
+bound on its hit rate falls below 0.01.  ABC-MCMC runs `mcmc.rw_metropolis`
+on a simulation-gated prior, all on one stream.  The sequential sampler
+perturbs resampled particles with a Gaussian kernel whose covariance is
+twice the weighted empirical covariance (Beaumont, Cornuet, Marin & Robert
+2009), and corrects with importance weights prior / (mixture of kernels),
+whose O(N^2) denominator is evaluated in blocks of particles.  A
+generation is an `AbcPopulation`, a `montecarlo.WeightedSample` (uniform
+weights after rejection) with its tolerance, summaries and distances.
 `regression_adjust` removes the remaining tolerance-induced spread from a
 population by the local-linear regression of Beaumont, Zhang & Balding
 (2002).
@@ -38,7 +39,7 @@ from .core import (
     categorical_cdf,
     log_sum_exp,
 )
-from .mcmc import Chain
+from .mcmc import Chain, rw_metropolis
 from .model import SimulableModel
 from .montecarlo import GaussianProposal, WeightedSample, ess, kernel_mixture_logpdf
 from .probit import (
@@ -213,43 +214,30 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
                          n_proposals=n_prop, summaries=summaries)
 
 
-def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, proposal,
+def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
              n_iter: int, rng: RngStream) -> Chain:
-    """Likelihood-free MCMC at a fixed tolerance.
-
-    The chain starts from one rejection-sampler hit on ``rng.child(0)``
-    (within ceil(1 / 0.01) = 100 prior proposals, or a `RuntimeError`),
-    then proposes in parameter space, simulates a fresh summary, and
-    accepts on the prior plus proposal ratio gated by the distance
-    indicator.  Rejection repeats the previous state.  Iteration t draws
-    its proposal, uniform and simulation in turn on ``rng.child(1).child(t)``.
-    """
+    """Likelihood-free MCMC at a fixed tolerance (Marjoram, Molitor, Plagnol
+    & Tavare 2003): `mcmc.rw_metropolis`, increment covariance `cov`, on the
+    log prior, or -inf where a fresh simulation misses the tolerance, an
+    unbiased 0/1 likelihood estimate (pseudo-marginal; Andrieu & Roberts
+    2009).  It starts from one rejection hit on ``rng.child(0)`` (within
+    100 prior proposals, or a `RuntimeError`) and walks on ``rng.child(1)``;
+    `log_posts` holds each state's log prior."""
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
     eta_obs = _observed_summary(model, y_obs)
     theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).points[0]
-    lp = float(model.log_prior(theta[None, :])[0])
-    states = np.empty((n_iter, theta.shape[0]))
-    log_priors = np.empty(n_iter)
-    accept = 0
     walk = rng.child(1)
-    for t in range(n_iter):
-        r = walk.child(t)
-        prop = np.atleast_1d(np.asarray(proposal.draw(theta, r), float))
-        lp_prop = float(model.log_prior(prop[None, :])[0])
-        log_ratio = (lp_prop - lp
-                     + float(proposal.log_density(theta, prop))
-                     - float(proposal.log_density(prop, theta)))
-        u = 1.0 - r.uniform()
-        ok = lp_prop > -np.inf and np.log(u) <= log_ratio
-        if ok:
-            s = model.summary(model.simulate(prop[None, :], r))
-            ok = euclidean_distance(s, eta_obs)[0] <= config.tolerance
-        if ok:
-            theta, lp = prop, lp_prop
-            accept += 1
-        states[t] = theta
-        log_priors[t] = lp
+
+    def log_target(prop):
+        row = prop[None, :]
+        lp = float(model.log_prior(row)[0])
+        hit = lp > -np.inf and euclidean_distance(
+            model.summary(model.simulate(row, walk)), eta_obs)[0] <= config.tolerance
+        return lp if hit else -np.inf
+
+    lp = float(model.log_prior(theta[None, :])[0])
+    states, log_priors, accept = rw_metropolis(log_target, cov, theta, lp, n_iter, walk)
     return Chain(states=states, log_posts=log_priors, accept_count=accept,
                  n_proposals=n_iter,
                  proposal_meta={"family": "abc-mcmc",

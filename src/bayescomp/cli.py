@@ -23,7 +23,8 @@ its two evidences' weight ESS.
 
 A config is resolved in full before any output is written: an unknown
 key, a covariate name other than glu, bp and ped, an unknown `evidence`
-method or `pmc` density form, or too few kept states is a `ConfigError`.
+method or `pmc` density form, a random-walk step size that is not finite
+and > 0, or too few kept states is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -145,6 +146,10 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     for key, choices in _CHOICES.items():
         if key in config and config[key] not in choices:
             raise ConfigError(f"{key} must be one of {list(choices)}, got {config[key]!r}")
+    for key in ("scale_multiplier", "beta_step_var", "logsigma_step_var"):
+        value = config.get(key)
+        if key in config and not (isinstance(value, (int, float)) and 0 < value < np.inf):
+            raise ConfigError(f"{key} must be finite and positive, got {value!r}")
     return config
 
 

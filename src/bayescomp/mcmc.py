@@ -1,8 +1,11 @@
 """Metropolis-Hastings, Gibbs and hybrid samplers with chain diagnostics.
 
-A uniform is consumed on every acceptance test, including certain-accept
-steps, so RNG stream positions stay aligned across proposal variants.  No
-burn-in is discarded here; trimming is a post-processing concern.
+Random-walk Metropolis has one loop, `rw_metropolis`: Gaussian increments
+on a scalar log-target, one stream, and a uniform consumed on every
+acceptance test, certain accepts included.  `rw_mh_run` runs it on a
+posterior and `abc.abc_mcmc` on a prior gated by a simulation; only the
+two-block `mwg_probit_overparam_run` keeps a loop of its own.  No burn-in
+is discarded here; trimming is a post-processing concern.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -16,7 +19,7 @@ One model's replicates are the one-group case and a single chain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +29,7 @@ from .probit import ProbitModel, ProbitSweep, probit_mle
 
 __all__ = [
     "Chain",
-    "RwProposal",
-    "mh_run",
+    "rw_metropolis",
     "rw_mh_run",
     "probit_gibbs_run",
     "probit_gibbs_groups",
@@ -58,63 +60,42 @@ class Chain:
         return self.accept_count / self.n_proposals
 
 
-@dataclass(frozen=True)
-class RwProposal:
-    """Centered Gaussian random-walk increment; symmetric by construction."""
-
-    covariance: np.ndarray
-    scale: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "scale", MvnParams(np.zeros(cov.shape[0]), cov).scale)
-
-    def draw(self, theta, rng: RngStream):
-        return theta + self.scale @ rng.generator.standard_normal(len(theta))
-
-    def log_density(self, to, frm):  # symmetric: contributes nothing to the ratio
-        return 0.0
-
-
-def mh_run(target: BayesModel, proposal, theta0, n_iter: int, rng: RngStream) -> Chain:
-    """Generic Metropolis-Hastings.
-
-    `proposal` provides draw(theta, rng) and log_density(to, frm); the
-    target is evaluated at each candidate as a one-row batch, the
-    acceptance ratio is computed entirely in log domain, and a rejection
-    repeats the exact previous state.
-    """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
-    lp = float(log_posterior(target, theta[None, :])[0])
-    if lp == -np.inf:
-        raise ValueError("theta0 outside the target support")
-    states = np.empty((n_iter, theta.shape[0]))
-    log_posts = np.empty(n_iter)
+def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream):
+    """Random-walk Metropolis from `theta`, whose log-target is `lp`: step t
+    proposes cand = theta + L z, L the `MvnParams` factor of `cov` (singular
+    ones too), and accepts if log(1 - u) <= log_target(cand) - lp, with u
+    drawn on every step.  A rejection repeats the previous state and value.
+    All draws, `log_target`'s included, come from `rng`.  Returns the
+    (n_iter, p) states, their (n_iter,) log-targets and the accepted count."""
+    scale = MvnParams(np.zeros(len(theta)), cov).scale
+    gen = rng.generator
+    states = np.empty((n_iter, len(theta)))
+    log_targets = np.empty(n_iter)
     accept = 0
     for t in range(n_iter):
-        cand = np.atleast_1d(np.asarray(proposal.draw(theta, rng), dtype=float))
-        if any(map(math.isnan, cand.tolist())):  # a list scan beats np.isnan here
-            raise FloatingPointError("proposal returned NaN")
-        lp_cand = float(log_posterior(target, cand[None, :])[0])
-        delta = lp_cand - lp
-        if lp_cand > -np.inf:
-            delta += proposal.log_density(theta, cand) - proposal.log_density(cand, theta)
-        u = 1.0 - rng.uniform()  # in (0, 1]; drawn even on certain accepts
-        if np.log(u) <= delta:
+        cand = theta + scale @ gen.standard_normal(len(theta))
+        lp_cand = log_target(cand)
+        if np.log(1.0 - gen.random()) <= lp_cand - lp:
             theta, lp = cand, lp_cand
             accept += 1
         states[t] = theta
-        log_posts[t] = lp
-    return Chain(states, log_posts, accept, n_iter, {"family": "metropolis-hastings"})
+        log_targets[t] = lp
+    return states, log_targets, accept
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
-    """Random-walk Metropolis: `mh_run` with Gaussian increments of
-    covariance `cov` (an `RwProposal`), which is symmetric, so the
-    acceptance ratio is the posterior ratio alone."""
-    chain = mh_run(target, RwProposal(cov), theta0, n_iter, rng)
-    return replace(chain, proposal_meta={"family": "random-walk-metropolis"})
+    """`rw_metropolis` on the log-posterior of `target`, one row at a time;
+    a start outside the support is a `ValueError`."""
+    theta = np.atleast_1d(np.asarray(theta0, dtype=float))
+
+    def log_target(x):
+        return float(log_posterior(target, x[None, :])[0])
+
+    lp = log_target(theta)
+    if lp == -np.inf:
+        raise ValueError("theta0 outside the target support")
+    states, log_posts, accept = rw_metropolis(log_target, cov, theta, lp, n_iter, rng)
+    return Chain(states, log_posts, accept, n_iter, {"family": "random-walk-metropolis"})
 
 
 def probit_gibbs_groups(groups, n_iter: int):
@@ -184,12 +165,16 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     The prior is sigma^{-4} exp(-1/sigma^2) exp(-beta^2/50); beta moves by a
     normal random walk and sigma^2 through a log-normal proposal on sigma
     (one inner step per block, which suffices for stationarity).
-    `logsigma_step_var` is the variance of the log-sigma increment.  The
+    The beta and log-sigma increments have variances `beta_step_var` and
+    `logsigma_step_var`, each finite and > 0 or a `ValueError`.  The
     likelihood is the one-covariate probit log-likelihood at beta / sigma,
     sum_i log Phi(s_i x_i beta / sigma), evaluated by `core.log_ndtr` in an
     (n,) array the run owns: the bits of a one-row `probit_loglik_rows`
     call.
     """
+    if not (0.0 < beta_step_var < np.inf and 0.0 < logsigma_step_var < np.inf):
+        raise ValueError(f"beta_step_var {beta_step_var!r} and logsigma_step_var "
+                         f"{logsigma_step_var!r} must be finite and positive")
     signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
     terms = np.empty_like(signed_x)
 
@@ -260,23 +245,18 @@ def _iact(acf: np.ndarray) -> float:
 
 
 def chain_diagnostics(chain: Chain) -> dict:
-    """Acceptance rate, autocorrelations to lag 50, integrated
-    autocorrelation time and the resulting chain ESS, per coordinate.
-
-    Each coordinate's autocorrelations are computed once, to the IACT's
-    lag min(n - 2, 2 floor(sqrt(n)) + 50), which is at least 70 for the
-    n >= 100 states required here; the reported ones are their first 51.
-    """
+    """Acceptance rate, integrated autocorrelation time and the resulting
+    chain ESS, per coordinate; the IACT sums autocorrelations to lag
+    min(n - 2, 2 floor(sqrt(n)) + 50) of the n >= 100 states required."""
     states = np.atleast_2d(chain.states)
     n = states.shape[0]
     if n < 100:
         raise ValueError("need at least 100 states for diagnostics")
     max_lag = min(n - 2, 2 * int(np.sqrt(n)) + 50)
-    acfs = [_autocorrelations(states[:, j], max_lag) for j in range(states.shape[1])]
-    iact = np.asarray([_iact(a) for a in acfs])
+    iact = np.asarray([_iact(_autocorrelations(states[:, j], max_lag))
+                       for j in range(states.shape[1])])
     return {
         "acceptance_rate": chain.acceptance_rate,
-        "autocorrelations": np.stack([a[:51] for a in acfs]),
         "iact": iact,
         "chain_ess": n / iact,
     }

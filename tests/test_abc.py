@@ -25,7 +25,6 @@ from bayescomp.abc import (
     regression_adjust,
 )
 from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, RngStream
-from bayescomp.mcmc import RwProposal
 from bayescomp.model import SimulableModel
 from bayescomp.montecarlo import ess, snis_estimate
 from bayescomp.probit import ProbitModel, probit_mle
@@ -149,7 +148,7 @@ class TestMcmc:
     def test_zero_tolerance_targets_the_posterior(self):
         config = AbcConfig(n_output=1, tolerance=0.0)
         chain = abc_mcmc(bernoulli_model(), Y_OBS, config,
-                         RwProposal(np.array([[0.04]])), n_iter=20000,
+                         np.array([[0.04]]), n_iter=20000,
                          rng=RngStream(seed=11, stream_id=0))
         draws = chain.states[2000:, 0]
         assert np.mean(draws) == pytest.approx(BETA_MEAN, abs=0.02)
@@ -161,7 +160,7 @@ class TestMcmc:
         config = AbcConfig(n_output=1, tolerance=0.0)
         rng = RngStream(seed=12, stream_id=0)
         chain = abc_mcmc(bernoulli_model(), Y_OBS, config,
-                         RwProposal(np.array([[1.0]])), n_iter=500, rng=rng)
+                         np.array([[1.0]]), n_iter=500, rng=rng)
         # every rejection, the first step's included, repeats the state
         # before it; the chain starts from the rejection hit on rng.child(0)
         start = abc_reject(bernoulli_model(), Y_OBS, config, rng.child(0)).points
@@ -169,11 +168,31 @@ class TestMcmc:
         repeats = np.sum(chain.states[:, 0] == before)
         assert repeats == 500 - chain.accept_count
 
+    def test_reproducible_and_valued_at_the_prior(self):
+        # a normal prior on the mean of four unit-normal observations: the
+        # stored value of every state is its log prior, never the -inf of
+        # a missed simulation, and a (seed, config) fixes every bit
+        model = SimulableModel(
+            sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
+            simulate=lambda th, rng: th + rng.standard_normal((len(th), 4)),
+            summary=lambda ys: ys.mean(axis=1, keepdims=True),
+            log_prior=lambda th: -0.5 * th[:, 0] ** 2,
+        )
+        config = AbcConfig(n_output=1, tolerance=0.3)
+        y_obs = np.array([0.4, 1.1, -0.2, 0.9])
+        a, b = (abc_mcmc(model, y_obs, config, np.array([[0.5]]), 400,
+                         RngStream(seed=13, stream_id=0)) for _ in range(2))
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.log_posts.tobytes() == b.log_posts.tobytes()
+        assert a.accept_count == b.accept_count
+        assert 0 < a.accept_count < 400
+        np.testing.assert_array_equal(a.log_posts, model.log_prior(a.states))
+
     def test_requires_fixed_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):
             abc_mcmc(bernoulli_model(), Y_OBS,
                      AbcConfig(n_output=1, quantile=0.1),
-                     RwProposal(np.eye(1)), 10, RngStream(seed=0, stream_id=0))
+                     np.eye(1), 10, RngStream(seed=0, stream_id=0))
 
 
 def _uniform_rate_generation(rate, rng):

@@ -31,7 +31,7 @@ from bayescomp.evidence import (
     chib_marginal,
     harmonic_mean_gd,
 )
-from bayescomp.mcmc import RwProposal, probit_gibbs_groups, probit_gibbs_run, rw_mh_run
+from bayescomp.mcmc import probit_gibbs_groups, probit_gibbs_run, rw_mh_run
 from bayescomp.model import BayesModel, LatentCompletion, SimulableModel, log_posterior
 from bayescomp.montecarlo import (
     GaussianProposal,
@@ -405,7 +405,7 @@ class TestAbcExactness:
     def test_mcmc(self):
         chain = abc_mcmc(_bernoulli_model(), BERN_OBS,
                          AbcConfig(n_output=1, tolerance=0.0),
-                         RwProposal(np.array([[0.09]])), n_iter=60_000,
+                         np.array([[0.09]]), n_iter=60_000,
                          rng=RngStream(102, 0))
         draws = chain.states[5000:, 0]
         self._check(np.mean(draws), np.std(draws, ddof=1))

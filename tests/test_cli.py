@@ -383,6 +383,28 @@ class TestErrors:
         assert err["message"].startswith(key) and repr(config[key]) in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment,config", [
+        ("mwg", {"beta_step_var": -1}),
+        ("mwg", {"beta_step_var": 0}),
+        ("mwg", {"logsigma_step_var": float("nan")}),
+        ("mwg", {"logsigma_step_var": "0.04"}),
+        ("mh", {"scale_multiplier": 0}),
+        ("mh", {"scale_multiplier": -1.0}),
+        ("mh", {"scale_multiplier": float("inf")}),
+    ])
+    def test_bad_step_sizes_fail_before_any_output(self, tmp_path, capsys,
+                                                   experiment, config):
+        # a random-walk step that is not finite and positive moves no chain
+        # (zero freezes it, a negative or NaN one has no factor), so the
+        # config is refused before --out is made
+        code, out = run_cli(tmp_path, experiment, {"iterations": 200, **config})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        key, = config
+        assert err["message"].startswith(key)
+        assert not out.exists()
+
     def test_single_replicate_cannot_use_replicate_runner(self):
         from bayescomp.cli import replicate
         with pytest.raises(ConfigError):

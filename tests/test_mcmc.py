@@ -9,9 +9,7 @@ from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vecto
 from bayescomp.datasets import bundled_pima_path, load_pima
 from bayescomp.mcmc import (
     Chain,
-    RwProposal,
     chain_diagnostics,
-    mh_run,
     mwg_probit_overparam_run,
     probit_gibbs_groups,
     probit_gibbs_run,
@@ -38,36 +36,42 @@ def flat_model(dim=1):
     return BayesModel(dim, lambda t: np.zeros(len(t)), lambda t: np.zeros(len(t)))
 
 
-class FlipProposal:
-    """Deterministic 0 <-> 1 flip on a single coordinate; symmetric."""
-
-    def draw(self, theta, rng):
-        return np.array([1.0 - theta[0]])
-
-    def log_density(self, to, frm):
-        return 0.0
-
-
 class TestMhRun:
     def test_flat_target_accepts_everything(self):
         chain = rw_mh_run(flat_model(2), np.eye(2), np.zeros(2), 500,
                           RngStream(1, 0))
         assert chain.acceptance_rate == 1.0
 
-    def test_two_state_frequencies(self):
-        probs = {0.0: 0.3, 1.0: 0.7}
-        target = BayesModel(1, lambda t: np.zeros(len(t)),
-                            lambda t: np.log([probs[float(x)] for x in t[:, 0]]))
-        chain = mh_run(target, FlipProposal(), np.zeros(1), 300_000,
-                       RngStream(2, 0))
-        freq1 = float(np.mean(chain.states[:, 0]))
-        assert freq1 == pytest.approx(0.7, abs=0.01)
+    def test_correlated_normal_moments(self):
+        # stationarity oracle: N(mu, sigma) with sd 1 and 2 and correlation
+        # 0.8.  Each mean, variance and the covariance sits within 4 Monte
+        # Carlo standard errors of its closed form, the errors inflated by
+        # the chain's own IACT of that functional.
+        mu = np.array([1.0, -2.0])
+        sigma = np.array([[1.0, 1.6], [1.6, 4.0]])
+        precision = np.linalg.inv(sigma)
+
+        def log_lik(t):
+            d = t - mu
+            return -0.5 * np.einsum("ni,ij,nj->n", d, precision, d)
+
+        target = BayesModel(2, lambda t: np.zeros(len(t)), log_lik)
+        chain = rw_mh_run(target, 2.8 * sigma, mu, 50_000, RngStream(2, 0))
+        d = chain.states - mu
+        f = np.column_stack([chain.states, d[:, 0] ** 2, d[:, 1] ** 2,
+                             d[:, 0] * d[:, 1]])
+        expected = np.array([mu[0], mu[1], sigma[0, 0], sigma[1, 1], sigma[0, 1]])
+        iact = chain_diagnostics(Chain(f, None, 0, 0))["iact"]
+        assert np.all(iact < 50)
+        se = np.sqrt(f.var(axis=0) * iact / len(f))
+        assert np.all(np.abs(f.mean(axis=0) - expected) < 4 * se)
+        assert 0.15 < chain.acceptance_rate < 0.5
 
     def test_bad_start_rejected(self):
         target = BayesModel(1, lambda t: np.full(len(t), -np.inf),
                             lambda t: np.zeros(len(t)))
         with pytest.raises(ValueError):
-            mh_run(target, FlipProposal(), np.zeros(1), 10, RngStream(3, 0))
+            rw_mh_run(target, np.eye(1), np.zeros(1), 10, RngStream(3, 0))
 
     def test_rejection_repeats_state_bitwise(self):
         # a huge step on a tight target rejects almost always
@@ -272,6 +276,16 @@ class TestLockstepGibbs:
 
 
 class TestMwg:
+    @pytest.mark.parametrize("steps", [
+        {"beta_step_var": -1.0}, {"beta_step_var": 0.0},
+        {"logsigma_step_var": np.nan}, {"logsigma_step_var": np.inf},
+    ])
+    def test_step_variances_must_be_finite_and_positive(self, steps):
+        key, = steps
+        with pytest.raises(ValueError, match=key):
+            mwg_probit_overparam_run(np.ones(5), np.ones(5), 10,
+                                     RngStream(14, 0), **steps)
+
     def test_prior_recovery_with_flat_likelihood(self):
         # zero covariate makes the likelihood constant in (beta, sigma2)
         x = np.zeros(50)

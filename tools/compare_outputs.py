@@ -4,9 +4,10 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
 counts whose blocks often reach its exact truncated route, `pmc` once
 more with the Rao-Blackwellised mixture density (the form the benchmark
-runs), plus `mh`, `gibbs` and `capture` with three replicates (the
-one-stream-per-run path and the lockstep path), once on each tree (each
-tree's own ``src`` on the path), and compares what they wrote:
+runs), plus `mh`, `gibbs`, `capture` and `mixture-demo` with three
+replicates (the one-stream-per-run path and the lockstep path), once on
+each tree (each tree's own ``src`` on the path), and compares what they
+wrote:
 ``draws.csv`` and ``replicates.csv`` byte for byte, ``summary.json`` as
 parsed JSON without ``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
 this checkout from each tree's own ``demos`` directory and compares their
@@ -39,7 +40,7 @@ import tempfile
 
 EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
                "capture", "mixture-demo")
-REPLICATED = ("mh", "gibbs", "capture")
+REPLICATED = ("mh", "gibbs", "capture", "mixture-demo")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
 # no recapture and n_max = n1 + 2: most block proposals have N > n_max, and
