@@ -7,13 +7,13 @@ runs add a ``replicates.csv`` (one row per replicate, the raw material of
 the usual boxplot comparisons).  Outputs are deterministic functions of
 (config, seed) up to the recorded runtime; replicate r runs on the stream
 with id r, so replicates are reproducible in isolation.  Replicates run on
-the calling thread; there is no thread setting.  `gibbs` and `capture`
-have one runner each, which takes the streams of all R replicates and
-advances their chains in lockstep, one stream per chain, in a single run
-that returns one (R, n_iter, k) array whose row 0 is the main run (a run
-without replicates passes one stream); such a run fails as a whole.  Every
-other experiment runs its replicates one after another, recording a failed
-replicate and going on.  The four
+the calling thread; there is no thread setting.  Each chain experiment
+(`mh`, `gibbs`, `mwg`, `capture`, `mixture-demo`) has one runner: it takes
+the streams of all R replicates, chain r on stream r, and reads the kept
+states as one (R, n_kept, k) array whose row 0 is the main run, the only
+chain given diagnostics (IACT and chain ESS among them).  Such a run fails
+as a whole.  `mle`, `pmc`, `evidence` and `abc` run their replicates one
+after another, recording a failed replicate and going on.  The four
 chain-based `evidence` routes read one Gibbs chain pair, run as one
 two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
 ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -56,8 +57,8 @@ from .evidence import (
     newton_raftery_hm,
 )
 from .mcmc import (
+    Chain,
     chain_diagnostics,
-    gibbs_chain,
     mwg_probit_overparam_run,
     probit_gibbs_groups,
     rw_mh_run,
@@ -146,7 +147,7 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     for key, choices in _CHOICES.items():
         if key in config and config[key] not in choices:
             raise ConfigError(f"{key} must be one of {list(choices)}, got {config[key]!r}")
-    for key in ("scale_multiplier", "beta_step_var", "logsigma_step_var"):
+    for key in ("scale_multiplier", "beta_step_var", "logsigma_step_var", "tau"):
         value = config.get(key)
         if key in config and not (isinstance(value, (int, float)) and 0 < value < np.inf):
             raise ConfigError(f"{key} must be finite and positive, got {value!r}")
@@ -157,17 +158,23 @@ def _is_covariate(name) -> bool:
     return isinstance(name, str) and name in _COVARIATE_INDEX
 
 
+@functools.cache
+def _bundled_pima() -> ProbitModel:
+    return load_pima(bundled_pima_path())
+
+
 def _pima_model(config, covariates) -> ProbitModel:
-    path = config["data"] or bundled_pima_path()
-    full = load_pima(path)
+    # the bundled file is parsed once per process, a user's file on every run
+    full = load_pima(config["data"]) if config["data"] else _bundled_pima()
     cols = [_COVARIATE_INDEX[c] for c in covariates]
     if cols == [0, 1, 2]:
         return full
     return ProbitModel(design=full.design[:, cols], response=full.response)
 
 
-def _postprocess(states: np.ndarray, config) -> np.ndarray:
-    return states[config["burn_in"]::config["thin"]]
+def _postprocess(states, config) -> np.ndarray:
+    """The kept sweeps of R chains' (n_iter, k) states, as one array."""
+    return np.asarray(states)[:, config["burn_in"]::config["thin"]]
 
 
 def _chain_estimates(states, names):
@@ -178,17 +185,19 @@ def _chain_estimates(states, names):
     return estimates
 
 
-def _chain_result(chain, names, config):
-    states = _postprocess(chain.states, config)
-    estimates = _chain_estimates(states, names)
-    # the diagnostics describe the same burned-in, thinned states
-    diag = chain_diagnostics(replace(chain, states=states)) if len(states) >= 100 else {}
-    diagnostics = {"acceptance_rate": chain.acceptance_rate}
-    if diag:
-        diagnostics["iact"] = diag["iact"]
-        diagnostics["chain_ess"] = diag["chain_ess"]
-    diagnostics.update(chain.proposal_meta)
-    return estimates, {}, diagnostics, (list(names), states)
+def _chain_result(kept, names, diagnostics, estimate=None):
+    """The result of chain 0 of the kept (R, n_kept, k) states, its IACT
+    and chain ESS added to `diagnostics`, and the estimates of chains
+    1..R-1.  `estimate` maps one chain's states to its estimates; the
+    default gives their means and SDs."""
+    estimate = estimate or (lambda states: _chain_estimates(states, names))
+    states = kept[0]
+    if len(states) >= 100:
+        diag = chain_diagnostics(Chain(states, None, 0, 0))
+        diagnostics = {**diagnostics, "iact": diag["iact"],
+                       "chain_ess": diag["chain_ess"]}
+    result = estimate(states), {}, diagnostics, (list(names), states)
+    return result, [estimate(s) for s in kept[1:]]
 
 
 def _run_mle(config, rng):
@@ -203,34 +212,36 @@ def _run_mle(config, rng):
     return estimates, std_errors, {"n_obs": model.n_obs}, None
 
 
-def _run_mh(config, rng):
+def _run_mh(config, rngs):
     model = _pima_model(config, config["covariates"])
     beta, cov = probit_mle(model)
     target = probit_bayes_model(model)
-    chain = rw_mh_run(target, config["scale_multiplier"] * cov, beta,
-                      config["iterations"], rng)
-    return _chain_result(chain, config["covariates"], config)
+    chains = [rw_mh_run(target, config["scale_multiplier"] * cov, beta,
+                        config["iterations"], rng) for rng in rngs]
+    kept = _postprocess([c.states for c in chains], config)
+    return _chain_result(kept, config["covariates"], {
+        "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta})
 
 
 def _run_gibbs(config, rngs):
-    """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
-    Returns the main run's result (chain 0) and the estimates of the
-    other chains, which get no diagnostics."""
     model = _pima_model(config, config["covariates"])
     (states, _), = probit_gibbs_groups([(model, rngs)], config["iterations"])
-    names = config["covariates"]
-    result = _chain_result(gibbs_chain(states[0]), names, config)
-    return result, [_chain_estimates(_postprocess(s, config), names)
-                    for s in states[1:]]
+    # a Gibbs sweep has no accept step
+    return _chain_result(_postprocess(states, config), config["covariates"],
+                         {"acceptance_rate": np.nan,
+                          "family": "gibbs-data-augmentation"})
 
 
-def _run_mwg(config, rng):
+def _run_mwg(config, rngs):
     model = _pima_model(config, ["glu", "bp", "ped"])
     x = model.design[:, _COVARIATE_INDEX[config["covariate"]]]
-    chain = mwg_probit_overparam_run(x, model.response, config["iterations"],
-                                     rng, config["beta_step_var"],
-                                     config["logsigma_step_var"])
-    return _chain_result(chain, ["beta", "sigma2"], config)
+    chains = [mwg_probit_overparam_run(x, model.response, config["iterations"],
+                                       rng, config["beta_step_var"],
+                                       config["logsigma_step_var"])
+              for rng in rngs]
+    kept = _postprocess([c.states for c in chains], config)
+    return _chain_result(kept, ["beta", "sigma2"], {
+        "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta})
 
 
 def _mixture_target(config, rng):
@@ -324,74 +335,60 @@ def _run_abc(config, rng):
     return estimates, {}, diagnostics, draws
 
 
-def _capture_model(config) -> CaptureModel:
-    return CaptureModel(n1=config["n1"], c2=config["c2"], c3=config["c3"],
-                        n_max=config["n_max"])
-
-
 _CAPTURE_NAMES = ("N", "p", "q", "r1", "r2")
 
 
-def _capture_result(model, chain, config):
-    """The main run's result from its (n_iter, 6) lockstep row: the state
-    columns, then the refused proposals."""
-    kept = _postprocess(chain, config)
-    states = kept[:, :5]
-    estimates = _chain_estimates(states, _CAPTURE_NAMES)
-    # the largest mass of N | p beyond n_max over the kept sweeps, so a
-    # truncation that matters shows in the summary and not only on stderr
-    tail = float(np.max(n_max_tail_mass(model, states[:, 1]), initial=0.0))
-    # block proposals turned down for N > n_max in the same kept sweeps
-    refusals = int(kept[:, 5].sum())
-    diagnostics = {"n_max": model.n_max, "n_max_tail_mass": tail,
-                   "n_max_refusals": refusals}
-    return estimates, {}, diagnostics, (list(_CAPTURE_NAMES), states)
-
-
 def _run_capture(config, rngs):
-    """All replicates as one lockstep run, chain r on stream ``rngs[r]``.
-    Returns the main run's result (chain 0) and the estimates of the
-    other chains, which get no diagnostics."""
-    model = _capture_model(config)
-    chains = capture_gibbs_lockstep(model, config["iterations"], rngs)
-    return _capture_result(model, chains[0], config), [
-        _chain_estimates(_postprocess(s, config), _CAPTURE_NAMES) for s in chains[1:, :, :5]]
+    model = CaptureModel(n1=config["n1"], c2=config["c2"], c3=config["c3"],
+                         n_max=config["n_max"])
+    # the columns N, p, q, r1, r2, then each sweep's refused proposals
+    kept = _postprocess(capture_gibbs_lockstep(model, config["iterations"], rngs),
+                        config)
+    # the largest mass of N | p beyond n_max over chain 0's kept sweeps, so
+    # a truncation that matters shows in the summary and not only on stderr
+    tail = float(np.max(n_max_tail_mass(model, kept[0, :, 1]), initial=0.0))
+    # block proposals turned down for N > n_max in the same kept sweeps
+    refusals = int(kept[0, :, 5].sum())
+    return _chain_result(kept[..., :5], _CAPTURE_NAMES,
+                         {"n_max": model.n_max, "n_max_tail_mass": tail,
+                          "n_max_refusals": refusals})
 
 
-def _run_mixture_demo(config, rng):
-    """Random-walk exploration of the bimodal mean posterior, started at
-    the spurious (label-swapped) mode; reports whether the chain escaped
-    to within 0.5 of the major mode."""
-    target = mixture_bayes_model(_mixture_target(config, rng))
+def _run_mixture_demo(config, rngs):
+    """Random-walk exploration of the bimodal mean posterior from the
+    spurious (label-swapped) mode, each chain on its own data set; reports
+    whether the chain escaped to within 0.5 of the major mode."""
     major = np.array([config["mu1"], config["mu2"]])
     start = np.array([config["mu2"], config["mu1"]])
     cov = config["tau"] ** 2 * np.eye(2)
-    chain = rw_mh_run(target, cov, start, config["iterations"], rng)
-    states = _postprocess(chain.states, config)
-    dists = np.linalg.norm(states - major, axis=1)
-    estimates = {"min_distance_to_major_mode": float(dists.min()),
-                 "escaped": float(bool(np.any(dists <= 0.5)))}
-    diagnostics = {"acceptance_rate": chain.acceptance_rate,
-                   "tau": config["tau"]}
-    return estimates, {}, diagnostics, (["mu1", "mu2"], states)
+    chains = [rw_mh_run(mixture_bayes_model(_mixture_target(config, rng)), cov,
+                        start, config["iterations"], rng) for rng in rngs]
+
+    def escape(states):
+        dists = np.linalg.norm(states - major, axis=1)
+        return {"min_distance_to_major_mode": float(dists.min()),
+                "escaped": float(bool(np.any(dists <= 0.5)))}
+
+    kept = _postprocess([c.states for c in chains], config)
+    return _chain_result(kept, ["mu1", "mu2"],
+                         {"acceptance_rate": chains[0].acceptance_rate,
+                          "tau": config["tau"]}, escape)
 
 
 _RUNNERS = {
     "mle": _run_mle,
-    "mh": _run_mh,
-    "gibbs": lambda config, rng: _run_gibbs(config, [rng])[0],
-    "mwg": _run_mwg,
     "pmc": _run_pmc,
     "evidence": _run_evidence,
     "abc": _run_abc,
-    "capture": lambda config, rng: _run_capture(config, [rng])[0],
-    "mixture-demo": _run_mixture_demo,
 }
 
-# experiments whose replicates run as one lockstep call over all R streams
-_LOCKSTEP_REPLICATES = {
+# chain experiments: one runner over the streams of all R replicates
+_CHAIN_RUNNERS = {
+    "mh": _run_mh,
     "gibbs": _run_gibbs,
+    "mwg": _run_mwg,
     "capture": _run_capture,
+    "mixture-demo": _run_mixture_demo,
 }
 
 
@@ -399,14 +396,17 @@ def run_experiment(experiment: str, config: dict, stream_id: int = 0):
     """One resolved-config run on the given stream.  Returns
     (estimates, std_errors, diagnostics, draws)."""
     rng = RngStream(config["seed"], stream_id)
+    if experiment in _CHAIN_RUNNERS:
+        return _CHAIN_RUNNERS[experiment](config, [rng])[0]
     return _RUNNERS[experiment](config, rng)
 
 
 def replicate(experiment: str, config: dict):
     """Run replicates 1..R-1 in stream order on the calling thread
     (replicate 0 is the main run on stream 0); failures are recorded per
-    replicate and do not stop the rest.  This is the path of experiments
-    without a lockstep runner (`_LOCKSTEP_REPLICATES`)."""
+    replicate and do not stop the rest.  This is the path of `mle`, `pmc`,
+    `evidence` and `abc`; a chain experiment runs all R chains in one
+    call (`_CHAIN_RUNNERS`)."""
     n_rep = config["replicates"]
     if n_rep < 2:
         raise ConfigError("replicate runs need replicates >= 2")
@@ -481,7 +481,7 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bayescomp",
         description="Bayesian computation experiment runner")
-    parser.add_argument("experiment", choices=sorted(_RUNNERS))
+    parser.add_argument("experiment", choices=sorted(_DEFAULTS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--data", help="input CSV")
@@ -512,9 +512,9 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         start = time.monotonic()
         n_rep = config["replicates"]
-        if n_rep > 1 and args.experiment in _LOCKSTEP_REPLICATES:
+        if args.experiment in _CHAIN_RUNNERS:
             rngs = [RngStream(config["seed"], r) for r in range(n_rep)]
-            result, others = _LOCKSTEP_REPLICATES[args.experiment](config, rngs)
+            result, others = _CHAIN_RUNNERS[args.experiment](config, rngs)
             rows = [{"replicate": r, "status": "ok", "estimates": est}
                     for r, est in enumerate(others, start=1)]
         else:

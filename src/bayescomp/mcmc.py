@@ -33,7 +33,6 @@ __all__ = [
     "rw_mh_run",
     "probit_gibbs_run",
     "probit_gibbs_groups",
-    "gibbs_chain",
     "mwg_probit_overparam_run",
     "chain_diagnostics",
 ]
@@ -142,18 +141,13 @@ def probit_gibbs_groups(groups, n_iter: int):
     return [(states, means) for *_, states, means, _ in blocks]
 
 
-def gibbs_chain(states: np.ndarray) -> Chain:
-    """The Chain of a probit Gibbs run's (n_iter, p) states.  A Gibbs sweep
-    has no accept step, so no log-posterior is evaluated."""
-    return Chain(states, None, 0, 0, {"family": "gibbs-data-augmentation"})
-
-
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):
     """One chain of `probit_gibbs_groups` on stream `rng`: the group of one
     chain.  Returns (chain, means), means the (n_iter, p) conditional means
-    E[beta | z], one row per sweep."""
+    E[beta | z], one row per sweep.  A Gibbs sweep has no accept step, so
+    the chain has no log-posteriors and no proposals."""
     (states, means), = probit_gibbs_groups([(model, [rng])], n_iter)
-    return gibbs_chain(states[0]), means[0]
+    return Chain(states[0], None, 0, 0, {"family": "gibbs-data-augmentation"}), means[0]
 
 
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
@@ -217,15 +211,16 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
 
 
 def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Lag 0..max_lag autocorrelations of `x`, each lag's n - k products
+    summed by one FFT zero-padded to 2n, so none wraps around."""
     x = x - np.mean(x)
     var = np.mean(x * x)
     if var == 0:
         return np.full(max_lag + 1, np.nan)
     n = len(x)
-    acf = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        acf[k] = np.mean(x[: n - k] * x[k:]) / var
-    return acf
+    f = np.fft.rfft(x, 2 * n)
+    sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, 2 * n)[: max_lag + 1]
+    return sums / (n - np.arange(max_lag + 1)) / var
 
 
 def _iact(acf: np.ndarray) -> float:
@@ -246,8 +241,9 @@ def _iact(acf: np.ndarray) -> float:
 
 def chain_diagnostics(chain: Chain) -> dict:
     """Acceptance rate, integrated autocorrelation time and the resulting
-    chain ESS, per coordinate; the IACT sums autocorrelations to lag
-    min(n - 2, 2 floor(sqrt(n)) + 50) of the n >= 100 states required."""
+    chain ESS, per coordinate; the IACT sums autocorrelations, computed by
+    FFT, to lag min(n - 2, 2 floor(sqrt(n)) + 50) of the n >= 100 states
+    required, under Geyer's initial-positive-sequence rule."""
     states = np.atleast_2d(chain.states)
     n = states.shape[0]
     if n < 100:

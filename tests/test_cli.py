@@ -30,6 +30,9 @@ from bayescomp.model import log_posterior
 from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
 
 
+CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
+
+
 def run_cli(tmp_path, experiment, config=None, extra=None, subdir="out"):
     out = tmp_path / subdir
     argv = [experiment, "--out", str(out)]
@@ -246,37 +249,77 @@ class TestOutputs:
         assert [r["status"] for r in rows] == ["ok"] * 3
         assert calls == [(1, me), (2, me), (3, me)]
 
-    @pytest.mark.parametrize("extra", [[], ["--burn-in", "100", "--thin", "2"]])
-    def test_capture_lockstep_writes_the_per_replicate_outputs(
-            self, tmp_path, monkeypatch, extra):
-        # the lockstep replicate run against the main run plus one run per
-        # other stream, the path of experiments without a lockstep runner
-        config = {"iterations": 300, "replicates": 3, "seed": 11}
-        code, lockstep = run_cli(tmp_path, "capture", config, extra, "lockstep")
-        monkeypatch.delitem(cli._LOCKSTEP_REPLICATES, "capture")
-        code_alone, alone = run_cli(tmp_path, "capture", config, extra, "alone")
-        assert code == code_alone == 0
-        for name in ("replicates.csv", "draws.csv"):
-            assert (lockstep / name).read_bytes() == (alone / name).read_bytes()
-        summaries = [json.loads((out / "summary.json").read_text())
-                     for out in (lockstep, alone)]
-        for summary in summaries:
-            del summary["runtime_seconds"]
-        assert summaries[0] == summaries[1]
-        assert summaries[0]["replicates"]["count"] == 3
-
-    def test_replicate_rows_reproducible_in_isolation(self, tmp_path):
-        config = {"iterations": 150, "replicates": 3, "seed": 4}
-        code, out = run_cli(tmp_path, "gibbs", config)
+    @pytest.mark.parametrize("post", [{}, {"burn_in": 100, "thin": 2}])
+    @pytest.mark.parametrize("experiment", CHAIN_EXPERIMENTS)
+    def test_replicate_rows_reproducible_in_isolation(self, tmp_path,
+                                                      experiment, post):
+        # a chain experiment runs its R chains in one call; row r, and for
+        # r = 0 the draws, are those of a run of its own on stream r
+        config = {"iterations": 150, "replicates": 3, "seed": 4, **post}
+        code, out = run_cli(tmp_path, experiment, config)
         assert code == 0
         header, *lines = (out / "replicates.csv").read_text().splitlines()
         header = header.split(",")
-        resolved = resolve_config("gibbs", config)
+        resolved = resolve_config(experiment, config)
+        assert len(lines) == 3
         for r, line in enumerate(lines):
             row = dict(zip(header, line.split(",")))
             assert int(row["replicate"]) == r and row["status"] == "ok"
-            alone, _, _, _ = run_experiment("gibbs", resolved, stream_id=r)
+            alone, _, _, (_, states) = run_experiment(experiment, resolved,
+                                                      stream_id=r)
             assert {k: float(row[k]) for k in alone} == alone
+            if r == 0:
+                drawn = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
+                assert np.array_equal(drawn, states)
+
+    @pytest.mark.parametrize("experiment", ["capture", "mixture-demo"])
+    def test_summary_diagnostics_describe_the_written_draws(self, tmp_path,
+                                                            experiment):
+        code, out = run_cli(tmp_path, experiment, {"iterations": 300, "seed": 7})
+        assert code == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        states = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
+        expected = chain_diagnostics(Chain(states, np.zeros(len(states)), 0, 0))
+        assert diagnostics["iact"] == expected["iact"].tolist()
+        assert diagnostics["chain_ess"] == expected["chain_ess"].tolist()
+
+    def test_chain_replicates_load_the_data_and_fit_the_mle_once(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_pima", counted("load", load_pima))
+        monkeypatch.setattr(cli, "probit_mle", counted("mle", cli.probit_mle))
+        # a user data file is read on every run, so each run's read counts
+        code, _ = run_cli(tmp_path, "mh", {"iterations": 200, "replicates": 3,
+                                           "data": str(bundled_pima_path())})
+        assert code == 0
+        assert sorted(calls) == ["load", "mle"]
+
+    def test_bundled_data_is_parsed_once_per_process(self, tmp_path,
+                                                     monkeypatch):
+        loads = []
+
+        def counting(path):
+            loads.append(path)
+            return load_pima(path)
+
+        monkeypatch.setattr(cli, "load_pima", counting)
+        cli._bundled_pima.cache_clear()
+        outputs = []
+        for subdir in ("a", "b"):
+            code, out = run_cli(tmp_path, "mle", subdir=subdir)
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["runtime_seconds"]
+            outputs.append(summary)
+        assert len(loads) == 1
+        assert outputs[0] == outputs[1]
 
     def test_summary_is_strict_json(self, tmp_path):
         code, out = run_cli(tmp_path, "gibbs", {"iterations": 200})
@@ -391,6 +434,8 @@ class TestErrors:
         ("mh", {"scale_multiplier": 0}),
         ("mh", {"scale_multiplier": -1.0}),
         ("mh", {"scale_multiplier": float("inf")}),
+        ("mixture-demo", {"tau": 0}),
+        ("mixture-demo", {"tau": float("nan")}),
     ])
     def test_bad_step_sizes_fail_before_any_output(self, tmp_path, capsys,
                                                    experiment, config):

@@ -416,3 +416,30 @@ class TestDiagnostics:
         chain = Chain(np.ones((50, 1)), np.zeros(50), 0, 50, {})
         with pytest.raises(ValueError):
             chain_diagnostics(chain)
+
+
+class TestAutocorrelations:
+    @staticmethod
+    def _ar1(rho, n, seed):
+        noise = RngStream(seed, 0).standard_normal(n)
+        x = np.empty(n)
+        x[0] = noise[0]
+        for t in range(1, n):
+            x[t] = rho * x[t - 1] + noise[t]
+        return x
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("n", [100, 1013, 10_000])
+    def test_fft_matches_the_direct_lag_means(self, rho, n):
+        # rho = 0 is an i.i.d. chain; the FFT must give, lag by lag, the
+        # mean of the n - k lagged products over the variance, up to the
+        # largest lag the FFT's zero padding has to keep from wrapping
+        x = self._ar1(rho, n, seed=int(100 * rho) + n)
+        for max_lag in (min(n - 2, 2 * int(np.sqrt(n)) + 50), n - 2):
+            c = x - x.mean()
+            var = np.mean(c * c)
+            direct = np.array([np.mean(c[:n - k] * c[k:]) / var
+                               for k in range(max_lag + 1)])
+            acf = mcmc._autocorrelations(x, max_lag)
+            np.testing.assert_allclose(acf, direct, rtol=0, atol=1e-12)
+            assert mcmc._iact(acf) == pytest.approx(mcmc._iact(direct), rel=1e-12)

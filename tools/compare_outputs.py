@@ -4,8 +4,8 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
 counts whose blocks often reach its exact truncated route, `pmc` once
 more with the Rao-Blackwellised mixture density (the form the benchmark
-runs), plus `mh`, `gibbs`, `capture` and `mixture-demo` with three
-replicates (the one-stream-per-run path and the lockstep path), once on
+runs), plus the five chain experiments with three replicates (each
+one call over the three streams), once on
 each tree (each tree's own ``src`` on the path), and compares what they
 wrote:
 ``draws.csv`` and ``replicates.csv`` byte for byte, ``summary.json`` as
@@ -40,7 +40,7 @@ import tempfile
 
 EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
                "capture", "mixture-demo")
-REPLICATED = ("mh", "gibbs", "capture", "mixture-demo")
+REPLICATED = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
 # no recapture and n_max = n1 + 2: most block proposals have N > n_max, and
