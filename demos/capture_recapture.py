@@ -2,10 +2,11 @@
 
 A two-season removal study: 22 individuals captured in season one, 11 of
 the survivors recaptured in season two, 6 in season three.  Between the
-seasons, each bird independently leaves the study area.  The latent
-departures (r1, r2), the capture probability p and the population size N
-are drawn as one block, with p and N integrated out of the departures,
-and the departure probability q as the other block of a Gibbs sweep.
+seasons, each bird independently leaves the study area.  The sampler is
+the fully collapsed scan: with p, N and the departure probability q all
+integrated out of the latent departures (r1, r2), each sweep draws the
+departures, then p, then the population size N, then q, exactly, so its
+states are independent posterior draws.
 
 Run:  python3 demos/capture_recapture.py
 """

@@ -37,7 +37,6 @@ from .core import (
     DegenerateWeightsError,
     RngStream,
     categorical_cdf,
-    log_sum_exp,
 )
 from .mcmc import Chain, rw_metropolis
 from .model import SimulableModel
@@ -300,9 +299,9 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
                 raise
             populations[-1] = replace(prev, abandoned_proposals=short.proposals)
             break
-        log_wbar = prev.log_weights - log_sum_exp(prev.log_weights)
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)
-                       - kernel_mixture_logpdf(particles, prev.points, log_wbar, kernel))
+                       - kernel_mixture_logpdf(particles, prev.points,
+                                               prev.normalized_log_weights, kernel))
         pop = AbcPopulation(points=particles, log_weights=log_weights,
                             epsilon=eps, t=t, distances=distances,
                             n_proposals=n_prop, summaries=summaries)

@@ -6,40 +6,40 @@ latent.  The joint likelihood is a product of five binomial terms and the
 prior is the improper 1/N on the population size with uniform capture and
 emigration probabilities.
 
-The Gibbs sampler alternates two blocks, ((r1, r2, p, N), q).  Summing N
-against the 1/N prior and integrating p out leaves each removal pair the
-weight B(c2 + c3 + 1, A + 1) times its q terms, where A is the number of
-survivors missed at the recaptures; so (r1, r2) is drawn from its finite
-support given q alone, then p from its Beta and N - n1 from NegBin(n1, p),
-and the block is redrawn whole while N exceeds n_max.  q given (r1, r2) is
-Beta.  Every draw is exact, from a closed form or a table built once per
-model, and there is no Metropolis step.  The four full conditionals of the
-single-site sweep stay available as the tested reference.
+The sampler is the fully collapsed scan, and it draws exactly.  Summing N
+against the 1/N prior and integrating p and q out leaves each removal pair
+(r1, r2) a weight of binomial coefficients and two Beta functions, a fixed
+table per model; so the pair is drawn from one categorical CDF, then p from
+its Beta, N - n1 from NegBin(n1, p), the whole redrawn while N exceeds
+n_max, and q from its Beta given the pair.  Each state is an independent
+posterior draw: there is no Metropolis step and no state carried between
+sweeps.  The four full conditionals of the single-site sweep stay available
+as the tested reference.
 
-The sampler runs R chains in lockstep, one stream per chain: the pair
-weights of every chain come from one product and one CDF, and each chain
-then draws on its own stream in the order of a single chain, so it is
-bit-identical to a run of its own.  The run returns one (R, n_iter, 6)
-array, the shape of the probit Gibbs runs with the columns N, p, q, r1, r2
-and the sweep's refused proposals.  A single chain is the case R = 1, which
-`capture_gibbs_run` hands out as a dict of its columns.
+Chain r of R draws all its states at once on stream r alone, with a few
+vectorised calls, so it is bit-identical to a run of its own.  The run
+returns one (R, n_iter, 6) array with the columns N, p, q, r1, r2 and each
+sweep's refused proposals; `capture_gibbs_run` hands out the case R = 1 as
+a dict of its columns.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln
 
-from .core import RngStream, categorical_cdf, log_sum_exp, rowwise, sample_categorical_many
+from .core import RngStream, categorical_cdf, log_sum_exp, sample_categorical_many
 
 __all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
            "capture_gibbs_lockstep", "n_max_tail_mass"]
 
-_NB_TRIES = 64  # rejection cap for the N draw and the (r1, r2, p, N) block
+# rejection cap for the N draw and the (r1, r2, p, N) proposal: a draw
+# refused 16 times has shown an acceptance rate near 1/4 or below, where
+# the exact truncated route is cheaper than more rounds of proposals
+_NB_TRIES = 16
 _TAIL_WARN = 1e-6  # mass of N | p beyond n_max that raises a warning
 
 
@@ -149,21 +149,6 @@ def _removal_table(model: CaptureModel):
     return pairs, counts, log_coef
 
 
-def _pair_log_weights(log_base, counts, logs):
-    """log_base + counts @ row for each row of the (R, k) `logs`, as an
-    (R, pairs) array whose rows are bit-identical to one-row calls
-    (`rowwise`), with the 0 * log 0 = 0 convention: only a pair that counts
-    an impossible event gets weight zero."""
-    # -inf is the only non-finite log-probability; a list scan finds it
-    # faster than a numpy reduction over these few entries
-    if -np.inf not in logs.ravel().tolist():
-        return log_base + rowwise(logs, counts)
-    finite = np.isfinite(logs)
-    logw = log_base + rowwise(np.where(finite, logs, 0.0), counts)
-    logw[~finite @ (counts > 0).T] = -np.inf
-    return logw
-
-
 def n_max_tail_mass(model: CaptureModel, p):
     """Mass of N | p beyond the truncation bound ``n_max``, in closed form.
 
@@ -210,8 +195,13 @@ def capture_gibbs_conditionals(model: CaptureModel):
     def sample_removals(state, rng):
         p, q = state["p"], state["q"]
         with np.errstate(divide="ignore"):
-            logs = np.array([[np.log1p(-p), np.log(q), np.log1p(-q)]])
-        idx = sample_categorical_many(_pair_log_weights(log_coef, counts, logs)[0], 1, rng)[0]
+            logs = np.array([np.log1p(-p), np.log(q), np.log1p(-q)])
+        # the 0 * log 0 = 0 convention: only a pair that counts an
+        # impossible event gets weight zero
+        finite = np.isfinite(logs)
+        logw = log_coef + counts @ np.where(finite, logs, 0.0)
+        logw[(counts[:, ~finite] > 0).any(axis=1)] = -np.inf
+        idx = sample_categorical_many(logw, 1, rng)[0]
         return int(pairs[idx, 0]), int(pairs[idx, 1])
 
     def sample_N(state, rng):
@@ -221,7 +211,7 @@ def capture_gibbs_conditionals(model: CaptureModel):
             _warn_truncation(model)
         if tail <= 0.5:
             # each try is kept with probability >= 1/2; exhausting the cap
-            # (chance <= 2**-64) falls through to the inverse CDF below,
+            # (chance <= 2**-16) falls through to the inverse CDF below,
             # which leaves the law of the draw unchanged
             for _ in range(_NB_TRIES):
                 k = int(rng.generator.negative_binomial(n1, p))
@@ -241,79 +231,92 @@ def _warn_truncation(model: CaptureModel):
     )
 
 
-def _removal_block(model: CaptureModel):
-    """Sampler of the block (r1, r2, p, N) given q, for R chains at once.
+def _posterior_sampler(model: CaptureModel):
+    """Exact sampler of the posterior (r1, r2, p, N, q) for one stream.
 
     Summed over N >= n1 against the 1/N prior, the likelihood leaves a pair
-    p^(c2+c3) (1-p)^A, A the survivors missed at the two recaptures, so with
-    p integrated out its log-weight is log_coef + betaln(c2 + c3 + 1, A + 1)
-    plus its q terms.  Given the pair, p ~ Beta(c2 + c3 + 1, A + 1) and
-    N - n1 ~ NegBin(n1, p).  A proposal with N > n_max is refused and the
-    whole block redrawn, which is exact rejection against the untruncated
-    law.  After ``_NB_TRIES`` refusals the block is drawn from the truncated
-    law directly: the pair weighted by its kept beta-negative-binomial mass,
-    N - n1 by inverse CDF, then p given both from
-    Beta(n1 + c2 + c3 + 1, A + N - n1 + 1), the Beta that the
-    beta-negative-binomial mass integrates.
+    p^(c2+c3) (1-p)^A, A the survivors missed at the two recaptures, times
+    q^(r1+r2) (1-q)^((n1-r1)+(n1-r1-r2)); integrating p and q out gives it
+    the log-weight log_coef + betaln(c2 + c3 + 1, A + 1) + betaln(r1 + r2 +
+    1, (n1 - r1) + (n1 - r1 - r2) + 1), one fixed table and one CDF per
+    model.  Given the pair, p ~ Beta(c2 + c3 + 1, A + 1), N - n1 ~
+    NegBin(n1, p) and q ~ Beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) +
+    1).  A proposal
+    (pair, p, N) with N > n_max is refused and redrawn whole, which is
+    exact rejection against the untruncated law.  After ``_NB_TRIES``
+    refusals of one draw it is drawn from the truncated law directly: the
+    pair weighted by its kept beta-negative-binomial mass, N - n1 by
+    inverse CDF, then p given both from Beta(n1 + c2 + c3 + 1, A + N - n1
+    + 1), the Beta that the beta-negative-binomial mass integrates.
 
-    Returns draw(qs, rngs) -> a list of R = len(rngs) tuples (r1, r2, p, N,
-    refused), one per chain, refused counting the proposals turned down
-    because N > n_max.  The pair weights of all chains come from one
-    product and one CDF; chain r then draws given qs[r] from ``rngs[r]``
-    alone, as a one-chain call would.  Warns as ``sample_N`` does when more
-    than 1e-6 of N | p lies beyond n_max at a drawn p.  If some chain's q
-    leaves no pair possible, the call raises `DegenerateWeightsError` for
-    all of them.
+    Returns draw(n_iter, rng) -> an (n_iter, 6) array of independent
+    states, the columns N, p, q, r1, r2 and the proposals refused for
+    N > n_max.  The draws take these Generator calls on ``rng``, in order:
+    in each round, for the m states still open (all n_iter in the first,
+    in row order), m uniforms pick the pairs, m Betas the p and m negative
+    binomials the N; the states refused ``_NB_TRIES`` times take m
+    uniforms for the pairs, m for N and m Betas for p; last, n_iter Betas
+    give q.  Warns (RuntimeWarning) once per call when a drawn p leaves
+    more than 1e-6 of N | p beyond n_max.
     """
     n1 = model.n1
     k_max = model.n_max - n1
     pairs, counts, log_coef = _removal_table(model)
     a = model.c2 + model.c3 + 1
     b = counts[:, 0] + 1.0  # p | pair ~ Beta(a, b)
-    log_base = log_coef + betaln(a, b)
-    q_counts = counts[:, 1:]
+    qa, qb = counts[:, 1] + 1.0, counts[:, 2] + 1.0  # q | pair ~ Beta(qa, qb)
+    log_w = log_coef + betaln(a, b) + betaln(qa, qb)
+    cum = categorical_cdf(log_w)
     # the tail mass beyond n_max falls as p grows: it passes the warning
     # level exactly where p crosses this threshold
     p_warn = 1.0 - betaincinv(k_max + 1, n1, _TAIL_WARN)
-    pair_list = [(int(r1), int(r2)) for r1, r2 in pairs]
     truncated = {}  # tables of the exact route, built on its first use
 
     def log_bnb_pmf(b_pair):
         """log P(N - n1 = k | pair) for k = 0..k_max, p integrated out."""
         return truncated["log_nb"] + betaln(n1 + a, b_pair + truncated["ks"]) - betaln(a, b_pair)
 
-    def draw_truncated(logw, rng):
+    def draw_truncated(m, gen):
         if not truncated:
             ks = np.arange(k_max + 1)
             truncated.update(ks=ks, log_nb=gammaln(n1 + ks) - gammaln(ks + 1.0) - gammaln(n1))
             levels, which = np.unique(b, return_inverse=True)
             kept = np.array([log_sum_exp(log_bnb_pmf(v)) for v in levels])
-            truncated["log_kept"] = kept[which]
-        idx = sample_categorical_many(logw + truncated["log_kept"], 1, rng)[0]
-        k = int(sample_categorical_many(log_bnb_pmf(b[idx]), 1, rng)[0])
-        return idx, rng.generator.beta(n1 + a, b[idx] + k), k
+            truncated.update(cum=categorical_cdf(log_w + kept[which]), which=which, levels=levels)
+        tcum, which = truncated["cum"], truncated["which"]
+        idx = tcum.searchsorted(gen.random(m) * tcum[-1], side="right")
+        u = gen.random(m)
+        k = np.empty(m, dtype=int)
+        for level in np.unique(which[idx]):
+            sel = which[idx] == level
+            kcum = categorical_cdf(log_bnb_pmf(truncated["levels"][level]))
+            k[sel] = kcum.searchsorted(u[sel] * kcum[-1], side="right")
+        return idx, gen.beta(n1 + a, b[idx] + k), k
 
-    def draw(qs, rngs):
-        logs = np.array([[math.log(q) if q > 0.0 else -math.inf,
-                          math.log1p(-q) if q < 1.0 else -math.inf] for q in qs])
-        logw = _pair_log_weights(log_base, q_counts, logs)
-        cum = categorical_cdf(logw)  # one CDF row per chain, for every try of its draw
-        drawn = []
-        for r, rng in enumerate(rngs):
-            row, gen = cum[r], rng.generator
-            for refused in range(_NB_TRIES):
-                idx = row.searchsorted(gen.random() * row[-1], side="right")
-                p = gen.beta(a, b[idx])
-                k = gen.negative_binomial(n1, p)
-                if k <= k_max:
-                    break
-            else:
-                refused = _NB_TRIES
-                idx, p, k = draw_truncated(logw[r], rng)
-            if p < p_warn:
-                _warn_truncation(model)
-            drawn.append((*pair_list[idx], float(p), n1 + int(k), refused))
-        return drawn
+    def draw(n_iter, rng):
+        gen = rng.generator
+        idx = np.empty(n_iter, dtype=int)
+        p = np.empty(n_iter)
+        k = np.empty(n_iter, dtype=int)
+        refused = np.zeros(n_iter)
+        todo = np.arange(n_iter)
+        for _ in range(_NB_TRIES):
+            if not len(todo):
+                break
+            i = cum.searchsorted(gen.random(len(todo)) * cum[-1], side="right")
+            pt = gen.beta(a, b[i])
+            kt = gen.negative_binomial(n1, pt)
+            ok = kt <= k_max
+            done = todo[ok]
+            idx[done], p[done], k[done] = i[ok], pt[ok], kt[ok]
+            todo = todo[~ok]
+            refused[todo] += 1
+        if len(todo):
+            idx[todo], p[todo], k[todo] = draw_truncated(len(todo), gen)
+        if p.min(initial=1.0) < p_warn:
+            _warn_truncation(model)
+        q = gen.beta(qa[idx], qb[idx])
+        return np.column_stack([n1 + k, p, q, pairs[idx, 0], pairs[idx, 1], refused])
 
     return draw
 
@@ -322,28 +325,22 @@ _KEYS = ("N", "p", "q", "r1", "r2", "refused")
 
 
 def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> np.ndarray:
-    """Two-block Gibbs over ((r1, r2, p, N), q): R = len(rngs) chains in
-    lockstep, chain r drawing from ``rngs[r]`` alone.
+    """The fully collapsed scan for R = len(rngs) chains, chain r drawing
+    from ``rngs[r]`` alone.
 
-    Each sweep draws (r1, r2) given q with p and N integrated out, then
-    (p, N) given (r1, r2) jointly and exactly (see `_removal_block`), then
-    q given (r1, r2) from its Beta full conditional.  q starts at 0.5; the
-    first block reads nothing else.  Chain r draws in the order of a single
-    chain, so it is bit-identical to `capture_gibbs_run` on its stream.
-    Returns one (R, n_iter, 6) array, row t of chain r its state after
-    sweep t in the columns N, p, q, r1, r2, refused; ``refused`` counts
-    the block proposals of the sweep turned down because N exceeded n_max.
+    With p, N and q all integrated out of the removal draw, each sweep
+    draws its state exactly and independently of the last (see
+    `_posterior_sampler`), so chain r makes all its n_iter draws at once
+    with a few vectorised calls on its stream and is bit-identical to
+    `capture_gibbs_run` on that stream.  Returns one (R, n_iter, 6) array,
+    row t of chain r its state after sweep t in the columns N, p, q, r1,
+    r2, refused; ``refused`` counts the proposals of the sweep turned down
+    because N exceeded n_max.
     """
-    n1 = model.n1
-    block = _removal_block(model)
-    gens = [rng.generator for rng in rngs]
-    q = [0.5] * len(rngs)
+    draw = _posterior_sampler(model)
     out = np.empty((len(rngs), n_iter, len(_KEYS)))
-    for t in range(n_iter):
-        for r, (r1, r2, p, N, refused) in enumerate(block(q, rngs)):
-            # q | (r1, r2) ~ Beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
-            q[r] = gens[r].beta(r1 + r2 + 1, (n1 - r1) + (n1 - r1 - r2) + 1)
-            out[r, t] = N, p, q[r], r1, r2, refused
+    for r, rng in enumerate(rngs):
+        out[r] = draw(n_iter, rng)
     return out
 
 

@@ -131,11 +131,17 @@ def _log_mean_exp(v: np.ndarray) -> float:
 
 
 def _batch_log_means(v: np.ndarray) -> np.ndarray:
-    """Log of batch means of exp(v), for batch-means errors on the log scale."""
+    """Log of batch means of exp(v), for batch-means errors on the log scale:
+    the min(_N_BATCHES, n) consecutive batches of near-equal size, padded
+    with -inf into one table and reduced by one `log_sum_exp`."""
     n = len(v)
     b = min(_N_BATCHES, n)
     edges = np.linspace(0, n, b + 1).astype(int)
-    return np.array([_log_mean_exp(v[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
+    sizes = np.diff(edges)
+    table = np.full((b, sizes.max()), -np.inf)
+    rows = np.repeat(np.arange(b), sizes)
+    table[rows, np.arange(n) - edges[rows]] = v
+    return log_sum_exp(table, axis=1) - np.log(sizes)
 
 
 def _batch_se(v: np.ndarray) -> float:

@@ -10,6 +10,7 @@ evidence estimates' terms.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -63,8 +64,14 @@ class WeightedSample:
     def __len__(self):
         return self.points.shape[0]
 
+    @functools.cached_property
+    def normalized_log_weights(self) -> np.ndarray:
+        """The log-weights less their log-sum-exp, computed once per sample:
+        `normalized_weights` and `moments` reuse it."""
+        return self.log_weights - log_sum_exp(self.log_weights)
+
     def normalized_weights(self) -> np.ndarray:
-        return np.exp(self.log_weights - log_sum_exp(self.log_weights))
+        return np.exp(self.normalized_log_weights)
 
     def moments(self):
         """(mean, covariance) of the points under the normalised weights,

@@ -68,3 +68,41 @@ def probit_mean_map(model):
     byte."""
     g = model.prior_scale
     return g / (g + 1.0) * (np.linalg.inv(model.xtx) @ model.design.T)
+
+
+def capture_joint_oracle(n1, c2, c3, n_max, grid=400):
+    """Posterior probabilities of every feasible (r1, r2, N) of the
+    two-season removal model, with p and q integrated out by midpoint
+    quadrature on a grid of `grid` points each.  Prior: 1/N on
+    n1 <= N <= n_max, uniform on p and q.  Returns the arrays r1, r2, N and
+    their probabilities.
+    """
+    mids = (np.arange(grid) + 0.5) / grid
+    logp, log1p = np.log(mids), np.log1p(-mids)
+
+    def log_integral(x, ys):
+        # log of the grid mean of mids^x (1 - mids)^y, for each y in ys
+        return logsumexp(x * logp[None, :] + ys[:, None] * log1p[None, :], axis=1) - np.log(grid)
+
+    rows = []
+    for r1 in range(0, n1 - c2 + 1):
+        for r2 in range(0, n1 - r1 - c3 + 1):
+            log_a = (_log_binom(n1, r1) + _log_binom(n1 - r1, c2)
+                     + _log_binom(n1 - r1, r2) + _log_binom(n1 - r1 - r2, c3))
+            missed = (n1 - r1 - c2) + (n1 - r1 - r2 - c3)
+            log_q = log_integral(r1 + r2, np.array([(n1 - r1) + (n1 - r1 - r2)]))[0]
+            rows.append((r1, r2, log_a + log_q, missed))
+
+    ns = np.arange(n1, n_max + 1)
+    log_n = _log_binom(ns, n1) - np.log(ns)
+    top = max(m for *_, m in rows) + n_max - n1
+    log_p = log_integral(n1 + c2 + c3, np.arange(top + 1))  # by power of (1 - p)
+    r1s, r2s, nss, logw = [], [], [], []
+    for r1, r2, log_pair, missed in rows:
+        r1s.append(np.full(len(ns), r1))
+        r2s.append(np.full(len(ns), r2))
+        nss.append(ns)
+        logw.append(log_pair + log_n + log_p[ns - n1 + missed])
+    logw = np.concatenate(logw)
+    return (np.concatenate(r1s), np.concatenate(r2s), np.concatenate(nss),
+            np.exp(logw - logsumexp(logw)))

@@ -1,20 +1,18 @@
 """Capture-recapture model: likelihood support, full conditionals against
 enumeration, and the Gibbs sampler against a small brute-force oracle."""
 
+import functools
 import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import logsumexp
-
-from scipy.special import betaln
+from scipy.special import betainc, betaln, logsumexp
 
 from bayescomp.capture import (
     _NB_TRIES,
     CaptureModel,
-    _removal_block,
     capture_gibbs_conditionals,
     capture_gibbs_lockstep,
     capture_gibbs_run,
@@ -25,7 +23,7 @@ from bayescomp.core import DegenerateWeightsError, RngStream
 from bayescomp.datasets import eurodip_1981
 from bayescomp.mcmc import Chain, chain_diagnostics
 
-from oracles import capture_posterior_oracle
+from oracles import capture_joint_oracle, capture_posterior_oracle
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +64,12 @@ class TestLoglik:
 def _chisquare_pvalue(draws, support, probs):
     """Chi-square p-value of draws against probabilities on `support`,
     pooling the cells expected to hold fewer than 5 draws into one."""
-    observed = np.array([np.sum(draws == s) for s in support], dtype=float)
-    assert observed.sum() == len(draws)  # nothing drawn off the support
+    support = np.asarray(support)
+    order = np.argsort(support)
+    pos = order[np.searchsorted(support, draws, sorter=order).clip(max=len(support) - 1)]
+    hit = support[pos] == draws
+    assert hit.all()  # nothing drawn off the support
+    observed = np.bincount(pos, minlength=len(support)).astype(float)
     expected = probs * len(draws)
     big = expected >= 5
     obs = np.append(observed[big], observed[~big].sum())
@@ -222,9 +224,9 @@ class TestGibbsRun:
         assert np.all(m.n1 - out["r1"] - out["r2"] >= m.c3)
 
 
-def _block_log_weights(m, q=None):
-    """Exact posterior log-weights of every feasible (r1, r2, N), with p
-    integrated out, given q, or with q integrated out too when q is None.
+def _block_log_weights(m):
+    """Exact posterior log-weights of every feasible (r1, r2, N), with p and
+    q integrated out.
 
     The likelihood raises p to n1 + c2 + c3 and 1 - p to (N - n1) + A, A the
     survivors missed at the recaptures, and q to r1 + r2 and 1 - q to
@@ -234,45 +236,43 @@ def _block_log_weights(m, q=None):
     r1, r2, N = (g.ravel() for g in np.meshgrid(
         np.arange(m.n1 + 1), np.arange(m.n1 + 1), np.arange(m.n1, m.n_max + 1),
         indexing="ij"))
-    ll = capture_loglik(m, N, 0.5, 0.5 if q is None else q, r1, r2)
+    ll = capture_loglik(m, N, 0.5, 0.5, r1, r2)
     keep = np.isfinite(ll)
     r1, r2, N, ll = r1[keep], r2[keep], N[keep], ll[keep] - np.log(N[keep])
     x = m.n1 + m.c2 + m.c3
     y = (N - m.n1) + (m.n1 - r1 - m.c2) + (m.n1 - r1 - r2 - m.c3)
-    ll += betaln(x + 1, y + 1) - (x + y) * np.log(0.5)
-    if q is None:
-        u, v = r1 + r2, (m.n1 - r1) + (m.n1 - r1 - r2)
-        ll += betaln(u + 1, v + 1) - (u + v) * np.log(0.5)
+    u, v = r1 + r2, (m.n1 - r1) + (m.n1 - r1 - r2)
+    ll += betaln(x + 1, y + 1) + betaln(u + 1, v + 1) - (x + y + u + v) * np.log(0.5)
     return r1, r2, N, ll
 
 
+def _code(m, r1, r2, N):
+    """One integer per (r1, r2, N) state."""
+    size = m.n_max + 1
+    r1, r2, N = (np.asarray(v, dtype=int) for v in (r1, r2, N))
+    return (r1 * size + r2) * size + N
+
+
 class TestBlockedScan:
-    @pytest.mark.parametrize("counts,q,seed", [
-        ((22, 11, 6, None), 0.35, 31),  # N > n_max is never proposed
-        ((8, 1, 0, 9), 0.4, 32),  # rejection and the exact route mixed
-        ((22, 0, 0, 24), 0.4, 33),  # rejection hopeless: the exact route
+    @pytest.mark.parametrize("counts,seed", [
+        ((22, 11, 6, None), 31),  # N > n_max is never proposed
+        ((8, 1, 0, 9), 32),  # rejection and the exact route mixed
+        ((22, 0, 0, 24), 33),  # rejection hopeless: the exact route
     ])
-    def test_block_matches_enumeration(self, counts, q, seed):
+    def test_block_matches_enumeration(self, counts, seed):
         m = CaptureModel(*counts)
-        block = _removal_block(m)
-        rng = RngStream(seed, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            draws = np.array([block([q], [rng])[0] for _ in range(2000)])
-        r1, r2, N, logw = _block_log_weights(m, q)
-        size = m.n_max + 1
-
-        def code(a, b, n):
-            return (a * size + b) * size + n
-
+            out = capture_gibbs_run(m, 2000, RngStream(seed, 0))
+        r1, r2, N, logw = _block_log_weights(m)
         probs = np.exp(logw - logsumexp(logw))
-        drawn = code(*(draws[:, i].astype(int) for i in (0, 1, 3)))
-        assert _chisquare_pvalue(drawn, code(r1, r2, N), probs) > 1e-3
+        drawn = _code(m, out["r1"], out["r2"], out["N"])
+        assert _chisquare_pvalue(drawn, _code(m, r1, r2, N), probs) > 1e-3
         # p given (r1, r2, N) is the Beta full conditional
         a = m.n1 + m.c2 + m.c3 + 1
-        b = ((draws[:, 3] - m.n1) + (m.n1 - draws[:, 0] - m.c2)
-             + (m.n1 - draws[:, 0] - draws[:, 1] - m.c3) + 1)
-        assert stats.kstest(stats.beta.cdf(draws[:, 2], a, b),
+        b = ((out["N"] - m.n1) + (m.n1 - out["r1"] - m.c2)
+             + (m.n1 - out["r1"] - out["r2"] - m.c3) + 1)
+        assert stats.kstest(stats.beta.cdf(out["p"], a, b),
                             "uniform").pvalue > 1e-3
 
     def test_mixing_floor_at_defaults(self, eurodip):
@@ -318,6 +318,68 @@ class TestBlockedScan:
         assert not out["refused"].any()
 
 
+@functools.lru_cache(maxsize=None)
+def _first_draws(m, n, seed):
+    """The first state of each of n chains, chain r on stream (seed, r), as
+    an (n, 6) array: n independent draws, none after any burn-in.  Cached,
+    so tests of different properties share one set of draws."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = capture_gibbs_lockstep(m, 1, [RngStream(seed, r) for r in range(n)])[:, 0]
+    out.setflags(write=False)  # one array serves every caller
+    return out
+
+
+class TestExactDraws:
+    """The fully collapsed scan draws independent, exact posterior states,
+    from its first sweep on."""
+
+    @pytest.mark.parametrize("n_max,n,seed", [(None, 20_000, 60), (24, 4000, 61)])
+    def test_joint_law_matches_quadrature(self, n_max, n, seed):
+        # p and q integrated by grid quadrature, not by the beta functions
+        # the sampler uses; at n_max = 24 most proposals are refused
+        m = CaptureModel(22, 11, 6, n_max)
+        N, r1, r2, refused = _first_draws(m, n, seed)[:, [0, 3, 4, 5]].T
+        if n_max == 24:
+            assert np.any(refused == _NB_TRIES)  # the exact route ran
+        r1_, r2_, N_, probs = capture_joint_oracle(m.n1, m.c2, m.c3, m.n_max)
+        assert _chisquare_pvalue(_code(m, r1, r2, N), _code(m, r1_, r2_, N_), probs) > 1e-3
+
+    def test_q_given_pair_is_beta(self, eurodip):
+        m = eurodip
+        q, r1, r2 = _first_draws(m, 20_000, 60)[:, 2:5].T
+
+        def beta_params(r1, r2):
+            return r1 + r2 + 1, (m.n1 - r1) + (m.n1 - r1 - r2) + 1
+
+        # each q against the Beta of its own pair
+        assert stats.kstest(betainc(*beta_params(r1, r2), q), "uniform").pvalue > 1e-3
+        # and against those Betas mixed over the exact law of the pair
+        r1_, r2_, _, probs = capture_joint_oracle(m.n1, m.c2, m.c3, m.n_max)
+        pairs, which = np.unique(np.column_stack([r1_, r2_]), axis=0, return_inverse=True)
+        weights = np.bincount(which.ravel(), probs)
+        a, b = beta_params(pairs[:, 0], pairs[:, 1])
+
+        def cdf(x):
+            return betainc(a[None, :], b[None, :], np.asarray(x)[:, None]) @ weights
+
+        assert stats.kstest(q, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n_max,seed", [(None, 63), (24, 64)])
+    def test_lag_one_autocorrelation_vanishes(self, n_max, seed):
+        m = CaptureModel(22, 11, 6, n_max)
+        n = 20_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = capture_gibbs_run(m, n, RngStream(seed, 0))
+        for key, v in out.items():
+            if n_max is None and key == "refused":
+                assert not v.any()  # constant: no proposal is refused
+                continue
+            rho = np.corrcoef(v[:-1], v[1:])[0, 1]
+            assert abs(rho) < 4 / np.sqrt(n), (key, rho)
+
+
 class TestLockstep:
     """R chains in lockstep are R standalone chains, bit for bit."""
 
@@ -344,29 +406,3 @@ class TestLockstep:
                 assert rngs[r].counter == alone.counter
         if counts[3] == 24:  # the refused column
             assert (out[:, :, 5] == _NB_TRIES).any(axis=1).all()
-
-    def test_block_rows_at_boundary_q_equal_one_chain_calls(self):
-        # q = 0 and q = 1 zero every pair that counts an impossible event
-        # (the 0 log 0 rule); with c2 = c3 = 0 each leaves one pair
-        m = CaptureModel(8, 0, 0)
-        block = _removal_block(m)
-        qs = [0.0, 0.4, 1.0]
-        rngs = [RngStream(50, r) for r in range(3)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # small p at q = 1
-            rows = block(qs, rngs)
-            for r, q in enumerate(qs):
-                alone = RngStream(50, r)
-                assert rows[r] == block([q], [alone])[0]
-                assert rngs[r].counter == alone.counter
-        assert rows[0][:2] == (0, 0) and rows[2][:2] == (m.n1, 0)
-
-    def test_one_impossible_chain_fails_the_call(self, eurodip):
-        # with c2 > 0, q = 1 leaves no pair: the whole call raises, before
-        # any chain draws
-        block = _removal_block(eurodip)
-        rngs = [RngStream(51, r) for r in range(2)]
-        fresh = [rng.counter for rng in rngs]
-        with pytest.raises(DegenerateWeightsError):
-            block([0.4, 1.0], rngs)
-        assert [rng.counter for rng in rngs] == fresh

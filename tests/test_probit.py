@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
@@ -155,6 +155,32 @@ class TestMle:
         response = np.array([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NonConvergenceError):
             probit_mle(ProbitModel(design=design, response=response))
+
+    def test_prior_predictive_data_converge(self, pima):
+        # data set 6 of 200 drawn from the prior predictive of the bundled
+        # design (beta from the g-prior, then y ~ Bernoulli(Phi(X beta))),
+        # one of 15 whose score stalls at its rounding floor above a
+        # gradient-based stopping level, since glu enters unscaled
+        rng = RngStream(99, 0).child(6)
+        beta = sample_gprior(pima, 1, rng)[0]
+        y = (rng.uniform(pima.n_obs) < special.ndtr(pima.design @ beta)).astype(float)
+        model = ProbitModel(design=pima.design, response=y)
+        beta_hat, cov = probit_mle(model)
+        X = model.design
+
+        def nll(b):
+            return -float(np.sum(stats.norm.logcdf(model.signs * (X @ b))))
+
+        def grad(b):
+            eta = model.signs * (X @ b)
+            return -(X.T @ (model.signs * np.exp(stats.norm.logpdf(eta) - stats.norm.logcdf(eta))))
+
+        res = optimize.minimize(nll, np.zeros(3), jac=grad, method="BFGS",
+                                options={"gtol": 1e-8})
+        oracle = optimize.root(grad, res.x, method="hybr").x
+        assert np.max(np.abs(grad(oracle))) < 1e-8
+        assert np.allclose(beta_hat, oracle, rtol=0, atol=1e-6)
+        assert np.all(np.linalg.eigvalsh(cov) > 0)
 
     def test_synthetic_recovery(self):
         model = synthetic_model(seed=3, n=5000)

@@ -43,8 +43,8 @@ EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
 REPLICATED = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
-# no recapture and n_max = n1 + 2: most block proposals have N > n_max, and
-# the sweeps that run out of tries take the exact route (about 1 in 30)
+# no recapture and n_max = n1 + 2: most proposals have N > n_max, and the
+# sweeps that run out of tries take the exact route (about 1 in 2)
 EXACT_CAPTURE = {"n1": 22, "c2": 0, "c3": 0, "n_max": 24, "iterations": 2000}
 BYTE_FILES = ("draws.csv", "replicates.csv")
 DEMOS = tuple(sorted(p.stem for p in
