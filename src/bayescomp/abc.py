@@ -236,8 +236,8 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
         return lp if hit else -np.inf
 
     lp = float(model.log_prior(theta[None, :])[0])
-    states, log_priors, accept = rw_metropolis(log_target, cov, theta, lp, n_iter, walk)
-    return Chain(states=states, log_posts=log_priors, accept_count=accept,
+    states, log_priors, accepts = rw_metropolis(log_target, cov, theta, lp, n_iter, walk)
+    return Chain(states=states, log_posts=log_priors, accept_count=sum(accepts),
                  n_proposals=n_iter,
                  proposal_meta={"family": "abc-mcmc",
                                 "tolerance": config.tolerance})

@@ -11,9 +11,11 @@ the calling thread; there is no thread setting.  Each chain experiment
 (`mh`, `gibbs`, `mwg`, `capture`, `mixture-demo`) has one runner: it takes
 the streams of all R replicates, chain r on stream r, and reads the kept
 states as one (R, n_kept, k) array whose row 0 is the main run, the only
-chain given diagnostics (IACT and chain ESS among them).  Such a run fails
-as a whole.  `mle`, `pmc`, `evidence` and `abc` run their replicates one
-after another, recording a failed replicate and going on.  The four
+chain given diagnostics (IACT and chain ESS among them).  `capture` draws
+exactly, so its `iact` of about 1 and `chain_ess` of about the number of
+kept states are a check on an exact sampler.  Such a run fails as a
+whole.  `mle`, `pmc`, `evidence` and `abc` run their replicates one after
+another, recording a failed replicate and going on.  The four
 chain-based `evidence` routes read one Gibbs chain pair, run as one
 two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
 ``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every

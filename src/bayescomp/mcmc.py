@@ -1,11 +1,11 @@
 """Metropolis-Hastings, Gibbs and hybrid samplers with chain diagnostics.
 
 Random-walk Metropolis has one loop, `rw_metropolis`: Gaussian increments
-on a scalar log-target, one stream, and a uniform consumed on every
-acceptance test, certain accepts included.  `rw_mh_run` runs it on a
-posterior and `abc.abc_mcmc` on a prior gated by a simulation; only the
-two-block `mwg_probit_overparam_run` keeps a loop of its own.  No burn-in
-is discarded here; trimming is a post-processing concern.
+on a scalar log-target, one block of coordinates per step, one stream, and
+a uniform consumed on every acceptance test, certain accepts included.
+`rw_mh_run` runs it on a posterior, `abc.abc_mcmc` on a prior gated by a
+simulation and `mwg_probit_overparam_run` on two blocks, beta and log
+sigma^2.  No burn-in is discarded here; trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -59,27 +59,37 @@ class Chain:
         return self.accept_count / self.n_proposals
 
 
-def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream):
+def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream,
+                  blocks=None):
     """Random-walk Metropolis from `theta`, whose log-target is `lp`: step t
-    proposes cand = theta + L z, L the `MvnParams` factor of `cov` (singular
-    ones too), and accepts if log(1 - u) <= log_target(cand) - lp, with u
-    drawn on every step.  A rejection repeats the previous state and value.
-    All draws, `log_target`'s included, come from `rng`.  Returns the
-    (n_iter, p) states, their (n_iter,) log-targets and the accepted count."""
-    scale = MvnParams(np.zeros(len(theta)), cov).scale
+    moves block b = t mod B of the B `blocks` (index sequences; default one
+    of every coordinate), proposing cand = theta + L z, L the `MvnParams`
+    factor of ``cov[b][:, b]`` (singular ones too) in block b's rows and
+    zero in the others, and accepts if log(1 - u) <= log_target(cand) - lp,
+    with u drawn on every step.  A rejection repeats the previous state and
+    value.  All draws, `log_target`'s included, come from `rng`.  Returns
+    the (n_iter, p) states, their (n_iter,) log-targets and the accepted
+    count of each block."""
+    p = len(theta)
+    steps = []
+    for i, b in enumerate([range(p)] if blocks is None else blocks):
+        scale = np.zeros((p, len(b)))
+        scale[b] = MvnParams(np.zeros(len(b)), np.asarray(cov)[np.ix_(b, b)]).scale
+        steps.append((i, scale, len(b)))
     gen = rng.generator
-    states = np.empty((n_iter, len(theta)))
+    states = np.empty((n_iter, p))
     log_targets = np.empty(n_iter)
-    accept = 0
+    accepts = [0] * len(steps)
     for t in range(n_iter):
-        cand = theta + scale @ gen.standard_normal(len(theta))
+        b, scale, k = steps[t % len(steps)]
+        cand = theta + scale @ gen.standard_normal(k)
         lp_cand = log_target(cand)
         if np.log(1.0 - gen.random()) <= lp_cand - lp:
             theta, lp = cand, lp_cand
-            accept += 1
+            accepts[b] += 1
         states[t] = theta
         log_targets[t] = lp
-    return states, log_targets, accept
+    return states, log_targets, accepts
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
@@ -93,8 +103,8 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     lp = log_target(theta)
     if lp == -np.inf:
         raise ValueError("theta0 outside the target support")
-    states, log_posts, accept = rw_metropolis(log_target, cov, theta, lp, n_iter, rng)
-    return Chain(states, log_posts, accept, n_iter, {"family": "random-walk-metropolis"})
+    states, log_posts, accepts = rw_metropolis(log_target, cov, theta, lp, n_iter, rng)
+    return Chain(states, log_posts, sum(accepts), n_iter, {"family": "random-walk-metropolis"})
 
 
 def probit_gibbs_groups(groups, n_iter: int):
@@ -156,15 +166,17 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     """Metropolis-within-Gibbs for the overparameterised single-covariate
     probit (success probability Phi(x * beta / sigma)).
 
-    The prior is sigma^{-4} exp(-1/sigma^2) exp(-beta^2/50); beta moves by a
-    normal random walk and sigma^2 through a log-normal proposal on sigma
-    (one inner step per block, which suffices for stationarity).
-    The beta and log-sigma increments have variances `beta_step_var` and
-    `logsigma_step_var`, each finite and > 0 or a `ValueError`.  The
-    likelihood is the one-covariate probit log-likelihood at beta / sigma,
-    sum_i log Phi(s_i x_i beta / sigma), evaluated by `core.log_ndtr` in an
-    (n,) array the run owns: the bits of a one-row `probit_loglik_rows`
-    call.
+    The prior is sigma^{-4} exp(-1/sigma^2) exp(-beta^2/50).  The chain is
+    `rw_metropolis` from (0, 0) on (beta, l = log sigma^2), 2 n_iter steps
+    on the blocks beta and l in turn, with increment variances
+    `beta_step_var` and 4 `logsigma_step_var` (each finite and > 0 or a
+    `ValueError`): a random walk on l is a log-normal proposal on sigma.
+    The target is the log-posterior at (beta, e^l) plus the Jacobian term
+    l; it is -inf, with no warning, where e^l or the target leaves the
+    float range.  The likelihood, sum_i log Phi(s_i x_i beta / sigma), is
+    evaluated by `core.log_ndtr` in an (n,) array the run owns: the bits
+    of a one-row `probit_loglik_rows` call.  Every second state is kept as
+    (beta, sigma^2), with the target less l, its log-posterior.
     """
     if not (0.0 < beta_step_var < np.inf and 0.0 < logsigma_step_var < np.inf):
         raise ValueError(f"beta_step_var {beta_step_var!r} and logsigma_step_var "
@@ -172,39 +184,24 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
     terms = np.empty_like(signed_x)
 
-    def logpost(beta, sigma2):
-        if sigma2 <= 0:
+    def log_target(theta):
+        beta, ell = theta.tolist()
+        sigma2 = np.exp(ell)
+        if not 0.0 < sigma2 < np.inf:
             return -np.inf
         np.multiply(signed_x, beta / math.sqrt(sigma2), out=terms)
         log_ndtr(terms)
         lp = -2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0
-        return float(terms.sum() + lp)
+        return float(terms.sum() + lp) + ell
 
-    gen = rng.generator
-    beta, sigma2 = 0.0, 1.0
-    lp = logpost(beta, sigma2)
-    states = np.empty((n_iter, 2))
-    log_posts = np.empty(n_iter)
-    acc_beta = acc_sigma = 0
-    sd_beta = np.sqrt(beta_step_var)
-    sd_logsigma = np.sqrt(logsigma_step_var)
-    for t in range(n_iter):
-        cand = beta + sd_beta * gen.standard_normal()
-        lp_cand = logpost(cand, sigma2)
-        if np.log(1.0 - gen.random()) <= lp_cand - lp:
-            beta, lp = cand, lp_cand
-            acc_beta += 1
-        # log-normal proposal on sigma; in sigma^2 coordinates the proposal
-        # ratio contributes log(sigma2_cand / sigma2)
-        sigma2_cand = sigma2 * np.exp(2.0 * sd_logsigma * gen.standard_normal())
-        lp_cand = logpost(beta, sigma2_cand)
-        delta = lp_cand - lp + np.log(sigma2_cand / sigma2)
-        if np.log(1.0 - gen.random()) <= delta:
-            sigma2, lp = sigma2_cand, lp_cand
-            acc_sigma += 1
-        states[t] = (beta, sigma2)
-        log_posts[t] = lp
-    return Chain(states, log_posts, acc_beta + acc_sigma, 2 * n_iter,
+    cov = np.diag([beta_step_var, 4.0 * logsigma_step_var])
+    with np.errstate(over="ignore"):
+        states, log_targets, (acc_beta, acc_sigma) = rw_metropolis(
+            log_target, cov, np.zeros(2), log_target(np.zeros(2)), 2 * n_iter, rng,
+            [[0], [1]])
+    beta, ell = states[1::2].T
+    return Chain(np.column_stack([beta, np.exp(ell)]), log_targets[1::2] - ell,
+                 acc_beta + acc_sigma, 2 * n_iter,
                  {"family": "metropolis-within-gibbs",
                   "accept_rate_beta": acc_beta / n_iter,
                   "accept_rate_sigma2": acc_sigma / n_iter})

@@ -1,5 +1,7 @@
 """Metropolis-Hastings, Gibbs, hybrid samplers and diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -13,6 +15,7 @@ from bayescomp.mcmc import (
     mwg_probit_overparam_run,
     probit_gibbs_groups,
     probit_gibbs_run,
+    rw_metropolis,
     rw_mh_run,
 )
 from bayescomp.model import BayesModel
@@ -100,6 +103,83 @@ class TestMhRun:
         chain = rw_mh_run(probit_bayes_model(model2), cov, beta, 3000,
                           RngStream(6, 0))
         assert 0.35 < chain.acceptance_rate < 0.65
+
+
+class TestBlockedMetropolis:
+    MU = np.array([1.0, -2.0])
+    SD = np.array([1.0, 2.0])
+
+    @classmethod
+    def log_target(cls, theta):
+        return float(-0.5 * np.sum(((theta - cls.MU) / cls.SD) ** 2))
+
+    def test_blocks_match_one_dimensional_runs(self):
+        """Blocks [[0], [1]] on N(mu, diag(sd^2)), each coordinate stepped
+        at 2.4 sd, 20,000 steps per block: each coordinate's mean, variance
+        and block acceptance rate lie within 4 Monte Carlo SEs of the
+        difference from a one-dimensional run of 20,000 steps on that
+        coordinate's own normal, each SE inflated by its chain's IACT of
+        the functional."""
+        n = 20_000
+        cov = np.diag((2.4 * self.SD) ** 2)
+        states, _, accepts = rw_metropolis(self.log_target, cov, self.MU.copy(),
+                                           0.0, 2 * n, RngStream(31, 0), [[0], [1]])
+        for j in (0, 1):
+            x = states[j::2, j]
+            moved = np.diff(x, prepend=self.MU[j]) != 0
+            assert accepts[j] == moved.sum()
+
+            def log_target_j(t, j=j):
+                return float(-0.5 * ((t[0] - self.MU[j]) / self.SD[j]) ** 2)
+
+            alone, _, (accept,) = rw_metropolis(log_target_j, cov[j:j + 1, j:j + 1],
+                                                self.MU[j:j + 1], 0.0, n,
+                                                RngStream(32, j))
+            y = alone[:, 0]
+            means, ses = [], []
+            for z, hits in ((x, moved), (y, np.diff(y, prepend=self.MU[j]) != 0)):
+                f = np.column_stack([z, (z - self.MU[j]) ** 2, hits])
+                iact = chain_diagnostics(Chain(f, None, 0, 0))["iact"]
+                means.append(f.mean(axis=0))
+                ses.append(np.sqrt(f.var(axis=0) * iact / n))
+            assert means[1][2] == accept / n
+            assert np.all(np.abs(means[0] - means[1]) < 4 * np.hypot(*ses))
+
+    def test_block_step_leaves_the_other_block_bitwise(self):
+        """A correlated covariance, off-block entries ignored: every step
+        of block 0 leaves coordinate 1 as it was, bit for bit, and every
+        step of block 1 coordinate 0."""
+        cov = np.array([[1.0, 0.9], [0.9, 4.0]])
+        theta = np.array([0.1, -0.3])
+        states, _, accepts = rw_metropolis(self.log_target, cov, theta,
+                                           self.log_target(theta), 400,
+                                           RngStream(33, 0), [[0], [1]])
+        before = np.vstack([theta, states[:-1]])
+        assert states[0::2, 1].tobytes() == before[0::2, 1].tobytes()
+        assert states[1::2, 0].tobytes() == before[1::2, 0].tobytes()
+        assert 0 < accepts[0] < 200 and 0 < accepts[1] < 200
+
+    def test_one_block_is_the_plain_loop(self):
+        """The default single block of every coordinate is the unblocked
+        random walk: L z with L the Cholesky factor of cov, then one
+        uniform, bit for bit."""
+        cov = np.array([[1.0, 0.9], [0.9, 4.0]])
+        theta = np.array([0.1, -0.3])
+        lp = self.log_target(theta)
+        states, log_targets, accepts = rw_metropolis(self.log_target, cov, theta, lp,
+                                                     300, RngStream(34, 0))
+        gen = RngStream(34, 0).generator
+        scale = np.linalg.cholesky(cov)
+        accept = 0
+        for t in range(300):
+            cand = theta + scale @ gen.standard_normal(2)
+            lp_cand = self.log_target(cand)
+            if np.log(1.0 - gen.random()) <= lp_cand - lp:
+                theta, lp = cand, lp_cand
+                accept += 1
+            assert states[t].tobytes() == theta.tobytes()
+            assert log_targets[t] == lp
+        assert accepts == [accept]
 
 
 class TestProbitGibbs:
@@ -330,7 +410,37 @@ class TestMwg:
 
     @staticmethod
     def reference_run(x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
-        """The mwg loop with each log-posterior through the one-row
+        """The mwg loop in (beta, l = log sigma^2) coordinates, with each
+        log-posterior through the one-row `probit_loglik_rows` call and the
+        Jacobian l added to it, as (states, log_posts) in (beta, sigma^2)."""
+        signed_design = ((2.0 * y - 1.0) * x)[:, None]
+
+        def log_target(beta, ell):
+            sigma2 = np.exp(ell)
+            ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
+            return float(ll + (-2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0)) + ell
+
+        beta, ell = 0.0, 0.0
+        lp = log_target(beta, ell)
+        states, log_posts = np.empty((n_iter, 2)), np.empty(n_iter)
+        for t in range(n_iter):
+            cand = beta + np.sqrt(beta_step_var) * rng.standard_normal()
+            lp_cand = log_target(cand, ell)
+            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+                beta, lp = cand, lp_cand
+            ell_cand = ell + 2.0 * np.sqrt(logsigma_step_var) * rng.standard_normal()
+            lp_cand = log_target(beta, ell_cand)
+            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+                ell, lp = ell_cand, lp_cand
+            states[t] = (beta, np.exp(ell))
+            log_posts[t] = lp - ell
+        return states, log_posts
+
+    @staticmethod
+    def sigma2_reference_run(x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
+        """The mwg loop in (beta, sigma^2) coordinates, its sigma^2 move
+        multiplicative with the log-normal proposal ratio in the accept
+        test, and each log-posterior through the one-row
         `probit_loglik_rows` call, as (states, log_posts)."""
         signed_design = ((2.0 * y - 1.0) * x)[:, None]
 
@@ -370,6 +480,46 @@ class TestMwg:
                                                    beta_step_var=beta_step_var)
             assert chain.states.tobytes() == states.tobytes()
             assert chain.log_posts.tobytes() == log_posts.tobytes()
+
+    @pytest.mark.parametrize("beta_step_var", [1.0, 1e-3])
+    def test_same_decisions_as_the_sigma2_reference(self, beta_step_var):
+        """The (beta, sigma^2) loop, its proposal ratio in the accept test,
+        makes every accept decision of the (beta, log sigma^2) chain: beta
+        is bit-identical, each block's accept count equal (read off where
+        the reference's coordinate moved), and sigma^2 agrees to rounding,
+        1e-12 relative."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=300)
+        y = (rng.random(300) < stats.norm.cdf(0.7 * x)).astype(float)
+        for seed in (21, 22, 23):
+            chain = mwg_probit_overparam_run(x, y, 2000, RngStream(seed, 0),
+                                             beta_step_var=beta_step_var)
+            states, _ = self.sigma2_reference_run(x, y, 2000, RngStream(seed, 0),
+                                                  beta_step_var=beta_step_var)
+            assert chain.states[:, 0].tobytes() == states[:, 0].tobytes()
+            moved = np.diff(states, axis=0, prepend=[[0.0, 1.0]]) != 0
+            assert chain.proposal_meta["accept_rate_beta"] == moved[:, 0].sum() / 2000
+            assert chain.proposal_meta["accept_rate_sigma2"] == moved[:, 1].sum() / 2000
+            np.testing.assert_allclose(chain.states[:, 1], states[:, 1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("logsigma_step_var", [1e4, 1e6])
+    def test_huge_logsigma_steps_stay_in_range(self, logsigma_step_var):
+        """log sigma^2 proposals hundreds to thousands of units away make
+        e^l underflow or overflow; the target is -inf there, with no
+        warning (warnings are errors here), so the chain never leaves
+        finite positive sigma^2."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=300)
+        y = (rng.random(300) < stats.norm.cdf(0.7 * x)).astype(float)
+        for seed in (21, 22, 23):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                chain = mwg_probit_overparam_run(x, y, 2000, RngStream(seed, 0),
+                                                 logsigma_step_var=logsigma_step_var)
+            sigma2 = chain.states[:, 1]
+            assert np.all(np.isfinite(sigma2) & (sigma2 > 0))
+            for rate in ("accept_rate_beta", "accept_rate_sigma2"):
+                assert 0.0 <= chain.proposal_meta[rate] <= 1.0
 
     def test_identified_ratio_seed_stable(self):
         rng = np.random.default_rng(3)
