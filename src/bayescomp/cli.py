@@ -5,23 +5,23 @@ overrides.  Every run writes a schema-versioned ``summary.json`` plus a
 ``draws.csv`` of retained states or weighted particles, and replicated
 runs add a ``replicates.csv`` (one row per replicate, the raw material of
 the usual boxplot comparisons).  Outputs are deterministic functions of
-(config, seed) up to the recorded runtime; replicate r runs on the stream
-with id r, so replicates are reproducible in isolation.  Replicates run on
-the calling thread; there is no thread setting.  Each chain experiment
-(`mh`, `gibbs`, `mwg`, `capture`, `mixture-demo`) has one runner: it takes
-the streams of all R replicates, chain r on stream r, and reads the kept
-states as one (R, n_kept, k) array whose row 0 is the main run, the only
-chain given diagnostics (IACT and chain ESS among them).  `capture` draws
-exactly, so its `iact` of about 1 and `chain_ess` of about the number of
-kept states are a check on an exact sampler.  Such a run fails as a
-whole.  `mle`, `pmc`, `evidence` and `abc` run their replicates one after
-another, recording a failed replicate and going on.  The four
-chain-based `evidence` routes read one Gibbs chain pair, run as one
-two-group lockstep (`probit_gibbs_groups`): the 3-covariate model on
-``rng.child(0)``, the 2-covariate one on ``rng.child(1)``.  Every
-`evidence` method ends in one estimate of log B10, which the summary
-writes with its ``unreliable`` flag and ``weight_ess``, the smaller of
-its two evidences' weight ESS.
+(config, seed) up to the recorded runtime.
+
+Every experiment has one runner, ``runner(config, rngs) -> (result,
+others)``, called once on the calling thread with the streams of all R
+replicates, replicate r on ``RngStream(seed, r)``.  ``result`` is stream
+0's (estimates, std_errors, diagnostics, draws); ``others`` holds, per
+stream 1..R-1, its estimates or the exception that ended it (an ``error``
+row).  Stream r gives what a run of its own on stream r gives.  A chain
+experiment reads its kept states as one (R, n_kept, k) array, row 0 the
+only chain given its IACT and chain ESS, and fails as a whole.  `mle` and
+`evidence`'s importance proposals are fitted once per run.  The four
+chain-based `evidence` routes run one two-group lockstep
+(`probit_gibbs_groups`) of R chains per model, the 3-covariate model on
+``rng_r.child(0)`` and the 2-covariate one on ``rng_r.child(1)``, which
+fails as a whole; their estimators then run per stream.  Every `evidence`
+method ends in one estimate of log B10, written with its ``unreliable``
+flag and ``weight_ess``, the smaller of its two evidences' weight ESS.
 
 A config is resolved in full before any output is written: an unknown
 key, a covariate name other than glu, bp and ped, an unknown `evidence`
@@ -202,7 +202,19 @@ def _chain_result(kept, names, diagnostics, estimate=None):
     return result, [estimate(s) for s in kept[1:]]
 
 
-def _run_mle(config, rng):
+def _each_stream(run, config, streams):
+    """run(config, stream) on each stream: the result of the first, then
+    per later stream its estimates or the exception that ended it."""
+    result, others = run(config, streams[0]), []
+    for stream in streams[1:]:
+        try:
+            others.append(run(config, stream)[0])
+        except Exception as exc:  # recorded as that replicate's row
+            others.append(exc)
+    return result, others
+
+
+def _run_mle(config, rngs):
     model = _pima_model(config, ["glu", "bp", "ped"])
     beta, cov = probit_mle(model)
     se = np.sqrt(np.diag(cov))
@@ -211,7 +223,8 @@ def _run_mle(config, rng):
     estimates["residual_deviance"] = -2.0 * probit_loglik(model, beta)
     estimates["null_deviance"] = 2.0 * model.n_obs * np.log(2.0)
     std_errors = {f"coef_{n}": float(s) for n, s in zip(names, se)}
-    return estimates, std_errors, {"n_obs": model.n_obs}, None
+    result = estimates, std_errors, {"n_obs": model.n_obs}, None
+    return result, [estimates] * (len(rngs) - 1)  # the fit draws nothing
 
 
 def _run_mh(config, rngs):
@@ -272,33 +285,37 @@ def _run_pmc(config, rng):
     return estimates, {}, diagnostics, draws
 
 
-def _run_evidence(config, rng):
+def _run_evidence(config, rngs):
     """Log Bayes factor of the 3-covariate against the 2-covariate probit."""
     model1p = _pima_model(config, ["glu", "bp", "ped"])
     model0p = ProbitModel(design=model1p.design[:, :2], response=model1p.response)
     model0, model1 = probit_bayes_model(model0p), probit_bayes_model(model1p)
-    method = config["method"]
-    n = config["n_draws"]
+    method, n = config["method"], config["n_draws"]
     if method == "prior-mc":
-        est = bf_prior_mc(model1, model0, n, n, rng)
+        def estimate(r):
+            return bf_prior_mc(model1, model0, n, n, rngs[r])
     elif method == "importance":
         g0 = GaussianProposal.from_moments(*probit_mle(model0p), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
-        est = bf_importance(model1, model0, g1, g0, n, n, rng)
+
+        def estimate(r):
+            return bf_importance(model1, model0, g1, g0, n, n, rngs[r])
     else:
         models = [(model1p, model1), (model0p, model0)]
         runs = probit_gibbs_groups(
-            [(mp, [rng.child(i)]) for i, (mp, _) in enumerate(models)], n)
-        if method == "bridge-embedded":
-            (states1, _), (states0, _) = runs
-            omega = LinearGaussianOmega.fit(states1[0, :, :2], states1[0, :, 2])
-            b01 = bridge_embedded(model0, model1, np.zeros(1), omega,
-                                  states0[0], states1[0], rng.child(2))
-            est = replace(b01, log_value=-b01.log_value)
-        else:
+            [(mp, [rng.child(i) for rng in rngs])
+             for i, (mp, _) in enumerate(models)], n)
+
+        def estimate(r):
+            if method == "bridge-embedded":
+                (states1, _), (states0, _) = runs
+                omega = LinearGaussianOmega.fit(states1[r, :, :2], states1[r, :, 2])
+                b01 = bridge_embedded(model0, model1, np.zeros(1), omega,
+                                      states0[r], states1[r], rngs[r].child(2))
+                return replace(b01, log_value=-b01.log_value)
             parts = []
             for (mp, m), (states, means) in zip(models, runs):
-                states, means = states[0], means[0]
+                states, means = states[r], means[r]
                 if method == "harmonic-gd":
                     phi = PhiSpec.from_sample(states, config["coverage"])
                     parts.append(harmonic_mean_gd(
@@ -309,11 +326,15 @@ def _run_evidence(config, rng):
                     parts.append(chib_marginal(
                         m, probit_latent_completion(mp).log_full_conditional_param,
                         means, states.mean(axis=0)))
-            est = bayes_factor(*parts)
-    return ({"log_b10": float(est.log_value)}, {"log_b10": est.std_error},
-            {"method": method, "n_draws": n, "unreliable": est.unreliable,
-             "weight_ess": est.weight_ess},
-            None)
+            return bayes_factor(*parts)
+
+    def report(_, r):
+        est = estimate(r)
+        return ({"log_b10": float(est.log_value)}, {"log_b10": est.std_error},
+                {"method": method, "n_draws": n, "unreliable": est.unreliable,
+                 "weight_ess": est.weight_ess},
+                None)
+    return _each_stream(report, config, range(len(rngs)))
 
 
 def _run_abc(config, rng):
@@ -377,18 +398,15 @@ def _run_mixture_demo(config, rngs):
                           "tau": config["tau"]}, escape)
 
 
+# every experiment: runner(config, rngs) -> (result of stream 0, others)
 _RUNNERS = {
     "mle": _run_mle,
-    "pmc": _run_pmc,
-    "evidence": _run_evidence,
-    "abc": _run_abc,
-}
-
-# chain experiments: one runner over the streams of all R replicates
-_CHAIN_RUNNERS = {
     "mh": _run_mh,
     "gibbs": _run_gibbs,
     "mwg": _run_mwg,
+    "pmc": functools.partial(_each_stream, _run_pmc),
+    "evidence": _run_evidence,
+    "abc": functools.partial(_each_stream, _run_abc),
     "capture": _run_capture,
     "mixture-demo": _run_mixture_demo,
 }
@@ -397,30 +415,21 @@ _CHAIN_RUNNERS = {
 def run_experiment(experiment: str, config: dict, stream_id: int = 0):
     """One resolved-config run on the given stream.  Returns
     (estimates, std_errors, diagnostics, draws)."""
-    rng = RngStream(config["seed"], stream_id)
-    if experiment in _CHAIN_RUNNERS:
-        return _CHAIN_RUNNERS[experiment](config, [rng])[0]
-    return _RUNNERS[experiment](config, rng)
+    return _RUNNERS[experiment](config, [RngStream(config["seed"], stream_id)])[0]
 
 
 def replicate(experiment: str, config: dict):
-    """Run replicates 1..R-1 in stream order on the calling thread
-    (replicate 0 is the main run on stream 0); failures are recorded per
-    replicate and do not stop the rest.  This is the path of `mle`, `pmc`,
-    `evidence` and `abc`; a chain experiment runs all R chains in one
-    call (`_CHAIN_RUNNERS`)."""
-    n_rep = config["replicates"]
-    if n_rep < 2:
-        raise ConfigError("replicate runs need replicates >= 2")
-    rows = []
-    for r in range(1, n_rep):
-        try:
-            est, _, _, _ = run_experiment(experiment, config, stream_id=r)
-            rows.append({"replicate": r, "status": "ok", "estimates": est})
-        except Exception as exc:  # recorded per-row, run continues
-            rows.append({"replicate": r, "status": "error",
-                         "error": f"{type(exc).__name__}: {exc}"})
-    return rows
+    """Run all R replicates, replicate r on stream r, in one runner call
+    on the calling thread.  Returns the result of replicate 0 and one row
+    per replicate 1..R-1; a replicate that failed on its own is an
+    ``error`` row, and the others go on."""
+    rngs = [RngStream(config["seed"], r) for r in range(config["replicates"])]
+    result, others = _RUNNERS[experiment](config, rngs)
+    return result, [
+        {"replicate": r, "status": "error", "error": f"{type(est).__name__}: {est}"}
+        if isinstance(est, Exception) else
+        {"replicate": r, "status": "ok", "estimates": est}
+        for r, est in enumerate(others, start=1)]
 
 
 def _replicate_stats(rows):
@@ -471,7 +480,7 @@ def _write_replicates_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "status"] + keys + ["error"])
-        for r in sorted(rows, key=lambda r: r["replicate"]):
+        for r in rows:
             est = r.get("estimates", {})
             writer.writerow(
                 [r["replicate"], r["status"]]
@@ -513,15 +522,7 @@ def main(argv=None) -> int:
 
         os.makedirs(args.out, exist_ok=True)
         start = time.monotonic()
-        n_rep = config["replicates"]
-        if args.experiment in _CHAIN_RUNNERS:
-            rngs = [RngStream(config["seed"], r) for r in range(n_rep)]
-            result, others = _CHAIN_RUNNERS[args.experiment](config, rngs)
-            rows = [{"replicate": r, "status": "ok", "estimates": est}
-                    for r, est in enumerate(others, start=1)]
-        else:
-            result = run_experiment(args.experiment, config, stream_id=0)
-            rows = replicate(args.experiment, config) if n_rep > 1 else []
+        result, rows = replicate(args.experiment, config)
         estimates, std_errors, diagnostics, draws = result
         summary = {
             "schema_version": SCHEMA_VERSION,
@@ -532,9 +533,8 @@ def main(argv=None) -> int:
             "standard_errors": std_errors,
             "diagnostics": diagnostics,
         }
-        if n_rep > 1:
-            rows.insert(0, {"replicate": 0, "status": "ok",
-                            "estimates": estimates})
+        if config["replicates"] > 1:
+            rows.insert(0, {"replicate": 0, "status": "ok", "estimates": estimates})
             summary["replicates"] = _replicate_stats(rows)
             _write_replicates_csv(os.path.join(args.out, "replicates.csv"),
                                   rows)

@@ -27,10 +27,26 @@ from bayescomp.evidence import (
 )
 from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_groups
 from bayescomp.model import log_posterior
+from bayescomp.pmc import pmc_run
 from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
 
 
 CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
+
+
+# one-stream experiments at sizes that run in well under a second
+_TINY = {"pmc": {"particles": 100, "generations": 2, "n_data": 50},
+         "abc": {"particles": 100, "generations": 2, "quantile": 0.5}}
+
+
+def _failing_on(fn, stream_id):
+    """`fn`, raising instead when its stream argument has `stream_id`."""
+    def wrapper(*args, **kwargs):
+        rng, = (a for a in args if isinstance(a, RngStream))
+        if rng.stream_id == stream_id:
+            raise FloatingPointError(f"no luck on stream {stream_id}")
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def run_cli(tmp_path, experiment, config=None, extra=None, subdir="out"):
@@ -197,13 +213,8 @@ class TestOutputs:
             streams.extend(rng.stream_id for rng in rngs)
             return capture_gibbs_lockstep(model, n_iter, rngs)
 
-        def counting(experiment, config, stream_id=0):
-            streams.append(stream_id)
-            return run_experiment(experiment, config, stream_id)
-
         monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
         monkeypatch.setattr(cli, "capture_gibbs_lockstep", capture_lockstep)
-        monkeypatch.setattr(cli, "run_experiment", counting)
         for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
             streams.clear()
             code, out = run_cli(tmp_path, experiment,
@@ -237,25 +248,50 @@ class TestOutputs:
         # one call over every stream, each of them drawn from
         assert calls == [([0, 1, 2, 3], me, True)]
 
+        # a one-stream run goes over the streams in order
         calls.clear()
 
-        def recording(experiment, config, stream_id=0):
-            calls.append((stream_id, threading.get_ident()))
-            return run_experiment(experiment, config, stream_id)
+        def pmc_recording(*args, **kwargs):
+            calls.append((args[5].stream_id, threading.get_ident()))
+            return pmc_run(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_experiment", recording)
-        config = resolve_config("capture", {"iterations": 100, "replicates": 4})
-        rows = cli.replicate("capture", config)
-        assert [r["status"] for r in rows] == ["ok"] * 3
-        assert calls == [(1, me), (2, me), (3, me)]
+        monkeypatch.setattr(cli, "pmc_run", pmc_recording)
+        code, _ = run_cli(tmp_path, "pmc", {**_TINY["pmc"], "replicates": 4},
+                          subdir="pmc")
+        assert code == 0
+        assert calls == [(0, me), (1, me), (2, me), (3, me)]
 
-    @pytest.mark.parametrize("post", [{}, {"burn_in": 100, "thin": 2}])
-    @pytest.mark.parametrize("experiment", CHAIN_EXPERIMENTS)
+        # a chain-route evidence run is one lockstep over both models' R
+        # chains, model 1 on rng_r.child(0) and model 0 on rng_r.child(1)
+        groups_seen = []
+
+        def pair(groups, n_iter):
+            groups_seen.append([[rng.stream_id for rng in rngs] for _, rngs in groups])
+            return probit_gibbs_groups(groups, n_iter)
+
+        monkeypatch.setattr(cli, "probit_gibbs_groups", pair)
+        code, _ = run_cli(tmp_path, "evidence", {"method": "chib", "n_draws": 100,
+                                                 "replicates": 4},
+                          subdir="evidence")
+        assert code == 0
+        streams = [RngStream(0, r) for r in range(4)]
+        assert groups_seen == [[[rng.child(i).stream_id for rng in streams]
+                                for i in (0, 1)]]
+
+    @pytest.mark.parametrize("experiment,config", [
+        pytest.param(e, {"iterations": 150, **post}, id=f"{e}-post{i}")
+        for e in CHAIN_EXPERIMENTS
+        for i, post in enumerate([{}, {"burn_in": 100, "thin": 2}])] + [
+        pytest.param("mle", {}, id="mle"),
+        pytest.param("pmc", _TINY["pmc"], id="pmc"),
+        pytest.param("abc", _TINY["abc"], id="abc"),
+    ] + [pytest.param("evidence", {"method": m, "n_draws": 200}, id=f"evidence-{m}")
+         for m in ("importance", "chib", "bridge-embedded")])
     def test_replicate_rows_reproducible_in_isolation(self, tmp_path,
-                                                      experiment, post):
-        # a chain experiment runs its R chains in one call; row r, and for
-        # r = 0 the draws, are those of a run of its own on stream r
-        config = {"iterations": 150, "replicates": 3, "seed": 4, **post}
+                                                      experiment, config):
+        # every experiment runs its R streams in one runner call; row r, and
+        # for r = 0 the draws, are those of a run of its own on stream r
+        config = {**config, "replicates": 3, "seed": 4}
         code, out = run_cli(tmp_path, experiment, config)
         assert code == 0
         header, *lines = (out / "replicates.csv").read_text().splitlines()
@@ -265,12 +301,42 @@ class TestOutputs:
         for r, line in enumerate(lines):
             row = dict(zip(header, line.split(",")))
             assert int(row["replicate"]) == r and row["status"] == "ok"
-            alone, _, _, (_, states) = run_experiment(experiment, resolved,
-                                                      stream_id=r)
+            alone, _, _, draws = run_experiment(experiment, resolved, stream_id=r)
             assert {k: float(row[k]) for k in alone} == alone
-            if r == 0:
+            if r == 0 and draws is not None:
                 drawn = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
-                assert np.array_equal(drawn, states)
+                assert np.array_equal(drawn, draws[1])
+            elif r == 0:
+                assert not (out / "draws.csv").exists()
+
+    @pytest.mark.parametrize("experiment,name", [("pmc", "pmc_run"),
+                                                 ("abc", "probit_abc")])
+    def test_a_replicate_that_fails_is_an_error_row(self, tmp_path, monkeypatch,
+                                                   experiment, name):
+        monkeypatch.setattr(cli, name, _failing_on(getattr(cli, name), 2))
+        code, out = run_cli(tmp_path, experiment,
+                            {**_TINY[experiment], "replicates": 4})
+        assert code == 0
+        header, *lines = (out / "replicates.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["status"] for row in rows] == ["ok", "ok", "error", "ok"]
+        assert rows[2]["error"] == "FloatingPointError: no luck on stream 2"
+        assert all(row["error"] == "" for r, row in enumerate(rows) if r != 2)
+        stats = json.loads((out / "summary.json").read_text())["replicates"]
+        assert stats["count"] == 4 and stats["failed"] == 1
+
+    @pytest.mark.parametrize("experiment,name", [("pmc", "pmc_run"),
+                                                 ("abc", "probit_abc")])
+    def test_a_failed_main_run_writes_no_summary(self, tmp_path, monkeypatch,
+                                                 capsys, experiment, name):
+        monkeypatch.setattr(cli, name, _failing_on(getattr(cli, name), 0))
+        code, out = run_cli(tmp_path, experiment,
+                            {**_TINY[experiment], "replicates": 4})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "FloatingPointError",
+                       "message": "no luck on stream 0"}
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("experiment", ["capture", "mixture-demo"])
     def test_summary_diagnostics_describe_the_written_draws(self, tmp_path,
@@ -295,11 +361,19 @@ class TestOutputs:
 
         monkeypatch.setattr(cli, "load_pima", counted("load", load_pima))
         monkeypatch.setattr(cli, "probit_mle", counted("mle", cli.probit_mle))
-        # a user data file is read on every run, so each run's read counts
-        code, _ = run_cli(tmp_path, "mh", {"iterations": 200, "replicates": 3,
-                                           "data": str(bundled_pima_path())})
-        assert code == 0
-        assert sorted(calls) == ["load", "mle"]
+        # a user data file is read on every run, so each run's read counts;
+        # the importance route fits one proposal per model
+        data = str(bundled_pima_path())
+        for experiment, config, fits in (
+                ("mh", {"iterations": 200}, 1),
+                ("mle", {}, 1),
+                ("evidence", {"method": "importance", "n_draws": 200}, 2)):
+            calls.clear()
+            code, _ = run_cli(tmp_path, experiment,
+                              {**config, "replicates": 3, "data": data},
+                              subdir=experiment)
+            assert code == 0
+            assert sorted(calls) == ["load"] + ["mle"] * fits, experiment
 
     def test_bundled_data_is_parsed_once_per_process(self, tmp_path,
                                                      monkeypatch):
@@ -449,11 +523,6 @@ class TestErrors:
         key, = config
         assert err["message"].startswith(key)
         assert not out.exists()
-
-    def test_single_replicate_cannot_use_replicate_runner(self):
-        from bayescomp.cli import replicate
-        with pytest.raises(ConfigError):
-            replicate("mle", resolve_config("mle", {}))
 
 
 class TestEntrypoint:

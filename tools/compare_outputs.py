@@ -4,10 +4,10 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
 counts whose blocks often reach its exact truncated route, `pmc` once
 more with the Rao-Blackwellised mixture density (the form the benchmark
-runs), plus the five chain experiments with three replicates (each
-one call over the three streams), once on
-each tree (each tree's own ``src`` on the path), and compares what they
-wrote:
+runs), plus a run with three replicates (one runner call over the three
+streams) of every experiment but `evidence`, and of `evidence` by
+importance, chib and the embedded bridge, once on each tree (each tree's
+own ``src`` on the path), and compares what they wrote:
 ``draws.csv`` and ``replicates.csv`` byte for byte, ``summary.json`` as
 parsed JSON without ``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
 this checkout from each tree's own ``demos`` directory and compares their
@@ -40,9 +40,12 @@ import tempfile
 
 EXPERIMENTS = ("mle", "mh", "gibbs", "mwg", "pmc", "evidence", "abc",
                "capture", "mixture-demo")
-REPLICATED = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
+# (label, experiment, config) of each run repeated with three replicates
+REPLICATED = tuple((e, e, None) for e in EXPERIMENTS if e != "evidence") + tuple(
+    (f"evidence {m}", "evidence", {"method": m})
+    for m in ("importance", "chib", "bridge-embedded"))
 # no recapture and n_max = n1 + 2: most proposals have N > n_max, and the
 # sweeps that run out of tries take the exact route (about 1 in 2)
 EXACT_CAPTURE = {"n1": 22, "c2": 0, "c3": 0, "n_max": 24, "iterations": 2000}
@@ -64,8 +67,8 @@ def _runs(experiments):
             runs += [(e, e, [], None), (f"{e} mixture", e, [], {"density_form": "mixture"})]
         else:
             runs.append((e, e, [], None))
-    runs += [(f"{e} x3", e, ["--replicates", "3"], None)
-             for e in experiments if e in REPLICATED]
+    runs += [(f"{label} x3", e, ["--replicates", "3"], config)
+             for label, e, config in REPLICATED if e in experiments]
     return runs
 
 
