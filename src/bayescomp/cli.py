@@ -81,6 +81,8 @@ __all__ = ["main", "run_experiment", "replicate", "ConfigError"]
 
 SCHEMA_VERSION = 1
 _COVARIATE_INDEX = {"glu": 0, "bp": 1, "ped": 2}
+# rows of draws.csv formatted per write
+_DRAWS_BLOCK_ROWS = 4096
 # config keys that name one of a fixed set of choices
 _CHOICES = {"method": ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                        "chib", "bridge-embedded"),
@@ -465,13 +467,17 @@ def _jsonify(obj):
 
 
 def _write_draws_csv(path, header, rows):
-    # dtype=float keeps integer columns written as floats ("3.0"); the csv
-    # module writes floats by repr, so they round-trip exactly
-    values = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
+    # dtype=float keeps integer columns written as floats ("3.0").  The csv
+    # module writes a float as its repr, unquoted, and ends each row with
+    # "\r\n", so one "%r" format per block of rows writes its exact text;
+    # the blocks keep the strings of a long chain small
+    values = np.atleast_2d(np.asarray(rows, dtype=float))
+    line = ",".join(["%r"] * values.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(values)
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(values), _DRAWS_BLOCK_ROWS):
+            block = values[lo:lo + _DRAWS_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_replicates_csv(path, rows):

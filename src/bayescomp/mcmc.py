@@ -3,9 +3,12 @@
 Random-walk Metropolis has one loop, `rw_metropolis`: Gaussian increments
 on a scalar log-target, one block of coordinates per step, one stream, and
 a uniform consumed on every acceptance test, certain accepts included.
-`rw_mh_run` runs it on a posterior, `abc.abc_mcmc` on a prior gated by a
-simulation and `mwg_probit_overparam_run` on two blocks, beta and log
-sigma^2.  No burn-in is discarded here; trimming is post-processing.
+`rw_mh_run` runs it on a posterior, one point per step, through the
+model's one-row kernel where it has one (the probit's) and a one-row
+`log_posterior` batch otherwise, with the same bits either way;
+`abc.abc_mcmc` runs it on a prior gated by a simulation and
+`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No
+burn-in is discarded here; trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -93,12 +96,19 @@ def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
-    """`rw_metropolis` on the log-posterior of `target`, one row at a time;
-    a start outside the support is a `ValueError`."""
+    """`rw_metropolis` on the log-posterior of `target`, one point at a
+    time: through the target's `log_posterior_row` kernel when it has one,
+    which gives the bits of a one-row `log_posterior` call, and through
+    that one-row call otherwise, so the chain is the same either way.  A
+    start that is not a (dimension,) point is a `ValueError`, and so is one
+    outside the support."""
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
-
-    def log_target(x):
-        return float(log_posterior(target, x[None, :])[0])
+    if theta.shape != (target.dimension,):
+        raise ValueError(f"theta0 has shape {theta.shape}, expected ({target.dimension},)")
+    log_target = target.log_posterior_row
+    if log_target is None:
+        def log_target(x):
+            return float(log_posterior(target, x[None, :])[0])
 
     lp = log_target(theta)
     if lp == -np.inf:

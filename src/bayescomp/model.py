@@ -1,21 +1,24 @@
 """Contracts decoupling samplers from concrete models.
 
-A sampler only ever sees a log-prior, a log-likelihood and a dimension;
-latent-variable and simulation-based algorithms get their own small
-contracts.  Densities are handled in log domain end to end and every
-out-of-support evaluation maps to -inf, never to an exception or NaN.
+A sampler only ever sees a log-prior, a log-likelihood and a dimension,
+and optionally a one-row kernel of their sum; latent-variable and
+simulation-based algorithms get their own small contracts.  Densities are
+handled in log domain end to end and every out-of-support evaluation maps
+to -inf, never to an exception or NaN.
 
 Densities are batched, and that is their only signature: a density maps an
 (N, p) array of points, one per row, to the (N,) array of its log values,
 and a prior sampler maps (n, rng) to an (n, p) array of draws.  Simulation
 is batched too: (B, p) parameters simulate B data sets, which summarise to
 (B, k) and lie at (B,) ABC distances from the observed (k,) summary.
-Sequential samplers evaluate a single point as a one-row batch.  Latent
-completions are batched over chains instead: a sweep maps the (R, p) states
-of R chains, each with its own stream, to their latents and back.  Densities
-whose temporaries grow with the data size evaluate their rows in blocks
-(:func:`bayescomp.core.map_rows`), so a call over many points stays small in
-memory.
+Sequential samplers evaluate a single point as a one-row batch, or
+through the model's `log_posterior_row` kernel where it supplies one: the
+same bits by the same arithmetic, without the batch's per-call layers.
+Latent completions are batched over chains instead: a sweep maps the
+(R, p) states of R chains, each with its own stream, to their latents and
+back.  Densities whose temporaries grow with the data size evaluate their
+rows in blocks (:func:`bayescomp.core.map_rows`), so a call over many
+points stays small in memory.
 """
 
 from __future__ import annotations
@@ -40,13 +43,18 @@ class BayesModel:
 
     Data is captured at construction so samplers see a closed target.
     `sample_prior` is optional; estimators that need prior draws (prior Monte
-    Carlo Bayes factors, ABC) require it.
+    Carlo Bayes factors, ABC) require it.  `log_posterior_row` is optional
+    too: for a (p,) point it returns the bits of
+    ``log_posterior(model, theta[None, :])[0]`` as a float, or raises the
+    exception that call raises, so a sequential sampler may call it in place
+    of a one-row batch.
     """
 
     dimension: int
     log_prior: LogDensity
     log_likelihood: LogDensity
     sample_prior: Optional[PriorSampler] = None
+    log_posterior_row: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:

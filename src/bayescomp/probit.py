@@ -14,6 +14,7 @@ Bernoulli(Phi(x'beta)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -392,11 +393,30 @@ def probit_bayes_model(model: ProbitModel) -> BayesModel:
     `log_posterior` has checked the shape of the rows by the time either
     density sees them, so the likelihood closes over the row kernel itself,
     not over `probit_loglik_many`, which checks the shape for direct
-    callers; the prior is the g-prior's own `logpdf_many`."""
-    loglik_rows = partial(probit_loglik_rows, model.signed_design)
+    callers; the prior is the g-prior's own `logpdf_many`.
+
+    `log_posterior_row` evaluates one (p,) point on the 1-D paths of the
+    same products: the prior is ``logpdf_whitened(rowwise(beta - mean,
+    whitener))`` and the likelihood ``log_ndtr(rowwise(beta,
+    signed_design)).sum()``, each the bits of its one-row batch.  It gates
+    as `log_posterior` does: a -inf prior returns -inf without evaluating
+    the likelihood, and a NaN prior or NaN total raises `FloatingPointError`.
+    Each call allocates its own arrays, so callers share no buffer."""
+    prior, signed_design = model.prior, model.signed_design
+    loglik_rows = partial(probit_loglik_rows, signed_design)
+
+    def log_posterior_row(beta):
+        lp = float(prior.logpdf_whitened(rowwise(beta - prior.mean, prior.whitener)))
+        if lp > -math.inf:
+            lp += float(log_ndtr(rowwise(beta, signed_design)).sum())
+        if math.isnan(lp):
+            raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
+        return lp
+
     return BayesModel(
         dimension=model.dimension,
         log_prior=model.prior.logpdf_many,
         log_likelihood=lambda b: map_rows(loglik_rows, b),
         sample_prior=lambda n, rng: sample_gprior(model, n, rng),
+        log_posterior_row=log_posterior_row,
     )

@@ -2,6 +2,8 @@
 error reporting.  Experiments are exercised with deliberately small
 iteration counts; statistical quality is the acceptance suite's job."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -111,6 +113,22 @@ class TestResolveConfig:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("shape", [(40, 1), (4100, 5)])
+    def test_draws_csv_is_the_csv_modules_text(self, tmp_path, shape):
+        # the block writer against csv.writer on special and integer-valued
+        # floats, one column and five, and past the 4096-row block boundary
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+                   3.0, -42.0, 1e300]
+        values = np.resize(special + RngStream(8, 0).standard_normal(13).tolist(), shape)
+        header = [f"x{j}" for j in range(shape[1])]
+        path = tmp_path / "draws.csv"
+        cli._write_draws_csv(path, header, values)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(values.tolist())
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_mle_summary_schema(self, tmp_path):
         code, out = run_cli(tmp_path, "mle")
         assert code == 0

@@ -178,8 +178,21 @@ class TestLogNdtr:
         assert np.max(np.abs(got[pos] - exact[pos]) / np.abs(exact[pos])) <= 1e-13
 
     def test_entries_outside_the_range_are_scipys(self):
-        xs = np.array([-20.5, -38.0, -45.0, -1e3, -np.inf, 3.5, 8.0, 40.0, 1e3])
+        # an array with no entry in [-20, 3] goes to special.log_ndtr whole
+        xs = np.array([-20.5, -38.0, -45.0, -1e3, -np.inf, 3.5, 8.0, 40.0, 1e3,
+                       np.inf, np.nan])
         assert log_ndtr(xs.copy()).tobytes() == special.log_ndtr(xs).tobytes()
+        block = np.stack([xs, xs[::-1]])
+        assert log_ndtr(block.copy()).tobytes() == special.log_ndtr(block).tobytes()
+
+    def test_mixed_row_matches_entry_by_entry(self):
+        # each entry of a row that mixes both ranges keeps the bits of its
+        # own one-entry call, which takes one path or the other whole
+        xs = np.array([-1e3, -20.5, -20.0, -7.0, 0.0, 2.5, 3.0, 3.5, 40.0,
+                       np.inf, -np.inf, np.nan])
+        got = log_ndtr(xs.copy())
+        for x, value in zip(xs, got):
+            assert np.float64(value).tobytes() == log_ndtr(np.array([x])).tobytes()
 
     def test_nan_stays_nan_and_inf_gives_zero(self):
         got = log_ndtr(np.array([np.nan, np.inf, 0.0]))

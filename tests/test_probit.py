@@ -2,14 +2,18 @@
 completion.  The MLE oracle is an independent generic optimiser run on
 the same log-likelihood."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
 from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
+from bayescomp.mcmc import rw_mh_run
 from bayescomp.model import log_posterior
 from bayescomp.probit import (
     NonConvergenceError,
@@ -98,6 +102,63 @@ class TestLoglik:
     def test_extreme_beta_finite(self, pima):
         # log-cdf path keeps huge linear predictors finite
         assert np.isfinite(probit_loglik(pima, np.array([50.0, 50.0, 50.0])))
+
+
+def _outcome(fn, *args):
+    """The float bits `fn` returns, or the class of what it raises."""
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except Exception as exc:  # compared by class with the other path's
+        return type(exc)
+
+
+# entries of a coefficient row: near the MLE (offsets added there), far
+# into either tail of the likelihood, and infinite or NaN
+_NEAR = st.floats(-0.05, 0.05)
+_FAR = st.one_of(st.floats(-1e6, -30.0), st.floats(30.0, 1e6))
+_SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+class TestPosteriorRow:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_kernel_is_the_one_row_batch(self, pima_models, data):
+        target = probit_bayes_model(pima_models)
+        p = pima_models.dimension
+        beta_hat = probit_mle(pima_models)[0]
+        kinds = data.draw(st.lists(st.sampled_from(["near", "far", "special"]),
+                                   min_size=p, max_size=p))
+        theta = np.array([beta_hat[j] + data.draw(_NEAR) if kind == "near"
+                          else data.draw(_FAR if kind == "far" else _SPECIAL)
+                          for j, kind in enumerate(kinds)])
+        row = _outcome(target.log_posterior_row, theta)
+        batch = _outcome(lambda t: log_posterior(target, t[None, :])[0], theta)
+        assert row == batch
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_metropolis_chain_is_the_same_without_the_kernel(self, pima, seed):
+        model = ProbitModel(design=pima.design[:, :2], response=pima.response)
+        target = probit_bayes_model(model)
+        beta, cov = probit_mle(model)
+        plain = dataclasses.replace(target, log_posterior_row=None)
+        fast = rw_mh_run(target, 2.0 * cov, beta, 2000, RngStream(seed, 0))
+        slow = rw_mh_run(plain, 2.0 * cov, beta, 2000, RngStream(seed, 0))
+        assert fast.states.tobytes() == slow.states.tobytes()
+        assert fast.log_posts.tobytes() == slow.log_posts.tobytes()
+        assert fast.accept_count == slow.accept_count > 0
+
+    @pytest.mark.parametrize("theta0", [[0.0, 0.0], [0.0] * 4, [[0.0, 0.0, 0.0]],
+                                        [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                        [0.0, -np.inf, 0.0]])
+    def test_bad_starts_raise_alike(self, pima, theta0):
+        target = probit_bayes_model(pima)
+        plain = dataclasses.replace(target, log_posterior_row=None)
+        raised = []
+        for model in (target, plain):
+            with pytest.raises((ValueError, FloatingPointError)) as err:
+                rw_mh_run(model, np.eye(3), theta0, 10, RngStream(7, 0))
+            raised.append(err.type)
+        assert raised[0] is raised[1]
 
 
 class TestGPrior:

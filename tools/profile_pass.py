@@ -6,10 +6,12 @@ Runs the first pass of the workload at the sizes of ``bench/workloads.py``
 (config seed ``1000 * seed``, as ``bench/run.py`` gives its first pass)
 through ``bayescomp.cli.main``, writing the outputs to a temporary
 directory that is removed afterwards.  Prints each experiment's seconds
-and exit code (profiled, so slower than a benchmark run) and the functions
-with the most cumulative time over the whole pass.  The library comes from
-this checkout's ``src``; ``bench`` is imported read-only, with bytecode
-caching off, so nothing is written there.
+and exit code (profiled, so slower than a benchmark run), then the
+functions with the most cumulative time over the whole pass and those
+with the most self time (``tottime``), which shows the cost of many small
+calls that cumulative time spreads over their callers.  The library comes
+from this checkout's ``src``; ``bench`` is imported read-only, with
+bytecode caching off, so nothing is written there.
 """
 
 import argparse
@@ -48,7 +50,9 @@ def main(argv=None) -> int:
         label = op.config.get("method", "")
         print(f"{op.experiment:10s} {label:16s} {op.seconds:8.3f} s  exit {op.code}")
     print(f"{'pass':27s} {seconds:8.3f} s")
-    pstats.Stats(profile, stream=sys.stdout).sort_stats("cumulative").print_stats(TOP)
+    stats = pstats.Stats(profile, stream=sys.stdout)
+    stats.sort_stats("cumulative").print_stats(TOP)
+    stats.sort_stats("tottime").print_stats(TOP)
     return 0 if all(op.code == 0 for op in ops) else 1
 
 
