@@ -23,10 +23,18 @@ fails as a whole; their estimators then run per stream.  Every `evidence`
 method ends in one estimate of log B10, written with its ``unreliable``
 flag and ``weight_ess``, the smaller of its two evidences' weight ESS.
 
-A config is resolved in full before any output is written: an unknown
-key, a covariate name other than glu, bp and ped, an unknown `evidence`
-method or `pmc` density form, a random-walk step size that is not finite
-and > 0, or too few kept states is a `ConfigError`.
+A config is resolved in full before any output is written, and holds
+exactly the keys its runner reads: `seed` and `replicates` everywhere,
+`burn_in` and `thin` for the five chain experiments, `data` for the six
+pima ones (`mle`, `mh`, `gibbs`, `mwg`, `evidence`, `abc`), and
+`coverage` for `evidence` by harmonic-gd alone.  It is a `ConfigError`,
+by a flag or by a config-file key, to set a key the experiment does not
+read, to give a covariate name other than glu, bp and ped, an unknown
+`evidence` method or `pmc` density form, a random-walk step size that is
+not finite and > 0, `replicates` below 1, a negative `burn_in`, a `thin`
+below 1, too few kept states, fewer than two `n_draws`, or a `coverage`
+outside (0, 1].  The `--out` directory is made only once the runner has returned, so a run
+that fails, on its config or at run time, leaves none.
 """
 
 from __future__ import annotations
@@ -88,27 +96,33 @@ _CHOICES = {"method": ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                        "chib", "bridge-embedded"),
             "density_form": DENSITY_FORMS}
 
-_COMMON_DEFAULTS = {"seed": 0, "data": None, "replicates": 1, "burn_in": 0,
-                    "thin": 1}
+_COMMON_DEFAULTS = {"seed": 0, "replicates": 1}
+# the pima experiments' data file, None for the bundled one
+_PIMA = {"data": None}
+# a chain experiment's burn-in and thinning of its states
+_CHAIN = {"burn_in": 0, "thin": 1}
 
 # per experiment, its own config keys and their defaults
 _DEFAULTS = {
-    "mle": {},
-    "mh": {"iterations": 10_000, "scale_multiplier": 1.0,
+    "mle": {**_PIMA},
+    "mh": {**_PIMA, **_CHAIN, "iterations": 10_000, "scale_multiplier": 1.0,
            "covariates": ["glu", "bp"]},
-    "gibbs": {"iterations": 10_000, "covariates": ["glu", "bp", "ped"]},
-    "mwg": {"iterations": 10_000, "covariate": "glu", "beta_step_var": 1.0,
-            "logsigma_step_var": 0.04},
+    "gibbs": {**_PIMA, **_CHAIN, "iterations": 10_000,
+              "covariates": ["glu", "bp", "ped"]},
+    "mwg": {**_PIMA, **_CHAIN, "iterations": 10_000, "covariate": "glu",
+            "beta_step_var": 1.0, "logsigma_step_var": 0.04},
     "pmc": {"particles": 1000, "generations": 5, "n_data": 500, "weight": 0.7,
             "mu1": 0.0, "mu2": 2.5, "sigma2": 1.0, "q0_scale": 25.0,
             "density_form": "conditional"},
-    "evidence": {"method": "importance", "n_draws": 10_000, "coverage": 0.25},
-    "abc": {"particles": 2000, "generations": 10, "quantile": 0.1},
-    "capture": {"n1": 22, "c2": 11, "c3": 6, "n_max": None,
+    "evidence": {**_PIMA, "method": "importance", "n_draws": 10_000},
+    "abc": {**_PIMA, "particles": 2000, "generations": 10, "quantile": 0.1},
+    "capture": {**_CHAIN, "n1": 22, "c2": 11, "c3": 6, "n_max": None,
                 "iterations": 10_000},
-    "mixture-demo": {"iterations": 1000, "tau": 1.0, "n_data": 500,
+    "mixture-demo": {**_CHAIN, "iterations": 1000, "tau": 1.0, "n_data": 500,
                      "weight": 0.7, "mu1": 0.0, "mu2": 2.5, "sigma2": 1.0},
 }
+# the config keys that have a flag of their own
+_FLAG_KEYS = ("seed", "data", "replicates", "burn_in", "thin")
 
 
 class ConfigError(ValueError):
@@ -116,20 +130,22 @@ class ConfigError(ValueError):
 
 
 def resolve_config(experiment: str, raw: dict) -> dict:
-    """Merge defaults with the user config, rejecting unknown keys and
-    out-of-range values, covariate names included."""
+    """Merge defaults with the user config, rejecting keys the experiment
+    does not read and out-of-range values, covariate names included."""
     if experiment not in _DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     config = {**_COMMON_DEFAULTS, **_DEFAULTS[experiment]}
+    if experiment == "evidence" and raw.get("method", config["method"]) == "harmonic-gd":
+        config["coverage"] = 0.25  # the mass of its truncation ellipsoid
     unknown = sorted(set(raw) - set(config))
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {unknown}")
     config.update(raw)
     if config["replicates"] < 1:
         raise ConfigError("replicates must be at least 1")
-    if config["burn_in"] < 0 or config["thin"] < 1:
-        raise ConfigError("burn_in must be >= 0 and thin >= 1")
-    if "iterations" in config:
+    if "burn_in" in config:
+        if config["burn_in"] < 0 or config["thin"] < 1:
+            raise ConfigError("burn_in must be >= 0 and thin >= 1")
         kept = len(range(config["burn_in"], config["iterations"], config["thin"]))
         if kept < 2:
             # the reported SDs need at least two kept states
@@ -155,6 +171,9 @@ def resolve_config(experiment: str, raw: dict) -> dict:
         value = config.get(key)
         if key in config and not (isinstance(value, (int, float)) and 0 < value < np.inf):
             raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    coverage = config.get("coverage", 1.0)
+    if not (isinstance(coverage, (int, float)) and 0 < coverage <= 1):
+        raise ConfigError(f"coverage must lie in (0, 1], got {coverage!r}")
     return config
 
 
@@ -494,6 +513,11 @@ def _write_replicates_csv(path, rows):
                 + [r.get("error", "")])
 
 
+def _experiments_with(key) -> str:
+    """The experiments whose config has `key`, for a flag's help."""
+    return ", ".join(e for e, defaults in _DEFAULTS.items() if key in defaults)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bayescomp",
@@ -501,11 +525,15 @@ def _build_parser():
     parser.add_argument("experiment", choices=sorted(_DEFAULTS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--data", help="input CSV")
+    parser.add_argument("--data", help=f"input pima CSV ({_experiments_with('data')})")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--replicates", type=int)
-    parser.add_argument("--burn-in", type=int, dest="burn_in")
-    parser.add_argument("--thin", type=int)
+    parser.add_argument("--burn-in", type=int, dest="burn_in", metavar="B",
+                        help=f"states dropped from the start of each chain "
+                             f"({_experiments_with('burn_in')})")
+    parser.add_argument("--thin", type=int, metavar="K",
+                        help=f"keep every K-th state after the burn-in "
+                             f"({_experiments_with('thin')})")
     parser.add_argument("--debug", action="store_true",
                         help="on error, also print the traceback to stderr")
     return parser
@@ -520,15 +548,16 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
-        for key in _COMMON_DEFAULTS:
+        for key in _FLAG_KEYS:
             value = getattr(args, key)
             if value is not None:
                 raw[key] = value
         config = resolve_config(args.experiment, raw)
 
-        os.makedirs(args.out, exist_ok=True)
         start = time.monotonic()
         result, rows = replicate(args.experiment, config)
+        # made only now, so that a run that fails leaves no directory
+        os.makedirs(args.out, exist_ok=True)
         estimates, std_errors, diagnostics, draws = result
         summary = {
             "schema_version": SCHEMA_VERSION,

@@ -12,8 +12,9 @@ burn-in is discarded here; trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
-group is one probit model, all groups share one response, and a sweep
-draws the latents of every chain in one `truncated_normal_positive` call.
+group is one probit model, all of them on the same number of
+observations (each with its own design and response), and a sweep draws
+the latents of every chain in one `truncated_normal_positive` call.
 One model's replicates are the one-group case and a single chain
 (`probit_gibbs_run`) the group of one; a group's R chains come back as
 (R, n_iter, p) arrays, each bit-identical to a run of its own.
@@ -122,7 +123,9 @@ def probit_gibbs_groups(groups, n_iter: int):
     group in one lockstep, each chain started at its model's MLE.
 
     `groups` is a sequence of (model, rngs) pairs, one `ProbitModel` and
-    the streams of its chains each; all models share one response.  A
+    the streams of its chains each.  The models need only a common number
+    of observations: each has its own design and response, which its
+    signed design carries, and a different `n_obs` is a `ValueError`.  A
     sweep writes eta = S X beta of every chain into one (R, n) buffer,
     draws all R rows of latents in one `truncated_normal_positive` call,
     then each group's conditional means and coefficients (`ProbitSweep`)
@@ -137,11 +140,12 @@ def probit_gibbs_groups(groups, n_iter: int):
     state around.  The means are all that Chib's ordinate and the
     Rao-Blackwellised averages need of the latents, which are never stored.
     """
-    response = groups[0][0].response
-    if not all(np.array_equal(model.response, response) for model, _ in groups):
-        raise ValueError("the models of a lockstep run must share one response")
+    n_obs = groups[0][0].n_obs
+    if any(model.n_obs != n_obs for model, _ in groups):
+        raise ValueError("the models of a lockstep run must have one number "
+                         "of observations")
     streams = [rng for _, rngs in groups for rng in rngs]
-    eta = np.empty((len(streams), len(response)))
+    eta = np.empty((len(streams), n_obs))
     w = np.empty_like(eta)
     blocks, betas, lo = [], [], 0
     for model, rngs in groups:

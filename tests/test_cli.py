@@ -36,6 +36,32 @@ from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_comp
 CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
 
 
+# each experiment's resolved config keys: the keys its runner reads
+_PIMA_CHAIN = {"seed", "replicates", "data", "burn_in", "thin", "iterations"}
+DECLARED_KEYS = {
+    "mle": {"seed", "replicates", "data"},
+    "mh": _PIMA_CHAIN | {"scale_multiplier", "covariates"},
+    "gibbs": _PIMA_CHAIN | {"covariates"},
+    "mwg": _PIMA_CHAIN | {"covariate", "beta_step_var", "logsigma_step_var"},
+    "pmc": {"seed", "replicates", "particles", "generations", "n_data", "weight",
+            "mu1", "mu2", "sigma2", "q0_scale", "density_form"},
+    "evidence": {"seed", "replicates", "data", "method", "n_draws"},
+    "abc": {"seed", "replicates", "data", "particles", "generations", "quantile"},
+    "capture": {"seed", "replicates", "burn_in", "thin", "n1", "c2", "c3",
+                "n_max", "iterations"},
+    "mixture-demo": {"seed", "replicates", "burn_in", "thin", "iterations",
+                     "tau", "n_data", "weight", "mu1", "mu2", "sigma2"},
+}
+# the settable keys that not every experiment reads: a value for each, and
+# its flag and flag value where it has one
+SHARED_KEYS = {"data": ("/no/such.csv", "--data", "/no/such.csv"),
+               "burn_in": (150, "--burn-in", "150"),
+               "thin": (7, "--thin", "7"),
+               "coverage": (0.5, None, None)}
+EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
+                    "chib", "bridge-embedded")
+
+
 # one-stream experiments at sizes that run in well under a second
 _TINY = {"pmc": {"particles": 100, "generations": 2, "n_data": 50},
          "abc": {"particles": 100, "generations": 2, "quantile": 0.5}}
@@ -103,7 +129,9 @@ class TestResolveConfig:
                 resolve_config("capture", raw)
         assert resolve_config("gibbs", {"iterations": 100, "burn_in": 50,
                                         "thin": 49})["thin"] == 49
-        assert resolve_config("mle", {"burn_in": 200})["burn_in"] == 200
+        # mle keeps no states, so it has no burn-in
+        with pytest.raises(ConfigError, match="burn_in"):
+            resolve_config("mle", {"burn_in": 200})
 
     def test_evidence_needs_two_draws(self):
         for n in (1, 0, -5):
@@ -441,6 +469,72 @@ class TestOutputs:
         assert summary["seed"] == 5 and summary["config"]["seed"] == 5
 
 
+def _assert_refused(code, out, capsys, name):
+    """The run exited 1 with a ConfigError naming `name`, and made no --out."""
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and name in err["message"]
+    assert not out.exists()
+
+
+class TestConfigKeys:
+    """Each experiment's config is exactly the keys its runner reads; any
+    other key, by the config file or by its flag, is refused by name
+    before --out is made."""
+
+    @pytest.mark.parametrize("experiment", sorted(DECLARED_KEYS))
+    def test_config_holds_the_keys_the_runner_reads(self, tmp_path, capsys,
+                                                    experiment):
+        assert set(resolve_config(experiment, {})) == DECLARED_KEYS[experiment]
+        # any other experiment's key is refused by name
+        every = set().union(*DECLARED_KEYS.values(), SHARED_KEYS)
+        for key in sorted(every - DECLARED_KEYS[experiment]):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                resolve_config(experiment, {key: 1})
+        # and the shared ones by the config file and by their flags too
+        unread = [k for k in SHARED_KEYS if k not in DECLARED_KEYS[experiment]]
+        assert unread  # every experiment leaves at least one of them out
+        for key in unread:
+            value, flag, flag_value = SHARED_KEYS[key]
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(experiment, {key: value})
+            code, out = run_cli(tmp_path, experiment, {key: value},
+                                subdir=f"{key}-config")
+            _assert_refused(code, out, capsys, key)
+            if flag is not None:
+                code, out = run_cli(tmp_path, experiment, extra=[flag, flag_value],
+                                    subdir=f"{key}-flag")
+                _assert_refused(code, out, capsys, key)
+
+    @pytest.mark.parametrize("method", EVIDENCE_METHODS)
+    def test_coverage_is_harmonic_gds_alone(self, tmp_path, capsys, method):
+        gd = method == "harmonic-gd"
+        resolved = resolve_config("evidence", {"method": method})
+        assert set(resolved) == DECLARED_KEYS["evidence"] | ({"coverage"} if gd else set())
+        if gd:  # the whole sample's ellipsoid is allowed
+            assert resolve_config("evidence", {"method": method,
+                                               "coverage": 1})["coverage"] == 1
+        refused = ["burn_in", "thin"] + ([] if gd else ["coverage"])
+        for key in refused:
+            value, flag, flag_value = SHARED_KEYS[key]
+            code, out = run_cli(tmp_path, "evidence", {"method": method, key: value},
+                                subdir=f"{key}-config")
+            _assert_refused(code, out, capsys, key)
+            if flag is not None:
+                code, out = run_cli(tmp_path, "evidence", {"method": method},
+                                    extra=[flag, flag_value], subdir=f"{key}-flag")
+                _assert_refused(code, out, capsys, key)
+
+    @pytest.mark.parametrize("coverage", [0, -0.25, 1.5, float("nan"), "0.5", None])
+    def test_coverage_outside_the_unit_interval_is_refused(self, tmp_path, capsys,
+                                                           coverage):
+        config = {"method": "harmonic-gd", "coverage": coverage}
+        with pytest.raises(ConfigError, match="coverage"):
+            resolve_config("evidence", config)
+        code, out = run_cli(tmp_path, "evidence", config)
+        _assert_refused(code, out, capsys, "coverage")
+
+
 class TestErrors:
     def test_unknown_key_fails_with_json_error(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "mle", {"bogus": 1})
@@ -483,6 +577,20 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         assert "keep 0 states" in err["message"]
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("experiment,config,message", [
+        ("pmc", {**_TINY["pmc"], "weight": 1.5}, "weight must lie in (0, 1)"),
+        ("capture", {"iterations": 200, "c2": 30}, "need 0 <= c2 <= n1"),
+    ], ids=["pmc-weight", "capture-c2"])
+    def test_a_run_that_fails_makes_no_out_directory(self, tmp_path, capsys,
+                                                     experiment, config, message):
+        # both configs pass resolve_config; the runner itself refuses them
+        resolve_config(experiment, config)
+        code, out = run_cli(tmp_path, experiment, config)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": message}
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment,config", [
         ("mh", {"covariates": ["glu", "age"]}),

@@ -295,11 +295,33 @@ class TestLockstepGibbs:
             probit_gibbs_groups([(pima, [RngStream(39, 0)]),
                                  (sub, [RngStream(39, 1)])], 10)
 
-    def test_groups_must_share_the_response(self, pima):
-        flipped = ProbitModel(design=pima.design, response=1.0 - pima.response)
-        with pytest.raises(ValueError, match="one response"):
+    def test_groups_may_have_their_own_responses(self, pima):
+        """Groups need only a common n: pima with 3 covariates and its own
+        response, and 2 covariates with a response simulated from them, in
+        one lockstep.  Every chain equals its own `probit_gibbs_run`."""
+        design = pima.design[:, :2]
+        beta = probit_mle(ProbitModel(design=design, response=pima.response))[0]
+        rng = np.random.default_rng(40)
+        simulated = (rng.random(pima.n_obs)
+                     < stats.norm.cdf(design @ beta)).astype(float)
+        assert not np.array_equal(simulated, pima.response)
+        other = ProbitModel(design=design, response=simulated)
+        groups = [(pima, [RngStream(40, r) for r in range(2)]),
+                  (other, [RngStream(41, r) for r in range(3)])]
+        runs = probit_gibbs_groups(groups, 300)
+        for (model, rngs), (states, means) in zip(groups, runs):
+            for r, rng in enumerate(rngs):
+                alone = RngStream(rng.seed, rng.stream_id)
+                chain, means_alone = probit_gibbs_run(model, 300, alone)
+                assert states[r].tobytes() == chain.states.tobytes()
+                assert means[r].tobytes() == means_alone.tobytes()
+                assert rng.counter == alone.counter
+
+    def test_groups_must_share_the_number_of_observations(self, pima):
+        fewer = ProbitModel(design=pima.design[:-1], response=pima.response[:-1])
+        with pytest.raises(ValueError, match="number of observations"):
             probit_gibbs_groups([(pima, [RngStream(40, 0)]),
-                                 (flipped, [RngStream(40, 1)])], 10)
+                                 (fewer, [RngStream(40, 1)])], 10)
 
     def test_ordinate_from_lockstep_means(self, pima):
         """The full conditional of beta given each sweep's kept mean m, over
