@@ -5,20 +5,21 @@ Every algorithm compares summary statistics under the euclidean distance;
 raw-data distances are not supported.  Rejection and sequential ABC draw,
 simulate, summarise and measure proposals in blocks of ``core.CHUNK_ROWS``,
 which fixes the stream layout: block b of a generation draws on the one
-stream ``gen_rng.child(b)``, and hits are kept in proposal order.  One rule
-bounds them: a generation that wants n hits makes at most ceil(n / 0.01)
-proposals, its last block cut to that budget.  Short of its hits, a
-fixed-tolerance generation raises a `RuntimeError` giving hits, proposals,
-rate, tolerance and generation; a quantile-mode one ends the schedule, and
-is stopped early, after any block, once a one-sided Clopper-Pearson upper
-bound on its hit rate falls below 0.01.  ABC-MCMC runs `mcmc.rw_metropolis`
-on a simulation-gated prior, all on one stream.  The sequential sampler
-perturbs resampled particles with a Gaussian kernel whose covariance is
-twice the weighted empirical covariance (Beaumont, Cornuet, Marin & Robert
-2009), and corrects with importance weights prior / (mixture of kernels),
-whose O(N^2) denominator is evaluated in blocks of particles.  A
-generation is an `AbcPopulation`, a `montecarlo.WeightedSample` (uniform
-weights after rejection) with its tolerance, summaries and distances.
+stream ``gen_rng.child(b)``, and hits are kept in proposal order.  After
+each block, one rule (`_out_of_reach`) ends a generation short of its n
+hits: it has spent its budget of ceil(n / 0.01) proposals, or a one-sided
+Clopper-Pearson upper bound on its hit rate lies below the rate that the
+rest of its budget needs.  A fixed-tolerance rejection run then raises a
+`RuntimeError` giving hits, proposals, budget, rate, tolerance and
+generation; a sequential run ends its schedule.  ABC-MCMC runs
+`mcmc.rw_metropolis` on a simulation-gated prior, all on one stream.  The
+sequential sampler perturbs resampled particles with a Gaussian kernel
+whose covariance is twice the weighted empirical covariance (Beaumont,
+Cornuet, Marin & Robert 2009), and corrects with importance weights
+prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
+blocks of particles.  A generation is an `AbcPopulation`, a
+`montecarlo.WeightedSample` (uniform weights after rejection) with its
+tolerance, summaries and distances.
 `regression_adjust` removes the remaining tolerance-induced spread from a
 population by the local-linear regression of Beaumont, Zhang & Balding
 (2002).
@@ -65,11 +66,12 @@ __all__ = [
 # acceptance rate below which a generation fails: one that wants n hits
 # makes at most ceil(n / _ACCEPT_FLOOR) proposals
 _ACCEPT_FLOOR = 0.01
-# a quantile-mode generation stops early once a one-sided Clopper-Pearson
-# upper bound on its hit rate falls below _ACCEPT_FLOOR; each of its at most
-# ceil(budget / CHUNK_ROWS) block checks takes level _STOP_LEVEL / that
-# count, so one whose rate is at or above the floor is stopped with
-# probability at most _STOP_LEVEL (Bonferroni)
+# a generation stops early once a one-sided Clopper-Pearson upper bound on
+# its hit rate falls below the rate that the rest of its budget needs; each
+# of its at most ceil(budget / CHUNK_ROWS) block checks takes level
+# _STOP_LEVEL / that count, so one whose rate is at least the rate it needs
+# at every check is stopped early with probability at most _STOP_LEVEL
+# (Bonferroni)
 _STOP_LEVEL = 0.05
 # the sequential sampler's kernel covariance is this multiple of the
 # previous generation's weighted empirical covariance
@@ -124,31 +126,31 @@ def _observed_summary(model: SimulableModel, y_obs) -> np.ndarray:
 
 
 class _TooFewHits(RuntimeError):
-    """A generation fell short of its hits: its budget ran out, or its hit
-    rate is shown to lie below the floor.  `proposals` counts what it made."""
+    """A generation fell short of its hits: its budget ran out, or the hits
+    it still misses are out of reach of the rest of its budget.
+    `proposals` counts what it made."""
 
     def __init__(self, message: str, proposals: int):
         super().__init__(message)
         self.proposals = proposals
 
 
-def _rate_below_floor(hits: int, proposals: int, checks: int) -> bool:
-    """Whether the one-sided Clopper-Pearson upper bound on a hit rate, at
-    level _STOP_LEVEL / checks after `hits` in `proposals`, lies below
-    _ACCEPT_FLOOR."""
-    return hits < proposals and special.betaincinv(
-        hits + 1, proposals - hits, 1.0 - _STOP_LEVEL / checks) < _ACCEPT_FLOOR
+def _out_of_reach(hits: int, proposals: int, n: int, budget: int, checks: int) -> bool:
+    """Whether a generation with `hits` of its n hits after `proposals` of
+    its `budget` proposals stops: its budget is spent, or the one-sided
+    Clopper-Pearson upper bound on its hit rate, at level
+    _STOP_LEVEL / checks, lies below the rate (n - hits) / (budget -
+    proposals) that the rest of its budget needs."""
+    return proposals == budget or hits < proposals and special.betaincinv(
+        hits + 1, proposals - hits, 1.0 - _STOP_LEVEL / checks) < (n - hits) / (budget - proposals)
 
 
 def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
-                     n: int, rng: RngStream, t: int = 0, budget=None,
-                     stop_early: bool = False):
+                     n: int, rng: RngStream, t: int = 0, budget=None):
     """The first n proposals within `eps`, in proposal order: (particles,
-    summaries, distances, proposals made), or `_TooFewHits` if `budget`
-    proposals, by default ceil(n / _ACCEPT_FLOOR), fall short.  With
-    `stop_early`, `_TooFewHits` comes as soon as the Clopper-Pearson upper
-    bound on the hit rate, at level _STOP_LEVEL split over the blocks of
-    the budget, falls below _ACCEPT_FLOOR after a block.
+    summaries, distances, proposals made), or `_TooFewHits` once
+    `_out_of_reach` holds after a block, `budget` by default
+    ceil(n / _ACCEPT_FLOOR).  If every proposal hits, it never holds.
 
     Block b, cut to the budget, draws on ``rng.child(b)``: `propose(size, r)`
     returns the proposals and the mask of those inside the prior's support,
@@ -160,11 +162,11 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
     parts = []
     accepted = n_prop = 0
     while accepted < n:
-        if n_prop == budget or (stop_early and _rate_below_floor(accepted, n_prop, checks)):
+        if _out_of_reach(accepted, n_prop, n, budget, checks):
             raise _TooFewHits(
-                f"generation {t}: acceptance probability below {_ACCEPT_FLOOR}: "
-                f"{accepted} accepted in {n_prop} proposals (rate "
-                f"{accepted / n_prop:.3g}); tolerance {eps} is too small", n_prop)
+                f"generation {t}: acceptance probability too low for {n} hits in "
+                f"{budget} proposals: {accepted} accepted in {n_prop} proposals "
+                f"(rate {accepted / n_prop:.3g}); tolerance {eps} is too small", n_prop)
         size = min(CHUNK_ROWS, budget - n_prop)
         r = rng.child(len(parts))
         thetas, inside = propose(size, r)
@@ -184,8 +186,8 @@ def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
     """Likelihood-free rejection sampling from the prior.
 
     With a fixed `tolerance`, the first `n_output` proposals to pass the
-    distance test are kept, or a `RuntimeError` gives the acceptance rate if
-    ceil(n_output / 0.01) proposals fall short.  With a `quantile`, a single
+    distance test are kept, or a `RuntimeError` gives the acceptance rate
+    once `_accept_in_order` gives up on them.  With a `quantile`, a single
     batch of n_output/quantile proposals is ranked and the best n_output
     kept, which realises the tolerance as an empirical quantile of simulated
     distances.  Block b of proposals is one batched prior draw on
@@ -256,16 +258,14 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
     its ``core.CHUNK_ROWS`` ancestor uniforms, one matrix of kernel noise and
     the simulations of the proposals inside the prior's support; that fixed
     block size keeps runs bit-reproducible for a fixed (seed, config).
-    With a fixed `tolerance` instead of a quantile, the schedule is frozen
-    (a degenerate mode useful for validation).  Each generation must accept
-    its n_output particles within ceil(n_output / 0.01) proposals, or a
-    fixed-tolerance run raises a `RuntimeError` naming it.  A quantile-mode
-    run also needs a strictly decreasing schedule, and stops early,
-    returning the finished generations, the moment either fails.  A
-    quantile-mode generation is dropped as soon as the Clopper-Pearson
-    bound of `_accept_in_order` shows its hit rate below the floor, and the
-    proposals it made land in the last finished one's `abandoned_proposals`.
+    A fixed-tolerance config is a `ValueError`.  The run returns the
+    finished generations as soon as the schedule stops strictly decreasing
+    or a generation is dropped short of its hits by `_accept_in_order`; the
+    proposals the dropped one made land in the last finished one's
+    `abandoned_proposals`.
     """
+    if config.quantile is None:
+        raise ValueError("abc_pmc needs a quantile schedule, not a fixed tolerance")
     n = config.n_output
     if n < 100:
         raise ValueError("n_output must be at least 100")
@@ -275,12 +275,9 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
     populations = [abc_reject(model, y_obs, config, rng.child(0))]
     for t in range(1, n_generations):
         prev = populations[-1]
-        if config.quantile is not None:
-            eps = float(np.quantile(prev.distances, config.quantile))
-            if not eps < prev.epsilon:
-                break
-        else:
-            eps = float(config.tolerance)
+        eps = float(np.quantile(prev.distances, config.quantile))
+        if not eps < prev.epsilon:
+            break
         _, cov = prev.moments()
         kernel = GaussianProposal.from_moments(np.zeros(len(cov)), cov, _KERNEL_SCALE)
         cum = categorical_cdf(prev.log_weights)
@@ -292,11 +289,8 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
 
         try:
             particles, summaries, distances, n_prop = _accept_in_order(
-                propose, model, eta_obs, eps, n, rng.child(t), t,
-                stop_early=config.quantile is not None)
+                propose, model, eta_obs, eps, n, rng.child(t), t)
         except _TooFewHits as short:
-            if config.quantile is None:
-                raise
             populations[-1] = replace(prev, abandoned_proposals=short.proposals)
             break
         log_weights = (np.asarray(model.log_prior(particles), dtype=float)

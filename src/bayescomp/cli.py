@@ -140,7 +140,12 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     unknown = sorted(set(raw) - set(config))
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {unknown}")
+    # a key whose default is an int takes ints only, n_max also None
+    integer_keys = [k for k, v in config.items() if type(v) is int or k == "n_max"]
     config.update(raw)
+    for key in integer_keys:
+        if not (type(config[key]) is int or key == "n_max" and config[key] is None):
+            raise ConfigError(f"{key} must be an integer, got {config[key]!r}")
     if config["replicates"] < 1:
         raise ConfigError("replicates must be at least 1")
     if "burn_in" in config:

@@ -114,8 +114,8 @@ class TestReject:
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_hopeless_tolerance_aborts(self):
-        # the distance can never reach the tolerance: the run stops at its
-        # budget of n_output / 1% proposals
+        # the distance can never reach the tolerance: the run stops within
+        # its budget of n_output / 1% proposals
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: np.zeros((len(th), 1)),
@@ -130,7 +130,8 @@ class TestReject:
     def test_rare_hits_stop_at_the_acceptance_floor(self):
         # theta itself is the summary, so a tolerance of 0.005 accepts 0.5%
         # of prior draws: 10 hits would take about 2000 proposals, beyond
-        # the budget of 10 / 1% = 1000
+        # the budget of 10 / 1% = 1000; after 768, 4 hits bound the rate
+        # below the 6 / 232 that the rest of the budget needs
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: th.copy(),
@@ -140,7 +141,7 @@ class TestReject:
         )
         config = AbcConfig(n_output=10, tolerance=0.005)
         with pytest.raises(RuntimeError,
-                           match=r"5 accepted in 1000 proposals \(rate 0\.005\)"):
+                           match=r"4 accepted in 768 proposals \(rate 0\.00521\)"):
             abc_reject(model, np.zeros(1), config, RngStream(seed=17, stream_id=0))
 
 
@@ -196,8 +197,9 @@ class TestMcmc:
 
 
 def _uniform_rate_generation(rate, rng):
-    """One quantile-mode generation wanting 100 hits, whose proposals each
-    hit with probability `rate`: the distance is a uniform on [0, 1)."""
+    """One generation wanting 100 hits within its budget of 10,000
+    proposals, whose proposals each hit with probability `rate`: the
+    distance is a uniform on [0, 1)."""
     model = SimulableModel(
         sample_prior=lambda n, r: r.uniform((n, 1)),
         simulate=lambda th, r: r.uniform((len(th), 1)),
@@ -208,7 +210,7 @@ def _uniform_rate_generation(rate, rng):
     def propose(size, r):
         return model.sample_prior(size, r), np.ones(size, bool)
 
-    return _accept_in_order(propose, model, np.zeros(1), rate, 100, rng, stop_early=True)
+    return _accept_in_order(propose, model, np.zeros(1), rate, 100, rng)
 
 
 class TestPmc:
@@ -222,13 +224,6 @@ class TestPmc:
         assert ess(final) >= 10
         rep = snis_estimate(lambda th: th[:, 0], final)
         assert rep.value == pytest.approx(BETA_MEAN, abs=0.05)
-
-    def test_fixed_tolerance_freezes_the_schedule(self):
-        config = AbcConfig(n_output=300, tolerance=1.0)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
-                       n_generations=3, rng=RngStream(seed=22, stream_id=0))
-        assert [p.epsilon for p in pops] == [1.0, 1.0, 1.0]
-        assert len(pops) == 3
 
     def test_stalled_quantile_schedule_stops_early(self):
         # distances are integers here; once every particle sits at distance
@@ -269,16 +264,29 @@ class TestPmc:
             _uniform_rate_generation(0.003, RngStream(seed=31, stream_id=0))
         assert 0 < short.value.proposals <= 16 * CHUNK_ROWS
 
+    def test_generation_just_below_the_floor_stops_before_its_budget(self):
+        # a 0.9% hit rate needs about 11,100 proposals for 100 hits; once
+        # it falls behind, its bound drops below the rate that the rest of
+        # its budget needs, well before the budget is spent
+        stopped = []
+        for seed in range(50):
+            try:
+                _uniform_rate_generation(0.009, RngStream(seed=seed, stream_id=33))
+            except _TooFewHits as short:
+                stopped.append(short.proposals)
+        assert stopped and np.mean(stopped) < 8500
+
     def test_generation_above_the_floor_is_never_stopped(self):
         # a 2% hit rate fills its 100 hits in about 5000 of 10000 proposals
         for seed in range(50):
             particles, *_ = _uniform_rate_generation(0.02, RngStream(seed=seed, stream_id=32))
             assert len(particles) == 100, seed
 
-    def test_generation_below_the_floor_raises(self):
+    def test_generation_below_the_floor_is_dropped(self):
         # the prior's mass sits on two unit intervals 1000 apart, so the
         # kernel fitted to generation 0 spans the gap and lands back on
-        # the support about 0.1% of the time; every landing is a hit
+        # the support about 0.1% of the time; generation 1 is dropped well
+        # before its budget, and generation 0 counts its proposals
         def sample_prior(n, rng):
             u = rng.uniform((n, 1))
             return u + 1000.0 * (u < 0.5)
@@ -290,39 +298,48 @@ class TestPmc:
 
         model = SimulableModel(
             sample_prior=sample_prior,
-            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            simulate=lambda th, rng: rng.standard_normal((len(th), 1)),
             summary=lambda ys: ys,
             log_prior=log_prior,
         )
-        config = AbcConfig(n_output=100, tolerance=1.0)
-        with pytest.raises(RuntimeError,
-                           match=r"generation 1: acceptance probability .* in 10000 proposals"):
-            abc_pmc(model, np.zeros(1), config,
-                    n_generations=3, rng=RngStream(seed=26, stream_id=0))
+        pops = abc_pmc(model, np.zeros(1), AbcConfig(n_output=100, quantile=0.9),
+                       n_generations=3, rng=RngStream(seed=26, stream_id=0))
+        assert len(pops) == 1
+        assert pops[0].abandoned_proposals == 768
 
     def test_weight_degeneracy_raises(self):
         # deliberately mismatched prior: sampling uniform but weighting by a
         # violently tilted density concentrates all weight on one particle
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
-            simulate=lambda th, rng: np.zeros((len(th), 1)),
+            simulate=lambda th, rng: rng.standard_normal((len(th), 1)),
             summary=lambda ys: ys,
             log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                           300.0 * th[:, 0], -np.inf),
         )
-        config = AbcConfig(n_output=100, tolerance=10.0)
+        config = AbcConfig(n_output=100, quantile=0.9)
         with pytest.raises(DegenerateWeightsError, match="generation"):
             abc_pmc(model, np.zeros(1), config,
                     n_generations=3, rng=RngStream(seed=24, stream_id=0))
 
     def test_input_validation(self):
-        config = AbcConfig(n_output=100, tolerance=1.0)
+        config = AbcConfig(n_output=100, quantile=0.5)
         with pytest.raises(ValueError):
-            abc_pmc(bernoulli_model(), Y_OBS, AbcConfig(n_output=50, tolerance=1.0),
+            abc_pmc(bernoulli_model(), Y_OBS, AbcConfig(n_output=50, quantile=0.5),
                     n_generations=3, rng=RngStream(seed=0, stream_id=0))
         with pytest.raises(ValueError):
             abc_pmc(bernoulli_model(), Y_OBS, config,
                     n_generations=1, rng=RngStream(seed=0, stream_id=0))
+
+    def test_refuses_a_fixed_tolerance(self):
+        # refused before any draw: this model's prior cannot be sampled
+        def sample_prior(n, rng):
+            raise AssertionError("abc_pmc drew from the prior")
+
+        model = replace(bernoulli_model(), sample_prior=sample_prior)
+        with pytest.raises(ValueError, match="quantile schedule"):
+            abc_pmc(model, Y_OBS, AbcConfig(n_output=100, tolerance=1.0),
+                    n_generations=3, rng=RngStream(seed=0, stream_id=0))
 
 
 class TestBlocks:
@@ -356,8 +373,9 @@ class TestBlocks:
 
     def test_proposals_are_counted_not_rounded_to_blocks(self):
         # a prior supported everywhere and a tolerance every proposal meets:
-        # each generation needs exactly n_output proposals, not a whole
-        # number of blocks
+        # rejection needs exactly n_output proposals, not a whole number of
+        # blocks; with theta as its own summary, each sequential generation
+        # counts up to its n_output-th hit, mid-block
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
             simulate=lambda th, rng: np.zeros((len(th), 1)),
@@ -367,15 +385,17 @@ class TestBlocks:
         config = AbcConfig(n_output=300, tolerance=1.0)
         assert abc_reject(model, np.zeros(1), config,
                           RngStream(seed=14, stream_id=0)).n_proposals == 300
-        pops = abc_pmc(model, np.zeros(1), config,
+        pops = abc_pmc(replace(model, simulate=lambda th, rng: th.copy()), np.zeros(1),
+                       AbcConfig(n_output=300, quantile=0.75),
                        n_generations=3, rng=RngStream(seed=14, stream_id=0))
-        assert [p.n_proposals for p in pops] == [300, 300, 300]
+        assert [p.n_proposals for p in pops] == [400, 550, 535]
 
     def test_hopeless_tolerance_reports_its_rate(self):
-        # 10 hits wanted: the budget is 10 / 1% = 1000 proposals, the last
-        # block cut to it
+        # 10 hits wanted: the budget is 10 / 1% = 1000 proposals; none in
+        # the first 512 bounds the rate below the 10 / 488 still needed
         config = AbcConfig(n_output=10, tolerance=0.0)
-        with pytest.raises(RuntimeError, match="0 accepted in 1000 proposals"):
+        with pytest.raises(RuntimeError,
+                           match="10 hits in 1000 proposals: 0 accepted in 512 proposals"):
             abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), config,
                        RngStream(seed=15, stream_id=0))
 

@@ -133,6 +133,21 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="burn_in"):
             resolve_config("mle", {"burn_in": 200})
 
+    @pytest.mark.parametrize("experiment, raw", [
+        ("gibbs", {"thin": 2.5}), ("gibbs", {"iterations": 300.0}),
+        ("gibbs", {"burn_in": "5"}), ("capture", {"replicates": 2.0}),
+        ("mle", {"seed": 7.5}), ("abc", {"particles": True}),
+        ("pmc", {"generations": None}), ("capture", {"n_max": 60.0})])
+    def test_integer_keys_take_integers(self, tmp_path, capsys, experiment, raw):
+        (key,) = raw
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            resolve_config(experiment, raw)
+        code, out = run_cli(tmp_path, experiment, raw)
+        _assert_refused(code, out, capsys, key)
+        # float keys still take ints, and n_max None or an int
+        assert resolve_config("pmc", {"mu2": 3})["mu2"] == 3
+        assert resolve_config("capture", {"n_max": 60})["n_max"] == 60
+
     def test_evidence_needs_two_draws(self):
         for n in (1, 0, -5):
             with pytest.raises(ConfigError, match="n_draws"):

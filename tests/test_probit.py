@@ -3,6 +3,7 @@ completion.  The MLE oracle is an independent generic optimiser run on
 the same log-likelihood."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -38,13 +39,21 @@ def pima():
     return load_pima(bundled_pima_path())
 
 
-@pytest.fixture(scope="module", params=[3, 2], ids=["pima3", "pima2"])
-def pima_models(request, pima):
-    """Both pima models; the 2-covariate design is the non-contiguous view
-    of the first two columns, as the evidence comparison builds it."""
-    if request.param == 3:
+@functools.cache
+def _pima_model(covariates: int) -> ProbitModel:
+    """The pima model on 3 or 2 covariates; the 2-covariate design is the
+    non-contiguous view of the first two columns, as the evidence
+    comparison builds it."""
+    pima = load_pima(bundled_pima_path())
+    if covariates == 3:
         return pima
     return ProbitModel(design=pima.design[:, :2], response=pima.response)
+
+
+@pytest.fixture(scope="module", params=[3, 2], ids=["pima3", "pima2"])
+def pima_models(request):
+    """Both pima models (`_pima_model`)."""
+    return _pima_model(request.param)
 
 
 def synthetic_model(seed=0, n=200, p=2):
@@ -120,12 +129,18 @@ _SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
 
 
 class TestPosteriorRow:
+    # a static method parametrized directly: each parameter is a new test
+    # instance, and without hypothesis's pytest plugin a method that takes
+    # `self` fails HealthCheck.differing_executors on the second one
+    @staticmethod
+    @pytest.mark.parametrize("covariates", [3, 2], ids=["pima3", "pima2"])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_row_kernel_is_the_one_row_batch(self, pima_models, data):
-        target = probit_bayes_model(pima_models)
-        p = pima_models.dimension
-        beta_hat = probit_mle(pima_models)[0]
+    def test_row_kernel_is_the_one_row_batch(covariates, data):
+        model = _pima_model(covariates)
+        target = probit_bayes_model(model)
+        p = model.dimension
+        beta_hat = probit_mle(model)[0]
         kinds = data.draw(st.lists(st.sampled_from(["near", "far", "special"]),
                                    min_size=p, max_size=p))
         theta = np.array([beta_hat[j] + data.draw(_NEAR) if kind == "near"
