@@ -12,14 +12,15 @@ Clopper-Pearson upper bound on its hit rate lies below the rate that the
 rest of its budget needs.  A fixed-tolerance rejection run then raises a
 `RuntimeError` giving hits, proposals, budget, rate, tolerance and
 generation; a sequential run ends its schedule.  ABC-MCMC runs
-`mcmc.rw_metropolis` on a simulation-gated prior, all on one stream.  The
-sequential sampler perturbs resampled particles with a Gaussian kernel
-whose covariance is twice the weighted empirical covariance (Beaumont,
-Cornuet, Marin & Robert 2009), and corrects with importance weights
-prior / (mixture of kernels), whose O(N^2) denominator is evaluated in
-blocks of particles.  A generation is an `AbcPopulation`, a
-`montecarlo.WeightedSample` (uniform weights after rejection) with its
-tolerance, summaries and distances.
+`mcmc.rw_metropolis` on a simulation-gated prior: the walk's uniforms and
+increments on child streams of one stream, the simulations on that
+stream itself.  The sequential sampler perturbs resampled particles with
+a Gaussian kernel whose covariance is twice the weighted empirical
+covariance (Beaumont, Cornuet, Marin & Robert 2009), and corrects with
+importance weights prior / (mixture of kernels), whose O(N^2)
+denominator is evaluated in blocks of particles.  A generation is an
+`AbcPopulation`, a `montecarlo.WeightedSample` (uniform weights after
+rejection) with its tolerance, summaries and distances.
 `regression_adjust` removes the remaining tolerance-induced spread from a
 population by the local-linear regression of Beaumont, Zhang & Balding
 (2002).
@@ -222,8 +223,10 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
     log prior, or -inf where a fresh simulation misses the tolerance, an
     unbiased 0/1 likelihood estimate (pseudo-marginal; Andrieu & Roberts
     2009).  It starts from one rejection hit on ``rng.child(0)`` (within
-    100 prior proposals, or a `RuntimeError`) and walks on ``rng.child(1)``;
-    `log_posts` holds each state's log prior."""
+    100 prior proposals, or a `RuntimeError`) and walks on
+    ``walk = rng.child(1)``: the walk's uniforms and increments on
+    ``walk.child(0)`` and ``walk.child(1)``, each step's simulation on
+    `walk` itself.  `log_posts` holds each state's log prior."""
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
     eta_obs = _observed_summary(model, y_obs)

@@ -216,14 +216,19 @@ def _chain_estimates(states, names):
 def _chain_result(kept, names, diagnostics, estimate=None):
     """The result of chain 0 of the kept (R, n_kept, k) states, its IACT
     and chain ESS added to `diagnostics`, and the estimates of chains
-    1..R-1.  `estimate` maps one chain's states to its estimates; the
-    default gives their means and SDs."""
+    1..R-1.  Below 100 kept states both are None, with an `ess_warning`
+    that says why.  `estimate` maps one chain's states to its estimates;
+    the default gives their means and SDs."""
     estimate = estimate or (lambda states: _chain_estimates(states, names))
     states = kept[0]
     if len(states) >= 100:
         diag = chain_diagnostics(Chain(states, None, 0, 0))
         diagnostics = {**diagnostics, "iact": diag["iact"],
                        "chain_ess": diag["chain_ess"]}
+    else:
+        diagnostics = {**diagnostics, "iact": None, "chain_ess": None,
+                       "ess_warning": f"{len(states)} kept states, fewer than the "
+                                      "100 that an IACT estimate needs"}
     result = estimate(states), {}, diagnostics, (list(names), states)
     return result, [estimate(s) for s in kept[1:]]
 

@@ -1,14 +1,15 @@
 """Metropolis-Hastings, Gibbs and hybrid samplers with chain diagnostics.
 
 Random-walk Metropolis has one loop, `rw_metropolis`: Gaussian increments
-on a scalar log-target, one block of coordinates per step, one stream, and
-a uniform consumed on every acceptance test, certain accepts included.
-`rw_mh_run` runs it on a posterior, one point per step, through the
-model's one-row kernel where it has one (the probit's) and a one-row
-`log_posterior` batch otherwise, with the same bits either way;
-`abc.abc_mcmc` runs it on a prior gated by a simulation and
-`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No
-burn-in is discarded here; trimming is post-processing.
+on a scalar log-target, one block of coordinates per step, and a uniform
+for every acceptance test, certain accepts included.  The uniforms and
+each block's increments are drawn before the first step, each on a child
+stream of its own, so a step is arithmetic plus one log-target call and
+no generator call.  `rw_mh_run` runs it on a posterior, one point per
+step, through the model's one-row kernel where it has one (the probit's)
+and a one-row `log_posterior` batch otherwise, with the same bits either
+way; `abc.abc_mcmc` runs it on a prior gated by a simulation and
+`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No burn-in is discarded here; trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -41,7 +42,6 @@ __all__ = [
     "chain_diagnostics",
 ]
 
-
 @dataclass(frozen=True)
 class Chain:
     """Ordered MCMC states with acceptance counts and, for samplers with an
@@ -69,28 +69,43 @@ def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream
     moves block b = t mod B of the B `blocks` (index sequences; default one
     of every coordinate), proposing cand = theta + L z, L the `MvnParams`
     factor of ``cov[b][:, b]`` (singular ones too) in block b's rows and
-    zero in the others, and accepts if log(1 - u) <= log_target(cand) - lp,
-    with u drawn on every step.  A rejection repeats the previous state and
-    value.  All draws, `log_target`'s included, come from `rng`.  Returns
-    the (n_iter, p) states, their (n_iter,) log-targets and the accepted
-    count of each block."""
+    zero in the others, and accepts if log1p(-u) <= log_target(cand) - lp.
+    A rejection repeats the previous state and value.
+
+    The randomness is drawn before the first step, on child streams of
+    `rng`: one uniform per step on ``rng.child(0)``, and block b's standard
+    normals z on ``rng.child(b + 1)``, one row per step of the block, L z
+    summed in coordinate order.  A stream fills in order, so step t's draws
+    do not depend on `n_iter`, and a shorter chain is a prefix of a longer
+    one.  A step is then one `log_target` call and one comparison.  `rng`
+    itself is left for `log_target`'s own draws.  Returns the (n_iter, p)
+    states, their (n_iter,) log-targets and the accepted count of each
+    block."""
     p = len(theta)
-    steps = []
-    for i, b in enumerate([range(p)] if blocks is None else blocks):
+    blocks = [range(p)] if blocks is None else blocks
+    n_blocks = len(blocks)
+    factors = []
+    for i, b in enumerate(blocks):
         scale = np.zeros((p, len(b)))
         scale[b] = MvnParams(np.zeros(len(b)), np.asarray(cov)[np.ix_(b, b)]).scale
-        steps.append((i, scale, len(b)))
-    gen = rng.generator
+        factors.append((scale, rng.child(i + 1).generator))
+    log_us = np.log1p(-rng.child(0).generator.random(n_iter)).tolist()
+    inc = np.empty((n_iter, p))
+    for b, (scale, gen) in enumerate(factors):
+        rows = inc[b::n_blocks]
+        z = gen.standard_normal((len(rows), scale.shape[1]))
+        np.multiply(z[:, :1], scale[:, 0], out=rows)
+        for j in range(1, scale.shape[1]):
+            rows += z[:, j:j + 1] * scale[:, j]
     states = np.empty((n_iter, p))
     log_targets = np.empty(n_iter)
-    accepts = [0] * len(steps)
-    for t in range(n_iter):
-        b, scale, k = steps[t % len(steps)]
-        cand = theta + scale @ gen.standard_normal(k)
+    accepts = [0] * n_blocks
+    for t, (step, log_u) in enumerate(zip(inc, log_us)):
+        cand = theta + step
         lp_cand = log_target(cand)
-        if np.log(1.0 - gen.random()) <= lp_cand - lp:
+        if log_u <= lp_cand - lp:
             theta, lp = cand, lp_cand
-            accepts[b] += 1
+            accepts[t % n_blocks] += 1
         states[t] = theta
         log_targets[t] = lp
     return states, log_targets, accepts
@@ -98,11 +113,13 @@ def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
     """`rw_metropolis` on the log-posterior of `target`, one point at a
-    time: through the target's `log_posterior_row` kernel when it has one,
-    which gives the bits of a one-row `log_posterior` call, and through
-    that one-row call otherwise, so the chain is the same either way.  A
-    start that is not a (dimension,) point is a `ValueError`, and so is one
-    outside the support."""
+    time and one block of every coordinate, its draws on the child streams
+    ``rng.child(0)`` (uniforms) and ``rng.child(1)`` (increments): through
+    the target's `log_posterior_row` kernel when it has one, which gives
+    the bits of a one-row `log_posterior` call, and through that one-row
+    call otherwise, so the chain is the same either way.  A start that is
+    not a (dimension,) point is a `ValueError`, and so is one outside the
+    support."""
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     if theta.shape != (target.dimension,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({target.dimension},)")
@@ -186,10 +203,11 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     `beta_step_var` and 4 `logsigma_step_var` (each finite and > 0 or a
     `ValueError`): a random walk on l is a log-normal proposal on sigma.
     The target is the log-posterior at (beta, e^l) plus the Jacobian term
-    l; it is -inf, with no warning, where e^l or the target leaves the
-    float range.  The likelihood, sum_i log Phi(s_i x_i beta / sigma), is
-    evaluated by `core.log_ndtr` in an (n,) array the run owns: the bits
-    of a one-row `probit_loglik_rows` call.  Every second state is kept as
+    l, its scalar terms in Python floats; it is -inf, with no warning,
+    where e^l or the target leaves the float range.  The likelihood,
+    sum_i log Phi(s_i x_i beta / sigma), is evaluated by `core.log_ndtr`
+    in an (n,) array the run owns: the bits of a one-row
+    `probit_loglik_rows` call.  Every second state is kept as
     (beta, sigma^2), with the target less l, its log-posterior.
     """
     if not (0.0 < beta_step_var < np.inf and 0.0 < logsigma_step_var < np.inf):
@@ -200,13 +218,16 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
 
     def log_target(theta):
         beta, ell = theta.tolist()
-        sigma2 = np.exp(ell)
-        if not 0.0 < sigma2 < np.inf:
-            return -np.inf
+        try:
+            sigma2 = math.exp(ell)
+        except OverflowError:
+            return -math.inf
+        if sigma2 == 0.0:
+            return -math.inf
         np.multiply(signed_x, beta / math.sqrt(sigma2), out=terms)
         log_ndtr(terms)
-        lp = -2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0
-        return float(terms.sum() + lp) + ell
+        lp = -2.0 * math.log(sigma2) - 1.0 / sigma2 - beta * beta / 50.0
+        return float(terms.sum()) + lp + ell
 
     cov = np.diag([beta_step_var, 4.0 * logsigma_step_var])
     with np.errstate(over="ignore"):

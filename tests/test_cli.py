@@ -410,6 +410,17 @@ class TestOutputs:
         assert diagnostics["iact"] == expected["iact"].tolist()
         assert diagnostics["chain_ess"] == expected["chain_ess"].tolist()
 
+    @pytest.mark.parametrize("experiment", ["mh", "gibbs", "mwg", "capture",
+                                            "mixture-demo"])
+    def test_short_chains_keep_their_diagnostic_keys(self, tmp_path, experiment):
+        """Under 100 kept states there is no IACT estimate: `iact` and
+        `chain_ess` are written as null, with a warning that says why."""
+        code, out = run_cli(tmp_path, experiment, {"iterations": 3, "seed": 7})
+        assert code == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["iact"] is None and diagnostics["chain_ess"] is None
+        assert diagnostics["ess_warning"].startswith("3 kept states")
+
     def test_chain_replicates_load_the_data_and_fit_the_mle_once(
             self, tmp_path, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 """Metropolis-Hastings, Gibbs, hybrid samplers and diagnostics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -161,25 +162,53 @@ class TestBlockedMetropolis:
 
     def test_one_block_is_the_plain_loop(self):
         """The default single block of every coordinate is the unblocked
-        random walk: L z with L the Cholesky factor of cov, then one
-        uniform, bit for bit."""
+        random walk: L z with L the Cholesky factor of cov, summed in
+        coordinate order, z the rows of normals on ``rng.child(1)``, and
+        log1p(-u), u the uniforms on ``rng.child(0)``, bit for bit."""
         cov = np.array([[1.0, 0.9], [0.9, 4.0]])
         theta = np.array([0.1, -0.3])
         lp = self.log_target(theta)
         states, log_targets, accepts = rw_metropolis(self.log_target, cov, theta, lp,
                                                      300, RngStream(34, 0))
-        gen = RngStream(34, 0).generator
+        rng = RngStream(34, 0)
+        log_us = np.log1p(-rng.child(0).uniform(300))
+        z = rng.child(1).standard_normal((300, 2))
         scale = np.linalg.cholesky(cov)
         accept = 0
         for t in range(300):
-            cand = theta + scale @ gen.standard_normal(2)
+            cand = theta + (z[t, 0] * scale[:, 0] + z[t, 1] * scale[:, 1])
             lp_cand = self.log_target(cand)
-            if np.log(1.0 - gen.random()) <= lp_cand - lp:
+            if log_us[t] <= lp_cand - lp:
                 theta, lp = cand, lp_cand
                 accept += 1
             assert states[t].tobytes() == theta.tobytes()
             assert log_targets[t] == lp
         assert accepts == [accept]
+
+    def test_leaves_its_own_stream_to_the_target(self):
+        """Every draw of the walk is on a child stream: a target that draws
+        nothing leaves `rng`'s own counter where it was."""
+        rng = RngStream(35, 0)
+        before = rng.counter
+        states, _, accepts = rw_metropolis(self.log_target, np.eye(2), self.MU.copy(),
+                                           0.0, 2053, rng, [[0], [1]])
+        assert rng.counter == before
+        assert 0 < accepts[0] and 0 < accepts[1]
+
+    @pytest.mark.parametrize("blocks", [None, [[0], [1]]])
+    def test_a_shorter_chain_is_a_prefix(self, blocks):
+        """n steps are the first n of 2n + 3 steps on the same stream, bit
+        for bit, whatever the blocks."""
+        cov = np.array([[1.0, 0.9], [0.9, 4.0]])
+        theta = np.array([0.1, -0.3])
+        lp = self.log_target(theta)
+        n = 1031
+        short, short_lps, _ = rw_metropolis(self.log_target, cov, theta, lp, n,
+                                            RngStream(36, 0), blocks)
+        long, long_lps, _ = rw_metropolis(self.log_target, cov, theta, lp, 2 * n + 3,
+                                          RngStream(36, 0), blocks)
+        assert short.tobytes() == long[:n].tobytes()
+        assert short_lps.tobytes() == long_lps[:n].tobytes()
 
 
 class TestProbitGibbs:
@@ -431,35 +460,48 @@ class TestMwg:
         assert 0.0 < meta["accept_rate_sigma2"] < 1.0
 
     @staticmethod
-    def reference_run(x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
+    def walk_draws(n_iter, rng, beta_step_var, logsigma_step_var):
+        """The draws of an mwg run of n_iter (beta, l) pairs on `rng`:
+        log1p(-u) of each step's uniform (beta steps even, l steps odd) on
+        ``rng.child(0)``, then the beta and l increments on ``rng.child(1)``
+        and ``rng.child(2)``."""
+        log_us = np.log1p(-rng.child(0).uniform(2 * n_iter))
+        beta_steps = np.sqrt(beta_step_var) * rng.child(1).standard_normal(n_iter)
+        ell_steps = 2.0 * np.sqrt(logsigma_step_var) * rng.child(2).standard_normal(n_iter)
+        return log_us, beta_steps, ell_steps
+
+    @classmethod
+    def reference_run(cls, x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
         """The mwg loop in (beta, l = log sigma^2) coordinates, with each
         log-posterior through the one-row `probit_loglik_rows` call and the
         Jacobian l added to it, as (states, log_posts) in (beta, sigma^2)."""
         signed_design = ((2.0 * y - 1.0) * x)[:, None]
 
         def log_target(beta, ell):
-            sigma2 = np.exp(ell)
-            ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
-            return float(ll + (-2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0)) + ell
+            sigma2 = math.exp(ell)
+            ll = probit_loglik_rows(signed_design, np.array([[beta / math.sqrt(sigma2)]]))[0]
+            return float(ll + (-2.0 * math.log(sigma2) - 1.0 / sigma2 - beta * beta / 50.0)) + ell
 
+        log_us, beta_steps, ell_steps = cls.walk_draws(n_iter, rng, beta_step_var,
+                                                       logsigma_step_var)
         beta, ell = 0.0, 0.0
         lp = log_target(beta, ell)
         states, log_posts = np.empty((n_iter, 2)), np.empty(n_iter)
         for t in range(n_iter):
-            cand = beta + np.sqrt(beta_step_var) * rng.standard_normal()
+            cand = beta + beta_steps[t]
             lp_cand = log_target(cand, ell)
-            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+            if log_us[2 * t] <= lp_cand - lp:
                 beta, lp = cand, lp_cand
-            ell_cand = ell + 2.0 * np.sqrt(logsigma_step_var) * rng.standard_normal()
+            ell_cand = ell + ell_steps[t]
             lp_cand = log_target(beta, ell_cand)
-            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+            if log_us[2 * t + 1] <= lp_cand - lp:
                 ell, lp = ell_cand, lp_cand
             states[t] = (beta, np.exp(ell))
             log_posts[t] = lp - ell
         return states, log_posts
 
-    @staticmethod
-    def sigma2_reference_run(x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
+    @classmethod
+    def sigma2_reference_run(cls, x, y, n_iter, rng, beta_step_var=1.0, logsigma_step_var=0.04):
         """The mwg loop in (beta, sigma^2) coordinates, its sigma^2 move
         multiplicative with the log-normal proposal ratio in the accept
         test, and each log-posterior through the one-row
@@ -472,21 +514,35 @@ class TestMwg:
             ll = probit_loglik_rows(signed_design, np.array([[beta / np.sqrt(sigma2)]]))[0]
             return float(ll + (-2.0 * np.log(sigma2) - 1.0 / sigma2 - beta**2 / 50.0))
 
+        log_us, beta_steps, ell_steps = cls.walk_draws(n_iter, rng, beta_step_var,
+                                                       logsigma_step_var)
         beta, sigma2 = 0.0, 1.0
         lp = logpost(beta, sigma2)
         states, log_posts = np.empty((n_iter, 2)), np.empty(n_iter)
         for t in range(n_iter):
-            cand = beta + np.sqrt(beta_step_var) * rng.standard_normal()
+            cand = beta + beta_steps[t]
             lp_cand = logpost(cand, sigma2)
-            if np.log(1.0 - rng.uniform()) <= lp_cand - lp:
+            if log_us[2 * t] <= lp_cand - lp:
                 beta, lp = cand, lp_cand
-            sigma2_cand = sigma2 * np.exp(2.0 * np.sqrt(logsigma_step_var) * rng.standard_normal())
+            sigma2_cand = sigma2 * np.exp(ell_steps[t])
             lp_cand = logpost(beta, sigma2_cand)
-            if np.log(1.0 - rng.uniform()) <= lp_cand - lp + np.log(sigma2_cand / sigma2):
+            if log_us[2 * t + 1] <= lp_cand - lp + np.log(sigma2_cand / sigma2):
                 sigma2, lp = sigma2_cand, lp_cand
             states[t] = (beta, sigma2)
             log_posts[t] = lp
         return states, log_posts
+
+    def test_a_shorter_run_is_a_prefix(self):
+        """n (beta, l) pairs are the first n of 2n + 3 pairs on the same
+        stream, bit for bit."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=300)
+        y = (rng.random(300) < stats.norm.cdf(0.7 * x)).astype(float)
+        n = 1024
+        short = mwg_probit_overparam_run(x, y, n, RngStream(24, 0))
+        long = mwg_probit_overparam_run(x, y, 2 * n + 3, RngStream(24, 0))
+        assert short.states.tobytes() == long.states[:n].tobytes()
+        assert short.log_posts.tobytes() == long.log_posts[:n].tobytes()
 
     @pytest.mark.parametrize("beta_step_var", [1.0, 1e-3])
     def test_bits_equal_the_one_row_reference(self, beta_step_var):
