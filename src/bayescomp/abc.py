@@ -88,8 +88,9 @@ def euclidean_distance(summaries, eta_obs) -> np.ndarray:
 class AbcConfig:
     """Tuning knobs shared by the ABC algorithms.  Exactly one of
     `tolerance` (a fixed epsilon) and `quantile` (a per-generation
-    acceptance fraction) must be given.  Summaries are compared by
-    `euclidean_distance`."""
+    acceptance fraction in [_ACCEPT_FLOOR, 1], so that the quantile pilot
+    makes at most n_output / _ACCEPT_FLOOR proposals) must be given.
+    Summaries are compared by `euclidean_distance`."""
 
     n_output: int
     tolerance: Optional[float] = None
@@ -100,8 +101,9 @@ class AbcConfig:
             raise ValueError("set exactly one of tolerance and quantile")
         if self.tolerance is not None and not self.tolerance >= 0:
             raise ValueError("tolerance must be nonnegative")
-        if self.quantile is not None and not 0.0 < self.quantile <= 1.0:
-            raise ValueError("quantile must lie in (0, 1]")
+        if self.quantile is not None and not _ACCEPT_FLOOR <= self.quantile <= 1.0:
+            raise ValueError(f"quantile must lie between the acceptance floor "
+                             f"{_ACCEPT_FLOOR} and 1, got {self.quantile!r}")
         if self.n_output < 1:
             raise ValueError("n_output must be positive")
 

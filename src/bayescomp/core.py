@@ -144,19 +144,22 @@ class MvnParams:
         return self.mean.shape[0]
 
     def whiten(self, thetas) -> np.ndarray:
-        """whitener @ (theta - mean) for each row of the (N, p) `thetas`,
-        each row bit-identical to a one-row call (`rowwise`)."""
+        """whitener @ (theta - mean) for each row of the (N, p) `thetas`, or
+        for the (p,) point `thetas` as a (p,) array, each row bit-identical
+        to a one-row call (`rowwise`)."""
         if self.whitener is None:
             raise ValueError("covariance is singular: the normal has no density")
-        return rowwise(np.atleast_2d(thetas) - self.mean, self.whitener)
+        return rowwise(np.asarray(thetas) - self.mean, self.whitener)
 
     def logpdf_whitened(self, u: np.ndarray) -> np.ndarray:
         """Log-density at the points whitened to the last axis of `u`."""
         return self.log_norm - 0.5 * (u * u).sum(axis=-1)
 
     def logpdf_many(self, thetas) -> np.ndarray:
-        """Log-density at each row of the (N, p) `thetas`, as (N,) values;
-        every row is bit-identical to its one-row call whatever N is."""
+        """Log-density at each row of the (N, p) `thetas`, as (N,) values,
+        or at the (p,) point `thetas`, as a scalar; every row is
+        bit-identical to its one-row call whatever N is, and so is a
+        point."""
         return self.logpdf_whitened(self.whiten(thetas))
 
 
@@ -198,9 +201,10 @@ def log_sum_exp(v, axis=None):
 
 def map_rows(fn, rows: np.ndarray) -> np.ndarray:
     """fn over consecutive blocks of at most CHUNK_ROWS rows, the per-row
-    results concatenated.  Batched densities whose temporaries grow with
-    rows x data size evaluate through this, so their memory stays bounded."""
-    if len(rows) <= CHUNK_ROWS:
+    results concatenated; a 1-D `rows` is one point, passed to fn as it is.
+    Densities whose temporaries grow with rows x data size evaluate through
+    this, so their memory stays bounded."""
+    if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
         return fn(rows)
     return np.concatenate([fn(rows[lo:lo + CHUNK_ROWS])
                            for lo in range(0, len(rows), CHUNK_ROWS)])

@@ -108,7 +108,9 @@ class PhiSpec:
         object.__setattr__(self, "scatter", np.asarray(self.scatter, dtype=float))
         gauss = GaussianProposal.from_moments(center, self.scatter)
         object.__setattr__(self, "_gauss", gauss)
-        object.__setattr__(self, "_log_floor", gauss.logpdf_many(center)[0]
+        # a one-row batch, not a point: bench/spans.py counts the rows of
+        # each GaussianProposal.logpdf_many call by the length of its result
+        object.__setattr__(self, "_log_floor", gauss.logpdf_many(center[None, :])[0]
                            - special.gammaincinv(center.shape[0] / 2, self.coverage))
 
     @classmethod
@@ -397,11 +399,12 @@ def chib_marginal(model: BayesModel, log_ordinate: Callable, latent_stats,
     parameter over the retained Gibbs sweeps.  `log_ordinate(theta, stats)`
     is that conditional (a completion's `log_full_conditional_param`), and
     `latent_stats` holds one row per sweep of the statistic it takes (for
-    the probit E[beta | z], the second value `probit_gibbs_run` returns)."""
+    the probit E[beta | z], the second value `probit_gibbs_run` returns).
+    The numerator log f(y|theta*) + log pi(theta*) is one `log_posterior`
+    call on the (p,) point theta*."""
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     ords = np.asarray(log_ordinate(theta_star, np.asarray(latent_stats, float)), float)
     if not np.any(ords > -np.inf):
         raise RuntimeError(
             "full conditional underflows at theta*; pick a higher-density point")
-    return _estimate(ords, "chib",
-                     log_numerator=float(log_posterior(model, theta_star[None, :])[0]))
+    return _estimate(ords, "chib", log_numerator=log_posterior(model, theta_star))

@@ -5,11 +5,11 @@ on a scalar log-target, one block of coordinates per step, and a uniform
 for every acceptance test, certain accepts included.  The uniforms and
 each block's increments are drawn before the first step, each on a child
 stream of its own, so a step is arithmetic plus one log-target call and
-no generator call.  `rw_mh_run` runs it on a posterior, one point per
-step, through the model's one-row kernel where it has one (the probit's)
-and a one-row `log_posterior` batch otherwise, with the same bits either
-way; `abc.abc_mcmc` runs it on a prior gated by a simulation and
-`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No burn-in is discarded here; trimming is post-processing.
+no generator call.  `rw_mh_run` runs it on a posterior, one (p,) point
+per step through `log_posterior`, with the bits of a one-row batch;
+`abc.abc_mcmc` runs it on a prior gated by a simulation and
+`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No
+burn-in is discarded here; trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -112,22 +113,15 @@ def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream
 
 
 def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> Chain:
-    """`rw_metropolis` on the log-posterior of `target`, one point at a
-    time and one block of every coordinate, its draws on the child streams
-    ``rng.child(0)`` (uniforms) and ``rng.child(1)`` (increments): through
-    the target's `log_posterior_row` kernel when it has one, which gives
-    the bits of a one-row `log_posterior` call, and through that one-row
-    call otherwise, so the chain is the same either way.  A start that is
-    not a (dimension,) point is a `ValueError`, and so is one outside the
-    support."""
+    """`rw_metropolis` on the log-posterior of `target`, one block of every
+    coordinate, its draws on the child streams ``rng.child(0)`` (uniforms)
+    and ``rng.child(1)`` (increments), each step one `log_posterior` call
+    on a (p,) point.  A start that is not a (dimension,) point is a
+    `ValueError`, and so is one outside the support."""
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     if theta.shape != (target.dimension,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({target.dimension},)")
-    log_target = target.log_posterior_row
-    if log_target is None:
-        def log_target(x):
-            return float(log_posterior(target, x[None, :])[0])
-
+    log_target = partial(log_posterior, target)
     lp = log_target(theta)
     if lp == -np.inf:
         raise ValueError("theta0 outside the target support")

@@ -43,17 +43,18 @@ def _norm_logpdf(x, mean, var):
     return -0.5 * (_LOG2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
+# the densities take an (N, 2) array of rows (mu1, mu2) or one (2,) point
 def _log_prior(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
-    return np.sum(_norm_logpdf(mus, 0.0, target.prior_var), axis=1)
+    return np.sum(_norm_logpdf(mus, 0.0, target.prior_var), axis=-1)
 
 
 def _log_likelihood(target: MixtureTarget, mus: np.ndarray) -> np.ndarray:
     y = target.data
 
     def block(m):
-        a = np.log(target.weight) + _norm_logpdf(y, m[:, :1], target.sigma2)
-        b = np.log1p(-target.weight) + _norm_logpdf(y, m[:, 1:], target.sigma2)
-        return np.sum(np.logaddexp(a, b), axis=1)
+        a = np.log(target.weight) + _norm_logpdf(y, m[..., :1], target.sigma2)
+        b = np.log1p(-target.weight) + _norm_logpdf(y, m[..., 1:], target.sigma2)
+        return np.sum(np.logaddexp(a, b), axis=-1)
 
     return map_rows(block, mus)
 

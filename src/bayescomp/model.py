@@ -1,24 +1,23 @@
 """Contracts decoupling samplers from concrete models.
 
-A sampler only ever sees a log-prior, a log-likelihood and a dimension,
-and optionally a one-row kernel of their sum; latent-variable and
-simulation-based algorithms get their own small contracts.  Densities are
-handled in log domain end to end and every out-of-support evaluation maps
-to -inf, never to an exception or NaN.
+A sampler only ever sees a log-prior, a log-likelihood and a dimension;
+latent-variable and simulation-based algorithms get their own small
+contracts.  Densities are handled in log domain end to end and every
+out-of-support evaluation maps to -inf, never to an exception or NaN.
 
-Densities are batched, and that is their only signature: a density maps an
-(N, p) array of points, one per row, to the (N,) array of its log values,
-and a prior sampler maps (n, rng) to an (n, p) array of draws.  Simulation
-is batched too: (B, p) parameters simulate B data sets, which summarise to
-(B, k) and lie at (B,) ABC distances from the observed (k,) summary.
-Sequential samplers evaluate a single point as a one-row batch, or
-through the model's `log_posterior_row` kernel where it supplies one: the
-same bits by the same arithmetic, without the batch's per-call layers.
-Latent completions are batched over chains instead: a sweep maps the
-(R, p) states of R chains, each with its own stream, to their latents and
-back.  Densities whose temporaries grow with the data size evaluate their
-rows in blocks (:func:`bayescomp.core.map_rows`), so a call over many
-points stays small in memory.
+A density maps an (N, p) array of points, one per row, to the (N,) array
+of its log values, and a (p,) point to its scalar log value, with the bits
+of that point's one-row batch; a prior sampler maps (n, rng) to an (n, p)
+array of draws.  `log_posterior` is the one entry point at every row
+count: sequential samplers pass it a (p,) point, which the densities
+evaluate on their 1-D paths, without a batch's per-call layers.
+Simulation is batched: (B, p) parameters simulate B data sets, which
+summarise to (B, k) and lie at (B,) ABC distances from the observed (k,)
+summary.  Latent completions are batched over chains instead: a sweep
+maps the (R, p) states of R chains, each with its own stream, to their
+latents and back.  Densities whose temporaries grow with the data size
+evaluate their rows in blocks (:func:`bayescomp.core.map_rows`), so a call
+over many points stays small in memory.
 """
 
 from __future__ import annotations
@@ -33,28 +32,25 @@ from .core import RngStream
 
 __all__ = ["BayesModel", "LatentCompletion", "SimulableModel", "log_posterior"]
 
-LogDensity = Callable[[np.ndarray], np.ndarray]  # (N, p) -> (N,)
+LogDensity = Callable[[np.ndarray], np.ndarray]  # (N, p) -> (N,); (p,) -> scalar
 PriorSampler = Callable[[int, RngStream], np.ndarray]  # (n, rng) -> (n, p)
+_NAN_MESSAGE = "model returned NaN; out-of-support must map to -inf"
 
 
 @dataclass(frozen=True)
 class BayesModel:
     """Unnormalised posterior target: log-prior + log-likelihood + dimension.
 
-    Data is captured at construction so samplers see a closed target.
-    `sample_prior` is optional; estimators that need prior draws (prior Monte
-    Carlo Bayes factors, ABC) require it.  `log_posterior_row` is optional
-    too: for a (p,) point it returns the bits of
-    ``log_posterior(model, theta[None, :])[0]`` as a float, or raises the
-    exception that call raises, so a sequential sampler may call it in place
-    of a one-row batch.
+    Data is captured at construction so samplers see a closed target.  Both
+    densities take an (N, p) batch or a (p,) point, as `log_posterior`
+    does.  `sample_prior` is optional; estimators that need prior draws
+    (prior Monte Carlo Bayes factors, ABC) require it.
     """
 
     dimension: int
     log_prior: LogDensity
     log_likelihood: LogDensity
     sample_prior: Optional[PriorSampler] = None
-    log_posterior_row: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -99,20 +95,27 @@ class SimulableModel:
     log_prior: LogDensity
 
 
-def log_posterior(model: BayesModel, thetas) -> np.ndarray:
-    """log prior + log likelihood of each row of the (N, p) array `thetas`;
-    -inf propagates without evaluating the likelihood outside the prior
-    support."""
+def log_posterior(model: BayesModel, thetas):
+    """log prior + log likelihood of each row of the (N, p) array `thetas`,
+    as (N,) values, or of the (p,) point `thetas`, as a float with the bits
+    of its one-row batch; -inf propagates without evaluating the likelihood
+    outside the prior support, and a NaN raises `FloatingPointError`."""
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != model.dimension:
-        raise ValueError(
-            f"thetas has shape {thetas.shape}, expected (N, {model.dimension})"
-        )
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != model.dimension:
+        raise ValueError(f"thetas has shape {thetas.shape}, expected "
+                         f"({model.dimension},) or (N, {model.dimension})")
+    if thetas.ndim == 1:
+        lp = float(model.log_prior(thetas))
+        if lp > -math.inf:
+            lp += float(model.log_likelihood(thetas))
+        if math.isnan(lp):
+            raise FloatingPointError(_NAN_MESSAGE)
+        return lp
     n = thetas.shape[0]
     prior = _per_row(model.log_prior(thetas), n)
-    # list scans: a one-row call, as the Metropolis samplers make, costs
-    # less than a numpy reduction this way.  A NaN prior row fails the test,
-    # as -inf does, so only rows strictly above -inf reach the likelihood.
+    # list scans: a call of a few rows costs less than a numpy reduction
+    # this way.  A NaN prior row fails the test, as -inf does, so only rows
+    # strictly above -inf reach the likelihood.
     if all(x > -math.inf for x in prior.tolist()):
         out = prior + _per_row(model.log_likelihood(thetas), n)
     else:
@@ -121,7 +124,7 @@ def log_posterior(model: BayesModel, thetas) -> np.ndarray:
         if inside.any():
             out[inside] += _per_row(model.log_likelihood(thetas[inside]), int(inside.sum()))
     if any(map(math.isnan, out.tolist())):
-        raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
+        raise FloatingPointError(_NAN_MESSAGE)
     return out
 
 

@@ -14,7 +14,6 @@ Bernoulli(Phi(x'beta)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -114,16 +113,17 @@ class ProbitModel:
 
 def probit_loglik_rows(signed_design: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """sum_i log Phi(s_i x_i'beta) for each row beta of the (m, p) `betas`,
-    with s_i x_i the rows of the (n, p) `signed_design` and s_i = 2 y_i - 1.
+    as (m,) values, or for the (p,) point `betas`, as a scalar, with s_i x_i
+    the rows of the (n, p) `signed_design` and s_i = 2 y_i - 1.
 
     This is the probit log-likelihood, accumulated through the log-CDF
-    `core.log_ndtr` in place on the (m, n) predictors, so that deep-tail
-    observations do not underflow.  That kernel picks its path per entry,
-    so every row is bit-identical to its one-row call whatever m is
-    (`rowwise`).  It takes a bare signed design, so a design whose X'X is
-    singular is evaluated too.
+    `core.log_ndtr` in place on the (m, n) or (n,) predictors, so that
+    deep-tail observations do not underflow.  That kernel picks its path
+    per entry, so every row, and a point, is bit-identical to its one-row
+    call whatever m is (`rowwise`).  It takes a bare signed design, so a
+    design whose X'X is singular is evaluated too.
     """
-    return log_ndtr(rowwise(betas, signed_design)).sum(axis=1)
+    return log_ndtr(rowwise(betas, signed_design)).sum(axis=-1)
 
 
 def probit_loglik_many(model: ProbitModel, betas: np.ndarray) -> np.ndarray:
@@ -390,33 +390,15 @@ def probit_abc_summary(model: ProbitModel, ys, whitener: np.ndarray) -> np.ndarr
 def probit_bayes_model(model: ProbitModel) -> BayesModel:
     """Close the probit posterior over its data as a sampler-facing target.
 
-    `log_posterior` has checked the shape of the rows by the time either
-    density sees them, so the likelihood closes over the row kernel itself,
-    not over `probit_loglik_many`, which checks the shape for direct
-    callers; the prior is the g-prior's own `logpdf_many`.
-
-    `log_posterior_row` evaluates one (p,) point on the 1-D paths of the
-    same products: the prior is ``logpdf_whitened(rowwise(beta - mean,
-    whitener))`` and the likelihood ``log_ndtr(rowwise(beta,
-    signed_design)).sum()``, each the bits of its one-row batch.  It gates
-    as `log_posterior` does: a -inf prior returns -inf without evaluating
-    the likelihood, and a NaN prior or NaN total raises `FloatingPointError`.
-    Each call allocates its own arrays, so callers share no buffer."""
-    prior, signed_design = model.prior, model.signed_design
-    loglik_rows = partial(probit_loglik_rows, signed_design)
-
-    def log_posterior_row(beta):
-        lp = float(prior.logpdf_whitened(rowwise(beta - prior.mean, prior.whitener)))
-        if lp > -math.inf:
-            lp += float(log_ndtr(rowwise(beta, signed_design)).sum())
-        if math.isnan(lp):
-            raise FloatingPointError("model returned NaN; out-of-support must map to -inf")
-        return lp
-
+    `log_posterior` has checked the shape of its points by the time either
+    density sees them, so the likelihood closes over `probit_loglik_rows`
+    itself, not over `probit_loglik_many`, which checks the shape for
+    direct callers; the prior is the g-prior's own `logpdf_many`.  Both
+    take a (p,) point as well as a batch, and evaluate it on the 1-D paths
+    of the same products, with the bits of its one-row batch."""
     return BayesModel(
         dimension=model.dimension,
         log_prior=model.prior.logpdf_many,
-        log_likelihood=lambda b: map_rows(loglik_rows, b),
+        log_likelihood=partial(map_rows, partial(probit_loglik_rows, model.signed_design)),
         sample_prior=lambda n, rng: sample_gprior(model, n, rng),
-        log_posterior_row=log_posterior_row,
     )

@@ -65,6 +65,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             AbcConfig(n_output=0, tolerance=0.5)
 
+    def test_quantile_below_the_acceptance_floor_is_refused(self):
+        # the quantile pilot makes n_output / quantile proposals; below the
+        # floor that no generation may fall under, the config is refused
+        # before any proposal
+        for q in (1e-6, 0.0099, float("nan")):
+            with pytest.raises(ValueError, match="0.01"):
+                AbcConfig(n_output=10, quantile=q)
+        assert AbcConfig(n_output=10, quantile=0.01).quantile == 0.01
+
 
 class TestReject:
     def test_zero_tolerance_is_exact_posterior(self):

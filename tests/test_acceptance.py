@@ -256,9 +256,9 @@ class TestChibIdentity:
         post_var = tau2 / (tau2 + 1.0)
         model = BayesModel(
             dimension=1,
-            log_prior=lambda th: stats.norm.logpdf(th[:, 0], 0.0,
+            log_prior=lambda th: stats.norm.logpdf(th[..., 0], 0.0,
                                                    np.sqrt(tau2)),
-            log_likelihood=lambda th: stats.norm.logpdf(y, th[:, 0], 1.0),
+            log_likelihood=lambda th: stats.norm.logpdf(y, th[..., 0], 1.0),
         )
         completion = LatentCompletion(
             sample_latents=lambda th, rng: np.zeros(1),

@@ -607,7 +607,9 @@ class TestErrors:
     @pytest.mark.parametrize("experiment,config,message", [
         ("pmc", {**_TINY["pmc"], "weight": 1.5}, "weight must lie in (0, 1)"),
         ("capture", {"iterations": 200, "c2": 30}, "need 0 <= c2 <= n1"),
-    ], ids=["pmc-weight", "capture-c2"])
+        ("abc", {**_TINY["abc"], "quantile": 1e-6},
+         "quantile must lie between the acceptance floor 0.01 and 1, got 1e-06"),
+    ], ids=["pmc-weight", "capture-c2", "abc-quantile"])
     def test_a_run_that_fails_makes_no_out_directory(self, tmp_path, capsys,
                                                      experiment, config, message):
         # both configs pass resolve_config; the runner itself refuses them

@@ -39,8 +39,8 @@ def conjugate(tau2):
     """Model, posterior proposal, and exact log evidence for prior N(0, tau2)."""
     model = BayesModel(
         dimension=1,
-        log_prior=lambda th: stats.norm.logpdf(th[:, 0], 0.0, np.sqrt(tau2)),
-        log_likelihood=lambda th: stats.norm.logpdf(Y_OBS, th[:, 0], 1.0),
+        log_prior=lambda th: stats.norm.logpdf(th[..., 0], 0.0, np.sqrt(tau2)),
+        log_likelihood=lambda th: stats.norm.logpdf(Y_OBS, th[..., 0], 1.0),
         sample_prior=lambda n, rng: np.sqrt(tau2) * rng.standard_normal((n, 1)),
     )
     post_mean = tau2 * Y_OBS / (tau2 + 1.0)

@@ -37,7 +37,8 @@ def pima():
 
 
 def flat_model(dim=1):
-    return BayesModel(dim, lambda t: np.zeros(len(t)), lambda t: np.zeros(len(t)))
+    return BayesModel(dim, lambda t: np.zeros(np.shape(t)[:-1]),
+                      lambda t: np.zeros(np.shape(t)[:-1]))
 
 
 class TestMhRun:
@@ -57,9 +58,9 @@ class TestMhRun:
 
         def log_lik(t):
             d = t - mu
-            return -0.5 * np.einsum("ni,ij,nj->n", d, precision, d)
+            return -0.5 * np.einsum("...i,ij,...j->...", d, precision, d)
 
-        target = BayesModel(2, lambda t: np.zeros(len(t)), log_lik)
+        target = BayesModel(2, lambda t: np.zeros(np.shape(t)[:-1]), log_lik)
         chain = rw_mh_run(target, 2.8 * sigma, mu, 50_000, RngStream(2, 0))
         d = chain.states - mu
         f = np.column_stack([chain.states, d[:, 0] ** 2, d[:, 1] ** 2,
@@ -72,15 +73,15 @@ class TestMhRun:
         assert 0.15 < chain.acceptance_rate < 0.5
 
     def test_bad_start_rejected(self):
-        target = BayesModel(1, lambda t: np.full(len(t), -np.inf),
-                            lambda t: np.zeros(len(t)))
+        target = BayesModel(1, lambda t: np.full(np.shape(t)[:-1], -np.inf),
+                            lambda t: np.zeros(np.shape(t)[:-1]))
         with pytest.raises(ValueError):
             rw_mh_run(target, np.eye(1), np.zeros(1), 10, RngStream(3, 0))
 
     def test_rejection_repeats_state_bitwise(self):
         # a huge step on a tight target rejects almost always
-        target = BayesModel(1, lambda t: np.zeros(len(t)),
-                            lambda t: -5e4 * np.sum(t * t, axis=1))
+        target = BayesModel(1, lambda t: np.zeros(np.shape(t)[:-1]),
+                            lambda t: -5e4 * np.sum(t * t, axis=-1))
         chain = rw_mh_run(target, 100.0 * np.eye(1), np.zeros(1), 200,
                           RngStream(4, 0))
         repeats = chain.states[1:][np.diff(chain.states[:, 0]) == 0.0]
@@ -90,8 +91,8 @@ class TestMhRun:
             assert chain.states[t + 1].tobytes() == chain.states[t].tobytes()
 
     def test_zero_covariance_constant_chain(self):
-        target = BayesModel(1, lambda t: np.zeros(len(t)),
-                            lambda t: -0.5 * np.sum(t * t, axis=1))
+        target = BayesModel(1, lambda t: np.zeros(np.shape(t)[:-1]),
+                            lambda t: -0.5 * np.sum(t * t, axis=-1))
         chain = rw_mh_run(target, np.zeros((1, 1)), np.array([0.7]), 100,
                           RngStream(5, 0))
         assert chain.acceptance_rate == 1.0

@@ -10,8 +10,8 @@ from bayescomp.model import BayesModel, SimulableModel, log_posterior
 def gaussian_model(dim=1):
     return BayesModel(
         dimension=dim,
-        log_prior=lambda t: -0.5 * np.sum(t * t, axis=1),
-        log_likelihood=lambda t: -0.25 * np.sum(t * t, axis=1),
+        log_prior=lambda t: -0.5 * np.sum(t * t, axis=-1),
+        log_likelihood=lambda t: -0.25 * np.sum(t * t, axis=-1),
         sample_prior=lambda n, rng: rng.standard_normal((n, dim)),
     )
 
@@ -54,6 +54,35 @@ def test_shape_mismatch():
     m = gaussian_model(dim=2)
     with pytest.raises(ValueError):
         log_posterior(m, np.array([[1.0]]))
+
+
+def test_point_gives_the_float_of_its_one_row_batch():
+    m = gaussian_model(dim=2)
+    for theta in RngStream(3, 0).standard_normal((5, 2)):
+        value = log_posterior(m, theta)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == log_posterior(m, theta[None, :]).tobytes()
+    with pytest.raises(ValueError):
+        log_posterior(m, np.zeros(3))
+    with pytest.raises(ValueError):
+        log_posterior(m, np.zeros((1, 1, 2)))
+
+
+def test_point_gates_as_a_batch_row():
+    calls = []
+
+    def loglik(t):
+        calls.append(t)
+        return np.zeros(np.shape(t)[:-1])
+
+    m = BayesModel(1, lambda t: np.where(t[..., 0] > 0, 0.0, -np.inf), loglik)
+    assert log_posterior(m, np.array([-1.0])) == -np.inf
+    assert not calls  # likelihood never evaluated outside the support
+    assert log_posterior(m, np.array([1.0])) == 0.0 and len(calls) == 1
+    for prior, lik in ((np.nan, 0.0), (0.0, np.nan), (np.inf, -np.inf)):
+        m = BayesModel(1, lambda t, v=prior: v, lambda t, v=lik: v)
+        with pytest.raises(FloatingPointError):
+            log_posterior(m, np.zeros(1))
 
 
 def test_dimension_validated():

@@ -2,7 +2,6 @@
 completion.  The MLE oracle is an independent generic optimiser run on
 the same log-likelihood."""
 
-import dataclasses
 import functools
 import tracemalloc
 
@@ -14,7 +13,8 @@ from scipy import optimize, special, stats
 
 from bayescomp.core import MvnParams, RngStream, rowwise, truncated_normal_vector
 from bayescomp.datasets import bundled_pima_path, load_pima
-from bayescomp.mcmc import rw_mh_run
+from bayescomp.mcmc import rw_metropolis, rw_mh_run
+from bayescomp.mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
 from bayescomp.model import log_posterior
 from bayescomp.probit import (
     NonConvergenceError,
@@ -128,52 +128,69 @@ _FAR = st.one_of(st.floats(-1e6, -30.0), st.floats(30.0, 1e6))
 _SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
 
 
+@functools.cache
+def _posterior_case(case: str):
+    """(target, centre) of a posterior: the pima probit on 3 or 2
+    covariates (`_pima_model`) at its MLE, or the two-mean mixture on 500
+    points at the means that simulated them."""
+    if case == "mixture":
+        data = simulate_mixture_data(0.0, 2.5, 0.7, 1.0, 500, RngStream(1, 0))
+        return (mixture_bayes_model(MixtureTarget(data, 0.7, 1.0)),
+                np.array([0.0, 2.5]))
+    model = _pima_model({"pima3": 3, "pima2": 2}[case])
+    return probit_bayes_model(model), probit_mle(model)[0]
+
+
+def _one_row(target):
+    """The log-posterior of a (p,) point as a one-row batch."""
+    return lambda theta: float(log_posterior(target, theta[None, :])[0])
+
+
 class TestPosteriorRow:
     # a static method parametrized directly: each parameter is a new test
     # instance, and without hypothesis's pytest plugin a method that takes
     # `self` fails HealthCheck.differing_executors on the second one
     @staticmethod
-    @pytest.mark.parametrize("covariates", [3, 2], ids=["pima3", "pima2"])
+    @pytest.mark.parametrize("case", ["pima3", "pima2", "mixture"])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_row_kernel_is_the_one_row_batch(covariates, data):
-        model = _pima_model(covariates)
-        target = probit_bayes_model(model)
-        p = model.dimension
-        beta_hat = probit_mle(model)[0]
+    def test_point_is_the_one_row_batch(case, data):
+        target, centre = _posterior_case(case)
         kinds = data.draw(st.lists(st.sampled_from(["near", "far", "special"]),
-                                   min_size=p, max_size=p))
-        theta = np.array([beta_hat[j] + data.draw(_NEAR) if kind == "near"
+                                   min_size=len(centre), max_size=len(centre)))
+        theta = np.array([centre[j] + data.draw(_NEAR) if kind == "near"
                           else data.draw(_FAR if kind == "far" else _SPECIAL)
                           for j, kind in enumerate(kinds)])
-        row = _outcome(target.log_posterior_row, theta)
-        batch = _outcome(lambda t: log_posterior(target, t[None, :])[0], theta)
-        assert row == batch
+        point = _outcome(lambda t: log_posterior(target, t), theta)
+        assert point == _outcome(_one_row(target), theta)
 
+    @pytest.mark.parametrize("case", ["pima2", "mixture"])
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_metropolis_chain_is_the_same_without_the_kernel(self, pima, seed):
-        model = ProbitModel(design=pima.design[:, :2], response=pima.response)
-        target = probit_bayes_model(model)
-        beta, cov = probit_mle(model)
-        plain = dataclasses.replace(target, log_posterior_row=None)
-        fast = rw_mh_run(target, 2.0 * cov, beta, 2000, RngStream(seed, 0))
-        slow = rw_mh_run(plain, 2.0 * cov, beta, 2000, RngStream(seed, 0))
-        assert fast.states.tobytes() == slow.states.tobytes()
-        assert fast.log_posts.tobytes() == slow.log_posts.tobytes()
-        assert fast.accept_count == slow.accept_count > 0
+    def test_point_chain_is_the_one_row_batch_chain(self, case, seed):
+        # rw_mh_run against rw_metropolis stepping through the one-row
+        # batch, on the same stream: the pima chain at twice the MLE's
+        # covariance, the mixture chain at mixture-demo's unit step
+        target, centre = _posterior_case(case)
+        cov = 2.0 * probit_mle(_pima_model(2))[1] if case == "pima2" else np.eye(2)
+        one_row = _one_row(target)
+        chain = rw_mh_run(target, cov, centre, 2000, RngStream(seed, 0))
+        states, log_posts, (accepts,) = rw_metropolis(
+            one_row, cov, centre, one_row(centre), 2000, RngStream(seed, 0))
+        assert chain.states.tobytes() == states.tobytes()
+        assert chain.log_posts.tobytes() == log_posts.tobytes()
+        assert chain.accept_count == accepts > 0
 
     @pytest.mark.parametrize("theta0", [[0.0, 0.0], [0.0] * 4, [[0.0, 0.0, 0.0]],
                                         [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
                                         [0.0, -np.inf, 0.0]])
     def test_bad_starts_raise_alike(self, pima, theta0):
+        # the class the one-row batch raises at the start, or ValueError
+        # where it returns -inf, outside the support
         target = probit_bayes_model(pima)
-        plain = dataclasses.replace(target, log_posterior_row=None)
-        raised = []
-        for model in (target, plain):
-            with pytest.raises((ValueError, FloatingPointError)) as err:
-                rw_mh_run(model, np.eye(3), theta0, 10, RngStream(7, 0))
-            raised.append(err.type)
-        assert raised[0] is raised[1]
+        batch = _outcome(_one_row(target), np.asarray(theta0))
+        with pytest.raises((ValueError, FloatingPointError)) as err:
+            rw_mh_run(target, np.eye(3), theta0, 10, RngStream(7, 0))
+        assert err.type is (ValueError if batch == _outcome(lambda: -np.inf) else batch)
 
 
 class TestGPrior:

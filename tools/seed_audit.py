@@ -33,10 +33,13 @@ OFFSETS = 8
 WARNING_FILTERS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
                    "-W", "error::FutureWarning",
                    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-# the tests that run rw_metropolis: rw_mh_run, mwg, mixture-demo, abc_mcmc
+# the tests that run rw_metropolis: rw_mh_run, mwg, mixture-demo, abc_mcmc;
+# tests/test_seed_audit.py checks that each names a test that exists
 METROPOLIS_TESTS = (
     "tests/test_acceptance.py::TestRandomWalkAcceptance",
     "tests/test_acceptance.py::TestMixtureTrapping",
+    "tests/test_mcmc.py::TestMhRun",
+    "tests/test_probit.py::TestPosteriorRow::test_point_chain_is_the_one_row_batch_chain",
     "tests/test_mcmc.py::TestMwg",
     "tests/test_mcmc.py::TestBlockedMetropolis",
     "tests/test_mcmc.py::TestProbitGibbs::test_cross_sampler_agreement",
