@@ -14,7 +14,8 @@ rest of its budget needs.  A fixed-tolerance rejection run then raises a
 generation; a sequential run ends its schedule.  ABC-MCMC runs
 `mcmc.rw_metropolis` on a simulation-gated prior: the walk's uniforms and
 increments on child streams of one stream, the simulations on that
-stream itself.  The sequential sampler perturbs resampled particles with
+stream itself, and only for proposals whose prior clears the acceptance
+floor.  The sequential sampler perturbs resampled particles with
 a Gaussian kernel whose covariance is twice the weighted empirical
 covariance (Beaumont, Cornuet, Marin & Robert 2009), and corrects with
 importance weights prior / (mixture of kernels), whose O(N^2)
@@ -40,7 +41,7 @@ from .core import (
     RngStream,
     categorical_cdf,
 )
-from .mcmc import Chain, rw_metropolis
+from .mcmc import Chain, below_floor, rw_metropolis
 from .model import SimulableModel
 from .montecarlo import GaussianProposal, WeightedSample, ess, kernel_mixture_logpdf
 from .probit import (
@@ -228,17 +229,24 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
     100 prior proposals, or a `RuntimeError`) and walks on
     ``walk = rng.child(1)``: the walk's uniforms and increments on
     ``walk.child(0)`` and ``walk.child(1)``, each step's simulation on
-    `walk` itself.  `log_posts` holds each state's log prior."""
+    `walk` itself.  A step simulates only when its log prior clears the
+    acceptance floor (the test order of Marjoram et al.): a prior that
+    alone lies `below_floor` is a rejection with no simulation, so a flat
+    prior simulates at every step, and a peaked one skips the simulations
+    of its far-off proposals, which moves the later draws on `walk` but
+    not the law of the chain.  `log_posts` holds each state's log prior."""
     if config.tolerance is None:
         raise ValueError("abc_mcmc needs a fixed tolerance")
     eta_obs = _observed_summary(model, y_obs)
     theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).points[0]
     walk = rng.child(1)
 
-    def log_target(prop):
+    def log_target(prop, floor):
         row = prop[None, :]
         lp = float(model.log_prior(row)[0])
-        hit = lp > -np.inf and euclidean_distance(
+        if lp == -np.inf or below_floor(lp, floor):
+            return -np.inf
+        hit = euclidean_distance(
             model.summary(model.simulate(row, walk)), eta_obs)[0] <= config.tolerance
         return lp if hit else -np.inf
 

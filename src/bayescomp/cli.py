@@ -30,11 +30,13 @@ pima ones (`mle`, `mh`, `gibbs`, `mwg`, `evidence`, `abc`), and
 `coverage` for `evidence` by harmonic-gd alone.  It is a `ConfigError`,
 by a flag or by a config-file key, to set a key the experiment does not
 read, to give a covariate name other than glu, bp and ped, an unknown
-`evidence` method or `pmc` density form, a random-walk step size that is
-not finite and > 0, `replicates` below 1, a negative `burn_in`, a `thin`
-below 1, too few kept states, fewer than two `n_draws`, or a `coverage`
-outside (0, 1].  The `--out` directory is made only once the runner has returned, so a run
-that fails, on its config or at run time, leaves none.
+`evidence` method or `pmc` density form, a random-walk step size, or an
+increment variance made of one (`mixture-demo`'s tau^2, `mwg`'s
+4 `logsigma_step_var`), that is not finite and > 0, `replicates` below
+1, a negative `burn_in`, a `thin` below 1, too few kept states, fewer
+than two `n_draws`, or a `coverage` outside (0, 1].  The `--out`
+directory is made only once the runner has returned, so a run that
+fails, on its config or at run time, leaves none.
 """
 
 from __future__ import annotations
@@ -174,8 +176,17 @@ def resolve_config(experiment: str, raw: dict) -> dict:
             raise ConfigError(f"{key} must be one of {list(choices)}, got {config[key]!r}")
     for key in ("scale_multiplier", "beta_step_var", "logsigma_step_var", "tau"):
         value = config.get(key)
-        if key in config and not (isinstance(value, (int, float)) and 0 < value < np.inf):
+        if key in config and not (isinstance(value, (int, float))
+                                  and 0 < value <= sys.float_info.max):
             raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    # the increment variances that mixture-demo and mwg form must not round
+    # to 0 (a frozen chain) or overflow
+    for key, variance in (("tau", lambda tau: tau * tau),
+                          ("logsigma_step_var", lambda v: 4.0 * v)):
+        step_var = variance(float(config[key])) if key in config else 1.0
+        if not 0.0 < step_var < np.inf:
+            raise ConfigError(f"{key} {config[key]!r} makes the step variance "
+                              f"{step_var!r}; it must be finite and positive")
     coverage = config.get("coverage", 1.0)
     if not (isinstance(coverage, (int, float)) and 0 < coverage <= 1):
         raise ConfigError(f"coverage must lie in (0, 1], got {coverage!r}")

@@ -5,11 +5,17 @@ on a scalar log-target, one block of coordinates per step, and a uniform
 for every acceptance test, certain accepts included.  The uniforms and
 each block's increments are drawn before the first step, each on a child
 stream of its own, so a step is arithmetic plus one log-target call and
-no generator call.  `rw_mh_run` runs it on a posterior, one (p,) point
-per step through `log_posterior`, with the bits of a one-row batch;
-`abc.abc_mcmc` runs it on a prior gated by a simulation and
-`mwg_probit_overparam_run` on two blocks, beta and log sigma^2.  No
-burn-in is discarded here; trimming is post-processing.
+no generator call.  Since each step's uniform is known in advance, the
+log-target gets the step's acceptance floor, lp + log u, and may reject
+a candidate early, as -inf, once an upper bound on its value falls below
+that floor (Solonen et al. 2012), with the decisions and the bits of a
+full evaluation.  `rw_mh_run` runs the loop on a posterior, one (p,)
+point per step through `log_posterior`, with the bits of a one-row batch,
+and ignores the floor; `abc.abc_mcmc` runs it on a prior gated by a
+simulation, simulating only when the prior clears the floor; and
+`mwg_probit_overparam_run` on two blocks, beta and log sigma^2, its
+likelihood bounded by tangent lines.  No burn-in is discarded here;
+trimming is post-processing.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
@@ -23,11 +29,12 @@ One model's replicates are the one-group case and a single chain
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
+from scipy import special
 
 from .core import MvnParams, RngStream, log_ndtr, truncated_normal_positive
 from .model import BayesModel, log_posterior
@@ -35,6 +42,7 @@ from .probit import ProbitModel, ProbitSweep, probit_mle
 
 __all__ = [
     "Chain",
+    "below_floor",
     "rw_metropolis",
     "rw_mh_run",
     "probit_gibbs_run",
@@ -42,6 +50,11 @@ __all__ = [
     "mwg_probit_overparam_run",
     "chain_diagnostics",
 ]
+
+# an early rejection's slack relative to 1 + |floor| (see rw_metropolis)
+_FLOOR_SLACK = 1e-9
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
 
 @dataclass(frozen=True)
 class Chain:
@@ -64,14 +77,33 @@ class Chain:
         return self.accept_count / self.n_proposals
 
 
+def below_floor(bound: float, floor: float) -> bool:
+    """Whether `bound` lies below `floor` by more than the slack of
+    `rw_metropolis`'s early rejection, 1e-9 (1 + |floor|); False when
+    either is NaN."""
+    return bound < floor - _FLOOR_SLACK * (1.0 + abs(floor))
+
+
 def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream,
                   blocks=None):
     """Random-walk Metropolis from `theta`, whose log-target is `lp`: step t
     moves block b = t mod B of the B `blocks` (index sequences; default one
     of every coordinate), proposing cand = theta + L z, L the `MvnParams`
     factor of ``cov[b][:, b]`` (singular ones too) in block b's rows and
-    zero in the others, and accepts if log1p(-u) <= log_target(cand) - lp.
-    A rejection repeats the previous state and value.
+    zero in the others, and accepts if log_u <= log_target(cand, floor) - lp,
+    log_u = log1p(-u).  A rejection repeats the previous state and value.
+
+    Early rejection (Solonen et al. 2012): the uniform is known before the
+    candidate is valued, so `log_target` gets the acceptance floor
+    ``floor = lp + log_u`` as its second argument.  It returns its value,
+    or -inf when it has shown, without computing that value, that the value
+    lies below the floor by more than the slack 1e-9 (1 + |floor|): the
+    test ``below_floor(bound, floor)`` on an upper bound of the value.  The
+    slack covers the rounding of the floor against the accept test's
+    difference and that of the target's bound, so such a candidate is one
+    the accept test would refuse too, and the chain keeps every decision
+    and every bit.  A NaN bound never rejects.  A target may ignore the
+    floor.
 
     The randomness is drawn before the first step, on child streams of
     `rng`: one uniform per step on ``rng.child(0)``, and block b's standard
@@ -103,7 +135,7 @@ def rw_metropolis(log_target, cov, theta, lp: float, n_iter: int, rng: RngStream
     accepts = [0] * n_blocks
     for t, (step, log_u) in enumerate(zip(inc, log_us)):
         cand = theta + step
-        lp_cand = log_target(cand)
+        lp_cand = log_target(cand, lp + log_u)
         if log_u <= lp_cand - lp:
             theta, lp = cand, lp_cand
             accepts[t % n_blocks] += 1
@@ -116,16 +148,17 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     """`rw_metropolis` on the log-posterior of `target`, one block of every
     coordinate, its draws on the child streams ``rng.child(0)`` (uniforms)
     and ``rng.child(1)`` (increments), each step one `log_posterior` call
-    on a (p,) point.  A start that is not a (dimension,) point is a
-    `ValueError`, and so is one outside the support."""
+    on a (p,) point; the target ignores its acceptance floor.  A start
+    that is not a (dimension,) point is a `ValueError`, and so is one
+    outside the support."""
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     if theta.shape != (target.dimension,):
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({target.dimension},)")
-    log_target = partial(log_posterior, target)
-    lp = log_target(theta)
+    lp = log_posterior(target, theta)
     if lp == -np.inf:
         raise ValueError("theta0 outside the target support")
-    states, log_posts, accepts = rw_metropolis(log_target, cov, theta, lp, n_iter, rng)
+    states, log_posts, accepts = rw_metropolis(
+        lambda cand, floor: log_posterior(target, cand), cov, theta, lp, n_iter, rng)
     return Chain(states, log_posts, sum(accepts), n_iter, {"family": "random-walk-metropolis"})
 
 
@@ -185,6 +218,57 @@ def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):
     return Chain(states[0], None, 0, 0, {"family": "gibbs-data-augmentation"}), means[0]
 
 
+def _overparam_probit_target(x, y):
+    """The log-target of `mwg_probit_overparam_run` at theta = (beta, l),
+    with its early rejection: ``log_target(theta, floor)``.
+
+    The likelihood is ll(r) = sum_i log Phi(a_i r), r = beta / sigma and
+    a_i = s_i x_i, and it is concave in r.  So each tangent line
+    ll(r_k) + g_k (r - r_k), slope g_k = sum_i a_i phi(a_i r_k) / Phi(a_i r_k)
+    = sum_i a_i sqrt(2/pi) / erfcx(-a_i r_k / sqrt 2), bounds it from above.
+    The tangents sit at r_k = 0 and +-s0 4^j, j = 0..5, with
+    s0 = (2/pi sum_i a_i^2)^(-1/2) the scale of ll's curvature at 0 (0 alone
+    when that sum is 0 or overflows), which needs no MLE and holds on any
+    data: a constant ll (all a_i zero) and separated data alike.  Between
+    two tangent points only their two tangents can be the lowest, so a step
+    looks at those two.  A candidate whose bound plus the prior and Jacobian
+    terms lies `below_floor` is -inf without its likelihood; a tangent with
+    a non-finite slope has a NaN value, and never rejects."""
+    signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
+    terms = np.empty_like(signed_x)
+    curvature = 2.0 / math.pi * float(signed_x @ signed_x)
+    s0 = 1.0 / math.sqrt(curvature) if curvature > 0.0 else 0.0
+    grid = sorted({0.0, *(sign * s0 * 4.0 ** j for j in range(6) for sign in (-1.0, 1.0))})
+    # d/dr log Phi(a r) = a phi(a r) / Phi(a r) = a sqrt(2/pi) / erfcx(-a r / sqrt 2)
+    slopes = [float(np.sum(signed_x * (_SQRT_2_OVER_PI
+                                       / special.erfcx(signed_x * (-r / math.sqrt(2.0))))))
+              for r in grid]
+    values = [float(special.log_ndtr(signed_x * r).sum()) if math.isfinite(g) else math.nan
+              for r, g in zip(grid, slopes)]
+    last = len(grid) - 1
+
+    def log_target(theta, floor):
+        beta, ell = theta.tolist()
+        try:
+            sigma2 = math.exp(ell)
+        except OverflowError:
+            return -math.inf
+        if sigma2 == 0.0:
+            return -math.inf
+        r = beta / math.sqrt(sigma2)
+        lp = -2.0 * math.log(sigma2) - 1.0 / sigma2 - beta * beta / 50.0
+        k = bisect.bisect(grid, r)
+        lo, hi = max(k - 1, 0), min(k, last)
+        bound = min(values[lo] + slopes[lo] * (r - grid[lo]),
+                    values[hi] + slopes[hi] * (r - grid[hi]))
+        if below_floor(bound + lp + ell, floor):
+            return -math.inf
+        np.multiply(signed_x, r, out=terms)
+        return float(log_ndtr(terms).sum()) + lp + ell
+
+    return log_target
+
+
 def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
                              beta_step_var: float = 1.0,
                              logsigma_step_var: float = 0.04) -> Chain:
@@ -201,33 +285,24 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
     where e^l or the target leaves the float range.  The likelihood,
     sum_i log Phi(s_i x_i beta / sigma), is evaluated by `core.log_ndtr`
     in an (n,) array the run owns: the bits of a one-row
-    `probit_loglik_rows` call.  Every second state is kept as
-    (beta, sigma^2), with the target less l, its log-posterior.
+    `probit_loglik_rows` call.  A candidate whose upper bound, from a few
+    tangent lines of the concave likelihood, lies below its acceptance
+    floor is rejected early, without its likelihood, with the decision and
+    the bits of a full evaluation (see `rw_metropolis`); most far-off beta
+    proposals go this way.  Every second state is kept as (beta, sigma^2),
+    with the target less l, its log-posterior.
     """
-    if not (0.0 < beta_step_var < np.inf and 0.0 < logsigma_step_var < np.inf):
-        raise ValueError(f"beta_step_var {beta_step_var!r} and logsigma_step_var "
-                         f"{logsigma_step_var!r} must be finite and positive")
-    signed_x = (2.0 * np.asarray(y, dtype=float) - 1.0) * np.asarray(x, dtype=float)
-    terms = np.empty_like(signed_x)
-
-    def log_target(theta):
-        beta, ell = theta.tolist()
-        try:
-            sigma2 = math.exp(ell)
-        except OverflowError:
-            return -math.inf
-        if sigma2 == 0.0:
-            return -math.inf
-        np.multiply(signed_x, beta / math.sqrt(sigma2), out=terms)
-        log_ndtr(terms)
-        lp = -2.0 * math.log(sigma2) - 1.0 / sigma2 - beta * beta / 50.0
-        return float(terms.sum()) + lp + ell
-
-    cov = np.diag([beta_step_var, 4.0 * logsigma_step_var])
+    variances = (beta_step_var, 4.0 * logsigma_step_var)
+    for key, variance in zip(("beta_step_var", "logsigma_step_var"), variances):
+        if not 0.0 < variance < np.inf:
+            raise ValueError(f"{key}: the increment variance {variance!r} must be "
+                             "finite and positive")
+    cov = np.diag(variances)
     with np.errstate(over="ignore"):
+        log_target = _overparam_probit_target(x, y)
         states, log_targets, (acc_beta, acc_sigma) = rw_metropolis(
-            log_target, cov, np.zeros(2), log_target(np.zeros(2)), 2 * n_iter, rng,
-            [[0], [1]])
+            log_target, cov, np.zeros(2), log_target(np.zeros(2), -math.inf), 2 * n_iter,
+            rng, [[0], [1]])
     beta, ell = states[1::2].T
     return Chain(np.column_stack([beta, np.exp(ell)]), log_targets[1::2] - ell,
                  acc_beta + acc_sigma, 2 * n_iter,

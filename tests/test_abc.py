@@ -24,7 +24,7 @@ from bayescomp.abc import (
     probit_abc,
     regression_adjust,
 )
-from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, RngStream
+from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, MvnParams, RngStream
 from bayescomp.model import SimulableModel
 from bayescomp.montecarlo import ess, snis_estimate
 from bayescomp.probit import ProbitModel, probit_mle
@@ -45,6 +45,17 @@ def bernoulli_model() -> SimulableModel:
         summary=lambda ys: np.sum(ys, axis=1, keepdims=True),
         log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                       0.0, -np.inf),
+    )
+
+
+def normal_mean_model() -> SimulableModel:
+    """A standard normal prior on the mean of four unit-normal
+    observations, summarised by their mean."""
+    return SimulableModel(
+        sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
+        simulate=lambda th, rng: th + rng.standard_normal((len(th), 4)),
+        summary=lambda ys: ys.mean(axis=1, keepdims=True),
+        log_prior=lambda th: -0.5 * th[:, 0] ** 2,
     )
 
 
@@ -182,12 +193,7 @@ class TestMcmc:
         # a normal prior on the mean of four unit-normal observations: the
         # stored value of every state is its log prior, never the -inf of
         # a missed simulation, and a (seed, config) fixes every bit
-        model = SimulableModel(
-            sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
-            simulate=lambda th, rng: th + rng.standard_normal((len(th), 4)),
-            summary=lambda ys: ys.mean(axis=1, keepdims=True),
-            log_prior=lambda th: -0.5 * th[:, 0] ** 2,
-        )
+        model = normal_mean_model()
         config = AbcConfig(n_output=1, tolerance=0.3)
         y_obs = np.array([0.4, 1.1, -0.2, 0.9])
         a, b = (abc_mcmc(model, y_obs, config, np.array([[0.5]]), 400,
@@ -197,6 +203,77 @@ class TestMcmc:
         assert a.accept_count == b.accept_count
         assert 0 < a.accept_count < 400
         np.testing.assert_array_equal(a.log_posts, model.log_prior(a.states))
+
+    @staticmethod
+    def walk_simulations(model, y_obs, tolerance, step, seed):
+        """An abc_mcmc run of 400 steps, and the rows simulated by its
+        walk: every one-row `simulate` call (the rejection start simulates
+        one block of 100 rows)."""
+        rows = []
+        simulate = model.simulate
+
+        def counted(th, rng):
+            if len(th) == 1:
+                rows.append(th[0, 0])
+            return simulate(th, rng)
+
+        chain = abc_mcmc(replace(model, simulate=counted), y_obs,
+                         AbcConfig(n_output=1, tolerance=tolerance),
+                         np.array([[step]]), 400, RngStream(seed=seed, stream_id=0))
+        return chain, np.array(rows)
+
+    def test_prior_below_the_floor_skips_the_simulation(self):
+        """With the normal prior, a proposal whose log prior lies below the
+        step's acceptance floor is refused before it is simulated: the
+        walk makes fewer simulations than steps, and every state is still
+        valued at its log prior."""
+        model = normal_mean_model()
+        chain, rows = self.walk_simulations(model, np.array([0.4, 1.1, -0.2, 0.9]),
+                                            0.3, 0.5, 13)
+        assert 0 < len(rows) < 400
+        assert 0 < chain.accept_count < 400
+        np.testing.assert_array_equal(chain.log_posts, model.log_prior(chain.states))
+
+    def test_marjoram_test_order_bit_for_bit(self):
+        """The walk of the normal-prior model is the loop of Marjoram et
+        al., written out: a proposal whose prior ratio alone fails the
+        accept test is refused unsimulated, any other is simulated on the
+        walk stream and accepted on a hit; the states agree bit for bit."""
+        model = normal_mean_model()
+        y_obs = np.array([0.4, 1.1, -0.2, 0.9])
+        config = AbcConfig(n_output=1, tolerance=0.3)
+        cov = np.array([[0.5]])
+        chain = abc_mcmc(model, y_obs, config, cov, 400, RngStream(seed=13, stream_id=0))
+        rng = RngStream(seed=13, stream_id=0)
+        theta = abc_reject(model, y_obs, config, rng.child(0)).points
+        walk = rng.child(1)
+        log_us = np.log1p(-walk.child(0).uniform(400))
+        steps = walk.child(1).standard_normal((400, 1)) * MvnParams(np.zeros(1), cov).scale[0, 0]
+        eta_obs = model.summary(y_obs[None, :])
+        lp = model.log_prior(theta)[0]
+        states = np.empty((400, 1))
+        for t in range(400):
+            cand = theta + steps[t]
+            lp_cand = model.log_prior(cand)[0]
+            if (log_us[t] <= lp_cand - lp
+                    and euclidean_distance(model.summary(model.simulate(cand, walk)),
+                                           eta_obs)[0] <= config.tolerance):
+                theta, lp = cand, lp_cand
+            states[t] = theta[0]
+        assert chain.states.tobytes() == states.tobytes()
+
+    def test_flat_prior_simulates_every_proposal_in_its_support(self):
+        """A flat prior is never below the floor, so the walk simulates
+        each proposal inside [0, 1] and none outside."""
+        chain, rows = self.walk_simulations(bernoulli_model(), Y_OBS, 0.0, 1.0, 12)
+        rng = RngStream(seed=12, stream_id=0)
+        start = abc_reject(bernoulli_model(), Y_OBS, AbcConfig(n_output=1, tolerance=0.0),
+                           rng.child(0)).points[0, 0]
+        before = np.concatenate([[start], chain.states[:-1, 0]])
+        steps = rng.child(1).child(1).standard_normal(400)
+        proposals = before + steps
+        inside = proposals[(proposals >= 0.0) & (proposals <= 1.0)]
+        assert rows.tobytes() == inside.tobytes()
 
     def test_requires_fixed_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):

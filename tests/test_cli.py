@@ -679,6 +679,27 @@ class TestErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("experiment,config", [
+        ("mixture-demo", {"tau": 1e-300}),
+        ("mixture-demo", {"tau": 1e300}),
+        ("mixture-demo", {"tau": 10 ** 200}),
+        ("mixture-demo", {"tau": 10 ** 400}),
+        ("mwg", {"logsigma_step_var": 1e308}),
+    ])
+    def test_step_variances_that_round_to_zero_or_overflow_fail(self, tmp_path, capsys,
+                                                                experiment, config):
+        # tau = 1e-300 squares to 0 and would freeze the chain; tau = 1e300
+        # and 4 logsigma_step_var = 4e308 overflow; a ConfigError names the
+        # key before --out is made
+        code, out = run_cli(tmp_path, experiment, {"iterations": 200, **config})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        key, = config
+        assert err["message"].startswith(key)
+        assert not out.exists()
+
+
 class TestEntrypoint:
     def test_console_script_runs(self, tmp_path):
         # the child imports the same package as this process, installed or not

@@ -1,10 +1,13 @@
 """Metropolis-Hastings, Gibbs, hybrid samplers and diagnostics."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from bayescomp import mcmc
@@ -112,7 +115,8 @@ class TestBlockedMetropolis:
     SD = np.array([1.0, 2.0])
 
     @classmethod
-    def log_target(cls, theta):
+    def log_target(cls, theta, floor=-np.inf):
+        # the target ignores its acceptance floor
         return float(-0.5 * np.sum(((theta - cls.MU) / cls.SD) ** 2))
 
     def test_blocks_match_one_dimensional_runs(self):
@@ -131,7 +135,7 @@ class TestBlockedMetropolis:
             moved = np.diff(x, prepend=self.MU[j]) != 0
             assert accepts[j] == moved.sum()
 
-            def log_target_j(t, j=j):
+            def log_target_j(t, floor, j=j):
                 return float(-0.5 * ((t[0] - self.MU[j]) / self.SD[j]) ** 2)
 
             alone, _, (accept,) = rw_metropolis(log_target_j, cov[j:j + 1, j:j + 1],
@@ -611,6 +615,99 @@ class TestMwg:
             ratios.append((r.mean(), r.std() / np.sqrt(len(r) / 50.0)))
         gap = abs(ratios[0][0] - ratios[1][0])
         assert gap < 3 * np.hypot(ratios[0][1], ratios[1][1])
+
+
+@functools.cache
+def _mwg_case(case):
+    """(x, y) of an mwg input: a bundled pima covariate with its response;
+    an all-zero covariate, whose likelihood is constant; or separated data,
+    every s_i x_i > 0, whose likelihood has no maximum."""
+    if case in ("glu", "bp", "ped"):
+        pima = load_pima(bundled_pima_path())
+        return pima.design[:, ("glu", "bp", "ped").index(case)], pima.response
+    x = np.random.default_rng(8).normal(size=300)
+    if case == "zero-covariate":
+        return np.zeros(300), (x > 0).astype(float)
+    return x, (x > 0).astype(float)
+
+
+def _tangent_points(x, y):
+    """Where the mwg envelope touches its likelihood in r = beta / sigma: 0
+    and +-s0 4^j, j = 0..5, s0 = (2/pi sum_i x_i^2)^(-1/2), or 0 alone when
+    that sum is 0."""
+    curvature = 2.0 / math.pi * float(np.sum(np.asarray(x, dtype=float) ** 2))
+    if curvature == 0.0:
+        return [0.0]
+    s0 = 1.0 / math.sqrt(curvature)
+    return [0.0] + [sign * s0 * 4.0 ** j for j in range(6) for sign in (-1.0, 1.0)]
+
+
+class TestMwgEarlyRejection:
+    # a static method parametrized directly: each parameter is a new test
+    # instance, and without hypothesis's pytest plugin a method that takes
+    # `self` fails HealthCheck.differing_executors on the second one
+    @staticmethod
+    @pytest.mark.parametrize("case", ["glu", "bp", "ped", "zero-covariate", "separated"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_envelope_is_above_the_target(case, data):
+        """The envelope (the tangent bound plus the prior and Jacobian
+        terms) is at least the computed target less the slack: with its own
+        value as the floor, the target returns that value.  Points lie far
+        off (|beta / sigma| 30 to 1e6), within 1e-3 of a tangent point
+        (relative where the point exceeds 1 in size), or at special
+        (beta, l), l up to where e^l under- or overflows."""
+        x, y = _mwg_case(case)
+        log_target = mcmc._overparam_probit_target(x, y)
+        kind = data.draw(st.sampled_from(["far", "tangent", "special"]))
+        if kind == "special":
+            beta = data.draw(st.sampled_from([0.0, 5e-324, -1e-300, 1.0, -30.0, 1e3]))
+            ell = data.draw(st.sampled_from([-745.0, -700.0, -1e-300, 0.0, 1e-300,
+                                             30.0, 700.0, 709.78]))
+        else:
+            ell = data.draw(st.floats(-50.0, 50.0))
+            if kind == "far":
+                r = data.draw(st.one_of(st.floats(-1e6, -30.0), st.floats(30.0, 1e6)))
+            else:
+                point = data.draw(st.sampled_from(_tangent_points(x, y)))
+                r = point + max(abs(point), 1.0) * data.draw(st.floats(-1e-3, 1e-3))
+            beta = r * math.sqrt(math.exp(ell))
+        theta = np.array([beta, ell])
+        with np.errstate(over="ignore"):
+            value = log_target(theta, -math.inf)
+            if math.isfinite(value):
+                assert log_target(theta, value) == value
+
+    @pytest.mark.parametrize("beta_step_var", [1.0, 1e-3])
+    @pytest.mark.parametrize("covariate", ["glu", "bp", "ped"])
+    def test_bits_equal_the_floorless_run(self, covariate, beta_step_var, monkeypatch):
+        """mwg on each pima covariate makes the states, log-posteriors and
+        accept rates of the same target with its floor ignored (-inf, so it
+        rejects nothing early), on the same stream, bit for bit."""
+        x, y = _mwg_case(covariate)
+        walk = mcmc.rw_metropolis
+        for seed in (21, 22, 23):
+            chain = mwg_probit_overparam_run(x, y, 2000, RngStream(seed, 0),
+                                             beta_step_var=beta_step_var)
+            with monkeypatch.context() as m:
+                m.setattr(mcmc, "rw_metropolis", lambda log_target, *args: walk(
+                    lambda theta, floor: log_target(theta, -math.inf), *args))
+                floorless = mwg_probit_overparam_run(x, y, 2000, RngStream(seed, 0),
+                                                     beta_step_var=beta_step_var)
+            assert chain.states.tobytes() == floorless.states.tobytes()
+            assert chain.log_posts.tobytes() == floorless.log_posts.tobytes()
+            assert chain.proposal_meta == floorless.proposal_meta
+
+    def test_most_steps_skip_the_likelihood(self, monkeypatch):
+        """A 4000-iteration run on pima glu at the default steps evaluates
+        its likelihood (one `log_ndtr` row) on fewer than half of its 8000
+        steps, the start included."""
+        x, y = _mwg_case("glu")
+        rows = []
+        log_ndtr = mcmc.log_ndtr
+        monkeypatch.setattr(mcmc, "log_ndtr", lambda terms: rows.append(1) or log_ndtr(terms))
+        mwg_probit_overparam_run(x, y, 4000, RngStream(3000, 0))
+        assert 0 < len(rows) < 4000
 
 
 class TestDiagnostics:

@@ -175,7 +175,8 @@ class TestPosteriorRow:
         one_row = _one_row(target)
         chain = rw_mh_run(target, cov, centre, 2000, RngStream(seed, 0))
         states, log_posts, (accepts,) = rw_metropolis(
-            one_row, cov, centre, one_row(centre), 2000, RngStream(seed, 0))
+            lambda theta, floor: one_row(theta), cov, centre, one_row(centre), 2000,
+            RngStream(seed, 0))
         assert chain.states.tobytes() == states.tobytes()
         assert chain.log_posts.tobytes() == log_posts.tobytes()
         assert chain.accept_count == accepts > 0

@@ -4,13 +4,14 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 (each through a ``--config`` file naming it), `capture` once more on
 counts whose blocks often reach its exact truncated route, `pmc` once
 more with the Rao-Blackwellised mixture density (the form the benchmark
-runs), plus a run with three replicates (one runner call over the three
-streams) of every experiment but `evidence`, and of `evidence` by
-importance, chib and the embedded bridge, once on each tree (each tree's
-own ``src`` on the path), and compares what they wrote:
-``draws.csv`` and ``replicates.csv`` byte for byte, ``summary.json`` as
-parsed JSON without ``runtime_seconds``, leaf by leaf.  It also runs every ``demos/*.py`` of
-this checkout from each tree's own ``demos`` directory and compares their
+runs), `mwg` once more on each other covariate (bp and ped, each with
+the likelihood envelope of its own data), plus a run with three
+replicates (one runner call over the three streams) of every experiment
+but `evidence`, and of `evidence` by importance, chib and the embedded
+bridge, once on each tree (each tree's own ``src`` on the path), and
+compares what they wrote: ``draws.csv`` and ``replicates.csv`` byte for
+byte, ``summary.json`` as parsed JSON without ``runtime_seconds``, leaf
+by leaf.  It also runs every ``demos/*.py`` of this checkout from each tree's own ``demos`` directory and compares their
 standard output line by line (the demos fix their own seeds, so
 ``--seed`` does not reach them).  Prints one line per run, and for each
 differing file the largest absolute and relative difference over its
@@ -65,6 +66,9 @@ def _runs(experiments):
             runs += [(e, e, [], None), (f"{e} exact", e, [], EXACT_CAPTURE)]
         elif e == "pmc":
             runs += [(e, e, [], None), (f"{e} mixture", e, [], {"density_form": "mixture"})]
+        elif e == "mwg":
+            runs += [(e, e, [], None)] + [(f"{e} {c}", e, [], {"covariate": c})
+                                          for c in ("bp", "ped")]
         else:
             runs.append((e, e, [], None))
     runs += [(f"{label} x3", e, ["--replicates", "3"], config)

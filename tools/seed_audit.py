@@ -41,6 +41,7 @@ METROPOLIS_TESTS = (
     "tests/test_mcmc.py::TestMhRun",
     "tests/test_probit.py::TestPosteriorRow::test_point_chain_is_the_one_row_batch_chain",
     "tests/test_mcmc.py::TestMwg",
+    "tests/test_mcmc.py::TestMwgEarlyRejection",
     "tests/test_mcmc.py::TestBlockedMetropolis",
     "tests/test_mcmc.py::TestProbitGibbs::test_cross_sampler_agreement",
     "tests/test_abc.py::TestMcmc",
