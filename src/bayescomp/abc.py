@@ -68,6 +68,7 @@ __all__ = [
 # acceptance rate below which a generation fails: one that wants n hits
 # makes at most ceil(n / _ACCEPT_FLOOR) proposals
 _ACCEPT_FLOOR = 0.01
+_MIN_OUTPUT = 100  # the fewest particles an abc_pmc generation holds
 # a generation stops early once a one-sided Clopper-Pearson upper bound on
 # its hit rate falls below the rate that the rest of its budget needs; each
 # of its at most ceil(budget / CHUNK_ROWS) block checks takes level
@@ -280,8 +281,8 @@ def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
     if config.quantile is None:
         raise ValueError("abc_pmc needs a quantile schedule, not a fixed tolerance")
     n = config.n_output
-    if n < 100:
-        raise ValueError("n_output must be at least 100")
+    if n < _MIN_OUTPUT:
+        raise ValueError(f"n_output must be at least {_MIN_OUTPUT}")
     if n_generations < 2:
         raise ValueError("n_generations must be at least 2")
     eta_obs = _observed_summary(model, y_obs)

@@ -23,20 +23,12 @@ fails as a whole; their estimators then run per stream.  Every `evidence`
 method ends in one estimate of log B10, written with its ``unreliable``
 flag and ``weight_ess``, the smaller of its two evidences' weight ESS.
 
-A config is resolved in full before any output is written, and holds
-exactly the keys its runner reads: `seed` and `replicates` everywhere,
-`burn_in` and `thin` for the five chain experiments, `data` for the six
-pima ones (`mle`, `mh`, `gibbs`, `mwg`, `evidence`, `abc`), and
-`coverage` for `evidence` by harmonic-gd alone.  It is a `ConfigError`,
-by a flag or by a config-file key, to set a key the experiment does not
-read, to give a covariate name other than glu, bp and ped, an unknown
-`evidence` method or `pmc` density form, a random-walk step size, or an
-increment variance made of one (`mixture-demo`'s tau^2, `mwg`'s
-4 `logsigma_step_var`), that is not finite and > 0, `replicates` below
-1, a negative `burn_in`, a `thin` below 1, too few kept states, fewer
-than two `n_draws`, or a `coverage` outside (0, 1].  The `--out`
-directory is made only once the runner has returned, so a run that
-fails, on its config or at run time, leaves none.
+A config is resolved in full before any output is written.  It holds
+exactly the keys its runner reads, each declared once in `_KEYS` with its
+default and values (``bayescomp --help`` lists them).  Any other key or
+value, and values that break a rule spanning keys, is a `ConfigError` that
+names its key.  The `--out` directory is made only once the runner has
+returned, so a run that fails, on its config or at run time, leaves none.
 """
 
 from __future__ import annotations
@@ -53,9 +45,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .abc import AbcConfig, probit_abc
+from .abc import _ACCEPT_FLOOR, _MIN_OUTPUT, AbcConfig, probit_abc
 from .capture import CaptureModel, capture_gibbs_lockstep, n_max_tail_mass
-from .core import RngStream
+from .core import _U64, RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
     LinearGaussianOmega,
@@ -93,36 +85,89 @@ SCHEMA_VERSION = 1
 _COVARIATE_INDEX = {"glu": 0, "bp": 1, "ped": 2}
 # rows of draws.csv formatted per write
 _DRAWS_BLOCK_ROWS = 4096
-# config keys that name one of a fixed set of choices
-_CHOICES = {"method": ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
-                       "chib", "bridge-embedded"),
-            "density_form": DENSITY_FORMS}
-
-_COMMON_DEFAULTS = {"seed": 0, "replicates": 1}
-# the pima experiments' data file, None for the bundled one
-_PIMA = {"data": None}
-# a chain experiment's burn-in and thinning of its states
-_CHAIN = {"burn_in": 0, "thin": 1}
-
-# per experiment, its own config keys and their defaults
-_DEFAULTS = {
-    "mle": {**_PIMA},
-    "mh": {**_PIMA, **_CHAIN, "iterations": 10_000, "scale_multiplier": 1.0,
-           "covariates": ["glu", "bp"]},
-    "gibbs": {**_PIMA, **_CHAIN, "iterations": 10_000,
-              "covariates": ["glu", "bp", "ped"]},
-    "mwg": {**_PIMA, **_CHAIN, "iterations": 10_000, "covariate": "glu",
-            "beta_step_var": 1.0, "logsigma_step_var": 0.04},
-    "pmc": {"particles": 1000, "generations": 5, "n_data": 500, "weight": 0.7,
-            "mu1": 0.0, "mu2": 2.5, "sigma2": 1.0, "q0_scale": 25.0,
-            "density_form": "conditional"},
-    "evidence": {**_PIMA, "method": "importance", "n_draws": 10_000},
-    "abc": {**_PIMA, "particles": 2000, "generations": 10, "quantile": 0.1},
-    "capture": {**_CHAIN, "n1": 22, "c2": 11, "c3": 6, "n_max": None,
-                "iterations": 10_000},
-    "mixture-demo": {**_CHAIN, "iterations": 1000, "tau": 1.0, "n_data": 500,
-                     "weight": 0.7, "mu1": 0.0, "mu2": 2.5, "sigma2": 1.0},
+# the `evidence` routes that estimate each model's evidence from its own
+# chain: evidence(probit model, its BayesModel, states, Gibbs means, config)
+_PER_MODEL_EVIDENCE = {
+    "harmonic-gd": lambda mp, m, states, means, config: harmonic_mean_gd(
+        lambda b: log_posterior(m, b), states,
+        PhiSpec.from_sample(states, config["coverage"])),
+    "harmonic-nr": lambda mp, m, states, means, config: newton_raftery_hm(
+        m.log_likelihood, states),
+    "chib": lambda mp, m, states, means, config: chib_marginal(
+        m, probit_latent_completion(mp).log_full_conditional_param, means,
+        states.mean(axis=0)),
 }
+# the methods that _run_evidence dispatches on
+_EVIDENCE_METHODS = ("prior-mc", "importance", *_PER_MODEL_EVIDENCE, "bridge-embedded")
+
+
+# a config key's kind: (the text of what its values are, their test); no
+# kind takes a bool, nor a real kind a string, NaN or an infinity
+def _integer(lo, hi=None):
+    return (f"an integer >= {lo}" if hi is None else f"an integer from {lo} to {hi}",
+            lambda v: type(v) is int and lo <= v and (hi is None or v <= hi))
+
+
+def _real(bounds="", within=lambda v: True):
+    return ("a finite real" + bounds, lambda v: type(v) in (int, float)
+            and abs(v) <= sys.float_info.max and within(v))
+
+
+def _choice(options):
+    return f"one of {list(options)}", lambda v: isinstance(v, str) and v in options
+
+
+_COVARIATE = _choice(_COVARIATE_INDEX)
+_COVARIATES = (f"a non-empty list of distinct names from {list(_COVARIATE_INDEX)}",
+               lambda v: type(v) is list and v != [] and all(map(_COVARIATE[1], v))
+               and len(set(v)) == len(v))
+_POSITIVE = _real(" > 0", lambda v: v > 0)
+_N_MAX = ("an integer >= 1 or null", lambda v: v is None or type(v) is int and v >= 1)
+
+# per config key, its default and kind: the keys of every experiment
+_COMMON = {"seed": (0, _integer(0, _U64)), "replicates": (1, _integer(1))}
+# the pima experiments' data file, None for the bundled one
+_PIMA = {"data": (None, ("a non-empty path string or null",
+                         lambda v: v is None or type(v) is str and v != ""))}
+# a chain experiment's burn-in and thinning of its states
+_CHAIN = {"burn_in": (0, _integer(0)), "thin": (1, _integer(1))}
+# the simulated data of pmc and mixture-demo
+_MIXTURE = {"n_data": (500, _integer(0)),
+            "weight": (0.7, _real(" in (0, 1)", lambda v: 0 < v < 1)),
+            "mu1": (0.0, _real()), "mu2": (2.5, _real()), "sigma2": (1.0, _POSITIVE)}
+# evidence by harmonic-gd alone: the mass of its truncation ellipsoid
+_HARMONIC_GD = {"coverage": (0.25, _real(" in (0, 1]", lambda v: 0 < v <= 1))}
+# per experiment, its own keys
+_KEYS = {
+    "mle": {**_PIMA},
+    "mh": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+           "scale_multiplier": (1.0, _POSITIVE),
+           "covariates": (["glu", "bp"], _COVARIATES)},
+    "gibbs": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+              "covariates": (["glu", "bp", "ped"], _COVARIATES)},
+    "mwg": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+            "covariate": ("glu", _COVARIATE), "beta_step_var": (1.0, _POSITIVE),
+            "logsigma_step_var": (0.04, _real(" > 0 whose 4-fold is finite",
+                                              lambda v: 0 < 4.0 * v < np.inf))},
+    "pmc": {"particles": (1000, _integer(2)), "generations": (5, _integer(1)),
+            **_MIXTURE, "q0_scale": (25.0, _POSITIVE),
+            "density_form": ("conditional", _choice(DENSITY_FORMS))},
+    "evidence": {**_PIMA, "method": ("importance", _choice(_EVIDENCE_METHODS)),
+                 "n_draws": (10_000, _integer(2))},
+    "abc": {**_PIMA, "particles": (2000, _integer(_MIN_OUTPUT)),
+            "generations": (10, _integer(2)),
+            "quantile": (0.1, _real(f" in [{_ACCEPT_FLOOR}, 1]",
+                                    lambda v: _ACCEPT_FLOOR <= v <= 1))},
+    "capture": {**_CHAIN, "n1": (22, _integer(1)), "c2": (11, _integer(0)),
+                "c3": (6, _integer(0)), "n_max": (None, _N_MAX),
+                "iterations": (10_000, _integer(0))},
+    "mixture-demo": {**_CHAIN, "iterations": (1000, _integer(0)),
+                     "tau": (1.0, _real(" > 0 whose square is finite and > 0",
+                                        lambda v: v > 0 and 0 < float(v) * v < np.inf)),
+                     **_MIXTURE},
+}
+# per experiment, its own config keys and their defaults
+_DEFAULTS = {e: {k: d for k, (d, _) in keys.items()} for e, keys in _KEYS.items()}
 # the config keys that have a flag of their own
 _FLAG_KEYS = ("seed", "data", "replicates", "burn_in", "thin")
 
@@ -132,69 +177,32 @@ class ConfigError(ValueError):
 
 
 def resolve_config(experiment: str, raw: dict) -> dict:
-    """Merge defaults with the user config, rejecting keys the experiment
-    does not read and out-of-range values, covariate names included."""
-    if experiment not in _DEFAULTS:
+    """Merge defaults with the user config, refusing by name unknown keys,
+    values outside their key's kind and breaks of a rule that spans keys."""
+    if experiment not in _KEYS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    config = {**_COMMON_DEFAULTS, **_DEFAULTS[experiment]}
-    if experiment == "evidence" and raw.get("method", config["method"]) == "harmonic-gd":
-        config["coverage"] = 0.25  # the mass of its truncation ellipsoid
-    unknown = sorted(set(raw) - set(config))
+    keys = {**_COMMON, **_KEYS[experiment]}
+    if experiment == "evidence" and raw.get("method") == "harmonic-gd":
+        keys.update(_HARMONIC_GD)
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {unknown}")
-    # a key whose default is an int takes ints only, n_max also None
-    integer_keys = [k for k, v in config.items() if type(v) is int or k == "n_max"]
-    config.update(raw)
-    for key in integer_keys:
-        if not (type(config[key]) is int or key == "n_max" and config[key] is None):
-            raise ConfigError(f"{key} must be an integer, got {config[key]!r}")
-    if config["replicates"] < 1:
-        raise ConfigError("replicates must be at least 1")
-    if "burn_in" in config:
-        if config["burn_in"] < 0 or config["thin"] < 1:
-            raise ConfigError("burn_in must be >= 0 and thin >= 1")
-        kept = len(range(config["burn_in"], config["iterations"], config["thin"]))
-        if kept < 2:
-            # the reported SDs need at least two kept states
-            raise ConfigError(
-                f"burn_in {config['burn_in']}, thin {config['thin']} and "
-                f"iterations {config['iterations']} keep {kept} states; "
-                "at least 2 are needed")
-    if config.get("n_draws", 2) < 2:  # a standard error needs two draws
-        raise ConfigError(f"n_draws {config['n_draws']} is below 2")
-    names = list(_COVARIATE_INDEX)
-    covariates = config.get("covariates", names)
-    if (not isinstance(covariates, list) or not covariates
-            or not all(_is_covariate(c) for c in covariates)
-            or len(set(covariates)) < len(covariates)):
-        raise ConfigError(f"covariates must be a non-empty list of distinct names "
-                          f"from {names}, got {covariates!r}")
-    if not _is_covariate(config.get("covariate", "glu")):
-        raise ConfigError(f"covariate must be one of {names}, got {config['covariate']!r}")
-    for key, choices in _CHOICES.items():
-        if key in config and config[key] not in choices:
-            raise ConfigError(f"{key} must be one of {list(choices)}, got {config[key]!r}")
-    for key in ("scale_multiplier", "beta_step_var", "logsigma_step_var", "tau"):
-        value = config.get(key)
-        if key in config and not (isinstance(value, (int, float))
-                                  and 0 < value <= sys.float_info.max):
-            raise ConfigError(f"{key} must be finite and positive, got {value!r}")
-    # the increment variances that mixture-demo and mwg form must not round
-    # to 0 (a frozen chain) or overflow
-    for key, variance in (("tau", lambda tau: tau * tau),
-                          ("logsigma_step_var", lambda v: 4.0 * v)):
-        step_var = variance(float(config[key])) if key in config else 1.0
-        if not 0.0 < step_var < np.inf:
-            raise ConfigError(f"{key} {config[key]!r} makes the step variance "
-                              f"{step_var!r}; it must be finite and positive")
-    coverage = config.get("coverage", 1.0)
-    if not (isinstance(coverage, (int, float)) and 0 < coverage <= 1):
-        raise ConfigError(f"coverage must lie in (0, 1], got {coverage!r}")
+    config = {key: raw.get(key, default) for key, (default, _) in keys.items()}
+    for key, (_, (text, ok)) in keys.items():
+        if not ok(config[key]):
+            raise ConfigError(f"{key} must be {text}, got {config[key]!r}")
+    if "burn_in" in config:  # kept: len(range(burn_in, iterations, thin)) at any size
+        kept = max(0, -((config["burn_in"] - config["iterations"]) // config["thin"]))
+        if kept < 2:  # the reported SDs need two
+            raise ConfigError(f"burn_in {config['burn_in']}, thin {config['thin']} and "
+                              f"iterations {config['iterations']} keep {kept} states; "
+                              "at least 2 are needed")
+    if "n_max" in config:  # capture's counts nest: c2 <= n1 <= n_max
+        if config["c2"] > config["n1"]:
+            raise ConfigError(f"c2 {config['c2']} exceeds n1 {config['n1']}")
+        if (config["n_max"] or config["n1"]) < config["n1"]:
+            raise ConfigError(f"n_max {config['n_max']} is below n1 {config['n1']}")
     return config
-
-
-def _is_covariate(name) -> bool:
-    return isinstance(name, str) and name in _COVARIATE_INDEX
 
 
 @functools.cache
@@ -273,8 +281,11 @@ def _run_mh(config, rngs):
     model = _pima_model(config, config["covariates"])
     beta, cov = probit_mle(model)
     target = probit_bayes_model(model)
-    chains = [rw_mh_run(target, config["scale_multiplier"] * cov, beta,
-                        config["iterations"], rng) for rng in rngs]
+    step = config["scale_multiplier"] * cov
+    if not (np.isfinite(step).all() and np.diag(step).min() > 0):  # 0 freezes it
+        raise ValueError(f"scale_multiplier {config['scale_multiplier']!r} makes a "
+                         "step variance that is 0 or not finite")
+    chains = [rw_mh_run(target, step, beta, config["iterations"], rng) for rng in rngs]
     kept = _postprocess([c.states for c in chains], config)
     return _chain_result(kept, config["covariates"], {
         "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta})
@@ -355,20 +366,9 @@ def _run_evidence(config, rngs):
                 b01 = bridge_embedded(model0, model1, np.zeros(1), omega,
                                       states0[r], states1[r], rngs[r].child(2))
                 return replace(b01, log_value=-b01.log_value)
-            parts = []
-            for (mp, m), (states, means) in zip(models, runs):
-                states, means = states[r], means[r]
-                if method == "harmonic-gd":
-                    phi = PhiSpec.from_sample(states, config["coverage"])
-                    parts.append(harmonic_mean_gd(
-                        lambda b: log_posterior(m, b), states, phi))
-                elif method == "harmonic-nr":
-                    parts.append(newton_raftery_hm(m.log_likelihood, states))
-                else:
-                    parts.append(chib_marginal(
-                        m, probit_latent_completion(mp).log_full_conditional_param,
-                        means, states.mean(axis=0)))
-            return bayes_factor(*parts)
+            evidence = _PER_MODEL_EVIDENCE[method]
+            return bayes_factor(*(evidence(mp, m, states[r], means[r], config)
+                                  for (mp, m), (states, means) in zip(models, runs)))
 
     def report(_, r):
         est = estimate(r)
@@ -534,27 +534,26 @@ def _write_replicates_csv(path, rows):
                 + [r.get("error", "")])
 
 
-def _experiments_with(key) -> str:
-    """The experiments whose config has `key`, for a flag's help."""
-    return ", ".join(e for e, defaults in _DEFAULTS.items() if key in defaults)
-
-
 def _build_parser():
+    # the epilog: each experiment's config keys, their defaults and values
+    groups = {"every experiment": _COMMON, **_KEYS, "evidence by harmonic-gd": _HARMONIC_GD}
+    epilog = "config keys (key = default: values):\n" + "\n".join(
+        f"  {name}\n" + "\n".join(f"    {key} = {json.dumps(default)}: {text}"
+                                  for key, (default, (text, _)) in keys.items())
+        for name, keys in groups.items())
     parser = argparse.ArgumentParser(
-        prog="bayescomp",
-        description="Bayesian computation experiment runner")
+        prog="bayescomp", description="Bayesian computation experiment runner",
+        epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("experiment", choices=sorted(_DEFAULTS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--data", help=f"input pima CSV ({_experiments_with('data')})")
+    parser.add_argument("--data", help="input pima CSV")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--replicates", type=int)
     parser.add_argument("--burn-in", type=int, dest="burn_in", metavar="B",
-                        help=f"states dropped from the start of each chain "
-                             f"({_experiments_with('burn_in')})")
+                        help="states dropped from the start of each chain")
     parser.add_argument("--thin", type=int, metavar="K",
-                        help=f"keep every K-th state after the burn-in "
-                             f"({_experiments_with('thin')})")
+                        help="keep every K-th state after the burn-in")
     parser.add_argument("--debug", action="store_true",
                         help="on error, also print the traceback to stderr")
     return parser

@@ -5,6 +5,7 @@ iteration counts; statistical quality is the acceptance suite's job."""
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayescomp import cli
 from bayescomp.capture import capture_gibbs_lockstep
@@ -147,6 +150,18 @@ class TestResolveConfig:
         # float keys still take ints, and n_max None or an int
         assert resolve_config("pmc", {"mu2": 3})["mu2"] == 3
         assert resolve_config("capture", {"n_max": 60})["n_max"] == 60
+        assert resolve_config("capture", {"n_max": None})["n_max"] is None
+
+    @pytest.mark.parametrize("experiment, raw", [
+        ("abc", {"quantile": "0.1"}), ("mh", {"data": 5}), ("mh", {"data": True})])
+    def test_real_and_path_keys_take_their_types_alone(self, experiment, raw):
+        # a string is no number, and data a non-empty path string or null
+        # (bools in real keys, a string weight and an empty data run through
+        # the CLI in TestErrors); the CLI is never run on these data, which
+        # open() would take for a file descriptor
+        (key,) = raw
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            resolve_config(experiment, raw)
 
     def test_evidence_needs_two_draws(self):
         for n in (1, 0, -5):
@@ -561,6 +576,57 @@ class TestConfigKeys:
         _assert_refused(code, out, capsys, "coverage")
 
 
+# config values of every JSON type and of the edges of each kind: huge and
+# negative ints, special floats, bools, null, short strings (the declared
+# choices among them) and lists
+_CONFIG_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([-1, 0, 1, 2, 100, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 400]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320,
+                     1e-200, 1e154, 1e308, -1e308, 0.01, 0.5, 1.0]),
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from(["glu", "bp", "ped", "age", "", "chib", "harmonic-gd", "bridge",
+                     "mixture", "conditional", "/no/such.csv"]),
+    st.lists(st.sampled_from(["glu", "bp", "ped", "age", 1, None]), max_size=4))
+
+
+class TestConfigTable:
+    """Every key's default and values are declared once, in one table."""
+
+    @staticmethod
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_resolve_config_takes_the_overrides_or_names_a_drawn_key(data):
+        """One or two of an experiment's keys set to any JSON value:
+        resolve_config returns the defaults with the overrides, holding no
+        bool and no float that is not finite, or it raises a ConfigError
+        that names one of the keys, and never anything else."""
+        experiment = data.draw(st.sampled_from(sorted(DECLARED_KEYS)))
+        keys = sorted(DECLARED_KEYS[experiment] | (
+            {"coverage"} if experiment == "evidence" else set()))
+        drawn = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2,
+                                   unique=True))
+        raw = {key: data.draw(_CONFIG_VALUES) for key in drawn}
+        try:
+            config = resolve_config(experiment, raw)
+        except ConfigError as exc:
+            assert any(key in str(exc) for key in drawn), (raw, str(exc))
+            return
+        defaults = resolve_config(experiment, {"method": raw["method"]}
+                                  if "method" in raw else {})
+        assert config == {**defaults, **raw}
+        assert not any(type(v) is bool for v in config.values()), raw
+        json.dumps(config, allow_nan=False)  # every float finite
+
+    def test_help_lists_every_key(self):
+        text = cli._build_parser().format_help()
+        for experiment, keys in DECLARED_KEYS.items():
+            assert f"\n  {experiment}\n" in text
+            for key in keys | ({"coverage"} if experiment == "evidence" else set()):
+                assert f"\n    {key} = " in text, key
+
+
 class TestErrors:
     def test_unknown_key_fails_with_json_error(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "mle", {"bogus": 1})
@@ -604,20 +670,71 @@ class TestErrors:
         assert "keep 0 states" in err["message"]
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("experiment,config,message", [
-        ("pmc", {**_TINY["pmc"], "weight": 1.5}, "weight must lie in (0, 1)"),
-        ("capture", {"iterations": 200, "c2": 30}, "need 0 <= c2 <= n1"),
-        ("abc", {**_TINY["abc"], "quantile": 1e-6},
-         "quantile must lie between the acceptance floor 0.01 and 1, got 1e-06"),
-    ], ids=["pmc-weight", "capture-c2", "abc-quantile"])
-    def test_a_run_that_fails_makes_no_out_directory(self, tmp_path, capsys,
-                                                     experiment, config, message):
-        # both configs pass resolve_config; the runner itself refuses them
+    @pytest.mark.parametrize("experiment,config,key", [
+        ("pmc", {**_TINY["pmc"], "weight": 1.5}, "weight"),
+        ("capture", {"iterations": 200, "c2": 30}, "c2"),
+        ("abc", {**_TINY["abc"], "quantile": 1e-6}, "quantile"),
+        ("pmc", {"particles": 1}, "particles"),
+        ("pmc", {"generations": 0}, "generations"),
+        ("pmc", {"q0_scale": -1}, "q0_scale"),
+        ("pmc", {"sigma2": 0}, "sigma2"),
+        ("pmc", {"weight": "0.7"}, "weight"),
+        ("pmc", {"q0_scale": True}, "q0_scale"),
+        ("capture", {"n1": 0}, "n1"),
+        ("capture", {"c3": -1}, "c3"),
+        ("capture", {"n_max": 10}, "n_max"),
+        ("abc", {"particles": 50}, "particles"),
+        ("abc", {"generations": 1}, "generations"),
+        ("abc", {"quantile": True}, "quantile"),
+        ("mh", {"scale_multiplier": True}, "scale_multiplier"),
+        ("mixture-demo", {"weight": 1.5}, "weight"),
+        ("mixture-demo", {"mu1": float("nan")}, "mu1"),
+        ("mixture-demo", {"tau": True}, "tau"),
+        ("evidence", {"method": "harmonic-gd", "coverage": True}, "coverage"),
+        ("mle", {"seed": -1}, "seed"),
+        ("mle", {"seed": 2 ** 64}, "seed"),
+        ("mh", {"data": ""}, "data"),
+    ], ids=["pmc-weight", "capture-c2", "abc-quantile", "pmc-particles",
+            "pmc-generations", "pmc-q0_scale", "pmc-sigma2", "pmc-weight-string",
+            "pmc-q0_scale-bool", "capture-n1", "capture-c3", "capture-n_max",
+            "abc-particles", "abc-generations", "abc-quantile-bool",
+            "mh-scale_multiplier-bool", "mixture-demo-weight", "mixture-demo-mu1",
+            "mixture-demo-tau-bool", "evidence-coverage-bool", "seed-negative",
+            "seed-2**64", "mh-data-empty"])
+    def test_config_errors_fail_before_any_output(self, tmp_path, capsys,
+                                                  experiment, config, key):
+        # each value fails its key's declared kind or a rule that spans keys
+        # (capture's c2 <= n1 <= n_max), so no runner starts
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            resolve_config(experiment, config)
+        code, out = run_cli(tmp_path, experiment, config)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and err["message"].startswith(key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["mle-malformed-csv", "evidence-two-draws",
+                                      "mh-zero-step"])
+    def test_a_run_that_fails_makes_no_out_directory(self, tmp_path, capsys, case):
+        # each config passes resolve_config; the run itself fails: a data
+        # file without the pima columns, a harmonic-gd ellipsoid fitted to
+        # two draws (a singular scatter), and an MLE covariance whose
+        # diagonal, 3.9e-6 and 1.3e-5, the multiplier rounds to 0
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("a,b\n1,2\n")
+        experiment, config, error, start = {
+            "mle-malformed-csv": ("mle", {"data": str(bad_csv)}, "IngestionError",
+                                  str(bad_csv)),
+            "evidence-two-draws": ("evidence", {"method": "harmonic-gd", "n_draws": 2},
+                                   "ValueError", "proposal covariance"),
+            "mh-zero-step": ("mh", {"scale_multiplier": 1e-320, "iterations": 300},
+                             "ValueError", "scale_multiplier"),
+        }[case]
         resolve_config(experiment, config)
         code, out = run_cli(tmp_path, experiment, config)
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ValueError", "message": message}
+        assert err["error"] == error and err["message"].startswith(start)
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment,config", [
