@@ -3,6 +3,7 @@ error reporting.  Experiments are exercised with deliberately small
 iteration counts; statistical quality is the acceptance suite's job."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayescomp import cli
+from bayescomp import cli, core
 from bayescomp.capture import capture_gibbs_lockstep
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
 from bayescomp.core import RngStream
@@ -35,6 +36,7 @@ from bayescomp.model import log_posterior
 from bayescomp.pmc import pmc_run
 from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
 
@@ -168,6 +170,11 @@ class TestResolveConfig:
             with pytest.raises(ConfigError, match="n_draws"):
                 resolve_config("evidence", {"n_draws": n})
         assert resolve_config("evidence", {"n_draws": 2})["n_draws"] == 2
+        # harmonic-gd needs a nonsingular scatter of 3-coefficient draws
+        with pytest.raises(ConfigError, match="^n_draws must be an integer >= 4"):
+            resolve_config("evidence", {"method": "harmonic-gd", "n_draws": 3})
+        assert resolve_config("evidence", {"method": "harmonic-gd",
+                                           "n_draws": 4})["n_draws"] == 4
 
 
 class TestOutputs:
@@ -346,6 +353,8 @@ class TestOutputs:
             return probit_gibbs_groups(groups, n_iter)
 
         monkeypatch.setattr(cli, "probit_gibbs_groups", pair)
+        # an empty chain-pair memo, whatever an earlier test left in it
+        monkeypatch.setattr(cli, "_last_chain_pair", None)
         code, _ = run_cli(tmp_path, "evidence", {"method": "chib", "n_draws": 100,
                                                  "replicates": 4},
                           subdir="evidence")
@@ -694,17 +703,20 @@ class TestErrors:
         ("mle", {"seed": -1}, "seed"),
         ("mle", {"seed": 2 ** 64}, "seed"),
         ("mh", {"data": ""}, "data"),
+        ("evidence", {"method": "harmonic-gd", "n_draws": 2}, "n_draws"),
     ], ids=["pmc-weight", "capture-c2", "abc-quantile", "pmc-particles",
             "pmc-generations", "pmc-q0_scale", "pmc-sigma2", "pmc-weight-string",
             "pmc-q0_scale-bool", "capture-n1", "capture-c3", "capture-n_max",
             "abc-particles", "abc-generations", "abc-quantile-bool",
             "mh-scale_multiplier-bool", "mixture-demo-weight", "mixture-demo-mu1",
             "mixture-demo-tau-bool", "evidence-coverage-bool", "seed-negative",
-            "seed-2**64", "mh-data-empty"])
+            "seed-2**64", "mh-data-empty", "evidence-two-draws"])
     def test_config_errors_fail_before_any_output(self, tmp_path, capsys,
                                                   experiment, config, key):
         # each value fails its key's declared kind or a rule that spans keys
-        # (capture's c2 <= n1 <= n_max), so no runner starts
+        # (capture's c2 <= n1 <= n_max), so no runner starts; harmonic-gd
+        # fits an ellipsoid to the 3-covariate draws, whose scatter two
+        # draws leave singular
         with pytest.raises(ConfigError, match=f"^{key}"):
             resolve_config(experiment, config)
         code, out = run_cli(tmp_path, experiment, config)
@@ -713,20 +725,16 @@ class TestErrors:
         assert err["error"] == "ConfigError" and err["message"].startswith(key)
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["mle-malformed-csv", "evidence-two-draws",
-                                      "mh-zero-step"])
+    @pytest.mark.parametrize("case", ["mle-malformed-csv", "mh-zero-step"])
     def test_a_run_that_fails_makes_no_out_directory(self, tmp_path, capsys, case):
         # each config passes resolve_config; the run itself fails: a data
-        # file without the pima columns, a harmonic-gd ellipsoid fitted to
-        # two draws (a singular scatter), and an MLE covariance whose
+        # file without the pima columns, and an MLE covariance whose
         # diagonal, 3.9e-6 and 1.3e-5, the multiplier rounds to 0
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("a,b\n1,2\n")
         experiment, config, error, start = {
             "mle-malformed-csv": ("mle", {"data": str(bad_csv)}, "IngestionError",
                                   str(bad_csv)),
-            "evidence-two-draws": ("evidence", {"method": "harmonic-gd", "n_draws": 2},
-                                   "ValueError", "proposal covariance"),
             "mh-zero-step": ("mh", {"scale_multiplier": 1e-320, "iterations": 300},
                              "ValueError", "scale_multiplier"),
         }[case]
@@ -952,3 +960,117 @@ class TestRunners:
         assert est["log_b10"] == -b01.log_value
         assert se["log_b10"] == b01.std_error and diag["unreliable"] is b01.unreliable
         assert diag["weight_ess"] == b01.weight_ess
+
+
+def _seed_audit():
+    spec = importlib.util.spec_from_file_location(
+        "seed_audit", os.path.join(ROOT, "tools", "seed_audit.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestChainPairMemo:
+    """The chain-based evidence routes share the last chain pair of the
+    process: one Gibbs call per data set, streams and n_draws."""
+
+    @pytest.fixture(autouse=True)
+    def gibbs_calls(self, monkeypatch):
+        """An empty memo, and the list of Gibbs calls made from now on."""
+        monkeypatch.setattr(cli, "_last_chain_pair", None)
+        calls = []
+
+        def counted(groups, n_iter):
+            calls.append(n_iter)
+            return probit_gibbs_groups(groups, n_iter)
+
+        monkeypatch.setattr(cli, "probit_gibbs_groups", counted)
+        return calls
+
+    @staticmethod
+    def _run(method, **config):
+        return cli.replicate("evidence", resolve_config(
+            "evidence", {"method": method, "n_draws": 200, **config}))
+
+    def test_six_methods_at_one_key_make_one_gibbs_call(self, gibbs_calls):
+        for method in EVIDENCE_METHODS:
+            self._run(method, seed=3, replicates=2)
+        assert gibbs_calls == [200]
+
+    @pytest.mark.parametrize("change", [{"seed": 4}, {"n_draws": 201},
+                                        {"replicates": 3}])
+    def test_a_new_key_makes_a_new_call(self, gibbs_calls, change):
+        base = {"seed": 3, "replicates": 2}
+        self._run("chib", **base)
+        self._run("harmonic-nr", **base)
+        assert len(gibbs_calls) == 1
+        self._run("chib", **{**base, **change})
+        assert len(gibbs_calls) == 2
+
+    # the bundled file's first row, and that row with another glu or type
+    @pytest.mark.parametrize("edited", ["113,65,0.227,No", "112,65,0.227,Yes"])
+    def test_a_data_file_is_keyed_by_its_content(self, tmp_path, gibbs_calls,
+                                                 edited):
+        text = open(bundled_pima_path(), encoding="utf-8").read()
+        path = tmp_path / "pima.csv"
+        path.write_text(text, encoding="utf-8")
+        self._run("chib", data=str(path))
+        path.write_text(text, encoding="utf-8")  # the same bytes, read again
+        self._run("chib", data=str(path))
+        assert len(gibbs_calls) == 1
+        path.write_text(text.replace("\n112,65,0.227,No\n", f"\n{edited}\n", 1),
+                        encoding="utf-8")
+        self._run("chib", data=str(path))
+        assert len(gibbs_calls) == 2
+
+    def test_summaries_equal_a_cold_memo_runs(self, tmp_path, monkeypatch):
+        def outputs(method, subdir):
+            code, out = run_cli(tmp_path, "evidence", {
+                "method": method, "n_draws": 200, "seed": 5, "replicates": 2},
+                subdir=subdir)
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["runtime_seconds"]
+            return summary, (out / "replicates.csv").read_bytes()
+
+        warm = {m: outputs(m, f"warm-{m}") for m in EVIDENCE_METHODS}
+        for method in EVIDENCE_METHODS:
+            monkeypatch.setattr(cli, "_last_chain_pair", None)
+            assert outputs(method, f"cold-{method}") == warm[method], method
+
+    def test_the_kept_arrays_are_read_only(self):
+        rngs = [RngStream(2, r) for r in range(2)]
+        pima = load_pima(bundled_pima_path())
+        pima0 = ProbitModel(design=pima.design[:, :2], response=pima.response)
+        runs = cli._chain_pair(pima, pima0, rngs, 50)
+        assert cli._chain_pair(pima, pima0, rngs, 50) is runs
+        for states, means in runs:
+            for array in (states, means, states[0, :, :2]):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
+
+    def test_a_gibbs_call_that_raises_stores_nothing(self, monkeypatch, gibbs_calls):
+        self._run("chib", seed=1)
+        kept = cli._last_chain_pair
+
+        def failing(groups, n_iter):
+            raise FloatingPointError("no luck")
+
+        monkeypatch.setattr(cli, "probit_gibbs_groups", failing)
+        with pytest.raises(FloatingPointError):
+            self._run("chib", seed=2)
+        assert cli._last_chain_pair is kept
+        monkeypatch.setattr(cli, "_last_chain_pair", None)
+        with pytest.raises(FloatingPointError):
+            self._run("chib", seed=2)
+        assert cli._last_chain_pair is None
+
+    def test_a_stream_built_from_a_shifted_seed_misses(self, monkeypatch):
+        # the seed audit rebuilds each generator from seed + 1 and leaves the
+        # stream's seed field alone, so seed 5 must draw seed 6's chains
+        shifted = self._run("chib", seed=6)
+        self._run("chib", seed=5)
+        monkeypatch.setattr(core.RngStream, "__post_init__",
+                            core.RngStream.__post_init__)
+        _seed_audit()._offset_streams(core, 1)
+        assert self._run("chib", seed=5) == shifted

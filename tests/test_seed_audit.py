@@ -1,5 +1,5 @@
 """The seed audit (tools/seed_audit.py) reruns the tests named in its
-`METROPOLIS_TESTS`; a renamed or deleted test there would surface only when
+`AUDITED_TESTS`; a renamed or deleted test there would surface only when
 the audit next runs.  Every node id must name a test class, or a test in
 one or at module level, that its file defines."""
 
@@ -17,7 +17,7 @@ def _audit_nodes():
                                                   ROOT / "tools" / "seed_audit.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.METROPOLIS_TESTS
+    return module.AUDITED_TESTS
 
 
 @pytest.mark.parametrize("node", _audit_nodes())

@@ -2,16 +2,16 @@
 
     python3 tools/seed_audit.py [--tree DIR]
 
-Runs the tests in `METROPOLIS_TESTS`, those that reach
-`mcmc.rw_metropolis`, under pytest in this process, once as they are
-(k = 0) and once for each offset k = 1..8 with every `RngStream`'s Philox
-key built by `RngStream` itself from seed + k (mod 2^64) in place of its
-seed.  Nothing else changes: the tests' seeds, sizes and bounds stay as
-written, and so do the data that tests draw from numpy's own
-`default_rng`.  The warnings that the tier-1 run turns into errors are
-errors here too.  A test that passes only at its own seed then
-shows as a pass rate below 8/8, so a change that moves the random streams
-can be told apart from one that breaks a sampler.
+Runs the tests in `AUDITED_TESTS`, those that reach `mcmc.rw_metropolis`,
+the probit Gibbs sampler or the evidence estimators, under pytest in this
+process, once as they are (k = 0) and once for each offset k = 1..8 with
+every `RngStream`'s Philox key built by `RngStream` itself from seed + k
+(mod 2^64) in place of its seed.  Nothing else changes: the tests'
+seeds, sizes and bounds stay as written, and so do the data that tests
+draw from numpy's own `default_rng`.  The warnings that the tier-1 run
+turns into errors are errors here too.  A test that passes only at its
+own seed then shows as a pass rate below 8/8, so a change that moves the
+random streams can be told apart from one that breaks a sampler.
 
 `--tree` audits another checkout, its `src` and `tests`, so that a parent
 and a change can be compared with this one script.  Prints one line per
@@ -33,9 +33,10 @@ OFFSETS = 8
 WARNING_FILTERS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
                    "-W", "error::FutureWarning",
                    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-# the tests that run rw_metropolis: rw_mh_run, mwg, mixture-demo, abc_mcmc;
+# the tests that run rw_metropolis (rw_mh_run, mwg, mixture-demo,
+# abc_mcmc), the probit Gibbs sampler and the evidence estimators;
 # tests/test_seed_audit.py checks that each names a test that exists
-METROPOLIS_TESTS = (
+AUDITED_TESTS = (
     "tests/test_acceptance.py::TestRandomWalkAcceptance",
     "tests/test_acceptance.py::TestMixtureTrapping",
     "tests/test_mcmc.py::TestMhRun",
@@ -43,9 +44,12 @@ METROPOLIS_TESTS = (
     "tests/test_mcmc.py::TestMwg",
     "tests/test_mcmc.py::TestMwgEarlyRejection",
     "tests/test_mcmc.py::TestBlockedMetropolis",
-    "tests/test_mcmc.py::TestProbitGibbs::test_cross_sampler_agreement",
+    "tests/test_mcmc.py::TestProbitGibbs",
     "tests/test_abc.py::TestMcmc",
     "tests/test_acceptance.py::TestAbcExactness::test_mcmc",
+    "tests/test_acceptance.py::TestEvidenceCrossConsistency",
+    "tests/test_acceptance.py::TestChibIdentity",
+    "tests/test_acceptance.py::TestEvidenceOracle",
 )
 
 
@@ -90,7 +94,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(tree / "src"))
     from bayescomp import core
 
-    nodes = [str(tree / t) for t in METROPOLIS_TESTS]
+    nodes = [str(tree / t) for t in AUDITED_TESTS]
     runs = []
     for offset in range(OFFSETS + 1):
         outcomes = _Outcomes()
