@@ -14,14 +14,17 @@ replicates, replicate r on ``RngStream(seed, r)``.  ``result`` is stream
 stream 1..R-1, its estimates or the exception that ended it (an ``error``
 row).  Stream r gives what a run of its own on stream r gives.  A chain
 experiment reads its kept states as one (R, n_kept, k) array, row 0 the
-only chain given its IACT and chain ESS, and fails as a whole.  `mle` and
-`evidence`'s importance proposals are fitted once per run.  The four
-chain-based `evidence` routes run one two-group lockstep
-(`probit_gibbs_groups`) of R chains per model, the 3-covariate model on
-``rng_r.child(0)`` and the 2-covariate one on ``rng_r.child(1)``, which
-fails as a whole; their estimators then run per stream.  A process keeps
-the last such pair, read-only, so the chain routes run in one process at
-one data set, seed, `n_draws` and `replicates` share one Gibbs call.
+only chain given its IACT and chain ESS, and fails as a whole.  A probit
+Gibbs chain on stream s draws nothing on s itself: its uniforms come from
+``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
+ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
+proposals are fitted once per run.  The four chain-based `evidence`
+routes run one two-group lockstep (`probit_gibbs_groups`) of R chains
+per model, the 3-covariate model on ``rng_r.child(0)`` and the
+2-covariate one on ``rng_r.child(1)``, which fails as a whole; their
+estimators then run per stream.  A process keeps the last such pair,
+read-only, so the chain routes run in one process at one data set, seed,
+`n_draws` and `replicates` share one Gibbs call.
 Every `evidence` method ends in one estimate of log B10, written with its
 ``unreliable`` flag and ``weight_ess``, the smaller of its two evidences'
 weight ESS.
@@ -137,7 +140,9 @@ _CHAIN = {"burn_in": (0, _integer(0)), "thin": (1, _integer(1))}
 # the simulated data of pmc and mixture-demo
 _MIXTURE = {"n_data": (500, _integer(0)),
             "weight": (0.7, _real(" in (0, 1)", lambda v: 0 < v < 1)),
-            "mu1": (0.0, _real()), "mu2": (2.5, _real()), "sigma2": (1.0, _POSITIVE)}
+            "mu1": (0.0, _real()), "mu2": (2.5, _real()),
+            "sigma2": (1.0, _real(" > 0 whose reciprocal is finite",
+                                  lambda v: v > 0 and 1.0 / v < np.inf))}
 # evidence by harmonic-gd alone: the mass of its truncation ellipsoid, and
 # draws enough for a nonsingular scatter of the 3-covariate chain (its
 # dimension + 1)

@@ -4,7 +4,8 @@ Everything downstream (samplers, estimators, ABC) draws randomness through
 :class:`RngStream`, normalises weights through :func:`log_sum_exp`, sums
 probit log-likelihoods through :func:`log_ndtr` and draws probit latents
 through :func:`truncated_normal_positive`, the one truncated-normal
-primitive, so the determinism and numerical-stability guarantees live here.
+primitive, an inverse-CDF transform of uniforms its callers draw, so the
+determinism and numerical-stability guarantees live here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "sample_truncated_normal",
     "truncated_normal_vector",
     "truncated_normal_positive",
+    "uniform_complements",
     "sample_categorical",
     "categorical_cdf",
     "log_sum_exp",
@@ -242,36 +244,41 @@ def log_ndtr(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def truncated_normal_positive(eta: np.ndarray, rngs, out=None) -> np.ndarray:
-    """N(eta_ri, 1) draws conditioned positive, for an (R, n) array `eta`,
-    row r drawing from stream ``rngs[r]`` alone, in `out` when given (an
-    array other than eta).  The probit Gibbs sweep draws its latents so.
+def uniform_complements(rngs, *shape) -> np.ndarray:
+    """(R, *shape) uniforms on (0, 1], row r filled in order from stream
+    ``rngs[r]``: 1 - u for uniforms u on [0, 1), exact for every double
+    the generator returns; the input `truncated_normal_positive` takes."""
+    v = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, v):
+        rng.generator.random(out=row)
+    return np.subtract(1.0, v, out=v)
 
-    Inverse CDF with one uniform per entry, so a call leaves each stream n
-    uniforms on whatever eta is: eta - ndtri((1 - u) ndtr(eta)).  Below
-    eta = -5, where ndtr(eta) loses its relative precision, the same
-    inverse runs in log space (`special.ndtri_exp` of ``log1p(-u) +
-    log_ndtr(eta)``).  Every row matches a one-row call on the same stream
-    bit for bit.  The uniforms come one stream at a time; the inverse CDF
-    covers all R x n entries in one call, in place.  A NaN or -inf entry of
-    eta raises `FloatingPointError`, and a stream count other than R
-    `ValueError`.
+
+def truncated_normal_positive(eta: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """N(eta, 1) draws conditioned positive, one per entry of the array
+    `eta`, as the inverse-CDF transform of the uniforms `v` on (0, 1] of
+    its shape (`uniform_complements` draws them), in `out` when given (an
+    array other than eta and v).  The library's one truncated-normal code
+    path: the probit Gibbs sweep and the samplers below all draw so.
+
+    The draw is eta - ndtri(v ndtr(eta)).  Below eta = -5, where ndtr(eta)
+    loses its relative precision, the same inverse runs in log space
+    (`special.ndtri_exp` of ``log1p(v - 1) + log_ndtr(eta)``, v - 1 exact
+    for v = 1 - u).  Each entry depends on its own eta and v alone.  A NaN
+    or -inf entry of eta raises `FloatingPointError`, and a `v` of another
+    shape `ValueError`.
     """
     eta = np.asarray(eta, dtype=float)
-    if len(rngs) != len(eta):
-        raise ValueError(f"{len(rngs)} streams for {len(eta)} rows of eta")
+    if np.shape(v) != eta.shape:
+        raise ValueError(f"uniforms of shape {np.shape(v)} for eta of shape {eta.shape}")
     low = eta.min(initial=np.inf)
     if not low > -np.inf:
         raise FloatingPointError("eta has a NaN or -inf entry: no normal lies above -eta")
-    q = np.empty_like(eta) if out is None else out
-    for rng, row in zip(rngs, q):
-        rng.generator.random(out=row)
     if low < -5.0:
         tail = eta < -5.0
-        x = special.ndtri_exp(np.log1p(-q[tail]) + special.log_ndtr(eta[tail]))
-    # q = ndtri((1 - u) ndtr(eta)), with 1 - u in (0, 1]
-    np.subtract(1.0, q, out=q)
-    q *= special.ndtr(eta)
+        x = special.ndtri_exp(np.log1p(v[tail] - 1.0) + special.log_ndtr(eta[tail]))
+    q = special.ndtr(eta, out=out)
+    q *= v
     special.ndtri(q, out=q)
     if low < -5.0:
         q[tail] = x
@@ -288,10 +295,13 @@ def sample_truncated_normal(mu: float, sigma: float, side: str, rng: RngStream) 
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if side == "positive":
-        return float(sigma * truncated_normal_positive(np.asarray([[mu / sigma]]), [rng])[0, 0])
-    if side == "negative":
-        return float(-sigma * truncated_normal_positive(np.asarray([[-mu / sigma]]), [rng])[0, 0])
-    raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+        sign = 1.0
+    elif side == "negative":
+        sign = -1.0
+    else:
+        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    return float(sign * sigma * truncated_normal_positive(np.asarray([[sign * mu / sigma]]),
+                                                          uniform_complements([rng], 1))[0, 0])
 
 
 def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.ndarray:
@@ -301,7 +311,7 @@ def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.nd
     Entry (r, i) is N(mu_ri, 1) conditioned positive where `positive[i]`,
     negative otherwise.  Row r equals a one-row call on stream ``rngs[r]``
     bit for bit, and leaves that stream where the one-row call would.  The
-    probit Gibbs sweep draws the same values, unsigned, from
+    probit latent completion draws the same values, unsigned, from
     `truncated_normal_positive` on its signed design.
     """
     mu = np.asarray(mu, dtype=float)
@@ -309,7 +319,7 @@ def truncated_normal_vector(mu: np.ndarray, positive: np.ndarray, rngs) -> np.nd
         raise ValueError(f"mu has shape {mu.shape}, expected ({len(rngs)}, n)")
     sign = np.where(np.asarray(positive, dtype=bool), 1.0, -1.0)
     # sign * draw is N(sign * mu, 1) conditioned positive
-    z = truncated_normal_positive(sign * mu, rngs)
+    z = truncated_normal_positive(sign * mu, uniform_complements(rngs, mu.shape[1]))
     z *= sign
     return z
 

@@ -54,6 +54,8 @@ _N_BATCHES = 50
 _BRIDGE_TOL = 1e-8
 # an estimate whose terms' weight ESS is under this share of them is unreliable
 _MIN_ESS_SHARE = 0.05
+# harmonic_mean_gd's fewest posterior draws inside its ellipsoid
+_MIN_INSIDE = 10
 
 
 class BridgeError(RuntimeError):
@@ -363,15 +365,19 @@ def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
     moment-matched Gaussian of `phi`, whose light tails keep the variance
     finite.  A draw outside the ellipsoid adds a -inf term whatever its
     target value, so the target is evaluated only at the draws inside; it
-    must map each row to a value that does not depend on the other rows."""
+    must map each row to a value that does not depend on the other rows.
+    Fewer than 10 draws inside is a `RuntimeError` that says how many of
+    how many fell inside, and to draw more."""
     sample = np.atleast_2d(np.asarray(posterior_sample, dtype=float))
     log_phi = phi.log_density_many(sample)
     inside = log_phi > -np.inf
     n_inside = int(np.count_nonzero(inside))
-    if n_inside < 10:
+    if n_inside < _MIN_INSIDE:
+        n = sample.shape[0]
+        hint = "raise n_draws" if n < _MIN_INSIDE else "raise n_draws or coverage"
         raise RuntimeError(
-            f"only {n_inside} sample points fall in the phi ellipsoid; "
-            "estimate would be unstable (raise coverage)")
+            f"only {n_inside} of {n} posterior draws fall in the phi ellipsoid, "
+            f"and a stable estimate needs {_MIN_INSIDE}: {hint}")
     terms = np.full(sample.shape[0], -np.inf)
     terms[inside] = log_phi[inside] - np.asarray(logprior_plus_loglik(sample[inside]),
                                                  dtype=float)

@@ -20,11 +20,16 @@ trimming is post-processing.
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each
 group is one probit model, all of them on the same number of
-observations (each with its own design and response), and a sweep draws
-the latents of every chain in one `truncated_normal_positive` call.
-One model's replicates are the one-group case and a single chain
+observations (each with its own design and response).  Like
+`rw_metropolis`, it draws its randomness ahead on child streams: chain
+r's uniforms on ``rng_r.child(0)`` and its normals on ``rng_r.child(1)``,
+a block of sweeps at a time, the block bounded by a fixed scratch budget.
+A sweep is then arithmetic alone, the latents of every chain one
+`truncated_normal_positive` transform of the block's uniforms.  One
+model's replicates are the one-group case and a single chain
 (`probit_gibbs_run`) the group of one; a group's R chains come back as
-(R, n_iter, p) arrays, each bit-identical to a run of its own.
+(R, n_iter, p) arrays, each bit-identical to a run of its own whatever R
+and the block size.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import MvnParams, RngStream, log_ndtr, truncated_normal_positive
+from .core import (MvnParams, RngStream, log_ndtr, rowwise, truncated_normal_positive,
+                   uniform_complements)
 from .model import BayesModel, log_posterior
 from .probit import ProbitModel, ProbitSweep, probit_mle
 
@@ -54,6 +60,9 @@ __all__ = [
 # an early rejection's slack relative to 1 + |floor| (see rw_metropolis)
 _FLOOR_SLACK = 1e-9
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# the scratch of a block of Gibbs sweeps, in doubles (256 KB): the block's
+# uniforms, over all R chains' n latents a sweep
+_GIBBS_BLOCK_DOUBLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -169,14 +178,23 @@ def probit_gibbs_groups(groups, n_iter: int):
     `groups` is a sequence of (model, rngs) pairs, one `ProbitModel` and
     the streams of its chains each.  The models need only a common number
     of observations: each has its own design and response, which its
-    signed design carries, and a different `n_obs` is a `ValueError`.  A
-    sweep writes eta = S X beta of every chain into one (R, n) buffer,
-    draws all R rows of latents in one `truncated_normal_positive` call,
-    then each group's conditional means and coefficients (`ProbitSweep`)
-    straight into its output rows.  Chain r draws from its own stream alone
-    and in the order of a single chain, so it is bit-identical to a run of
-    its own on that stream.  A NaN or -inf eta in any chain raises
-    `FloatingPointError` for the whole call.
+    signed design carries, and a different `n_obs` is a `ValueError`.
+
+    Chain r draws its randomness ahead, on child streams of its stream
+    ``rng_r``: the uniforms of its latents on ``rng_r.child(0)``, n a
+    sweep, and the normals z of its coefficients on ``rng_r.child(1)``, p a
+    sweep, a block of sweeps at a time, the block as many sweeps as fit
+    the chains' uniforms in `_GIBBS_BLOCK_DOUBLES`.  The block's 1 - u and
+    its L z, L the conditional's factor (`ProbitSweep`), are computed once,
+    L z straight into the output rows.  A sweep then makes no generator
+    call: it writes eta = S X beta of every chain into one (R, n) buffer,
+    transforms the block's uniforms into all R rows of latents in one
+    `truncated_normal_positive` call, and adds each group's conditional
+    means into its output rows.  A stream fills in order, so neither R nor
+    the block size moves a bit: chain r is bit-identical to a run of its
+    own on its stream, a shorter run is a prefix of a longer one, and
+    ``rng_r`` itself is not advanced.  A NaN or -inf eta in any chain
+    raises `FloatingPointError` for the whole call.
 
     Returns one (states, means) pair per group: the (R_g, n_iter, p)
     states and the (R_g, n_iter, p) conditional means
@@ -189,24 +207,32 @@ def probit_gibbs_groups(groups, n_iter: int):
         raise ValueError("the models of a lockstep run must have one number "
                          "of observations")
     streams = [rng for _, rngs in groups for rng in rngs]
+    uniforms = [rng.child(0) for rng in streams]
     eta = np.empty((len(streams), n_obs))
     w = np.empty_like(eta)
     blocks, betas, lo = [], [], 0
     for model, rngs in groups:
         k = len(rngs)
         states, means = np.empty((2, k, n_iter, model.dimension))
-        blocks.append((ProbitSweep(model), rngs, eta[lo:lo + k], w[lo:lo + k],
-                       states, means, np.empty((k, model.dimension))))
+        blocks.append((ProbitSweep(model), [rng.child(1) for rng in rngs],
+                       eta[lo:lo + k], w[lo:lo + k], states, means))
         betas.append(np.tile(probit_mle(model)[0], (k, 1)))
         lo += k
-    for t in range(n_iter):
-        for (sweep, _, eta_g, _, _, _, _), beta in zip(blocks, betas):
-            sweep.eta(beta, eta_g)
-        truncated_normal_positive(eta, streams, w)
-        for g, (sweep, rngs, _, w_g, states, means, noise) in enumerate(blocks):
-            m = sweep.mean(w_g, means[:, t])
-            betas[g] = sweep.draw(m, sweep.noise(rngs, noise), states[:, t])
-    return [(states, means) for *_, states, means, _ in blocks]
+    size = max(1, _GIBBS_BLOCK_DOUBLES // max(1, eta.size))
+    for start in range(0, n_iter, size):
+        stop = min(start + size, n_iter)
+        v = uniform_complements(uniforms, stop - start, n_obs)
+        for sweep, normals, _, _, states, _ in blocks:
+            for rng, rows in zip(normals, states[:, start:stop]):
+                rowwise(rng.generator.standard_normal(rows.shape), sweep.cond.scale, rows)
+        for t in range(start, stop):
+            for (sweep, _, eta_g, *_), beta in zip(blocks, betas):
+                sweep.eta(beta, eta_g)
+            truncated_normal_positive(eta, v[:, t - start], w)
+            for g, (sweep, _, _, w_g, states, means) in enumerate(blocks):
+                betas[g] = states[:, t]
+                betas[g] += sweep.mean(w_g, means[:, t])
+    return [(states, means) for *_, states, means in blocks]
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):

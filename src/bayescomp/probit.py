@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .core import (MvnParams, RngStream, log_ndtr, map_rows, rowwise,
-                   truncated_normal_positive)
+                   truncated_normal_positive, uniform_complements)
 from .model import BayesModel, LatentCompletion
 
 __all__ = [
@@ -285,7 +285,9 @@ def probit_latent_completion(model: ProbitModel) -> LatentCompletion:
     sweep = ProbitSweep(model)
 
     def sample_latents(betas, rngs):
-        return sweep.mean(truncated_normal_positive(sweep.eta(np.asarray(betas, float)), rngs))
+        eta = sweep.eta(np.asarray(betas, float))
+        return sweep.mean(truncated_normal_positive(
+            eta, uniform_complements(rngs, eta.shape[-1])))
 
     def sample_params(means, rngs):
         return sweep.draw(means, sweep.noise(rngs))

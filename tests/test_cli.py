@@ -315,10 +315,12 @@ class TestOutputs:
         calls = []
 
         def lockstep(groups, n_iter):
-            (_, rngs), = groups
-            fresh = [RngStream(rng.seed, rng.stream_id).counter for rng in rngs]
-            result = probit_gibbs_groups(groups, n_iter)
-            drawn = all(rng.counter != c for rng, c in zip(rngs, fresh))
+            (model, rngs), = groups
+            (states, means), = result = probit_gibbs_groups(groups, n_iter)
+            # chain r draws on the child streams of stream r alone
+            drawn = all(states[r].tobytes() == probit_gibbs_groups(
+                [(model, [RngStream(rng.seed, rng.stream_id)])], n_iter)[0][0][0].tobytes()
+                for r, rng in enumerate(rngs))
             calls.append(([rng.stream_id for rng in rngs],
                           threading.get_ident(), drawn))
             return result
@@ -328,7 +330,7 @@ class TestOutputs:
                           {"iterations": 100, "replicates": 4})
         assert code == 0
         me = threading.get_ident()
-        # one call over every stream, each of them drawn from
+        # one call over every stream, each chain the run of its own stream
         assert calls == [([0, 1, 2, 3], me, True)]
 
         # a one-stream run goes over the streams in order
@@ -704,25 +706,42 @@ class TestErrors:
         ("mle", {"seed": 2 ** 64}, "seed"),
         ("mh", {"data": ""}, "data"),
         ("evidence", {"method": "harmonic-gd", "n_draws": 2}, "n_draws"),
+        ("pmc", {"sigma2": 1e-320, "particles": 100, "generations": 2}, "sigma2"),
+        ("mixture-demo", {"sigma2": 1e-320}, "sigma2"),
     ], ids=["pmc-weight", "capture-c2", "abc-quantile", "pmc-particles",
             "pmc-generations", "pmc-q0_scale", "pmc-sigma2", "pmc-weight-string",
             "pmc-q0_scale-bool", "capture-n1", "capture-c3", "capture-n_max",
             "abc-particles", "abc-generations", "abc-quantile-bool",
             "mh-scale_multiplier-bool", "mixture-demo-weight", "mixture-demo-mu1",
             "mixture-demo-tau-bool", "evidence-coverage-bool", "seed-negative",
-            "seed-2**64", "mh-data-empty", "evidence-two-draws"])
+            "seed-2**64", "mh-data-empty", "evidence-two-draws", "pmc-sigma2-subnormal",
+            "mixture-demo-sigma2-subnormal"])
     def test_config_errors_fail_before_any_output(self, tmp_path, capsys,
                                                   experiment, config, key):
         # each value fails its key's declared kind or a rule that spans keys
         # (capture's c2 <= n1 <= n_max), so no runner starts; harmonic-gd
         # fits an ellipsoid to the 3-covariate draws, whose scatter two
-        # draws leave singular
+        # draws leave singular, and a subnormal sigma2 has no finite
+        # reciprocal, which every mixture density divides by
         with pytest.raises(ConfigError, match=f"^{key}"):
             resolve_config(experiment, config)
         code, out = run_cli(tmp_path, experiment, config)
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and err["message"].startswith(key)
+        assert not out.exists()
+
+    def test_harmonic_gd_short_of_draws_inside_names_n_draws(self, tmp_path, capsys):
+        # the config passes resolve_config, but six draws cannot put the 10
+        # that harmonic-gd needs inside its ellipsoid, whatever the coverage
+        config = {"method": "harmonic-gd", "n_draws": 6, "coverage": 1}
+        resolve_config("evidence", config)
+        code, out = run_cli(tmp_path, "evidence", config)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "RuntimeError"
+        assert " of 6 posterior draws" in err["message"] and "needs 10" in err["message"]
+        assert err["message"].endswith("raise n_draws")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["mle-malformed-csv", "mh-zero-step"])

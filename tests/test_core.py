@@ -23,6 +23,7 @@ from bayescomp.core import (
     sample_truncated_normal,
     truncated_normal_positive,
     truncated_normal_vector,
+    uniform_complements,
 )
 from bayescomp.probit import ProbitModel, probit_loglik_many
 
@@ -307,32 +308,41 @@ class TestTruncatedNormal:
             assert rng.counter == alone.counter
 
     def test_one_uniform_per_entry(self):
-        # whatever the bounds, a row leaves its stream where n uniforms would
+        # whatever the bounds, an entry is the transform of its own uniform,
+        # its bits those of a one-entry call, and drawing the uniforms
+        # leaves each stream where n uniforms would
         eta = np.array([[0.3, -6.5, -2.0, -9.0, 1.0, -40.0],
                         [-1.0, -0.5, 2.0, 0.7, -4.9, 0.0],
                         [-5.5, -7.0, -12.0, -6.1, -5.01, -8.0]])
         rngs = [RngStream(22, r) for r in range(3)]
-        w = truncated_normal_positive(eta, rngs)
+        v = uniform_complements(rngs, eta.shape[1])
+        w = truncated_normal_positive(eta, v)
         assert np.all(w > 0)
         for r, rng in enumerate(rngs):
             fresh = RngStream(22, r)
             fresh.generator.random(eta.shape[1])
             assert rng.counter == fresh.counter
+            for i in range(eta.shape[1]):
+                one = truncated_normal_positive(eta[r:r + 1, i:i + 1], v[r:r + 1, i:i + 1])
+                assert one.tobytes() == w[r, i].tobytes()
 
     def test_one_stream_per_row(self):
-        # a row without its stream would be drawn from uninitialised memory
-        with pytest.raises(ValueError, match="streams"):
-            truncated_normal_positive(np.zeros((2, 4)), [RngStream(27, 0)])
+        # a row without uniforms of its own would be drawn from another's
+        with pytest.raises(ValueError, match="shape"):
+            truncated_normal_positive(np.zeros((2, 4)),
+                                      uniform_complements([RngStream(27, 0)], 4))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nan_or_minus_inf_bound_raises(self, bad):
         with pytest.raises(FloatingPointError):
-            truncated_normal_positive(np.array([[0.0, -7.0, bad]]), [RngStream(23, 0)])
+            truncated_normal_positive(np.array([[0.0, -7.0, bad]]),
+                                      uniform_complements([RngStream(23, 0)], 3))
 
     @pytest.mark.parametrize("a", [5.01, 8.0, 20.0])
     def test_tail_ks(self, a):
         # w - eta is the standard normal conditioned above a = -eta
-        w = truncated_normal_positive(np.full((1, 200_000), -a), [RngStream(24, 0)])[0]
+        w = truncated_normal_positive(np.full((1, 200_000), -a),
+                                      uniform_complements([RngStream(24, 0)], 200_000))[0]
         assert np.all(w > 0)
         draws = w + a
         assert np.all(draws > a)
@@ -342,7 +352,8 @@ class TestTruncatedNormal:
     def test_far_tail_mean(self, a):
         # the mean of N(0, 1) above a = -eta, the law of w - eta, is the
         # inverse Mills ratio
-        w = truncated_normal_positive(np.full((1, 200_000), -a), [RngStream(25, 0)])[0]
+        w = truncated_normal_positive(np.full((1, 200_000), -a),
+                                      uniform_complements([RngStream(25, 0)], 200_000))[0]
         assert np.all(w > 0)
         draws = w + a
         mills = np.exp(stats.norm.logpdf(a) - stats.norm.logsf(a))

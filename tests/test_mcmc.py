@@ -218,8 +218,8 @@ class TestBlockedMetropolis:
 
 class TestProbitGibbs:
     def test_latent_signs(self, pima):
-        # the sweeps of probit_gibbs_run, by hand, each sweep's statistic
-        # against the mean map of latents drawn on a twin stream
+        # Gibbs sweeps by the latent completion's two blocks, each sweep's
+        # statistic against the mean map of latents drawn on a twin stream
         completion = probit_latent_completion(pima)
         rngs, twins = [RngStream(10, 0)], [RngStream(10, 0)]
         betas = probit_mle(pima)[0][None, :]
@@ -316,6 +316,39 @@ class TestLockstepGibbs:
             start = np.broadcast_to(probit_mle(full)[0], (sizes[0], 1, 2))
             eta = np.concatenate([start, states[:, :-1]], axis=1) @ full.signed_design.T
             assert np.any(eta < -5.0)
+
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_a_shorter_run_is_a_prefix(self, pima, n_chains):
+        """n sweeps are the first n of 2n + 3 sweeps on the same streams, bit
+        for bit, across the block boundaries of both runs; the chains' own
+        streams are left where they were."""
+        n = 103
+        short = probit_gibbs_groups([(pima, [RngStream(45, r) for r in range(n_chains)])], n)
+        rngs = [RngStream(45, r) for r in range(n_chains)]
+        (states, means), = probit_gibbs_groups([(pima, rngs)], 2 * n + 3)
+        assert short[0][0].tobytes() == states[:, :n].tobytes()
+        assert short[0][1].tobytes() == means[:, :n].tobytes()
+        assert [rng.counter for rng in rngs] == [
+            RngStream(45, r).counter for r in range(n_chains)]
+
+    @pytest.mark.parametrize("which", ["pima", "outlier"])
+    def test_the_block_size_moves_no_bit(self, pima, which, monkeypatch):
+        """Blocks of 1 sweep, 7 sweeps and the default budget's give
+        byte-identical states and means, over two groups of 2 and 1 chains."""
+        full = pima if which == "pima" else outlier_model()
+        sub = ProbitModel(design=full.design[:, :full.dimension - 1],
+                          response=full.response)
+        sweep_doubles = 3 * full.n_obs
+        runs = []
+        for budget in (sweep_doubles, 7 * sweep_doubles, mcmc._GIBBS_BLOCK_DOUBLES):
+            monkeypatch.setattr(mcmc, "_GIBBS_BLOCK_DOUBLES", budget)
+            runs.append(probit_gibbs_groups(
+                [(full, [RngStream(46, r) for r in range(2)]), (sub, [RngStream(46, 2)])],
+                50))
+        for run in runs[1:]:
+            for (states, means), (ref_states, ref_means) in zip(run, runs[0]):
+                assert states.tobytes() == ref_states.tobytes()
+                assert means.tobytes() == ref_means.tobytes()
 
     def test_nan_eta_in_one_group_fails_the_call(self, pima, monkeypatch):
         sub = ProbitModel(design=pima.design[:, :2], response=pima.response)

@@ -45,6 +45,8 @@ AUDITED_TESTS = (
     "tests/test_mcmc.py::TestMwgEarlyRejection",
     "tests/test_mcmc.py::TestBlockedMetropolis",
     "tests/test_mcmc.py::TestProbitGibbs",
+    "tests/test_mcmc.py::TestLockstepGibbs::test_residuals_have_conditional_law",
+    "tests/test_acceptance.py::TestAbcProbitMatch",
     "tests/test_abc.py::TestMcmc",
     "tests/test_acceptance.py::TestAbcExactness::test_mcmc",
     "tests/test_acceptance.py::TestEvidenceCrossConsistency",
