@@ -6,21 +6,21 @@ latent.  The joint likelihood is a product of five binomial terms and the
 prior is the improper 1/N on the population size with uniform capture and
 emigration probabilities.
 
-The sampler is the fully collapsed scan, and it draws exactly.  Summing N
-against the 1/N prior and integrating p and q out leaves each removal pair
-(r1, r2) a weight of binomial coefficients and two Beta functions, a fixed
-table per model; so the pair is drawn from one categorical CDF, then p from
-its Beta, N - n1 from NegBin(n1, p), the whole redrawn while N exceeds
-n_max, and q from its Beta given the pair.  Each state is an independent
-posterior draw: there is no Metropolis step and no state carried between
-sweeps.  The four full conditionals of the single-site sweep stay available
+The sampler is a direct one: it draws each posterior state exactly and
+independently, with no Markov chain, so there is nothing to burn in or
+thin.  Summing N against the 1/N prior and integrating p and q out leaves
+each removal pair (r1, r2) a weight of binomial coefficients and two Beta
+functions, a fixed table per model; so the pair is drawn from one
+categorical CDF, then p from its Beta, N - n1 from NegBin(n1, p), the
+whole redrawn while N exceeds n_max, and q from its Beta given the pair.
+The four full conditionals of the single-site Gibbs sweep stay available
 as the tested reference.
 
-Chain r of R draws all its states at once on stream r alone, with a few
-vectorised calls, so it is bit-identical to a run of its own.  The run
-returns one (R, n_iter, 6) array with the columns N, p, q, r1, r2 and each
-sweep's refused proposals; `capture_gibbs_run` hands out the case R = 1 as
-a dict of its columns.
+Each of R streams makes all its draws at once, on that stream alone, with
+a few vectorised calls, so it is bit-identical to a run of its own.
+`capture_draws` returns one (R, n_iter, 6) array whose columns are
+`CAPTURE_COLUMNS`: N, p, q, r1, r2 and each draw's refused proposals;
+`capture_gibbs_run` hands out the case R = 1 as a dict of its columns.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ from scipy.special import betainc, betaincinv, betaln, gammaln
 
 from .core import RngStream, categorical_cdf, log_sum_exp, sample_categorical_many
 
-__all__ = ["CaptureModel", "capture_loglik", "capture_gibbs_conditionals", "capture_gibbs_run",
-           "capture_gibbs_lockstep", "n_max_tail_mass"]
+__all__ = ["CaptureModel", "CAPTURE_COLUMNS", "capture_loglik", "capture_gibbs_conditionals",
+           "capture_gibbs_run", "capture_draws", "n_max_tail_mass"]
 
 # rejection cap for the N draw and the (r1, r2, p, N) proposal: a draw
 # refused 16 times has shown an acceptance rate near 1/4 or below, where
 # the exact truncated route is cheaper than more rounds of proposals
 _NB_TRIES = 16
 _TAIL_WARN = 1e-6  # mass of N | p beyond n_max that raises a warning
+# the columns of a draw: the state, then the proposals refused for N > n_max
+CAPTURE_COLUMNS = ("N", "p", "q", "r1", "r2", "refused")
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,8 @@ def n_max_tail_mass(model: CaptureModel, p):
 
 
 def capture_gibbs_conditionals(model: CaptureModel):
-    """The four full conditionals of the posterior under the 1/N prior.
+    """The four full conditionals of the posterior under the 1/N prior,
+    the single-site Gibbs sweep that tests hold `capture_draws` against.
 
     Returns a dict of samplers, each mapping (state, rng) -> block value
     where state is the dict {"N", "p", "q", "r1", "r2"}.  p and q are Beta.
@@ -321,31 +324,24 @@ def _posterior_sampler(model: CaptureModel):
     return draw
 
 
-_KEYS = ("N", "p", "q", "r1", "r2", "refused")
+def capture_draws(model: CaptureModel, n_iter: int, rngs) -> np.ndarray:
+    """n_iter independent exact posterior draws on each of the R =
+    len(rngs) streams, stream r drawing from ``rngs[r]`` alone.
 
-
-def capture_gibbs_lockstep(model: CaptureModel, n_iter: int, rngs) -> np.ndarray:
-    """The fully collapsed scan for R = len(rngs) chains, chain r drawing
-    from ``rngs[r]`` alone.
-
-    With p, N and q all integrated out of the removal draw, each sweep
-    draws its state exactly and independently of the last (see
-    `_posterior_sampler`), so chain r makes all its n_iter draws at once
-    with a few vectorised calls on its stream and is bit-identical to
-    `capture_gibbs_run` on that stream.  Returns one (R, n_iter, 6) array,
-    row t of chain r its state after sweep t in the columns N, p, q, r1,
-    r2, refused; ``refused`` counts the proposals of the sweep turned down
-    because N exceeded n_max.
+    Each stream makes all its draws at once with a few vectorised calls
+    (see `_posterior_sampler`), so its rows are bit-identical to
+    `capture_gibbs_run` on that stream.  Returns one (R, n_iter, 6) array
+    in the columns `CAPTURE_COLUMNS`: N, p, q, r1, r2 and ``refused``, the
+    proposals of the draw turned down because N exceeded n_max.
     """
     draw = _posterior_sampler(model)
-    out = np.empty((len(rngs), n_iter, len(_KEYS)))
+    out = np.empty((len(rngs), n_iter, len(CAPTURE_COLUMNS)))
     for r, rng in enumerate(rngs):
         out[r] = draw(n_iter, rng)
     return out
 
 
 def capture_gibbs_run(model: CaptureModel, n_iter: int, rng: RngStream) -> dict:
-    """One chain of `capture_gibbs_lockstep` on stream `rng`: 1-D arrays of
-    the states, one entry per sweep, keyed N, p, q, r1, r2 and
-    ``refused``, its six columns."""
-    return dict(zip(_KEYS, capture_gibbs_lockstep(model, n_iter, [rng])[0].T))
+    """The draws of `capture_draws` on the one stream `rng`: 1-D arrays,
+    one entry per draw, keyed by the six `CAPTURE_COLUMNS`."""
+    return dict(zip(CAPTURE_COLUMNS, capture_draws(model, n_iter, [rng])[0].T))

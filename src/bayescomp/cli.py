@@ -14,7 +14,10 @@ replicates, replicate r on ``RngStream(seed, r)``.  ``result`` is stream
 stream 1..R-1, its estimates or the exception that ended it (an ``error``
 row).  Stream r gives what a run of its own on stream r gives.  A chain
 experiment reads its kept states as one (R, n_kept, k) array, row 0 the
-only chain given its IACT and chain ESS, and fails as a whole.  A probit
+only chain given its IACT and chain ESS, and fails as a whole.  `capture`
+is no chain: `capture_draws` gives its R streams' independent exact draws
+as one (R, n, 6) array, with nothing to burn in or thin, and stream 0's
+means carry the standard error sd/sqrt(n) in place of an IACT.  A probit
 Gibbs chain on stream s draws nothing on s itself: its uniforms come from
 ``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
 ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
@@ -52,7 +55,7 @@ from dataclasses import replace
 import numpy as np
 
 from .abc import _ACCEPT_FLOOR, _MIN_OUTPUT, AbcConfig, probit_abc
-from .capture import CaptureModel, capture_gibbs_lockstep, n_max_tail_mass
+from .capture import _TAIL_WARN, CAPTURE_COLUMNS, CaptureModel, capture_draws, n_max_tail_mass
 from .core import _U64, RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
@@ -169,9 +172,10 @@ _KEYS = {
             "generations": (10, _integer(2)),
             "quantile": (0.1, _real(f" in [{_ACCEPT_FLOOR}, 1]",
                                     lambda v: _ACCEPT_FLOOR <= v <= 1))},
-    "capture": {**_CHAIN, "n1": (22, _integer(1)), "c2": (11, _integer(0)),
+    # capture keeps every one of its independent draws; its SDs need two
+    "capture": {"n1": (22, _integer(1)), "c2": (11, _integer(0)),
                 "c3": (6, _integer(0)), "n_max": (None, _N_MAX),
-                "iterations": (10_000, _integer(0))},
+                "iterations": (10_000, _integer(2))},
     "mixture-demo": {**_CHAIN, "iterations": (1000, _integer(0)),
                      "tau": (1.0, _real(" > 0 whose square is finite and > 0",
                                         lambda v: v > 0 and 0 < float(v) * v < np.inf)),
@@ -280,14 +284,20 @@ def _chain_result(kept, names, diagnostics, estimate=None):
     """The result of chain 0 of the kept (R, n_kept, k) states, its IACT
     and chain ESS added to `diagnostics`, and the estimates of chains
     1..R-1.  Below 100 kept states both are None, with an `ess_warning`
-    that says why.  `estimate` maps one chain's states to its estimates;
-    the default gives their means and SDs."""
+    that says why; a coordinate that never moved has an infinite IACT
+    (written as null) and a chain ESS of 0, and the `ess_warning` names
+    it.  `estimate` maps one chain's states to its estimates; the default
+    gives their means and SDs."""
     estimate = estimate or (lambda states: _chain_estimates(states, names))
     states = kept[0]
     if len(states) >= 100:
         diag = chain_diagnostics(Chain(states, None, 0, 0))
         diagnostics = {**diagnostics, "iact": diag["iact"],
                        "chain_ess": diag["chain_ess"]}
+        frozen = [n for n, t in zip(names, diag["iact"]) if np.isinf(t)]
+        if frozen:
+            diagnostics["ess_warning"] = (f"{', '.join(frozen)} never moved in the "
+                                          f"{len(states)} kept states: no IACT")
     else:
         diagnostics = {**diagnostics, "iact": None, "chain_ess": None,
                        "ess_warning": f"{len(states)} kept states, fewer than the "
@@ -448,23 +458,23 @@ def _run_abc(config, rng):
     return estimates, {}, diagnostics, draws
 
 
-_CAPTURE_NAMES = ("N", "p", "q", "r1", "r2")
-
-
 def _run_capture(config, rngs):
     model = CaptureModel(n1=config["n1"], c2=config["c2"], c3=config["c3"],
                          n_max=config["n_max"])
-    # the columns N, p, q, r1, r2, then each sweep's refused proposals
-    kept = _postprocess(capture_gibbs_lockstep(model, config["iterations"], rngs),
-                        config)
-    # the largest mass of N | p beyond n_max over chain 0's kept sweeps, so
-    # a truncation that matters shows in the summary and not only on stderr
-    tail = float(np.max(n_max_tail_mass(model, kept[0, :, 1]), initial=0.0))
-    # block proposals turned down for N > n_max in the same kept sweeps
-    refusals = int(kept[0, :, 5].sum())
-    return _chain_result(kept[..., :5], _CAPTURE_NAMES,
-                         {"n_max": model.n_max, "n_max_tail_mass": tail,
-                          "n_max_refusals": refusals})
+    n = config["iterations"]
+    draws = capture_draws(model, n, rngs)
+    names = CAPTURE_COLUMNS[:5]  # the state; the last column counts refusals
+    estimates = [_chain_estimates(d[:, :5], names) for d in draws]
+    # the draws are independent, so a mean's standard error is sd/sqrt(n)
+    std_errors = {f"mean_{k}": float(estimates[0][f"sd_{k}"] / np.sqrt(n)) for k in names}
+    # the largest mass of N | p beyond n_max over stream 0's draws, so a
+    # truncation that matters shows in the summary and not only on stderr
+    tail = float(np.max(n_max_tail_mass(model, draws[0, :, 1]), initial=0.0))
+    diagnostics = {"n_draws": n, "n_max": model.n_max, "n_max_tail_mass": tail,
+                   "n_max_refusals": int(draws[0, :, 5].sum()),
+                   "unreliable": tail > _TAIL_WARN}
+    result = estimates[0], std_errors, diagnostics, (list(names), draws[0, :, :5])
+    return result, estimates[1:]
 
 
 def _run_mixture_demo(config, rngs):

@@ -339,11 +339,13 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
 
 def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Lag 0..max_lag autocorrelations of `x`, each lag's n - k products
-    summed by one FFT zero-padded to 2n, so none wraps around."""
+    summed by one FFT zero-padded to 2n, so none wraps around; all NaN for
+    a constant `x`."""
+    # tested before centring: the float mean of a constant can miss it by an ulp
+    if x.min() == x.max():
+        return np.full(max_lag + 1, np.nan)
     x = x - np.mean(x)
     var = np.mean(x * x)
-    if var == 0:
-        return np.full(max_lag + 1, np.nan)
     n = len(x)
     f = np.fft.rfft(x, 2 * n)
     sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, 2 * n)[: max_lag + 1]
@@ -370,7 +372,8 @@ def chain_diagnostics(chain: Chain) -> dict:
     """Acceptance rate, integrated autocorrelation time and the resulting
     chain ESS, per coordinate; the IACT sums autocorrelations, computed by
     FFT, to lag min(n - 2, 2 floor(sqrt(n)) + 50) of the n >= 100 states
-    required, under Geyer's initial-positive-sequence rule."""
+    required, under Geyer's initial-positive-sequence rule.  A coordinate
+    that never moves has an infinite IACT and a chain ESS of 0."""
     states = np.atleast_2d(chain.states)
     n = states.shape[0]
     if n < 100:

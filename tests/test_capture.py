@@ -13,8 +13,8 @@ from scipy.special import betainc, betaln, logsumexp
 from bayescomp.capture import (
     _NB_TRIES,
     CaptureModel,
+    capture_draws,
     capture_gibbs_conditionals,
-    capture_gibbs_lockstep,
     capture_gibbs_run,
     capture_loglik,
     n_max_tail_mass,
@@ -278,7 +278,7 @@ class TestBlockedScan:
     def test_mixing_floor_at_defaults(self, eurodip):
         # the single-site scan reads a smallest ESS of 600-777 here
         seeds = (1, 2, 3)
-        out = capture_gibbs_lockstep(eurodip, 20_000, [RngStream(seed, 0) for seed in seeds])
+        out = capture_draws(eurodip, 20_000, [RngStream(seed, 0) for seed in seeds])
         for r, seed in enumerate(seeds):
             # the columns N, p, q, r1, r2
             ess = chain_diagnostics(Chain(out[r, :, :5], None, 0, 0))["chain_ess"]
@@ -325,7 +325,7 @@ def _first_draws(m, n, seed):
     so tests of different properties share one set of draws."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = capture_gibbs_lockstep(m, 1, [RngStream(seed, r) for r in range(n)])[:, 0]
+        out = capture_draws(m, 1, [RngStream(seed, r) for r in range(n)])[:, 0]
     out.setflags(write=False)  # one array serves every caller
     return out
 
@@ -394,7 +394,7 @@ class TestLockstep:
         rngs = [RngStream(40 + r, r) for r in range(n_chains)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            out = capture_gibbs_lockstep(m, 300, rngs)
+            out = capture_draws(m, 300, rngs)
             assert out.shape == (n_chains, 300, 6)
             for r in range(n_chains):
                 alone = RngStream(40 + r, r)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayescomp import cli, core
-from bayescomp.capture import capture_gibbs_lockstep
+from bayescomp.capture import capture_draws
 from bayescomp.cli import ConfigError, main, resolve_config, run_experiment
 from bayescomp.core import RngStream
 from bayescomp.datasets import bundled_pima_path, load_pima
@@ -38,7 +38,7 @@ from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_comp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "capture", "mixture-demo")
+CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "mixture-demo")
 
 
 # each experiment's resolved config keys: the keys its runner reads
@@ -52,8 +52,7 @@ DECLARED_KEYS = {
             "mu1", "mu2", "sigma2", "q0_scale", "density_form"},
     "evidence": {"seed", "replicates", "data", "method", "n_draws"},
     "abc": {"seed", "replicates", "data", "particles", "generations", "quantile"},
-    "capture": {"seed", "replicates", "burn_in", "thin", "n1", "c2", "c3",
-                "n_max", "iterations"},
+    "capture": {"seed", "replicates", "n1", "c2", "c3", "n_max", "iterations"},
     "mixture-demo": {"seed", "replicates", "burn_in", "thin", "iterations",
                      "tau", "n_data", "weight", "mu1", "mu2", "sigma2"},
 }
@@ -131,7 +130,7 @@ class TestResolveConfig:
                     {"iterations": 100, "thin": 100},
                     {"iterations": 100, "burn_in": 50, "thin": 50}):
             with pytest.raises(ConfigError, match="keep"):
-                resolve_config("capture", raw)
+                resolve_config("gibbs", raw)
         assert resolve_config("gibbs", {"iterations": 100, "burn_in": 50,
                                         "thin": 49})["thin"] == 49
         # mle keeps no states, so it has no burn-in
@@ -259,6 +258,36 @@ class TestOutputs:
         diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
         assert diagnostics["n_max_refusals"] > 300
 
+    def test_capture_summary_describes_its_independent_draws(self, tmp_path):
+        # exact independent draws: no IACT or chain ESS, and each mean's
+        # standard error is its SD over the root of the number of draws
+        code, out = run_cli(tmp_path, "capture", {"iterations": 300, "seed": 7})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        diagnostics = summary["diagnostics"]
+        assert not {"iact", "chain_ess", "ess_warning"} & set(diagnostics)
+        states = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
+        assert diagnostics["n_draws"] == len(states) == 300
+        names = ("N", "p", "q", "r1", "r2")
+        for j, name in enumerate(names):
+            sd = summary["estimates"][f"sd_{name}"]
+            assert sd == states[:, j].std(ddof=1)
+            assert summary["standard_errors"][f"mean_{name}"] == sd / math.sqrt(300)
+        assert set(summary["standard_errors"]) == {f"mean_{n}" for n in names}
+
+    def test_capture_flags_a_truncation_that_matters(self):
+        # at the defaults N | p keeps all but 4e-62 of its mass below n_max;
+        # with no recapture it loses 0.990 of it there
+        _, _, diagnostics, _ = run_experiment("capture", resolve_config(
+            "capture", {"seed": 7}))
+        assert diagnostics["unreliable"] is False
+        assert diagnostics["n_max_tail_mass"] < 1e-60
+        with pytest.warns(RuntimeWarning, match="n_max=1100"):
+            _, _, diagnostics, _ = run_experiment("capture", resolve_config(
+                "capture", {"seed": 7, "c2": 0, "c3": 0}))
+        assert diagnostics["unreliable"] is True
+        assert diagnostics["n_max_tail_mass"] > 0.99
+
     def test_seed_changes_the_draws(self, tmp_path):
         blobs = []
         for seed, subdir in ((1, "s1"), (2, "s2")):
@@ -284,8 +313,8 @@ class TestOutputs:
         assert len(means) == 3
 
     def test_replicates_reuse_the_main_run(self, tmp_path, monkeypatch):
-        # gibbs and capture: one lockstep run over streams 0..R-1, whose
-        # chain 0 is the main run
+        # gibbs and capture: one call over streams 0..R-1, whose stream 0
+        # is the main run
         streams = []
 
         def lockstep(groups, n_iter):
@@ -294,10 +323,10 @@ class TestOutputs:
 
         def capture_lockstep(model, n_iter, rngs):
             streams.extend(rng.stream_id for rng in rngs)
-            return capture_gibbs_lockstep(model, n_iter, rngs)
+            return capture_draws(model, n_iter, rngs)
 
         monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
-        monkeypatch.setattr(cli, "capture_gibbs_lockstep", capture_lockstep)
+        monkeypatch.setattr(cli, "capture_draws", capture_lockstep)
         for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
             streams.clear()
             code, out = run_cli(tmp_path, experiment,
@@ -369,6 +398,7 @@ class TestOutputs:
         pytest.param(e, {"iterations": 150, **post}, id=f"{e}-post{i}")
         for e in CHAIN_EXPERIMENTS
         for i, post in enumerate([{}, {"burn_in": 100, "thin": 2}])] + [
+        pytest.param("capture", {"iterations": 150}, id="capture-post0"),
         pytest.param("mle", {}, id="mle"),
         pytest.param("pmc", _TINY["pmc"], id="pmc"),
         pytest.param("abc", _TINY["abc"], id="abc"),
@@ -425,7 +455,7 @@ class TestOutputs:
                        "message": "no luck on stream 0"}
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("experiment", ["capture", "mixture-demo"])
+    @pytest.mark.parametrize("experiment", ["mixture-demo"])
     def test_summary_diagnostics_describe_the_written_draws(self, tmp_path,
                                                             experiment):
         code, out = run_cli(tmp_path, experiment, {"iterations": 300, "seed": 7})
@@ -436,8 +466,7 @@ class TestOutputs:
         assert diagnostics["iact"] == expected["iact"].tolist()
         assert diagnostics["chain_ess"] == expected["chain_ess"].tolist()
 
-    @pytest.mark.parametrize("experiment", ["mh", "gibbs", "mwg", "capture",
-                                            "mixture-demo"])
+    @pytest.mark.parametrize("experiment", CHAIN_EXPERIMENTS)
     def test_short_chains_keep_their_diagnostic_keys(self, tmp_path, experiment):
         """Under 100 kept states there is no IACT estimate: `iact` and
         `chain_ess` are written as null, with a warning that says why."""
@@ -512,6 +541,19 @@ class TestOutputs:
         expected = chain_diagnostics(Chain(states, np.zeros(len(states)), 0, 0))
         assert np.array_equal(diagnostics["iact"], expected["iact"])
         assert np.array_equal(diagnostics["chain_ess"], expected["chain_ess"])
+
+    def test_a_coordinate_that_never_moved_is_named(self):
+        # a chain that accepts nothing repeats its start; the float mean of
+        # 300 states of 0.1 is not 0.1, yet the column has no IACT
+        moving = RngStream(3, 0).standard_normal(300)
+        kept = np.column_stack([np.full(300, 0.1), moving, np.full(300, -2.0)])[None]
+        (_, _, diagnostics, _), _ = cli._chain_result(kept, ["a", "b", "c"], {})
+        iact, chain_ess = diagnostics["iact"], diagnostics["chain_ess"]
+        assert np.isinf(iact[[0, 2]]).all() and np.isfinite(iact[1])
+        assert chain_ess[0] == chain_ess[2] == 0 and chain_ess[1] > 0
+        assert diagnostics["ess_warning"] == "a, c never moved in the 300 kept states: no IACT"
+        written = cli._jsonify(diagnostics)
+        assert written["iact"][0] is None and written["chain_ess"][0] == 0.0
 
     def test_cli_flags_override_config(self, tmp_path):
         code, out = run_cli(tmp_path, "gibbs", {"iterations": 200, "seed": 1},
@@ -673,7 +715,7 @@ class TestErrors:
 
     def test_too_few_kept_states_fail_before_any_output(self, tmp_path,
                                                         capsys):
-        code, out = run_cli(tmp_path, "capture", {"iterations": 100},
+        code, out = run_cli(tmp_path, "gibbs", {"iterations": 100},
                             extra=["--burn-in", "200"])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -694,6 +736,7 @@ class TestErrors:
         ("capture", {"n1": 0}, "n1"),
         ("capture", {"c3": -1}, "c3"),
         ("capture", {"n_max": 10}, "n_max"),
+        ("capture", {"iterations": 1}, "iterations"),
         ("abc", {"particles": 50}, "particles"),
         ("abc", {"generations": 1}, "generations"),
         ("abc", {"quantile": True}, "quantile"),
@@ -711,6 +754,7 @@ class TestErrors:
     ], ids=["pmc-weight", "capture-c2", "abc-quantile", "pmc-particles",
             "pmc-generations", "pmc-q0_scale", "pmc-sigma2", "pmc-weight-string",
             "pmc-q0_scale-bool", "capture-n1", "capture-c3", "capture-n_max",
+            "capture-iterations",
             "abc-particles", "abc-generations", "abc-quantile-bool",
             "mh-scale_multiplier-bool", "mixture-demo-weight", "mixture-demo-mu1",
             "mixture-demo-tau-bool", "evidence-coverage-bool", "seed-negative",

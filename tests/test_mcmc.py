@@ -763,9 +763,12 @@ class TestDiagnostics:
         assert diag["iact"][0] == pytest.approx((1 + rho) / (1 - rho), abs=2.0)
 
     def test_constant_chain_flagged_infinite(self):
-        chain = Chain(np.ones((500, 1)), np.zeros(500), 0, 500, {})
-        diag = chain_diagnostics(chain)
-        assert np.isinf(diag["iact"][0])
+        # the float mean of 300 states of 0.1 is not 0.1: centring alone
+        # leaves the column a variance of about 1e-34
+        for value, n in ((1.0, 500), (0.1, 300)):
+            chain = Chain(np.full((n, 1), value), np.zeros(n), 0, n, {})
+            diag = chain_diagnostics(chain)
+            assert np.isinf(diag["iact"][0]) and diag["chain_ess"][0] == 0
 
     def test_all_rejected_rate_zero(self):
         chain = Chain(np.ones((500, 1)), np.zeros(500), 0, 500, {})

@@ -3,12 +3,13 @@
     python3 tools/seed_audit.py [--tree DIR]
 
 Runs the tests in `AUDITED_TESTS`, those that reach `mcmc.rw_metropolis`,
-the probit Gibbs sampler or the evidence estimators, under pytest in this
-process, once as they are (k = 0) and once for each offset k = 1..8 with
-every `RngStream`'s Philox key built by `RngStream` itself from seed + k
-(mod 2^64) in place of its seed.  Nothing else changes: the tests'
-seeds, sizes and bounds stay as written, and so do the data that tests
-draw from numpy's own `default_rng`.  The warnings that the tier-1 run
+the probit Gibbs sampler, the evidence estimators or the capture
+samplers, under pytest in this process, once as they are (k = 0) and
+once for each offset k = 1..8 with every `RngStream`'s Philox key built
+by `RngStream` itself from seed + k (mod 2^64) in place of its seed.
+Nothing else changes: the tests' seeds, sizes and bounds stay as
+written, and so do the data that tests draw from numpy's own
+`default_rng`.  The warnings that the tier-1 run
 turns into errors are errors here too.  A test that passes only at its
 own seed then shows as a pass rate below 8/8, so a change that moves the
 random streams can be told apart from one that breaks a sampler.
@@ -34,7 +35,8 @@ WARNING_FILTERS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarni
                    "-W", "error::FutureWarning",
                    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 # the tests that run rw_metropolis (rw_mh_run, mwg, mixture-demo,
-# abc_mcmc), the probit Gibbs sampler and the evidence estimators;
+# abc_mcmc), the probit Gibbs sampler, the evidence estimators and the
+# capture samplers (the direct one and the Gibbs conditionals);
 # tests/test_seed_audit.py checks that each names a test that exists
 AUDITED_TESTS = (
     "tests/test_acceptance.py::TestRandomWalkAcceptance",
@@ -52,6 +54,11 @@ AUDITED_TESTS = (
     "tests/test_acceptance.py::TestEvidenceCrossConsistency",
     "tests/test_acceptance.py::TestChibIdentity",
     "tests/test_acceptance.py::TestEvidenceOracle",
+    "tests/test_capture.py::TestConditionals",
+    "tests/test_capture.py::TestGibbsRun",
+    "tests/test_capture.py::TestBlockedScan",
+    "tests/test_capture.py::TestExactDraws",
+    "tests/test_acceptance.py::TestCaptureRecapture",
 )
 
 
