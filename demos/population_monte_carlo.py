@@ -14,7 +14,7 @@ import numpy as np
 
 from bayescomp.core import RngStream
 from bayescomp.mixture import mixture_bayes_model, MixtureTarget, simulate_mixture_data
-from bayescomp.montecarlo import GaussianProposal, ess, snis_estimate
+from bayescomp.montecarlo import GaussianProposal, ess, sample_estimates
 from bayescomp.pmc import default_kernel_bank, dkernel_update, pmc_run
 
 N_PARTICLES = 2000
@@ -37,14 +37,13 @@ def main():
     print(f"{'iter':>4}  {'ESS':>7}  {'mean mu1':>8}  {'mean mu2':>8}"
           f"  kernel weights")
     for pop in pops:
-        m1 = snis_estimate(lambda th: th[:, 0], pop).value
-        m2 = snis_estimate(lambda th: th[:, 1], pop).value
+        est, _ = sample_estimates(["mu1", "mu2"], pop.points, pop.normalized_weights())
         if pop.kernel_indices is not None:
             bank = dkernel_update(bank, pop)
         weights = np.exp(bank.mixture_log_weights)
         wtxt = "  ".join(f"{w:.3f}" for w in weights)
-        print(f"{pop.iteration:>4}  {ess(pop):7.1f}  {m1:8.4f}  {m2:8.4f}"
-              f"  [{wtxt}]")
+        print(f"{pop.iteration:>4}  {ess(pop):7.1f}  {est['mean_mu1']:8.4f}"
+              f"  {est['mean_mu2']:8.4f}  [{wtxt}]")
 
     print("\nevery line above is a valid importance sample on its own;")
     print("adaptation sharpens the proposal without ever biasing the")

@@ -17,7 +17,9 @@ experiment reads its kept states as one (R, n_kept, k) array, row 0 the
 only chain given its IACT and chain ESS, and fails as a whole.  `capture`
 is no chain: `capture_draws` gives its R streams' independent exact draws
 as one (R, n, 6) array, with nothing to burn in or thin, and stream 0's
-means carry the standard error sd/sqrt(n) in place of an IACT.  A probit
+means carry the standard error sd/sqrt(n) in place of an IACT.
+`montecarlo.sample_estimates` makes every sample mean, SD and error: `abc`
+writes its self-normalised errors, the chains and `pmc` none yet.  A probit
 Gibbs chain on stream s draws nothing on s itself: its uniforms come from
 ``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
 ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
@@ -38,6 +40,7 @@ default and values (``bayescomp --help`` lists them).  Any other key or
 value, and values that break a rule spanning keys, is a `ConfigError` that
 names its key.  The `--out` directory is made only once the runner has
 returned, so a run that fails, on its config or at run time, leaves none.
+A run's warnings are shown as usual and listed in its ``warnings``.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ import os
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from .abc import _ACCEPT_FLOOR, _MIN_OUTPUT, AbcConfig, probit_abc
 from .capture import _TAIL_WARN, CAPTURE_COLUMNS, CaptureModel, capture_draws, n_max_tail_mass
-from .core import _U64, RngStream
+from .core import _U64, DegenerateWeightsError, RngStream
 from .datasets import bundled_pima_path, load_pima
 from .evidence import (
     LinearGaussianOmega,
@@ -78,7 +82,7 @@ from .mcmc import (
 )
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
 from .model import log_posterior
-from .montecarlo import GaussianProposal, ess
+from .montecarlo import GaussianProposal, ess, sample_estimates
 from .pmc import DENSITY_FORMS, default_kernel_bank, pmc_run
 from .probit import (
     ProbitModel,
@@ -272,14 +276,6 @@ def _postprocess(states, config) -> np.ndarray:
     return np.asarray(states)[:, config["burn_in"]::config["thin"]]
 
 
-def _chain_estimates(states, names):
-    estimates = {f"mean_{n}": float(states[:, i].mean())
-                 for i, n in enumerate(names)}
-    estimates.update({f"sd_{n}": float(states[:, i].std(ddof=1))
-                      for i, n in enumerate(names)})
-    return estimates
-
-
 def _chain_result(kept, names, diagnostics, estimate=None):
     """The result of chain 0 of the kept (R, n_kept, k) states, its IACT
     and chain ESS added to `diagnostics`, and the estimates of chains
@@ -288,7 +284,7 @@ def _chain_result(kept, names, diagnostics, estimate=None):
     (written as null) and a chain ESS of 0, and the `ess_warning` names
     it.  `estimate` maps one chain's states to its estimates; the default
     gives their means and SDs."""
-    estimate = estimate or (lambda states: _chain_estimates(states, names))
+    estimate = estimate or (lambda states: sample_estimates(names, states)[0])
     states = kept[0]
     if len(states) >= 100:
         diag = chain_diagnostics(Chain(states, None, 0, 0))
@@ -379,13 +375,18 @@ def _run_pmc(config, rng):
     q0 = GaussianProposal.from_moments(np.zeros(2),
                                        config["q0_scale"] * np.eye(2))
     bank = default_kernel_bank(np.eye(2))
-    pops = pmc_run(target, q0, bank, config["particles"],
-                   config["generations"], rng,
-                   density_form=config["density_form"])
+    try:
+        pops = pmc_run(target, q0, bank, config["particles"],
+                       config["generations"], rng,
+                       density_form=config["density_form"])
+    except DegenerateWeightsError as exc:  # the first population's two keys
+        raise DegenerateWeightsError(f"{exc}; raise particles, or bring q0_scale nearer "
+                                     "the posterior's scale") from exc
     final = pops[-1]
-    w = final.normalized_weights()
-    estimates = {"mean_mu1": float(w @ final.points[:, 0]),
-                 "mean_mu2": float(w @ final.points[:, 1])}
+    # no error: resampling makes the particles dependent, and the iid
+    # delta-method error misreads their replicate SD (ROADMAP item 10)
+    estimates, _ = sample_estimates(["mu1", "mu2"], final.points,
+                                    final.normalized_weights())
     diagnostics = {f"ess_iteration_{p.iteration}": ess(p) for p in pops}
     draws = (["mu1", "mu2", "log_weight"],
              np.column_stack([final.points, final.log_weights]))
@@ -443,19 +444,15 @@ def _run_abc(config, rng):
                            quantile=config["quantile"])
     pop = probit_abc(model, abc_config, rng,
                      n_generations=config["generations"])
-    w = pop.normalized_weights()
     names = ["glu", "bp", "ped"]
-    means = w @ pop.points
-    sds = np.sqrt(w @ (pop.points - means) ** 2)
-    estimates = {f"mean_{n}": float(m) for n, m in zip(names, means)}
-    estimates.update({f"sd_{n}": float(s) for n, s in zip(names, sds)})
+    estimates, std_errors = sample_estimates(names, pop.points, pop.normalized_weights())
     diagnostics = {"epsilon": pop.epsilon, "generation": pop.t,
                    "acceptance_rate": len(pop) / pop.n_proposals,
                    "abandoned_proposals": pop.abandoned_proposals,
                    "ess": ess(pop)}
     draws = (names + ["log_weight"],
              np.column_stack([pop.points, pop.log_weights]))
-    return estimates, {}, diagnostics, draws
+    return estimates, std_errors, diagnostics, draws
 
 
 def _run_capture(config, rngs):
@@ -464,17 +461,17 @@ def _run_capture(config, rngs):
     n = config["iterations"]
     draws = capture_draws(model, n, rngs)
     names = CAPTURE_COLUMNS[:5]  # the state; the last column counts refusals
-    estimates = [_chain_estimates(d[:, :5], names) for d in draws]
     # the draws are independent, so a mean's standard error is sd/sqrt(n)
-    std_errors = {f"mean_{k}": float(estimates[0][f"sd_{k}"] / np.sqrt(n)) for k in names}
+    (estimates, std_errors), *others = [sample_estimates(names, d[:, :5], n_eff=n)
+                                        for d in draws]
     # the largest mass of N | p beyond n_max over stream 0's draws, so a
     # truncation that matters shows in the summary and not only on stderr
     tail = float(np.max(n_max_tail_mass(model, draws[0, :, 1]), initial=0.0))
     diagnostics = {"n_draws": n, "n_max": model.n_max, "n_max_tail_mass": tail,
                    "n_max_refusals": int(draws[0, :, 5].sum()),
                    "unreliable": tail > _TAIL_WARN}
-    result = estimates[0], std_errors, diagnostics, (list(names), draws[0, :, :5])
-    return result, estimates[1:]
+    result = estimates, std_errors, diagnostics, (list(names), draws[0, :, :5])
+    return result, [est for est, _ in others]
 
 
 def _run_mixture_demo(config, rngs):
@@ -633,7 +630,12 @@ def main(argv=None) -> int:
         config = resolve_config(args.experiment, raw)
 
         start = time.monotonic()
-        result, rows = replicate(args.experiment, config)
+        try:  # the filters still decide, so -W error still ends the run
+            with warnings.catch_warnings(record=True) as caught:
+                result, rows = replicate(args.experiment, config)
+        finally:  # still shown where they would have gone
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
         # made only now, so that a run that fails leaves no directory
         os.makedirs(args.out, exist_ok=True)
         estimates, std_errors, diagnostics, draws = result
@@ -646,6 +648,9 @@ def main(argv=None) -> int:
             "standard_errors": std_errors,
             "diagnostics": diagnostics,
         }
+        if caught:
+            summary["warnings"] = [{"category": w.category.__name__,
+                                    "message": str(w.message)} for w in caught]
         if config["replicates"] > 1:
             rows.insert(0, {"replicate": 0, "status": "ok", "estimates": estimates})
             summary["replicates"] = _replicate_stats(rows)

@@ -1,8 +1,10 @@
-"""Crude Monte Carlo, importance sampling and resampling.
+"""Monte Carlo estimates, importance sampling and resampling.
 
-The weighted sample (points plus unnormalised log-weights) is the common
-currency of every importance sampler: a PMC `pmc.Population` and an ABC
-`abc.AbcPopulation` are weighted samples that add their sampler's fields.
+`sample_estimates` turns plain draws or a weighted sample into every
+mean, SD and standard error of a summary.  The weighted sample (points
+plus unnormalised log-weights) is the common currency of every importance
+sampler: a PMC `pmc.Population` and an ABC `abc.AbcPopulation` are
+weighted samples that add their sampler's fields.
 The Kong effective sample size (sum w)^2 / sum w^2 of a set of
 log-weights, `kong_ess`, is the one ESS of weighted samples and of the
 evidence estimates' terms.
@@ -29,12 +31,10 @@ from .core import (
 
 __all__ = [
     "WeightedSample",
-    "EstimateReport",
     "GaussianProposal",
     "kernel_mixture_logpdf",
-    "mc_estimate",
+    "sample_estimates",
     "importance_sample",
-    "snis_estimate",
     "ess",
     "kong_ess",
     "sir_resample",
@@ -80,17 +80,6 @@ class WeightedSample:
         mean = w @ self.points
         resid = self.points - mean
         return mean, (resid * w[:, None]).T @ resid
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with its Monte Carlo error and sample-quality numbers."""
-
-    value: float
-    std_error: float
-    ess: float
-    n_draws: int
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,26 +139,33 @@ def kernel_mixture_logpdf(points: np.ndarray, centers: np.ndarray,
     return map_rows(block, whitened_points)
 
 
-def _h_values(h, points: np.ndarray) -> np.ndarray:
-    """h at (N, p) points, which must come back as (N,) values."""
-    values = np.asarray(h(points), dtype=float)
-    if values.shape != (points.shape[0],):
-        raise ValueError(f"h must map (N, p) points to (N,) values, got shape "
-                         f"{values.shape} for {points.shape[0]} points")
-    return values
+def sample_estimates(names, points, weights=None, n_eff=None):
+    """The estimates of (N, k) `points`, one name per column: per column
+    `name` its mean and SD as ``mean_<name>`` and ``sd_<name>``, and the
+    standard errors, ``mean_<name>`` the error of that mean.  Returns
+    (estimates, std_errors).
 
-
-def mc_estimate(h, draws) -> EstimateReport:
-    """Plain Monte Carlo average of h over (assumed posterior) draws, with
-    the CLT standard error sd/sqrt(N).  h maps (N, p) draws to (N,) values."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    n = draws.shape[0]
-    if n == 0:
-        raise ValueError("draws must be nonempty")
-    values = _h_values(h, draws)
-    value = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return EstimateReport(value=value, std_error=se, ess=float(n), n_draws=n)
+    Plain draws (`weights` None): each column's mean and SD with ddof=1,
+    and the error sd/sqrt(n_eff), none when `n_eff` is None.  Weighted
+    draws, under normalised `weights` w: the mean m = w @ x, the SD
+    sqrt(w @ (x - m)^2) and the self-normalised delta-method error
+    sqrt(sum w_i^2 (x_i - m)^2); `n_eff` is not read."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != len(names):
+        raise ValueError(f"{len(names)} names for points of shape {points.shape}: "
+                         "one name per column is needed")
+    if weights is None:  # per column, for the bits of that column's own mean and SD
+        means = [points[:, i].mean() for i in range(len(names))]
+        sds = np.array([points[:, i].std(ddof=1) for i in range(len(names))])
+        errors = [] if n_eff is None else sds / np.sqrt(n_eff)
+    else:
+        means = weights @ points
+        squares = (points - means) ** 2
+        sds = np.sqrt(weights @ squares)
+        errors = np.sqrt((weights * weights) @ squares)
+    estimates = {f"mean_{n}": float(m) for n, m in zip(names, means)}
+    estimates.update({f"sd_{n}": float(s) for n, s in zip(names, sds)})
+    return estimates, {f"mean_{n}": float(e) for n, e in zip(names, errors)}
 
 
 def importance_sample(target_logpdf, proposal_logpdf, proposal_draw, n_draws: int,
@@ -201,22 +197,6 @@ def kong_ess(log_weights: np.ndarray) -> float:
 def ess(ws: WeightedSample) -> float:
     """The `kong_ess` of a weighted sample's log-weights."""
     return kong_ess(ws.log_weights)
-
-
-def snis_estimate(h, ws: WeightedSample) -> EstimateReport:
-    """Self-normalised importance-sampling estimate of E[h] under the target.
-
-    h maps the (N, p) points to (N,) values.  The standard error is the
-    delta-method weighted variance sqrt(sum w_i^2 (h_i - est)^2); the
-    sample's effective size is attached.
-    """
-    w = ws.normalized_weights()
-    values = _h_values(h, ws.points)
-    value = float(np.sum(w * values))
-    se = float(np.sqrt(np.sum(w * w * (values - value) ** 2)))
-    degenerate = int(np.sum(ws.log_weights > -np.inf)) == 1
-    return EstimateReport(value=value, std_error=se, ess=ess(ws),
-                          n_draws=len(ws), degenerate=degenerate)
 
 
 def sir_resample(ws: WeightedSample, m: int, rng: RngStream) -> np.ndarray:

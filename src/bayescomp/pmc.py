@@ -25,7 +25,7 @@ from .core import (
     sample_categorical_many,
 )
 from .model import BayesModel, log_posterior
-from .montecarlo import GaussianProposal, WeightedSample, kernel_mixture_logpdf, sir_resample
+from .montecarlo import GaussianProposal, WeightedSample, ess, kernel_mixture_logpdf, sir_resample
 
 __all__ = [
     "DENSITY_FORMS",
@@ -177,8 +177,11 @@ def pmc_run(target: BayesModel, q0, bank: KernelBank, n_particles: int,
 
         try:
             kernels = _kernel_proposals(bank)
-        except ValueError as exc:
-            raise ValueError(f"kernel bank after iteration {t}: {exc}") from exc
+        except ValueError as exc:  # a population with too few effective points
+            raise DegenerateWeightsError(
+                f"kernel bank after iteration {t}: {exc}; it is the weighted covariance "
+                f"of a population whose Kong ESS is {ess(pop):.3g} of "
+                f"{n_particles} particles") from exc
         assignments = sample_categorical_many(bank.mixture_log_weights,
                                               n_particles, rng.child(3 * t + 2))
         centers = sir_resample(pop, n_particles, rng.child(3 * t + 1))

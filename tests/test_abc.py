@@ -26,7 +26,7 @@ from bayescomp.abc import (
 )
 from bayescomp.core import CHUNK_ROWS, DegenerateWeightsError, MvnParams, RngStream
 from bayescomp.model import SimulableModel
-from bayescomp.montecarlo import ess, snis_estimate
+from bayescomp.montecarlo import ess, sample_estimates
 from bayescomp.probit import ProbitModel, probit_mle
 
 N_TRIALS = 5
@@ -308,8 +308,8 @@ class TestPmc:
         assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
         final = pops[-1]
         assert ess(final) >= 10
-        rep = snis_estimate(lambda th: th[:, 0], final)
-        assert rep.value == pytest.approx(BETA_MEAN, abs=0.05)
+        est, _ = sample_estimates(["p"], final.points, final.normalized_weights())
+        assert est["mean_p"] == pytest.approx(BETA_MEAN, abs=0.05)
 
     def test_stalled_quantile_schedule_stops_early(self):
         # distances are integers here; once every particle sits at distance
@@ -534,9 +534,9 @@ class TestProbitAbc:
         assert isinstance(pop, AbcPopulation)
         assert pop.points.shape == (150, 2)
         assert np.all(np.isfinite(pop.log_weights))
+        est, _ = sample_estimates(["b0", "b1"], pop.points, pop.normalized_weights())
         for d in range(2):
-            rep = snis_estimate(lambda th, d=d: th[:, d], pop)
-            assert abs(rep.value - beta_hat[d]) < 0.5
+            assert abs(est[f"mean_b{d}"] - beta_hat[d]) < 0.5
         again = probit_abc(model, config, RngStream(seed=31, stream_id=0),
                            n_generations=3)
         np.testing.assert_array_equal(again.points, pop.points)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,32 @@ class TestOutputs:
                 "capture", {"seed": 7, "c2": 0, "c3": 0}))
         assert diagnostics["unreliable"] is True
         assert diagnostics["n_max_tail_mass"] > 0.99
+
+    def test_run_warnings_land_in_the_summary(self, tmp_path):
+        # under a filter that shows it (pytest.warns'), the truncation
+        # warning is shown and written; a run that warns of nothing writes
+        # no warnings key
+        with pytest.warns(RuntimeWarning, match="n_max=1100"):
+            code, out = run_cli(tmp_path, "capture", {"c2": 0, "c3": 0, "iterations": 300,
+                                                      "seed": 7}, subdir="warns")
+        assert code == 0
+        listed = json.loads((out / "summary.json").read_text())["warnings"]
+        assert {w["category"] for w in listed} == {"RuntimeWarning"}
+        assert any("n_max=1100" in w["message"] for w in listed)
+        code, out = run_cli(tmp_path, "capture", {"iterations": 300, "seed": 7},
+                            subdir="quiet")
+        assert code == 0
+        assert "warnings" not in json.loads((out / "summary.json").read_text())
+
+    def test_a_warning_the_filters_make_an_error_ends_the_run(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(tmp_path, "capture", {"c2": 0, "c3": 0, "iterations": 300,
+                                                      "seed": 7})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "RuntimeWarning" and "n_max=1100" in err["message"]
+        assert not out.exists()
 
     def test_seed_changes_the_draws(self, tmp_path):
         blobs = []
@@ -775,6 +802,22 @@ class TestErrors:
         assert err["error"] == "ConfigError" and err["message"].startswith(key)
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,particles", [
+        ({"sigma2": 1e-6, "particles": 100, "generations": 2}, 100),
+        ({"sigma2": 1e-2}, 1000),
+    ])
+    def test_a_degenerate_pmc_population_states_its_ess(self, tmp_path, capsys, config,
+                                                        particles):
+        # q0 is far wider than these posteriors, so one particle of iteration
+        # 0 holds all the weight and the kernels' covariance is 0
+        code, out = run_cli(tmp_path, "pmc", {**config, "seed": 7})
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DegenerateWeightsError"
+        assert f"Kong ESS is 1 of {particles} particles" in err["message"]
+        assert "raise particles, or bring q0_scale nearer" in err["message"]
+        assert not out.exists()
+
     def test_harmonic_gd_short_of_draws_inside_names_n_draws(self, tmp_path, capsys):
         # the config passes resolve_config, but six draws cannot put the 10
         # that harmonic-gd needs inside its ellipsoid, whatever the coverage
@@ -944,6 +987,35 @@ class TestRunners:
         resolved = resolve_config(experiment, {"iterations": 200})
         _, _, diagnostics, _ = run_experiment(experiment, resolved)
         assert diagnostics["family"] == family
+
+    def test_standard_errors_schema(self):
+        # which experiments write a standard error: mle and evidence their
+        # own, abc and capture one per mean from `sample_estimates`
+        configs = {"mle": {}, "mh": {"iterations": 300}, "gibbs": {"iterations": 300},
+                   "mwg": {"iterations": 300}, "evidence": {"n_draws": 400},
+                   "capture": {"iterations": 300}, "mixture-demo": {"iterations": 200},
+                   **_TINY}
+        assert set(configs) == set(cli._RUNNERS)
+        results = {e: run_experiment(e, resolve_config(e, c)) for e, c in configs.items()}
+        for experiment, (estimates, std_errors, _, _) in results.items():
+            assert set(std_errors) <= set(estimates), experiment
+            if experiment in ("abc", "capture"):
+                assert set(std_errors) == {k for k in estimates if k.startswith("mean_")}
+        assert {e for e, r in results.items() if r[1]} == {"mle", "evidence", "abc", "capture"}
+        # pmc writes its SDs, but no error
+        assert {"sd_mu1", "sd_mu2"} <= set(results["pmc"][0])
+
+    def test_abc_errors_match_the_replicate_sd(self):
+        # per coefficient, the median reported error of 20 streams over the
+        # SD of their 20 means lies in [0.5, 2], a band fixed before the
+        # first run
+        config = resolve_config("abc", {"particles": 200, "generations": 4, "seed": 7})
+        runs = [run_experiment("abc", config, r) for r in range(20)]
+        for name in ("glu", "bp", "ped"):
+            means = [est[f"mean_{name}"] for est, _, _, _ in runs]
+            errors = [se[f"mean_{name}"] for _, se, _, _ in runs]
+            ratio = np.median(errors) / np.std(means, ddof=1)
+            assert 0.5 <= ratio <= 2, (name, ratio)
 
     def test_abc_drops_its_hopeless_generation_early(self):
         # at its defaults and seed 7 generation 4 hits below the 1% floor;

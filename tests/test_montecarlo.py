@@ -14,9 +14,8 @@ from bayescomp.montecarlo import (
     ess,
     importance_sample,
     kernel_mixture_logpdf,
-    mc_estimate,
+    sample_estimates,
     sir_resample,
-    snis_estimate,
 )
 
 
@@ -65,8 +64,8 @@ class TestImportanceSampling:
         proposal = GaussianProposal(MvnParams(np.zeros(1), np.array([[4.0]])))
         ws = importance_sample(target.logpdf_many, proposal.logpdf_many,
                                proposal.draw_many, 20_000, RngStream(1, 0))
-        est = snis_estimate(lambda x: x[:, 0], ws)
-        assert est.value == pytest.approx(1.0, abs=3 * est.std_error)
+        est, se = sample_estimates(["x"], ws.points, ws.normalized_weights())
+        assert est["mean_x"] == pytest.approx(1.0, abs=3 * se["mean_x"])
 
     def test_matched_proposal_unit_weights(self):
         target = GaussianProposal(MvnParams(np.zeros(2), np.eye(2)))
@@ -84,20 +83,59 @@ class TestImportanceSampling:
                               lambda n, rng: rng.uniform((n, 1)),
                               10, RngStream(3, 0))
 
-    def test_mc_estimate_clt_error(self):
+    def test_plain_draws_clt_error(self):
         draws = RngStream(4, 0).standard_normal(10_000)[:, None]
-        est = mc_estimate(lambda x: x[:, 0], draws)
-        assert est.value == pytest.approx(0.0, abs=3 * est.std_error)
-        assert est.std_error == pytest.approx(1.0 / 100.0, rel=0.1)
+        est, se = sample_estimates(["x"], draws, n_eff=len(draws))
+        assert est["mean_x"] == pytest.approx(0.0, abs=3 * se["mean_x"])
+        assert se["mean_x"] == pytest.approx(1.0 / 100.0, rel=0.1)
 
-    def test_h_must_return_one_value_per_point(self):
-        draws = np.zeros((5, 2))
-        ws = WeightedSample(points=draws, log_weights=np.zeros(5))
-        for bad in (lambda x: x, lambda x: x[0], lambda x: x[:, :1]):
-            with pytest.raises(ValueError, match="h must map"):
-                mc_estimate(bad, draws)
-            with pytest.raises(ValueError, match="h must map"):
-                snis_estimate(bad, ws)
+
+class TestSampleEstimates:
+    # three points under weights 0.2, 0.5 and 0.3
+    POINTS = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 5.0]])
+    WEIGHTS = np.array([0.2, 0.5, 0.3])
+
+    def test_weighted_sample_is_the_formulas_by_hand(self):
+        # x = (1, 3, 0): m = 1.7, (x - m)^2 = (0.49, 1.69, 2.89);
+        # y = (2, -1, 5): m = 1.4, (y - m)^2 = (0.36, 5.76, 12.96)
+        est, se = sample_estimates(["x", "y"], self.POINTS, self.WEIGHTS)
+        by_hand = {
+            "mean_x": 0.2 * 1 + 0.5 * 3 + 0.3 * 0,
+            "sd_x": np.sqrt(0.2 * 0.49 + 0.5 * 1.69 + 0.3 * 2.89),
+            "mean_y": 0.2 * 2 + 0.5 * -1 + 0.3 * 5,
+            "sd_y": np.sqrt(0.2 * 0.36 + 0.5 * 5.76 + 0.3 * 12.96),
+        }
+        assert est == pytest.approx(by_hand, rel=1e-14)
+        assert set(est) == set(by_hand)
+        assert se == pytest.approx({
+            "mean_x": np.sqrt(0.04 * 0.49 + 0.25 * 1.69 + 0.09 * 2.89),
+            "mean_y": np.sqrt(0.04 * 0.36 + 0.25 * 5.76 + 0.09 * 12.96)}, rel=1e-14)
+        assert set(se) == {"mean_x", "mean_y"}
+
+    def test_weighted_error_ignores_n_eff(self):
+        assert (sample_estimates(["x", "y"], self.POINTS, self.WEIGHTS, n_eff=7)
+                == sample_estimates(["x", "y"], self.POINTS, self.WEIGHTS))
+
+    def test_plain_draws_keep_each_columns_own_bits(self):
+        # a chain's (n, k) states: each column's own mean and ddof-1 SD,
+        # bit for bit, and no error without an effective size
+        states = np.cumsum(RngStream(9, 0).standard_normal((1001, 3)), axis=0)
+        est, se = sample_estimates(["a", "b", "c"], states)
+        assert se == {}
+        for i, name in enumerate("abc"):
+            assert est[f"mean_{name}"] == float(states[:, i].mean())
+            assert est[f"sd_{name}"] == float(states[:, i].std(ddof=1))
+        _, se = sample_estimates(["a", "b", "c"], states, n_eff=250)
+        assert se == {f"mean_{n}": est[f"sd_{n}"] / np.sqrt(250) for n in "abc"}
+
+    @pytest.mark.parametrize("names,points", [
+        (["x"], np.zeros((5, 2))),
+        (["x", "y", "z"], np.zeros((5, 2))),
+        (["x"], np.zeros(5)),
+    ])
+    def test_one_name_per_column(self, names, points):
+        with pytest.raises(ValueError, match="one name per column"):
+            sample_estimates(names, points)
 
 
 class TestSirResample:

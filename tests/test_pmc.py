@@ -13,7 +13,7 @@ from bayescomp.montecarlo import (
     MvnParams,
     WeightedSample,
     ess,
-    snis_estimate,
+    sample_estimates,
 )
 from bayescomp.pmc import (
     KernelBank,
@@ -232,9 +232,9 @@ class TestEstimatorValidity:
         pops = pmc_run(target, q0, bank, n_particles=4000, n_iterations=4,
                        rng=RngStream(seed=11, stream_id=0))
         for pop in pops:
-            for d, truth in enumerate((1.5, -0.5)):
-                rep = snis_estimate(lambda th, d=d: th[:, d], pop)
-                assert abs(rep.value - truth) < 4.0 * max(rep.std_error, 1e-12), (
+            est, se = sample_estimates(["a", "b"], pop.points, pop.normalized_weights())
+            for d, truth in zip("ab", (1.5, -0.5)):
+                assert abs(est[f"mean_{d}"] - truth) < 4.0 * max(se[f"mean_{d}"], 1e-12), (
                     f"iteration {pop.iteration}, coordinate {d}")
 
     def test_mixture_density_form_also_valid(self):
@@ -244,8 +244,8 @@ class TestEstimatorValidity:
         pops = pmc_run(target, q0, bank, n_particles=800, n_iterations=3,
                        rng=RngStream(seed=13, stream_id=0),
                        density_form="mixture")
-        rep = snis_estimate(lambda th: th[:, 0], pops[-1])
-        assert rep.value == pytest.approx(2.0, abs=0.15)
+        est, _ = sample_estimates(["x"], pops[-1].points, pops[-1].normalized_weights())
+        assert est["mean_x"] == pytest.approx(2.0, abs=0.15)
 
     def test_wrong_density_bookkeeping_is_detectably_biased(self):
         # Negative control: reweight the final population using kernel
@@ -268,8 +268,8 @@ class TestEstimatorValidity:
 
         def check(log_weights):
             ws = WeightedSample(points=pop.points, log_weights=log_weights)
-            rep = snis_estimate(lambda th: th[:, 0], ws)
-            return abs(rep.value - a) / max(rep.std_error, 1e-12)
+            est, se = sample_estimates(["x"], ws.points, ws.normalized_weights())
+            return abs(est["mean_x"] - a) / max(se["mean_x"], 1e-12)
 
         assert check(pop.log_weights) < 4.0
 

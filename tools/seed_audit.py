@@ -3,8 +3,8 @@
     python3 tools/seed_audit.py [--tree DIR]
 
 Runs the tests in `AUDITED_TESTS`, those that reach `mcmc.rw_metropolis`,
-the probit Gibbs sampler, the evidence estimators or the capture
-samplers, under pytest in this process, once as they are (k = 0) and
+the probit Gibbs sampler, the evidence estimators, the capture samplers,
+PMC or ABC-PMC, under pytest in this process, once as they are (k = 0) and
 once for each offset k = 1..8 with every `RngStream`'s Philox key built
 by `RngStream` itself from seed + k (mod 2^64) in place of its seed.
 Nothing else changes: the tests' seeds, sizes and bounds stay as
@@ -35,8 +35,9 @@ WARNING_FILTERS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarni
                    "-W", "error::FutureWarning",
                    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 # the tests that run rw_metropolis (rw_mh_run, mwg, mixture-demo,
-# abc_mcmc), the probit Gibbs sampler, the evidence estimators and the
-# capture samplers (the direct one and the Gibbs conditionals);
+# abc_mcmc), the probit Gibbs sampler, the evidence estimators, the
+# capture samplers (the direct one and the Gibbs conditionals), PMC and
+# ABC-PMC;
 # tests/test_seed_audit.py checks that each names a test that exists
 AUDITED_TESTS = (
     "tests/test_acceptance.py::TestRandomWalkAcceptance",
@@ -59,6 +60,9 @@ AUDITED_TESTS = (
     "tests/test_capture.py::TestBlockedScan",
     "tests/test_capture.py::TestExactDraws",
     "tests/test_acceptance.py::TestCaptureRecapture",
+    "tests/test_pmc.py::TestEstimatorValidity",
+    "tests/test_abc.py::TestPmc",
+    "tests/test_cli.py::TestRunners::test_abc_errors_match_the_replicate_sd",
 )
 
 
