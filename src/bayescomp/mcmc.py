@@ -25,8 +25,12 @@ observations (each with its own design and response).  Like
 r's uniforms on ``rng_r.child(0)`` and its normals on ``rng_r.child(1)``,
 a block of sweeps at a time, the block bounded by a fixed scratch budget.
 A sweep is then arithmetic alone, the latents of every chain one
-`truncated_normal_positive` transform of the block's uniforms.  One
-model's replicates are the one-group case and a single chain
+`truncated_normal_positive` transform of the block's uniforms.  The
+coefficient draw is overrelaxed (Adler 1981; Neal 1998): beta_t =
+m_t + a (beta_{t-1} - m_t) + sqrt(1 - a^2) L zeta_t around the conditional
+mean m_t, a = 1 - pi/2, which leaves the Gaussian full conditional
+invariant and damps the chain's random walk, at no extra cost per sweep.
+One model's replicates are the one-group case and a single chain
 (`probit_gibbs_run`) the group of one; a group's R chains come back as
 (R, n_iter, p) arrays, each bit-identical to a run of its own whatever R
 and the block size.
@@ -63,6 +67,14 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # the scratch of a block of Gibbs sweeps, in doubles (256 KB): the block's
 # uniforms, over all R chains' n latents a sweep
 _GIBBS_BLOCK_DOUBLES = 1 << 15
+# the overrelaxation a of the Gibbs coefficient draw (probit_gibbs_groups),
+# 1 - pi/2 ~ -0.571.  One probit observation carries at most 2/pi of its
+# latent's Fisher information, phi(eta)^2 / (Phi(eta) (1 - Phi(eta))) at
+# eta = 0, so the linearised data-augmentation rate lambda is at least
+# about 1 - 2/pi in every direction.  The overrelaxed rate
+# (1 - a) lambda + a = 1 - (pi/2)(1 - lambda) then stays >= 0: the chain's
+# random walk is damped, and it never turns antithetic.
+_OVERRELAX = 1.0 - math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -172,66 +184,99 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
 
 
 def probit_gibbs_groups(groups, n_iter: int):
-    """Data-augmentation Gibbs for probit posteriors: every chain of every
-    group in one lockstep, each chain started at its model's MLE.
+    """Data-augmentation Gibbs for probit posteriors, its coefficient draw
+    overrelaxed: every chain of every group in one lockstep, each chain
+    started at its model's MLE.
 
     `groups` is a sequence of (model, rngs) pairs, one `ProbitModel` and
     the streams of its chains each.  The models need only a common number
     of observations: each has its own design and response, which its
     signed design carries, and a different `n_obs` is a `ValueError`.
 
+    Sweep t draws the latents z_t given beta_{t-1}, then the coefficients
+    beta_t = m_t + a (beta_{t-1} - m_t) + sqrt(1 - a^2) L zeta_t, m_t =
+    E[beta | z_t] and L the factor of the conditional's covariance
+    (`ProbitSweep`), a = `_OVERRELAX`: Adler's (1981) overrelaxation of the
+    Gaussian full conditional (Neal 1998), which leaves that conditional,
+    and so the posterior, invariant, and at stationarity leaves
+    (beta_{t-1}, z_t) a joint posterior draw.
+
     Chain r draws its randomness ahead, on child streams of its stream
     ``rng_r``: the uniforms of its latents on ``rng_r.child(0)``, n a
-    sweep, and the normals z of its coefficients on ``rng_r.child(1)``, p a
-    sweep, a block of sweeps at a time, the block as many sweeps as fit
-    the chains' uniforms in `_GIBBS_BLOCK_DOUBLES`.  The block's 1 - u and
-    its L z, L the conditional's factor (`ProbitSweep`), are computed once,
-    L z straight into the output rows.  A sweep then makes no generator
-    call: it writes eta = S X beta of every chain into one (R, n) buffer,
-    transforms the block's uniforms into all R rows of latents in one
-    `truncated_normal_positive` call, and adds each group's conditional
-    means into its output rows.  A stream fills in order, so neither R nor
-    the block size moves a bit: chain r is bit-identical to a run of its
-    own on its stream, a shorter run is a prefix of a longer one, and
-    ``rng_r`` itself is not advanced.  A NaN or -inf eta in any chain
-    raises `FloatingPointError` for the whole call.
+    sweep, and the normals zeta on ``rng_r.child(1)``, p a sweep, a block
+    of sweeps at a time, the block as many sweeps as fit the chains'
+    uniforms in `_GIBBS_BLOCK_DOUBLES`.  The block's 1 - u and its
+    sqrt(1 - a^2) L zeta are computed once, the latter straight into the
+    output rows.  A sweep then makes no generator call: it writes
+    eta = S X beta of every chain into one (R, n) buffer, transforms the
+    block's uniforms into all R rows of latents in one
+    `truncated_normal_positive` call, and writes each group's beta_t into
+    the last p columns of its rows of the latent buffer, where beta_{t-1}
+    was: one product of the buffer with [(1 - a) M | a I], M the mean map,
+    gives (1 - a) m_t + a beta_{t-1}, and one add of the noise gives
+    beta_t.  The output states, and m_t, are written once per block.
+    A stream fills in order, so neither R nor the block size moves a bit:
+    chain r is bit-identical to a run of its own on its stream, a shorter
+    run is a prefix of a longer one, and ``rng_r`` itself is not advanced.
+    A NaN or -inf eta in any chain raises `FloatingPointError` for the
+    whole call.
 
     Returns one (states, means) pair per group: the (R_g, n_iter, p)
     states and the (R_g, n_iter, p) conditional means
-    E[beta | z] = c (X'X)^{-1} X'z, row t the mean that sweep t drew its
-    state around.  The means are all that Chib's ordinate and the
+    m_t = E[beta | z_t] = c (X'X)^{-1} X'z_t, row t the mean that sweep t
+    drew its state around.  The means are all that Chib's ordinate and the
     Rao-Blackwellised averages need of the latents, which are never stored.
     """
     n_obs = groups[0][0].n_obs
     if any(model.n_obs != n_obs for model, _ in groups):
         raise ValueError("the models of a lockstep run must have one number "
                          "of observations")
+    a = _OVERRELAX
     streams = [rng for _, rngs in groups for rng in rngs]
     uniforms = [rng.child(0) for rng in streams]
     eta = np.empty((len(streams), n_obs))
-    w = np.empty_like(eta)
-    blocks, betas, lo = [], [], 0
+    # row r: chain r's latents w = s z, then its previous state.  The
+    # latents are drawn into a scratch of their own and copied in: the
+    # transform's four ufunc passes cost more on strided rows than the copy
+    z = np.empty_like(eta)
+    w = np.empty((len(streams), n_obs + max(model.dimension for model, _ in groups)))
+    latents = w[:, :n_obs]
+    blocks, lo = [], 0
     for model, rngs in groups:
-        k = len(rngs)
-        states, means = np.empty((2, k, n_iter, model.dimension))
-        blocks.append((ProbitSweep(model), [rng.child(1) for rng in rngs],
-                       eta[lo:lo + k], w[lo:lo + k], states, means))
-        betas.append(np.tile(probit_mle(model)[0], (k, 1)))
+        k, p = len(rngs), model.dimension
+        sweep = ProbitSweep(model)
+        w_g = w[lo:lo + k, :n_obs + p]
+        beta = w_g[:, n_obs:]
+        beta[:] = probit_mle(model)[0]
+        relaxed = np.hstack([(1.0 - a) * sweep.mean_map, a * np.eye(p)])
+        states, means = np.empty((2, k, n_iter, p))
+        blocks.append((model.signed_design, relaxed, math.sqrt(1.0 - a * a) * sweep.cond.scale,
+                       [rng.child(1) for rng in rngs], eta[lo:lo + k], w_g, beta,
+                       states, means))
         lo += k
     size = max(1, _GIBBS_BLOCK_DOUBLES // max(1, eta.size))
     for start in range(0, n_iter, size):
         stop = min(start + size, n_iter)
         v = uniform_complements(uniforms, stop - start, n_obs)
-        for sweep, normals, _, _, states, _ in blocks:
+        first = []
+        for _, _, scale, normals, _, _, beta, states, _ in blocks:
+            first.append(beta.copy())
             for rng, rows in zip(normals, states[:, start:stop]):
-                rowwise(rng.generator.standard_normal(rows.shape), sweep.cond.scale, rows)
+                rowwise(rng.generator.standard_normal(rows.shape), scale, rows)
         for t in range(start, stop):
-            for (sweep, _, eta_g, *_), beta in zip(blocks, betas):
-                sweep.eta(beta, eta_g)
-            truncated_normal_positive(eta, v[:, t - start], w)
-            for g, (sweep, _, _, w_g, states, means) in enumerate(blocks):
-                betas[g] = states[:, t]
-                betas[g] += sweep.mean(w_g, means[:, t])
+            for design, _, _, _, eta_g, _, beta, _, _ in blocks:
+                rowwise(beta, design, eta_g)
+            latents[...] = truncated_normal_positive(eta, v[:, t - start], z)
+            for _, relaxed, _, _, _, w_g, beta, states, means in blocks:
+                m = rowwise(w_g, relaxed, means[:, t])
+                np.add(states[:, t], m, out=beta)
+        for (*_, states, means), prev in zip(blocks, first):
+            # the states that the sweeps kept in the buffer, then m_t from
+            # (1 - a) m_t + a beta_{t-1}
+            states[:, start:stop] += means[:, start:stop]
+            means[:, start] -= a * prev
+            means[:, start + 1:stop] -= a * states[:, start:stop - 1]
+            means[:, start:stop] /= 1.0 - a
     return [(states, means) for *_, states, means in blocks]
 
 

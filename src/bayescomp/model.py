@@ -67,8 +67,10 @@ class LatentCompletion:
     conditional depends on them (for the probit, E[beta | z]);
     `sample_params(stats, rngs)` draws the parameters back from it.  The
     probit Gibbs sampler runs these blocks through `probit.ProbitSweep`
-    itself, so the two samplers are the reference its draws are tested
-    against.  `log_full_conditional_param(theta, stats)` maps an (N, k)
+    itself, and overrelaxes the second one (`mcmc.probit_gibbs_groups`):
+    its draw of beta leans on the previous state, with the same
+    conditional law.  The two samplers remain the reference its draws are
+    tested against.  `log_full_conditional_param(theta, stats)` maps an (N, k)
     array of statistics to the (N,) *normalised* log-densities of theta
     given each (constant included): the ordinate `evidence.chib_marginal`
     averages.

@@ -444,6 +444,49 @@ class TestLockstepGibbs:
         assert np.all(np.abs(second - cov) < 4 * second_se)
 
 
+class TestOverrelaxedGibbs:
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_loop_is_the_overrelaxed_replay(self, pima, n_chains):
+        """50 sweeps equal a plain replay of beta_t = m_t + a (beta_{t-1} - m_t)
+        + sqrt(1 - a^2) L zeta_t to 1e-12, m_t from the latent completion's
+        `sample_latents` on twin ``child(0)`` streams and zeta from twin
+        ``child(1)`` streams; the returned means are those m_t."""
+        n = 50
+        (states, means), = probit_gibbs_groups(
+            [(pima, [RngStream(48, r) for r in range(n_chains)])], n)
+        uniforms = [RngStream(48, r).child(0) for r in range(n_chains)]
+        normals = [RngStream(48, r).child(1) for r in range(n_chains)]
+        a = mcmc._OVERRELAX
+        g = pima.prior_scale
+        scale = np.linalg.cholesky(g / (g + 1.0) * np.linalg.inv(pima.xtx))
+        completion = probit_latent_completion(pima)
+        beta = np.tile(probit_mle(pima)[0], (n_chains, 1))
+        for t in range(n):
+            m = completion.sample_latents(beta, uniforms)
+            zeta = np.array([rng.generator.standard_normal(pima.dimension)
+                             for rng in normals])
+            beta = m + a * (beta - m) + math.sqrt(1.0 - a * a) * zeta @ scale.T
+            np.testing.assert_allclose(means[:, t], m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(states[:, t], beta, rtol=0, atol=1e-12)
+
+    def test_replicate_variance_iact(self, pima):
+        """200 lockstep chains, 200 warm-up and 1000 kept sweeps: the IACT
+        read as 1000 Var(chain means) / Var(all kept states) is below 2.0
+        per coefficient and below 1.6 for the squared centred coefficients.
+        The plain draw (a = 0) reads 2.7-3.2 per coefficient."""
+        (states, _), = probit_gibbs_groups(
+            [(pima, [RngStream(49, r) for r in range(200)])], 1200)
+        kept = states[:, 200:]
+
+        def iact(x):
+            return (x.shape[1] * x.mean(axis=1).var(axis=0, ddof=1)
+                    / x.reshape(-1, x.shape[-1]).var(axis=0, ddof=1))
+
+        centred = kept - kept.reshape(-1, pima.dimension).mean(axis=0)
+        assert np.all(iact(kept) < 2.0), iact(kept)
+        assert np.all(iact(centred ** 2) < 1.6), iact(centred ** 2)
+
+
 class TestMwg:
     @pytest.mark.parametrize("steps", [
         {"beta_step_var": -1.0}, {"beta_step_var": 0.0},

@@ -49,6 +49,7 @@ AUDITED_TESTS = (
     "tests/test_mcmc.py::TestBlockedMetropolis",
     "tests/test_mcmc.py::TestProbitGibbs",
     "tests/test_mcmc.py::TestLockstepGibbs::test_residuals_have_conditional_law",
+    "tests/test_mcmc.py::TestOverrelaxedGibbs::test_replicate_variance_iact",
     "tests/test_acceptance.py::TestAbcProbitMatch",
     "tests/test_abc.py::TestMcmc",
     "tests/test_acceptance.py::TestAbcExactness::test_mcmc",
