@@ -16,10 +16,11 @@ row).  Stream r gives what a run of its own on stream r gives.  A chain
 experiment reads its kept states as one (R, n_kept, k) array, row 0 the
 only chain given its IACT and chain ESS, and fails as a whole.  `capture`
 is no chain: `capture_draws` gives its R streams' independent exact draws
-as one (R, n, 6) array, with nothing to burn in or thin, and stream 0's
-means carry the standard error sd/sqrt(n) in place of an IACT.
-`montecarlo.sample_estimates` makes every sample mean, SD and error: `abc`
-writes its self-normalised errors, the chains and `pmc` none yet.  A probit
+as one (R, n, 6) array, with nothing to burn in or thin.
+`montecarlo.sample_estimates` makes every sample mean, SD and error: each
+mean's error is sd/sqrt(n_eff), n_eff capture's n or a chain's ESS (null
+below an ESS of 100), and `abc` writes its self-normalised errors; `pmc`
+and `mixture-demo`'s escape estimates have none.  A probit
 Gibbs chain on stream s draws nothing on s itself: its uniforms come from
 ``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
 ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
@@ -187,6 +188,10 @@ _KEYS = {
 }
 # per experiment, its own config keys and their defaults
 _DEFAULTS = {e: {k: d for k, (d, _) in keys.items()} for e, keys in _KEYS.items()}
+# the most doubles a run's draws may hold (1 GiB), counted as R x iterations
+# x 6 for capture and R x iterations x 2k for a chain of k coordinates (its
+# states and their Gibbs means or log-targets)
+_MAX_DRAW_DOUBLES = 1 << 27
 # the config keys that have a flag of their own
 _FLAG_KEYS = ("seed", "data", "replicates", "burn_in", "thin")
 
@@ -216,6 +221,13 @@ def resolve_config(experiment: str, raw: dict) -> dict:
             raise ConfigError(f"burn_in {config['burn_in']}, thin {config['thin']} and "
                               f"iterations {config['iterations']} keep {kept} states; "
                               "at least 2 are needed")
+    if "iterations" in config:
+        k = len(config["covariates"]) if "covariates" in config else 2  # mwg, mixture-demo
+        width = 6 if experiment == "capture" else 2 * k
+        if config["replicates"] * config["iterations"] * width > _MAX_DRAW_DOUBLES:
+            raise ConfigError(f"replicates {config['replicates']} and iterations "
+                              f"{config['iterations']} store more than "
+                              f"{_MAX_DRAW_DOUBLES} doubles of draws (1 GiB)")
     if "n_max" in config:  # capture's counts nest: c2 <= n1 <= n_max
         if config["c2"] > config["n1"]:
             raise ConfigError(f"c2 {config['c2']} exceeds n1 {config['n1']}")
@@ -277,29 +289,29 @@ def _postprocess(states, config) -> np.ndarray:
 
 
 def _chain_result(kept, names, diagnostics, estimate=None):
-    """The result of chain 0 of the kept (R, n_kept, k) states, its IACT
-    and chain ESS added to `diagnostics`, and the estimates of chains
-    1..R-1.  Below 100 kept states both are None, with an `ess_warning`
-    that says why; a coordinate that never moved has an infinite IACT
-    (written as null) and a chain ESS of 0, and the `ess_warning` names
-    it.  `estimate` maps one chain's states to its estimates; the default
-    gives their means and SDs."""
-    estimate = estimate or (lambda states: sample_estimates(names, states)[0])
-    states = kept[0]
-    if len(states) >= 100:
-        diag = chain_diagnostics(Chain(states, None, 0, 0))
-        diagnostics = {**diagnostics, "iact": diag["iact"],
-                       "chain_ess": diag["chain_ess"]}
-        frozen = [n for n, t in zip(names, diag["iact"]) if np.isinf(t)]
-        if frozen:
-            diagnostics["ess_warning"] = (f"{', '.join(frozen)} never moved in the "
-                                          f"{len(states)} kept states: no IACT")
-    else:
-        diagnostics = {**diagnostics, "iact": None, "chain_ess": None,
-                       "ess_warning": f"{len(states)} kept states, fewer than the "
-                                      "100 that an IACT estimate needs"}
-    result = estimate(states), {}, diagnostics, (list(names), states)
-    return result, [estimate(s) for s in kept[1:]]
+    """Chain 0's result from the kept (R, n_kept, k) states, its IACT and
+    chain ESS added to `diagnostics`, and the estimates of chains 1..R-1.
+    `estimate(states, n_eff)` gives a chain's (estimates, errors), by default
+    `sample_estimates` with n_eff the chain ESS; where that is below 100, or
+    none, the error is NaN (written as null) and `ess_warning` says why."""
+    estimate = estimate or functools.partial(sample_estimates, names)
+    states, n = kept[0], len(kept[0])
+    diag = chain_diagnostics(Chain(states, None, 0, 0))
+    ess = diag["chain_ess"]
+    diagnostics = {**diagnostics, "iact": diag["iact"], "chain_ess": ess}
+    if ess is None:
+        ess, notes = np.zeros(len(names)), [f"{n} kept states, fewer than the 100 "
+                                            "that an IACT estimate needs"]
+    else:  # a coordinate that never moved has an infinite IACT and an ESS of 0
+        frozen = ", ".join(m for m, e in zip(names, ess) if e == 0)
+        low = ", ".join(m for m, e in zip(names, ess) if 0 < e < 100)
+        notes = [note for who, note in (
+            (frozen, f"{frozen} never moved in the {n} kept states: no IACT"),
+            (low, f"{low} fell short of a chain ESS of 100: no standard error")) if who]
+    if notes:
+        diagnostics["ess_warning"] = "; ".join(notes)
+    result = *estimate(states, n_eff=np.where(ess >= 100, ess, np.nan)), diagnostics
+    return (*result, (list(names), states)), [estimate(s)[0] for s in kept[1:]]
 
 
 def _each_stream(run, config, streams):
@@ -484,10 +496,10 @@ def _run_mixture_demo(config, rngs):
     chains = [rw_mh_run(mixture_bayes_model(_mixture_target(config, rng)), cov,
                         start, config["iterations"], rng) for rng in rngs]
 
-    def escape(states):
+    def escape(states, n_eff=None):  # no means, so no errors
         dists = np.linalg.norm(states - major, axis=1)
         return {"min_distance_to_major_mode": float(dists.min()),
-                "escaped": float(bool(np.any(dists <= 0.5)))}
+                "escaped": float(bool(np.any(dists <= 0.5)))}, {}
 
     kept = _postprocess([c.states for c in chains], config)
     return _chain_result(kept, ["mu1", "mu2"],

@@ -34,6 +34,10 @@ One model's replicates are the one-group case and a single chain
 (`probit_gibbs_run`) the group of one; a group's R chains come back as
 (R, n_iter, p) arrays, each bit-identical to a run of its own whatever R
 and the block size.
+
+`chain_diagnostics` alone decides whether a chain has an IACT (Geyer's
+initial monotone sequence over every lag, no lag cap) and so a chain ESS:
+fewer than 100 states have none.
 """
 
 from __future__ import annotations
@@ -382,52 +386,44 @@ def mwg_probit_overparam_run(x, y, n_iter: int, rng: RngStream,
                   "accept_rate_sigma2": acc_sigma / n_iter})
 
 
-def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Lag 0..max_lag autocorrelations of `x`, each lag's n - k products
-    summed by one FFT zero-padded to 2n, so none wraps around; all NaN for
-    a constant `x`."""
+def _autocorrelations(x: np.ndarray) -> np.ndarray:
+    """Lag 0..n-2 autocorrelations of the n states `x`, each lag's n - k
+    products summed by one FFT zero-padded to 2n, so none wraps around; all
+    NaN for a constant `x`."""
+    n = len(x)
     # tested before centring: the float mean of a constant can miss it by an ulp
     if x.min() == x.max():
-        return np.full(max_lag + 1, np.nan)
+        return np.full(n - 1, np.nan)
     x = x - np.mean(x)
     var = np.mean(x * x)
-    n = len(x)
     f = np.fft.rfft(x, 2 * n)
-    sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, 2 * n)[: max_lag + 1]
-    return sums / (n - np.arange(max_lag + 1)) / var
+    sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, 2 * n)[: n - 1]
+    return sums / (n - np.arange(n - 1)) / var
 
 
 def _iact(acf: np.ndarray) -> float:
-    """Integrated autocorrelation time from the autocorrelations `acf`
-    (lag 0 first) by Geyer's initial-positive-sequence truncation."""
+    """Integrated autocorrelation time 1 + 2 sum_m G_m from the
+    autocorrelations `acf` (lag 0 first) by Geyer's (1992) initial monotone
+    sequence: the pair sums G_m = acf[2m - 1] + acf[2m], m >= 1, cut before
+    the first that is not positive, each then lowered to the smallest of
+    those before it; infinite when `acf` holds a NaN."""
     if np.any(np.isnan(acf)):
         return np.inf
-    total = 0.0
-    k = 1
-    while k + 1 < len(acf):
-        pair = acf[k] + acf[k + 1]
-        if pair <= 0:
-            break
-        total += pair
-        k += 2
-    return 1.0 + 2.0 * total
+    pairs = acf[1:len(acf) - 1:2] + acf[2::2]
+    cut = np.flatnonzero(pairs <= 0)
+    pairs = pairs[:cut[0]] if len(cut) else pairs
+    return 1.0 + 2.0 * float(np.minimum.accumulate(pairs).sum())
 
 
 def chain_diagnostics(chain: Chain) -> dict:
-    """Acceptance rate, integrated autocorrelation time and the resulting
-    chain ESS, per coordinate; the IACT sums autocorrelations, computed by
-    FFT, to lag min(n - 2, 2 floor(sqrt(n)) + 50) of the n >= 100 states
-    required, under Geyer's initial-positive-sequence rule.  A coordinate
-    that never moves has an infinite IACT and a chain ESS of 0."""
+    """Acceptance rate, and per coordinate of the n states the IACT by
+    `_iact` over every lag 1..n-2, with no cap, and the chain ESS n / IACT;
+    under 100 states `iact` and `chain_ess` are None.  A coordinate that
+    never moves has an infinite IACT and a chain ESS of 0."""
     states = np.atleast_2d(chain.states)
     n = states.shape[0]
-    if n < 100:
-        raise ValueError("need at least 100 states for diagnostics")
-    max_lag = min(n - 2, 2 * int(np.sqrt(n)) + 50)
-    iact = np.asarray([_iact(_autocorrelations(states[:, j], max_lag))
-                       for j in range(states.shape[1])])
-    return {
-        "acceptance_rate": chain.acceptance_rate,
-        "iact": iact,
-        "chain_ess": n / iact,
-    }
+    diag = {"acceptance_rate": chain.acceptance_rate, "iact": None, "chain_ess": None}
+    if n >= 100:
+        iact = np.asarray([_iact(_autocorrelations(col)) for col in states.T])
+        diag.update(iact=iact, chain_ess=n / iact)
+    return diag

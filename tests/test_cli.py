@@ -165,6 +165,24 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             resolve_config(experiment, raw)
 
+    def test_draws_over_the_budget_are_refused(self, tmp_path, capsys, monkeypatch):
+        # 10^9 iterations would ask numpy for some 48 GB of states; the
+        # budget of 2^27 doubles refuses them by the two keys that set it
+        for experiment in ("gibbs", "capture"):
+            code, out = run_cli(tmp_path, experiment, {"iterations": 10 ** 9},
+                                subdir=experiment)
+            assert code == 1 and not out.exists()
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConfigError"
+            assert "iterations" in err["message"] and "replicates" in err["message"]
+        # the defaults and every benchmark config stay within it
+        for experiment in cli._KEYS:
+            resolve_config(experiment, {})
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+        for ops in importlib.import_module("workloads").WORKLOADS.values():
+            for experiment, config in ops:
+                resolve_config(experiment, config)
+
     def test_evidence_needs_two_draws(self):
         for n in (1, 0, -5):
             with pytest.raises(ConfigError, match="n_draws"):
@@ -990,7 +1008,8 @@ class TestRunners:
 
     def test_standard_errors_schema(self):
         # which experiments write a standard error: mle and evidence their
-        # own, abc and capture one per mean from `sample_estimates`
+        # own; abc, capture, mh, gibbs and mwg one per mean from
+        # `sample_estimates`; pmc and mixture-demo none
         configs = {"mle": {}, "mh": {"iterations": 300}, "gibbs": {"iterations": 300},
                    "mwg": {"iterations": 300}, "evidence": {"n_draws": 400},
                    "capture": {"iterations": 300}, "mixture-demo": {"iterations": 200},
@@ -999,23 +1018,40 @@ class TestRunners:
         results = {e: run_experiment(e, resolve_config(e, c)) for e, c in configs.items()}
         for experiment, (estimates, std_errors, _, _) in results.items():
             assert set(std_errors) <= set(estimates), experiment
-            if experiment in ("abc", "capture"):
+            if experiment in ("abc", "capture", "mh", "gibbs", "mwg"):
                 assert set(std_errors) == {k for k in estimates if k.startswith("mean_")}
-        assert {e for e, r in results.items() if r[1]} == {"mle", "evidence", "abc", "capture"}
+        assert {e for e, r in results.items() if r[1]} == {
+            "mle", "evidence", "abc", "capture", "mh", "gibbs", "mwg"}
         # pmc writes its SDs, but no error
         assert {"sd_mu1", "sd_mu2"} <= set(results["pmc"][0])
 
-    def test_abc_errors_match_the_replicate_sd(self):
-        # per coefficient, the median reported error of 20 streams over the
+    @pytest.mark.parametrize("experiment", ["abc", "mh", "gibbs"])
+    def test_errors_match_the_replicate_sd(self, experiment):
+        # per coordinate, the median reported error of 20 streams over the
         # SD of their 20 means lies in [0.5, 2], a band fixed before the
         # first run
-        config = resolve_config("abc", {"particles": 200, "generations": 4, "seed": 7})
-        runs = [run_experiment("abc", config, r) for r in range(20)]
-        for name in ("glu", "bp", "ped"):
-            means = [est[f"mean_{name}"] for est, _, _, _ in runs]
-            errors = [se[f"mean_{name}"] for _, se, _, _ in runs]
+        size = ({"particles": 200, "generations": 4} if experiment == "abc"
+                else {"iterations": 2000})
+        config = resolve_config(experiment, {**size, "seed": 7})
+        runs = [run_experiment(experiment, config, r) for r in range(20)]
+        assert runs[0][1]
+        for key in runs[0][1]:
+            means = [est[key] for est, _, _, _ in runs]
+            errors = [se[key] for _, se, _, _ in runs]
             ratio = np.median(errors) / np.std(means, ddof=1)
-            assert 0.5 <= ratio <= 2, (name, ratio)
+            assert 0.5 <= ratio <= 2, (key, ratio)
+
+    def test_a_chain_ess_below_100_writes_a_null_error(self, tmp_path):
+        # mwg's beta mixes slowly: at its defaults and seed 7 its chain ESS
+        # is below 100, so its mean has no error, and no RuntimeWarning
+        code, out = run_cli(tmp_path, "mwg", {"seed": 7})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "mean_beta" in summary["standard_errors"]
+        assert summary["standard_errors"]["mean_beta"] is None
+        assert 0 < summary["diagnostics"]["chain_ess"][0] < 100
+        assert "beta" in summary["diagnostics"]["ess_warning"]
+        assert "warnings" not in summary
 
     def test_abc_drops_its_hopeless_generation_early(self):
         # at its defaults and seed 7 generation 4 hits below the 1% floor;

@@ -4,7 +4,7 @@
 
 Runs the tests in `AUDITED_TESTS`, those that reach `mcmc.rw_metropolis`,
 the probit Gibbs sampler, the evidence estimators, the capture samplers,
-PMC or ABC-PMC, under pytest in this process, once as they are (k = 0) and
+PMC, ABC-PMC or the IACT estimator, under pytest in this process, once as they are (k = 0) and
 once for each offset k = 1..8 with every `RngStream`'s Philox key built
 by `RngStream` itself from seed + k (mod 2^64) in place of its seed.
 Nothing else changes: the tests' seeds, sizes and bounds stay as
@@ -36,8 +36,8 @@ WARNING_FILTERS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarni
                    "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 # the tests that run rw_metropolis (rw_mh_run, mwg, mixture-demo,
 # abc_mcmc), the probit Gibbs sampler, the evidence estimators, the
-# capture samplers (the direct one and the Gibbs conditionals), PMC and
-# ABC-PMC;
+# capture samplers (the direct one and the Gibbs conditionals), PMC,
+# ABC-PMC and the IACT estimator (`mcmc.chain_diagnostics`);
 # tests/test_seed_audit.py checks that each names a test that exists
 AUDITED_TESTS = (
     "tests/test_acceptance.py::TestRandomWalkAcceptance",
@@ -63,7 +63,9 @@ AUDITED_TESTS = (
     "tests/test_acceptance.py::TestCaptureRecapture",
     "tests/test_pmc.py::TestEstimatorValidity",
     "tests/test_abc.py::TestPmc",
-    "tests/test_cli.py::TestRunners::test_abc_errors_match_the_replicate_sd",
+    "tests/test_cli.py::TestRunners::test_errors_match_the_replicate_sd",
+    "tests/test_mcmc.py::TestDiagnostics",
+    "tests/test_mcmc.py::TestAutocorrelations",
 )
 
 
