@@ -13,14 +13,14 @@ replicates, replicate r on ``RngStream(seed, r)``.  ``result`` is stream
 0's (estimates, std_errors, diagnostics, draws); ``others`` holds, per
 stream 1..R-1, its estimates or the exception that ended it (an ``error``
 row).  Stream r gives what a run of its own on stream r gives.  A chain
-experiment reads its kept states as one (R, n_kept, k) array, row 0 the
-only chain given its IACT and chain ESS, and fails as a whole.  `capture`
-is no chain: `capture_draws` gives its R streams' independent exact draws
-as one (R, n, 6) array, with nothing to burn in or thin.
+experiment reads all its states but `mwg`'s first `burn_in` as one
+(R, n, k) array, row 0 the only chain given its IACT and chain ESS, and
+fails as a whole.  `capture` is no chain: `capture_draws` gives its R
+streams' independent exact draws as one (R, n, 6) array.
 `montecarlo.sample_estimates` makes every sample mean, SD and error: each
 mean's error is sd/sqrt(n_eff), n_eff capture's n or a chain's ESS (null
-below an ESS of 100), and `abc` writes its self-normalised errors; `pmc`
-and `mixture-demo`'s escape estimates have none.  A probit
+below an ESS of 100, and for `mwg`), and `abc` writes its self-normalised
+errors; `pmc` and `mixture-demo`'s escape estimates have none.  A probit
 Gibbs chain on stream s draws nothing on s itself: its uniforms come from
 ``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
 ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import os
 import sys
@@ -56,6 +57,7 @@ import time
 import traceback
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,8 +145,6 @@ _COMMON = {"seed": (0, _integer(0, _U64)), "replicates": (1, _integer(1))}
 # the pima experiments' data file, None for the bundled one
 _PIMA = {"data": (None, ("a non-empty path string or null",
                          lambda v: v is None or type(v) is str and v != ""))}
-# a chain experiment's burn-in and thinning of its states
-_CHAIN = {"burn_in": (0, _integer(0)), "thin": (1, _integer(1))}
 # the simulated data of pmc and mixture-demo
 _MIXTURE = {"n_data": (500, _integer(0)),
             "weight": (0.7, _real(" in (0, 1)", lambda v: 0 < v < 1)),
@@ -159,12 +159,12 @@ _HARMONIC_GD = {"coverage": (0.25, _real(" in (0, 1]", lambda v: 0 < v <= 1)),
 # per experiment, its own keys
 _KEYS = {
     "mle": {**_PIMA},
-    "mh": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+    "mh": {**_PIMA, "iterations": (10_000, _integer(2)),
            "scale_multiplier": (1.0, _POSITIVE),
            "covariates": (["glu", "bp"], _COVARIATES)},
-    "gibbs": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+    "gibbs": {**_PIMA, "iterations": (10_000, _integer(2)),
               "covariates": (["glu", "bp", "ped"], _COVARIATES)},
-    "mwg": {**_PIMA, **_CHAIN, "iterations": (10_000, _integer(0)),
+    "mwg": {**_PIMA, "iterations": (10_000, _integer(0)), "burn_in": (0, _integer(0)),
             "covariate": ("glu", _COVARIATE), "beta_step_var": (1.0, _POSITIVE),
             "logsigma_step_var": (0.04, _real(" > 0 whose 4-fold is finite",
                                               lambda v: 0 < 4.0 * v < np.inf))},
@@ -177,23 +177,43 @@ _KEYS = {
             "generations": (10, _integer(2)),
             "quantile": (0.1, _real(f" in [{_ACCEPT_FLOOR}, 1]",
                                     lambda v: _ACCEPT_FLOOR <= v <= 1))},
-    # capture keeps every one of its independent draws; its SDs need two
+    # capture and the chains keep every state, mwg all past its burn_in; SDs need two
     "capture": {"n1": (22, _integer(1)), "c2": (11, _integer(0)),
                 "c3": (6, _integer(0)), "n_max": (None, _N_MAX),
                 "iterations": (10_000, _integer(2))},
-    "mixture-demo": {**_CHAIN, "iterations": (1000, _integer(0)),
+    "mixture-demo": {"iterations": (1000, _integer(2)),
                      "tau": (1.0, _real(" > 0 whose square is finite and > 0",
                                         lambda v: v > 0 and 0 < float(v) * v < np.inf)),
                      **_MIXTURE},
 }
 # per experiment, its own config keys and their defaults
 _DEFAULTS = {e: {k: d for k, (d, _) in keys.items()} for e, keys in _KEYS.items()}
-# the most doubles a run's draws may hold (1 GiB), counted as R x iterations
-# x 6 for capture and R x iterations x 2k for a chain of k coordinates (its
-# states and their Gibbs means or log-targets)
+# the most doubles a run may store at once (1 GiB), and per experiment their
+# count, read from its runner, its parameters the keys that set it.  A state
+# of k coordinates holds 2k + 5 in a running rw_metropolis chain (increments,
+# states, log-targets, listed uniforms; 2 steps a state in mwg), 2k + 1 in a
+# chain once run (states, log-targets, stack) and 2k in a Gibbs chain; a
+# stream at a time, importance holds 12 a draw, pmc 6 a particle in each
+# population and the next, abc 14 a pilot row and 8 a row in each generation
+# and the next; capture holds 6 a draw, and simulated data 3 a point
 _MAX_DRAW_DOUBLES = 1 << 27
-# the config keys that have a flag of their own
-_FLAG_KEYS = ("seed", "data", "replicates", "burn_in", "thin")
+_DRAW_DOUBLES = {
+    "mh": lambda replicates, iterations, covariates: iterations * (
+        (2 * len(covariates) + 1) * replicates + 2 * len(covariates) + 5),
+    "gibbs": lambda replicates, iterations, covariates: (
+        2 * len(covariates) * replicates * iterations),
+    "mwg": lambda replicates, iterations: (5 * replicates + 18) * iterations,
+    "pmc": lambda particles, generations, n_data: 6 * (generations + 1) * particles + 3 * n_data,
+    "evidence": lambda method, n_draws, replicates: n_draws * (
+        12 if method in ("prior-mc", "importance") else 10 * replicates),
+    "abc": lambda particles, quantile, generations: 14 * -(
+        -Fraction(particles) // Fraction(quantile)) + 8 * (generations + 1) * particles,
+    "capture": lambda replicates, iterations: 6 * replicates * iterations,
+    "mixture-demo": lambda replicates, iterations, n_data: (
+        (5 * replicates + 9) * iterations + 3 * n_data),
+}
+# the config keys that have a flag of their own: those of several experiments
+_FLAG_KEYS = ("seed", "data", "replicates")
 
 
 class ConfigError(ValueError):
@@ -215,19 +235,13 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     for key, (_, (text, ok)) in keys.items():
         if not ok(config[key]):
             raise ConfigError(f"{key} must be {text}, got {config[key]!r}")
-    if "burn_in" in config:  # kept: len(range(burn_in, iterations, thin)) at any size
-        kept = max(0, -((config["burn_in"] - config["iterations"]) // config["thin"]))
-        if kept < 2:  # the reported SDs need two
-            raise ConfigError(f"burn_in {config['burn_in']}, thin {config['thin']} and "
-                              f"iterations {config['iterations']} keep {kept} states; "
-                              "at least 2 are needed")
-    if "iterations" in config:
-        k = len(config["covariates"]) if "covariates" in config else 2  # mwg, mixture-demo
-        width = 6 if experiment == "capture" else 2 * k
-        if config["replicates"] * config["iterations"] * width > _MAX_DRAW_DOUBLES:
-            raise ConfigError(f"replicates {config['replicates']} and iterations "
-                              f"{config['iterations']} store more than "
-                              f"{_MAX_DRAW_DOUBLES} doubles of draws (1 GiB)")
+    if "burn_in" in config and (kept := config["iterations"] - config["burn_in"]) < 2:
+        raise ConfigError(f"burn_in {config['burn_in']} and iterations {config['iterations']} "
+                          f"keep {max(0, kept)} states; at least 2 are needed")
+    count = _DRAW_DOUBLES.get(experiment, lambda: 0)  # mle draws nothing
+    sizes = {key: config[key] for key in inspect.signature(count).parameters}
+    if count(**sizes) > _MAX_DRAW_DOUBLES:
+        raise ConfigError(f"{sizes} would store more than {_MAX_DRAW_DOUBLES} doubles (1 GiB)")
     if "n_max" in config:  # capture's counts nest: c2 <= n1 <= n_max
         if config["c2"] > config["n1"]:
             raise ConfigError(f"c2 {config['c2']} exceeds n1 {config['n1']}")
@@ -283,13 +297,8 @@ def _pima_model(config, covariates) -> ProbitModel:
     return ProbitModel(design=full.design[:, cols], response=full.response)
 
 
-def _postprocess(states, config) -> np.ndarray:
-    """The kept sweeps of R chains' (n_iter, k) states, as one array."""
-    return np.asarray(states)[:, config["burn_in"]::config["thin"]]
-
-
 def _chain_result(kept, names, diagnostics, estimate=None):
-    """Chain 0's result from the kept (R, n_kept, k) states, its IACT and
+    """Chain 0's result from the kept (R, n, k) states, its IACT and
     chain ESS added to `diagnostics`, and the estimates of chains 1..R-1.
     `estimate(states, n_eff)` gives a chain's (estimates, errors), by default
     `sample_estimates` with n_eff the chain ESS; where that is below 100, or
@@ -348,8 +357,7 @@ def _run_mh(config, rngs):
         raise ValueError(f"scale_multiplier {config['scale_multiplier']!r} makes a "
                          "step variance that is 0 or not finite")
     chains = [rw_mh_run(target, step, beta, config["iterations"], rng) for rng in rngs]
-    kept = _postprocess([c.states for c in chains], config)
-    return _chain_result(kept, config["covariates"], {
+    return _chain_result(np.stack([c.states for c in chains]), config["covariates"], {
         "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta})
 
 
@@ -357,9 +365,8 @@ def _run_gibbs(config, rngs):
     model = _pima_model(config, config["covariates"])
     (states, _), = probit_gibbs_groups([(model, rngs)], config["iterations"])
     # a Gibbs sweep has no accept step
-    return _chain_result(_postprocess(states, config), config["covariates"],
-                         {"acceptance_rate": np.nan,
-                          "family": "gibbs-data-augmentation"})
+    return _chain_result(states, config["covariates"], {
+        "acceptance_rate": np.nan, "family": "gibbs-data-augmentation"})
 
 
 def _run_mwg(config, rngs):
@@ -369,9 +376,11 @@ def _run_mwg(config, rngs):
                                        rng, config["beta_step_var"],
                                        config["logsigma_step_var"])
               for rng in rngs]
-    kept = _postprocess([c.states for c in chains], config)
-    return _chain_result(kept, ["beta", "sigma2"], {
-        "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta})
+    names = ["beta", "sigma2"]
+    return _chain_result(np.stack([c.states for c in chains])[:, config["burn_in"]:], names, {
+        "acceptance_rate": chains[0].acceptance_rate, **chains[0].proposal_meta,
+        "error_note": "beta and sigma2 are identified only by their prior: no ESS sizes an error"},
+        lambda states, n_eff=None: sample_estimates(names, states, n_eff=np.nan))
 
 
 def _mixture_target(config, rng):
@@ -409,10 +418,9 @@ def _run_evidence(config, rngs):
     """Log Bayes factor of the 3-covariate against the 2-covariate probit.
 
     The four chain routes read one chain pair from `_chain_pair`, which
-    keeps the last pair of the process: chain routes run at one data set,
-    seed, `n_draws` and `replicates` share one Gibbs call.  It holds
-    2·R·`n_draws`·5 doubles (0.8 MB at the defaults), arrays that the run
-    had allocated anyway."""
+    keeps the last pair of the process, arrays that the run had allocated
+    anyway: chain routes run at one data set, seed, `n_draws` and
+    `replicates` share one Gibbs call."""
     model1p = _pima_model(config, ["glu", "bp", "ped"])
     model0p = ProbitModel(design=model1p.design[:, :2], response=model1p.response)
     model0, model1 = probit_bayes_model(model0p), probit_bayes_model(model1p)
@@ -501,8 +509,7 @@ def _run_mixture_demo(config, rngs):
         return {"min_distance_to_major_mode": float(dists.min()),
                 "escaped": float(bool(np.any(dists <= 0.5)))}, {}
 
-    kept = _postprocess([c.states for c in chains], config)
-    return _chain_result(kept, ["mu1", "mu2"],
+    return _chain_result(np.stack([c.states for c in chains]), ["mu1", "mu2"],
                          {"acceptance_rate": chains[0].acceptance_rate,
                           "tau": config["tau"]}, escape)
 
@@ -617,10 +624,6 @@ def _build_parser():
     parser.add_argument("--data", help="input pima CSV")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--replicates", type=int)
-    parser.add_argument("--burn-in", type=int, dest="burn_in", metavar="B",
-                        help="states dropped from the start of each chain")
-    parser.add_argument("--thin", type=int, metavar="K",
-                        help="keep every K-th state after the burn-in")
     parser.add_argument("--debug", action="store_true",
                         help="on error, also print the traceback to stderr")
     return parser
@@ -635,10 +638,7 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object")
-        for key in _FLAG_KEYS:
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = value
+        raw.update({k: v for k, v in vars(args).items() if k in _FLAG_KEYS and v is not None})
         config = resolve_config(args.experiment, raw)
 
         start = time.monotonic()

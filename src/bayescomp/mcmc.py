@@ -14,8 +14,7 @@ point per step through `log_posterior`, with the bits of a one-row batch,
 and ignores the floor; `abc.abc_mcmc` runs it on a prior gated by a
 simulation, simulating only when the prior clears the floor; and
 `mwg_probit_overparam_run` on two blocks, beta and log sigma^2, its
-likelihood bounded by tangent lines.  No burn-in is discarded here;
-trimming is post-processing.
+likelihood bounded by tangent lines.
 
 The probit Gibbs sampler runs all its chains in one fused lockstep loop,
 `probit_gibbs_groups`, one stream per chain, over groups of chains: each

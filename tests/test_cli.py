@@ -43,26 +43,27 @@ CHAIN_EXPERIMENTS = ("mh", "gibbs", "mwg", "mixture-demo")
 
 
 # each experiment's resolved config keys: the keys its runner reads
-_PIMA_CHAIN = {"seed", "replicates", "data", "burn_in", "thin", "iterations"}
+_PIMA_CHAIN = {"seed", "replicates", "data", "iterations"}
 DECLARED_KEYS = {
     "mle": {"seed", "replicates", "data"},
     "mh": _PIMA_CHAIN | {"scale_multiplier", "covariates"},
     "gibbs": _PIMA_CHAIN | {"covariates"},
-    "mwg": _PIMA_CHAIN | {"covariate", "beta_step_var", "logsigma_step_var"},
+    "mwg": _PIMA_CHAIN | {"burn_in", "covariate", "beta_step_var", "logsigma_step_var"},
     "pmc": {"seed", "replicates", "particles", "generations", "n_data", "weight",
             "mu1", "mu2", "sigma2", "q0_scale", "density_form"},
     "evidence": {"seed", "replicates", "data", "method", "n_draws"},
     "abc": {"seed", "replicates", "data", "particles", "generations", "quantile"},
     "capture": {"seed", "replicates", "n1", "c2", "c3", "n_max", "iterations"},
-    "mixture-demo": {"seed", "replicates", "burn_in", "thin", "iterations",
-                     "tau", "n_data", "weight", "mu1", "mu2", "sigma2"},
+    "mixture-demo": {"seed", "replicates", "iterations", "tau", "n_data", "weight",
+                     "mu1", "mu2", "sigma2"},
 }
 # the settable keys that not every experiment reads: a value for each, and
 # its flag and flag value where it has one
 SHARED_KEYS = {"data": ("/no/such.csv", "--data", "/no/such.csv"),
-               "burn_in": (150, "--burn-in", "150"),
-               "thin": (7, "--thin", "7"),
                "coverage": (0.5, None, None)}
+# keys and flags that no experiment has any more: chains keep every state
+REMOVED_KEYS = {"thin"}
+REMOVED_FLAGS = ("--thin", "--burn-in")
 EVIDENCE_METHODS = ("prior-mc", "importance", "harmonic-gd", "harmonic-nr",
                     "chib", "bridge-embedded")
 
@@ -121,28 +122,29 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config("mle", {"replicates": 0})
         with pytest.raises(ConfigError):
-            resolve_config("gibbs", {"burn_in": -1})
-        with pytest.raises(ConfigError):
-            resolve_config("gibbs", {"thin": 0})
-        # the reported SDs need at least two kept states
+            resolve_config("mwg", {"burn_in": -1})
+        # the reported SDs need at least two kept states: mwg's after its
+        # burn-in, every state of the other chains
         for raw in ({"iterations": 100, "burn_in": 200},
                     {"iterations": 100, "burn_in": 99},
-                    {"iterations": 0},
-                    {"iterations": 100, "thin": 100},
-                    {"iterations": 100, "burn_in": 50, "thin": 50}):
+                    {"iterations": 0}):
             with pytest.raises(ConfigError, match="keep"):
-                resolve_config("gibbs", raw)
-        assert resolve_config("gibbs", {"iterations": 100, "burn_in": 50,
-                                        "thin": 49})["thin"] == 49
+                resolve_config("mwg", raw)
+        assert resolve_config("mwg", {"iterations": 100, "burn_in": 98})["burn_in"] == 98
+        for experiment in ("mh", "gibbs", "mixture-demo"):
+            with pytest.raises(ConfigError, match="^iterations must be an integer >= 2"):
+                resolve_config(experiment, {"iterations": 1})
+            assert resolve_config(experiment, {"iterations": 2})["iterations"] == 2
         # mle keeps no states, so it has no burn-in
         with pytest.raises(ConfigError, match="burn_in"):
             resolve_config("mle", {"burn_in": 200})
 
     @pytest.mark.parametrize("experiment, raw", [
-        ("gibbs", {"thin": 2.5}), ("gibbs", {"iterations": 300.0}),
-        ("gibbs", {"burn_in": "5"}), ("capture", {"replicates": 2.0}),
+        ("gibbs", {"replicates": 2.5}), ("gibbs", {"iterations": 300.0}),
+        ("gibbs", {"seed": "5"}), ("capture", {"replicates": 2.0}),
         ("mle", {"seed": 7.5}), ("abc", {"particles": True}),
-        ("pmc", {"generations": None}), ("capture", {"n_max": 60.0})])
+        ("pmc", {"generations": None}), ("capture", {"n_max": 60.0}),
+        ("mwg", {"burn_in": 2.5}), ("mwg", {"burn_in": "5"})])
     def test_integer_keys_take_integers(self, tmp_path, capsys, experiment, raw):
         (key,) = raw
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
@@ -182,6 +184,31 @@ class TestResolveConfig:
         for ops in importlib.import_module("workloads").WORKLOADS.values():
             for experiment, config in ops:
                 resolve_config(experiment, config)
+
+    @pytest.mark.parametrize("experiment, huge, keys", [
+        ("evidence", {"n_draws": 10 ** 9}, ("method", "n_draws", "replicates")),
+        ("pmc", {"particles": 10 ** 9}, ("particles", "generations", "n_data")),
+        ("abc", {"particles": 10 ** 9}, ("particles", "quantile", "generations"))])
+    def test_every_experiment_that_stores_draws_has_a_budget(self, experiment, huge, keys):
+        # 10^9 draws or particles would store some 10^10 doubles; the
+        # refusal names every key of the count
+        with pytest.raises(ConfigError, match="store more than") as refused:
+            resolve_config(experiment, huge)
+        assert all(key in str(refused.value) for key in keys)
+        # what each count holds: evidence's chain routes keep R chains per
+        # model at once, its importance route one stream's draws; pmc keeps
+        # every population and abc its ceil(particles / quantile)-row pilot
+        sizes = {"evidence": ({"method": "chib", "n_draws": 7 * 10 ** 6, "replicates": 2},
+                              {"method": "importance", "n_draws": 7 * 10 ** 6,
+                               "replicates": 2}),
+                 "pmc": ({"particles": 10 ** 6, "generations": 30},
+                         {"particles": 10 ** 6, "generations": 5}),
+                 "abc": ({"particles": 10 ** 6, "quantile": 0.1, "generations": 2},
+                         {"particles": 10 ** 6, "quantile": 1, "generations": 2})}
+        over, within = sizes[experiment]
+        with pytest.raises(ConfigError, match="store more than"):
+            resolve_config(experiment, over)
+        assert resolve_config(experiment, within) == resolve_config(experiment, {}) | within
 
     def test_evidence_needs_two_draws(self):
         for n in (1, 0, -5):
@@ -228,12 +255,11 @@ class TestOutputs:
         assert not (out / "draws.csv").exists()  # no chain to dump
 
     def test_chain_experiment_writes_draws(self, tmp_path):
-        code, out = run_cli(tmp_path, "gibbs",
-                            {"iterations": 200, "burn_in": 50, "thin": 3})
+        code, out = run_cli(tmp_path, "gibbs", {"iterations": 200})
         assert code == 0
         lines = (out / "draws.csv").read_text().splitlines()
         assert lines[0] == "glu,bp,ped"
-        assert len(lines) == 1 + len(range(50, 200, 3))
+        assert len(lines) == 1 + 200  # every state
         # floats round-trip exactly through repr
         first = [float(v) for v in lines[1].split(",")]
         assert all(repr(v) == s for v, s in zip(first, lines[1].split(",")))
@@ -442,7 +468,7 @@ class TestOutputs:
     @pytest.mark.parametrize("experiment,config", [
         pytest.param(e, {"iterations": 150, **post}, id=f"{e}-post{i}")
         for e in CHAIN_EXPERIMENTS
-        for i, post in enumerate([{}, {"burn_in": 100, "thin": 2}])] + [
+        for i, post in enumerate([{}] + [{"burn_in": 100}] * (e == "mwg"))] + [
         pytest.param("capture", {"iterations": 150}, id="capture-post0"),
         pytest.param("mle", {}, id="mle"),
         pytest.param("pmc", _TINY["pmc"], id="pmc"),
@@ -579,10 +605,10 @@ class TestOutputs:
         assert summary["diagnostics"]["acceptance_rate"] is None
 
     def test_chain_diagnostics_describe_the_kept_states(self):
-        config = resolve_config("gibbs", {"iterations": 1000, "burn_in": 200,
-                                          "thin": 3})
-        _, _, diagnostics, (_, states) = run_experiment("gibbs", config)
-        assert len(states) == len(range(200, 1000, 3))
+        config = resolve_config("mwg", {"iterations": 1000, "burn_in": 200})
+        _, _, diagnostics, (_, states) = run_experiment("mwg", config)
+        whole = run_experiment("mwg", {**config, "burn_in": 0})[3][1]
+        assert np.array_equal(states, whole[200:])
         expected = chain_diagnostics(Chain(states, np.zeros(len(states)), 0, 0))
         assert np.array_equal(diagnostics["iact"], expected["iact"])
         assert np.array_equal(diagnostics["chain_ess"], expected["chain_ess"])
@@ -625,8 +651,8 @@ class TestConfigKeys:
     def test_config_holds_the_keys_the_runner_reads(self, tmp_path, capsys,
                                                     experiment):
         assert set(resolve_config(experiment, {})) == DECLARED_KEYS[experiment]
-        # any other experiment's key is refused by name
-        every = set().union(*DECLARED_KEYS.values(), SHARED_KEYS)
+        # any other experiment's key, or a removed one, is refused by name
+        every = set().union(*DECLARED_KEYS.values(), SHARED_KEYS, REMOVED_KEYS)
         for key in sorted(every - DECLARED_KEYS[experiment]):
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 resolve_config(experiment, {key: 1})
@@ -653,16 +679,19 @@ class TestConfigKeys:
         if gd:  # the whole sample's ellipsoid is allowed
             assert resolve_config("evidence", {"method": method,
                                                "coverage": 1})["coverage"] == 1
-        refused = ["burn_in", "thin"] + ([] if gd else ["coverage"])
-        for key in refused:
-            value, flag, flag_value = SHARED_KEYS[key]
+        refused = {"burn_in": 150, "thin": 7, **({} if gd else {"coverage": 0.5})}
+        for key, value in refused.items():
             code, out = run_cli(tmp_path, "evidence", {"method": method, key: value},
                                 subdir=f"{key}-config")
             _assert_refused(code, out, capsys, key)
-            if flag is not None:
-                code, out = run_cli(tmp_path, "evidence", {"method": method},
-                                    extra=[flag, flag_value], subdir=f"{key}-flag")
-                _assert_refused(code, out, capsys, key)
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["gibbs", "--out", str(out), flag, "2"])
+        assert exit_.value.code == 2 and not out.exists()
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coverage", [0, -0.25, 1.5, float("nan"), "0.5", None])
     def test_coverage_outside_the_unit_interval_is_refused(self, tmp_path, capsys,
@@ -760,8 +789,7 @@ class TestErrors:
 
     def test_too_few_kept_states_fail_before_any_output(self, tmp_path,
                                                         capsys):
-        code, out = run_cli(tmp_path, "gibbs", {"iterations": 100},
-                            extra=["--burn-in", "200"])
+        code, out = run_cli(tmp_path, "mwg", {"iterations": 100, "burn_in": 200})
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
@@ -1052,6 +1080,18 @@ class TestRunners:
         assert 0 < summary["diagnostics"]["chain_ess"][0] < 100
         assert "beta" in summary["diagnostics"]["ess_warning"]
         assert "warnings" not in summary
+
+    @pytest.mark.parametrize("seed", [6, 19])
+    def test_mwg_writes_null_errors(self, tmp_path, seed):
+        # beta and sigma2 are identified only through the prior; at these
+        # seeds sigma2's chain ESS passes 100, yet the error it gave was a
+        # hundredth of the spread of sigma2's mean over seeds
+        code, out = run_cli(tmp_path, "mwg", {"seed": seed})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["standard_errors"] == {"mean_beta": None, "mean_sigma2": None}
+        assert summary["diagnostics"]["chain_ess"][1] >= 100
+        assert "prior" in summary["diagnostics"]["error_note"]
 
     def test_abc_drops_its_hopeless_generation_early(self):
         # at its defaults and seed 7 generation 4 hits below the 1% floor;

@@ -5,7 +5,8 @@ Runs every CLI experiment at its defaults, `evidence` once per method
 counts whose blocks often reach its exact truncated route, `pmc` once
 more with the Rao-Blackwellised mixture density (the form the benchmark
 runs), `mwg` once more on each other covariate (bp and ped, each with
-the likelihood envelope of its own data), plus a run with three
+the likelihood envelope of its own data) and once with a burn-in of 2000
+states (the one chain whose states are trimmed), plus a run with three
 replicates (one runner call over the three streams) of every experiment
 but `evidence`, and of `evidence` by importance, chib and the embedded
 bridge, once on each tree (each tree's own ``src`` on the path), and
@@ -69,6 +70,7 @@ def _runs(experiments):
         elif e == "mwg":
             runs += [(e, e, [], None)] + [(f"{e} {c}", e, [], {"covariate": c})
                                           for c in ("bp", "ped")]
+            runs.append((f"{e} burn-in", e, [], {"burn_in": 2000}))
         else:
             runs.append((e, e, [], None))
     runs += [(f"{label} x3", e, ["--replicates", "3"], config)
