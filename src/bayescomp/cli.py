@@ -23,14 +23,14 @@ below an ESS of 100, and for `mwg`), and `abc` writes its self-normalised
 errors; `pmc` and `mixture-demo`'s escape estimates have none.  A probit
 Gibbs chain on stream s draws nothing on s itself: its uniforms come from
 ``s.child(0)`` and its normals from ``s.child(1)``, a block of sweeps
-ahead (`probit_gibbs_groups`).  `mle` and `evidence`'s importance
+ahead (`probit_gibbs_chains`).  `mle` and `evidence`'s importance
 proposals are fitted once per run.  The four chain-based `evidence`
-routes run one two-group lockstep (`probit_gibbs_groups`) of R chains
-per model, the 3-covariate model on ``rng_r.child(0)`` and the
-2-covariate one on ``rng_r.child(1)``, which fails as a whole; their
+routes run two lockstep calls (`probit_gibbs_chains`) of R chains, the
+3-covariate model on ``rng_r.child(0)``, then the 2-covariate one on
+``rng_r.child(1)``, either of which fails the run as a whole; their
 estimators then run per stream.  A process keeps the last such pair,
 read-only, so the chain routes run in one process at one data set, seed,
-`n_draws` and `replicates` share one Gibbs call.
+`n_draws` and `replicates` share one chain pair.
 Every `evidence` method ends in one estimate of log B10, written with its
 ``unreliable`` flag and ``weight_ess``, the smaller of its two evidences'
 weight ESS.
@@ -80,7 +80,7 @@ from .mcmc import (
     Chain,
     chain_diagnostics,
     mwg_probit_overparam_run,
-    probit_gibbs_groups,
+    probit_gibbs_chains,
     rw_mh_run,
 )
 from .mixture import MixtureTarget, mixture_bayes_model, simulate_mixture_data
@@ -195,8 +195,11 @@ _DEFAULTS = {e: {k: d for k, (d, _) in keys.items()} for e, keys in _KEYS.items(
 # chain once run (states, log-targets, stack) and 2k in a Gibbs chain; a
 # stream at a time, importance holds 12 a draw, pmc 6 a particle in each
 # population and the next, abc 14 a pilot row and 8 a row in each generation
-# and the next; capture holds 6 a draw, and simulated data 3 a point
+# and the next; capture holds 6 a draw, and simulated data 3 a point.
+# `replicate` builds all R streams first, some 730 bytes each: every
+# experiment counts 92 doubles a replicate on top
 _MAX_DRAW_DOUBLES = 1 << 27
+_STREAM_DOUBLES = 92
 _DRAW_DOUBLES = {
     "mh": lambda replicates, iterations, covariates: iterations * (
         (2 * len(covariates) + 1) * replicates + 2 * len(covariates) + 5),
@@ -240,7 +243,8 @@ def resolve_config(experiment: str, raw: dict) -> dict:
                           f"keep {max(0, kept)} states; at least 2 are needed")
     count = _DRAW_DOUBLES.get(experiment, lambda: 0)  # mle draws nothing
     sizes = {key: config[key] for key in inspect.signature(count).parameters}
-    if count(**sizes) > _MAX_DRAW_DOUBLES:
+    if count(**sizes) + _STREAM_DOUBLES * config["replicates"] > _MAX_DRAW_DOUBLES:
+        sizes["replicates"] = config["replicates"]
         raise ConfigError(f"{sizes} would store more than {_MAX_DRAW_DOUBLES} doubles (1 GiB)")
     if "n_max" in config:  # capture's counts nest: c2 <= n1 <= n_max
         if config["c2"] > config["n1"]:
@@ -260,27 +264,28 @@ _last_chain_pair = None
 
 
 def _chain_pair(model1p, model0p, rngs, n_draws):
-    """The (states, means) of `probit_gibbs_groups` over R chains of the
-    3-covariate model on ``rng_r.child(0)`` and R of the 2-covariate one on
-    ``rng_r.child(1)``, the 2-covariate model being the first two columns
-    of the other's design.
+    """The (states, means) of `probit_gibbs_chains` over R chains of the
+    3-covariate model on ``rng_r.child(0)``, then over R of the
+    2-covariate one on ``rng_r.child(1)``, the 2-covariate model being the
+    first two columns of the other's design: two calls, each chain
+    bit-identical to a run of its own on its stream.
 
-    The process keeps the last result, read-only, under the key that fixes
+    The process keeps the last pair, read-only, under the key that fixes
     its draws: the 3-covariate design and response by value, `n_draws`, and
     each chain stream's Philox key and counter read from its generator, so
     a stream built some other way from the same fields still misses.  A
-    call that raises stores nothing."""
+    pair in which either call raises stores nothing."""
     global _last_chain_pair
-    groups = [(mp, [rng.child(i) for rng in rngs])
-              for i, mp in enumerate((model1p, model0p))]
+    pair = [(mp, [rng.child(i) for rng in rngs])
+            for i, mp in enumerate((model1p, model0p))]
     positions = tuple(
         tuple(int(v) for part in ("key", "counter")
               for v in rng.generator.bit_generator.state["state"][part])
-        for _, streams in groups for rng in streams)
+        for _, streams in pair for rng in streams)
     key = (model1p.design.shape, model1p.design.tobytes(),
            model1p.response.tobytes(), n_draws, positions)
     if _last_chain_pair is None or _last_chain_pair[0] != key:
-        runs = probit_gibbs_groups(groups, n_draws)
+        runs = [probit_gibbs_chains(mp, n_draws, streams) for mp, streams in pair]
         for arrays in runs:
             for array in arrays:
                 array.flags.writeable = False
@@ -363,7 +368,7 @@ def _run_mh(config, rngs):
 
 def _run_gibbs(config, rngs):
     model = _pima_model(config, config["covariates"])
-    (states, _), = probit_gibbs_groups([(model, rngs)], config["iterations"])
+    states, _ = probit_gibbs_chains(model, config["iterations"], rngs)
     # a Gibbs sweep has no accept step
     return _chain_result(states, config["covariates"], {
         "acceptance_rate": np.nan, "family": "gibbs-data-augmentation"})
@@ -417,10 +422,10 @@ def _run_pmc(config, rng):
 def _run_evidence(config, rngs):
     """Log Bayes factor of the 3-covariate against the 2-covariate probit.
 
-    The four chain routes read one chain pair from `_chain_pair`, which
-    keeps the last pair of the process, arrays that the run had allocated
-    anyway: chain routes run at one data set, seed, `n_draws` and
-    `replicates` share one Gibbs call."""
+    The four chain routes read one chain pair from `_chain_pair`, one
+    Gibbs call per model, which keeps the last pair of the process, arrays
+    that the run had allocated anyway: chain routes run at one data set,
+    seed, `n_draws` and `replicates` share one pair of Gibbs calls."""
     model1p = _pima_model(config, ["glu", "bp", "ped"])
     model0p = ProbitModel(design=model1p.design[:, :2], response=model1p.response)
     model0, model1 = probit_bayes_model(model0p), probit_bayes_model(model1p)

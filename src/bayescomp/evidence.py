@@ -13,16 +13,15 @@ compared on equal footing.
 Two rules build every estimate: one evidence is the log-mean-exp of its
 per-draw log terms (or a log numerator minus it) with that mean's
 batch-means error and the Kong effective sample size of the terms as
-weights, unreliable under two terms or when that ESS is under 5% of them;
-`bayes_factor` subtracts two of one method, adds their errors in
-quadrature, keeps the smaller ESS and ORs their flags.
+weights, unreliable under two terms or when that ESS is under 10 or under
+5% of them; `bayes_factor` subtracts two of one method, adds their errors
+in quadrature, keeps the smaller ESS and ORs their flags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "LinearGaussianOmega",
     "BridgeError",
     "bayes_factor",
-    "prior_proposal",
     "bf_prior_mc",
     "bf_importance",
     "bridge_sampling",
@@ -52,8 +50,10 @@ _METHODS = ("prior-mc", "importance", "bridge", "bridge-embedded",
             "harmonic-gd", "harmonic-nr", "chib")
 _N_BATCHES = 50
 _BRIDGE_TOL = 1e-8
-# an estimate whose terms' weight ESS is under this share of them is unreliable
+# an estimate whose terms' weight ESS is under this share of them, or under
+# this count, is unreliable
 _MIN_ESS_SHARE = 0.05
+_MIN_ESS = 10
 # harmonic_mean_gd's fewest posterior draws inside its ellipsoid
 _MIN_INSIDE = 10
 
@@ -165,14 +165,16 @@ def _estimate(log_terms, method: str, log_numerator: float | None = None,
     """One evidence from its per-draw log terms: their log-mean-exp, or
     `log_numerator` minus it where the terms average the evidence's
     reciprocal, with the `_batch_se` error of that mean and the terms'
-    `kong_ess`, flagged when it is under `_MIN_ESS_SHARE` of them."""
+    `kong_ess`, flagged when it is under `_MIN_ESS_SHARE` of them or under
+    `_MIN_ESS`."""
     log_mean = _log_mean_exp(log_terms)
     n = len(log_terms)
     ess = kong_ess(log_terms)
     return EvidenceEstimate(
         log_value=log_mean if log_numerator is None else log_numerator - log_mean,
         std_error=_batch_se(log_terms), method=method, n_draws=n,
-        unreliable=unreliable or n < 2 or ess < _MIN_ESS_SHARE * n, weight_ess=ess)
+        unreliable=unreliable or n < 2 or ess < max(_MIN_ESS_SHARE * n, _MIN_ESS),
+        weight_ess=ess)
 
 
 def bayes_factor(num: EvidenceEstimate, den: EvidenceEstimate) -> EvidenceEstimate:
@@ -207,13 +209,6 @@ def bf_prior_mc(model0: BayesModel, model1: BayesModel, n0: int, n1: int,
     else:
         ll1 = _prior_loglik_draws(model1, n1, rng.child(1), "model1")
     return bayes_factor(_estimate(ll0, "prior-mc"), _estimate(ll1, "prior-mc"))
-
-
-def prior_proposal(model: BayesModel):
-    """The prior as an importance proposal (logpdf_many/draw_many pair),
-    under which bf_importance reduces exactly to bf_prior_mc on the same
-    stream."""
-    return SimpleNamespace(logpdf_many=model.log_prior, draw_many=model.sample_prior)
 
 
 def bf_importance(model0: BayesModel, model1: BayesModel, g0, g1,

@@ -16,10 +16,8 @@ simulation, simulating only when the prior clears the floor; and
 `mwg_probit_overparam_run` on two blocks, beta and log sigma^2, its
 likelihood bounded by tangent lines.
 
-The probit Gibbs sampler runs all its chains in one fused lockstep loop,
-`probit_gibbs_groups`, one stream per chain, over groups of chains: each
-group is one probit model, all of them on the same number of
-observations (each with its own design and response).  Like
+The probit Gibbs sampler runs all the chains of one probit model in one
+fused lockstep loop, `probit_gibbs_chains`, one stream per chain.  Like
 `rw_metropolis`, it draws its randomness ahead on child streams: chain
 r's uniforms on ``rng_r.child(0)`` and its normals on ``rng_r.child(1)``,
 a block of sweeps at a time, the block bounded by a fixed scratch budget.
@@ -29,10 +27,9 @@ coefficient draw is overrelaxed (Adler 1981; Neal 1998): beta_t =
 m_t + a (beta_{t-1} - m_t) + sqrt(1 - a^2) L zeta_t around the conditional
 mean m_t, a = 1 - pi/2, which leaves the Gaussian full conditional
 invariant and damps the chain's random walk, at no extra cost per sweep.
-One model's replicates are the one-group case and a single chain
-(`probit_gibbs_run`) the group of one; a group's R chains come back as
-(R, n_iter, p) arrays, each bit-identical to a run of its own whatever R
-and the block size.
+A single chain (`probit_gibbs_run`) is the lockstep of one; R chains come
+back as (R, n_iter, p) arrays, each bit-identical to a run of its own
+whatever R and the block size.  Two models take two calls.
 
 `chain_diagnostics` alone decides whether a chain has an IACT (Geyer's
 initial monotone sequence over every lag, no lag cap) and so a chain ESS:
@@ -59,7 +56,7 @@ __all__ = [
     "rw_metropolis",
     "rw_mh_run",
     "probit_gibbs_run",
-    "probit_gibbs_groups",
+    "probit_gibbs_chains",
     "mwg_probit_overparam_run",
     "chain_diagnostics",
 ]
@@ -70,7 +67,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # the scratch of a block of Gibbs sweeps, in doubles (256 KB): the block's
 # uniforms, over all R chains' n latents a sweep
 _GIBBS_BLOCK_DOUBLES = 1 << 15
-# the overrelaxation a of the Gibbs coefficient draw (probit_gibbs_groups),
+# the overrelaxation a of the Gibbs coefficient draw (probit_gibbs_chains),
 # 1 - pi/2 ~ -0.571.  One probit observation carries at most 2/pi of its
 # latent's Fisher information, phi(eta)^2 / (Phi(eta) (1 - Phi(eta))) at
 # eta = 0, so the linearised data-augmentation rate lambda is at least
@@ -186,15 +183,10 @@ def rw_mh_run(target: BayesModel, cov, theta0, n_iter: int, rng: RngStream) -> C
     return Chain(states, log_posts, sum(accepts), n_iter, {"family": "random-walk-metropolis"})
 
 
-def probit_gibbs_groups(groups, n_iter: int):
-    """Data-augmentation Gibbs for probit posteriors, its coefficient draw
-    overrelaxed: every chain of every group in one lockstep, each chain
-    started at its model's MLE.
-
-    `groups` is a sequence of (model, rngs) pairs, one `ProbitModel` and
-    the streams of its chains each.  The models need only a common number
-    of observations: each has its own design and response, which its
-    signed design carries, and a different `n_obs` is a `ValueError`.
+def probit_gibbs_chains(model: ProbitModel, n_iter: int, rngs):
+    """Data-augmentation Gibbs for a probit posterior, its coefficient draw
+    overrelaxed: one chain per stream of `rngs` in one lockstep, each
+    started at the MLE.
 
     Sweep t draws the latents z_t given beta_{t-1}, then the coefficients
     beta_t = m_t + a (beta_{t-1} - m_t) + sqrt(1 - a^2) L zeta_t, m_t =
@@ -213,82 +205,64 @@ def probit_gibbs_groups(groups, n_iter: int):
     output rows.  A sweep then makes no generator call: it writes
     eta = S X beta of every chain into one (R, n) buffer, transforms the
     block's uniforms into all R rows of latents in one
-    `truncated_normal_positive` call, and writes each group's beta_t into
-    the last p columns of its rows of the latent buffer, where beta_{t-1}
-    was: one product of the buffer with [(1 - a) M | a I], M the mean map,
-    gives (1 - a) m_t + a beta_{t-1}, and one add of the noise gives
-    beta_t.  The output states, and m_t, are written once per block.
-    A stream fills in order, so neither R nor the block size moves a bit:
-    chain r is bit-identical to a run of its own on its stream, a shorter
-    run is a prefix of a longer one, and ``rng_r`` itself is not advanced.
-    A NaN or -inf eta in any chain raises `FloatingPointError` for the
-    whole call.
+    `truncated_normal_positive` call, and writes beta_t into the last p
+    columns of the latent buffer, where beta_{t-1} was: one product of the
+    buffer with [(1 - a) M | a I], M the mean map, gives
+    (1 - a) m_t + a beta_{t-1}, and one add of the noise gives beta_t.
+    The output states, and m_t, are written once per block.  A stream
+    fills in order, so neither R nor the block size moves a bit: chain r
+    is bit-identical to a run of its own on its stream, a shorter run is a
+    prefix of a longer one, and ``rng_r`` itself is not advanced.  A NaN or
+    -inf eta in any chain raises `FloatingPointError` for the whole call.
 
-    Returns one (states, means) pair per group: the (R_g, n_iter, p)
-    states and the (R_g, n_iter, p) conditional means
-    m_t = E[beta | z_t] = c (X'X)^{-1} X'z_t, row t the mean that sweep t
-    drew its state around.  The means are all that Chib's ordinate and the
-    Rao-Blackwellised averages need of the latents, which are never stored.
+    Returns the (R, n_iter, p) states and the (R, n_iter, p) conditional
+    means m_t = E[beta | z_t] = c (X'X)^{-1} X'z_t, row t the mean that
+    sweep t drew its state around.  The means are all that Chib's ordinate
+    and the Rao-Blackwellised averages need of the latents, which are
+    never stored.
     """
-    n_obs = groups[0][0].n_obs
-    if any(model.n_obs != n_obs for model, _ in groups):
-        raise ValueError("the models of a lockstep run must have one number "
-                         "of observations")
     a = _OVERRELAX
-    streams = [rng for _, rngs in groups for rng in rngs]
-    uniforms = [rng.child(0) for rng in streams]
-    eta = np.empty((len(streams), n_obs))
+    n, p = model.n_obs, model.dimension
+    sweep = ProbitSweep(model)
+    relaxed = np.hstack([(1.0 - a) * sweep.mean_map, a * np.eye(p)])
+    scale = math.sqrt(1.0 - a * a) * sweep.cond.scale
+    uniforms = [rng.child(0) for rng in rngs]
+    normals = [rng.child(1) for rng in rngs]
+    eta = np.empty((len(rngs), n))
     # row r: chain r's latents w = s z, then its previous state.  The
     # latents are drawn into a scratch of their own and copied in: the
     # transform's four ufunc passes cost more on strided rows than the copy
     z = np.empty_like(eta)
-    w = np.empty((len(streams), n_obs + max(model.dimension for model, _ in groups)))
-    latents = w[:, :n_obs]
-    blocks, lo = [], 0
-    for model, rngs in groups:
-        k, p = len(rngs), model.dimension
-        sweep = ProbitSweep(model)
-        w_g = w[lo:lo + k, :n_obs + p]
-        beta = w_g[:, n_obs:]
-        beta[:] = probit_mle(model)[0]
-        relaxed = np.hstack([(1.0 - a) * sweep.mean_map, a * np.eye(p)])
-        states, means = np.empty((2, k, n_iter, p))
-        blocks.append((model.signed_design, relaxed, math.sqrt(1.0 - a * a) * sweep.cond.scale,
-                       [rng.child(1) for rng in rngs], eta[lo:lo + k], w_g, beta,
-                       states, means))
-        lo += k
+    w = np.empty((len(rngs), n + p))
+    latents, beta = w[:, :n], w[:, n:]
+    beta[:] = probit_mle(model)[0]
+    states, means = np.empty((2, len(rngs), n_iter, p))
     size = max(1, _GIBBS_BLOCK_DOUBLES // max(1, eta.size))
     for start in range(0, n_iter, size):
         stop = min(start + size, n_iter)
-        v = uniform_complements(uniforms, stop - start, n_obs)
-        first = []
-        for _, _, scale, normals, _, _, beta, states, _ in blocks:
-            first.append(beta.copy())
-            for rng, rows in zip(normals, states[:, start:stop]):
-                rowwise(rng.generator.standard_normal(rows.shape), scale, rows)
+        v = uniform_complements(uniforms, stop - start, n)
+        first = beta.copy()
+        for rng, rows in zip(normals, states[:, start:stop]):
+            rowwise(rng.generator.standard_normal(rows.shape), scale, rows)
         for t in range(start, stop):
-            for design, _, _, _, eta_g, _, beta, _, _ in blocks:
-                rowwise(beta, design, eta_g)
+            rowwise(beta, model.signed_design, eta)
             latents[...] = truncated_normal_positive(eta, v[:, t - start], z)
-            for _, relaxed, _, _, _, w_g, beta, states, means in blocks:
-                m = rowwise(w_g, relaxed, means[:, t])
-                np.add(states[:, t], m, out=beta)
-        for (*_, states, means), prev in zip(blocks, first):
-            # the states that the sweeps kept in the buffer, then m_t from
-            # (1 - a) m_t + a beta_{t-1}
-            states[:, start:stop] += means[:, start:stop]
-            means[:, start] -= a * prev
-            means[:, start + 1:stop] -= a * states[:, start:stop - 1]
-            means[:, start:stop] /= 1.0 - a
-    return [(states, means) for *_, states, means in blocks]
+            np.add(states[:, t], rowwise(w, relaxed, means[:, t]), out=beta)
+        # the states that the sweeps kept in the buffer, then m_t from
+        # (1 - a) m_t + a beta_{t-1}
+        states[:, start:stop] += means[:, start:stop]
+        means[:, start] -= a * first
+        means[:, start + 1:stop] -= a * states[:, start:stop - 1]
+        means[:, start:stop] /= 1.0 - a
+    return states, means
 
 
 def probit_gibbs_run(model: ProbitModel, n_iter: int, rng: RngStream):
-    """One chain of `probit_gibbs_groups` on stream `rng`: the group of one
-    chain.  Returns (chain, means), means the (n_iter, p) conditional means
-    E[beta | z], one row per sweep.  A Gibbs sweep has no accept step, so
-    the chain has no log-posteriors and no proposals."""
-    (states, means), = probit_gibbs_groups([(model, [rng])], n_iter)
+    """One chain of `probit_gibbs_chains` on stream `rng`.  Returns (chain,
+    means), means the (n_iter, p) conditional means E[beta | z], one row
+    per sweep.  A Gibbs sweep has no accept step, so the chain has no
+    log-posteriors and no proposals."""
+    states, means = probit_gibbs_chains(model, n_iter, [rng])
     return Chain(states[0], None, 0, 0, {"family": "gibbs-data-augmentation"}), means[0]
 
 

@@ -66,14 +66,14 @@ class LatentCompletion:
     returns the (R, k) statistic through which the parameter's full
     conditional depends on them (for the probit, E[beta | z]);
     `sample_params(stats, rngs)` draws the parameters back from it.  The
-    probit Gibbs sampler runs these blocks through `probit.ProbitSweep`
-    itself, and overrelaxes the second one (`mcmc.probit_gibbs_groups`):
-    its draw of beta leans on the previous state, with the same
-    conditional law.  The two samplers remain the reference its draws are
-    tested against.  `log_full_conditional_param(theta, stats)` maps an (N, k)
-    array of statistics to the (N,) *normalised* log-densities of theta
-    given each (constant included): the ordinate `evidence.chib_marginal`
-    averages.
+    probit Gibbs sampler (`mcmc.probit_gibbs_chains`, R chains of one
+    model) runs these blocks through `probit.ProbitSweep` itself, and
+    overrelaxes the second one: its draw of beta leans on the previous
+    state, with the same conditional law.  The two samplers remain the
+    reference its draws are tested against.
+    `log_full_conditional_param(theta, stats)` maps an (N, k) array of
+    statistics to the (N,) *normalised* log-densities of theta given each
+    (constant included): the ordinate `evidence.chib_marginal` averages.
     """
 
     sample_latents: Callable[[np.ndarray, Sequence[RngStream]], np.ndarray]

@@ -1,10 +1,12 @@
 """The benchmark's tracer (bench/spans.py) patches library functions by
-name, and its reference builder (bench/make_references.py) imports them by
-name; a rename in the library would break both.  Every name they use must
+name, and its reference builder (bench/make_references.py), workloads
+(bench/workloads.py) and runner (bench/run.py) import them by name; a
+rename in the library would break the benchmark.  Every name they use must
 still resolve."""
 
 import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -15,23 +17,39 @@ sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
 
+# the benchmark files that import library names
+_IMPORTERS = ("make_references.py", "workloads.py", "run.py")
+
+
+def _is_submodule(module, name):
+    return (importlib.util.find_spec(module).submodule_search_locations is not None
+            and importlib.util.find_spec(f"{module}.{name}") is not None)
+
 
 def _reference_names():
     """(module, name) of every `from bayescomp... import name` in the
-    reference builder, plus (module, "Class.attr") for each attribute it
-    reads off an imported class."""
-    tree = ast.parse((BENCH / "make_references.py").read_text(encoding="utf-8"))
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bayescomp"):
-            for alias in node.names:
-                imported[alias.asname or alias.name] = (node.module, alias.name)
-    names = set(imported.values())
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in imported):
-            module, name = imported[node.value.id]
-            names.add((module, f"{name}.{node.attr}"))
+    benchmark's importers, plus (module, "Class.attr") for each attribute
+    they read off an imported class.  A submodule imported by name, as in
+    `from bayescomp import cli`, is itself the module of the attributes
+    read off it."""
+    names = set()
+    for file in _IMPORTERS:
+        tree = ast.parse((BENCH / file).read_text(encoding="utf-8"))
+        imported = {}  # local name -> (module, prefix of the attributes read off it)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bayescomp"):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if _is_submodule(node.module, alias.name):
+                        imported[local] = (f"{node.module}.{alias.name}", "")
+                    else:
+                        imported[local] = (node.module, f"{alias.name}.")
+                        names.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imported):
+                module, prefix = imported[node.value.id]
+                names.add((module, prefix + node.attr))
     return sorted(names)
 
 

@@ -32,7 +32,7 @@ from bayescomp.evidence import (
     harmonic_mean_gd,
     newton_raftery_hm,
 )
-from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_groups
+from bayescomp.mcmc import Chain, chain_diagnostics, probit_gibbs_chains
 from bayescomp.model import log_posterior
 from bayescomp.pmc import pmc_run
 from bayescomp.probit import ProbitModel, probit_bayes_model, probit_latent_completion
@@ -184,6 +184,22 @@ class TestResolveConfig:
         for ops in importlib.import_module("workloads").WORKLOADS.values():
             for experiment, config in ops:
                 resolve_config(experiment, config)
+
+    def test_replicates_count_in_the_budget(self):
+        # replicate builds all R streams before any work, some 730 bytes
+        # each: 10^9 replicates are refused on every experiment, by name and
+        # value, the one-stream experiments and evidence routes too
+        huge = {"replicates": 10 ** 9}
+        for experiment, raw in [(e, huge) for e in cli._KEYS] + [
+                ("evidence", {**huge, "method": "prior-mc"})]:
+            with pytest.raises(ConfigError, match="store more than") as refused:
+                resolve_config(experiment, raw)
+            assert "'replicates': 1000000000" in str(refused.value), experiment
+        # mle draws nothing, so its streams alone fill the budget
+        most = cli._MAX_DRAW_DOUBLES // cli._STREAM_DOUBLES
+        assert resolve_config("mle", {"replicates": most})["replicates"] == most
+        with pytest.raises(ConfigError, match=f"'replicates': {most + 1}"):
+            resolve_config("mle", {"replicates": most + 1})
 
     @pytest.mark.parametrize("experiment, huge, keys", [
         ("evidence", {"n_draws": 10 ** 9}, ("method", "n_draws", "replicates")),
@@ -388,15 +404,15 @@ class TestOutputs:
         # is the main run
         streams = []
 
-        def lockstep(groups, n_iter):
-            streams.extend(rng.stream_id for _, rngs in groups for rng in rngs)
-            return probit_gibbs_groups(groups, n_iter)
+        def lockstep(model, n_iter, rngs):
+            streams.extend(rng.stream_id for rng in rngs)
+            return probit_gibbs_chains(model, n_iter, rngs)
 
         def capture_lockstep(model, n_iter, rngs):
             streams.extend(rng.stream_id for rng in rngs)
             return capture_draws(model, n_iter, rngs)
 
-        monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
+        monkeypatch.setattr(cli, "probit_gibbs_chains", lockstep)
         monkeypatch.setattr(cli, "capture_draws", capture_lockstep)
         for experiment, name in (("gibbs", "mean_glu"), ("capture", "mean_N")):
             streams.clear()
@@ -414,18 +430,17 @@ class TestOutputs:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def lockstep(groups, n_iter):
-            (model, rngs), = groups
-            (states, means), = result = probit_gibbs_groups(groups, n_iter)
+        def lockstep(model, n_iter, rngs):
+            states, means = result = probit_gibbs_chains(model, n_iter, rngs)
             # chain r draws on the child streams of stream r alone
-            drawn = all(states[r].tobytes() == probit_gibbs_groups(
-                [(model, [RngStream(rng.seed, rng.stream_id)])], n_iter)[0][0][0].tobytes()
+            drawn = all(states[r].tobytes() == probit_gibbs_chains(
+                model, n_iter, [RngStream(rng.seed, rng.stream_id)])[0][0].tobytes()
                 for r, rng in enumerate(rngs))
             calls.append(([rng.stream_id for rng in rngs],
                           threading.get_ident(), drawn))
             return result
 
-        monkeypatch.setattr(cli, "probit_gibbs_groups", lockstep)
+        monkeypatch.setattr(cli, "probit_gibbs_chains", lockstep)
         code, _ = run_cli(tmp_path, "gibbs",
                           {"iterations": 100, "replicates": 4})
         assert code == 0
@@ -446,15 +461,15 @@ class TestOutputs:
         assert code == 0
         assert calls == [(0, me), (1, me), (2, me), (3, me)]
 
-        # a chain-route evidence run is one lockstep over both models' R
-        # chains, model 1 on rng_r.child(0) and model 0 on rng_r.child(1)
-        groups_seen = []
+        # a chain-route evidence run is two lockstep calls of R chains:
+        # model 1 on rng_r.child(0), then model 0 on rng_r.child(1)
+        calls_seen = []
 
-        def pair(groups, n_iter):
-            groups_seen.append([[rng.stream_id for rng in rngs] for _, rngs in groups])
-            return probit_gibbs_groups(groups, n_iter)
+        def pair(model, n_iter, rngs):
+            calls_seen.append((model.dimension, [rng.stream_id for rng in rngs]))
+            return probit_gibbs_chains(model, n_iter, rngs)
 
-        monkeypatch.setattr(cli, "probit_gibbs_groups", pair)
+        monkeypatch.setattr(cli, "probit_gibbs_chains", pair)
         # an empty chain-pair memo, whatever an earlier test left in it
         monkeypatch.setattr(cli, "_last_chain_pair", None)
         code, _ = run_cli(tmp_path, "evidence", {"method": "chib", "n_draws": 100,
@@ -462,8 +477,8 @@ class TestOutputs:
                           subdir="evidence")
         assert code == 0
         streams = [RngStream(0, r) for r in range(4)]
-        assert groups_seen == [[[rng.child(i).stream_id for rng in streams]
-                                for i in (0, 1)]]
+        assert calls_seen == [(3 - i, [rng.child(i).stream_id for rng in streams])
+                              for i in (0, 1)]
 
     @pytest.mark.parametrize("experiment,config", [
         pytest.param(e, {"iterations": 150, **post}, id=f"{e}-post{i}")
@@ -1128,6 +1143,15 @@ class TestRunners:
         assert diag["unreliable"] is flag
         assert (diag["weight_ess"] < 0.05 * 2000) is flag
 
+    def test_chib_at_two_draws_is_flagged(self, tmp_path):
+        # two chain states per model give a Kong weight ESS of about 1.2,
+        # under the floor of 10 though not under 5% of 2 draws
+        code, out = run_cli(tmp_path, "evidence", {"method": "chib", "n_draws": 2,
+                                                   "seed": 7})
+        assert code == 0
+        diag = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diag["weight_ess"] < 10 and diag["unreliable"] is True
+
     def test_evidence_is_log_b10_of_the_bigger_model(self):
         # log_b10 puts the 3-covariate model (chain on rng.child(0)) over the
         # 2-covariate one (rng.child(1)); the embedded bridge estimates B01
@@ -1136,8 +1160,8 @@ class TestRunners:
         pima1 = load_pima(bundled_pima_path())
         pima0 = ProbitModel(design=pima1.design[:, :2], response=pima1.response)
         rng = RngStream(seed, 0)
-        (states1, means1), (states0, means0) = probit_gibbs_groups(
-            [(pima1, [rng.child(0)]), (pima0, [rng.child(1)])], n)
+        states1, means1 = probit_gibbs_chains(pima1, n, [rng.child(0)])
+        states0, means0 = probit_gibbs_chains(pima0, n, [rng.child(1)])
         chains = {1: (pima1, states1[0], means1[0]), 0: (pima0, states0[0], means0[0])}
 
         def route(method, k):
@@ -1183,19 +1207,20 @@ def _seed_audit():
 
 class TestChainPairMemo:
     """The chain-based evidence routes share the last chain pair of the
-    process: one Gibbs call per data set, streams and n_draws."""
+    process: one Gibbs call per model per data set, streams and n_draws."""
 
     @pytest.fixture(autouse=True)
     def gibbs_calls(self, monkeypatch):
-        """An empty memo, and the list of Gibbs calls made from now on."""
+        """An empty memo, and the (dimension, n_iter) of each Gibbs call
+        made from now on."""
         monkeypatch.setattr(cli, "_last_chain_pair", None)
         calls = []
 
-        def counted(groups, n_iter):
-            calls.append(n_iter)
-            return probit_gibbs_groups(groups, n_iter)
+        def counted(model, n_iter, rngs):
+            calls.append((model.dimension, n_iter))
+            return probit_gibbs_chains(model, n_iter, rngs)
 
-        monkeypatch.setattr(cli, "probit_gibbs_groups", counted)
+        monkeypatch.setattr(cli, "probit_gibbs_chains", counted)
         return calls
 
     @staticmethod
@@ -1206,7 +1231,7 @@ class TestChainPairMemo:
     def test_six_methods_at_one_key_make_one_gibbs_call(self, gibbs_calls):
         for method in EVIDENCE_METHODS:
             self._run(method, seed=3, replicates=2)
-        assert gibbs_calls == [200]
+        assert gibbs_calls == [(3, 200), (2, 200)]
 
     @pytest.mark.parametrize("change", [{"seed": 4}, {"n_draws": 201},
                                         {"replicates": 3}])
@@ -1214,9 +1239,9 @@ class TestChainPairMemo:
         base = {"seed": 3, "replicates": 2}
         self._run("chib", **base)
         self._run("harmonic-nr", **base)
-        assert len(gibbs_calls) == 1
-        self._run("chib", **{**base, **change})
         assert len(gibbs_calls) == 2
+        self._run("chib", **{**base, **change})
+        assert len(gibbs_calls) == 4
 
     # the bundled file's first row, and that row with another glu or type
     @pytest.mark.parametrize("edited", ["113,65,0.227,No", "112,65,0.227,Yes"])
@@ -1228,11 +1253,11 @@ class TestChainPairMemo:
         self._run("chib", data=str(path))
         path.write_text(text, encoding="utf-8")  # the same bytes, read again
         self._run("chib", data=str(path))
-        assert len(gibbs_calls) == 1
+        assert len(gibbs_calls) == 2
         path.write_text(text.replace("\n112,65,0.227,No\n", f"\n{edited}\n", 1),
                         encoding="utf-8")
         self._run("chib", data=str(path))
-        assert len(gibbs_calls) == 2
+        assert len(gibbs_calls) == 4
 
     def test_summaries_equal_a_cold_memo_runs(self, tmp_path, monkeypatch):
         def outputs(method, subdir):
@@ -1263,18 +1288,22 @@ class TestChainPairMemo:
     def test_a_gibbs_call_that_raises_stores_nothing(self, monkeypatch, gibbs_calls):
         self._run("chib", seed=1)
         kept = cli._last_chain_pair
+        # the pair's first call (the 3-covariate model's) or its second raises
+        for fails in (3, 2):
+            def failing(model, n_iter, rngs, fails=fails):
+                if model.dimension == fails:
+                    raise FloatingPointError("no luck")
+                return probit_gibbs_chains(model, n_iter, rngs)
 
-        def failing(groups, n_iter):
-            raise FloatingPointError("no luck")
-
-        monkeypatch.setattr(cli, "probit_gibbs_groups", failing)
-        with pytest.raises(FloatingPointError):
-            self._run("chib", seed=2)
-        assert cli._last_chain_pair is kept
-        monkeypatch.setattr(cli, "_last_chain_pair", None)
-        with pytest.raises(FloatingPointError):
-            self._run("chib", seed=2)
-        assert cli._last_chain_pair is None
+            monkeypatch.setattr(cli, "probit_gibbs_chains", failing)
+            monkeypatch.setattr(cli, "_last_chain_pair", kept)
+            with pytest.raises(FloatingPointError):
+                self._run("chib", seed=2)
+            assert cli._last_chain_pair is kept
+            monkeypatch.setattr(cli, "_last_chain_pair", None)
+            with pytest.raises(FloatingPointError):
+                self._run("chib", seed=2)
+            assert cli._last_chain_pair is None
 
     def test_a_stream_built_from_a_shifted_seed_misses(self, monkeypatch):
         # the seed audit rebuilds each generator from seed + 1 and leaves the

@@ -6,6 +6,8 @@ N(tau^2 y / (tau^2 + 1), tau^2 / (tau^2 + 1)) in closed form, so every
 route to the evidence can be checked against the same exact numbers.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -25,7 +27,6 @@ from bayescomp.evidence import (
     chib_marginal,
     harmonic_mean_gd,
     newton_raftery_hm,
-    prior_proposal,
 )
 from bayescomp.mcmc import probit_gibbs_run
 from bayescomp.model import BayesModel, log_posterior
@@ -80,6 +81,10 @@ class TestPriorMc:
 
 class TestImportance:
     def test_prior_proposal_reduces_to_prior_mc(self):
+        # the prior as an importance proposal (a logpdf_many/draw_many pair)
+        def prior_proposal(model):
+            return SimpleNamespace(logpdf_many=model.log_prior, draw_many=model.sample_prior)
+
         m0, _, _ = conjugate(1.0)
         m1, _, _ = conjugate(10.0)
         a = bf_prior_mc(m0, m1, 2000, 2000, RngStream(seed=9, stream_id=0))
@@ -373,8 +378,9 @@ class TestChib:
         return model, log_ordinate, post, log_m
 
     def test_latent_free_identity_is_exact(self):
+        # 10 terms, the fewest whose weight ESS clears the floor of 10
         model, log_ordinate, _, log_m = self._setup()
-        latents = [np.zeros(1)] * 5
+        latents = [np.zeros(1)] * 10
         for theta_star in (-1.0, 0.0, 0.33, 1.0, 2.5):
             est = chib_marginal(model, log_ordinate, latents, np.array([theta_star]))
             assert est.log_value == pytest.approx(log_m, abs=1e-12)
@@ -417,17 +423,22 @@ class TestBayesFactor:
         lp0, lp1, s0, s1, _ = TestBridge._pair()
         est = bridge_sampling(lp0, lp1, s0[:1], s1[:1])
         assert est.n_draws == 2 and est.std_error == 0.0 and est.unreliable
-        assert not bridge_sampling(lp0, lp1, s0[:2], s1[:2]).unreliable
+        # two draws a side hold a weight ESS of at most 2, under the floor of 10
+        assert bridge_sampling(lp0, lp1, s0[:2], s1[:2]).unreliable
 
 
 class TestWeightEss:
     """Every estimate carries the Kong ESS (sum w)^2 / sum w^2 of its
-    terms as weights, and is unreliable when that is under 5% of them."""
+    terms as weights, and is unreliable when that is under 10 or under 5%
+    of them."""
 
     def test_equal_terms_count_every_draw(self):
+        # 5 equal terms have a weight ESS of 5, under the floor of 10; 10 do not
         model, log_ordinate, _, _ = TestChib._setup()
         est = chib_marginal(model, log_ordinate, [np.zeros(1)] * 5, np.zeros(1))
-        assert est.weight_ess == 5.0 and not est.unreliable
+        assert est.weight_ess == 5.0 and est.unreliable
+        est = chib_marginal(model, log_ordinate, [np.zeros(1)] * 10, np.zeros(1))
+        assert est.weight_ess == 10.0 and not est.unreliable
 
     def test_equals_the_weighted_sample_ess(self):
         # one Kong ESS: an estimate's and a weighted sample's agree bit for bit

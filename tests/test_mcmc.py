@@ -17,7 +17,7 @@ from bayescomp.mcmc import (
     Chain,
     chain_diagnostics,
     mwg_probit_overparam_run,
-    probit_gibbs_groups,
+    probit_gibbs_chains,
     probit_gibbs_run,
     rw_metropolis,
     rw_mh_run,
@@ -269,13 +269,25 @@ def outlier_model():
     return ProbitModel(design=design, response=np.append(y, 0.0))
 
 
+def sub_model(model):
+    """The model on all but the last column of `model`'s design: pima on 2
+    covariates, or the outlier model's intercept-only model, whose sweeps
+    mix tail and central latents."""
+    return ProbitModel(design=model.design[:, :model.dimension - 1],
+                       response=model.response)
+
+
 class TestLockstepGibbs:
     @pytest.mark.parametrize("n_chains", [1, 3])
-    @pytest.mark.parametrize("which", ["pima", "outlier"])
+    @pytest.mark.parametrize("which", ["pima", "outlier", "pima-sub", "outlier-sub"])
     def test_chains_match_standalone_runs(self, pima, which, n_chains):
-        model = pima if which == "pima" else outlier_model()
+        """Every chain of a lockstep equals its own `probit_gibbs_run`,
+        stream counter included."""
+        model = pima if which.startswith("pima") else outlier_model()
+        if which.endswith("sub"):
+            model = sub_model(model)
         rngs = [RngStream(31, r) for r in range(n_chains)]
-        (states, means), = probit_gibbs_groups([(model, rngs)], 200)
+        states, means = probit_gibbs_chains(model, 200, rngs)
         assert states.shape == (n_chains, 200, model.dimension)
         assert means.shape == (n_chains, 200, model.dimension)
         for r in range(n_chains):
@@ -290,112 +302,49 @@ class TestLockstepGibbs:
             bound = -(2.0 * model.response - 1.0) * means
             assert np.any(bound > 5.0)
 
-    @pytest.mark.parametrize("sizes", [(1, 1), (3, 2)])
-    @pytest.mark.parametrize("which", ["pima", "outlier"])
-    def test_groups_match_standalone_runs(self, pima, which, sizes):
-        """Two models on one response in one lockstep: pima with 3 and 2
-        covariates, or the outlier model with its intercept-only sub-model,
-        whose block mixes tail and central latents.  Every chain equals its
-        own `probit_gibbs_run`, stream counter included."""
-        full = pima if which == "pima" else outlier_model()
-        sub = ProbitModel(design=full.design[:, :full.dimension - 1],
-                          response=full.response)
-        groups = [(model, [RngStream(37, 10 * g + r) for r in range(k)])
-                  for g, (model, k) in enumerate(zip((full, sub), sizes))]
-        runs = probit_gibbs_groups(groups, 200)
-        for (model, rngs), (states, means) in zip(groups, runs):
-            assert states.shape == means.shape == (len(rngs), 200, model.dimension)
-            for r, rng in enumerate(rngs):
-                alone = RngStream(rng.seed, rng.stream_id)
-                chain, means_alone = probit_gibbs_run(model, 200, alone)
-                assert states[r].tobytes() == chain.states.tobytes()
-                assert means[r].tobytes() == means_alone.tobytes()
-                assert rng.counter == alone.counter
-        if which == "outlier":
-            states = runs[0][0]
-            start = np.broadcast_to(probit_mle(full)[0], (sizes[0], 1, 2))
-            eta = np.concatenate([start, states[:, :-1]], axis=1) @ full.signed_design.T
-            assert np.any(eta < -5.0)
-
     @pytest.mark.parametrize("n_chains", [1, 3])
     def test_a_shorter_run_is_a_prefix(self, pima, n_chains):
         """n sweeps are the first n of 2n + 3 sweeps on the same streams, bit
         for bit, across the block boundaries of both runs; the chains' own
         streams are left where they were."""
         n = 103
-        short = probit_gibbs_groups([(pima, [RngStream(45, r) for r in range(n_chains)])], n)
+        short = probit_gibbs_chains(pima, n, [RngStream(45, r) for r in range(n_chains)])
         rngs = [RngStream(45, r) for r in range(n_chains)]
-        (states, means), = probit_gibbs_groups([(pima, rngs)], 2 * n + 3)
-        assert short[0][0].tobytes() == states[:, :n].tobytes()
-        assert short[0][1].tobytes() == means[:, :n].tobytes()
+        states, means = probit_gibbs_chains(pima, 2 * n + 3, rngs)
+        assert short[0].tobytes() == states[:, :n].tobytes()
+        assert short[1].tobytes() == means[:, :n].tobytes()
         assert [rng.counter for rng in rngs] == [
             RngStream(45, r).counter for r in range(n_chains)]
 
     @pytest.mark.parametrize("which", ["pima", "outlier"])
     def test_the_block_size_moves_no_bit(self, pima, which, monkeypatch):
         """Blocks of 1 sweep, 7 sweeps and the default budget's give
-        byte-identical states and means, over two groups of 2 and 1 chains."""
-        full = pima if which == "pima" else outlier_model()
-        sub = ProbitModel(design=full.design[:, :full.dimension - 1],
-                          response=full.response)
-        sweep_doubles = 3 * full.n_obs
+        byte-identical states and means over 3 chains."""
+        model = pima if which == "pima" else outlier_model()
+        sweep_doubles = 3 * model.n_obs
         runs = []
         for budget in (sweep_doubles, 7 * sweep_doubles, mcmc._GIBBS_BLOCK_DOUBLES):
             monkeypatch.setattr(mcmc, "_GIBBS_BLOCK_DOUBLES", budget)
-            runs.append(probit_gibbs_groups(
-                [(full, [RngStream(46, r) for r in range(2)]), (sub, [RngStream(46, 2)])],
-                50))
-        for run in runs[1:]:
-            for (states, means), (ref_states, ref_means) in zip(run, runs[0]):
-                assert states.tobytes() == ref_states.tobytes()
-                assert means.tobytes() == ref_means.tobytes()
+            runs.append(probit_gibbs_chains(model, 50, [RngStream(46, r) for r in range(3)]))
+        for states, means in runs[1:]:
+            assert states.tobytes() == runs[0][0].tobytes()
+            assert means.tobytes() == runs[0][1].tobytes()
 
-    def test_nan_eta_in_one_group_fails_the_call(self, pima, monkeypatch):
-        sub = ProbitModel(design=pima.design[:, :2], response=pima.response)
-
+    def test_nan_eta_fails_the_call(self, pima, monkeypatch):
         def mle(model):
             beta, cov = probit_mle(model)
-            return (np.full_like(beta, np.nan) if model is sub else beta), cov
+            return np.full_like(beta, np.nan), cov
 
         monkeypatch.setattr(mcmc, "probit_mle", mle)
         with pytest.raises(FloatingPointError):
-            probit_gibbs_groups([(pima, [RngStream(39, 0)]),
-                                 (sub, [RngStream(39, 1)])], 10)
-
-    def test_groups_may_have_their_own_responses(self, pima):
-        """Groups need only a common n: pima with 3 covariates and its own
-        response, and 2 covariates with a response simulated from them, in
-        one lockstep.  Every chain equals its own `probit_gibbs_run`."""
-        design = pima.design[:, :2]
-        beta = probit_mle(ProbitModel(design=design, response=pima.response))[0]
-        rng = np.random.default_rng(40)
-        simulated = (rng.random(pima.n_obs)
-                     < stats.norm.cdf(design @ beta)).astype(float)
-        assert not np.array_equal(simulated, pima.response)
-        other = ProbitModel(design=design, response=simulated)
-        groups = [(pima, [RngStream(40, r) for r in range(2)]),
-                  (other, [RngStream(41, r) for r in range(3)])]
-        runs = probit_gibbs_groups(groups, 300)
-        for (model, rngs), (states, means) in zip(groups, runs):
-            for r, rng in enumerate(rngs):
-                alone = RngStream(rng.seed, rng.stream_id)
-                chain, means_alone = probit_gibbs_run(model, 300, alone)
-                assert states[r].tobytes() == chain.states.tobytes()
-                assert means[r].tobytes() == means_alone.tobytes()
-                assert rng.counter == alone.counter
-
-    def test_groups_must_share_the_number_of_observations(self, pima):
-        fewer = ProbitModel(design=pima.design[:-1], response=pima.response[:-1])
-        with pytest.raises(ValueError, match="number of observations"):
-            probit_gibbs_groups([(pima, [RngStream(40, 0)]),
-                                 (fewer, [RngStream(40, 1)])], 10)
+            probit_gibbs_chains(pima, 10, [RngStream(39, r) for r in range(2)])
 
     def test_ordinate_from_lockstep_means(self, pima):
         """The full conditional of beta given each sweep's kept mean m, over
         three lockstep chains, is N(m, s (X'X)^{-1}); every row is
         bit-identical to its one-row call."""
-        (states, means), = probit_gibbs_groups(
-            [(pima, [RngStream(41, r) for r in range(3)])], 20)
+        states, means = probit_gibbs_chains(
+            pima, 20, [RngStream(41, r) for r in range(3)])
         means = means.reshape(-1, pima.dimension)
         beta = states.reshape(-1, pima.dimension).mean(axis=0)
         n = pima.n_obs
@@ -431,8 +380,8 @@ class TestLockstepGibbs:
         draws of N(0, c (X'X)^{-1}): their mean lies within 4 SE of 0 and
         their second moments within 4 SE of c (X'X)^{-1}, with
         Var(e_j e_k) = S_jj S_kk + S_jk^2 for a centred Gaussian."""
-        (states, means), = probit_gibbs_groups(
-            [(pima, [RngStream(47, r) for r in range(3)])], 4000)
+        states, means = probit_gibbs_chains(
+            pima, 4000, [RngStream(47, r) for r in range(3)])
         resid = (states - means).reshape(-1, pima.dimension)
         n = len(resid)
         g = pima.prior_scale
@@ -452,8 +401,8 @@ class TestOverrelaxedGibbs:
         `sample_latents` on twin ``child(0)`` streams and zeta from twin
         ``child(1)`` streams; the returned means are those m_t."""
         n = 50
-        (states, means), = probit_gibbs_groups(
-            [(pima, [RngStream(48, r) for r in range(n_chains)])], n)
+        states, means = probit_gibbs_chains(
+            pima, n, [RngStream(48, r) for r in range(n_chains)])
         uniforms = [RngStream(48, r).child(0) for r in range(n_chains)]
         normals = [RngStream(48, r).child(1) for r in range(n_chains)]
         a = mcmc._OVERRELAX
@@ -474,8 +423,8 @@ class TestOverrelaxedGibbs:
         read as 1000 Var(chain means) / Var(all kept states) is below 2.0
         per coefficient and below 1.6 for the squared centred coefficients.
         The plain draw (a = 0) reads 2.7-3.2 per coefficient."""
-        (states, _), = probit_gibbs_groups(
-            [(pima, [RngStream(49, r) for r in range(200)])], 1200)
+        states, _ = probit_gibbs_chains(
+            pima, 1200, [RngStream(49, r) for r in range(200)])
         kept = states[:, 200:]
 
         def iact(x):
