@@ -11,7 +11,7 @@ Run:  python3 demos/abc_bernoulli.py
 
 import numpy as np
 
-from bayescomp.abc import AbcConfig, abc_mcmc, abc_pmc, abc_reject
+from bayescomp.abc import abc_mcmc, abc_pmc, abc_reject
 from bayescomp.core import RngStream
 from bayescomp.model import SimulableModel
 
@@ -37,21 +37,18 @@ def main():
     model = make_model()
     print(f"truth: Beta(4, 3) with mean {TRUE_MEAN:.4f}, sd {TRUE_SD:.4f}\n")
 
-    pop = abc_reject(model, Y_OBS, AbcConfig(n_output=4000, tolerance=0.0),
-                     RngStream(seed=1, stream_id=0))
+    pop = abc_reject(model, Y_OBS, 4000, RngStream(seed=1, stream_id=0), tolerance=0.0)
     draws = pop.points[:, 0]
     report("rejection, eps = 0", draws.mean(), draws.std(ddof=1),
            f"({pop.n_proposals} proposals for {len(pop)} hits)")
 
-    chain = abc_mcmc(model, Y_OBS, AbcConfig(n_output=1, tolerance=0.0),
-                     np.array([[0.09]]), n_iter=40_000,
+    chain = abc_mcmc(model, Y_OBS, 0.0, np.array([[0.09]]), n_iter=40_000,
                      rng=RngStream(seed=2, stream_id=0))
     draws = chain.states[4000:, 0]
     report("MCMC, eps = 0", draws.mean(), draws.std(ddof=1),
            f"(acceptance {chain.acceptance_rate:.2f})")
 
-    pops = abc_pmc(model, Y_OBS, AbcConfig(n_output=4000, quantile=0.25),
-                   n_generations=4,
+    pops = abc_pmc(model, Y_OBS, 4000, 0.25, n_generations=4,
                    rng=RngStream(seed=3, stream_id=0))
     final = pops[-1]
     w = final.normalized_weights()

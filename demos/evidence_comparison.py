@@ -8,7 +8,8 @@ cautionary tale it is), the posterior-ordinate identity, and the
 embedded bridge.  Well-designed estimators land on the same number with
 honest error bars; the plain harmonic mean does not.
 
-Run:  python3 demos/evidence_comparison.py        (about 1.3 s on a 2-core Xeon)
+Run:  python3 demos/evidence_comparison.py
+      (1.2 to 1.9 s over five runs on a shared 2-core Xeon)
 """
 
 from bayescomp.cli import resolve_config, run_experiment

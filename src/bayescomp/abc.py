@@ -1,7 +1,11 @@
 """Likelihood-free inference: rejection, MCMC and sequential (population)
 ABC with quantile-driven tolerance schedules.
 
-Every algorithm compares summary statistics under the euclidean distance;
+Each sampler takes the arguments of its own mode: rejection a count and
+exactly one of a fixed `tolerance` and a `quantile` of simulated
+distances, ABC-MCMC a fixed tolerance (Marjoram, Molitor, Plagnol &
+Tavare 2003), and sequential ABC a count and a quantile schedule.  Every
+algorithm compares summary statistics under the euclidean distance;
 raw-data distances are not supported.  Rejection and sequential ABC draw,
 simulate, summarise and measure proposals in blocks of ``core.CHUNK_ROWS``,
 which fixes the stream layout: block b of a generation draws on the one
@@ -30,7 +34,6 @@ population by the local-linear regression of Beaumont, Zhang & Balding
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -55,7 +58,6 @@ from .probit import (
 )
 
 __all__ = [
-    "AbcConfig",
     "AbcPopulation",
     "euclidean_distance",
     "abc_reject",
@@ -84,30 +86,6 @@ _KERNEL_SCALE = 2.0
 def euclidean_distance(summaries, eta_obs) -> np.ndarray:
     """(B,) row norms of the (B, k) `summaries` minus the (k,) `eta_obs`."""
     return np.linalg.norm(np.asarray(summaries, float) - np.asarray(eta_obs, float), axis=-1)
-
-
-@dataclass(frozen=True)
-class AbcConfig:
-    """Tuning knobs shared by the ABC algorithms.  Exactly one of
-    `tolerance` (a fixed epsilon) and `quantile` (a per-generation
-    acceptance fraction in [_ACCEPT_FLOOR, 1], so that the quantile pilot
-    makes at most n_output / _ACCEPT_FLOOR proposals) must be given.
-    Summaries are compared by `euclidean_distance`."""
-
-    n_output: int
-    tolerance: Optional[float] = None
-    quantile: Optional[float] = None
-
-    def __post_init__(self):
-        if (self.tolerance is None) == (self.quantile is None):
-            raise ValueError("set exactly one of tolerance and quantile")
-        if self.tolerance is not None and not self.tolerance >= 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.quantile is not None and not _ACCEPT_FLOOR <= self.quantile <= 1.0:
-            raise ValueError(f"quantile must lie between the acceptance floor "
-                             f"{_ACCEPT_FLOOR} and 1, got {self.quantile!r}")
-        if self.n_output < 1:
-            raise ValueError("n_output must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,41 +164,53 @@ def _accept_in_order(propose, model: SimulableModel, eta_obs, eps: float,
     return particles, summaries, distances, n_prop
 
 
-def abc_reject(model: SimulableModel, y_obs, config: AbcConfig,
-               rng: RngStream) -> AbcPopulation:
-    """Likelihood-free rejection sampling from the prior.
+def abc_reject(model: SimulableModel, y_obs, n: int, rng: RngStream, *,
+               tolerance: float | None = None,
+               quantile: float | None = None) -> AbcPopulation:
+    """Likelihood-free rejection sampling from the prior: n particles.
 
-    With a fixed `tolerance`, the first `n_output` proposals to pass the
-    distance test are kept, or a `RuntimeError` gives the acceptance rate
-    once `_accept_in_order` gives up on them.  With a `quantile`, a single
-    batch of n_output/quantile proposals is ranked and the best n_output
-    kept, which realises the tolerance as an empirical quantile of simulated
-    distances.  Block b of proposals is one batched prior draw on
-    ``rng.child(b)``.
+    Exactly one of `tolerance` and `quantile` is given.  With a fixed
+    `tolerance`, the first n proposals to pass the distance test are
+    kept, or a `RuntimeError` gives the acceptance rate once
+    `_accept_in_order` gives up on them.  With a `quantile`, in
+    [_ACCEPT_FLOOR, 1] so that the pilot makes at most n / _ACCEPT_FLOOR
+    proposals, a single batch of n/quantile proposals is ranked and the
+    best n kept, which realises the tolerance as an empirical quantile of
+    simulated distances.  Block b of proposals is one batched prior draw
+    on ``rng.child(b)``.
     """
+    if (tolerance is None) == (quantile is None):
+        raise ValueError("set exactly one of tolerance and quantile")
+    if tolerance is not None and not tolerance >= 0:
+        raise ValueError("tolerance must be nonnegative")
+    if quantile is not None and not _ACCEPT_FLOOR <= quantile <= 1.0:
+        raise ValueError(f"quantile must lie between the acceptance floor "
+                         f"{_ACCEPT_FLOOR} and 1, got {quantile!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     eta_obs = _observed_summary(model, y_obs)
 
     def propose(size, r):
         return np.asarray(model.sample_prior(size, r), dtype=float), np.ones(size, bool)
 
-    if config.quantile is not None:
-        n_pilot = int(np.ceil(config.n_output / config.quantile))
+    if quantile is not None:
+        n_pilot = int(np.ceil(n / quantile))
         particles, summaries, distances, n_prop = _accept_in_order(
             propose, model, eta_obs, np.inf, n_pilot, rng, budget=n_pilot)
-        order = np.argsort(distances, kind="stable")[:config.n_output]
+        order = np.argsort(distances, kind="stable")[:n]
         particles, summaries, distances = particles[order], summaries[order], distances[order]
         eps = float(distances.max())
     else:
-        eps = float(config.tolerance)
+        eps = float(tolerance)
         particles, summaries, distances, n_prop = _accept_in_order(
-            propose, model, eta_obs, eps, config.n_output, rng)
+            propose, model, eta_obs, eps, n, rng)
     return AbcPopulation(points=particles,
                          log_weights=np.zeros(len(particles)),
                          epsilon=eps, t=0, distances=distances,
                          n_proposals=n_prop, summaries=summaries)
 
 
-def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
+def abc_mcmc(model: SimulableModel, y_obs, tolerance: float, cov,
              n_iter: int, rng: RngStream) -> Chain:
     """Likelihood-free MCMC at a fixed tolerance (Marjoram, Molitor, Plagnol
     & Tavare 2003): `mcmc.rw_metropolis`, increment covariance `cov`, on the
@@ -236,10 +226,8 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
     prior simulates at every step, and a peaked one skips the simulations
     of its far-off proposals, which moves the later draws on `walk` but
     not the law of the chain.  `log_posts` holds each state's log prior."""
-    if config.tolerance is None:
-        raise ValueError("abc_mcmc needs a fixed tolerance")
     eta_obs = _observed_summary(model, y_obs)
-    theta = abc_reject(model, y_obs, replace(config, n_output=1), rng.child(0)).points[0]
+    theta = abc_reject(model, y_obs, 1, rng.child(0), tolerance=tolerance).points[0]
     walk = rng.child(1)
 
     def log_target(prop, floor):
@@ -248,7 +236,7 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
         if lp == -np.inf or below_floor(lp, floor):
             return -np.inf
         hit = euclidean_distance(
-            model.summary(model.simulate(row, walk)), eta_obs)[0] <= config.tolerance
+            model.summary(model.simulate(row, walk)), eta_obs)[0] <= tolerance
         return lp if hit else -np.inf
 
     lp = float(model.log_prior(theta[None, :])[0])
@@ -256,40 +244,37 @@ def abc_mcmc(model: SimulableModel, y_obs, config: AbcConfig, cov,
     return Chain(states=states, log_posts=log_priors, accept_count=sum(accepts),
                  n_proposals=n_iter,
                  proposal_meta={"family": "abc-mcmc",
-                                "tolerance": config.tolerance})
+                                "tolerance": tolerance})
 
 
-def abc_pmc(model: SimulableModel, y_obs, config: AbcConfig,
+def abc_pmc(model: SimulableModel, y_obs, n: int, quantile: float,
             n_generations: int, rng: RngStream) -> list:
     """Sequential ABC through a decreasing tolerance schedule.
 
-    Every generation holds ``config.n_output`` particles, at least 100.
+    Every generation holds n particles, at least 100.
     Generation 0 is quantile-based rejection from the prior; each later
     generation resamples by weight, perturbs with an inflated-covariance
-    Gaussian kernel, accepts at the configured quantile of the previous
+    Gaussian kernel, accepts at the `quantile` of the previous
     generation's distances, and reweights by prior over kernel mixture.
     Block b of generation t draws on the one stream ``rng.child(t).child(b)``
     its ``core.CHUNK_ROWS`` ancestor uniforms, one matrix of kernel noise and
     the simulations of the proposals inside the prior's support; that fixed
-    block size keeps runs bit-reproducible for a fixed (seed, config).
-    A fixed-tolerance config is a `ValueError`.  The run returns the
+    block size keeps runs bit-reproducible for a fixed seed and arguments.
+    The run returns the
     finished generations as soon as the schedule stops strictly decreasing
     or a generation is dropped short of its hits by `_accept_in_order`; the
     proposals the dropped one made land in the last finished one's
     `abandoned_proposals`.
     """
-    if config.quantile is None:
-        raise ValueError("abc_pmc needs a quantile schedule, not a fixed tolerance")
-    n = config.n_output
     if n < _MIN_OUTPUT:
-        raise ValueError(f"n_output must be at least {_MIN_OUTPUT}")
+        raise ValueError(f"n must be at least {_MIN_OUTPUT}")
     if n_generations < 2:
         raise ValueError("n_generations must be at least 2")
     eta_obs = _observed_summary(model, y_obs)
-    populations = [abc_reject(model, y_obs, config, rng.child(0))]
+    populations = [abc_reject(model, y_obs, n, rng.child(0), quantile=quantile)]
     for t in range(1, n_generations):
         prev = populations[-1]
-        eps = float(np.quantile(prev.distances, config.quantile))
+        eps = float(np.quantile(prev.distances, quantile))
         if not eps < prev.epsilon:
             break
         _, cov = prev.moments()
@@ -337,8 +322,8 @@ def regression_adjust(pop: AbcPopulation, eta_obs) -> AbcPopulation:
     return replace(pop, points=pop.points - offsets @ coef[1:])
 
 
-def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
-               n_generations: int = 10) -> AbcPopulation:
+def probit_abc(model: ProbitModel, n: int, quantile: float, n_generations: int,
+               rng: RngStream) -> AbcPopulation:
     """Sequential ABC for the probit posterior.
 
     Each proposal simulates pseudo-responses y* ~ Bernoulli(Phi(X beta))
@@ -359,5 +344,5 @@ def probit_abc(model: ProbitModel, config: AbcConfig, rng: RngStream,
         summary=lambda ys: probit_abc_summary(model, ys, whitener),
         log_prior=lambda betas: gprior_logpdf_many(model, betas),
     )
-    pops = abc_pmc(sim, model.response, config, n_generations, rng)
+    pops = abc_pmc(sim, model.response, n, quantile, n_generations, rng)
     return regression_adjust(pops[-1], _observed_summary(sim, model.response))

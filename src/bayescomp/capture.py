@@ -59,8 +59,9 @@ class CaptureModel:
             raise ValueError("n1 must be positive: the 1/N prior is improper at N = 0")
         if not (0 <= self.c2 <= self.n1):
             raise ValueError("need 0 <= c2 <= n1")
-        if self.c3 < 0:
-            raise ValueError("c3 must be nonnegative")
+        if not (0 <= self.c3 <= self.n1):
+            # the third-occasion recaptures are marked animals
+            raise ValueError("need 0 <= c3 <= n1")
         if self.n_max is None:
             object.__setattr__(self, "n_max", 50 * self.n1)
         if self.n_max < self.n1:

@@ -61,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abc import _ACCEPT_FLOOR, _MIN_OUTPUT, AbcConfig, probit_abc
+from .abc import _ACCEPT_FLOOR, _MIN_OUTPUT, probit_abc
 from .capture import _TAIL_WARN, CAPTURE_COLUMNS, CaptureModel, capture_draws, n_max_tail_mass
 from .core import _U64, DegenerateWeightsError, RngStream
 from .datasets import bundled_pima_path, load_pima
@@ -246,9 +246,10 @@ def resolve_config(experiment: str, raw: dict) -> dict:
     if count(**sizes) + _STREAM_DOUBLES * config["replicates"] > _MAX_DRAW_DOUBLES:
         sizes["replicates"] = config["replicates"]
         raise ConfigError(f"{sizes} would store more than {_MAX_DRAW_DOUBLES} doubles (1 GiB)")
-    if "n_max" in config:  # capture's counts nest: c2 <= n1 <= n_max
-        if config["c2"] > config["n1"]:
-            raise ConfigError(f"c2 {config['c2']} exceeds n1 {config['n1']}")
+    if "n_max" in config:  # capture's counts nest: c2, c3 <= n1 <= n_max
+        for key in ("c2", "c3"):
+            if config[key] > config["n1"]:
+                raise ConfigError(f"{key} {config[key]} exceeds n1 {config['n1']}")
         if (config["n_max"] or config["n1"]) < config["n1"]:
             raise ConfigError(f"n_max {config['n_max']} is below n1 {config['n1']}")
     return config
@@ -432,13 +433,13 @@ def _run_evidence(config, rngs):
     method, n = config["method"], config["n_draws"]
     if method == "prior-mc":
         def estimate(r):
-            return bf_prior_mc(model1, model0, n, n, rngs[r])
+            return bf_prior_mc(model1, model0, n, rngs[r])
     elif method == "importance":
         g0 = GaussianProposal.from_moments(*probit_mle(model0p), scale=2.0)
         g1 = GaussianProposal.from_moments(*probit_mle(model1p), scale=2.0)
 
         def estimate(r):
-            return bf_importance(model1, model0, g1, g0, n, n, rngs[r])
+            return bf_importance(model1, model0, g1, g0, n, rngs[r])
     else:
         models = [(model1p, model1), (model0p, model0)]
         runs = _chain_pair(model1p, model0p, rngs, n)
@@ -465,10 +466,8 @@ def _run_evidence(config, rngs):
 
 def _run_abc(config, rng):
     model = _pima_model(config, ["glu", "bp", "ped"])
-    abc_config = AbcConfig(n_output=config["particles"],
-                           quantile=config["quantile"])
-    pop = probit_abc(model, abc_config, rng,
-                     n_generations=config["generations"])
+    pop = probit_abc(model, config["particles"], config["quantile"],
+                     config["generations"], rng)
     names = ["glu", "bp", "ped"]
     estimates, std_errors = sample_estimates(names, pop.points, pop.normalized_weights())
     diagnostics = {"epsilon": pop.epsilon, "generation": pop.t,

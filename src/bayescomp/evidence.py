@@ -14,8 +14,10 @@ Two rules build every estimate: one evidence is the log-mean-exp of its
 per-draw log terms (or a log numerator minus it) with that mean's
 batch-means error and the Kong effective sample size of the terms as
 weights, unreliable under two terms or when that ESS is under 10 or under
-5% of them; `bayes_factor` subtracts two of one method, adds their errors
-in quadrature, keeps the smaller ESS and ORs their flags.
+5% of them; `bayes_factor` subtracts two log evidences, adds their errors
+in quadrature, keeps the smaller ESS and ORs their flags.  An
+`EvidenceEstimate` holds those four numbers and nothing else: which
+estimator made it and from how many draws is the caller's to record.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "chib_marginal",
 ]
 
-_METHODS = ("prior-mc", "importance", "bridge", "bridge-embedded",
-            "harmonic-gd", "harmonic-nr", "chib")
 _N_BATCHES = 50
 _BRIDGE_TOL = 1e-8
 # an estimate whose terms' weight ESS is under this share of them, or under
@@ -76,14 +76,10 @@ class EvidenceEstimate:
 
     log_value: float
     std_error: float
-    method: str
-    n_draws: int
     unreliable: bool = False
     weight_ess: float = math.nan
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
 
@@ -160,7 +156,7 @@ def _batch_se(v: np.ndarray) -> float:
     return float(np.std(r, ddof=1) / (np.sqrt(len(r)) * np.mean(r)))
 
 
-def _estimate(log_terms, method: str, log_numerator: float | None = None,
+def _estimate(log_terms, log_numerator: float | None = None,
               unreliable: bool = False) -> EvidenceEstimate:
     """One evidence from its per-draw log terms: their log-mean-exp, or
     `log_numerator` minus it where the terms average the evidence's
@@ -172,20 +168,17 @@ def _estimate(log_terms, method: str, log_numerator: float | None = None,
     ess = kong_ess(log_terms)
     return EvidenceEstimate(
         log_value=log_mean if log_numerator is None else log_numerator - log_mean,
-        std_error=_batch_se(log_terms), method=method, n_draws=n,
+        std_error=_batch_se(log_terms),
         unreliable=unreliable or n < 2 or ess < max(_MIN_ESS_SHARE * n, _MIN_ESS),
         weight_ess=ess)
 
 
 def bayes_factor(num: EvidenceEstimate, den: EvidenceEstimate) -> EvidenceEstimate:
-    """num / den for two estimates of one method: the log values subtract,
-    the errors add in quadrature, the draws sum, the smaller weight ESS
-    stays and either flag flags it."""
-    if num.method != den.method:
-        raise ValueError(f"cannot divide a {num.method} estimate by a {den.method} one")
+    """num / den for two estimates: the log values subtract, the errors add
+    in quadrature, the smaller weight ESS stays and either flag flags it.
+    Every caller divides two estimates of one method; nothing checks it."""
     return EvidenceEstimate(log_value=num.log_value - den.log_value,
                             std_error=float(np.hypot(num.std_error, den.std_error)),
-                            method=num.method, n_draws=num.n_draws + den.n_draws,
                             unreliable=num.unreliable or den.unreliable,
                             weight_ess=float(np.fmin(num.weight_ess, den.weight_ess)))
 
@@ -200,36 +193,35 @@ def _prior_loglik_draws(model: BayesModel, n: int, rng: RngStream,
     return ll
 
 
-def bf_prior_mc(model0: BayesModel, model1: BayesModel, n0: int, n1: int,
+def bf_prior_mc(model0: BayesModel, model1: BayesModel, n: int,
                 rng: RngStream) -> EvidenceEstimate:
-    """Bayes factor B01 from prior-sample averages of the two likelihoods."""
-    ll0 = _prior_loglik_draws(model0, n0, rng.child(0), "model0")
-    if model1 is model0 and n1 == n0:
-        ll1 = ll0  # shared draws: the ratio is exactly 1
-    else:
-        ll1 = _prior_loglik_draws(model1, n1, rng.child(1), "model1")
-    return bayes_factor(_estimate(ll0, "prior-mc"), _estimate(ll1, "prior-mc"))
+    """Bayes factor B01 from prior-sample averages of the two likelihoods,
+    n prior draws a model, model i's on ``rng.child(i)``."""
+    ll0 = _prior_loglik_draws(model0, n, rng.child(0), "model0")
+    ll1 = _prior_loglik_draws(model1, n, rng.child(1), "model1")
+    return bayes_factor(_estimate(ll0), _estimate(ll1))
 
 
 def bf_importance(model0: BayesModel, model1: BayesModel, g0, g1,
-                  n0: int, n1: int, rng: RngStream) -> EvidenceEstimate:
+                  n: int, rng: RngStream) -> EvidenceEstimate:
     """Bayes factor B01 from two normalised-proposal importance estimates
-    of the evidences: the log-weights likelihood + prior - proposal of
-    `importance_sample` are the per-draw log integrands."""
+    of the evidences, n draws a model, model i's on ``rng.child(i)``: the
+    log-weights likelihood + prior - proposal of `importance_sample` are
+    the per-draw log integrands."""
     parts = []
-    for i, (model, g, n) in enumerate([(model0, g0, n0), (model1, g1, n1)]):
+    for i, (model, g) in enumerate([(model0, g0), (model1, g1)]):
         try:
             ws = importance_sample(lambda pts, m=model: log_posterior(m, pts),
                                    g.logpdf_many, g.draw_many, n, rng.child(i))
         except DegenerateWeightsError as exc:
             raise ValueError(f"all importance terms are zero for model{i}") from exc
-        parts.append(_estimate(ws.log_weights, "importance"))
+        parts.append(_estimate(ws.log_weights))
     return bayes_factor(*parts)
 
 
 def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
-                    sample0, sample1, max_iter: int = 100, log_r0: float = 0.0,
-                    method: str = "bridge") -> EvidenceEstimate:
+                    sample0, sample1, max_iter: int = 100,
+                    log_r0: float = 0.0) -> EvidenceEstimate:
     """Bayes factor B01 by the iterated quasi-optimal bridge.
 
     Both unnormalised log-posteriors must live on the same space and map
@@ -265,7 +257,7 @@ def bridge_sampling(logpost0_unnorm: Callable, logpost1_unnorm: Callable,
     else:
         raise BridgeError(f"bridge iteration did not converge in {max_iter} steps",
                           trace=trace)
-    ratio = bayes_factor(*(_estimate(t, method) for t in terms(log_r)))
+    ratio = bayes_factor(*(_estimate(t) for t in terms(log_r)))
     return replace(ratio, log_value=float(log_r))
 
 
@@ -349,7 +341,7 @@ def bridge_embedded(model0: BayesModel, model1: BayesModel, psi0,
 
     return bridge_sampling(logpost0_aug,
                            lambda v: log_posterior(model1, v),
-                           augmented0, sample1, method="bridge-embedded")
+                           augmented0, sample1)
 
 
 def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
@@ -376,7 +368,7 @@ def harmonic_mean_gd(logprior_plus_loglik: Callable, posterior_sample,
     terms = np.full(sample.shape[0], -np.inf)
     terms[inside] = log_phi[inside] - np.asarray(logprior_plus_loglik(sample[inside]),
                                                  dtype=float)
-    return _estimate(terms, "harmonic-gd", log_numerator=0.0)
+    return _estimate(terms, log_numerator=0.0)
 
 
 def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
@@ -389,7 +381,7 @@ def newton_raftery_hm(loglik: Callable, posterior_sample) -> EvidenceEstimate:
     if sample.shape[0] == 0:
         raise ValueError("posterior sample is empty")
     terms = -np.asarray(loglik(sample), dtype=float)
-    return _estimate(terms, "harmonic-nr", log_numerator=0.0, unreliable=True)
+    return _estimate(terms, log_numerator=0.0, unreliable=True)
 
 
 def chib_marginal(model: BayesModel, log_ordinate: Callable, latent_stats,
@@ -408,4 +400,4 @@ def chib_marginal(model: BayesModel, log_ordinate: Callable, latent_stats,
     if not np.any(ords > -np.inf):
         raise RuntimeError(
             "full conditional underflows at theta*; pick a higher-density point")
-    return _estimate(ords, "chib", log_numerator=log_posterior(model, theta_star))
+    return _estimate(ords, log_numerator=log_posterior(model, theta_star))

@@ -15,7 +15,6 @@ from bayescomp.abc import (
     _ACCEPT_FLOOR,
     _TooFewHits,
     _accept_in_order,
-    AbcConfig,
     AbcPopulation,
     abc_mcmc,
     abc_pmc,
@@ -60,37 +59,49 @@ def normal_mean_model() -> SimulableModel:
 
 
 class TestConfig:
+    """`abc_reject` refuses its arguments before any proposal: this model's
+    prior cannot be sampled."""
+
+    @staticmethod
+    def reject(n, **mode):
+        def sample_prior(n, rng):
+            raise AssertionError("abc_reject drew from the prior")
+
+        model = replace(bernoulli_model(), sample_prior=sample_prior)
+        return abc_reject(model, Y_OBS, n, RngStream(seed=0, stream_id=0), **mode)
+
     def test_exactly_one_of_tolerance_and_quantile(self):
         with pytest.raises(ValueError):
-            AbcConfig(n_output=10)
+            self.reject(10)
         with pytest.raises(ValueError):
-            AbcConfig(n_output=10, tolerance=0.5, quantile=0.1)
+            self.reject(10, tolerance=0.5, quantile=0.1)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            AbcConfig(n_output=10, tolerance=-1.0)
+            self.reject(10, tolerance=-1.0)
         with pytest.raises(ValueError):
-            AbcConfig(n_output=10, quantile=0.0)
+            self.reject(10, quantile=0.0)
         with pytest.raises(ValueError):
-            AbcConfig(n_output=10, quantile=1.5)
+            self.reject(10, quantile=1.5)
         with pytest.raises(ValueError):
-            AbcConfig(n_output=0, tolerance=0.5)
+            self.reject(0, tolerance=0.5)
 
     def test_quantile_below_the_acceptance_floor_is_refused(self):
-        # the quantile pilot makes n_output / quantile proposals; below the
-        # floor that no generation may fall under, the config is refused
-        # before any proposal
+        # the quantile pilot makes n / quantile proposals; below the floor
+        # that no generation may fall under, the call is refused before
+        # any proposal
         for q in (1e-6, 0.0099, float("nan")):
             with pytest.raises(ValueError, match="0.01"):
-                AbcConfig(n_output=10, quantile=q)
-        assert AbcConfig(n_output=10, quantile=0.01).quantile == 0.01
+                self.reject(10, quantile=q)
+        pop = abc_reject(bernoulli_model(), Y_OBS, 10, RngStream(seed=0, stream_id=0),
+                         quantile=0.01)
+        assert len(pop) == 10 and pop.n_proposals == 1000
 
 
 class TestReject:
     def test_zero_tolerance_is_exact_posterior(self):
-        config = AbcConfig(n_output=2000, tolerance=0.0)
-        pop = abc_reject(bernoulli_model(), Y_OBS, config,
-                         RngStream(seed=3, stream_id=0))
+        pop = abc_reject(bernoulli_model(), Y_OBS, 2000,
+                         RngStream(seed=3, stream_id=0), tolerance=0.0)
         draws = pop.points[:, 0]
         assert abs(np.mean(draws) - BETA_MEAN) < 0.02 * BETA_MEAN
         assert np.std(draws) == pytest.approx(BETA_SD, rel=0.1)
@@ -100,25 +111,22 @@ class TestReject:
         assert np.all(pop.log_weights == 0.0)
 
     def test_huge_tolerance_recovers_prior(self):
-        config = AbcConfig(n_output=2000, tolerance=100.0)
-        pop = abc_reject(bernoulli_model(), Y_OBS, config,
-                         RngStream(seed=4, stream_id=0))
+        pop = abc_reject(bernoulli_model(), Y_OBS, 2000,
+                         RngStream(seed=4, stream_id=0), tolerance=100.0)
         assert pop.n_proposals == 2000  # everything accepted
         assert stats.kstest(pop.points[:, 0], stats.uniform.cdf).pvalue > 1e-3
 
     def test_quantile_mode_ranks_a_single_batch(self):
-        config = AbcConfig(n_output=500, quantile=0.25)
-        pop = abc_reject(bernoulli_model(), Y_OBS, config,
-                         RngStream(seed=5, stream_id=0))
+        pop = abc_reject(bernoulli_model(), Y_OBS, 500,
+                         RngStream(seed=5, stream_id=0), quantile=0.25)
         assert pop.n_proposals == 2000
         assert len(pop) == 500
         assert pop.epsilon == pytest.approx(float(pop.distances.max()))
         assert np.all(pop.distances <= pop.epsilon)
 
     def test_quantile_one_keeps_the_whole_prior_batch(self):
-        config = AbcConfig(n_output=1000, quantile=1.0)
-        pop = abc_reject(bernoulli_model(), Y_OBS, config,
-                         RngStream(seed=6, stream_id=0))
+        pop = abc_reject(bernoulli_model(), Y_OBS, 1000,
+                         RngStream(seed=6, stream_id=0), quantile=1.0)
         assert pop.n_proposals == 1000
         assert stats.kstest(pop.points[:, 0], stats.uniform.cdf).pvalue > 1e-3
 
@@ -127,25 +135,23 @@ class TestReject:
         # accept earlier
         counts = []
         for eps in (0.0, 1.0, 2.0):
-            pop = abc_reject(bernoulli_model(), Y_OBS,
-                             AbcConfig(n_output=300, tolerance=eps),
-                             RngStream(seed=7, stream_id=0))
+            pop = abc_reject(bernoulli_model(), Y_OBS, 300,
+                             RngStream(seed=7, stream_id=0), tolerance=eps)
             counts.append(pop.n_proposals)
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_hopeless_tolerance_aborts(self):
         # the distance can never reach the tolerance: the run stops within
-        # its budget of n_output / 1% proposals
+        # its budget of n / 1% proposals
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.uniform((n, 1)),
             simulate=lambda th, rng: np.zeros((len(th), 1)),
             summary=lambda ys: ys,
             log_prior=lambda th: np.zeros(len(th)),
         )
-        config = AbcConfig(n_output=10, tolerance=0.5)
         with pytest.raises(RuntimeError, match="acceptance probability"):
-            abc_reject(model, np.array([10.0]), config,
-                       RngStream(seed=8, stream_id=0))
+            abc_reject(model, np.array([10.0]), 10,
+                       RngStream(seed=8, stream_id=0), tolerance=0.5)
 
     def test_rare_hits_stop_at_the_acceptance_floor(self):
         # theta itself is the summary, so a tolerance of 0.005 accepts 0.5%
@@ -159,16 +165,15 @@ class TestReject:
             log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                           0.0, -np.inf),
         )
-        config = AbcConfig(n_output=10, tolerance=0.005)
         with pytest.raises(RuntimeError,
                            match=r"4 accepted in 768 proposals \(rate 0\.00521\)"):
-            abc_reject(model, np.zeros(1), config, RngStream(seed=17, stream_id=0))
+            abc_reject(model, np.zeros(1), 10, RngStream(seed=17, stream_id=0),
+                       tolerance=0.005)
 
 
 class TestMcmc:
     def test_zero_tolerance_targets_the_posterior(self):
-        config = AbcConfig(n_output=1, tolerance=0.0)
-        chain = abc_mcmc(bernoulli_model(), Y_OBS, config,
+        chain = abc_mcmc(bernoulli_model(), Y_OBS, 0.0,
                          np.array([[0.04]]), n_iter=20000,
                          rng=RngStream(seed=11, stream_id=0))
         draws = chain.states[2000:, 0]
@@ -178,13 +183,12 @@ class TestMcmc:
         assert 0.0 < chain.acceptance_rate < 1.0
 
     def test_rejection_repeats_previous_state(self):
-        config = AbcConfig(n_output=1, tolerance=0.0)
         rng = RngStream(seed=12, stream_id=0)
-        chain = abc_mcmc(bernoulli_model(), Y_OBS, config,
+        chain = abc_mcmc(bernoulli_model(), Y_OBS, 0.0,
                          np.array([[1.0]]), n_iter=500, rng=rng)
         # every rejection, the first step's included, repeats the state
         # before it; the chain starts from the rejection hit on rng.child(0)
-        start = abc_reject(bernoulli_model(), Y_OBS, config, rng.child(0)).points
+        start = abc_reject(bernoulli_model(), Y_OBS, 1, rng.child(0), tolerance=0.0).points
         before = np.concatenate([start[:, 0], chain.states[:-1, 0]])
         repeats = np.sum(chain.states[:, 0] == before)
         assert repeats == 500 - chain.accept_count
@@ -192,11 +196,10 @@ class TestMcmc:
     def test_reproducible_and_valued_at_the_prior(self):
         # a normal prior on the mean of four unit-normal observations: the
         # stored value of every state is its log prior, never the -inf of
-        # a missed simulation, and a (seed, config) fixes every bit
+        # a missed simulation, and a seed and arguments fix every bit
         model = normal_mean_model()
-        config = AbcConfig(n_output=1, tolerance=0.3)
         y_obs = np.array([0.4, 1.1, -0.2, 0.9])
-        a, b = (abc_mcmc(model, y_obs, config, np.array([[0.5]]), 400,
+        a, b = (abc_mcmc(model, y_obs, 0.3, np.array([[0.5]]), 400,
                          RngStream(seed=13, stream_id=0)) for _ in range(2))
         assert a.states.tobytes() == b.states.tobytes()
         assert a.log_posts.tobytes() == b.log_posts.tobytes()
@@ -217,8 +220,7 @@ class TestMcmc:
                 rows.append(th[0, 0])
             return simulate(th, rng)
 
-        chain = abc_mcmc(replace(model, simulate=counted), y_obs,
-                         AbcConfig(n_output=1, tolerance=tolerance),
+        chain = abc_mcmc(replace(model, simulate=counted), y_obs, tolerance,
                          np.array([[step]]), 400, RngStream(seed=seed, stream_id=0))
         return chain, np.array(rows)
 
@@ -241,11 +243,11 @@ class TestMcmc:
         walk stream and accepted on a hit; the states agree bit for bit."""
         model = normal_mean_model()
         y_obs = np.array([0.4, 1.1, -0.2, 0.9])
-        config = AbcConfig(n_output=1, tolerance=0.3)
+        tolerance = 0.3
         cov = np.array([[0.5]])
-        chain = abc_mcmc(model, y_obs, config, cov, 400, RngStream(seed=13, stream_id=0))
+        chain = abc_mcmc(model, y_obs, tolerance, cov, 400, RngStream(seed=13, stream_id=0))
         rng = RngStream(seed=13, stream_id=0)
-        theta = abc_reject(model, y_obs, config, rng.child(0)).points
+        theta = abc_reject(model, y_obs, 1, rng.child(0), tolerance=tolerance).points
         walk = rng.child(1)
         log_us = np.log1p(-walk.child(0).uniform(400))
         steps = walk.child(1).standard_normal((400, 1)) * MvnParams(np.zeros(1), cov).scale[0, 0]
@@ -257,7 +259,7 @@ class TestMcmc:
             lp_cand = model.log_prior(cand)[0]
             if (log_us[t] <= lp_cand - lp
                     and euclidean_distance(model.summary(model.simulate(cand, walk)),
-                                           eta_obs)[0] <= config.tolerance):
+                                           eta_obs)[0] <= tolerance):
                 theta, lp = cand, lp_cand
             states[t] = theta[0]
         assert chain.states.tobytes() == states.tobytes()
@@ -267,19 +269,13 @@ class TestMcmc:
         each proposal inside [0, 1] and none outside."""
         chain, rows = self.walk_simulations(bernoulli_model(), Y_OBS, 0.0, 1.0, 12)
         rng = RngStream(seed=12, stream_id=0)
-        start = abc_reject(bernoulli_model(), Y_OBS, AbcConfig(n_output=1, tolerance=0.0),
-                           rng.child(0)).points[0, 0]
+        start = abc_reject(bernoulli_model(), Y_OBS, 1, rng.child(0),
+                           tolerance=0.0).points[0, 0]
         before = np.concatenate([[start], chain.states[:-1, 0]])
         steps = rng.child(1).child(1).standard_normal(400)
         proposals = before + steps
         inside = proposals[(proposals >= 0.0) & (proposals <= 1.0)]
         assert rows.tobytes() == inside.tobytes()
-
-    def test_requires_fixed_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            abc_mcmc(bernoulli_model(), Y_OBS,
-                     AbcConfig(n_output=1, quantile=0.1),
-                     np.eye(1), 10, RngStream(seed=0, stream_id=0))
 
 
 def _uniform_rate_generation(rate, rng):
@@ -301,8 +297,7 @@ def _uniform_rate_generation(rate, rng):
 
 class TestPmc:
     def test_schedule_strictly_decreases_and_posterior_is_reached(self):
-        config = AbcConfig(n_output=600, quantile=0.5)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
+        pops = abc_pmc(bernoulli_model(), Y_OBS, 600, 0.5,
                        n_generations=4, rng=RngStream(seed=21, stream_id=0))
         epsilons = [p.epsilon for p in pops]
         assert all(b < a for a, b in zip(epsilons, epsilons[1:]))
@@ -314,8 +309,7 @@ class TestPmc:
     def test_stalled_quantile_schedule_stops_early(self):
         # distances are integers here; once every particle sits at distance
         # zero the quantile cannot decrease further and the run must stop
-        config = AbcConfig(n_output=200, quantile=0.9)
-        pops = abc_pmc(bernoulli_model(), Y_OBS, config,
+        pops = abc_pmc(bernoulli_model(), Y_OBS, 200, 0.9,
                        n_generations=30, rng=RngStream(seed=23, stream_id=0))
         assert len(pops) < 30
         assert np.quantile(pops[-1].distances, 0.9) >= pops[-1].epsilon
@@ -333,7 +327,7 @@ class TestPmc:
                                           0.0, -np.inf),
         )
         n = 100
-        pops = abc_pmc(model, np.zeros(1), AbcConfig(n_output=n, quantile=0.5),
+        pops = abc_pmc(model, np.zeros(1), n, 0.5,
                        n_generations=30,
                        rng=RngStream(seed=25, stream_id=0))
         assert len(pops) < 30
@@ -390,7 +384,7 @@ class TestPmc:
             summary=lambda ys: ys,
             log_prior=log_prior,
         )
-        pops = abc_pmc(model, np.zeros(1), AbcConfig(n_output=100, quantile=0.9),
+        pops = abc_pmc(model, np.zeros(1), 100, 0.9,
                        n_generations=3, rng=RngStream(seed=26, stream_id=0))
         assert len(pops) == 1
         abandoned = pops[0].abandoned_proposals
@@ -406,29 +400,17 @@ class TestPmc:
             log_prior=lambda th: np.where((th[:, 0] >= 0.0) & (th[:, 0] <= 1.0),
                                           300.0 * th[:, 0], -np.inf),
         )
-        config = AbcConfig(n_output=100, quantile=0.9)
         with pytest.raises(DegenerateWeightsError, match="generation"):
-            abc_pmc(model, np.zeros(1), config,
+            abc_pmc(model, np.zeros(1), 100, 0.9,
                     n_generations=3, rng=RngStream(seed=24, stream_id=0))
 
     def test_input_validation(self):
-        config = AbcConfig(n_output=100, quantile=0.5)
         with pytest.raises(ValueError):
-            abc_pmc(bernoulli_model(), Y_OBS, AbcConfig(n_output=50, quantile=0.5),
+            abc_pmc(bernoulli_model(), Y_OBS, 50, 0.5,
                     n_generations=3, rng=RngStream(seed=0, stream_id=0))
         with pytest.raises(ValueError):
-            abc_pmc(bernoulli_model(), Y_OBS, config,
+            abc_pmc(bernoulli_model(), Y_OBS, 100, 0.5,
                     n_generations=1, rng=RngStream(seed=0, stream_id=0))
-
-    def test_refuses_a_fixed_tolerance(self):
-        # refused before any draw: this model's prior cannot be sampled
-        def sample_prior(n, rng):
-            raise AssertionError("abc_pmc drew from the prior")
-
-        model = replace(bernoulli_model(), sample_prior=sample_prior)
-        with pytest.raises(ValueError, match="quantile schedule"):
-            abc_pmc(model, Y_OBS, AbcConfig(n_output=100, tolerance=1.0),
-                    n_generations=3, rng=RngStream(seed=0, stream_id=0))
 
 
 class TestBlocks:
@@ -446,14 +428,13 @@ class TestBlocks:
         assert batched[0] == np.linalg.norm(summaries[0] - eta)
 
     def test_one_more_particle_extends_the_same_population(self):
-        # n_output m and m + 1 at one seed: the first m particles agree and
-        # the larger population needs more proposals, both fills mid-block
+        # n = m and m + 1 at one seed: the first m particles agree and the
+        # larger population needs more proposals, both fills mid-block
         m = 100
-        config = AbcConfig(n_output=m, tolerance=0.0)
-        small = abc_reject(bernoulli_model(), Y_OBS, config,
-                           RngStream(seed=13, stream_id=0))
-        large = abc_reject(bernoulli_model(), Y_OBS, replace(config, n_output=m + 1),
-                           RngStream(seed=13, stream_id=0))
+        small = abc_reject(bernoulli_model(), Y_OBS, m,
+                           RngStream(seed=13, stream_id=0), tolerance=0.0)
+        large = abc_reject(bernoulli_model(), Y_OBS, m + 1,
+                           RngStream(seed=13, stream_id=0), tolerance=0.0)
         np.testing.assert_array_equal(large.points[:m], small.points)
         np.testing.assert_array_equal(large.summaries[:m], small.summaries)
         assert large.n_proposals > small.n_proposals
@@ -462,31 +443,28 @@ class TestBlocks:
 
     def test_proposals_are_counted_not_rounded_to_blocks(self):
         # a prior supported everywhere and a tolerance every proposal meets:
-        # rejection needs exactly n_output proposals, not a whole number of
+        # rejection needs exactly n proposals, not a whole number of
         # blocks; with theta as its own summary, each sequential generation
-        # counts up to its n_output-th hit, mid-block
+        # counts up to its n-th hit, mid-block
         model = SimulableModel(
             sample_prior=lambda n, rng: rng.standard_normal((n, 1)),
             simulate=lambda th, rng: np.zeros((len(th), 1)),
             summary=lambda ys: ys,
             log_prior=lambda th: -0.5 * th[:, 0] ** 2,
         )
-        config = AbcConfig(n_output=300, tolerance=1.0)
-        assert abc_reject(model, np.zeros(1), config,
-                          RngStream(seed=14, stream_id=0)).n_proposals == 300
+        assert abc_reject(model, np.zeros(1), 300, RngStream(seed=14, stream_id=0),
+                          tolerance=1.0).n_proposals == 300
         pops = abc_pmc(replace(model, simulate=lambda th, rng: th.copy()), np.zeros(1),
-                       AbcConfig(n_output=300, quantile=0.75),
-                       n_generations=3, rng=RngStream(seed=14, stream_id=0))
+                       300, 0.75, n_generations=3, rng=RngStream(seed=14, stream_id=0))
         assert [p.n_proposals for p in pops] == [400, 550, 535]
 
     def test_hopeless_tolerance_reports_its_rate(self):
         # 10 hits wanted: the budget is 10 / 1% = 1000 proposals; none in
         # the first 512 bounds the rate below the 10 / 488 still needed
-        config = AbcConfig(n_output=10, tolerance=0.0)
         with pytest.raises(RuntimeError,
                            match="10 hits in 1000 proposals: 0 accepted in 512 proposals"):
-            abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), config,
-                       RngStream(seed=15, stream_id=0))
+            abc_reject(bernoulli_model(), np.full(N_TRIALS, 2.0), 10,
+                       RngStream(seed=15, stream_id=0), tolerance=0.0)
 
 
 class TestAbcPopulation:
@@ -531,16 +509,13 @@ class TestProbitAbc:
         model = ProbitModel(design=x, response=y)
         beta_hat, _ = probit_mle(model)
 
-        config = AbcConfig(n_output=150, quantile=0.5)
-        pop = probit_abc(model, config, RngStream(seed=31, stream_id=0),
-                         n_generations=3)
+        pop = probit_abc(model, 150, 0.5, 3, RngStream(seed=31, stream_id=0))
         assert isinstance(pop, AbcPopulation)
         assert pop.points.shape == (150, 2)
         assert np.all(np.isfinite(pop.log_weights))
         est, _ = sample_estimates(["b0", "b1"], pop.points, pop.normalized_weights())
         for d in range(2):
             assert abs(est[f"mean_b{d}"] - beta_hat[d]) < 0.5
-        again = probit_abc(model, config, RngStream(seed=31, stream_id=0),
-                           n_generations=3)
+        again = probit_abc(model, 150, 0.5, 3, RngStream(seed=31, stream_id=0))
         np.testing.assert_array_equal(again.points, pop.points)
         np.testing.assert_array_equal(again.log_weights, pop.log_weights)

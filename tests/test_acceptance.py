@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from bayescomp.abc import AbcConfig, abc_mcmc, abc_pmc, abc_reject, probit_abc
+from bayescomp.abc import abc_mcmc, abc_pmc, abc_reject, probit_abc
 from bayescomp.capture import CaptureModel, capture_gibbs_run
 from bayescomp.cli import resolve_config, run_experiment
 from bayescomp.core import (
@@ -204,7 +204,7 @@ class TestEvidenceCrossConsistency:
                 "bridge-embedded": []}
         importance_ses = []
         for r, rng in enumerate(rngs):
-            est = bf_importance(m1, m0, g1, g0, self.N, self.N, rng.child(0))
+            est = bf_importance(m1, m0, g1, g0, self.N, rng.child(0))
             vals["importance"].append(est.log_value)
             importance_ses.append(est.std_error)
 
@@ -332,7 +332,7 @@ class TestEvidenceOracle:
         m0, m1 = self._model(1.0), self._model(10.0)
         truth = self._log_m(1.0) - self._log_m(10.0)
         self._replicate_checks(
-            lambda rng: bf_prior_mc(m0, m1, self.N, self.N, rng), truth)
+            lambda rng: bf_prior_mc(m0, m1, self.N, rng), truth)
 
     def test_importance(self):
         m0, m1 = self._model(1.0), self._model(10.0)
@@ -340,7 +340,7 @@ class TestEvidenceOracle:
         g1 = GaussianProposal(MvnParams(np.zeros(1), np.array([[4.0]])))
         truth = self._log_m(1.0) - self._log_m(10.0)
         self._replicate_checks(
-            lambda rng: bf_importance(m0, m1, g0, g1, self.N, self.N, rng),
+            lambda rng: bf_importance(m0, m1, g0, g1, self.N, rng),
             truth)
 
     def test_bridge(self):
@@ -400,15 +400,13 @@ class TestAbcExactness:
         assert abs(sd - BETA_SD) < 0.02 * BETA_SD
 
     def test_rejection(self):
-        pop = abc_reject(_bernoulli_model(), BERN_OBS,
-                         AbcConfig(n_output=6000, tolerance=0.0),
-                         RngStream(101, 0))
+        pop = abc_reject(_bernoulli_model(), BERN_OBS, 6000, RngStream(101, 0),
+                         tolerance=0.0)
         draws = pop.points[:, 0]
         self._check(np.mean(draws), np.std(draws, ddof=1))
 
     def test_mcmc(self):
-        chain = abc_mcmc(_bernoulli_model(), BERN_OBS,
-                         AbcConfig(n_output=1, tolerance=0.0),
+        chain = abc_mcmc(_bernoulli_model(), BERN_OBS, 0.0,
                          np.array([[0.09]]), n_iter=60_000,
                          rng=RngStream(102, 0))
         draws = chain.states[5000:, 0]
@@ -418,8 +416,7 @@ class TestAbcExactness:
         # the distance is integer-valued and the prior hits distance zero
         # about one time in six, so a quarter quantile reaches epsilon = 0
         # by the second generation
-        pops = abc_pmc(_bernoulli_model(), BERN_OBS,
-                       AbcConfig(n_output=4000, quantile=0.25),
+        pops = abc_pmc(_bernoulli_model(), BERN_OBS, 4000, 0.25,
                        n_generations=4,
                        rng=RngStream(103, 0))
         final = pops[-1]
@@ -435,8 +432,7 @@ def abc_probit_runs(pima3):
     chain, _ = probit_gibbs_run(pima3, 10_000, RngStream(0, 0))
     gibbs_mean = chain.states.mean(axis=0)
     gibbs_sd = chain.states.std(axis=0, ddof=1)
-    pop = probit_abc(pima3, AbcConfig(n_output=2000, quantile=0.1),
-                     RngStream(1, 0), n_generations=10)
+    pop = probit_abc(pima3, 2000, 0.1, 10, RngStream(1, 0))
     w = pop.normalized_weights()
     abc_mean = w @ pop.points
     abc_sd = np.sqrt(w @ (pop.points - abc_mean) ** 2)

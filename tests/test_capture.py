@@ -60,6 +60,13 @@ class TestLoglik:
         with pytest.raises(ValueError, match="n1"):
             CaptureModel(n1=0, c2=0, c3=0)
 
+    def test_recaptures_come_from_the_marked(self):
+        # the third occasion recaptures c3 of the n1 marked animals, so no
+        # removal pair fits more than n1 of them
+        with pytest.raises(ValueError, match="c3"):
+            CaptureModel(n1=1, c2=0, c3=5)
+        assert CaptureModel(n1=1, c2=0, c3=1).c3 == 1
+
 
 def _chisquare_pvalue(draws, support, probs):
     """Chi-square p-value of draws against probabilities on `support`,

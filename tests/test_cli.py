@@ -814,6 +814,7 @@ class TestErrors:
     @pytest.mark.parametrize("experiment,config,key", [
         ("pmc", {**_TINY["pmc"], "weight": 1.5}, "weight"),
         ("capture", {"iterations": 200, "c2": 30}, "c2"),
+        ("capture", {"iterations": 200, "c3": 23}, "c3"),
         ("abc", {**_TINY["abc"], "quantile": 1e-6}, "quantile"),
         ("pmc", {"particles": 1}, "particles"),
         ("pmc", {"generations": 0}, "generations"),
@@ -839,7 +840,8 @@ class TestErrors:
         ("evidence", {"method": "harmonic-gd", "n_draws": 2}, "n_draws"),
         ("pmc", {"sigma2": 1e-320, "particles": 100, "generations": 2}, "sigma2"),
         ("mixture-demo", {"sigma2": 1e-320}, "sigma2"),
-    ], ids=["pmc-weight", "capture-c2", "abc-quantile", "pmc-particles",
+    ], ids=["pmc-weight", "capture-c2", "capture-c3-over-n1", "abc-quantile",
+            "pmc-particles",
             "pmc-generations", "pmc-q0_scale", "pmc-sigma2", "pmc-weight-string",
             "pmc-q0_scale-bool", "capture-n1", "capture-c3", "capture-n_max",
             "capture-iterations",
@@ -851,7 +853,7 @@ class TestErrors:
     def test_config_errors_fail_before_any_output(self, tmp_path, capsys,
                                                   experiment, config, key):
         # each value fails its key's declared kind or a rule that spans keys
-        # (capture's c2 <= n1 <= n_max), so no runner starts; harmonic-gd
+        # (capture's c2, c3 <= n1 <= n_max), so no runner starts; harmonic-gd
         # fits an ellipsoid to the 3-covariate draws, whose scatter two
         # draws leave singular, and a subnormal sigma2 has no finite
         # reciprocal, which every mixture density divides by
